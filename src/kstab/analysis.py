@@ -452,17 +452,11 @@ def _newton_rows(potential, normals, targets, z, tol, max_iter) -> int:
                 break
             t = np.where(good, t, 0.5 * t)
         else:  # the last halving has not been evaluated yet
-            moved, new_res = za + t[:, None] * step, None
-        # rounding may land a nearly saturated node on the facet itself,
-        # where the barrier stops being finite; back such rows off
-        for _ in range(60):
-            inside = _row_min(potential.slacks(moved)) > 0.0
-            if inside.all():
-                break
-            t = np.where(inside, t, 0.5 * t)
-            moved, new_res = za + t[:, None] * step, None
-        if new_res is None:
+            moved = za + t[:, None] * step
             new_res = potential.gradient(moved) - targets[idx]
+        # rounding may land a nearly saturated node on a facet itself; the
+        # barrier stays finite there only because slacks() clamps at
+        # _SLACK_FLOOR, so such a node needs no back-off
         stuck = moved == za
         pinned = live & stuck & (np.abs(new_res) >= np.abs(raw) * (1 - 1e-6))
         frozen[idx] = stuck & (frozen[idx] | pinned)
@@ -506,30 +500,21 @@ class RayState:
     def grid(self) -> Grid:
         return self.ray.grid
 
-    def mass_ratio(self) -> float:
-        vol = float(volume_data(self.ray.cfg.base).volume)
-        return self.grid.integrate(np.exp(self.log_volume_ratio)) / vol
-
 
 class Ray:
     """Workspace for one smoothing level: cached transports along s."""
 
     def __init__(self, cfg: ToricTestConfig, beta: float,
-                 u0: SymplecticPotential | None = None,
-                 grid: Grid | None = None, tau_max: float = 12.0,
-                 bulk_order: int | None = None):
+                 tau_max: float = 12.0, bulk_order: int | None = None):
         self.cfg = cfg
-        self.u0 = u0 if u0 is not None else guillemin_potential(cfg.base)
+        self.u0 = guillemin_potential(cfg.base)
         self.smooth = SmoothedPL.from_fn(cfg.g, beta)
-        if grid is None:
-            depth = collar_depth_for(tau_max)
-            orders = {} if bulk_order is None else {"bulk_order": bulk_order}
-            if cfg.base.dim == 1:
-                orders["crease_depth"] = crease_ladder_depth(beta, tau_max)
-            grid = build_grid(cfg.base, depth,
-                              creases=crease_points(cfg.g), **orders)
-        self.grid = grid
-        pts = grid.points
+        orders = {} if bulk_order is None else {"bulk_order": bulk_order}
+        if cfg.base.dim == 1:
+            orders["crease_depth"] = crease_ladder_depth(beta, tau_max)
+        self.grid = build_grid(cfg.base, collar_depth_for(tau_max),
+                               creases=crease_points(cfg.g), **orders)
+        pts = self.grid.points
         self.h0 = self.u0.hessian(pts)
         self.logdet0 = _logdet_small(self.h0)
         self.xi = self.u0.gradient(pts)
@@ -605,12 +590,6 @@ class Ray:
         target = self.u0.gradient(p[None, :])
         moved = newton_transport(self.potential(tau), target, p[None, :].copy())
         return float(-self.smooth.value(moved)[0])
-
-
-def ray_state(cfg: ToricTestConfig, u0: SymplecticPotential, tau: float,
-              beta: float, **ray_opts) -> RayState:
-    """One-shot convenience wrapper around Ray(...).state(tau)."""
-    return Ray(cfg, beta=beta, u0=u0, **ray_opts).state(tau)
 
 
 # ---------------------------------------------------------------------------
@@ -745,12 +724,3 @@ def ricci_reference(u0: SymplecticPotential, pts: np.ndarray) -> np.ndarray:
         mid = (d @ pair).reshape(rows, dim, dim)
         out[lo:lo + rows] = 0.5 * (hinv @ mid @ hinv)
     return out
-
-
-def state_csv_rows(state: RayState, curvature: np.ndarray | None = None):
-    """Rows (coords..., weight, phi, phi_dot, logdet, S) for trace dumps."""
-    pts = state.grid.points
-    s_col = curvature if curvature is not None else np.full(len(pts), np.nan)
-    for i in range(len(pts)):
-        yield (*pts[i], state.grid.weights[i], state.phi[i],
-               state.phi_dot[i], state.log_volume_ratio[i], s_col[i])

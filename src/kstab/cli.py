@@ -30,8 +30,7 @@ POINT probes are not functional traces and get the minimal
 byte-identical except for the timestamp field.
 
 The --seed flag is recorded in the report for provenance; the pipeline
-itself is deterministic.  KSTAB_THREADS caps worker threads in the
-slope ladders.
+itself is deterministic.
 """
 
 from __future__ import annotations
@@ -47,13 +46,13 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .analysis import Ray
 from .errors import NumericalFailure, ValidationError
 from .functionals import l1_norm_path
 from .invariants import blowup_expansion, invariant_report
 from .plconfig import make_config, normalize
 from .polytope import box, construct, frac_str, interval, unit_simplex
-from .slopes import POINT_SCHEDULE, Schedule, scan_destabilizer, verify_theorem
+from .slopes import (POINT_SCHEDULE, Schedule, ladder, scan_destabilizer,
+                     verify_theorem)
 
 SCENARIO_SCHEMA = "kstab-scenario/1"
 REPORT_SCHEMA = "kstab-report/1"
@@ -89,6 +88,24 @@ def _rational(blob, what: str) -> Fraction:
         raise ValidationError(f"{what}: {blob!r} is not a rational") from exc
 
 
+def _integer(blob, what: str) -> int:
+    try:
+        return int(blob)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what}: {blob!r} is not an integer") from exc
+
+
+def _positive(blob, what: str) -> float:
+    try:
+        x = float(blob)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what}: {blob!r} is not a number") from exc
+    if not (math.isfinite(x) and x > 0.0):
+        raise ValidationError(f"{what} must be finite and positive, "
+                              f"got {blob!r}")
+    return x
+
+
 def _rational_point(blob, what: str) -> tuple:
     if not isinstance(blob, (list, tuple)) or not blob:
         raise ValidationError(f"{what} must be a nonempty coordinate list")
@@ -106,10 +123,10 @@ def _parse_polytope(blob, what: str = "polytope"):
         return interval(_rational(blob.get("lo", 0), what),
                         _rational(blob.get("hi", 1), what))
     if kind == "box":
-        return box(int(blob.get("dim", 2)),
+        return box(_integer(blob.get("dim", 2), f"{what} dim"),
                    side=_rational(blob.get("side", 1), what))
     if kind == "simplex":
-        return unit_simplex(int(blob.get("dim", 2)))
+        return unit_simplex(_integer(blob.get("dim", 2), f"{what} dim"))
     raise ValidationError(
         f"{what}: unknown kind {kind!r} (expected interval, box, simplex, "
         "or an explicit vertex list)")
@@ -191,31 +208,27 @@ def _finite(x):
     return x if math.isfinite(x) else None
 
 
-def _invariant_entry(report) -> dict:
-    blob = report.to_json()
-    out = {}
-    for key, val in blob.items():
-        if isinstance(val, dict) and "approx" in val:
-            out[key] = {"exact": val["exact"], "decimal": val["approx"]}
-        else:
-            out[key] = val
-    return out
-
-
 def _schedule_from(task: dict, tau_max, quad_order, point: bool) -> Schedule:
     base = POINT_SCHEDULE if point else Schedule()
     blob = task.get("schedule") or {}
     if not isinstance(blob, dict):
         raise ValidationError("schedule must be an object")
-    taus = tuple(float(t) for t in blob.get("taus", base.taus))
+    taus = blob.get("taus", base.taus)
+    if not isinstance(taus, (list, tuple)):
+        raise ValidationError("schedule taus must be a list")
+    taus = tuple(_positive(t, "schedule tau") for t in taus)
+    if any(b <= a for a, b in zip(taus, taus[1:])):
+        raise ValidationError(f"schedule taus {list(taus)} must be "
+                              "strictly increasing")
     if tau_max is not None:
         taus = tuple(t for t in taus if t <= float(tau_max))
     if not taus:
         raise ValidationError("--tau-max leaves no tau samples")
     return Schedule(
         taus=taus,
-        beta0=float(blob.get("beta0", base.beta0)),
-        tol=None if blob.get("tol") is None else float(blob["tol"]),
+        beta0=_positive(blob.get("beta0", base.beta0), "schedule beta0"),
+        tol=None if blob.get("tol") is None
+        else _positive(blob["tol"], "schedule tol"),
         bulk_order=quad_order)
 
 
@@ -226,7 +239,7 @@ def _schedule_from(task: dict, tau_max, quad_order, point: bool) -> Schedule:
 def _task_invariants(cfg, task, blob):
     mode = blob.get("normalization", "min_zero")
     report = invariant_report(normalize(cfg, mode))
-    return {"kind": "invariants", "report": _invariant_entry(report)}, None
+    return {"kind": "invariants", "report": report.to_json()}, None
 
 
 def _task_slopes(cfg, task, alpha, tau_max, quad_order):
@@ -299,16 +312,7 @@ def _task_scan(cfg, task, quad_order):
 def _task_l1(cfg, task, tau_max, quad_order):
     ncfg = normalize(cfg, "average_zero")
     schedule = _schedule_from(task, tau_max, quad_order, point=False)
-    top = float(max(schedule.taus))
-    if len(ncfg.g.pieces) == 1:
-        ray = Ray(ncfg, beta=schedule.beta0, tau_max=top,
-                  bulk_order=quad_order)
-        states = [ray.state(t) for t in schedule.taus]
-    else:
-        states = [Ray(ncfg, beta=schedule.beta(t), tau_max=float(t),
-                      bulk_order=quad_order).state(float(t))
-                  for t in schedule.taus]
-    report = l1_norm_path(states)
+    report = l1_norm_path(ladder(ncfg, schedule, lambda ray, t: ray.state(t)))
     entry = {"kind": "l1", "limit": _finite(report.limit),
              "length": _finite(report.length),
              "trace": [[t, _finite(v)] for t, v in report.trace]}
@@ -460,8 +464,8 @@ def emit_outputs(results: dict, out_dir: Path) -> list:
         "tasks": [entry for entry, _ in results["entries"]],
     }
     report_path = out_dir / "report.json"
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True)
-                           + "\n", encoding="utf-8")
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    report_path.write_text(text + "\n", encoding="utf-8")
     written.append(report_path)
     return written
 

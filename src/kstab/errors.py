@@ -79,10 +79,6 @@ class NumericalFailure(KstabError):
     """Numerical routine failed to converge or self-check failed."""
 
 
-class SingularHessian(NumericalFailure):
-    """Potential Hessian numerically singular at an evaluation point."""
-
-
 class NewtonDivergence(NumericalFailure):
     """Gradient inversion failed; usually the grid hugs the boundary."""
 

@@ -36,7 +36,7 @@ from .analysis import (Grid, Ray, RayState, ShiftedPotential,
                        bulk_grid, crease_ladder_depth, crease_points,
                        guillemin_potential, newton_transport, ricci_reference)
 from .errors import MissingAlpha, NormalizationRequired, RouteMismatch
-from .invariants import slope_mu, twisted_weights
+from .invariants import slope_mu
 from .polytope import Polytope, volume_data
 
 PATH_REL_TOL = 1e-7
@@ -215,14 +215,29 @@ def energy_report(state: RayState, alpha: Polytope | None = None) -> EnergyRepor
                         err_estimate=err)
 
 
+def _phi_dot_pairing(ray: Ray, s: float, a_field: np.ndarray) -> float:
+    """n * <phi_dot, a ^ w_s^(n-1)> at the grid nodes for the field a_field.
+
+    In moment coordinates this is -n * n! * integral of
+    g_beta * MD(a_field, G_s) * det H_s, with H_s the Hessian of u_s.
+    """
+    n = ray.cfg.dim
+    h_s = ray.hessian_at_nodes(s)
+    if n == 1:
+        md = a_field[:, 0, 0]
+        det = h_s[:, 0, 0]
+    else:
+        md = mixed_discriminant(a_field, _inv_small(h_s))
+        det = np.exp(_logdet_small(h_s))
+    return -n * math.factorial(n) * ray.grid.integrate(ray.g_vals * md * det)
+
+
 def _l_alpha_path(ray: Ray, tau: float, alpha: Polytope):
     """Path integral of the alpha-pairing: d/ds L = n * <phi_dot, alpha ^ w^(n-1)>."""
     if alpha.dim != ray.cfg.dim:
         raise MissingAlpha(
             "twisting polytope has dimension "
             f"{alpha.dim}, expected {ray.cfg.dim}")
-    n = ray.cfg.dim
-    fact = math.factorial(n)
     u_alpha = guillemin_potential(alpha)
     vd = volume_data(alpha)
     warm = {"pts": None}
@@ -234,15 +249,7 @@ def _l_alpha_path(ray: Ray, tau: float, alpha: Polytope):
                     (ray.grid.size, 1))
         x_a = newton_transport(u_alpha, xi, start.copy())
         warm["pts"] = x_a
-        a_field = _inv_small(u_alpha.hessian(x_a))
-        h_s = ray.hessian_at_nodes(s)
-        if n == 1:
-            md = a_field[:, 0, 0]
-            det = h_s[:, 0, 0]
-        else:
-            md = mixed_discriminant(a_field, _inv_small(h_s))
-            det = np.exp(_logdet_small(h_s))
-        return -n * fact * ray.grid.integrate(ray.g_vals * md * det)
+        return _phi_dot_pairing(ray, s, _inv_small(u_alpha.hessian(x_a)))
 
     key = ("l_alpha",) + tuple(tuple(v) for v in alpha.vertices)
     return _path_prefix(ray, key, integrand, tau)
@@ -250,20 +257,9 @@ def _l_alpha_path(ray: Ray, tau: float, alpha: Polytope):
 
 def _l_ricci_path(ray: Ray, tau: float):
     """Path integral pairing phi_dot with the reference Ricci data."""
-    n = ray.cfg.dim
-    fact = math.factorial(n)
-
     def integrand(s: float) -> float:
         x = ray.inverse_transport(s)
-        a_field = ricci_reference(ray.u0, x)
-        h_s = ray.hessian_at_nodes(s)
-        if n == 1:
-            md = a_field[:, 0, 0]
-            det = h_s[:, 0, 0]
-        else:
-            md = mixed_discriminant(a_field, _inv_small(h_s))
-            det = np.exp(_logdet_small(h_s))
-        return -n * fact * ray.grid.integrate(ray.g_vals * md * det)
+        return _phi_dot_pairing(ray, s, ricci_reference(ray.u0, x))
 
     return _path_prefix(ray, "l_ricci", integrand, tau)
 
@@ -325,25 +321,6 @@ def mabuchi(state: RayState) -> MabuchiReport:
     return MabuchiReport(tau=tau, value=route_a, route_a=route_a,
                          route_b=route_b, entropy=entropy, l_ricci=l_ric,
                          err_estimate=err)
-
-
-def j_alpha_twisted(state: RayState, alpha: Polytope | None):
-    """(j_alpha, twisted_mabuchi) at the state's tau.
-
-    j_alpha = L_alpha - n/(n+1) * gamma * AM with gamma the exact
-    normalized mixed volume from the invariants layer; the twisted
-    Mabuchi energy is the plain one plus j_alpha.
-    """
-    if alpha is None:
-        raise MissingAlpha("twisted energy needs the twisting polytope")
-    ray = state.ray
-    n = ray.cfg.dim
-    gamma = float(twisted_weights(ray.cfg, alpha)[0])
-    if state.tau == 0.0:
-        return 0.0, 0.0
-    l_alpha, _ = _l_alpha_path(ray, state.tau, alpha)
-    j_alpha = l_alpha - (n / (n + 1)) * gamma * am_energy(ray, state.tau)
-    return j_alpha, mabuchi(state).value + j_alpha
 
 
 @dataclass(frozen=True)

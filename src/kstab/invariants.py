@@ -205,7 +205,7 @@ class InvariantReport:
 
     def to_json(self) -> dict:
         def render(q):
-            return {"exact": frac_str(q), "approx": float(q)}
+            return {"exact": frac_str(q), "decimal": float(q)}
         return {
             "df": render(self.df),
             "minimum_norm": render(self.minimum_norm),

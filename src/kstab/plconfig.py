@@ -13,7 +13,6 @@ invariant downstream is checked to be blind to it.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -28,7 +27,6 @@ from .polytope import (
     construct,
     dot,
     frac,
-    frac_str,
     integrate,
     regions_of_max,
     vec,
@@ -184,40 +182,3 @@ def normalize(cfg: ToricTestConfig, mode: str = "min_zero") -> ToricTestConfig:
         return cfg
     return replace(cfg, g=cfg.g.shifted(-drop), shift=cfg.shift - drop,
                    normalization=mode)
-
-
-def smooth_eval(g: PLConvexFn, x, beta: float) -> float:
-    """Soft-max mollification (1/beta) log sum exp(beta piece_i(x)).
-
-    Dominates g pointwise and exceeds it by at most log(#pieces)/beta;
-    convex and smooth in x for every beta > 0.
-    """
-    if beta <= 0:
-        raise DomainMismatch("beta must be positive")
-    vals = [float(p(vec(x))) for p in g.pieces]
-    top = max(vals)
-    return top + math.log(sum(math.exp(beta * (v - top)) for v in vals)) / beta
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def config_to_json(cfg: ToricTestConfig) -> dict:
-    return {
-        "polytope": cfg.base.to_json(),
-        "pl": [[frac_str(c) for c in p.gradient] + [frac_str(p.constant)]
-               for p in cfg.g.pieces],
-        "shift": frac_str(cfg.shift),
-        "normalization": cfg.normalization,
-    }
-
-
-def config_from_json(data: dict) -> ToricTestConfig:
-    base = Polytope.from_json(data["polytope"])
-    pieces = [(row[:-1], row[-1]) for row in data["pl"]]
-    g = pl_fn(base, pieces)
-    shift = frac(data["shift"]) if "shift" in data else "auto"
-    cfg = make_config(base, g, shift)
-    mode = data.get("normalization", "raw")
-    return cfg if mode == "raw" else normalize(cfg, mode)

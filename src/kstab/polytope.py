@@ -20,7 +20,6 @@ Conventions:
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
@@ -253,28 +252,6 @@ class Polytope:
             coords = [v[j] for v in self.vertices]
             spans.append(max(coords) - min(coords))
         return max(spans)
-
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "halfspaces": [{"normal": list(h.normal), "offset": frac_str(h.offset)}
-                           for h in self.halfspaces],
-            "vertices": [[frac_str(c) for c in v] for v in self.vertices],
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "Polytope":
-        try:
-            hs = [Halfspace(tuple(int(c) for c in h["normal"]), frac(h["offset"]))
-                  for h in data["halfspaces"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InconsistentInput(f"bad polytope JSON: {exc}") from exc
-        poly = construct(halfspaces=hs)
-        if "vertices" in data:
-            got = {vec(v) for v in data["vertices"]}
-            if got != set(poly.vertices):
-                raise InconsistentInput("vertex list inconsistent with halfspaces")
-        return poly
 
 
 def _dedupe_halfspaces(halfspaces):

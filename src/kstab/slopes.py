@@ -28,8 +28,6 @@ plateau exit beyond the last sample at any tau_max.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -43,6 +41,7 @@ from .errors import (
     MissingAlpha,
     NonMonotoneTau,
     NotAVertex,
+    NumericalFailure,
 )
 from .functionals import energy_report, mabuchi
 from .invariants import (
@@ -217,21 +216,6 @@ class VerdictReport:
         }
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("KSTAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    workers = _thread_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
-
-
 def _tier(cfg: ToricTestConfig) -> str:
     return "affine" if len(cfg.g.pieces) == 1 else "pl"
 
@@ -256,8 +240,26 @@ def _exact_value(cfg, theorem, alpha, vertex) -> Fraction:
     return -chow_weight(cfg, vertex)
 
 
-def _energy_row(tau, ray, theorem, alpha, gamma):
-    state = ray.state(float(tau))
+def ladder(cfg: ToricTestConfig, schedule: Schedule, fn) -> list:
+    """fn(ray, tau) at each tau of the schedule, in schedule order.
+
+    An affine ray is exact, so one Ray serves the whole ladder and its
+    transport cache warm-starts each tau from the one below.  A PL ray
+    gets one Ray per tau, smoothed at beta = beta0 * tau and graded for
+    that tau.
+    """
+    taus = [float(t) for t in schedule.taus]
+    if _tier(cfg) == "affine":
+        ray = Ray(cfg, beta=schedule.beta0, tau_max=max(taus),
+                  bulk_order=schedule.bulk_order)
+        return [fn(ray, t) for t in taus]
+    return [fn(Ray(cfg, beta=schedule.beta(t), tau_max=t,
+                   bulk_order=schedule.bulk_order), t)
+            for t in taus]
+
+
+def _energy_row(ray, tau, theorem, alpha, gamma):
+    state = ray.state(tau)
     rep = energy_report(state, alpha=alpha if theorem == "JALPHA" else None)
     l_a = float("nan") if rep.l_alpha is None else float(rep.l_alpha)
     battery = (float(rep.am), rep.i_val, rep.j_val, l_a)
@@ -270,47 +272,23 @@ def _energy_row(tau, ray, theorem, alpha, gamma):
         value = rep.l_alpha - (n / (n + 1.0)) * gamma * rep.am
     else:  # DF
         mab = mabuchi(state)
-        return (float(tau), mab.value, mab.err_estimate) + battery
-    return (float(tau), float(value), rep.err_estimate) + battery
+        return (tau, mab.value, mab.err_estimate) + battery
+    return (tau, float(value), rep.err_estimate) + battery
 
 
-def _energy_trace(cfg, theorem, schedule, alpha):
-    gamma = float(twisted_weights(cfg, alpha)[0]) if theorem == "JALPHA" \
-        else 0.0
-    tau_top = float(max(schedule.taus))
-    if _tier(cfg) == "affine":
-        # exact ray: one shared transport cache, ascending warm starts
-        ray = Ray(cfg, beta=schedule.beta0, tau_max=tau_top,
-                  bulk_order=schedule.bulk_order)
-        return [_energy_row(t, ray, theorem, alpha, gamma)
-                for t in schedule.taus]
-
-    def build(tau):
-        ray = Ray(cfg, beta=schedule.beta(tau), tau_max=float(tau),
-                  bulk_order=schedule.bulk_order)
-        return _energy_row(tau, ray, theorem, alpha, gamma)
-
-    return _map_ordered(build, list(schedule.taus))
+def _probe_trace(cfg, probe: np.ndarray, schedule):
+    """(tau, phi_dot at the reference point probe, 0) over the ladder."""
+    return ladder(cfg, schedule,
+                  lambda ray, t: (t, ray.point_derivative(t, probe), 0.0))
 
 
-def _point_trace(cfg, vertex, schedule):
+def _vertex_probe(cfg, vertex, schedule) -> np.ndarray:
+    """Probe point at depth delta inside the vertex, toward the barycenter."""
     i = cfg.base.vertex_index(vertex)
     vf = np.array([float(c) for c in cfg.base.vertices[i]])
     bary = np.array([float(c) for c in volume_data(cfg.base).barycenter])
     delta = math.exp(-2.0 * (float(max(schedule.taus)) + 4.0))
-    probe = vf + delta * (bary - vf)
-    if _tier(cfg) == "affine":
-        ray = Ray(cfg, beta=schedule.beta0, tau_max=float(max(schedule.taus)),
-                  bulk_order=schedule.bulk_order)
-        return [(float(t), ray.point_derivative(float(t), probe), 0.0)
-                for t in schedule.taus]
-
-    def build(tau):
-        ray = Ray(cfg, beta=schedule.beta(tau), tau_max=float(tau),
-                  bulk_order=schedule.bulk_order)
-        return (float(tau), ray.point_derivative(float(tau), probe), 0.0)
-
-    return _map_ordered(build, list(schedule.taus))
+    return vf + delta * (bary - vf)
 
 
 def verify_theorem(cfg: ToricTestConfig, theorem: str,
@@ -340,14 +318,22 @@ def verify_theorem(cfg: ToricTestConfig, theorem: str,
     tol = schedule.tol if schedule.tol is not None else _default_tol(name, tier)
     exact = _exact_value(ncfg, name, alpha, vertex)
     if name == "POINT":
-        trace = tuple(_point_trace(ncfg, vertex, schedule))
+        probe = _vertex_probe(ncfg, vertex, schedule)
+        trace = tuple(_probe_trace(ncfg, probe, schedule))
         energies = ()
         est = estimate_limit_value(trace)
     else:
-        rows = _energy_trace(ncfg, name, schedule, alpha)
+        gamma = float(twisted_weights(ncfg, alpha)[0]) \
+            if name == "JALPHA" else 0.0
+        rows = ladder(ncfg, schedule, lambda ray, t: _energy_row(
+            ray, t, name, alpha, gamma))
         trace = tuple(r[:3] for r in rows)
         energies = tuple((r[0],) + r[3:] for r in rows)
         est = estimate_limit_slope(trace)
+    if not (math.isfinite(est.value) and math.isfinite(est.residual)):
+        raise NumericalFailure(
+            f"{name} slope {est.value!r} (residual {est.residual!r}) is "
+            "not finite")
     passed = abs(est.value - float(exact)) <= tol * (1.0 + abs(float(exact)))
     return VerdictReport(
         theorem=name, exact=exact, slope=est.value, residual=est.residual,
@@ -390,26 +376,11 @@ def scan_destabilizer(cfg: ToricTestConfig, candidates="vertices",
         if p in vertex_set:
             scored.append(CandidateWeight(p, vertex_set[p], True))
         else:
-            trace = _interior_point_trace(ncfg, p, schedule or POINT_SCHEDULE)
+            probe = np.array([float(c) for c in p])
+            trace = _probe_trace(ncfg, probe, schedule or POINT_SCHEDULE)
             est = estimate_limit_value(trace)
             scored.append(CandidateWeight(p, -est.value, False))
     best = max(scored, key=lambda c: float(c.value))
     positive = best.value > 0
     return ScanReport(best=best, destabilizing=bool(positive),
                       candidates=tuple(scored))
-
-
-def _interior_point_trace(cfg, point, schedule):
-    probe = np.array([float(c) for c in point])
-    if _tier(cfg) == "affine":
-        ray = Ray(cfg, beta=schedule.beta0, tau_max=float(max(schedule.taus)),
-                  bulk_order=schedule.bulk_order)
-        return [(float(t), ray.point_derivative(float(t), probe), 0.0)
-                for t in schedule.taus]
-
-    def build(tau):
-        ray = Ray(cfg, beta=schedule.beta(tau), tau_max=float(tau),
-                  bulk_order=schedule.bulk_order)
-        return (float(tau), ray.point_derivative(float(tau), probe), 0.0)
-
-    return _map_ordered(build, list(schedule.taus))

@@ -7,8 +7,8 @@ import sys
 import pytest
 
 from kstab.cli import (EXIT_PARSE, EXIT_PASS, EXIT_VALIDATION,
-                       EXIT_VERDICT_FAIL, bundled_scenarios, main,
-                       run_scenario)
+                       EXIT_VERDICT_FAIL, bundled_scenarios, emit_outputs,
+                       main, run_scenario)
 
 KINK = {
     "schema": "kstab-scenario/1",
@@ -29,11 +29,21 @@ def write_scenario(tmp_path, blob, name="scenario.json"):
     return path
 
 
+def _refuse_constant(name):
+    raise ValueError(f"report.json holds the non-JSON constant {name}")
+
+
+def read_report(out):
+    """report.json parsed as strict JSON: NaN and Infinity are refused."""
+    return json.loads((out / "report.json").read_text(),
+                      parse_constant=_refuse_constant)
+
+
 def test_kink_scenario_passes_and_writes_report(tmp_path, capsys):
     path = write_scenario(tmp_path, KINK)
     out = tmp_path / "out"
     assert run_scenario(path, out_dir=out) == EXIT_PASS
-    report = json.loads((out / "report.json").read_text())
+    report = read_report(out)
     assert report["schema"] == "kstab-report/1"
     assert report["pass"] is True
     kinds = [t["kind"] for t in report["tasks"]]
@@ -100,6 +110,39 @@ def test_invalid_scenarios_exit_3(tmp_path, mutate, capsys):
     assert "invalid scenario" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mutate", [
+    lambda b: b.update(polytope={"kind": "box", "dim": "two"}),
+    lambda b: b["tasks"][1].update(schedule={"taus": ["a"]}),
+    lambda b: b["tasks"][1].update(schedule={"taus": 4}),
+    lambda b: b["tasks"][1].update(schedule={"taus": [1, 2, 2, 8]}),
+    lambda b: b["tasks"][1].update(schedule={"taus": [-1, 2, 4, 8]}),
+    lambda b: b["tasks"][1].update(schedule={"taus": [1, 2, 4, "inf"]}),
+    lambda b: b["tasks"][1].update(schedule={"beta0": 0}),
+    lambda b: b["tasks"][1].update(schedule={"beta0": "nan"}),
+    lambda b: b["tasks"][1].update(schedule={"tol": "nan"}),
+    lambda b: b["tasks"][1].update(schedule={"tol": -1e-3}),
+])
+def test_malformed_numbers_exit_3_without_traceback(tmp_path, mutate,
+                                                    capsys):
+    blob = json.loads(json.dumps(KINK))
+    mutate(blob)
+    path = write_scenario(tmp_path, blob)
+    out = tmp_path / "out"
+    assert run_scenario(path, out_dir=out) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "invalid scenario" in err and "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
+def test_report_refuses_non_finite_numbers(tmp_path):
+    results = {"name": "nan-smoke", "timestamp": "t", "seed": None,
+               "options": {}, "pass": True,
+               "entries": [({"kind": "l1", "limit": float("nan")}, None)]}
+    with pytest.raises(ValueError):
+        emit_outputs(results, tmp_path)
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_missing_vertex_for_point_exits_3(tmp_path, capsys):
     blob = json.loads(json.dumps(KINK))
     blob["tasks"] = [{"kind": "slopes", "theorems": ["POINT"]}]
@@ -115,7 +158,7 @@ def test_failed_verdict_exits_1_but_writes_report(tmp_path, capsys):
     path = write_scenario(tmp_path, blob)
     out = tmp_path / "out"
     assert run_scenario(path, out_dir=out) == EXIT_VERDICT_FAIL
-    report = json.loads((out / "report.json").read_text())
+    report = read_report(out)
     assert report["pass"] is False
     assert report["tasks"][0]["verdicts"][0]["pass"] is False
     assert "[FAIL]" in capsys.readouterr().out
@@ -150,7 +193,7 @@ def test_point_task_writes_minimal_csv(tmp_path, capsys):
     assert run_scenario(path, out_dir=out) == EXIT_PASS
     rows = (out / "traces" / "00_POINT.csv").read_text().splitlines()
     assert rows[0] == "tau,value,err_estimate"
-    report = json.loads((out / "report.json").read_text())
+    report = read_report(out)
     assert report["tasks"][0]["verdicts"][0]["exact"] == "-1/2"
     capsys.readouterr()
 
@@ -161,7 +204,7 @@ def test_l1_task_reports_positive_speed(tmp_path, capsys):
     path = write_scenario(tmp_path, blob)
     out = tmp_path / "out"
     assert run_scenario(path, out_dir=out) == EXIT_PASS
-    entry = json.loads((out / "report.json").read_text())["tasks"][0]
+    entry = read_report(out)["tasks"][0]
     assert entry["limit"] > 0
     assert entry["length"] > 0
     assert len(entry["trace"]) == 7
@@ -189,7 +232,7 @@ def test_console_entry_point_matches_main(tmp_path):
          "--out", str(out), "--seed", "7"],
         capture_output=True, text=True)
     assert proc.returncode == EXIT_PASS, proc.stderr
-    report = json.loads((out / "report.json").read_text())
+    report = read_report(out)
     assert report["seed"] == 7
 
 

@@ -253,4 +253,4 @@ def test_invariant_report():
     assert rep.provenance["df"] == "both_agree"
     assert rep.calibration == 1
     blob = rep.to_json()
-    assert blob["df"] == {"exact": "1/2", "approx": 0.5}
+    assert blob["df"] == {"exact": "1/2", "decimal": 0.5}

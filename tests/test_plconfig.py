@@ -2,19 +2,14 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kstab.analysis import SmoothedPL
 from kstab.errors import DomainMismatch, NotConvex, ShiftTooSmall
-from kstab.plconfig import (
-    config_from_json,
-    config_to_json,
-    make_config,
-    normalize,
-    pl_fn,
-    smooth_eval,
-)
+from kstab.plconfig import make_config, normalize, pl_fn
 from kstab.polytope import box, integrate, interval, unit_simplex, volume_data
 
 F = Fraction
@@ -106,16 +101,22 @@ def test_scaling_scales_integrals():
         assert integrate(g.domain, g.scaled(d)) == d * integrate(g.domain, g)
 
 
+def soft_max(g, x, beta):
+    """The log-sum-exp mollification of g at the point x."""
+    return float(SmoothedPL.from_fn(g, beta).value(
+        np.array([[float(c) for c in x]]))[0])
+
+
 def test_smooth_eval_single_piece_exact():
     g = pl_fn(interval(0, 1), [((1,), 0)])
     for beta in (0.5, 3.0, 50.0):
-        assert smooth_eval(g, (F(1, 3),), beta) == pytest.approx(1 / 3, abs=1e-14)
+        assert soft_max(g, (F(1, 3),), beta) == pytest.approx(1 / 3, abs=1e-14)
 
 
 def test_smooth_eval_tie_point():
     g = pl_fn(interval(0, 1), [((1,), 0), ((-1,), 1)])
     beta = 7.0
-    got = smooth_eval(g, (F(1, 2),), beta)
+    got = soft_max(g, (F(1, 2),), beta)
     assert got == pytest.approx(0.5 + math.log(2) / beta, abs=1e-14)
 
 
@@ -125,7 +126,7 @@ def test_smooth_eval_tie_point():
 def test_smooth_eval_bounds(x, beta):
     g = pl_fn(interval(0, 1), [((1,), 0), ((-1,), 1), ((0,), F(3, 4))])
     exact = float(g((x,)))
-    soft = smooth_eval(g, (x,), beta)
+    soft = soft_max(g, (x,), beta)
     assert soft >= exact - 1e-12
     assert soft - exact <= math.log(len(g.pieces)) / beta + 1e-12
 
@@ -135,12 +136,3 @@ def test_cayley_full_dimensional_and_bounded():
     vd = volume_data(cfg.cayley)
     assert cfg.cayley.dim == 3
     assert vd.volume > 0
-
-
-def test_json_round_trip():
-    cfg = normalize(make_config(interval(0, 1), [((1,), 0), ((-1,), 1)]),
-                    "average_zero")
-    data = config_to_json(cfg)
-    back = config_from_json(data)
-    assert back == cfg
-    assert data["pl"] == [["1", "-3/4"], ["-1", "1/4"]]

@@ -17,7 +17,6 @@ from kstab.errors import (
 )
 from kstab.polytope import (
     Halfspace,
-    Polytope,
     as_body,
     box,
     construct,
@@ -133,16 +132,6 @@ def test_halfspace_make_primitivizes():
 def test_frac_rejects_float():
     with pytest.raises(TypeError):
         frac(0.5)
-
-
-def test_json_round_trip():
-    p = corner_chop(box(2), (1, 1), F(1, 3))
-    q = Polytope.from_json(p.to_json())
-    assert q == p
-    bad = p.to_json()
-    bad["vertices"][0] = ["7", "7"]
-    with pytest.raises(InconsistentInput):
-        Polytope.from_json(bad)
 
 
 def test_delzant_flags():
