@@ -11,15 +11,16 @@ Everything numeric lives downstream of three ingredients built here:
   * a vectorized damped Newton solver for the Legendre transport
     x -> x_tau defined by grad u_tau(x_tau) = grad u_0(x).
 
-Scalar curvature uses Abreu's expression with fourth-order central
-differences of the inverse-Hessian field and the calibration constant
-kappa = 1/2, fixed so that the mean curvature equals n times the slope
-(checked for interval, square, simplex).  The reference Ricci data is
-the xi-Hessian of half the log-determinant of the potential Hessian,
-computed through the moment-coordinate chain rule; with this pairing
-the pointwise identity S = n * MD(ricci, G^(n-1)) / det G holds against
-the same grids (tested), which is what makes the two Mabuchi evaluation
-routes in the functionals module agree.
+Scalar curvature uses Abreu's expression in closed form (facet sums
+and softmax cumulants for the third and fourth derivatives of the
+potential) with the calibration constant kappa = 1/2, fixed so that
+the mean curvature equals n times the slope (checked for interval,
+square, simplex).  The reference Ricci data is the xi-Hessian of half
+the log-determinant of the potential Hessian, computed through the
+moment-coordinate chain rule; with this pairing the pointwise identity
+S = n * MD(ricci, G^(n-1)) / det G holds against the same grids
+(tested), which is what makes the two Mabuchi evaluation routes in the
+functionals module agree.
 """
 from __future__ import annotations
 
@@ -70,10 +71,6 @@ class SymplecticPotential:
         outer = self.normals[:, :, None] * self.normals[:, None, :]
         return 0.5 * ((1.0 / ell) @ outer.reshape(n_facets, dim * dim)
                       ).reshape(-1, dim, dim)
-
-    def slack_gradient_bound(self) -> float:
-        """max_k ||nu_k||_1, used to size interior finite-difference steps."""
-        return float(np.abs(self.normals).sum(axis=1).max())
 
 
 def guillemin_potential(base: Polytope) -> SymplecticPotential:
@@ -153,9 +150,6 @@ class ShiftedPotential:
     def hessian(self, pts):
         return self.u0.hessian(pts) + self.s * self.smooth.hessian(pts)
 
-    def slack_gradient_bound(self):
-        return self.u0.slack_gradient_bound()
-
 
 # ---------------------------------------------------------------------------
 # quadrature grids
@@ -201,18 +195,19 @@ def _graded_breaks(depth: int):
     return [0.0] + left + [0.5] + right + [1.0]
 
 
-def _panel_nodes(breaks, bulk_order, graded_order, bulk_lo, bulk_hi):
+def _panel_nodes(breaks, inner_order, graded_order, inner_lo, inner_hi):
     xs, ws = [], []
     for a, b in zip(breaks[:-1], breaks[1:]):
-        order = bulk_order if (a >= bulk_lo and b <= bulk_hi) else graded_order
+        order = inner_order if (a >= inner_lo and b <= inner_hi) \
+            else graded_order
         x, w = _gauss_panel(a, b, order)
         xs.append(x)
         ws.append(w)
     return np.concatenate(xs), np.concatenate(ws)
 
 
-def line_grid(base: Polytope, depth: int, creases=(), bulk_order: int = 16,
-              graded_order: int = 8, crease_depth: int = 8) -> Grid:
+def line_grid(base: Polytope, depth: int, creases=(), graded_order: int = 8,
+              crease_depth: int = 8) -> Grid:
     """Graded Gauss panels on an interval, refined at supplied crease points.
 
     Around each crease the panels grade dyadically from a 0.08-wide
@@ -238,11 +233,11 @@ def line_grid(base: Polytope, depth: int, creases=(), bulk_order: int = 16,
     for t in bs[1:]:
         if t - merged[-1] > 1e-14:
             merged.append(t)
-    x, w = _panel_nodes(merged, bulk_order, graded_order, 0.25, 0.75)
+    x, w = _panel_nodes(merged, 16, graded_order, 0.25, 0.75)
     return Grid(points=(a + span * x)[:, None], weights=span * w)
 
 
-def fan_grid(base: Polytope, depth: int, bulk_order: int = 12,
+def fan_grid(base: Polytope, depth: int, inner_order: int = 12,
              graded_order: int = 4) -> Grid:
     """Barycentric fan over the facets with dyadic grading.
 
@@ -255,8 +250,8 @@ def fan_grid(base: Polytope, depth: int, bulk_order: int = 12,
     t_breaks = [0.0, 0.25, 0.5] + [1.0 - 0.5 ** k for k in range(1, depth + 1)] + [1.0]
     t_breaks = sorted(set(t_breaks))
     s_breaks = _graded_breaks(depth)
-    tx, tw = _panel_nodes(t_breaks, bulk_order, graded_order, 0.0, 0.5)
-    sx, sw = _panel_nodes(s_breaks, bulk_order, graded_order, 0.25, 0.75)
+    tx, tw = _panel_nodes(t_breaks, inner_order, graded_order, 0.0, 0.5)
+    sx, sw = _panel_nodes(s_breaks, inner_order, graded_order, 0.25, 0.75)
 
     pts_all, w_all = [], []
     for k, h in enumerate(base.halfspaces):
@@ -288,10 +283,9 @@ def bulk_grid(base: Polytope, creases=(), crease_depth: int = 8) -> Grid:
     split panels keep plain Gauss panels from averaging over it.
     """
     if base.dim == 1:
-        return line_grid(base, depth=8, creases=creases,
-                         bulk_order=16, graded_order=10,
+        return line_grid(base, depth=8, creases=creases, graded_order=10,
                          crease_depth=crease_depth)
-    return fan_grid(base, depth=8, bulk_order=16, graded_order=6)
+    return fan_grid(base, depth=8, inner_order=16, graded_order=6)
 
 
 def crease_points(g: PLConvexFn):
@@ -505,13 +499,12 @@ class Ray:
     """Workspace for one smoothing level: cached transports along s."""
 
     def __init__(self, cfg: ToricTestConfig, beta: float,
-                 tau_max: float = 12.0, bulk_order: int | None = None):
+                 tau_max: float = 12.0):
         self.cfg = cfg
         self.u0 = guillemin_potential(cfg.base)
         self.smooth = SmoothedPL.from_fn(cfg.g, beta)
-        orders = {} if bulk_order is None else {"bulk_order": bulk_order}
-        if cfg.base.dim == 1:
-            orders["crease_depth"] = crease_ladder_depth(beta, tau_max)
+        orders = {"crease_depth": crease_ladder_depth(beta, tau_max)} \
+            if cfg.base.dim == 1 else {}
         self.grid = build_grid(cfg.base, collar_depth_for(tau_max),
                                creases=crease_points(cfg.g), **orders)
         pts = self.grid.points
@@ -596,76 +589,78 @@ class Ray:
 # curvature fields
 
 
-def _fd_steps(potential, pts: np.ndarray) -> np.ndarray:
-    ell_min = potential.slacks(pts).min(axis=1)
-    diam = float(potential.u0.base.diameter_bound()
-                 if isinstance(potential, ShiftedPotential)
-                 else potential.base.diameter_bound())
-    bound = potential.slack_gradient_bound()
-    return np.minimum(1e-3 * diam, 0.15 * ell_min / bound)
+def abreu_scalar_curvature(potential, pts: np.ndarray) -> np.ndarray:
+    """Abreu's scalar curvature S = -kappa * sum_jk d2(u^{jk})/dx_j dx_k.
 
+    Closed form in G = H^-1 and one list of vectors V_m with weights
+    c_m, which write the third derivative of u as sum_m c_m V_m^(x3).
+    Each facet gives V_k = nu_k with c_k = w_k^2 / 2 (w = 1/slack); each
+    smoothed PL piece gives V_i = a_i - abar with c_i = s beta^2 p_i,
+    where p is the softmax weight, a_i the piece gradients and abar =
+    sum_i p_i a_i.  With Q_ml = V_m . G V_l and q_m = Q_mm,
 
-_D1 = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
-_D1_OFF = np.array([-2.0, -1.0, 1.0, 2.0])
-_D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-_D2_OFF = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+        S / kappa = sum_facets w_k^3 q_k^2
+                    + s beta^3 (sum p_i q_i^2 - (sum p_i q_i)^2
+                                - 2 sum_ij p_i p_j Q_ij^2)
+                    - sum_ml c_m q_m c_l q_l Q_ml - sum_ml c_m c_l Q_ml^3
 
-
-def _second_derivative_field(eval_field, pts: np.ndarray, h: np.ndarray,
-                             dim: int):
-    """4th-order FD Hessian contraction helpers for matrix/scalar fields.
-
-    Returns a dict mapping (j, k) with j <= k to the mixed second
-    derivative of the field (same trailing shape as eval_field output).
+    which follows from d_j d_k G = G (d_j H G d_k H + d_k H G d_j H
+    - d_j d_k H) G: the fourth derivative of u is sum_k w_k^3 nu_k^(x4)
+    plus s beta^3 times the fourth softmax cumulant.  In one dimension
+    this reduces to G^2 (u'''' - 2 G u'''^2), evaluated as scalars.
+    kappa = 1/2 makes the mean curvature equal n times the slope.
     """
-    out = {}
-    for j in range(dim):
-        acc = None
-        for c, o in zip(_D2, _D2_OFF):
-            shifted = pts.copy()
-            shifted[:, j] += o * h
-            term = eval_field(shifted)
-            acc = c * term if acc is None else acc + c * term
-        out[(j, j)] = acc / (h ** 2)[(...,) + (None,) * (acc.ndim - 1)]
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            acc = None
-            for cj, oj in zip(_D1, _D1_OFF):
-                for ck, ok in zip(_D1, _D1_OFF):
-                    shifted = pts.copy()
-                    shifted[:, j] += oj * h
-                    shifted[:, k] += ok * h
-                    term = eval_field(shifted)
-                    piece = (cj * ck) * term
-                    acc = piece if acc is None else acc + piece
-            out[(j, k)] = acc / (h ** 2)[(...,) + (None,) * (acc.ndim - 1)]
-    return out
+    if isinstance(potential, ShiftedPotential):
+        u0, smooth, s = potential.u0, potential.smooth, potential.s
+        pl = not smooth.exact and s != 0.0
+    else:
+        u0, pl = potential, False
+    w = 1.0 / u0.slacks(pts)
+    ginv = _inv_small(potential.hessian(pts))
+    nu = u0.normals
+    if pl:
+        _, _, p = smooth._fields(pts)
+        beta = smooth.beta
+    if nu.shape[1] == 1:
+        g = ginv[:, 0, 0]
+        third = 0.5 * (w * w) @ nu[:, 0] ** 3
+        fourth = w ** 3 @ nu[:, 0] ** 4
+        if pl:
+            v = smooth.grads[None, :, 0] - p @ smooth.grads
+            pv2 = p * v * v
+            var = pv2.sum(axis=1)
+            third += s * beta ** 2 * (pv2 * v).sum(axis=1)
+            fourth += s * beta ** 3 * ((pv2 * v * v).sum(axis=1)
+                                       - 3.0 * var * var)
+        return KAPPA * g * g * (fourth - 2.0 * g * third * third)
+    n_facets, dim = nu.shape
+    vec = np.vstack([nu, smooth.grads]) if pl else nu
+    m = len(vec)
+    pair = (vec[:, None, :, None] * vec[None, :, None, :]).reshape(
+        m * m, dim * dim)
+    big_q = (ginv.reshape(len(pts), dim * dim) @ pair.T).reshape(-1, m, m)
+    c = 0.5 * w * w
+    if pl:
+        # centre the piece vectors: V_i = a_i - sum_j p_j a_j
+        big_q[:, :, n_facets:] -= big_q[:, :, n_facets:] @ p[:, :, None]
+        big_q[:, n_facets:, :] -= p[:, None, :] @ big_q[:, n_facets:, :]
+        c = np.hstack([c, s * beta ** 2 * p])
+    q = np.diagonal(big_q, axis1=1, axis2=2)
+    cq = c * q
+    total = (w ** 3 * q[:, :n_facets] ** 2).sum(axis=1) \
+        - _quadratic(cq, big_q, cq) - _quadratic(c, big_q * big_q * big_q, c)
+    if pl:
+        qp = q[:, n_facets:]
+        qq = big_q[:, n_facets:, n_facets:]
+        total += s * beta ** 3 * ((p * qp * qp).sum(axis=1)
+                                  - (p * qp).sum(axis=1) ** 2
+                                  - 2.0 * _quadratic(p, qq * qq, p))
+    return KAPPA * total
 
 
-def abreu_scalar_curvature(potential, pts: np.ndarray, raw: bool = False,
-                           step_cap: float | None = None) -> np.ndarray:
-    """Scalar curvature S = -kappa * sum_jk d2(u^{jk})/dx_j dx_k.
-
-    step_cap bounds the finite-difference step; pass ~1/(16*beta) when
-    the potential carries a smoothed kink, so the stencil stays inside
-    one curvature feature.
-    """
-    dim = pts.shape[1]
-    h = _fd_steps(potential, pts)
-    if step_cap is not None:
-        h = np.minimum(h, step_cap)
-
-    def inv_hess(z):
-        return _inv_small(potential.hessian(z))
-
-    second = _second_derivative_field(inv_hess, pts, h, dim)
-    total = np.zeros(len(pts))
-    for j in range(dim):
-        total += second[(j, j)][:, j, j]
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            total += 2.0 * second[(j, k)][:, j, k]
-    return -total if raw else -KAPPA * total
+def _quadratic(x: np.ndarray, a: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Rowwise x^T A y for (n, m) vectors and (n, m, m) matrices."""
+    return ((a @ y[:, :, None])[:, :, 0] * x).sum(axis=1)
 
 
 _RICCI_BLOCK = 2048

@@ -1,7 +1,6 @@
 """Scenario-driven command line front end.
 
-    kstab run <scenario.json> [--out DIR] [--tau-max N] [--quad-order N]
-                              [--seed N]
+    kstab run <scenario.json> [--out DIR] [--tau-max N] [--seed N]
     kstab check-suite [--out DIR]
 
 A scenario file (schema "kstab-scenario/1") names a polytope, a convex
@@ -24,7 +23,7 @@ Artifacts land under the output directory: report.json (rationals as
 "p/q" strings next to a decimal convenience field), one trace CSV and
 one self-contained SVG per slope verdict under traces/.  Functional
 trace CSVs carry the full battery (tau, AM, I, J, L_alpha, M, J_alpha,
-M_twisted, err_estimate) with nan for columns the verdict did not need;
+err_estimate) with nan for columns the verdict did not need;
 POINT probes are not functional traces and get the minimal
 (tau, value, err_estimate) layout.  Reruns on the same inputs are
 byte-identical except for the timestamp field.
@@ -37,7 +36,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import datetime
 import json
 import math
@@ -65,7 +63,7 @@ EXIT_NUMERIC = 4
 EXIT_IO = 5
 
 TRACE_COLUMNS = ("tau", "AM", "I", "J", "L_alpha", "M", "J_alpha",
-                 "M_twisted", "err_estimate")
+                 "err_estimate")
 POINT_COLUMNS = ("tau", "value", "err_estimate")
 
 _SCENARIO_KEYS = {"schema", "name", "polytope", "pl", "shift", "alpha",
@@ -208,7 +206,7 @@ def _finite(x):
     return x if math.isfinite(x) else None
 
 
-def _schedule_from(task: dict, tau_max, quad_order, point: bool) -> Schedule:
+def _schedule_from(task: dict, tau_max, point: bool) -> Schedule:
     base = POINT_SCHEDULE if point else Schedule()
     blob = task.get("schedule") or {}
     if not isinstance(blob, dict):
@@ -220,16 +218,17 @@ def _schedule_from(task: dict, tau_max, quad_order, point: bool) -> Schedule:
     if any(b <= a for a, b in zip(taus, taus[1:])):
         raise ValidationError(f"schedule taus {list(taus)} must be "
                               "strictly increasing")
+    if not taus:
+        raise ValidationError("schedule taus must be nonempty")
     if tau_max is not None:
         taus = tuple(t for t in taus if t <= float(tau_max))
-    if not taus:
-        raise ValidationError("--tau-max leaves no tau samples")
+        if not taus:
+            raise ValidationError("--tau-max leaves no tau samples")
     return Schedule(
         taus=taus,
         beta0=_positive(blob.get("beta0", base.beta0), "schedule beta0"),
         tol=None if blob.get("tol") is None
-        else _positive(blob["tol"], "schedule tol"),
-        bulk_order=quad_order)
+        else _positive(blob["tol"], "schedule tol"))
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +241,7 @@ def _task_invariants(cfg, task, blob):
     return {"kind": "invariants", "report": report.to_json()}, None
 
 
-def _task_slopes(cfg, task, alpha, tau_max, quad_order):
+def _task_slopes(cfg, task, alpha, tau_max):
     theorems = task.get("theorems")
     if not isinstance(theorems, list) or not theorems:
         raise ValidationError("slopes task needs a nonempty theorems list")
@@ -252,7 +251,7 @@ def _task_slopes(cfg, task, alpha, tau_max, quad_order):
     verdicts, artifacts = [], []
     for name in theorems:
         point = str(name).upper() == "POINT"
-        schedule = _schedule_from(task, tau_max, quad_order, point)
+        schedule = _schedule_from(task, tau_max, point)
         verdict = verify_theorem(cfg, name, schedule,
                                  alpha=alpha, vertex=vertex)
         verdicts.append(verdict)
@@ -288,13 +287,12 @@ def _scan_value(val) -> dict:
     return {"decimal": _finite(val)}
 
 
-def _task_scan(cfg, task, quad_order):
+def _task_scan(cfg, task):
     candidates = task.get("candidates", "vertices")
     if candidates != "vertices":
         candidates = [_rational_point(p, "scan candidate")
                       for p in candidates]
-    schedule = dataclasses.replace(POINT_SCHEDULE, bulk_order=quad_order)
-    report = scan_destabilizer(cfg, candidates, schedule)
+    report = scan_destabilizer(cfg, candidates, POINT_SCHEDULE)
     entry = {
         "kind": "scan",
         "destabilizing": report.destabilizing,
@@ -309,9 +307,9 @@ def _task_scan(cfg, task, quad_order):
     return entry, None
 
 
-def _task_l1(cfg, task, tau_max, quad_order):
+def _task_l1(cfg, task, tau_max):
     ncfg = normalize(cfg, "average_zero")
-    schedule = _schedule_from(task, tau_max, quad_order, point=False)
+    schedule = _schedule_from(task, tau_max, point=False)
     report = l1_norm_path(ladder(ncfg, schedule, lambda ray, t: ray.state(t)))
     entry = {"kind": "l1", "limit": _finite(report.limit),
              "length": _finite(report.length),
@@ -336,8 +334,7 @@ def _csv_rows(verdict):
         m_val = value if verdict.theorem == "DF" else float("nan")
         j_a = value if verdict.theorem == "JALPHA" else float("nan")
         yield (repr(tau), repr(am), repr(i_val), repr(j_val),
-               repr(l_alpha), repr(m_val), repr(j_a), repr(float("nan")),
-               repr(err))
+               repr(l_alpha), repr(m_val), repr(j_a), repr(err))
 
 
 def _diff_series(trace):
@@ -474,8 +471,7 @@ def emit_outputs(results: dict, out_dir: Path) -> list:
 # drivers
 
 
-def run_scenario(path, out_dir=None, tau_max=None, quad_order=None,
-                 seed=None) -> int:
+def run_scenario(path, out_dir=None, tau_max=None, seed=None) -> int:
     """Execute one scenario file and write its artifacts.
 
     Returns the process exit code; diagnostics go to stderr and the
@@ -502,14 +498,13 @@ def run_scenario(path, out_dir=None, tau_max=None, quad_order=None,
             if kind == "invariants":
                 entries.append(_task_invariants(cfg, task, blob))
             elif kind == "slopes":
-                entries.append(_task_slopes(cfg, task, alpha, tau_max,
-                                            quad_order))
+                entries.append(_task_slopes(cfg, task, alpha, tau_max))
             elif kind == "stoppa":
                 entries.append(_task_stoppa(cfg, task))
             elif kind == "scan":
-                entries.append(_task_scan(cfg, task, quad_order))
+                entries.append(_task_scan(cfg, task))
             else:
-                entries.append(_task_l1(cfg, task, tau_max, quad_order))
+                entries.append(_task_l1(cfg, task, tau_max))
     except ValidationError as exc:
         print(f"invalid scenario: {path}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -524,7 +519,7 @@ def run_scenario(path, out_dir=None, tau_max=None, quad_order=None,
         "timestamp": datetime.datetime.now(datetime.timezone.utc)
         .strftime("%Y-%m-%dT%H:%M:%SZ"),
         "seed": seed,
-        "options": {"tau_max": tau_max, "quad_order": quad_order},
+        "options": {"tau_max": tau_max},
         "pass": all_pass,
         "entries": entries,
     }
@@ -574,8 +569,6 @@ def main(argv=None) -> int:
     runp.add_argument("--out", default=None, help="output directory")
     runp.add_argument("--tau-max", type=float, default=None,
                       help="drop schedule samples beyond this tau")
-    runp.add_argument("--quad-order", type=int, default=None,
-                      help="Gauss panel order for the ray grids")
     runp.add_argument("--seed", type=int, default=None,
                       help="recorded in the report for provenance")
 
@@ -586,8 +579,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "run":
         return run_scenario(args.scenario, out_dir=args.out,
-                            tau_max=args.tau_max,
-                            quad_order=args.quad_order, seed=args.seed)
+                            tau_max=args.tau_max, seed=args.seed)
     return check_suite(out_dir=args.out)
 
 

@@ -305,11 +305,10 @@ def mabuchi(state: RayState) -> MabuchiReport:
 
     grid = _curvature_grid(ray)
     gvals = ray.smooth.value(grid.points)
-    cap = None if ray.smooth.exact else 1.0 / (16.0 * ray.smooth.beta)
 
     def integrand(s: float) -> float:
         pot = ShiftedPotential(ray.u0, ray.smooth, float(s))
-        s_field = abreu_scalar_curvature(pot, grid.points, step_cap=cap)
+        s_field = abreu_scalar_curvature(pot, grid.points)
         return fact * grid.integrate(gvals * (s_field - n * mu))
 
     route_b, err_b = _path_prefix(ray, "curvature_pairing", integrand, tau)

@@ -245,14 +245,6 @@ class Polytope:
     def is_delzant(self) -> bool:
         return all(self.is_delzant_vertex(i) for i in range(len(self.vertices)))
 
-    def diameter_bound(self) -> Fraction:
-        """Max coordinate-wise extent (cheap exact diameter surrogate)."""
-        spans = []
-        for j in range(self.dim):
-            coords = [v[j] for v in self.vertices]
-            spans.append(max(coords) - min(coords))
-        return max(spans)
-
 
 def _dedupe_halfspaces(halfspaces):
     best = {}

@@ -156,16 +156,11 @@ def estimate_limit_value(trace) -> SlopeEstimate:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Sampling plan: tau ladder, smoothing coupling, tolerance override.
-
-    bulk_order, when set, replaces the default Gauss panel order of the
-    ray grids (the CLI's --quad-order knob).
-    """
+    """Sampling plan: tau ladder, smoothing coupling, tolerance override."""
 
     taus: tuple = (1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0)
     beta0: float = 10.0
     tol: Optional[float] = None
-    bulk_order: Optional[int] = None
 
     def beta(self, tau: float) -> float:
         return self.beta0 * float(tau)
@@ -250,12 +245,9 @@ def ladder(cfg: ToricTestConfig, schedule: Schedule, fn) -> list:
     """
     taus = [float(t) for t in schedule.taus]
     if _tier(cfg) == "affine":
-        ray = Ray(cfg, beta=schedule.beta0, tau_max=max(taus),
-                  bulk_order=schedule.bulk_order)
+        ray = Ray(cfg, beta=schedule.beta0, tau_max=max(taus))
         return [fn(ray, t) for t in taus]
-    return [fn(Ray(cfg, beta=schedule.beta(t), tau_max=t,
-                   bulk_order=schedule.bulk_order), t)
-            for t in taus]
+    return [fn(Ray(cfg, beta=schedule.beta(t), tau_max=t), t) for t in taus]
 
 
 def _energy_row(ray, tau, theorem, alpha, gamma):

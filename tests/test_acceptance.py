@@ -15,7 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from gens import random_config, random_fraction, random_pl
-from kstab.analysis import abreu_scalar_curvature, bulk_grid, guillemin_potential
+from kstab.analysis import (KAPPA, abreu_scalar_curvature, bulk_grid,
+                            guillemin_potential)
 from kstab.invariants import (
     blowup_expansion,
     calibration_constant,
@@ -228,7 +229,7 @@ def test_criterion_12_curvature_calibration():
     t0 = time.perf_counter()
     u0 = guillemin_potential(interval(0, 1))
     pts = np.linspace(0.05, 0.95, 19)[:, None]
-    raw = abreu_scalar_curvature(u0, pts, raw=True)
+    raw = abreu_scalar_curvature(u0, pts) / KAPPA
     assert np.max(np.abs(raw - 4.0)) < 1e-7
     for base, n_mu in ((interval(0, 1), 2.0), (box(2), 4.0),
                        (unit_simplex(2), 6.0)):

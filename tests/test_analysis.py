@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from kstab.analysis import (
+    KAPPA,
     Ray,
     ShiftedPotential,
     SmoothedPL,
@@ -22,6 +23,7 @@ from kstab.analysis import (
     guillemin_potential,
     line_grid,
     newton_transport,
+    _inv_small,
     ricci_reference,
 )
 from kstab.errors import NewtonDivergence, NonDelzant
@@ -36,6 +38,8 @@ def interval_config(pieces, mode="min_zero"):
 
 AFFINE = interval_config([((1,), 0)])          # g = x
 KINK = interval_config([((1,), 0), ((-1,), 1)])  # g = max(x, 1-x)
+SQUARE3 = normalize(make_config(box(2), [((1, 0), 0), ((0, 1), 0),
+                                         ((-1, -1), 1)]), "min_zero")
 
 
 # -- Guillemin potential ------------------------------------------------------
@@ -275,9 +279,8 @@ def test_inverse_transport_saturates_gracefully_at_float_wall():
 def test_abreu_interval_raw_and_calibrated():
     u0 = guillemin_potential(interval(0, 1))
     pts = np.linspace(0.05, 0.95, 19)[:, None]
-    raw = abreu_scalar_curvature(u0, pts, raw=True)
-    assert np.max(np.abs(raw - 4.0)) < 1e-7
     cal = abreu_scalar_curvature(u0, pts)
+    assert np.max(np.abs(cal / KAPPA - 4.0)) < 1e-7
     assert np.max(np.abs(cal - 2.0)) < 1e-7
 
 
@@ -291,7 +294,7 @@ def test_mean_curvature_equals_n_mu(base, n_mu):
     grid = bulk_grid(base)
     s_field = abreu_scalar_curvature(u0, grid.points)
     mean = grid.integrate(s_field) / float(volume_data(base).volume)
-    assert abs(mean - n_mu) < 1e-6 * n_mu
+    assert abs(mean - n_mu) < 1e-10 * n_mu
 
 
 def test_ricci_reference_interval_closed_form():
@@ -346,19 +349,66 @@ def test_ricci_reference_near_slanted_facet(slack):
 
 @pytest.mark.parametrize("base", [box(2), unit_simplex(2)])
 def test_curvature_consistency_identity(base):
-    """S equals n MD(ricci, G^(n-1)) / det G: ties the exact Ricci field
-    to the finite-difference Abreu pathway.  Asserted away from facets,
-    where the slack-limited stencil still resolves the field; nearer the
-    boundary only integrated quantities are trustworthy (see the mean
-    curvature test)."""
+    """S equals n MD(ricci, G^(n-1)) / det G: ties the Ricci field to
+    Abreu's formula, two closed forms assembled differently, on every
+    node of the bulk grid, collar included (slacks down to 4e-5)."""
     u0 = guillemin_potential(base)
-    grid = bulk_grid(base)
-    pts = grid.points[::7]
-    pts = pts[u0.slacks(pts).min(axis=1) > 5e-2]
-    assert len(pts) > 100
-    s_fd = abreu_scalar_curvature(u0, pts)
+    pts = bulk_grid(base).points
+    s_abreu = abreu_scalar_curvature(u0, pts)
     ric = ricci_reference(u0, pts)
     hess = u0.hessian(pts)
     ginv = np.linalg.inv(hess)
     s_alg = 2.0 * mixed_discriminant(ric, ginv) / np.linalg.det(ginv)
-    assert np.max(np.abs(s_fd - s_alg) / (1.0 + np.abs(s_alg))) < 1e-6
+    assert np.max(np.abs(s_abreu - s_alg) / (1.0 + np.abs(s_alg))) < 1e-9
+
+
+_D1 = ((1 / 12, -2.0), (-8 / 12, -1.0), (8 / 12, 1.0), (-1 / 12, 2.0))
+_D2 = ((-1 / 12, -2.0), (16 / 12, -1.0), (-30 / 12, 0.0), (16 / 12, 1.0),
+       (-1 / 12, 2.0))
+
+
+def _abreu_by_differences(potential, pts, h):
+    """-kappa sum_jk d_j d_k (H^-1)_jk by 4th-order central differences
+    with per-node step h."""
+    def inv_hess(j, k, shift_j, shift_k=0.0):
+        z = pts.copy()
+        z[:, j] += shift_j * h
+        z[:, k] += shift_k * h
+        return _inv_small(potential.hessian(z))[:, j, k]
+
+    dim = pts.shape[1]
+    total = np.zeros(len(pts))
+    for j in range(dim):
+        total += sum(c * inv_hess(j, j, o) for c, o in _D2)
+        for k in range(j + 1, dim):
+            total += 2.0 * sum(cj * ck * inv_hess(j, k, oj, ok)
+                               for cj, oj in _D1 for ck, ok in _D1)
+    return -KAPPA * total / h ** 2
+
+
+@pytest.mark.parametrize("cfg,beta,s", [
+    (KINK, 60.0, 0.01),
+    (KINK, 60.0, 1.0),
+    (KINK, 60.0, 6.0),
+    (SQUARE3, 10.0, 1.0),
+    (SQUARE3, 40.0, 1.0),
+], ids=["kink-s0.01", "kink-s1", "kink-s6", "square3-beta10",
+        "square3-beta40"])
+def test_abreu_pl_terms_match_differences(cfg, beta, s):
+    """The softmax-cumulant terms of Abreu's formula against differences
+    of the inverse Hessian on every node of the crease-refined bulk grid.
+    The step stays inside one crease feature (1/(64 beta)) and inside
+    the polytope; the gap left is the stencil's own error, largest
+    (about 6e-6) on the collar nodes of the square at beta = 40."""
+    u0 = guillemin_potential(cfg.base)
+    pot = ShiftedPotential(u0, SmoothedPL.from_fn(cfg.g, beta), s)
+    pts = bulk_grid(cfg.base, creases=crease_points(cfg.g),
+                    crease_depth=crease_ladder_depth(beta, 1.0)).points
+    reach = np.abs(u0.normals).sum(axis=1).max()
+    h = np.minimum(np.minimum(1e-3, 0.15 * u0.slacks(pts).min(axis=1) / reach),
+                   1.0 / (64.0 * beta))
+    exact = abreu_scalar_curvature(pot, pts)
+    ref = _abreu_by_differences(pot, pts, h)
+    gap = np.abs(exact - ref) / (1.0 + np.abs(ref))
+    assert np.median(gap) < 1e-7
+    assert np.max(gap) < 2e-5

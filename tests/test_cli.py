@@ -66,7 +66,7 @@ def test_one_slope_task_yields_one_csv_and_one_svg(tmp_path):
     assert csvs == ["01_MINNORM.csv"]
     assert svgs == ["01_MINNORM.svg"]
     header = (out / "traces" / "01_MINNORM.csv").read_text().splitlines()[0]
-    assert header == "tau,AM,I,J,L_alpha,M,J_alpha,M_twisted,err_estimate"
+    assert header == "tau,AM,I,J,L_alpha,M,J_alpha,err_estimate"
     svg = (out / "traces" / "01_MINNORM.svg").read_text()
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
     assert "exact" in svg
@@ -177,6 +177,24 @@ def test_tau_max_truncates_the_ladder(tmp_path, capsys):
     # cutting below the estimator's floor is a validation error
     assert run_scenario(path, out_dir=out, tau_max=2.0) == EXIT_VALIDATION
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("taus,tau_max,message", [
+    ([], None, "schedule taus must be nonempty"),
+    ([2, 4, 8], 1.0, "--tau-max leaves no tau samples"),
+], ids=["empty-taus", "tau-max-empties"])
+def test_empty_schedule_names_its_cause(tmp_path, capsys, taus, tau_max,
+                                        message):
+    """Only a --tau-max that emptied the ladder is blamed for it."""
+    blob = json.loads(json.dumps(KINK))
+    blob["tasks"] = [{"kind": "slopes", "theorems": ["MINNORM"],
+                      "schedule": {"taus": taus}}]
+    path = write_scenario(tmp_path, blob)
+    assert run_scenario(path, out_dir=tmp_path / "out",
+                        tau_max=tau_max) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert message in err
+    assert ("--tau-max" in err) == (tau_max is not None)
 
 
 def test_point_task_writes_minimal_csv(tmp_path, capsys):
