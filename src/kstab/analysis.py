@@ -53,24 +53,36 @@ class SymplecticPotential:
     def dim(self) -> int:
         return self.normals.shape[1]
 
+    # slacks, gradient and hessian work in place: on the Newton blocks a
+    # fresh (n, K) temporary costs more than the arithmetic done in it
+
     def slacks(self, pts: np.ndarray) -> np.ndarray:
-        return np.maximum(self.offsets[None, :] - pts @ self.normals.T,
-                          _SLACK_FLOOR)
+        ell = pts @ self.normals.T
+        np.subtract(self.offsets, ell, out=ell)
+        return np.maximum(ell, _SLACK_FLOOR, out=ell)
 
     def value(self, pts: np.ndarray) -> np.ndarray:
         ell = self.slacks(pts)
         return 0.5 * np.sum(ell * np.log(ell), axis=1)
 
-    def gradient(self, pts: np.ndarray) -> np.ndarray:
-        ell = self.slacks(pts)
-        return -0.5 * (np.log(ell) + 1.0) @ self.normals
+    # gradient and hessian take the slacks at pts when the caller has them
 
-    def hessian(self, pts: np.ndarray) -> np.ndarray:
-        ell = self.slacks(pts)
+    def gradient(self, pts: np.ndarray, ell=None) -> np.ndarray:
+        if ell is None:
+            ell = self.slacks(pts)
+        g = np.log(ell)
+        g += 1.0
+        g *= -0.5
+        return g @ self.normals
+
+    def hessian(self, pts: np.ndarray, ell=None) -> np.ndarray:
+        if ell is None:
+            ell = self.slacks(pts)
         n_facets, dim = self.normals.shape
         outer = self.normals[:, :, None] * self.normals[:, None, :]
-        return 0.5 * ((1.0 / ell) @ outer.reshape(n_facets, dim * dim)
-                      ).reshape(-1, dim, dim)
+        h = (1.0 / ell) @ outer.reshape(n_facets, dim * dim)
+        h *= 0.5
+        return h.reshape(-1, dim, dim)
 
 
 def guillemin_potential(base: Polytope) -> SymplecticPotential:
@@ -120,9 +132,15 @@ class SmoothedPL:
         if self.exact:
             n = self.grads.shape[1]
             return np.zeros((len(pts), n, n))
-        _, _, w = self._fields(pts)
+        return self.weights_hessian(self._fields(pts)[2])
+
+    def weights_hessian(self, w: np.ndarray) -> np.ndarray:
+        """Hessian from the softmax weights w that _fields returns."""
+        n_pieces, dim = self.grads.shape
+        pair = (self.grads[:, :, None] * self.grads[:, None, :]).reshape(
+            n_pieces, dim * dim)
         mean = w @ self.grads
-        sq = np.einsum("nk,ki,kj->nij", w, self.grads, self.grads)
+        sq = (w @ pair).reshape(-1, dim, dim)
         return self.beta * (sq - mean[:, :, None] * mean[:, None, :])
 
 
@@ -144,11 +162,11 @@ class ShiftedPotential:
     def value(self, pts):
         return self.u0.value(pts) + self.s * self.smooth.value(pts)
 
-    def gradient(self, pts):
-        return self.u0.gradient(pts) + self.s * self.smooth.gradient(pts)
+    def gradient(self, pts, ell=None):
+        return self.u0.gradient(pts, ell) + self.s * self.smooth.gradient(pts)
 
-    def hessian(self, pts):
-        return self.u0.hessian(pts) + self.s * self.smooth.hessian(pts)
+    def hessian(self, pts, ell=None):
+        return self.u0.hessian(pts, ell) + self.s * self.smooth.hessian(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +385,11 @@ _NEWTON_BLOCK = 8192
 
 
 def newton_transport(potential, targets: np.ndarray, start: np.ndarray,
-                     tol: float = 1e-11, max_iter: int = 80) -> np.ndarray:
+                     tol: float = 1e-11, max_iter: int = 80):
     """Solve grad(potential)(z) = target per row, staying strictly interior.
+
+    Returns z and the Hessian of the potential at z, which the last
+    convergence test evaluated anyway.
 
     Damping: steps are clipped against the facet slacks (never consume
     more than 85% of the distance to the boundary) and halved until the
@@ -385,86 +406,117 @@ def newton_transport(potential, targets: np.ndarray, start: np.ndarray,
     stall it or retire it early.
 
     Rows are independent, so they are solved in fixed-size blocks whose
-    temporaries stay cache-sized.
+    temporaries stay cache-sized.  NewtonDivergence names the count of
+    rows still unsettled after max_iter, the worst live residual
+    component among them and where that row's iterate stopped.
     """
     z = start.copy()
+    dim = z.shape[1]
+    hess = np.empty((len(z), dim, dim))
     normals = potential.u0.normals if isinstance(potential, ShiftedPotential) \
         else potential.normals
     tol = tol * (1.0 + np.abs(targets).max())
-    bad = 0
+    stalled, worst = [], []
     for lo in range(0, len(z), _NEWTON_BLOCK):
         rows = slice(lo, lo + _NEWTON_BLOCK)
-        bad += _newton_rows(potential, normals, targets[rows], z[rows], tol,
-                            max_iter)
-    if bad:
+        idx, res = _newton_rows(potential, normals, targets[rows], z[rows],
+                                hess[rows], tol, max_iter)
+        stalled.append(lo + idx)
+        worst.append(res)
+    stalled = np.concatenate(stalled)
+    if len(stalled):
+        worst = np.concatenate(worst)
+        node = stalled[np.argmax(worst)]
+        at = ", ".join(f"{c:.17g}" for c in z[node])
         raise NewtonDivergence(
-            f"Legendre inversion stalled at {bad} node(s); "
+            f"Legendre inversion stalled at {len(stalled)} node(s); worst "
+            f"live residual {worst.max():.3e} at node {node}, z = ({at}); "
             "grid likely reaches too close to the boundary")
-    return z
+    return z, hess
 
 
-def _newton_rows(potential, normals, targets, z, tol, max_iter) -> int:
-    """Damped Newton on the rows of z in place; returns the unsettled count.
+def _newton_rows(potential, normals, targets, z, hess, tol, max_iter):
+    """Damped Newton on the rows of z in place, filling hess at the result.
 
-    tol is absolute here (already scaled by the targets' magnitude).
+    The active rows live in compact working arrays: their block
+    positions idx, iterates x, slacks ell, residuals res, targets and
+    frozen flags.  Each iterate carries the slacks its residual was
+    evaluated from, so the Hessian and the step clip reuse them and an
+    iteration evaluates slacks once per line-search pass.  The arrays
+    shrink only when some rows settle, and a row is written back to z
+    and hess only when it retires.  tol is absolute here (already
+    scaled by the targets' magnitude).
+
+    Returns the block positions of the rows still unsettled after
+    max_iter and the largest live residual component of each.
     """
-    res = potential.gradient(z) - targets
-    done = np.zeros(len(z), dtype=bool)
-    frozen = np.zeros(z.shape, dtype=bool)
-    for _ in range(max_iter):
-        idx = np.where(~done)[0]
-        if len(idx) == 0:
-            return 0
-        za = z[idx]
-        raw = res[idx]
-        hess = potential.hessian(za)
-        ulp = 4.0 * np.spacing(np.abs(za))
-        wall = np.einsum("nij,nj->ni", np.abs(hess), ulp)
-        live = (np.abs(raw) > tol) & (np.abs(raw) > wall) & ~frozen[idx]
+    idx = np.arange(len(z))
+    dim = z.shape[1]
+    x = z
+    ell = potential.slacks(x)
+    res = potential.gradient(x, ell) - targets
+    frozen = np.zeros(x.shape, dtype=bool)
+    for it in range(max_iter + 1):
+        h = potential.hessian(x, ell)
+        ulp = np.abs(x)
+        np.spacing(ulp, out=ulp)
+        ulp *= 4.0
+        # wall = |h| ulp per row, one entry at a time: broadcasting over the
+        # short trailing axes is several times slower
+        ah = np.abs(h)
+        wall = np.empty_like(x)
+        for i in range(dim):
+            wall[:, i] = ah[:, i, 0] * ulp[:, 0]
+            for j in range(1, dim):
+                wall[:, i] += ah[:, i, j] * ulp[:, j]
+        size = np.abs(res)
+        live = size > tol
+        live &= size > wall
+        live &= ~frozen
         settled = ~_row_max(live)
         if settled.any():
-            done[idx[settled]] = True
-            keep = ~settled
-            idx, za, raw = idx[keep], za[keep], raw[keep]
-            hess, live = hess[keep], live[keep]
-            if len(idx) == 0:
-                return 0
-        step = -_solve_small(hess, raw)
+            # integer take: boolean masks on 2-D rows are ~8x slower
+            gone = np.flatnonzero(settled)
+            z[idx[gone]] = x[gone]
+            hess[idx[gone]] = h[gone]
+            keep = np.flatnonzero(~settled)
+            if len(keep) == 0:
+                return keep, np.empty(0)
+            idx, x, ell, res, h, targets, frozen, live = (
+                a.take(keep, axis=0)
+                for a in (idx, x, ell, res, h, targets, frozen, live))
+        if it == max_iter:  # the last pass only tests the final iterates
+            break
+        step = -_solve_small(h, res)
         # largest multiple of the step keeping every slack positive
-        ell = potential.slacks(za)
         drop = step @ normals.T  # slack decrease per unit step
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(drop > 0, ell / drop, np.inf)
         t = np.minimum(1.0, 0.85 * _row_min(ratios))
-        base_norm = _row_max(np.where(live, np.abs(raw), 0.0))
+        base_norm = _row_max(np.where(live, np.abs(res), 0.0))
         for _ in range(40):
-            moved = za + t[:, None] * step
-            new_res = potential.gradient(moved) - targets[idx]
+            moved = x + t[:, None] * step
+            moved_ell = potential.slacks(moved)
+            new_res = potential.gradient(moved, moved_ell) - targets
             cand_norm = _row_max(np.where(live, np.abs(new_res), 0.0))
             good = cand_norm <= base_norm * (1 - 1e-4 * t) + tol
             if good.all():
                 break
             t = np.where(good, t, 0.5 * t)
         else:  # the last halving has not been evaluated yet
-            moved = za + t[:, None] * step
-            new_res = potential.gradient(moved) - targets[idx]
+            moved = x + t[:, None] * step
+            moved_ell = potential.slacks(moved)
+            new_res = potential.gradient(moved, moved_ell) - targets
         # rounding may land a nearly saturated node on a facet itself; the
         # barrier stays finite there only because slacks() clamps at
         # _SLACK_FLOOR, so such a node needs no back-off
-        stuck = moved == za
-        pinned = live & stuck & (np.abs(new_res) >= np.abs(raw) * (1 - 1e-6))
-        frozen[idx] = stuck & (frozen[idx] | pinned)
-        z[idx] = moved
-        res[idx] = new_res
-    idx = np.where(~done)[0]
-    if len(idx) > 0:
-        za = z[idx]
-        raw = res[idx]
-        ulp = 4.0 * np.spacing(np.abs(za))
-        wall = np.einsum("nij,nj->ni", np.abs(potential.hessian(za)), ulp)
-        live = (np.abs(raw) > tol) & (np.abs(raw) > wall) & ~frozen[idx]
-        done[idx[~_row_max(live)]] = True
-    return int((~done).sum())
+        stuck = moved == x
+        pinned = live & stuck & (np.abs(new_res) >= np.abs(res) * (1 - 1e-6))
+        frozen = stuck & (frozen | pinned)
+        x, ell, res = moved, moved_ell, new_res
+    z[idx] = x
+    hess[idx] = h
+    return idx, _row_max(np.where(live, np.abs(res), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +586,7 @@ class Ray:
         else:
             below = [k for k in self._cache if k < key]
             start = self._cache[max(below)][0] if below else self.grid.points
-            moved = newton_transport(self.potential(key), self.xi, start)
-            hess = self.potential(key).hessian(moved)
+            moved, hess = newton_transport(self.potential(key), self.xi, start)
             out = (moved, hess, _inv_small(hess), _logdet_small(hess),
                    self.smooth.value(moved))
         self._cache[key] = out
@@ -562,7 +613,7 @@ class Ray:
             start = self._inv_cache[max(below)].copy() if below \
                 else self.grid.points.copy()
             targets = self.xi + key * self.g_grad
-            out = newton_transport(self.u0, targets, start)
+            out = newton_transport(self.u0, targets, start)[0]
         self._inv_cache[key] = out
         return out
 
@@ -581,7 +632,8 @@ class Ray:
     def point_derivative(self, tau: float, p: np.ndarray) -> float:
         """phi_dot at a single reference point (used by the vertex probe)."""
         target = self.u0.gradient(p[None, :])
-        moved = newton_transport(self.potential(tau), target, p[None, :].copy())
+        moved, _ = newton_transport(self.potential(tau), target,
+                                    p[None, :].copy())
         return float(-self.smooth.value(moved)[0])
 
 
@@ -615,12 +667,15 @@ def abreu_scalar_curvature(potential, pts: np.ndarray) -> np.ndarray:
         pl = not smooth.exact and s != 0.0
     else:
         u0, pl = potential, False
-    w = 1.0 / u0.slacks(pts)
-    ginv = _inv_small(potential.hessian(pts))
+    ell = u0.slacks(pts)
+    w = 1.0 / ell
+    hess = u0.hessian(pts, ell)
     nu = u0.normals
     if pl:
         _, _, p = smooth._fields(pts)
         beta = smooth.beta
+        hess = hess + s * smooth.weights_hessian(p)
+    ginv = _inv_small(hess)
     if nu.shape[1] == 1:
         g = ginv[:, 0, 0]
         third = 0.5 * (w * w) @ nu[:, 0] ** 3

@@ -136,6 +136,18 @@ def am_energy(ray: Ray, tau: float) -> float:
     return _am_slope(ray) * tau
 
 
+def _log_volume_ratio(ray: Ray, tau: float):
+    """x, D2u0 at x, H_tau and log det of each, where x is the inverse
+    transport of the grid nodes; the last item is the log volume ratio
+    log det D2u0(x) - log det H_tau."""
+    x = ray.inverse_transport(tau)
+    h0_at_x = ray.u0.hessian(x)
+    h_tau = ray.hessian_at_nodes(tau)
+    logdet_tau = _logdet_small(h_tau)
+    return x, h0_at_x, h_tau, logdet_tau, \
+        _logdet_small(h0_at_x) - logdet_tau
+
+
 def _transported_pieces(ray: Ray, tau: float):
     """phi, log volume ratio and G0 at inverse-transport points.
 
@@ -145,14 +157,10 @@ def _transported_pieces(ray: Ray, tau: float):
     """
     n = ray.cfg.dim
     pts = ray.grid.points
-    x = ray.inverse_transport(tau)
+    x, h0_at_x, h_tau, logdet_tau, lvr = _log_volume_ratio(ray, tau)
     xi = ray.xi + tau * ray.g_grad
-    h_tau = ray.hessian_at_nodes(tau)
-    logdet_tau = _logdet_small(h_tau)
-    h0_at_x = ray.u0.hessian(x)
     phi = ((pts * xi).sum(axis=1) - (ray.u0_vals + tau * ray.g_vals)) \
         - ((x * xi).sum(axis=1) - ray.u0.value(x))
-    lvr = _logdet_small(h0_at_x) - logdet_tau
     mixed = None
     if n == 2:
         mixed = mixed_discriminant(_inv_small(h0_at_x), _inv_small(h_tau)) \
@@ -247,9 +255,9 @@ def _l_alpha_path(ray: Ray, tau: float, alpha: Polytope):
         start = warm["pts"] if warm["pts"] is not None else \
             np.tile(np.array([[float(c) for c in vd.barycenter]]),
                     (ray.grid.size, 1))
-        x_a = newton_transport(u_alpha, xi, start.copy())
+        x_a, h_a = newton_transport(u_alpha, xi, start.copy())
         warm["pts"] = x_a
-        return _phi_dot_pairing(ray, s, _inv_small(u_alpha.hessian(x_a)))
+        return _phi_dot_pairing(ray, s, _inv_small(h_a))
 
     key = ("l_alpha",) + tuple(tuple(v) for v in alpha.vertices)
     return _path_prefix(ray, key, integrand, tau)
@@ -298,7 +306,7 @@ def mabuchi(state: RayState) -> MabuchiReport:
     tau = state.tau
     mu = float(slope_mu(cfg.base))
 
-    _, lvr_y, _ = _transported_pieces(ray, tau)
+    lvr_y = _log_volume_ratio(ray, tau)[-1]
     entropy = fact * ray.grid.integrate(lvr_y)
     l_ric, err_ric = _l_ricci_path(ray, tau)
     route_a = 0.5 * entropy + (n / (n + 1)) * mu * am_energy(ray, tau) - l_ric

@@ -5,6 +5,7 @@ affine ray through it) pin the heavy machinery; the float-wall cases
 near facets are asserted at the accuracy float64 actually supports.
 """
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from kstab.analysis import (
     KAPPA,
     Ray,
+    _NEWTON_BLOCK,
     ShiftedPotential,
     SmoothedPL,
     abreu_scalar_curvature,
@@ -186,8 +188,8 @@ def test_transport_round_trip():
     x = ray.grid.points[:, 0]
     bulk = np.abs(x - 0.5) < 0.4
     moved = ray.transport(4.0)[0]
-    back = newton_transport(ray.u0, ray.potential(4.0).gradient(moved),
-                            moved.copy())
+    back, _ = newton_transport(ray.u0, ray.potential(4.0).gradient(moved),
+                               moved.copy())
     assert np.max(np.abs(back[:, 0] - x)[bulk]) < 1e-9
 
 
@@ -202,14 +204,56 @@ def test_transport_2d_factorizes():
                             exact_x, 1 - exact_x]) > 1e-8
     assert np.max(np.abs(moved[:, 1] - pts[:, 1])[ok]) < 1e-9
     assert np.max(np.abs(moved[:, 0] - exact_x)[ok]) < 1e-8
+    # inverse: x = y / (q + y (1 - q)) along the moving axis, x = y across
+    x_inv = ray.inverse_transport(2.0)
+    exact_inv = pts[:, 0] / (q + pts[:, 0] * (1.0 - q))
+    ok = np.minimum.reduce([pts[:, 1], 1 - pts[:, 1],
+                            exact_inv, 1 - exact_inv]) > 1e-8
+    assert np.max(np.abs(x_inv[:, 1] - pts[:, 1])[ok]) < 1e-8
+    assert np.max(np.abs(x_inv[:, 0] - exact_inv)[ok]) < 1e-8
 
 
 def test_newton_divergence_reports_node_count():
     u0 = guillemin_potential(interval(0, 1))
     targets = np.full((5, 1), 30.0)
+    targets[3] = 35.0
     start = np.full((5, 1), 0.5)
-    with pytest.raises(NewtonDivergence):
+    with pytest.raises(NewtonDivergence) as err:
         newton_transport(u0, targets, start, max_iter=2)
+    msg = str(err.value)
+    assert "stalled at 5 node(s)" in msg
+    found = re.search(r"worst live residual (\S+) at node (\d+), z = \((\S+)\)",
+                      msg)
+    assert found, msg
+    residual, node, z = float(found[1]), int(found[2]), float(found[3])
+    # the row with the farther target is the worst, and the residual is
+    # the one at the reported iterate
+    assert node == 3
+    at = u0.gradient(np.array([[z]]))[0, 0] - targets[node, 0]
+    assert residual == pytest.approx(abs(at), rel=1e-3)
+
+
+def test_newton_rows_are_independent_of_order_and_blocks():
+    """Rows settling at different iterations are retired to their own
+    slots: a permuted input gives the permuted output bit for bit."""
+    u0 = guillemin_potential(box(2))
+    rng = np.random.default_rng(7)
+    n = _NEWTON_BLOCK + 1500
+    targets = rng.uniform(-2.0, 2.0, (n, 2))
+    # a third of the coordinates ask for slacks of 2-115 float spacings
+    # at the facet x_i = 1: those rows saturate on the float wall after
+    # 7-80 iterations, the others converge within 10
+    wall = rng.random((n, 2)) < 1.0 / 3.0
+    targets[wall] = rng.uniform(16.0, 18.0, wall.sum())
+    start = rng.uniform(0.2, 0.8, (n, 2))
+    z, hess = newton_transport(u0, targets, start)
+    assert np.all((z > 0.0) & (z < 1.0))
+    assert np.array_equal(hess, u0.hessian(z))
+    assert np.max(z[wall]) > 1.0 - 1e-15
+    perm = rng.permutation(n)
+    z_p, hess_p = newton_transport(u0, targets[perm], start[perm])
+    assert np.array_equal(z_p, z[perm])
+    assert np.array_equal(hess_p, hess[perm])
 
 
 # -- ray states ---------------------------------------------------------------

@@ -1,11 +1,14 @@
 """End-to-end checks of the scenario runner and its artifacts."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import kstab
 from kstab.cli import (EXIT_PARSE, EXIT_PASS, EXIT_VALIDATION,
                        EXIT_VERDICT_FAIL, bundled_scenarios, emit_outputs,
                        main, run_scenario)
@@ -245,10 +248,14 @@ def test_bundled_scenarios_are_discoverable():
 def test_console_entry_point_matches_main(tmp_path):
     path = write_scenario(tmp_path, KINK)
     out = tmp_path / "out"
+    # the child imports the same kstab as this test, installed or not
+    src = str(Path(kstab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "kstab.cli", "run", str(path),
          "--out", str(out), "--seed", "7"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == EXIT_PASS, proc.stderr
     report = read_report(out)
     assert report["seed"] == 7
