@@ -525,26 +525,12 @@ def _newton_rows(potential, normals, targets, z, hess, tol, max_iter):
 
 @dataclass(frozen=True)
 class RayState:
-    """Per-node data of the degeneration path at one tau.
-
-    phi and phi_dot are recorded at the reference moment coordinates
-    (grid points); hessian / inv_hessian are those of u_tau at the
-    transported points; log_volume_ratio is log(omega_phi^n / omega^n)
-    at the reference node.
-    """
+    """The potential increment phi of the degeneration path at one tau,
+    recorded at the reference moment coordinates (grid points)."""
 
     ray: "Ray"
     tau: float
-    moved: np.ndarray
-    hessian: np.ndarray
-    inv_hessian: np.ndarray
     phi: np.ndarray
-    phi_dot: np.ndarray
-    log_volume_ratio: np.ndarray
-
-    @property
-    def grid(self) -> Grid:
-        return self.ray.grid
 
 
 class Ray:
@@ -574,23 +560,19 @@ class Ray:
     def potential(self, s: float) -> ShiftedPotential:
         return ShiftedPotential(self.u0, self.smooth, float(s))
 
-    def transport(self, s: float):
-        """(moved points, Hessian at moved, inv, logdet, g_beta at moved)."""
+    def transport(self, s: float) -> np.ndarray:
+        """Moved points: the u_s-moment images of the grid nodes."""
         key = round(float(s), 12)
         if key in self._cache:
             return self._cache[key]
         if key == 0.0:
             moved = self.grid.points.copy()
-            out = (moved, self.h0, self.g0, self.logdet0,
-                   self.smooth.value(moved))
         else:
             below = [k for k in self._cache if k < key]
-            start = self._cache[max(below)][0] if below else self.grid.points
-            moved, hess = newton_transport(self.potential(key), self.xi, start)
-            out = (moved, hess, _inv_small(hess), _logdet_small(hess),
-                   self.smooth.value(moved))
-        self._cache[key] = out
-        return out
+            start = self._cache[max(below)] if below else self.grid.points
+            moved = newton_transport(self.potential(key), self.xi, start)[0]
+        self._cache[key] = moved
+        return moved
 
     def hessian_at_nodes(self, s: float) -> np.ndarray:
         """Hessian of u_s at the grid nodes themselves (no transport)."""
@@ -618,16 +600,12 @@ class Ray:
         return out
 
     def state(self, tau: float) -> RayState:
-        moved, hess, inv, logdet, gvals = self.transport(tau)
+        moved = self.transport(tau)
         pts = self.grid.points
         u_tau_at_moved = self.potential(tau).value(moved)
         phi = ((moved * self.xi).sum(axis=1) - u_tau_at_moved) \
             - ((pts * self.xi).sum(axis=1) - self.u0_vals)
-        return RayState(
-            ray=self, tau=float(tau), moved=moved, hessian=hess,
-            inv_hessian=inv, phi=phi, phi_dot=-gvals,
-            log_volume_ratio=self.logdet0 - logdet,
-        )
+        return RayState(ray=self, tau=float(tau), phi=phi)
 
     def point_derivative(self, tau: float, p: np.ndarray) -> float:
         """phi_dot at a single reference point (used by the vertex probe)."""

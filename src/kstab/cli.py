@@ -310,7 +310,7 @@ def _task_scan(cfg, task):
 def _task_l1(cfg, task, tau_max):
     ncfg = normalize(cfg, "average_zero")
     schedule = _schedule_from(task, tau_max, point=False)
-    report = l1_norm_path(ladder(ncfg, schedule, lambda ray, t: ray.state(t)))
+    report = l1_norm_path(ladder(ncfg, schedule, lambda ray, t: (t, ray)))
     entry = {"kind": "l1", "limit": _finite(report.limit),
              "length": _finite(report.length),
              "trace": [[t, _finite(v)] for t, v in report.trace]}

@@ -20,7 +20,9 @@ exactly in floating point (I and J are assembled from the same sums),
 and the Mabuchi functional is computed by two genuinely different
 routes: an explicit formula at time tau (entropy + slope term - Ricci
 energy, with the entropy coefficient matching the curvature
-normalization in which mean S equals n times the slope), and a path
+normalization in which mean S equals n times the slope, and the Ricci
+energy in the Chen-Tian endpoint form
+sum_j integral phi Ric0 ^ omega0^j ^ omega_phi^(n-1-j)), and a path
 integral of the curvature pairing in s.  Disagreement beyond tolerance
 raises RouteMismatch.
 """
@@ -136,36 +138,32 @@ def am_energy(ray: Ray, tau: float) -> float:
     return _am_slope(ray) * tau
 
 
-def _log_volume_ratio(ray: Ray, tau: float):
-    """x, D2u0 at x, H_tau and log det of each, where x is the inverse
-    transport of the grid nodes; the last item is the log volume ratio
-    log det D2u0(x) - log det H_tau."""
+def _transported_pieces(ray: Ray, tau: float):
+    """x, D2u0 at x, phi, log volume ratio and the omega_tau wedge.
+
+    x is the inverse transport of the grid nodes.  Everything is indexed
+    by the grid node in its role as transported coordinate; the plain
+    node weights integrate these fields against the evolving volume
+    form.  The log volume ratio is log det D2u0(x) - log det H_tau.  For
+    n = 2, wedge(a) is MD(a, G_tau) * det H_tau, the density of
+    a ^ omega_tau for a dual-Hessian field a given at x; it is None for
+    n = 1.
+    """
+    pts = ray.grid.points
     x = ray.inverse_transport(tau)
     h0_at_x = ray.u0.hessian(x)
     h_tau = ray.hessian_at_nodes(tau)
     logdet_tau = _logdet_small(h_tau)
-    return x, h0_at_x, h_tau, logdet_tau, \
-        _logdet_small(h0_at_x) - logdet_tau
-
-
-def _transported_pieces(ray: Ray, tau: float):
-    """phi, log volume ratio and G0 at inverse-transport points.
-
-    Everything is indexed by the grid node in its role as transported
-    coordinate; the plain node weights integrate these fields against
-    the evolving volume form.
-    """
-    n = ray.cfg.dim
-    pts = ray.grid.points
-    x, h0_at_x, h_tau, logdet_tau, lvr = _log_volume_ratio(ray, tau)
     xi = ray.xi + tau * ray.g_grad
     phi = ((pts * xi).sum(axis=1) - (ray.u0_vals + tau * ray.g_vals)) \
         - ((x * xi).sum(axis=1) - ray.u0.value(x))
-    mixed = None
-    if n == 2:
-        mixed = mixed_discriminant(_inv_small(h0_at_x), _inv_small(h_tau)) \
-            * np.exp(logdet_tau)
-    return phi, lvr, mixed
+    wedge = None
+    if ray.cfg.dim == 2:
+        g_tau, det_tau = _inv_small(h_tau), np.exp(logdet_tau)
+
+        def wedge(a_field: np.ndarray) -> np.ndarray:
+            return mixed_discriminant(a_field, g_tau) * det_tau
+    return x, h0_at_x, phi, _logdet_small(h0_at_x) - logdet_tau, wedge
 
 
 @dataclass(frozen=True)
@@ -202,12 +200,13 @@ def energy_report(state: RayState, alpha: Polytope | None = None) -> EnergyRepor
                             err_estimate=0.0)
     am = am_energy(ray, tau)
 
-    phi_y, lvr_y, mixed = _transported_pieces(ray, tau)
+    _, h0_at_x, phi_y, lvr_y, wedge = _transported_pieces(ray, tau)
     a_ref = fact * ray.grid.integrate(state.phi)        # against fixed form
     b_mov = fact * ray.grid.integrate(phi_y)            # against evolving form
     if n == 1:
         am_direct = a_ref + b_mov
     else:
+        mixed = wedge(_inv_small(h0_at_x))
         am_direct = a_ref + b_mov + fact * ray.grid.integrate(phi_y * mixed)
     i_val = a_ref - b_mov
     j_val = 0.5 * i_val if n == 1 else a_ref - am_direct / (n + 1)
@@ -263,13 +262,14 @@ def _l_alpha_path(ray: Ray, tau: float, alpha: Polytope):
     return _path_prefix(ray, key, integrand, tau)
 
 
-def _l_ricci_path(ray: Ray, tau: float):
-    """Path integral pairing phi_dot with the reference Ricci data."""
-    def integrand(s: float) -> float:
-        x = ray.inverse_transport(s)
-        return _phi_dot_pairing(ray, s, ricci_reference(ray.u0, x))
-
-    return _path_prefix(ray, "l_ricci", integrand, tau)
+def _ricci_density0(ray: Ray) -> np.ndarray:
+    """Density of Ric0 ^ omega0^(n-1) at the grid nodes, in reference
+    coordinates: MD(Ric0, G0) * det H0, which is Ric0 * h0 for n = 1."""
+    if not hasattr(ray, "_ricci0"):
+        ric0 = ricci_reference(ray.u0, ray.grid.points)
+        ray._ricci0 = ric0[:, 0, 0] * ray.h0[:, 0, 0] if ray.cfg.dim == 1 \
+            else mixed_discriminant(ric0, ray.g0) * np.exp(ray.logdet0)
+    return ray._ricci0
 
 
 @dataclass(frozen=True)
@@ -294,10 +294,21 @@ def _curvature_grid(ray: Ray) -> Grid:
 def mabuchi(state: RayState) -> MabuchiReport:
     """Mabuchi energy via the explicit formula, checked against the path.
 
-    Route (a): (1/2) * entropy + n/(n+1) * mu * AM - L_Ricci, the
-    half on the entropy paired with the halved Ricci convention in
-    which the mean scalar curvature is n * mu.  Route (b): the path
-    integral of -phi_dot * (S - n mu) against the evolving volume form.
+    Route (a): (1/2) * entropy + n/(n+1) * mu * AM - E_Ric, the half on
+    the entropy paired with the halved Ricci convention in which the
+    mean scalar curvature is n * mu.  E_Ric is the Chen-Tian Ricci
+    energy at the endpoint,
+
+        E_Ric(phi) = sum_{j=0}^{n-1} integral phi Ric0 ^ omega0^j
+                     ^ omega_phi^(n-1-j),
+
+    whose s-derivative is n * <phi_dot, Ric0 ^ omega_s^(n-1)>.  The
+    j = n-1 term is n! * integral of phi * MD(Ric0, G0) * det H0 over
+    the reference nodes (phi * Ric0 * h0 for n = 1); for n = 2 the j = 0
+    term is n! * integral of phi * MD(Ric0(x), G_tau) * det H_tau over
+    the transported nodes, at the inverse transport x that the entropy
+    uses.  Route (b): the path integral of -phi_dot * (S - n mu)
+    against the evolving volume form, on the bulk grid.
     """
     ray = state.ray
     cfg = ray.cfg
@@ -306,9 +317,12 @@ def mabuchi(state: RayState) -> MabuchiReport:
     tau = state.tau
     mu = float(slope_mu(cfg.base))
 
-    lvr_y = _log_volume_ratio(ray, tau)[-1]
+    x, _, phi_y, lvr_y, wedge = _transported_pieces(ray, tau)
     entropy = fact * ray.grid.integrate(lvr_y)
-    l_ric, err_ric = _l_ricci_path(ray, tau)
+    l_ric = fact * ray.grid.integrate(state.phi * _ricci_density0(ray))
+    if n == 2:
+        l_ric += fact * ray.grid.integrate(
+            phi_y * wedge(ricci_reference(ray.u0, x)))
     route_a = 0.5 * entropy + (n / (n + 1)) * mu * am_energy(ray, tau) - l_ric
 
     grid = _curvature_grid(ray)
@@ -319,8 +333,7 @@ def mabuchi(state: RayState) -> MabuchiReport:
         s_field = abreu_scalar_curvature(pot, grid.points)
         return fact * grid.integrate(gvals * (s_field - n * mu))
 
-    route_b, err_b = _path_prefix(ray, "curvature_pairing", integrand, tau)
-    err = err_ric + err_b
+    route_b, err = _path_prefix(ray, "curvature_pairing", integrand, tau)
     if abs(route_a - route_b) > ROUTE_TOL * (1.0 + abs(route_a)):
         raise RouteMismatch(
             f"Mabuchi routes disagree at tau={tau}: explicit {route_a!r} "
@@ -337,26 +350,24 @@ class L1Report:
     trace: tuple
 
 
-def l1_norm_path(states: list[RayState]) -> L1Report:
+def l1_norm_path(rungs: list[tuple[float, Ray]]) -> L1Report:
     """Transfinite l1 data of a ray: extrapolated speed and path length.
 
-    The l1 speed of a state is n! * integral of |phi_dot| against the
-    evolving volume form, which in transported coordinates is the plain
-    integral of |g_beta|.  Requires the average-zero normalization (the
+    rungs are the (tau, Ray) pairs of a ladder.  The l1 speed at tau is
+    n! * integral of |phi_dot| against the evolving volume form, which
+    in transported coordinates is the plain integral of |g_beta|, so no
+    transport runs.  Requires the average-zero normalization (the
     bookkeeping under which the top self-intersection vanishes).
     """
-    if not states:
-        raise NormalizationRequired("l1 path needs at least one state")
-    cfg = states[0].ray.cfg
+    if not rungs:
+        raise NormalizationRequired("l1 path needs at least one rung")
+    cfg = rungs[0][1].cfg
     if cfg.normalization != "average_zero":
         raise NormalizationRequired(
             "l1 norms are defined under the average-zero normalization")
-    n = cfg.dim
-    fact = math.factorial(n)
-    trace = []
-    for st in sorted(states, key=lambda s: s.tau):
-        speed = fact * st.ray.grid.integrate(np.abs(st.ray.g_vals))
-        trace.append((st.tau, speed))
+    fact = math.factorial(cfg.dim)
+    trace = [(tau, fact * ray.grid.integrate(np.abs(ray.g_vals)))
+             for tau, ray in sorted(rungs, key=lambda r: r[0])]
     taus = np.array([t for t, _ in trace])
     speeds = np.array([v for _, v in trace])
     if len(trace) >= 3:

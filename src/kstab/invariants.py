@@ -236,7 +236,7 @@ def invariant_report(cfg: ToricTestConfig) -> InvariantReport:
             "df": "both_agree",
             "minimum_norm": "both_agree",
             "slope_mu": "boundary_formula",
-            "am_top": "mixed_volume",
+            "am_top": "cayley_volume",
         },
         calibration=calibration_constant(n),
     )

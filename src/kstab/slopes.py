@@ -39,6 +39,7 @@ from .errors import (
     InconsistentInput,
     InsufficientSamples,
     MissingAlpha,
+    NewtonDivergence,
     NonMonotoneTau,
     NotAVertex,
     NumericalFailure,
@@ -241,13 +242,19 @@ def ladder(cfg: ToricTestConfig, schedule: Schedule, fn) -> list:
     An affine ray is exact, so one Ray serves the whole ladder and its
     transport cache warm-starts each tau from the one below.  A PL ray
     gets one Ray per tau, smoothed at beta = beta0 * tau and graded for
-    that tau.
+    that tau.  A NewtonDivergence raised by fn is re-raised with its tau.
     """
+    def rung(ray, t):
+        try:
+            return fn(ray, t)
+        except NewtonDivergence as exc:
+            raise NewtonDivergence(f"tau={t:g}: {exc}") from exc
+
     taus = [float(t) for t in schedule.taus]
     if _tier(cfg) == "affine":
         ray = Ray(cfg, beta=schedule.beta0, tau_max=max(taus))
-        return [fn(ray, t) for t in taus]
-    return [fn(Ray(cfg, beta=schedule.beta(t), tau_max=t), t) for t in taus]
+        return [rung(ray, t) for t in taus]
+    return [rung(Ray(cfg, beta=schedule.beta(t), tau_max=t), t) for t in taus]
 
 
 def _energy_row(ray, tau, theorem, alpha, gamma):

@@ -19,10 +19,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kstab.analysis import Ray
+from kstab.analysis import Ray, ricci_reference
 from kstab.errors import MissingAlpha, NormalizationRequired
 from kstab.functionals import (
     EnergyReport,
+    _phi_dot_pairing,
     adaptive_simpson,
     am_energy,
     energy_report,
@@ -160,6 +161,45 @@ def test_mabuchi_vanishes_on_affine_ray():
     assert donaldson_futaki(AFFINE) == 0
 
 
+def _ricci_path(ray, taus):
+    """Path form of the Ricci energy, (value, Simpson error) at each tau:
+    the integral over s of n * <phi_dot, Ric0 ^ omega_s^(n-1)>."""
+    def integrand(s):
+        x = ray.inverse_transport(s)
+        return _phi_dot_pairing(ray, s, ricci_reference(ray.u0, x))
+
+    out, acc, err, lower = [], 0.0, 0.0, 0.0
+    for tau in taus:
+        seg, seg_err = adaptive_simpson(integrand, tau, lower=lower)
+        acc, err, lower = acc + seg, err + seg_err, tau
+        out.append((acc, err))
+    return out
+
+
+SQUARE = normalize(make_config(box(2), [((1, 0), 0)]), "min_zero")
+
+
+@pytest.mark.parametrize("cfg,beta,taus", [
+    (AFFINE, 10.0, (1.0, 2.0, 4.0, 8.0)),
+    (KINK, 40.0, (1.0, 2.0, 4.0, 8.0)),
+    (SQUARE, 10.0, (1.0,)),
+], ids=["interval-affine", "interval-kink", "square"])
+def test_ricci_energy_endpoint_matches_path(cfg, beta, taus):
+    """The endpoint Ricci energy of route (a) is the integral of its
+    s-derivative, within the path quadrature's own error estimate."""
+    ray = Ray(cfg, beta=beta, tau_max=max(taus))
+    endpoint = [mabuchi(ray.state(t)).l_ricci for t in taus]
+    reference = _ricci_path(Ray(cfg, beta=beta, tau_max=max(taus)), taus)
+    for value, (path, err) in zip(endpoint, reference):
+        assert abs(value - path) <= err
+
+
+def test_mabuchi_transports_only_at_tau():
+    ray = Ray(KINK, beta=40.0, tau_max=4.0)
+    mabuchi(ray.state(4.0))
+    assert list(ray._inv_cache) == [4.0]
+
+
 @pytest.mark.parametrize("tau,beta", [(2.0, 20.0), (8.0, 80.0), (12.0, 120.0)])
 def test_mabuchi_routes_agree_on_kink(tau, beta):
     ray = Ray(KINK, beta=beta, tau_max=tau)
@@ -224,8 +264,7 @@ def test_missing_alpha_raises():
 def test_l1_limit_and_length_affine():
     cfg = interval_config([((1,), 0)], mode="average_zero")
     ray = Ray(cfg, beta=10.0, tau_max=8.0)
-    states = [ray.state(t) for t in (1.0, 2.0, 4.0, 6.0, 8.0)]
-    rep = l1_norm_path(states)
+    rep = l1_norm_path([(t, ray) for t in (1.0, 2.0, 4.0, 6.0, 8.0)])
     assert abs(rep.limit - 0.25) < 1e-12       # integral of |x - 1/2|
     assert abs(rep.length - 0.25 * 7.0) < 1e-12
     assert len(rep.trace) == 5
@@ -234,7 +273,7 @@ def test_l1_limit_and_length_affine():
 def test_l1_requires_average_zero():
     ray = Ray(AFFINE, beta=10.0, tau_max=2.0)
     with pytest.raises(NormalizationRequired):
-        l1_norm_path([ray.state(1.0)])
+        l1_norm_path([(1.0, ray)])
     with pytest.raises(NormalizationRequired):
         l1_norm_path([])
 
@@ -243,5 +282,5 @@ def test_l1_positive_iff_minimum_norm_positive():
     cfg = interval_config([((1,), 0), ((-1,), 1)], mode="average_zero")
     assert minimum_norm(cfg) > 0
     ray = Ray(cfg, beta=20.0, tau_max=4.0)
-    rep = l1_norm_path([ray.state(t) for t in (1.0, 2.0, 4.0)])
+    rep = l1_norm_path([(t, ray) for t in (1.0, 2.0, 4.0)])
     assert rep.limit > 0.0

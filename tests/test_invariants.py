@@ -251,6 +251,7 @@ def test_invariant_report():
     assert rep.slope_mu == 2
     assert rep.am_top == 2 * volume_data(cfg.cayley).volume
     assert rep.provenance["df"] == "both_agree"
+    assert rep.provenance["am_top"] == "cayley_volume"
     assert rep.calibration == 1
     blob = rep.to_json()
     assert blob["df"] == {"exact": "1/2", "decimal": 0.5}

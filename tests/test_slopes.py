@@ -15,6 +15,7 @@ from kstab.errors import (
     InconsistentInput,
     InsufficientSamples,
     MissingAlpha,
+    NewtonDivergence,
     NonMonotoneTau,
     NotAVertex,
     NumericalFailure,
@@ -26,6 +27,7 @@ from kstab.slopes import (
     Schedule,
     estimate_limit_slope,
     estimate_limit_value,
+    ladder,
     scan_destabilizer,
     verify_theorem,
 )
@@ -172,6 +174,21 @@ def test_non_finite_slope_is_a_numerical_failure():
     # beta0 = 0 makes the smoothed g a 0/0 at every node
     with np.errstate(all="ignore"), pytest.raises(NumericalFailure):
         verify_theorem(AFFINE, "AM", schedule=Schedule(beta0=0.0))
+
+
+@pytest.mark.parametrize("cfg", [AFFINE, KINK], ids=["affine", "pl"])
+def test_ladder_names_the_tau_of_a_newton_divergence(cfg):
+    original = NewtonDivergence("Legendre inversion stalled at 1 node(s)")
+
+    def fn(ray, tau):
+        if tau == 2.0:
+            raise original
+        return tau
+
+    with pytest.raises(NewtonDivergence) as err:
+        ladder(normalize(cfg, "min_zero"), Schedule(), fn)
+    assert str(err.value) == f"tau=2: {original}"
+    assert err.value.__cause__ is original
 
 
 def test_verdict_json_shape():
