@@ -31,10 +31,6 @@ class DomainMismatch(ValidationError):
     """Operands live over different polytopes or ambient dimensions."""
 
 
-class SingularPolarizationSystem(ValidationError):
-    """Degenerate scale grid passed to the mixed-volume solver."""
-
-
 class ChopTooLarge(ValidationError):
     """Corner chop would cut past the edges incident to the vertex."""
 

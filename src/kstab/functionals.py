@@ -308,7 +308,9 @@ def mabuchi(state: RayState) -> MabuchiReport:
     term is n! * integral of phi * MD(Ric0(x), G_tau) * det H_tau over
     the transported nodes, at the inverse transport x that the entropy
     uses.  Route (b): the path integral of -phi_dot * (S - n mu)
-    against the evolving volume form, on the bulk grid.
+    against the evolving volume form, on the bulk grid.  err_estimate
+    is route (b)'s Simpson error plus the route gap, so it also reflects
+    the error of route (a).
     """
     ray = state.ray
     cfg = ray.cfg
@@ -340,7 +342,7 @@ def mabuchi(state: RayState) -> MabuchiReport:
             f"vs path {route_b!r}")
     return MabuchiReport(tau=tau, value=route_a, route_a=route_a,
                          route_b=route_b, entropy=entropy, l_ricci=l_ric,
-                         err_estimate=err)
+                         err_estimate=err + abs(route_a - route_b))
 
 
 @dataclass(frozen=True)

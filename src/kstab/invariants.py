@@ -6,7 +6,9 @@ Two independent computation routes are kept alive throughout:
     boundary measure of P (plus bulk corrections);
   * intersection route: the same quantities as exact mixed volumes and
     boundary measures of the Cayley polytope Q, with the fibre-class
-    contribution subtracted.
+    contribution subtracted.  Every mixed volume has the form
+    V(K, ..., K, L) and is evaluated by Minkowski's facet formula,
+    (1/d) * sum over facets F of K of h_L(nu_F) * sigma(F).
 
 The dimensional constant relating the two is calibrated once per
 dimension on a reference configuration, cached, and re-verified on
@@ -35,7 +37,6 @@ from .errors import (
 from .plconfig import ToricTestConfig, make_config, normalize
 from .polytope import (
     Polytope,
-    _solve_dense,
     box,
     corner_chop,
     embed_at_height,
@@ -138,8 +139,8 @@ def donaldson_futaki(cfg: ToricTestConfig) -> Fraction:
 def minimum_norm(cfg: ToricTestConfig) -> Fraction:
     """Minimum norm as the exact bulk excess of g over its minimum.
 
-    Slicing the Cayley polytope horizontally collapses the polarization
-    against n copies of the flat base prism to a fibre-length integral,
+    Slicing the Cayley polytope horizontally collapses its mixed volume
+    with n copies of the flat base prism to a fibre-length integral,
     leaving n! * (integral of g - vol(P) * min g).  The mixed-volume
     route survives as minimum_norm_mixed and every invariant report
     re-checks the two agree exactly.
@@ -155,10 +156,15 @@ def minimum_norm(cfg: ToricTestConfig) -> Fraction:
 
 
 def minimum_norm_mixed(cfg: ToricTestConfig) -> Fraction:
-    """Minimum norm via mixed volumes of (Q, horizontal base prism)."""
+    """Minimum norm via mixed volumes of (Q, horizontal base prism).
+
+    V(Q, flat, ..., flat) comes from Minkowski's facet formula with the
+    flat base as K: its two facets +-e_t carry sigma = vol(P), so the
+    mixed volume is vol(P) times the height range of Q over n + 1.
+    """
     _require_normalized(cfg)
     n = cfg.dim
-    flat = embed_at_height(cfg.base, 0)
+    flat = embed_at_height(cfg.base)
     bodies = [cfg.cayley] + [flat] * n
     v_mixed = mixed_volume(bodies)
     q_vol = volume_data(cfg.cayley).volume
@@ -185,7 +191,7 @@ def twisted_weights(cfg: ToricTestConfig, p_alpha: Polytope):
         raise DimensionMismatch("auxiliary polytope has wrong dimension")
     base_vol = volume_data(cfg.base).volume
     gamma = mixed_volume([p_alpha] + [cfg.base] * (n - 1)) / base_vol
-    flat_alpha = embed_at_height(p_alpha, 0)
+    flat_alpha = embed_at_height(p_alpha)
     v_top = mixed_volume([cfg.cayley] * n + [flat_alpha])
     q_vol = volume_data(cfg.cayley).volume
     fact = math.factorial(n + 1)
@@ -244,6 +250,24 @@ def invariant_report(cfg: ToricTestConfig) -> InvariantReport:
 
 # ---------------------------------------------------------------------------
 # blowup expansion
+
+
+def _solve_dense(rows, rhs):
+    """Exact Gaussian elimination; None if singular."""
+    n = len(rows)
+    mat = [list(map(Fraction, rows[i])) + [Fraction(rhs[i])] for i in range(n)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if mat[i][col] != 0), None)
+        if piv is None:
+            return None
+        mat[col], mat[piv] = mat[piv], mat[col]
+        pv = mat[col][col]
+        mat[col] = [x / pv for x in mat[col]]
+        for i in range(n):
+            if i != col and mat[i][col] != 0:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[col])]
+    return [mat[i][n] for i in range(n)]
 
 
 @dataclass(frozen=True)

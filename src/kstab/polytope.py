@@ -3,11 +3,12 @@
 Everything in this module is exact: vertices and offsets are
 `fractions.Fraction`, facet normals are primitive integer vectors, and
 all measures (volume, lattice boundary measure, mixed volumes) are
-computed by exact triangulation and exact linear solves.  The ambient
-dimensions that matter here are small (1 to 3), so the algorithms are
-chosen for transparency rather than asymptotics: vertex enumeration by
-n-fold facet intersection, hulls by monotone chain / supporting planes,
-mixed volumes by polarization of exact Minkowski-sum volumes.
+computed by exact triangulation.  The ambient dimensions that matter
+here are small (1 to 3), so the algorithms are chosen for transparency
+rather than asymptotics: vertex enumeration by n-fold facet
+intersection, hulls by monotone chain / supporting planes, mixed
+volumes V(K, ..., K, L) by Minkowski's facet formula over the facets
+of K.
 
 Conventions:
   * a halfspace is ``<normal, x> <= offset`` with integer primitive
@@ -32,7 +33,6 @@ from .errors import (
     InconsistentInput,
     NonDelzantVertex,
     NotAVertex,
-    SingularPolarizationSystem,
     UnboundedInput,
 )
 
@@ -686,24 +686,17 @@ def as_body(obj) -> VBody:
     raise DomainMismatch(f"cannot interpret {type(obj).__name__} as a convex body")
 
 
-def embed_at_height(poly: Polytope, height=0) -> VBody:
-    """Embed an n-polytope as a horizontal body in dimension n+1."""
-    height = frac(height)
+def embed_at_height(poly: Polytope) -> VBody:
+    """Embed an n-polytope as a horizontal body at height 0 in dimension n+1."""
     base = as_body(poly)
     e_t = tuple([0] * poly.dim + [1])
     return VBody(
         ambient=poly.dim + 1,
-        vertices=tuple(v + (height,) for v in base.vertices),
+        vertices=tuple(v + (Fraction(0),) for v in base.vertices),
         edge_dirs=tuple(d + (0,) for d in base.edge_dirs),
         facet_normals=tuple(n + (0,) for n in base.facet_normals),
         plane_normals=(e_t, tuple(-x for x in e_t)),
     )
-
-
-def point_body(point) -> VBody:
-    point = vec(point)
-    return VBody(ambient=len(point), vertices=(point,), edge_dirs=(),
-                 facet_normals=(), plane_normals=())
 
 
 def _support(body: VBody, scale: Fraction, nrm):
@@ -776,39 +769,65 @@ def minkowski_sum(terms):
     return poly
 
 
-def _sum_volume(terms) -> Fraction:
-    poly = minkowski_sum(terms)
-    return Fraction(0) if poly is None else volume_data(poly).volume
+def _solid(obj):
+    """obj as a full-dimensional Polytope, or None if it is lower-dimensional."""
+    if isinstance(obj, Polytope):
+        return obj
+    body = as_body(obj)
+    if _affine_rank(body.vertices) < body.ambient:
+        return None
+    return _construct_from_vertices(list(body.vertices))
 
 
-def _monomials(nvars: int, degree: int):
-    if nvars == 0:
-        return [()]
-    out = []
-    for total in range(degree + 1):
-        for combo in itertools.combinations_with_replacement(range(nvars), total):
-            expo = [0] * nvars
-            for c in combo:
-                expo[c] += 1
-            out.append(tuple(expo))
-    return sorted(set(out))
+def _facet_measures(obj):
+    """(primitive outer normal, sigma) per facet of obj, or None.
 
-
-def mixed_volume(bodies, grid=None) -> Fraction:
-    """Mixed volume V(K_1, ..., K_n), normalized so V(K,...,K) = Vol(K).
-
-    Bodies are grouped up to equal vertex sets; the volume polynomial of
-    the scaled Minkowski sum is interpolated exactly on an integer grid,
-    and the multilinear coefficient then yields V.  A caller-supplied
-    grid must be unisolvent, otherwise SingularPolarizationSystem.
+    A full-dimensional body lists its facets.  A body spanning a
+    hyperplane with primitive normal nu (the prism base of
+    embed_at_height) is the two-sided limit of thin slabs: facets
+    +nu and -nu, each carrying the body's lattice (d-1)-volume.
     """
-    bodies = [as_body(b) for b in bodies]
+    poly = _solid(obj)
+    if poly is not None:
+        return list(zip((h.normal for h in poly.halfspaces),
+                        volume_data(poly).per_facet_sigma))
+    body = as_body(obj)
+    if not body.plane_normals or _affine_rank(body.vertices) != body.ambient - 1:
+        return None
+    nu = body.plane_normals[0]
+    # dropping a coordinate where |nu_i| = 1 maps the hyperplane's lattice
+    # onto Z^(d-1), so the shadow's volume is the lattice measure sigma
+    drop = next((i for i, c in enumerate(nu) if abs(c) == 1), None)
+    if drop is None:
+        return None
+    shadow = {v[:drop] + v[drop + 1:] for v in body.vertices}
+    sigma = volume_data(_construct_from_vertices(list(shadow))).volume
+    return [(nu, sigma), (tuple(-c for c in nu), sigma)]
+
+
+def mixed_volume(bodies) -> Fraction:
+    """Mixed volume V(K_1, ..., K_d), normalized so V(K,...,K) = Vol(K).
+
+    Bodies are grouped up to equal vertex sets.  One distinct body
+    gives its volume (0 if it is lower-dimensional).  Two distinct
+    bodies K, appearing d-1 times, and L give Minkowski's facet formula
+
+        V(K[d-1], L) = (1/d) * sum over facets F of K of h_L(nu_F) * sigma(F),
+
+    with nu_F the primitive outer normal, h_L the support function and
+    sigma the lattice facet measure of volume_data (d sigma ^ d ell =
+    d mu, so h_L(nu) * sigma equals the Euclidean h_L(u) * area).  K
+    is full-dimensional or spans a hyperplane; any other mix of bodies
+    raises DomainMismatch.
+    """
     if not bodies:
         raise InconsistentInput("mixed volume of an empty list")
-    n = bodies[0].ambient
+    dims = [b.dim if isinstance(b, Polytope) else as_body(b).ambient
+            for b in bodies]
+    n = dims[0]
     if len(bodies) != n:
         raise DomainMismatch(f"need exactly {n} bodies in dimension {n}")
-    if any(b.ambient != n for b in bodies):
+    if any(d != n for d in dims):
         raise DomainMismatch("bodies of mixed ambient dimension")
 
     distinct, mult = [], []
@@ -823,65 +842,18 @@ def mixed_volume(bodies, grid=None) -> Fraction:
             mult.append(1)
 
     if len(distinct) == 1:
-        return _sum_volume([(Fraction(1), distinct[0])])
-
-    m = len(distinct)
-    monos = _monomials(m - 1, n)
-    if grid is None:
-        nodes = [tuple(Fraction(a) for a in expo) for expo in monos]
-    else:
-        nodes = [tuple(frac(x) for x in g) for g in grid]
-        if len(set(nodes)) != len(nodes):
-            raise SingularPolarizationSystem("duplicate grid points")
-        if len(nodes) != len(monos):
-            raise SingularPolarizationSystem(
-                f"grid must have exactly {len(monos)} points")
-
-    rows, rhs = [], []
-    for node in nodes:
-        rows.append([_mono_eval(node, expo) for expo in monos])
-        terms = [(node[j], distinct[j]) for j in range(m - 1)]
-        terms.append((Fraction(1), distinct[m - 1]))
-        rhs.append(_sum_volume(terms))
-    coeffs = _solve_dense(rows, rhs)
-    if coeffs is None:
-        raise SingularPolarizationSystem("scale grid is not unisolvent")
-
-    target = tuple(mult[:m - 1])
-    coeff = coeffs[monos.index(target)]
-    scale = Fraction(1)
-    for c in mult:
-        for i in range(1, c + 1):
-            scale *= i
-    fact = 1
-    for i in range(1, n + 1):
-        fact *= i
-    return coeff * scale / fact
-
-
-def _mono_eval(node, expo):
-    out = Fraction(1)
-    for x, e in zip(node, expo):
-        out *= x ** e
-    return out
-
-
-def _solve_dense(rows, rhs):
-    """Exact Gaussian elimination; None if singular."""
-    n = len(rows)
-    mat = [list(map(Fraction, rows[i])) + [Fraction(rhs[i])] for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if mat[i][col] != 0), None)
-        if piv is None:
-            return None
-        mat[col], mat[piv] = mat[piv], mat[col]
-        pv = mat[col][col]
-        mat[col] = [x / pv for x in mat[col]]
-        for i in range(n):
-            if i != col and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[col])]
-    return [mat[i][n] for i in range(n)]
+        poly = _solid(distinct[0])
+        return Fraction(0) if poly is None else volume_data(poly).volume
+    if len(distinct) == 2:
+        for k in (0, 1):
+            facets = _facet_measures(distinct[k]) if mult[k] == n - 1 else None
+            if facets is not None:
+                other = distinct[1 - k].vertices
+                return sum(max(dot(nu, v) for v in other) * sigma
+                           for nu, sigma in facets) / n
+    raise DomainMismatch(
+        "mixed volume needs the form V(K, ..., K, L) with K full-dimensional "
+        "or spanning a hyperplane")
 
 
 # ---------------------------------------------------------------------------

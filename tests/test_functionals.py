@@ -34,6 +34,7 @@ from kstab.functionals import (
 from kstab.invariants import donaldson_futaki, minimum_norm, twisted_weights
 from kstab.plconfig import make_config, normalize
 from kstab.polytope import box, interval, unit_simplex
+from kstab.slopes import Schedule, ladder
 
 F = Fraction
 
@@ -206,6 +207,16 @@ def test_mabuchi_routes_agree_on_kink(tau, beta):
     mb = mabuchi(ray.state(tau))
     assert abs(mb.route_a - mb.route_b) < 1e-5 * (1.0 + abs(mb.route_a))
     assert mb.err_estimate < 1e-4 * (1.0 + abs(mb.value))
+
+
+def test_mabuchi_err_estimate_covers_route_gap():
+    """On the interval-affine DF ladder route (b) is exact (S - n mu
+    vanishes), so only the route gap makes err_estimate nonzero."""
+    rows = ladder(AFFINE, Schedule(), lambda ray, t: mabuchi(ray.state(t)))
+    for mb in rows:
+        assert mb.err_estimate >= abs(mb.route_a - mb.route_b)
+    assert rows[-1].tau == 12.0
+    assert rows[-1].err_estimate > 0.0
 
 
 def test_mabuchi_slope_approaches_df_on_kink():

@@ -12,6 +12,7 @@ from kstab.errors import (
     NonDelzant,
     NotAVertex,
     NotNormalized,
+    RouteMismatch,
 )
 from kstab.invariants import (
     blowup_expansion,
@@ -125,7 +126,7 @@ def test_minimum_norm_simplex():
 
 
 def test_minimum_norm_routes_agree():
-    # sliced bulk integral vs the mixed-volume polarization, exact
+    # sliced bulk integral vs the mixed-volume facet formula, exact
     rng = random.Random(77)
     for _ in range(12):
         cfg = random_config(rng, normalized="min_zero")
@@ -255,3 +256,11 @@ def test_invariant_report():
     assert rep.calibration == 1
     blob = rep.to_json()
     assert blob["df"] == {"exact": "1/2", "decimal": 0.5}
+
+
+def test_invariant_report_raises_when_norm_routes_disagree(monkeypatch):
+    cfg = cfg_interval([((1,), 0), ((-1,), 1)])
+    monkeypatch.setattr("kstab.invariants.minimum_norm_mixed",
+                        lambda c: minimum_norm_mixed(c) + F(1, 7))
+    with pytest.raises(RouteMismatch):
+        invariant_report(cfg)

@@ -1,4 +1,5 @@
 """Exact-kernel tests: construction, measures, integration, mixed volumes."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,11 +13,11 @@ from kstab.errors import (
     InconsistentInput,
     NonDelzantVertex,
     NotAVertex,
-    SingularPolarizationSystem,
     UnboundedInput,
 )
 from kstab.polytope import (
     Halfspace,
+    VBody,
     as_body,
     box,
     construct,
@@ -27,11 +28,12 @@ from kstab.polytope import (
     interval,
     minkowski_sum,
     mixed_volume,
-    point_body,
     regions_of_max,
     unit_simplex,
     volume_data,
 )
+
+from gens import random_base, random_config
 
 F = Fraction
 
@@ -208,7 +210,7 @@ def test_minkowski_square_plus_simplex():
 
 
 def test_minkowski_lower_dimensional():
-    seg = embed_at_height(interval(0, 1), 0)
+    seg = embed_at_height(interval(0, 1))
     assert minkowski_sum([(1, seg)]) is None
 
 
@@ -227,7 +229,10 @@ def test_mixed_volume_square_simplex():
 
 
 def test_mixed_volume_point_summand():
-    assert mixed_volume([box(2), point_body((0, 0))]) == 0
+    point = VBody(ambient=2, vertices=((F(0), F(0)),), edge_dirs=(),
+                  facet_normals=(), plane_normals=())
+    assert mixed_volume([box(2), point]) == 0
+    assert mixed_volume([point, box(2)]) == 0
 
 
 def test_mixed_volume_multilinearity_3d():
@@ -240,24 +245,71 @@ def test_mixed_volume_prism_sections():
     # vertical prism over the unit square and the square itself at height 0:
     # Vol(a*cube + b*flat) = a*(a+b)^2 gives V(Q,Q,L) = 2/3, V(Q,L,L) = 1/3
     cube = box(3)
-    flat = embed_at_height(box(2), 0)
+    flat = embed_at_height(box(2))
     assert mixed_volume([cube, cube, flat]) == F(2, 3)
     assert mixed_volume([cube, flat, flat]) == F(1, 3)
     assert mixed_volume([flat, flat, flat]) == 0
-
-
-def test_mixed_volume_bad_grid():
-    bodies = [box(2), box(2, side=2)]
-    with pytest.raises(SingularPolarizationSystem):
-        mixed_volume(bodies, grid=[(0,), (1,), (1,)])
-    with pytest.raises(SingularPolarizationSystem):
-        mixed_volume(bodies, grid=[(0,), (1,)])
-    assert mixed_volume(bodies, grid=[(0,), (1,), (3,)]) == 2
+    # the flat body sees only the height range of the other body: 3 here
+    slab = construct(vertices=[(x, y, t) for x in (0, 1) for y in (0, 1)
+                               for t in (-1, 2)])
+    assert mixed_volume([slab, flat, flat]) == 1
 
 
 def test_mixed_volume_body_count_checked():
     with pytest.raises(DomainMismatch):
         mixed_volume([box(2)])
+
+
+def test_mixed_volume_rejects_three_distinct_bodies():
+    with pytest.raises(DomainMismatch):
+        mixed_volume([box(3), box(3, side=2), unit_simplex(3)])
+
+
+def _polarized(k_body, l_body, d):
+    """Reference V(K[d-1], L) from exact volumes of K + tL at t = 0..d.
+
+    vol(K + tL) = sum_i C(d, i) t^i V(K[d-i], L[i]), so V(K[d-1], L) is
+    its t-derivative at 0 over d; for a polynomial of degree <= d that
+    derivative is sum_k (-1)^(k-1) Delta^k / k over forward differences.
+    """
+    diffs = []
+    for t in range(d + 1):
+        body = minkowski_sum([(1, k_body), (t, l_body)])
+        diffs.append(F(0) if body is None else volume_data(body).volume)
+    deriv = F(0)
+    for k in range(1, d + 1):
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        deriv += (-1) ** (k - 1) * diffs[0] / k
+    return deriv / d
+
+
+def test_polarized_reference_on_known_pairs():
+    assert _polarized(box(2), box(2, side=2), 2) == 2
+    assert _polarized(box(3), embed_at_height(box(2)), 3) == F(2, 3)
+    slab = construct(vertices=[(x, y, t) for x in (0, 1) for y in (0, 1)
+                               for t in (-1, 2)])
+    assert _polarized(embed_at_height(box(2)), slab, 3) == 1
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mixed_volume_production_shapes_match_polarization(seed):
+    """The three shapes the invariants use, on seeded configurations:
+    V(Q, flat P, ..., flat P), V(alpha, P, ..., P) and
+    V(Q, ..., Q, flat alpha), with Q the Cayley polytope."""
+    rng = random.Random(seed)
+    cfg = random_config(rng, normalized="min_zero")
+    n = cfg.dim
+    alpha = random_base(rng)
+    while alpha.dim != n:
+        alpha = random_base(rng)
+    q, flat = cfg.cayley, embed_at_height(cfg.base)
+    flat_alpha = embed_at_height(alpha)
+    assert mixed_volume([q] + [flat] * n) == _polarized(flat, q, n + 1)
+    assert mixed_volume([alpha] + [cfg.base] * (n - 1)) == (
+        _polarized(cfg.base, alpha, n) if n > 1
+        else volume_data(alpha).volume)
+    assert mixed_volume([q] * n + [flat_alpha]) == _polarized(
+        q, flat_alpha, n + 1)
 
 
 # -- corner chops -------------------------------------------------------------
