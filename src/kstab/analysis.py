@@ -25,7 +25,8 @@ functionals module agree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -112,21 +113,21 @@ class SmoothedPL:
         return len(self.consts) == 1
 
     def _fields(self, pts):
+        """Row max, softmax normaliser and softmax weights at pts; both
+        reductions run column by column (see _row_reduce)."""
         vals = pts @ self.grads.T + self.consts[None, :]
-        top = vals.max(axis=1, keepdims=True)
-        w = np.exp(self.beta * (vals - top))
-        z = w.sum(axis=1, keepdims=True)
-        return vals, top, w / z
+        top = _row_reduce(np.maximum, vals)
+        w = np.exp(self.beta * (vals - top[:, None]))
+        z = _row_reduce(np.add, w)
+        return top, z, w / z[:, None]
 
     def value(self, pts: np.ndarray) -> np.ndarray:
-        vals, top, w = self._fields(pts)
+        top, z, _ = self._fields(pts)
         # log-sum-exp written against the max for stability
-        return top[:, 0] + np.log(
-            np.exp(self.beta * (vals - top)).sum(axis=1)) / self.beta
+        return top + np.log(z) / self.beta
 
     def gradient(self, pts: np.ndarray) -> np.ndarray:
-        _, _, w = self._fields(pts)
-        return w @ self.grads
+        return self._fields(pts)[2] @ self.grads
 
     def hessian(self, pts: np.ndarray) -> np.ndarray:
         if self.exact:
@@ -200,8 +201,17 @@ def collar_depth_for(tau_max: float) -> int:
                                      / math.log(2.0))))
 
 
-def _gauss_panel(a: float, b: float, order: int):
+@lru_cache(maxsize=None)
+def _gauss_rule(order: int):
+    """Gauss-Legendre rule on [-1, 1], built once per order, read-only."""
     x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _gauss_panel(a: float, b: float, order: int):
+    """The cached rule of `order` mapped affinely onto [a, b]."""
+    x, w = _gauss_rule(order)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
 
@@ -364,20 +374,14 @@ def _logdet_small(H: np.ndarray) -> np.ndarray:
     return np.linalg.slogdet(H)[1]
 
 
-def _row_max(a: np.ndarray) -> np.ndarray:
-    """a.max(axis=1), taken column by column: numpy's reduction along a
-    short trailing axis is an order of magnitude slower."""
+def _row_reduce(op, a: np.ndarray) -> np.ndarray:
+    """op.reduce(a, axis=1), taken column by column: numpy's reduction
+    along a short trailing axis is an order of magnitude slower.  Terms
+    combine left to right, as in numpy's sum of fewer than 8 terms, so
+    np.add keeps the bits of a.sum(axis=1) there."""
     out = a[:, 0].copy()
     for j in range(1, a.shape[1]):
-        np.maximum(out, a[:, j], out=out)
-    return out
-
-
-def _row_min(a: np.ndarray) -> np.ndarray:
-    """a.min(axis=1), taken column by column (see _row_max)."""
-    out = a[:, 0].copy()
-    for j in range(1, a.shape[1]):
-        np.minimum(out, a[:, j], out=out)
+        op(out, a[:, j], out=out)
     return out
 
 
@@ -473,7 +477,7 @@ def _newton_rows(potential, normals, targets, z, hess, tol, max_iter):
         live = size > tol
         live &= size > wall
         live &= ~frozen
-        settled = ~_row_max(live)
+        settled = ~_row_reduce(np.maximum, live)
         if settled.any():
             # integer take: boolean masks on 2-D rows are ~8x slower
             gone = np.flatnonzero(settled)
@@ -492,13 +496,14 @@ def _newton_rows(potential, normals, targets, z, hess, tol, max_iter):
         drop = step @ normals.T  # slack decrease per unit step
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(drop > 0, ell / drop, np.inf)
-        t = np.minimum(1.0, 0.85 * _row_min(ratios))
-        base_norm = _row_max(np.where(live, np.abs(res), 0.0))
+        t = np.minimum(1.0, 0.85 * _row_reduce(np.minimum, ratios))
+        base_norm = _row_reduce(np.maximum, np.where(live, np.abs(res), 0.0))
         for _ in range(40):
             moved = x + t[:, None] * step
             moved_ell = potential.slacks(moved)
             new_res = potential.gradient(moved, moved_ell) - targets
-            cand_norm = _row_max(np.where(live, np.abs(new_res), 0.0))
+            cand_norm = _row_reduce(np.maximum,
+                                    np.where(live, np.abs(new_res), 0.0))
             good = cand_norm <= base_norm * (1 - 1e-4 * t) + tol
             if good.all():
                 break
@@ -516,7 +521,7 @@ def _newton_rows(potential, normals, targets, z, hess, tol, max_iter):
         x, ell, res = moved, moved_ell, new_res
     z[idx] = x
     hess[idx] = h
-    return idx, _row_max(np.where(live, np.abs(res), 0.0))
+    return idx, _row_reduce(np.maximum, np.where(live, np.abs(res), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +655,7 @@ def abreu_scalar_curvature(potential, pts: np.ndarray) -> np.ndarray:
     hess = u0.hessian(pts, ell)
     nu = u0.normals
     if pl:
-        _, _, p = smooth._fields(pts)
+        p = smooth._fields(pts)[2]
         beta = smooth.beta
         hess = hess + s * smooth.weights_hessian(p)
     ginv = _inv_small(hess)

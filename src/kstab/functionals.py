@@ -67,6 +67,10 @@ def adaptive_simpson(f, upper: float, rel: float = PATH_REL_TOL,
     of width ~ 1/beta near s = 0 where the curvature first collapses
     onto the creases, and uniform refinement wastes hundreds of
     quadrature states on the smooth tail.
+
+    The recursive `rec` closes over itself; the cell is cleared on
+    return so that the integrand (and the Ray it holds) is freed by
+    reference counting rather than left in a cycle for the collector.
     """
     if upper == lower:
         return 0.0, 0.0
@@ -99,7 +103,10 @@ def adaptive_simpson(f, upper: float, rel: float = PATH_REL_TOL,
 
     f0, fmid, f1 = fv(lower), fv(lower + 0.5 * span), fv(upper)
     whole = span / 6.0 * (f0 + 4.0 * fmid + f1)
-    return rec(lower, upper, f0, fmid, f1, whole, eps, max_depth)
+    try:
+        return rec(lower, upper, f0, fmid, f1, whole, eps, max_depth)
+    finally:
+        del rec
 
 
 def _path_prefix(ray: Ray, key, integrand, tau: float):

@@ -10,6 +10,7 @@ import re
 import numpy as np
 import pytest
 
+import kstab.analysis as analysis
 from kstab.analysis import (
     KAPPA,
     Ray,
@@ -22,9 +23,11 @@ from kstab.analysis import (
     collar_depth_for,
     crease_ladder_depth,
     crease_points,
+    fan_grid,
     guillemin_potential,
     line_grid,
     newton_transport,
+    _gauss_rule,
     _inv_small,
     _logdet_small,
     ricci_reference,
@@ -33,6 +36,12 @@ from kstab.errors import NewtonDivergence, NonDelzant
 from kstab.functionals import mixed_discriminant
 from kstab.plconfig import make_config, normalize
 from kstab.polytope import box, construct, interval, unit_simplex, volume_data
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
 
 
 def interval_config(pieces, mode="min_zero"):
@@ -102,6 +111,34 @@ def test_smoothed_pl_bounds_and_exact_flag():
     assert np.all(single.hessian(pts) == 0.0)
 
 
+def softmax_reference(sm, pts):
+    """value, weights and gradient of sm with numpy's axis=1 reductions."""
+    vals = pts @ sm.grads.T + sm.consts[None, :]
+    top = vals.max(axis=1, keepdims=True)
+    e = np.exp(sm.beta * (vals - top))
+    z = e.sum(axis=1, keepdims=True)
+    w = e / z
+    return top[:, 0] + np.log(z[:, 0]) / sm.beta, w, w @ sm.grads
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n_pieces", [1, 2, 3, 5])
+@pytest.mark.parametrize("beta", [7.0, 2000.0])
+def test_smoothed_pl_matches_axis_reference_bitwise(n_pieces, beta):
+    rng = np.random.default_rng(n_pieces)
+    sm = SmoothedPL(grads=rng.normal(size=(n_pieces, 2)),
+                    consts=rng.normal(size=n_pieces), beta=beta)
+    pts = rng.uniform(size=(997, 2))
+    value, w, grad = softmax_reference(sm, pts)
+    if n_pieces > 1 and beta > 1000.0:
+        assert (w == 0.0).any()   # some weights underflow
+    assert same_bits(sm.value(pts), value)
+    assert same_bits(sm.gradient(pts), grad)
+    hess = sm.hessian(pts)
+    assert same_bits(hess, np.zeros((len(pts), 2, 2)) if n_pieces == 1
+                     else sm.weights_hessian(w))
+
+
 def test_shifted_potential_is_affine_in_s():
     u0 = guillemin_potential(interval(0, 1))
     sm = SmoothedPL.from_fn(KINK.g, beta=30.0)
@@ -148,6 +185,35 @@ def test_grid_integrates_polynomials():
     tri = build_grid(unit_simplex(2), depth=12)
     xy = tri.points[:, 0] * tri.points[:, 1]
     assert abs(tri.integrate(xy) - 1.0 / 24.0) < 1e-10
+
+
+def test_gauss_rule_is_cached_leggauss():
+    for order in (4, 6, 8, 10, 12, 16):
+        x, w = _gauss_rule(order)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(order)
+        assert same_bits(x, ref_x) and same_bits(w, ref_w)
+        assert _gauss_rule(order)[0] is x
+        for arr in (x, w):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+
+def test_grids_match_fresh_leggauss_panels(monkeypatch):
+    def build():
+        return [line_grid(interval(0, 1), 46, creases=(0.25, 0.625),
+                          crease_depth=22),
+                fan_grid(box(2), 34), fan_grid(unit_simplex(2), 34)]
+
+    def fresh_panel(a, b, order):
+        x, w = np.polynomial.legendre.leggauss(order)
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        return mid + half * x, half * w
+
+    cached = build()
+    monkeypatch.setattr(analysis, "_gauss_panel", fresh_panel)
+    for grid, ref in zip(cached, build()):
+        assert same_bits(grid.points, ref.points)
+        assert same_bits(grid.weights, ref.weights)
 
 
 def test_crease_ladder_adds_panels():

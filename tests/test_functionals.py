@@ -13,7 +13,9 @@ structure.  These pin the transported-coordinate quadrature; the PL
 cases are covered by route consistency and slope convergence toward
 the exact invariants.
 """
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -199,6 +201,20 @@ def test_mabuchi_transports_only_at_tau():
     ray = Ray(KINK, beta=40.0, tau_max=4.0)
     mabuchi(ray.state(4.0))
     assert list(ray._inv_cache) == [4.0]
+
+
+def test_simpson_leaves_no_reference_cycle():
+    """A finished Simpson path holds nothing alive: the Ray goes with its
+    last reference, not only at the next cyclic collection."""
+    gc.disable()
+    try:
+        ray = Ray(KINK, beta=10.0, tau_max=2.0)
+        mabuchi(ray.state(1.0))
+        ref = weakref.ref(ray)
+        del ray
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("tau,beta", [(2.0, 20.0), (8.0, 80.0), (12.0, 120.0)])
