@@ -397,17 +397,16 @@ def newton_transport(potential, targets: np.ndarray, start: np.ndarray,
 
     Damping: steps are clipped against the facet slacks (never consume
     more than 85% of the distance to the boundary) and halved until the
-    residual decreases.
-
-    Saturation is judged per coordinate, in two forms.  A residual
-    component below hessian * ulp cannot be improved by any
+    residual decreases and no slack rounds to zero, so no iterate lands
+    on a facet.  Saturation is judged per coordinate, in two forms.  A
+    residual component below hessian * ulp cannot be improved by any
     representable move; and a component that stayed bitwise identical
     through a damped step without improving sits on the last float
-    before a facet, however large its residual reads.  Either way the
-    component is dropped from the convergence norm.  The test has to be
-    componentwise: a node pressed against one facet may still owe real
-    progress along the other axis, and a per-node test would either
-    stall it or retire it early.
+    before a facet, however large its residual reads, and is frozen
+    there.  Either way the component is dropped from the convergence
+    norm.  The test has to be componentwise: a node pressed against one
+    facet may still owe real progress along the other axis, and a
+    per-node test would either stall it or retire it early.
 
     Rows are independent, so they are solved in fixed-size blocks whose
     temporaries stay cache-sized.  NewtonDivergence names the count of
@@ -492,12 +491,15 @@ def _newton_rows(potential, normals, targets, z, hess, tol, max_iter):
         if it == max_iter:  # the last pass only tests the final iterates
             break
         step = -_solve_small(h, res)
+        if frozen.any():  # nor may a frozen component clip the others
+            step[frozen] = 0.0
         # largest multiple of the step keeping every slack positive
         drop = step @ normals.T  # slack decrease per unit step
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(drop > 0, ell / drop, np.inf)
         t = np.minimum(1.0, 0.85 * _row_reduce(np.minimum, ratios))
         base_norm = _row_reduce(np.maximum, np.where(live, np.abs(res), 0.0))
+        refused = np.zeros(len(x), dtype=bool)
         for _ in range(40):
             moved = x + t[:, None] * step
             moved_ell = potential.slacks(moved)
@@ -505,18 +507,25 @@ def _newton_rows(potential, normals, targets, z, hess, tol, max_iter):
             cand_norm = _row_reduce(np.maximum,
                                     np.where(live, np.abs(new_res), 0.0))
             good = cand_norm <= base_norm * (1 - 1e-4 * t) + tol
+            # refuse a candidate rounded onto a facet, where only the clamp
+            # in slacks() keeps the barrier finite: the node stays inside
+            landed = _row_reduce(np.minimum, moved_ell) <= _SLACK_FLOOR
+            refused |= landed
+            good &= ~landed
             if good.all():
                 break
             t = np.where(good, t, 0.5 * t)
-        else:  # the last halving has not been evaluated yet
+        else:  # evaluate the last halving; a row still on a facet stays put
+            moved = x + t[:, None] * step
+            t[_row_reduce(np.minimum, potential.slacks(moved))
+              <= _SLACK_FLOOR] = 0.0
             moved = x + t[:, None] * step
             moved_ell = potential.slacks(moved)
             new_res = potential.gradient(moved, moved_ell) - targets
-        # rounding may land a nearly saturated node on a facet itself; the
-        # barrier stays finite there only because slacks() clamps at
-        # _SLACK_FLOOR, so such a node needs no back-off
         stuck = moved == x
-        pinned = live & stuck & (np.abs(new_res) >= np.abs(res) * (1 - 1e-6))
+        # a refused row may be saturated below the wall on the facet's axis
+        pinned = (live | refused[:, None]) & stuck \
+            & (np.abs(new_res) >= np.abs(res) * (1 - 1e-6))
         frozen = stuck & (frozen | pinned)
         x, ell, res = moved, moved_ell, new_res
     z[idx] = x

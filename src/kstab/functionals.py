@@ -16,15 +16,16 @@ measure is written.  Two coordinate systems are used on purpose:
     float64 cannot resolve near facets with unit-scale offsets.
 
 The Aubin functionals are wired so that the n = 1 identity I = 2J holds
-exactly in floating point (I and J are assembled from the same sums),
-and the Mabuchi functional is computed by two genuinely different
-routes: an explicit formula at time tau (entropy + slope term - Ricci
-energy, with the entropy coefficient matching the curvature
-normalization in which mean S equals n times the slope, and the Ricci
-energy in the Chen-Tian endpoint form
-sum_j integral phi Ric0 ^ omega0^j ^ omega_phi^(n-1-j)), and a path
-integral of the curvature pairing in s.  Disagreement beyond tolerance
-raises RouteMismatch.
+exactly in floating point (I and J are assembled from the same sums).
+The energies of a fixed form theta, the Ricci energy (theta = Ric0) and
+the twisted energy L_alpha (theta = alpha), share one Chen-Tian endpoint
+form, sum_j integral phi theta ^ omega0^j ^ omega_phi^(n-1-j), so no
+path in s is integrated for them.  The Mabuchi functional is computed
+by two genuinely different routes: an explicit formula at time tau
+(entropy + slope term - Ricci energy, with the entropy coefficient
+matching the curvature normalization in which mean S equals n times the
+slope) and a path integral of the curvature pairing in s.  Disagreement
+beyond tolerance raises RouteMismatch.
 """
 from __future__ import annotations
 
@@ -109,18 +110,17 @@ def adaptive_simpson(f, upper: float, rel: float = PATH_REL_TOL,
         del rec
 
 
-def _path_prefix(ray: Ray, key, integrand, tau: float):
+def _path_prefix(ray: Ray, integrand, tau: float):
     """Accumulated path integral over [0, tau], reusing shorter prefixes.
 
     Verdict ladders visit one ray at an ascending sequence of tau values
-    and every path functional re-integrates from zero, which makes the
+    and the path functional re-integrates from zero, which makes the
     ladder quadratically expensive in path length.  The per-ray cache
-    keeps accumulated (tau, value, error) anchors per integrand key so
-    only the new segment beyond the nearest anchor is integrated; the
-    anchors double as forced panel boundaries at the ladder points.
+    keeps accumulated (tau, value, error) anchors so only the new
+    segment beyond the nearest anchor is integrated; the anchors double
+    as forced panel boundaries at the ladder points.
     """
-    anchors = ray.__dict__.setdefault("_path_cache", {}).setdefault(
-        key, [(0.0, 0.0, 0.0)])
+    anchors = ray.__dict__.setdefault("_path_anchors", [(0.0, 0.0, 0.0)])
     lo, acc, err = max(row for row in anchors if row[0] <= tau)
     if lo == tau:
         return acc, err
@@ -193,7 +193,9 @@ def energy_report(state: RayState, alpha: Polytope | None = None) -> EnergyRepor
     coordinates avoids stacking s-quadrature error and makes the n = 1
     identity I = 2J hold exactly in floating point (j_val is assembled
     as i_val / 2 there, which agrees with the defining combination to
-    one rounding).  The am / am_direct discrepancy doubles as the
+    one rounding).  l_alpha is the Chen-Tian endpoint energy of the
+    fixed form alpha (_fixed_form_energy, as for Ric0 in mabuchi).
+    err_estimate is the am / am_direct discrepancy, the
     path-vs-endpoint consistency estimate.
     """
     ray = state.ray
@@ -201,13 +203,13 @@ def energy_report(state: RayState, alpha: Polytope | None = None) -> EnergyRepor
     fact = math.factorial(n)
     tau = state.tau
     if tau == 0.0:
-        l0 = None if alpha is None else 0.0
         return EnergyReport(tau=0.0, am=0.0, am_direct=0.0, i_val=0.0,
-                            j_val=0.0, entropy=0.0, l_alpha=l0,
+                            j_val=0.0, entropy=0.0,
+                            l_alpha=None if alpha is None else 0.0,
                             err_estimate=0.0)
     am = am_energy(ray, tau)
 
-    _, h0_at_x, phi_y, lvr_y, wedge = _transported_pieces(ray, tau)
+    _, h0_at_x, phi_y, lvr_y, wedge = pieces = _transported_pieces(ray, tau)
     a_ref = fact * ray.grid.integrate(state.phi)        # against fixed form
     b_mov = fact * ray.grid.integrate(phi_y)            # against evolving form
     if n == 1:
@@ -219,64 +221,61 @@ def energy_report(state: RayState, alpha: Polytope | None = None) -> EnergyRepor
     j_val = 0.5 * i_val if n == 1 else a_ref - am_direct / (n + 1)
     entropy = fact * ray.grid.integrate(lvr_y)
 
-    l_alpha = None
-    err = abs(am - am_direct)
-    if alpha is not None:
-        l_alpha, err_a = _l_alpha_path(ray, tau, alpha)
-        err += err_a
+    l_alpha = None if alpha is None else _fixed_form_energy(
+        state, alpha, _alpha_field(ray, alpha), pieces)
     return EnergyReport(tau=tau, am=am, am_direct=am_direct, i_val=i_val,
                         j_val=j_val, entropy=entropy, l_alpha=l_alpha,
-                        err_estimate=err)
+                        err_estimate=abs(am - am_direct))
 
 
-def _phi_dot_pairing(ray: Ray, s: float, a_field: np.ndarray) -> float:
-    """n * <phi_dot, a ^ w_s^(n-1)> at the grid nodes for the field a_field.
+def _fixed_form_energy(state: RayState, key, field, pieces) -> float:
+    """Chen-Tian energy of a fixed form theta at the endpoint,
 
-    In moment coordinates this is -n * n! * integral of
-    g_beta * MD(a_field, G_s) * det H_s, with H_s the Hessian of u_s.
+        E_theta(phi) = sum_{j=0}^{n-1} integral phi theta ^ omega0^j
+                       ^ omega_phi^(n-1-j),
+
+    whose s-derivative is n * <phi_dot, theta ^ omega_s^(n-1)>.
+    field(tau, x) is theta's dual-Hessian field at the moment-dual point
+    xi + tau * grad g of each node, where x are the reference points
+    with that u0-gradient.  The j = n-1 term is n! * integral of
+    phi * MD(theta, G0) * det H0 over the reference nodes (phi * theta
+    * h0 for n = 1), its density cached per Ray under key (a name or
+    alpha's polytope); for n = 2 the j = 0 term is n! * integral of
+    phi * MD(theta, G_tau) * det H_tau over the transported nodes, from
+    the _transported_pieces at tau.
     """
+    ray = state.ray
     n = ray.cfg.dim
-    h_s = ray.hessian_at_nodes(s)
-    if n == 1:
-        md = a_field[:, 0, 0]
-        det = h_s[:, 0, 0]
-    else:
-        md = mixed_discriminant(a_field, _inv_small(h_s))
-        det = np.exp(_logdet_small(h_s))
-    return -n * math.factorial(n) * ray.grid.integrate(ray.g_vals * md * det)
+    fact = math.factorial(n)
+    densities = ray.__dict__.setdefault("_density0", {})
+    if key not in densities:
+        a = field(0.0, ray.grid.points)
+        densities[key] = a[:, 0, 0] * ray.h0[:, 0, 0] if n == 1 \
+            else mixed_discriminant(a, ray.g0) * np.exp(ray.logdet0)
+    energy = fact * ray.grid.integrate(state.phi * densities[key])
+    if n == 2:
+        x, _, phi_y, _, wedge = pieces
+        energy += fact * ray.grid.integrate(
+            phi_y * wedge(field(state.tau, x)))
+    return energy
 
 
-def _l_alpha_path(ray: Ray, tau: float, alpha: Polytope):
-    """Path integral of the alpha-pairing: d/ds L = n * <phi_dot, alpha ^ w^(n-1)>."""
+def _alpha_field(ray: Ray, alpha: Polytope):
+    """field(tau, x) of the alpha form for _fixed_form_energy: the
+    inverse Hessian of alpha's Guillemin potential where its gradient is
+    xi + tau * grad g, one Newton transport into alpha per call."""
     if alpha.dim != ray.cfg.dim:
         raise MissingAlpha(
             "twisting polytope has dimension "
             f"{alpha.dim}, expected {ray.cfg.dim}")
     u_alpha = guillemin_potential(alpha)
-    vd = volume_data(alpha)
-    warm = {"pts": None}
+    bary = np.array([[float(c) for c in volume_data(alpha).barycenter]])
 
-    def integrand(s: float) -> float:
-        xi = ray.xi + s * ray.g_grad
-        start = warm["pts"] if warm["pts"] is not None else \
-            np.tile(np.array([[float(c) for c in vd.barycenter]]),
-                    (ray.grid.size, 1))
-        x_a, h_a = newton_transport(u_alpha, xi, start.copy())
-        warm["pts"] = x_a
-        return _phi_dot_pairing(ray, s, _inv_small(h_a))
-
-    key = ("l_alpha",) + tuple(tuple(v) for v in alpha.vertices)
-    return _path_prefix(ray, key, integrand, tau)
-
-
-def _ricci_density0(ray: Ray) -> np.ndarray:
-    """Density of Ric0 ^ omega0^(n-1) at the grid nodes, in reference
-    coordinates: MD(Ric0, G0) * det H0, which is Ric0 * h0 for n = 1."""
-    if not hasattr(ray, "_ricci0"):
-        ric0 = ricci_reference(ray.u0, ray.grid.points)
-        ray._ricci0 = ric0[:, 0, 0] * ray.h0[:, 0, 0] if ray.cfg.dim == 1 \
-            else mixed_discriminant(ric0, ray.g0) * np.exp(ray.logdet0)
-    return ray._ricci0
+    def field(tau: float, _x: np.ndarray) -> np.ndarray:
+        _, h_alpha = newton_transport(u_alpha, ray.xi + tau * ray.g_grad,
+                                      np.tile(bary, (ray.grid.size, 1)))
+        return _inv_small(h_alpha)
+    return field
 
 
 @dataclass(frozen=True)
@@ -303,21 +302,13 @@ def mabuchi(state: RayState) -> MabuchiReport:
 
     Route (a): (1/2) * entropy + n/(n+1) * mu * AM - E_Ric, the half on
     the entropy paired with the halved Ricci convention in which the
-    mean scalar curvature is n * mu.  E_Ric is the Chen-Tian Ricci
-    energy at the endpoint,
-
-        E_Ric(phi) = sum_{j=0}^{n-1} integral phi Ric0 ^ omega0^j
-                     ^ omega_phi^(n-1-j),
-
-    whose s-derivative is n * <phi_dot, Ric0 ^ omega_s^(n-1)>.  The
-    j = n-1 term is n! * integral of phi * MD(Ric0, G0) * det H0 over
-    the reference nodes (phi * Ric0 * h0 for n = 1); for n = 2 the j = 0
-    term is n! * integral of phi * MD(Ric0(x), G_tau) * det H_tau over
-    the transported nodes, at the inverse transport x that the entropy
-    uses.  Route (b): the path integral of -phi_dot * (S - n mu)
-    against the evolving volume form, on the bulk grid.  err_estimate
-    is route (b)'s Simpson error plus the route gap, so it also reflects
-    the error of route (a).
+    mean scalar curvature is n * mu.  E_Ric is the Chen-Tian endpoint
+    energy of the fixed form Ric0 (_fixed_form_energy, as for alpha in
+    energy_report); its transported term takes Ric0 at the inverse
+    transport x that the entropy uses.  Route (b): the path integral of
+    -phi_dot * (S - n mu) against the evolving volume form, on the bulk
+    grid.  err_estimate is route (b)'s Simpson error plus the route gap,
+    so it also reflects the error of route (a).
     """
     ray = state.ray
     cfg = ray.cfg
@@ -326,12 +317,11 @@ def mabuchi(state: RayState) -> MabuchiReport:
     tau = state.tau
     mu = float(slope_mu(cfg.base))
 
-    x, _, phi_y, lvr_y, wedge = _transported_pieces(ray, tau)
-    entropy = fact * ray.grid.integrate(lvr_y)
-    l_ric = fact * ray.grid.integrate(state.phi * _ricci_density0(ray))
-    if n == 2:
-        l_ric += fact * ray.grid.integrate(
-            phi_y * wedge(ricci_reference(ray.u0, x)))
+    pieces = _transported_pieces(ray, tau)
+    entropy = fact * ray.grid.integrate(pieces[3])
+    l_ric = _fixed_form_energy(state, "ricci",
+                               lambda _tau, x: ricci_reference(ray.u0, x),
+                               pieces)
     route_a = 0.5 * entropy + (n / (n + 1)) * mu * am_energy(ray, tau) - l_ric
 
     grid = _curvature_grid(ray)
@@ -342,7 +332,7 @@ def mabuchi(state: RayState) -> MabuchiReport:
         s_field = abreu_scalar_curvature(pot, grid.points)
         return fact * grid.integrate(gvals * (s_field - n * mu))
 
-    route_b, err = _path_prefix(ray, "curvature_pairing", integrand, tau)
+    route_b, err = _path_prefix(ray, integrand, tau)
     if abs(route_a - route_b) > ROUTE_TOL * (1.0 + abs(route_a)):
         raise RouteMismatch(
             f"Mabuchi routes disagree at tau={tau}: explicit {route_a!r} "

@@ -323,6 +323,25 @@ def test_newton_rows_are_independent_of_order_and_blocks():
     assert np.array_equal(hess_p, hess[perm])
 
 
+@pytest.mark.parametrize("y_lo,y_hi", [(-2.0, 2.0), (18.0, 24.0)],
+                         ids=["edge", "corner"])
+def test_newton_never_lands_on_a_facet(y_lo, y_hi):
+    """Targets 18-24 on x ask for slacks e^-37 to e^-49 at the facet
+    x = 1, below the float spacing there.  Such a row saturates one float
+    inside the facet, never on it: no slack reaches the clamp, so the
+    Hessian stays finite and no overflow is raised (pytest turns the
+    RuntimeWarning into an error)."""
+    u0 = guillemin_potential(box(2))
+    rng = np.random.default_rng(0)
+    n = 4800
+    targets = np.column_stack([rng.uniform(18.0, 24.0, n),
+                               rng.uniform(y_lo, y_hi, n)])
+    z, hess = newton_transport(u0, targets, np.full((n, 2), 0.5))
+    assert np.all(u0.slacks(z) > analysis._SLACK_FLOOR)
+    assert np.all(np.isfinite(hess))
+    assert np.abs(hess).max() < 1e300
+
+
 # -- ray states ---------------------------------------------------------------
 
 

@@ -21,11 +21,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kstab.analysis import Ray, ricci_reference
+import kstab.functionals
+from kstab.analysis import (Ray, _inv_small, _logdet_small,
+                            guillemin_potential, newton_transport,
+                            ricci_reference)
 from kstab.errors import MissingAlpha, NormalizationRequired
 from kstab.functionals import (
     EnergyReport,
-    _phi_dot_pairing,
     adaptive_simpson,
     am_energy,
     energy_report,
@@ -35,7 +37,7 @@ from kstab.functionals import (
 )
 from kstab.invariants import donaldson_futaki, minimum_norm, twisted_weights
 from kstab.plconfig import make_config, normalize
-from kstab.polytope import box, interval, unit_simplex
+from kstab.polytope import box, interval, unit_simplex, volume_data
 from kstab.slopes import Schedule, ladder
 
 F = Fraction
@@ -164,19 +166,55 @@ def test_mabuchi_vanishes_on_affine_ray():
     assert donaldson_futaki(AFFINE) == 0
 
 
-def _ricci_path(ray, taus):
-    """Path form of the Ricci energy, (value, Simpson error) at each tau:
-    the integral over s of n * <phi_dot, Ric0 ^ omega_s^(n-1)>."""
-    def integrand(s):
-        x = ray.inverse_transport(s)
-        return _phi_dot_pairing(ray, s, ricci_reference(ray.u0, x))
+def _phi_dot_pairing(ray, s, a_field):
+    """n * <phi_dot, a ^ w_s^(n-1)> at the grid nodes for the field a_field.
 
+    In moment coordinates this is -n * n! * integral of
+    g_beta * MD(a_field, G_s) * det H_s, with H_s the Hessian of u_s.
+    """
+    n = ray.cfg.dim
+    h_s = ray.hessian_at_nodes(s)
+    if n == 1:
+        md = a_field[:, 0, 0]
+        det = h_s[:, 0, 0]
+    else:
+        md = mixed_discriminant(a_field, _inv_small(h_s))
+        det = np.exp(_logdet_small(h_s))
+    return -n * math.factorial(n) * ray.grid.integrate(ray.g_vals * md * det)
+
+
+def _energy_path(integrand, taus):
+    """(value, Simpson error) at each tau of the integral of integrand
+    over s from 0, one adaptive Simpson segment per tau."""
     out, acc, err, lower = [], 0.0, 0.0, 0.0
     for tau in taus:
         seg, seg_err = adaptive_simpson(integrand, tau, lower=lower)
         acc, err, lower = acc + seg, err + seg_err, tau
         out.append((acc, err))
     return out
+
+
+def _ricci_path(ray, taus):
+    """Path form of the Ricci energy: the integral over s of
+    n * <phi_dot, Ric0 ^ omega_s^(n-1)>."""
+    def integrand(s):
+        x = ray.inverse_transport(s)
+        return _phi_dot_pairing(ray, s, ricci_reference(ray.u0, x))
+    return _energy_path(integrand, taus)
+
+
+def _alpha_path(ray, alpha, taus):
+    """Path form of L_alpha: the integral over s of
+    n * <phi_dot, alpha ^ omega_s^(n-1)>, the alpha field at each node
+    from one Newton transport into alpha per Simpson node."""
+    u_alpha = guillemin_potential(alpha)
+    bary = np.array([[float(c) for c in volume_data(alpha).barycenter]])
+
+    def integrand(s):
+        start = np.tile(bary, (ray.grid.size, 1))
+        _, h_a = newton_transport(u_alpha, ray.xi + s * ray.g_grad, start)
+        return _phi_dot_pairing(ray, s, _inv_small(h_a))
+    return _energy_path(integrand, taus)
 
 
 SQUARE = normalize(make_config(box(2), [((1, 0), 0)]), "min_zero")
@@ -277,6 +315,45 @@ def test_j_alpha_self_twist_uses_unit_gamma():
     ray = Ray(AFFINE, beta=10.0, tau_max=2.0)
     rep = energy_report(ray.state(2.0), alpha=alpha)
     assert math.isfinite(rep.l_alpha)
+
+
+@pytest.mark.parametrize("cfg,beta,alpha,taus", [
+    (AFFINE, 10.0, interval(0, 2), (1.0, 2.0, 4.0, 8.0)),
+    (KINK, 40.0, interval(0, 2), (1.0, 2.0, 4.0, 8.0)),
+    (SQUARE, 10.0, box(2), (1.0,)),
+], ids=["interval-affine", "interval-kink", "square"])
+def test_l_alpha_endpoint_matches_path(cfg, beta, alpha, taus):
+    """The endpoint L_alpha is the integral of its s-derivative, within
+    the path quadrature's own error estimate."""
+    ray = Ray(cfg, beta=beta, tau_max=max(taus))
+    endpoint = [energy_report(ray.state(t), alpha=alpha).l_alpha
+                for t in taus]
+    reference = _alpha_path(Ray(cfg, beta=beta, tau_max=max(taus)), alpha,
+                            taus)
+    for value, (path, err) in zip(endpoint, reference):
+        assert abs(value - path) <= err
+
+
+@pytest.mark.parametrize("cfg,alpha", [
+    (AFFINE, interval(0, 2)),
+    (SQUARE, box(2)),
+], ids=["interval", "square"])
+def test_alpha_ladder_transports_into_alpha(monkeypatch, cfg, alpha):
+    """An alpha ladder on one Ray solves the reference-side transport
+    into alpha once; in 2D each tau adds one for its transported term."""
+    calls = []
+
+    def counted(potential, targets, start, **kwargs):
+        calls.append(len(targets))
+        return newton_transport(potential, targets, start, **kwargs)
+
+    monkeypatch.setattr(kstab.functionals, "newton_transport", counted)
+    taus = (1.0, 2.0, 4.0)
+    ray = Ray(cfg, beta=10.0, tau_max=max(taus))
+    for tau in taus:
+        energy_report(ray.state(tau), alpha=alpha)
+    extra = len(taus) if cfg.dim == 2 else 0
+    assert calls == [ray.grid.size] * (1 + extra)
 
 
 def test_missing_alpha_raises():
