@@ -539,12 +539,28 @@ def _newton_rows(potential, normals, targets, z, hess, tol, max_iter):
 
 @dataclass(frozen=True)
 class RayState:
-    """The potential increment phi of the degeneration path at one tau,
-    recorded at the reference moment coordinates (grid points)."""
+    """The degeneration path at one tau, in both coordinate systems.
+
+    phi is the potential increment at the reference moment coordinates
+    (the grid points).  The other fields are the transported frame,
+    indexed by the grid node in its role as transported coordinate y,
+    where the plain node weights integrate against the evolving volume
+    form: x is the inverse transport of the nodes, h0_at_x is D2u0(x),
+    phi_y is phi at x and log_ratio is log det D2u0(x) - log det H_tau.
+    For n = 2, g_tau and det_tau are the inverse and determinant of
+    H_tau at the nodes, the ingredients of wedge densities; both are
+    None for n = 1.
+    """
 
     ray: "Ray"
     tau: float
     phi: np.ndarray
+    x: np.ndarray
+    h0_at_x: np.ndarray
+    phi_y: np.ndarray
+    log_ratio: np.ndarray
+    g_tau: np.ndarray | None
+    det_tau: np.ndarray | None
 
 
 class Ray:
@@ -561,36 +577,35 @@ class Ray:
                                creases=crease_points(cfg.g), **orders)
         pts = self.grid.points
         self.h0 = self.u0.hessian(pts)
-        self.logdet0 = _logdet_small(self.h0)
         self.xi = self.u0.gradient(pts)
         self.u0_vals = self.u0.value(pts)
-        self.g0 = _inv_small(self.h0)
         self.g_vals = self.smooth.value(pts)
         self.g_grad = self.smooth.gradient(pts)
         self.g_hess = self.smooth.hessian(pts)
-        self._cache: dict = {}
+        self._fwd_cache: dict = {}
         self._inv_cache: dict = {}
 
     def potential(self, s: float) -> ShiftedPotential:
         return ShiftedPotential(self.u0, self.smooth, float(s))
 
+    def _solve(self, cache: dict, s: float, solve) -> np.ndarray:
+        """cache[s], from solve(s, start) warm-started at the largest
+        cached s below; s is rounded to 12 digits and s = 0 is the
+        identity."""
+        key = round(float(s), 12)
+        if key not in cache:
+            if key == 0.0:
+                cache[key] = self.grid.points.copy()
+            else:
+                below = [k for k in cache if k < key]
+                start = cache[max(below)] if below else self.grid.points
+                cache[key] = solve(key, start)
+        return cache[key]
+
     def transport(self, s: float) -> np.ndarray:
         """Moved points: the u_s-moment images of the grid nodes."""
-        key = round(float(s), 12)
-        if key in self._cache:
-            return self._cache[key]
-        if key == 0.0:
-            moved = self.grid.points.copy()
-        else:
-            below = [k for k in self._cache if k < key]
-            start = self._cache[max(below)] if below else self.grid.points
-            moved = newton_transport(self.potential(key), self.xi, start)[0]
-        self._cache[key] = moved
-        return moved
-
-    def hessian_at_nodes(self, s: float) -> np.ndarray:
-        """Hessian of u_s at the grid nodes themselves (no transport)."""
-        return self.h0 + float(s) * self.g_hess
+        return self._solve(self._fwd_cache, s, lambda key, start: (
+            newton_transport(self.potential(key), self.xi, start)[0]))
 
     def inverse_transport(self, s: float) -> np.ndarray:
         """Reference point x whose u_s-moment image is each grid node.
@@ -599,27 +614,33 @@ class Ray:
         into the boundary collar, where the Newton solver saturates at
         float spacing.  Downstream integrands are slack-stable there.
         """
-        key = round(float(s), 12)
-        if key in self._inv_cache:
-            return self._inv_cache[key]
-        if key == 0.0:
-            out = self.grid.points.copy()
-        else:
-            below = [k for k in self._inv_cache if k < key]
-            start = self._inv_cache[max(below)].copy() if below \
-                else self.grid.points.copy()
-            targets = self.xi + key * self.g_grad
-            out = newton_transport(self.u0, targets, start)[0]
-        self._inv_cache[key] = out
-        return out
+        return self._solve(self._inv_cache, s, lambda key, start: (
+            newton_transport(self.u0, self.xi + key * self.g_grad,
+                             start)[0]))
 
     def state(self, tau: float) -> RayState:
-        moved = self.transport(tau)
+        """phi from the forward transport at tau, and the transported
+        frame from the inverse one."""
+        tau = float(tau)
         pts = self.grid.points
-        u_tau_at_moved = self.potential(tau).value(moved)
-        phi = ((moved * self.xi).sum(axis=1) - u_tau_at_moved) \
+        moved = self.transport(tau)
+        phi = ((moved * self.xi).sum(axis=1)
+               - self.potential(tau).value(moved)) \
             - ((pts * self.xi).sum(axis=1) - self.u0_vals)
-        return RayState(ray=self, tau=float(tau), phi=phi)
+        x = self.inverse_transport(tau)
+        h0_at_x = self.u0.hessian(x)
+        h_tau = self.h0 + tau * self.g_hess
+        logdet_tau = _logdet_small(h_tau)
+        xi = self.xi + tau * self.g_grad
+        phi_y = ((pts * xi).sum(axis=1) - (self.u0_vals + tau * self.g_vals)) \
+            - ((x * xi).sum(axis=1) - self.u0.value(x))
+        g_tau = det_tau = None
+        if self.cfg.dim == 2:
+            g_tau, det_tau = _inv_small(h_tau), np.exp(logdet_tau)
+        return RayState(ray=self, tau=tau, phi=phi, x=x, h0_at_x=h0_at_x,
+                        phi_y=phi_y,
+                        log_ratio=_logdet_small(h0_at_x) - logdet_tau,
+                        g_tau=g_tau, det_tau=det_tau)
 
     def point_derivative(self, tau: float, p: np.ndarray) -> float:
         """phi_dot at a single reference point (used by the vertex probe)."""

@@ -20,11 +20,11 @@ written.  "Checks" are slope verdicts and stoppa matches; invariants,
 scan and l1 tasks are informational.
 
 Artifacts land under the output directory: report.json (rationals as
-"p/q" strings next to a decimal convenience field), one trace CSV and
-one self-contained SVG per slope verdict under traces/.  Functional
-trace CSVs carry the full battery (tau, AM, I, J, L_alpha, M, J_alpha,
-err_estimate) with nan for columns the verdict did not need;
-POINT probes are not functional traces and get the minimal
+"p/q" strings, integers plain, next to a decimal convenience field),
+one trace CSV and one self-contained SVG per slope verdict under
+traces/.  Functional trace CSVs carry the full battery (tau, AM, I, J,
+L_alpha, M, J_alpha, err_estimate) with nan for columns the verdict
+did not need; POINT probes are not functional traces and get the minimal
 (tau, value, err_estimate) layout.  Reruns on the same inputs are
 byte-identical except for the timestamp field.
 
@@ -48,7 +48,8 @@ from .errors import NumericalFailure, ValidationError
 from .functionals import l1_norm_path
 from .invariants import blowup_expansion, invariant_report
 from .plconfig import make_config, normalize
-from .polytope import box, construct, frac_str, interval, unit_simplex
+from .polytope import (box, construct, frac_json, frac_str, interval,
+                       unit_simplex)
 from .slopes import (POINT_SCHEDULE, Schedule, ladder, scan_destabilizer,
                      verify_theorem)
 
@@ -197,10 +198,6 @@ def _build_config(blob):
 # report rendering
 
 
-def _render_fraction(q: Fraction) -> dict:
-    return {"exact": frac_str(q), "decimal": float(q)}
-
-
 def _finite(x):
     x = float(x)
     return x if math.isfinite(x) else None
@@ -272,10 +269,9 @@ def _task_stoppa(cfg, task):
         "kind": "stoppa",
         "vertex": [frac_str(c) for c in vertex],
         "epsilons": [frac_str(e) for e in report.epsilons],
-        "df_values": [_render_fraction(d) for d in report.df_values],
-        "fitted_coefficient": _render_fraction(report.fitted_coefficient),
-        "reference_coefficient": _render_fraction(
-            report.reference_coefficient),
+        "df_values": [frac_json(d) for d in report.df_values],
+        "fitted_coefficient": frac_json(report.fitted_coefficient),
+        "reference_coefficient": frac_json(report.reference_coefficient),
         "pass": report.matches,
     }
     return entry, None
@@ -283,7 +279,7 @@ def _task_stoppa(cfg, task):
 
 def _scan_value(val) -> dict:
     if isinstance(val, Fraction):
-        return _render_fraction(val)
+        return frac_json(val)
     return {"decimal": _finite(val)}
 
 

@@ -43,6 +43,7 @@ from .invariants import slope_mu
 from .polytope import Polytope, volume_data
 
 PATH_REL_TOL = 1e-7
+PATH_MAX_DEPTH = 26
 ROUTE_TOL = 1e-4
 
 
@@ -58,16 +59,24 @@ def mixed_discriminant(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                   - a[:, 0, 1] * b[:, 1, 0] - a[:, 1, 0] * b[:, 0, 1])
 
 
-def adaptive_simpson(f, upper: float, rel: float = PATH_REL_TOL,
-                     max_depth: int = 26, lower: float = 0.0):
+def _wedge(state: RayState, a_field: np.ndarray) -> np.ndarray:
+    """MD(a, G_tau) * det H_tau, the density of a ^ omega_tau in the
+    transported coordinates of a 2D state, for a dual-Hessian field a
+    given at the inverse-transported points state.x."""
+    return mixed_discriminant(a_field, state.g_tau) * state.det_tau
+
+
+def adaptive_simpson(f, upper: float, lower: float = 0.0):
     """Locally adaptive Simpson on [lower, upper].
 
     Returns (value, error_estimate) with the estimate accumulated from
-    the per-panel refinement differences.  Local bisection matters
-    here: path integrands along smoothed rays have an s-boundary-layer
-    of width ~ 1/beta near s = 0 where the curvature first collapses
-    onto the creases, and uniform refinement wastes hundreds of
-    quadrature states on the smooth tail.
+    the per-panel refinement differences.  The error budget is
+    PATH_REL_TOL times the pilot value, halved at each bisection, and
+    bisection stops after PATH_MAX_DEPTH levels.  Local bisection
+    matters here: path integrands along smoothed rays have an
+    s-boundary-layer of width ~ 1/beta near s = 0 where the curvature
+    first collapses onto the creases, and uniform refinement wastes
+    hundreds of quadrature states on the smooth tail.
 
     The recursive `rec` closes over itself; the cell is cleared on
     return so that the integrand (and the Ray it holds) is freed by
@@ -87,7 +96,7 @@ def adaptive_simpson(f, upper: float, rel: float = PATH_REL_TOL,
     pilot = (span / 12.0) * (fv(pilot_nodes[0]) + 4.0 * fv(pilot_nodes[1])
                              + 2.0 * fv(pilot_nodes[2])
                              + 4.0 * fv(pilot_nodes[3]) + fv(pilot_nodes[4]))
-    eps = rel * (abs(pilot) + 1e-9)
+    eps = PATH_REL_TOL * (abs(pilot) + 1e-9)
 
     def rec(a, b, fa, fm, fb, whole, tol, depth):
         m = 0.5 * (a + b)
@@ -105,7 +114,7 @@ def adaptive_simpson(f, upper: float, rel: float = PATH_REL_TOL,
     f0, fmid, f1 = fv(lower), fv(lower + 0.5 * span), fv(upper)
     whole = span / 6.0 * (f0 + 4.0 * fmid + f1)
     try:
-        return rec(lower, upper, f0, fmid, f1, whole, eps, max_depth)
+        return rec(lower, upper, f0, fmid, f1, whole, eps, PATH_MAX_DEPTH)
     finally:
         del rec
 
@@ -145,34 +154,6 @@ def am_energy(ray: Ray, tau: float) -> float:
     return _am_slope(ray) * tau
 
 
-def _transported_pieces(ray: Ray, tau: float):
-    """x, D2u0 at x, phi, log volume ratio and the omega_tau wedge.
-
-    x is the inverse transport of the grid nodes.  Everything is indexed
-    by the grid node in its role as transported coordinate; the plain
-    node weights integrate these fields against the evolving volume
-    form.  The log volume ratio is log det D2u0(x) - log det H_tau.  For
-    n = 2, wedge(a) is MD(a, G_tau) * det H_tau, the density of
-    a ^ omega_tau for a dual-Hessian field a given at x; it is None for
-    n = 1.
-    """
-    pts = ray.grid.points
-    x = ray.inverse_transport(tau)
-    h0_at_x = ray.u0.hessian(x)
-    h_tau = ray.hessian_at_nodes(tau)
-    logdet_tau = _logdet_small(h_tau)
-    xi = ray.xi + tau * ray.g_grad
-    phi = ((pts * xi).sum(axis=1) - (ray.u0_vals + tau * ray.g_vals)) \
-        - ((x * xi).sum(axis=1) - ray.u0.value(x))
-    wedge = None
-    if ray.cfg.dim == 2:
-        g_tau, det_tau = _inv_small(h_tau), np.exp(logdet_tau)
-
-        def wedge(a_field: np.ndarray) -> np.ndarray:
-            return mixed_discriminant(a_field, g_tau) * det_tau
-    return x, h0_at_x, phi, _logdet_small(h0_at_x) - logdet_tau, wedge
-
-
 @dataclass(frozen=True)
 class EnergyReport:
     tau: float
@@ -202,33 +183,28 @@ def energy_report(state: RayState, alpha: Polytope | None = None) -> EnergyRepor
     n = ray.cfg.dim
     fact = math.factorial(n)
     tau = state.tau
-    if tau == 0.0:
-        return EnergyReport(tau=0.0, am=0.0, am_direct=0.0, i_val=0.0,
-                            j_val=0.0, entropy=0.0,
-                            l_alpha=None if alpha is None else 0.0,
-                            err_estimate=0.0)
     am = am_energy(ray, tau)
 
-    _, h0_at_x, phi_y, lvr_y, wedge = pieces = _transported_pieces(ray, tau)
     a_ref = fact * ray.grid.integrate(state.phi)        # against fixed form
-    b_mov = fact * ray.grid.integrate(phi_y)            # against evolving form
+    b_mov = fact * ray.grid.integrate(state.phi_y)      # against evolving form
     if n == 1:
         am_direct = a_ref + b_mov
     else:
-        mixed = wedge(_inv_small(h0_at_x))
-        am_direct = a_ref + b_mov + fact * ray.grid.integrate(phi_y * mixed)
+        mixed = _wedge(state, _inv_small(state.h0_at_x))
+        am_direct = a_ref + b_mov \
+            + fact * ray.grid.integrate(state.phi_y * mixed)
     i_val = a_ref - b_mov
     j_val = 0.5 * i_val if n == 1 else a_ref - am_direct / (n + 1)
-    entropy = fact * ray.grid.integrate(lvr_y)
+    entropy = fact * ray.grid.integrate(state.log_ratio)
 
     l_alpha = None if alpha is None else _fixed_form_energy(
-        state, alpha, _alpha_field(ray, alpha), pieces)
+        state, alpha, _alpha_field(ray, alpha))
     return EnergyReport(tau=tau, am=am, am_direct=am_direct, i_val=i_val,
                         j_val=j_val, entropy=entropy, l_alpha=l_alpha,
                         err_estimate=abs(am - am_direct))
 
 
-def _fixed_form_energy(state: RayState, key, field, pieces) -> float:
+def _fixed_form_energy(state: RayState, key, field) -> float:
     """Chen-Tian energy of a fixed form theta at the endpoint,
 
         E_theta(phi) = sum_{j=0}^{n-1} integral phi theta ^ omega0^j
@@ -241,8 +217,8 @@ def _fixed_form_energy(state: RayState, key, field, pieces) -> float:
     phi * MD(theta, G0) * det H0 over the reference nodes (phi * theta
     * h0 for n = 1), its density cached per Ray under key (a name or
     alpha's polytope); for n = 2 the j = 0 term is n! * integral of
-    phi * MD(theta, G_tau) * det H_tau over the transported nodes, from
-    the _transported_pieces at tau.
+    phi * MD(theta, G_tau) * det H_tau over the transported nodes, read
+    from the state's transported frame.
     """
     ray = state.ray
     n = ray.cfg.dim
@@ -251,12 +227,12 @@ def _fixed_form_energy(state: RayState, key, field, pieces) -> float:
     if key not in densities:
         a = field(0.0, ray.grid.points)
         densities[key] = a[:, 0, 0] * ray.h0[:, 0, 0] if n == 1 \
-            else mixed_discriminant(a, ray.g0) * np.exp(ray.logdet0)
+            else mixed_discriminant(a, _inv_small(ray.h0)) \
+            * np.exp(_logdet_small(ray.h0))
     energy = fact * ray.grid.integrate(state.phi * densities[key])
     if n == 2:
-        x, _, phi_y, _, wedge = pieces
         energy += fact * ray.grid.integrate(
-            phi_y * wedge(field(state.tau, x)))
+            state.phi_y * _wedge(state, field(state.tau, state.x)))
     return energy
 
 
@@ -317,11 +293,9 @@ def mabuchi(state: RayState) -> MabuchiReport:
     tau = state.tau
     mu = float(slope_mu(cfg.base))
 
-    pieces = _transported_pieces(ray, tau)
-    entropy = fact * ray.grid.integrate(pieces[3])
+    entropy = fact * ray.grid.integrate(state.log_ratio)
     l_ric = _fixed_form_energy(state, "ricci",
-                               lambda _tau, x: ricci_reference(ray.u0, x),
-                               pieces)
+                               lambda _tau, x: ricci_reference(ray.u0, x))
     route_a = 0.5 * entropy + (n / (n + 1)) * mu * am_energy(ray, tau) - l_ric
 
     grid = _curvature_grid(ray)

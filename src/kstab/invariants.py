@@ -10,10 +10,10 @@ Two independent computation routes are kept alive throughout:
     V(K, ..., K, L) and is evaluated by Minkowski's facet formula,
     (1/d) * sum over facets F of K of h_L(nu_F) * sigma(F).
 
-The dimensional constant relating the two is calibrated once per
-dimension on a reference configuration, cached, and re-verified on
-every Donaldson-Futaki evaluation; any disagreement raises instead of
-silently picking a route.
+The dimensional constant relating the two is n!, the factor between
+Euclidean volumes and intersection numbers (L^n = n! vol P).  Every
+Donaldson-Futaki evaluation compares the routes exactly; any
+disagreement raises instead of silently picking a route.
 
 The intersection route needs one subtlety: when g has non-integer
 gradients the top facets of Q carry lattice multiplicities, so the
@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import (
     DimensionMismatch,
@@ -37,11 +36,10 @@ from .errors import (
 from .plconfig import ToricTestConfig, make_config, normalize
 from .polytope import (
     Polytope,
-    box,
     corner_chop,
     embed_at_height,
     frac,
-    frac_str,
+    frac_json,
     integrate,
     mixed_volume,
     volume_data,
@@ -102,23 +100,11 @@ def _intersection_df(cfg: ToricTestConfig) -> Fraction:
     return raw / d
 
 
-@lru_cache(maxsize=None)
 def calibration_constant(n: int) -> Fraction:
-    """Dimensional constant matching the boundary and intersection routes.
-
-    Calibrated on the unit n-cube with the roof function
-    max(x1 - 1/2, 1/2 - x1), whose boundary functional is nonzero in
-    every dimension.
-    """
-    e1 = tuple(1 if i == 0 else 0 for i in range(n))
-    ne1 = tuple(-c for c in e1)
-    cfg = normalize(make_config(box(n), [(e1, Fraction(-1, 2)),
-                                         (ne1, Fraction(1, 2))]), "min_zero")
-    b = _boundary_raw(cfg)
-    i = _intersection_df(cfg)
-    if b == 0:
-        raise RouteMismatch("calibration reference has vanishing functional")
-    return i / b
+    """Dimensional constant matching the boundary and intersection
+    routes: n!, the factor between Euclidean volume and the top
+    intersection number."""
+    return Fraction(math.factorial(n))
 
 
 def donaldson_futaki(cfg: ToricTestConfig) -> Fraction:
@@ -210,16 +196,14 @@ class InvariantReport:
     calibration: Fraction
 
     def to_json(self) -> dict:
-        def render(q):
-            return {"exact": frac_str(q), "decimal": float(q)}
         return {
-            "df": render(self.df),
-            "minimum_norm": render(self.minimum_norm),
-            "slope_mu": render(self.slope_mu),
-            "am_top": render(self.am_top),
+            "df": frac_json(self.df),
+            "minimum_norm": frac_json(self.minimum_norm),
+            "slope_mu": frac_json(self.slope_mu),
+            "am_top": frac_json(self.am_top),
             "normalization_note": self.normalization_note,
             "provenance": dict(self.provenance),
-            "calibration": render(self.calibration),
+            "calibration": frac_json(self.calibration),
         }
 
 

@@ -63,6 +63,11 @@ def frac_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
 
 
+def frac_json(q: Fraction) -> dict:
+    """A rational for report.json: "p/q" (integers plain) and a decimal."""
+    return {"exact": frac_str(q), "decimal": float(q)}
+
+
 def vec(xs) -> Vec:
     return tuple(frac(x) for x in xs)
 

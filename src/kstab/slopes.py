@@ -52,7 +52,7 @@ from .invariants import (
     twisted_weights,
 )
 from .plconfig import ToricTestConfig, normalize
-from .polytope import Polytope, integrate, volume_data
+from .polytope import Polytope, frac_json, integrate, volume_data
 
 WINDOW = 4            # trailing intervals feeding the window estimate
 MIN_SAMPLES = 6
@@ -77,10 +77,20 @@ class SlopeEstimate:
     samples_used: int
 
 
-def _unpack(trace):
+def _unpack(trace, min_samples: int, min_tau: float):
+    """(taus, values) of a trace of (tau, value, ...) rows, after checking
+    the sample floor, strictly increasing tau and the tau floor."""
     rows = [(float(r[0]), float(r[1])) for r in trace]
     taus = np.array([r[0] for r in rows])
     values = np.array([r[1] for r in rows])
+    if len(taus) < min_samples:
+        raise InsufficientSamples(
+            f"need at least {min_samples} samples, got {len(taus)}")
+    if np.any(np.diff(taus) <= 0):
+        raise NonMonotoneTau("trace tau values must be strictly increasing")
+    if taus[-1] < min_tau:
+        raise InsufficientSamples(
+            f"largest tau is {taus[-1]:g}; need tau_max >= {min_tau:g}")
     return taus, values
 
 
@@ -93,15 +103,7 @@ def estimate_limit_slope(trace) -> SlopeEstimate:
     ladders.  The slope over the last WINDOW intervals cross-checks it
     and their gap is the reported residual.
     """
-    taus, values = _unpack(trace)
-    if len(taus) < MIN_SAMPLES:
-        raise InsufficientSamples(
-            f"need at least {MIN_SAMPLES} samples, got {len(taus)}")
-    if np.any(np.diff(taus) <= 0):
-        raise NonMonotoneTau("trace tau values must be strictly increasing")
-    if taus[-1] < MIN_TAU_MAX:
-        raise InsufficientSamples(
-            f"largest tau is {taus[-1]:g}; need tau_max >= {MIN_TAU_MAX:g}")
+    taus, values = _unpack(trace, MIN_SAMPLES, MIN_TAU_MAX)
     gaps = np.diff(taus)
     diffs = np.diff(values) / gaps
     k = min(WINDOW, len(diffs))
@@ -130,15 +132,7 @@ def estimate_limit_value(trace) -> SlopeEstimate:
     earlier than for integrated energies and the exponential fit acts
     on the values themselves; the last sample is the cross-check.
     """
-    taus, values = _unpack(trace)
-    if len(taus) < VALUE_MIN_SAMPLES:
-        raise InsufficientSamples(
-            f"need at least {VALUE_MIN_SAMPLES} samples, got {len(taus)}")
-    if np.any(np.diff(taus) <= 0):
-        raise NonMonotoneTau("trace tau values must be strictly increasing")
-    if taus[-1] < VALUE_MIN_TAU:
-        raise InsufficientSamples(
-            f"largest tau is {taus[-1]:g}; need tau_max >= {VALUE_MIN_TAU:g}")
+    taus, values = _unpack(trace, VALUE_MIN_SAMPLES, VALUE_MIN_TAU)
     last = float(values[-1])
     decay = np.exp(-taus)
     basis = np.column_stack([np.ones_like(decay), decay])
@@ -201,8 +195,7 @@ class VerdictReport:
     def to_json(self) -> dict:
         return {
             "theorem": self.theorem,
-            "exact": f"{self.exact.numerator}/{self.exact.denominator}",
-            "decimal": float(self.exact),
+            **frac_json(self.exact),
             "slope": self.slope,
             "residual": self.residual,
             "tol": self.tol,

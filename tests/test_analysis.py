@@ -50,6 +50,7 @@ def interval_config(pieces, mode="min_zero"):
 
 AFFINE = interval_config([((1,), 0)])          # g = x
 KINK = interval_config([((1,), 0), ((-1,), 1)])  # g = max(x, 1-x)
+SQUARE = normalize(make_config(box(2), [((1, 0), 0)]), "min_zero")  # g = x1
 SQUARE3 = normalize(make_config(box(2), [((1, 0), 0), ((0, 1), 0),
                                          ((-1, -1), 1)]), "min_zero")
 
@@ -348,7 +349,8 @@ def test_newton_never_lands_on_a_facet(y_lo, y_hi):
 def _log_volume_ratio(ray, tau):
     """log(omega_phi^n / omega^n) at the reference nodes."""
     moved = ray.transport(tau)
-    return ray.logdet0 - _logdet_small(ray.potential(tau).hessian(moved))
+    return _logdet_small(ray.h0) \
+        - _logdet_small(ray.potential(tau).hessian(moved))
 
 
 def test_state_at_zero_is_identity():
@@ -367,6 +369,21 @@ def test_mass_ratio_is_one(tau):
     ray = Ray(KINK, beta=20.0, tau_max=8.0)
     mass = ray.grid.integrate(np.exp(_log_volume_ratio(ray, tau)))
     assert abs(mass / float(volume_data(KINK.base).volume) - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("cfg,beta,tau_max,tau,bound", [
+    (KINK, 20.0, 8.0, 1.0, 1e-9),
+    (KINK, 20.0, 8.0, 4.0, 1e-9),
+    (KINK, 20.0, 8.0, 8.0, 1e-9),
+    (SQUARE, 10.0, 2.0, 1.0, 2e-6),
+    (SQUARE, 10.0, 2.0, 2.0, 2e-6),
+], ids=["kink-1", "kink-4", "kink-8", "square-1", "square-2"])
+def test_transported_mass_is_conserved(cfg, beta, tau_max, tau, bound):
+    """exp(-log_ratio) is the Jacobian of the inverse transport, so its
+    integral over the transported nodes is the volume of the polytope."""
+    st = Ray(cfg, beta=beta, tau_max=tau_max).state(tau)
+    mass = st.ray.grid.integrate(np.exp(-st.log_ratio))
+    assert abs(mass / float(volume_data(cfg.base).volume) - 1.0) < bound
 
 
 def test_phi_dot_bounded_by_g_range():

@@ -173,7 +173,7 @@ def _phi_dot_pairing(ray, s, a_field):
     g_beta * MD(a_field, G_s) * det H_s, with H_s the Hessian of u_s.
     """
     n = ray.cfg.dim
-    h_s = ray.hessian_at_nodes(s)
+    h_s = ray.h0 + s * ray.g_hess
     if n == 1:
         md = a_field[:, 0, 0]
         det = h_s[:, 0, 0]

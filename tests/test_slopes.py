@@ -201,6 +201,14 @@ def test_verdict_json_shape():
                          "tier", "normalization"}
 
 
+def test_verdict_json_renders_integers_plain():
+    """An integer exact value reads as report.json renders every other
+    rational: "0", not "0/1"."""
+    blob = verify_theorem(AFFINE, "DF").to_json()
+    assert blob["exact"] == "0"
+    assert blob["decimal"] == 0.0
+
+
 def test_doubling_tau_max_keeps_verdicts_passing():
     wide = Schedule(taus=(2.0, 4.0, 8.0, 12.0, 16.0, 20.0, 24.0))
     assert verify_theorem(AFFINE, "MINNORM", schedule=wide).passed
