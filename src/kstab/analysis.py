@@ -564,7 +564,8 @@ class RayState:
 
 
 class Ray:
-    """Workspace for one smoothing level: cached transports along s."""
+    """Workspace for one smoothing level: the latest transport along s
+    in each direction, kept to warm-start the next."""
 
     def __init__(self, cfg: ToricTestConfig, beta: float,
                  tau_max: float = 12.0):
@@ -589,17 +590,20 @@ class Ray:
         return ShiftedPotential(self.u0, self.smooth, float(s))
 
     def _solve(self, cache: dict, s: float, solve) -> np.ndarray:
-        """cache[s], from solve(s, start) warm-started at the largest
-        cached s below; s is rounded to 12 digits and s = 0 is the
-        identity."""
+        """solve(s, start) with s rounded to 12 digits; s = 0 is the
+        identity.  cache holds only the latest solution: it answers the
+        same s again and warm-starts a larger one, and any smaller s
+        starts from the grid."""
         key = round(float(s), 12)
         if key not in cache:
             if key == 0.0:
-                cache[key] = self.grid.points.copy()
+                solution = self.grid.points.copy()
             else:
-                below = [k for k in cache if k < key]
-                start = cache[max(below)] if below else self.grid.points
-                cache[key] = solve(key, start)
+                start = next((v for k, v in cache.items() if k < key),
+                             self.grid.points)
+                solution = solve(key, start)
+            cache.clear()
+            cache[key] = solution
         return cache[key]
 
     def transport(self, s: float) -> np.ndarray:

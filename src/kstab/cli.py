@@ -245,18 +245,16 @@ def _task_slopes(cfg, task, alpha, tau_max):
     vertex = None
     if task.get("vertex") is not None:
         vertex = _rational_point(task["vertex"], "slopes vertex")
-    verdicts, artifacts = [], []
+    verdicts = []
     for name in theorems:
         point = str(name).upper() == "POINT"
         schedule = _schedule_from(task, tau_max, point)
-        verdict = verify_theorem(cfg, name, schedule,
-                                 alpha=alpha, vertex=vertex)
-        verdicts.append(verdict)
-        artifacts.append(verdict)
+        verdicts.append(verify_theorem(cfg, name, schedule,
+                                       alpha=alpha, vertex=vertex))
     entry = {"kind": "slopes",
              "verdicts": [v.to_json() for v in verdicts],
              "pass": all(v.passed for v in verdicts)}
-    return entry, artifacts
+    return entry, verdicts
 
 
 def _task_stoppa(cfg, task):

@@ -13,7 +13,7 @@ invariant downstream is checked to be blind to it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import (
@@ -43,10 +43,6 @@ class AffineFn:
         return dot(self.gradient, x) + self.constant
 
 
-def affine(gradient, constant=0) -> AffineFn:
-    return AffineFn(vec(gradient), frac(constant))
-
-
 @dataclass(frozen=True)
 class PLConvexFn:
     """Max of finitely many affine functions, validated on its domain.
@@ -54,10 +50,18 @@ class PLConvexFn:
     Every piece must win strictly on some full-dimensional region of the
     domain; redundant representations are rejected because the exact
     region-wise integration downstream relies on the pieces tiling P.
+
+    ``cells[i]`` is the region of the domain where piece i is maximal.
+    Only ``pl_fn`` and ``restricted_to`` compute cells (``regions_of_max``);
+    ``integrate`` and every other reader take them from here.  Shifting
+    or positively scaling all pieces keeps the sign of each difference
+    of two pieces, hence every cell, so ``shifted`` and ``scaled`` carry
+    the cells over.  Cells take no part in equality or hashing.
     """
 
     pieces: tuple
     domain: Polytope
+    cells: tuple = field(compare=False, repr=False)
 
     def __call__(self, x):
         return max(p(x) for p in self.pieces)
@@ -66,19 +70,12 @@ class PLConvexFn:
     def is_constant(self) -> bool:
         return len(self.pieces) == 1 and all(c == 0 for c in self.pieces[0].gradient)
 
-    def regions(self):
-        return regions_of_max(self.domain,
-                              [(p.gradient, p.constant) for p in self.pieces])
+    def regions(self) -> tuple:
+        return self.cells
 
     def min_over_domain(self) -> Fraction:
         """Exact min of a convex PL function: scan linearity-region vertices."""
-        best = None
-        for sub in self.regions():
-            for v in sub.vertices:
-                val = self(v)
-                if best is None or val < best:
-                    best = val
-        return best
+        return min(self(v) for cell in self.cells for v in cell.vertices)
 
     def max_over_domain(self) -> Fraction:
         return max(self(v) for v in self.domain.vertices)
@@ -89,34 +86,31 @@ class PLConvexFn:
 
     def shifted(self, c) -> "PLConvexFn":
         c = frac(c)
-        return PLConvexFn(tuple(AffineFn(p.gradient, p.constant + c)
-                                for p in self.pieces), self.domain)
+        return replace(self, pieces=tuple(AffineFn(p.gradient, p.constant + c)
+                                          for p in self.pieces))
 
     def scaled(self, d) -> "PLConvexFn":
         d = frac(d)
         if d <= 0:
             raise NotConvex("scaling factor must be positive")
-        return PLConvexFn(tuple(AffineFn(tuple(d * c for c in p.gradient),
-                                         d * p.constant)
-                                for p in self.pieces), self.domain)
+        return replace(self, pieces=tuple(
+            AffineFn(tuple(d * c for c in p.gradient), d * p.constant)
+            for p in self.pieces))
 
     def restricted_to(self, sub: Polytope) -> "PLConvexFn":
-        """Restriction to a sub-polytope, dropping newly redundant pieces."""
+        """Restriction to a sub-polytope, dropping newly redundant pieces
+        (they lie below the kept ones on sub, so no kept cell moves)."""
         regions = regions_of_max(sub, [(p.gradient, p.constant)
                                        for p in self.pieces])
-        keep = tuple(p for p, r in zip(self.pieces, regions) if r is not None)
-        return PLConvexFn(keep, sub)
+        pieces, cells = zip(*((p, r) for p, r in zip(self.pieces, regions)
+                              if r is not None))
+        return PLConvexFn(pieces, sub, cells)
 
 
 def pl_fn(domain: Polytope, pieces) -> PLConvexFn:
-    """Validated constructor; NotConvex when a piece never wins strictly."""
-    ps = []
-    for item in pieces:
-        if isinstance(item, AffineFn):
-            ps.append(AffineFn(vec(item.gradient), frac(item.constant)))
-        else:
-            grad, const = item
-            ps.append(affine(grad, const))
+    """Validated constructor from (gradient, constant) pairs; NotConvex
+    when a piece never wins strictly."""
+    ps = [AffineFn(vec(grad), frac(const)) for grad, const in pieces]
     if not ps:
         raise NotConvex("need at least one affine piece")
     if any(len(p.gradient) != domain.dim for p in ps):
@@ -125,7 +119,7 @@ def pl_fn(domain: Polytope, pieces) -> PLConvexFn:
     dead = [i for i, r in enumerate(regions) if r is None]
     if dead:
         raise NotConvex(f"pieces {dead} are redundant (never strictly maximal)")
-    return PLConvexFn(tuple(ps), domain)
+    return PLConvexFn(tuple(ps), domain, tuple(regions))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ here are small (1 to 3), so the algorithms are chosen for transparency
 rather than asymptotics: vertex enumeration by n-fold facet
 intersection, hulls by monotone chain / supporting planes, mixed
 volumes V(K, ..., K, L) by Minkowski's facet formula over the facets
-of K.
+of K.  A PL integrand is integrated over the maximality cells that it
+carries (``plconfig.PLConvexFn``); ``regions_of_max`` computes them.
 
 Conventions:
   * a halfspace is ``<normal, x> <= offset`` with integer primitive
@@ -555,16 +556,6 @@ def volume_data(poly: Polytope) -> VolumeData:
 # integration of affine / piecewise-linear data
 
 
-def _as_pieces(fn):
-    """Normalize integrand input to a list of (gradient, constant) pairs."""
-    if hasattr(fn, "pieces"):
-        return [(vec(p.gradient), frac(p.constant)) for p in fn.pieces]
-    if hasattr(fn, "gradient"):
-        return [(vec(fn.gradient), frac(fn.constant))]
-    grad, const = fn
-    return [(vec(grad), frac(const))]
-
-
 def _eval_piece(piece, x):
     grad, const = piece
     return dot(grad, x) + const
@@ -604,13 +595,21 @@ def regions_of_max(poly: Polytope, pieces):
 def integrate(poly: Polytope, fn, region: str = "interior") -> Fraction:
     """Exact integral of an affine or max-of-affine function.
 
-    ``region="interior"`` integrates against Lebesgue measure,
-    ``region="boundary"`` against the lattice boundary measure sigma.
-    Multi-piece input is integrated over the common refinement by
-    maximality regions.
+    ``fn`` is a ``(gradient, constant)`` pair or a PL convex function
+    (``plconfig.PLConvexFn``) on ``poly``.  ``region="interior"``
+    integrates against Lebesgue measure, ``region="boundary"`` against
+    the lattice boundary measure sigma.  A PL function is integrated
+    piece by piece over the maximality cells it carries; the cells must
+    tile ``poly``.
     """
-    pieces = _as_pieces(fn)
-    if pieces and len(pieces[0][0]) != poly.dim:
+    if isinstance(fn, tuple):
+        grad, const = fn
+        pieces = [(vec(grad), frac(const))]
+    elif fn.domain != poly:
+        raise DomainMismatch("integrand is defined on a different polytope")
+    else:
+        pieces = [(p.gradient, p.constant) for p in fn.pieces]
+    if len(pieces[0][0]) != poly.dim:
         raise DomainMismatch("integrand dimension mismatch")
     if region not in ("interior", "boundary"):
         raise InconsistentInput(f"unknown region {region!r}")
@@ -618,12 +617,9 @@ def integrate(poly: Polytope, fn, region: str = "interior") -> Fraction:
     if len(pieces) == 1:
         return _integrate_affine(poly, pieces[0], region)
 
-    regions = regions_of_max(poly, [(g, c) for g, c in pieces])
     total = Fraction(0)
     covered = Fraction(0)
-    for piece, sub in zip(pieces, regions):
-        if sub is None:
-            continue
+    for piece, sub in zip(pieces, fn.regions()):
         covered += volume_data(sub).volume
         if region == "interior":
             total += _integrate_affine(sub, piece, "interior")

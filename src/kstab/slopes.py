@@ -110,16 +110,13 @@ def estimate_limit_slope(trace) -> SlopeEstimate:
     window = float((values[-1] - values[-1 - k]) / (taus[-1] - taus[-1 - k]))
     # mean of exp(-tau) over each interval: exact for a + b tau + c e^-tau
     decay = (np.exp(-taus[:-1]) - np.exp(-taus[1:])) / gaps
-    if decay.max() < 1e-280:
-        spread = float(np.ptp(diffs[-k:]))
-        return SlopeEstimate(window, "window_diff", spread,
-                             float(taus[-1]), len(taus))
-    basis = np.column_stack([np.ones_like(decay), decay])
-    coeff, *_ = np.linalg.lstsq(basis, diffs, rcond=None)
-    fitted = float(coeff[0])
+    fitted = math.nan  # an underflowed decay column leaves nothing to fit
+    if decay.max() >= 1e-280:
+        basis = np.column_stack([np.ones_like(decay), decay])
+        coeff, *_ = np.linalg.lstsq(basis, diffs, rcond=None)
+        fitted = float(coeff[0])
     if not math.isfinite(fitted):
-        spread = float(np.ptp(diffs[-k:]))
-        return SlopeEstimate(window, "window_diff", spread,
+        return SlopeEstimate(window, "window_diff", float(np.ptp(diffs[-k:])),
                              float(taus[-1]), len(taus))
     return SlopeEstimate(fitted, "exp_fit", abs(window - fitted),
                          float(taus[-1]), len(taus))

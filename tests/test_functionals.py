@@ -21,6 +21,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import kstab.analysis
 import kstab.functionals
 from kstab.analysis import (Ray, _inv_small, _logdet_small,
                             guillemin_potential, newton_transport,
@@ -235,10 +236,20 @@ def test_ricci_energy_endpoint_matches_path(cfg, beta, taus):
         assert abs(value - path) <= err
 
 
-def test_mabuchi_transports_only_at_tau():
+def test_mabuchi_transports_only_at_tau(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return newton_transport(*args, **kwargs)
+
+    monkeypatch.setattr(kstab.analysis, "newton_transport", counting)
+    monkeypatch.setattr(kstab.functionals, "newton_transport", counting)
     ray = Ray(KINK, beta=40.0, tau_max=4.0)
-    mabuchi(ray.state(4.0))
-    assert list(ray._inv_cache) == [4.0]
+    state = ray.state(4.0)
+    assert len(calls) == 2  # the forward and the inverse transport at tau
+    mabuchi(state)
+    assert len(calls) == 2
 
 
 def test_simpson_leaves_no_reference_cycle():

@@ -1,5 +1,6 @@
 """Config layer: validation, Cayley polytopes, normalization, smoothing."""
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,10 +8,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kstab.analysis import SmoothedPL
-from kstab.errors import DomainMismatch, NotConvex, ShiftTooSmall
+import kstab.plconfig
+import kstab.polytope
+from kstab.analysis import SmoothedPL, crease_points
+from kstab.errors import ChopTooLarge, DomainMismatch, NotConvex, ShiftTooSmall
+from kstab.invariants import donaldson_futaki, minimum_norm
 from kstab.plconfig import make_config, normalize, pl_fn
-from kstab.polytope import box, integrate, interval, unit_simplex, volume_data
+from kstab.polytope import (
+    box,
+    corner_chop,
+    integrate,
+    interval,
+    regions_of_max,
+    unit_simplex,
+    volume_data,
+)
+
+from gens import random_config
 
 F = Fraction
 
@@ -136,3 +150,69 @@ def test_cayley_full_dimensional_and_bounded():
     vd = volume_data(cfg.cayley)
     assert cfg.cayley.dim == 3
     assert vd.volume > 0
+
+
+# -- maximality cells ---------------------------------------------------------
+
+
+def _fresh_cells(g):
+    return tuple(regions_of_max(g.domain, [(p.gradient, p.constant)
+                                           for p in g.pieces]))
+
+
+def _chopped(base, rng):
+    """base with one vertex chopped at the first depth that fits."""
+    v = rng.choice(base.vertices)
+    for k in range(2, 10):
+        try:
+            return corner_chop(base, v, F(1, 2 ** k))
+        except ChopTooLarge:
+            continue
+    raise AssertionError(f"no chop fits at {v}")
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_cells_match_fresh_regions(seed):
+    """Every way of deriving a PL function leaves it carrying exactly
+    the cells a fresh regions_of_max computes."""
+    rng = random.Random(seed)
+    cfg = random_config(rng)
+    g = cfg.g
+    derived = [g, g.shifted(F(rng.randrange(-9, 10), 4)),
+               g.scaled(F(rng.randrange(1, 9), rng.randrange(1, 5))),
+               normalize(cfg, "min_zero").g,
+               normalize(cfg, "average_zero").g,
+               g.restricted_to(_chopped(cfg.base, rng))]
+    for h in derived:
+        assert h.regions() == _fresh_cells(h)
+        assert all(cell is not None for cell in h.regions())
+
+
+def test_cells_leave_equality_alone():
+    g = pl_fn(interval(0, 1), [((1,), 0), ((-1,), 1)])
+    assert g.shifted(1).shifted(-1) == g
+    assert hash(g.scaled(2).scaled(F(1, 2))) == hash(g)
+    assert "cells" not in repr(g)
+
+
+def test_exact_invariants_reuse_the_cells(monkeypatch):
+    """Once a configuration is built, normalizing it, its exact
+    invariants and its creases read the cells g carries."""
+    cfgs = [make_config(interval(0, 1), [((-1,), 0), ((1,), -1)]),
+            make_config(box(2), [((1, 0), 0), ((0, 1), 0), ((-1, -1), 1)]),
+            make_config(unit_simplex(2), [((1, 0), 0), ((0, 1), F(1, 3))])]
+    calls = []
+
+    def counting(poly, pieces):
+        calls.append(poly)
+        return regions_of_max(poly, pieces)
+
+    monkeypatch.setattr(kstab.polytope, "regions_of_max", counting)
+    monkeypatch.setattr(kstab.plconfig, "regions_of_max", counting)
+    for cfg in cfgs:
+        crease_points(cfg.g)
+        for mode in ("min_zero", "average_zero"):
+            norm = normalize(cfg, mode)
+            donaldson_futaki(norm)
+            minimum_norm(norm)
+    assert calls == []

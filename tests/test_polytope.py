@@ -15,6 +15,7 @@ from kstab.errors import (
     NotAVertex,
     UnboundedInput,
 )
+from kstab.plconfig import pl_fn
 from kstab.polytope import (
     Halfspace,
     VBody,
@@ -162,16 +163,9 @@ def test_affine_integrals_square():
 
 def test_pl_integral_interval():
     p = interval(0, 1)
-    pieces = [((1,), 0), ((-1,), 1)]  # max(x, 1 - x)
-
-    class PL:
-        class _P:
-            def __init__(self, g, c):
-                self.gradient, self.constant = g, c
-        pieces = [_P((1,), 0), _P((-1,), 1)]
-
-    assert integrate(p, PL()) == F(3, 4)
-    assert integrate(p, PL(), region="boundary") == 2
+    g = pl_fn(p, [((1,), 0), ((-1,), 1)])  # max(x, 1 - x)
+    assert integrate(p, g) == F(3, 4)
+    assert integrate(p, g, region="boundary") == 2
 
 
 def test_regions_of_max():
@@ -184,21 +178,21 @@ def test_regions_of_max():
 
 def test_pl_integral_square_crease():
     p = box(2)
-    pieces = [((1, 0), F(0)), ((0, 1), F(0))]  # max(x, y)
-    class PL:
-        def __init__(self):
-            class _P:
-                def __init__(self, g, c):
-                    self.gradient, self.constant = g, c
-            self.pieces = [_P(*pc) for pc in pieces]
+    g = pl_fn(p, [((1, 0), F(0)), ((0, 1), F(0))])  # max(x, y)
     # by symmetry: 2 * int_{x>y} x = 2 * 1/3 = 2/3... computed exactly:
     # int_0^1 int_0^1 max(x,y) = 2/3
-    assert integrate(p, PL()) == F(2, 3)
+    assert integrate(p, g) == F(2, 3)
 
 
 def test_integrand_dimension_checked():
     with pytest.raises(DomainMismatch):
         integrate(box(2), ((1,), 0))
+
+
+def test_pl_integrand_domain_checked():
+    g = pl_fn(interval(0, 1), [((1,), 0), ((-1,), 1)])
+    with pytest.raises(DomainMismatch):
+        integrate(interval(0, 2), g)
 
 
 # -- Minkowski sums and mixed volumes ----------------------------------------
