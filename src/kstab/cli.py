@@ -105,6 +105,12 @@ def _positive(blob, what: str) -> float:
     return x
 
 
+def _items(blob, what: str) -> list:
+    if not isinstance(blob, list) or not blob:
+        raise ValidationError(f"{what} must be a nonempty list")
+    return blob
+
+
 def _rational_point(blob, what: str) -> tuple:
     if not isinstance(blob, (list, tuple)) or not blob:
         raise ValidationError(f"{what} must be a nonempty coordinate list")
@@ -115,8 +121,8 @@ def _parse_polytope(blob, what: str = "polytope"):
     if not isinstance(blob, dict):
         raise ValidationError(f"{what} must be an object")
     if "vertices" in blob:
-        return construct(vertices=[_rational_point(v, what)
-                                   for v in blob["vertices"]])
+        points = _items(blob["vertices"], f"{what} vertices")
+        return construct(vertices=[_rational_point(v, what) for v in points])
     kind = blob.get("kind")
     if kind == "interval":
         return interval(_rational(blob.get("lo", 0), what),
@@ -132,11 +138,8 @@ def _parse_polytope(blob, what: str = "polytope"):
 
 
 def _parse_pieces(blob):
-    if not isinstance(blob, list) or not blob:
-        raise ValidationError("pl must be a nonempty list of [gradient, "
-                              "offset] pairs")
     pieces = []
-    for row in blob:
+    for row in _items(blob, "pl"):
         if not isinstance(row, (list, tuple)) or len(row) != 2:
             raise ValidationError(f"pl piece {row!r} is not a "
                                   "[gradient, offset] pair")
@@ -239,9 +242,7 @@ def _task_invariants(cfg, task, blob):
 
 
 def _task_slopes(cfg, task, alpha, tau_max):
-    theorems = task.get("theorems")
-    if not isinstance(theorems, list) or not theorems:
-        raise ValidationError("slopes task needs a nonempty theorems list")
+    theorems = _items(task.get("theorems"), "slopes theorems")
     vertex = None
     if task.get("vertex") is not None:
         vertex = _rational_point(task["vertex"], "slopes vertex")
@@ -258,10 +259,9 @@ def _task_slopes(cfg, task, alpha, tau_max):
 
 
 def _task_stoppa(cfg, task):
-    if task.get("vertex") is None or not task.get("epsilons"):
-        raise ValidationError("stoppa task needs a vertex and epsilons")
-    vertex = _rational_point(task["vertex"], "stoppa vertex")
-    eps = [_rational(e, "stoppa epsilon") for e in task["epsilons"]]
+    vertex = _rational_point(task.get("vertex"), "stoppa vertex")
+    eps = [_rational(e, "stoppa epsilon")
+           for e in _items(task.get("epsilons"), "stoppa epsilons")]
     report = blowup_expansion(normalize(cfg, "min_zero"), vertex, eps)
     entry = {
         "kind": "stoppa",
@@ -285,7 +285,7 @@ def _task_scan(cfg, task):
     candidates = task.get("candidates", "vertices")
     if candidates != "vertices":
         candidates = [_rational_point(p, "scan candidate")
-                      for p in candidates]
+                      for p in _items(candidates, "scan candidates")]
     report = scan_destabilizer(cfg, candidates, POINT_SCHEDULE)
     entry = {
         "kind": "scan",

@@ -42,6 +42,7 @@ from .polytope import (
     frac_json,
     integrate,
     mixed_volume,
+    solve_exact,
     volume_data,
 )
 
@@ -236,24 +237,6 @@ def invariant_report(cfg: ToricTestConfig) -> InvariantReport:
 # blowup expansion
 
 
-def _solve_dense(rows, rhs):
-    """Exact Gaussian elimination; None if singular."""
-    n = len(rows)
-    mat = [list(map(Fraction, rows[i])) + [Fraction(rhs[i])] for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if mat[i][col] != 0), None)
-        if piv is None:
-            return None
-        mat[col], mat[piv] = mat[piv], mat[col]
-        pv = mat[col][col]
-        mat[col] = [x / pv for x in mat[col]]
-        for i in range(n):
-            if i != col and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[col])]
-    return [mat[i][n] for i in range(n)]
-
-
 @dataclass(frozen=True)
 class BlowupReport:
     epsilons: tuple
@@ -295,7 +278,7 @@ def blowup_expansion(cfg: ToricTestConfig, v, epsilons) -> BlowupReport:
     nodes = [Fraction(0)] + list(eps)
     values = [Fraction(0)] + deviations
     rows = [[node ** k for k in range(len(nodes))] for node in nodes]
-    coeffs = _solve_dense(rows, values)
+    coeffs = solve_exact(rows, values)
     fitted = coeffs[n - 1] / base_vol
     reference = -n * (n - 1) * chow_weight(cfg, v)
     return BlowupReport(

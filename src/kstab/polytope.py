@@ -3,12 +3,26 @@
 Everything in this module is exact: vertices and offsets are
 `fractions.Fraction`, facet normals are primitive integer vectors, and
 all measures (volume, lattice boundary measure, mixed volumes) are
-computed by exact triangulation.  The ambient dimensions that matter
-here are small (1 to 3), so the algorithms are chosen for transparency
-rather than asymptotics: vertex enumeration by n-fold facet
-intersection, hulls by monotone chain / supporting planes, mixed
-volumes V(K, ..., K, L) by Minkowski's facet formula over the facets
-of K.  A PL integrand is integrated over the maximality cells that it
+computed exactly.  The ambient dimensions that matter here are small
+(1 to 4), so the algorithms are chosen for transparency rather than
+asymptotics, one rule per job:
+
+  * vertices by n-fold facet intersection (Cramer's rule);
+  * boundedness: the normals have full rank and no null line of
+    n - 1 of them is one-signed on all normals;
+  * hulls (dimension <= 3): a facet is the hyperplane through n
+    affinely independent points with every point on one side;
+  * hyperplanes orthogonal to n - 1 vectors by cofactor expansion
+    (hulls, boundedness, Minkowski candidate normals);
+  * rank and linear solves by one exact Gauss-Jordan elimination;
+  * measures by one pass, ``volume_data``: per facet its sigma and
+    centroid (a fan of simplices up to dimension 3, an affine shadow
+    above), then the volume and barycenter as cones from a vertex;
+    affine integrals read these moments;
+  * mixed volumes V(K, ..., K, L) by Minkowski's facet formula over
+    the facets of K.
+
+A PL integrand is integrated over the maximality cells that it
 carries (``plconfig.PLConvexFn``); ``regions_of_max`` computes them.
 
 Conventions:
@@ -25,7 +39,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
-from math import gcd
+from math import factorial, gcd
 
 from .errors import (
     ChopTooLarge,
@@ -82,22 +96,26 @@ def dot(a, b):
 
 
 def _det(rows):
+    """Exact determinant: closed forms for 2x2 and 3x3, Laplace otherwise."""
     n = len(rows)
-    if n == 1:
-        return rows[0][0]
     if n == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     if n == 3:
         (a, b, c), (d, e, f), (g, h, i) = rows
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    # generic expansion, only ever used for n == 4
-    total = 0
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        total += (-1) ** j * rows[0][j] * _det(minor)
-    return total
+    if n == 0:
+        return 1
+    return sum((-1) ** j * rows[0][j]
+               * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(n) if rows[0][j] != 0)
+
+
+def _cofactor_normal(rows):
+    """The cofactor vector of dim - 1 rows in R^dim (the cross product
+    in R^3): orthogonal to every row, zero exactly when they are
+    dependent.  Its dot product with x is the determinant of x atop rows."""
+    return tuple((-1) ** j * _det([r[:j] + r[j + 1:] for r in rows])
+                 for j in range(len(rows) + 1))
 
 
 def _solve_square(rows, rhs):
@@ -113,27 +131,37 @@ def _solve_square(rows, rhs):
     return tuple(out)
 
 
-def _rank(rows):
-    """Exact rank by Gaussian elimination."""
-    mat = [list(r) for r in rows if any(x != 0 for x in r)]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank, row = 0, 0
-    for col in range(ncols):
-        piv = next((i for i in range(row, len(mat)) if mat[i][col] != 0), None)
+def _row_reduce(rows):
+    """Exact Gauss-Jordan elimination: (reduced rows, pivot columns)."""
+    mat = [list(r) for r in rows]
+    pivots = []
+    for col in range(len(mat[0]) if mat else 0):
+        top = len(pivots)
+        piv = next((i for i in range(top, len(mat)) if mat[i][col] != 0), None)
         if piv is None:
             continue
-        mat[row], mat[piv] = mat[piv], mat[row]
+        mat[top], mat[piv] = mat[piv], mat[top]
+        pv = Fraction(mat[top][col])
+        mat[top] = [x / pv for x in mat[top]]
         for i in range(len(mat)):
-            if i != row and mat[i][col] != 0:
-                factor = Fraction(mat[i][col], 1) / mat[row][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[row])]
-        rank += 1
-        row += 1
-        if row == len(mat):
+            if i != top and mat[i][col] != 0:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[top])]
+        pivots.append(col)
+        if len(pivots) == len(mat):
             break
-    return rank
+    return mat, pivots
+
+
+def _rank(rows):
+    return len(_row_reduce(rows)[1])
+
+
+def solve_exact(rows, rhs):
+    """Exact solution of a square linear system; None if it is singular."""
+    n = len(rows)
+    mat, pivots = _row_reduce([list(r) + [b] for r, b in zip(rows, rhs)])
+    return [row[n] for row in mat] if pivots == list(range(n)) else None
 
 
 def _affine_rank(points):
@@ -155,12 +183,6 @@ def primitivize(v):
     if g == 0:
         raise InconsistentInput("zero vector cannot be primitivized")
     return tuple(x // g for x in ints), Fraction(denom, g)
-
-
-def _cross3(a, b):
-    return (a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0])
 
 
 # ---------------------------------------------------------------------------
@@ -253,48 +275,30 @@ class Polytope:
 
 
 def _dedupe_halfspaces(halfspaces):
+    """The tightest halfspace per normal, in order of first appearance."""
     best = {}
-    order = []
     for h in halfspaces:
-        if h.normal not in best:
-            best[h.normal] = h.offset
-            order.append(h.normal)
-        elif h.offset < best[h.normal]:
-            best[h.normal] = h.offset
-    return [Halfspace(nrm, best[nrm]) for nrm in order]
+        if h.normal not in best or h.offset < best[h.normal].offset:
+            best[h.normal] = h
+    return list(best.values())
 
 
-def _recession_direction(normals, dim):
-    """Exact search for d != 0 with <n_i, d> <= 0 for all i."""
-    cands = []
-    if dim == 1:
-        cands = [(1,), (-1,)]
-    elif dim == 2:
-        for nrm in normals:
-            cands.extend([(nrm[1], -nrm[0]), (-nrm[1], nrm[0])])
-    else:
-        for a, b in itertools.combinations(normals, 2):
-            c = _cross3(a, b)
-            if any(x != 0 for x in c):
-                cands.extend([c, tuple(-x for x in c)])
+def _unbounded(normals, dim) -> bool:
+    """Whether some d != 0 has <n, d> <= 0 for every normal n.
+
+    Below rank dim a null vector of the normals is such a d.  At rank
+    dim the cone of such d is pointed, so it is nonzero exactly when
+    it has an extreme ray: the null line of some dim - 1 independent
+    normals, one-signed on all of them.
+    """
     if _rank(normals) < dim:
-        # lineality space is nontrivial; find a null vector by elimination
-        for cand in itertools.product((-1, 0, 1), repeat=dim):
-            if any(cand) and all(dot(nrm, cand) == 0 for nrm in normals):
-                return cand
-        # fall through: rank-deficient but no tiny null vector; solve properly
-        for subset in itertools.combinations(normals, dim - 1):
-            if dim == 2:
-                c = (subset[0][1], -subset[0][0])
-            else:
-                c = _cross3(subset[0], subset[1])
-            if any(x != 0 for x in c):
-                cands.append(c)
-                cands.append(tuple(-x for x in c))
-    for d in cands:
-        if any(x != 0 for x in d) and all(dot(nrm, d) <= 0 for nrm in normals):
-            return d
-    return None
+        return True
+    for rows in itertools.combinations(normals, dim - 1):
+        d = _cofactor_normal(rows)
+        signs = [dot(n, d) for n in normals]
+        if any(d) and (max(signs) <= 0 or min(signs) >= 0):
+            return True
+    return False
 
 
 def construct(halfspaces=None, vertices=None) -> Polytope:
@@ -309,14 +313,13 @@ def construct(halfspaces=None, vertices=None) -> Polytope:
     if vertices is not None and halfspaces is None:
         return _construct_from_vertices([vec(v) for v in vertices])
 
-    hs = _dedupe_halfspaces(list(halfspaces))
+    hs = _dedupe_halfspaces(halfspaces)
     if not hs:
         raise UnboundedInput("empty halfspace list describes all of space")
     dim = len(hs[0].normal)
     if any(len(h.normal) != dim for h in hs):
         raise DomainMismatch("halfspaces of mixed dimension")
-    normals = [h.normal for h in hs]
-    if len(hs) < dim + 1 or _recession_direction(normals, dim) is not None:
+    if _unbounded([h.normal for h in hs], dim):
         raise UnboundedInput("halfspace system is unbounded")
 
     verts = {}
@@ -347,6 +350,8 @@ def construct(halfspaces=None, vertices=None) -> Polytope:
 
 
 def _construct_from_vertices(points) -> Polytope:
+    """Hull of a point cloud: a facet is the hyperplane through dim
+    affinely independent points with every point on one side."""
     points = sorted(set(points))
     if not points:
         raise InconsistentInput("no vertices given")
@@ -355,60 +360,22 @@ def _construct_from_vertices(points) -> Polytope:
         raise DomainMismatch("vertices of mixed dimension")
     if _affine_rank(points) < dim:
         raise DegenerateInput("vertex set spans less than the ambient dimension")
+    if dim > 3:
+        raise DomainMismatch("vertex hulls supported up to dimension 3")
 
-    if dim == 1:
-        lo, hi = points[0][0], points[-1][0]
-        hs = [Halfspace((1,), hi), Halfspace((-1,), -lo)]
-        return construct(halfspaces=hs)
-
-    if dim == 2:
-        hull = _hull2d(points)
-        hs = []
-        for a, b in zip(hull, hull[1:] + hull[:1]):
-            d = (b[0] - a[0], b[1] - a[1])
-            hs.append(Halfspace.make((d[1], -d[0]), d[1] * a[0] - d[0] * a[1]))
-        return construct(halfspaces=hs)
-
-    if dim == 3:
-        seen = {}
-        for tri in itertools.combinations(points, 3):
-            e1 = tuple(a - b for a, b in zip(tri[1], tri[0]))
-            e2 = tuple(a - b for a, b in zip(tri[2], tri[0]))
-            nrm = _cross3(e1, e2)
-            if all(x == 0 for x in nrm):
-                continue
-            prim, _ = primitivize(nrm)
-            for cand in (prim, tuple(-x for x in prim)):
-                off = dot(cand, tri[0])
-                if cand in seen:
-                    continue
-                if all(dot(cand, p) <= off for p in points):
-                    seen[cand] = off
-        hs = [Halfspace(nrm, frac(off)) for nrm, off in seen.items()]
-        return construct(halfspaces=hs)
-
-    raise DomainMismatch("vertex hulls supported up to dimension 3")
-
-
-def _hull2d(points):
-    """Monotone chain over exact rationals; returns CCW cycle."""
-    pts = sorted(set(points))
-    if len(pts) < 3:
-        raise DegenerateInput("need at least 3 points for a 2-d hull")
-
-    def turn(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower, upper = [], []
-    for p in pts:
-        while len(lower) >= 2 and turn(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    for p in reversed(pts):
-        while len(upper) >= 2 and turn(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+    facets = {}
+    for tip, *rest in itertools.combinations(points, dim):
+        nrm = _cofactor_normal([tuple(a - b for a, b in zip(p, tip))
+                                for p in rest])
+        if not any(nrm):
+            continue
+        prim, _ = primitivize(nrm)
+        for cand in (prim, tuple(-x for x in prim)):
+            off = dot(cand, tip)
+            if cand not in facets and all(dot(cand, p) <= off for p in points):
+                facets[cand] = off
+    return construct(halfspaces=[Halfspace(n, frac(off))
+                                 for n, off in facets.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +415,7 @@ class VolumeData:
     boundary_sigma_volume: Fraction
     barycenter: tuple
     per_facet_sigma: tuple
+    facet_barycenters: tuple
 
 
 def _order_facet_cycle(points, normal):
@@ -475,81 +443,71 @@ def _order_facet_cycle(points, normal):
     return [points[i] for i in sorted(range(len(points)), key=cmp_to_key(cmp))]
 
 
-def _facet_simplices(poly: Polytope, k: int):
-    """(n-1)-simplices triangulating facet k, as vertex tuples."""
-    pts = [poly.vertices[i] for i in poly.facet_vertices[k]]
-    if poly.dim == 1:
-        return [tuple(pts)]
-    if poly.dim == 2:
-        return [(pts[0], pts[1])] if len(pts) == 2 else []
-    if poly.dim == 3:
-        cyc = _order_facet_cycle(pts, poly.halfspaces[k].normal)
-        return [(cyc[0], cyc[i], cyc[i + 1]) for i in range(1, len(cyc) - 1)]
-    # higher dimensions: drop the coordinate with the largest normal entry
-    # (an affine bijection on the facet plane), triangulate the shadow as a
-    # full-dimensional polytope, and lift the simplices back
-    nrm = poly.halfspaces[k].normal
-    drop = max(range(len(nrm)), key=lambda i: abs(nrm[i]))
-    shadow = {tuple(p[i] for i in range(len(p)) if i != drop): p for p in pts}
-    sub = _construct_from_vertices(list(shadow))
-    return [tuple(shadow[q] for q in s) for s in _triangulate(sub)]
-
-
-def _sigma_simplex(simplex, normal) -> Fraction:
-    """sigma-measure of an (n-1)-simplex on a facet with primitive normal."""
+def _simplex_sigma(simplex, normal) -> Fraction:
+    """sigma-measure of an (n-1)-simplex in a hyperplane with primitive
+    normal: |det(edges, normal)| / ((n-1)! |normal|^2)."""
     rows = [tuple(a - b for a, b in zip(p, simplex[0])) for p in simplex[1:]]
-    rows.append(tuple(Fraction(c) for c in normal))
-    d = abs(_det(rows))
-    nn = sum(c * c for c in normal)
-    fact = 1
-    for i in range(1, len(simplex)):
-        fact *= i
-    return Fraction(d, 1) / (fact * nn)
+    return Fraction(abs(_det(rows + [normal])),
+                    factorial(len(rows)) * dot(normal, normal))
 
 
-@lru_cache(maxsize=None)
-def _triangulate(poly: Polytope):
-    """Simplices (as vertex tuples) coning the lex-min vertex over far facets."""
-    v0 = poly.vertices[0]
-    if poly.dim == 1:
-        return ((poly.vertices[0], poly.vertices[1]),)
-    out = []
-    for k, h in enumerate(poly.halfspaces):
-        if h.slack(v0) == 0:
-            continue
-        for s in _facet_simplices(poly, k):
-            out.append((v0,) + s)
-    return tuple(out)
+def _facet_measure(points, normal):
+    """(sigma, centroid) of the flat convex polytope spanned by points in
+    a hyperplane with primitive normal.
+
+    Up to ambient dimension 3 the facet is a point, a segment or a
+    polygon fanned from its first vertex.  Above, dropping the
+    coordinate i of the largest |normal_i| maps it affinely onto a
+    full-dimensional shadow, and sigma = vol(shadow) / |normal_i|.
+    """
+    n = len(normal)
+    if n > 3:
+        i = max(range(n), key=lambda j: abs(normal[j]))
+        vd = volume_data(_construct_from_vertices(
+            [p[:i] + p[i + 1:] for p in points]))
+        c = vd.barycenter
+        lift = (dot(normal, points[0])
+                - dot(normal[:i] + normal[i + 1:], c)) / normal[i]
+        return vd.volume / abs(normal[i]), c[:i] + (lift,) + c[i:]
+    if n == 3:
+        points = _order_facet_cycle(points, normal)
+    sigma, moment = Fraction(0), [Fraction(0)] * n
+    for k in range(1, len(points) - n + 2):
+        simplex = (points[0],) + tuple(points[k:k + n - 1])
+        m = _simplex_sigma(simplex, normal)
+        sigma += m
+        for j in range(n):
+            moment[j] += m * sum(p[j] for p in simplex) / n
+    return sigma, tuple(x / sigma for x in moment)
 
 
-def _simplex_volume(simplex) -> Fraction:
-    n = len(simplex) - 1
-    rows = [tuple(a - b for a, b in zip(p, simplex[0])) for p in simplex[1:]]
-    d = abs(_det(rows))
-    fact = 1
-    for i in range(1, n + 1):
-        fact *= i
-    return Fraction(d, fact)
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def volume_data(poly: Polytope) -> VolumeData:
-    vol = Fraction(0)
-    bary = [Fraction(0)] * poly.dim
-    for s in _triangulate(poly):
-        v = _simplex_volume(s)
-        vol += v
-        for j in range(poly.dim):
-            bary[j] += v * sum(p[j] for p in s) / (poly.dim + 1)
+    """Volume, barycenter and, per facet, sigma-measure and centroid.
+
+    The only measure pass of the kernel.  It measures each facet F once,
+    then cones the first vertex v0 over the facets: the cone over F has
+    volume slack_F(v0) * sigma_F / n (d sigma ^ d ell = d mu) and
+    centroid (v0 + n * centroid_F) / (n + 1).
+    """
+    n, v0 = poly.dim, poly.vertices[0]
+    vol, moment = Fraction(0), [Fraction(0)] * n
+    sigmas, centroids = [], []
+    for h, fv in zip(poly.halfspaces, poly.facet_vertices):
+        sigma, centroid = _facet_measure([poly.vertices[i] for i in fv],
+                                         h.normal)
+        sigmas.append(sigma)
+        centroids.append(centroid)
+        cone = h.slack(v0) * sigma / n
+        vol += cone
+        for j in range(n):
+            moment[j] += cone * (v0[j] + n * centroid[j]) / (n + 1)
     if vol == 0:
         raise DegenerateInput("zero volume")
-    bary = tuple(b / vol for b in bary)
-    sigmas = []
-    for k, h in enumerate(poly.halfspaces):
-        sigmas.append(sum(_sigma_simplex(s, h.normal)
-                          for s in _facet_simplices(poly, k)))
     return VolumeData(volume=vol, boundary_sigma_volume=sum(sigmas),
-                      barycenter=bary, per_facet_sigma=tuple(sigmas))
+                      barycenter=tuple(x / vol for x in moment),
+                      per_facet_sigma=tuple(sigmas),
+                      facet_barycenters=tuple(centroids))
 
 
 # ---------------------------------------------------------------------------
@@ -600,54 +558,36 @@ def integrate(poly: Polytope, fn, region: str = "interior") -> Fraction:
     integrates against Lebesgue measure, ``region="boundary"`` against
     the lattice boundary measure sigma.  A PL function is integrated
     piece by piece over the maximality cells it carries; the cells must
-    tile ``poly``.
+    tile ``poly``.  An affine piece integrates to its value at the
+    centroid times the mass, read from ``volume_data``.
     """
     if isinstance(fn, tuple):
         grad, const = fn
-        pieces = [(vec(grad), frac(const))]
+        pieces, cells = [(vec(grad), frac(const))], (poly,)
     elif fn.domain != poly:
         raise DomainMismatch("integrand is defined on a different polytope")
     else:
         pieces = [(p.gradient, p.constant) for p in fn.pieces]
+        cells = fn.regions()
     if len(pieces[0][0]) != poly.dim:
         raise DomainMismatch("integrand dimension mismatch")
     if region not in ("interior", "boundary"):
         raise InconsistentInput(f"unknown region {region!r}")
 
-    if len(pieces) == 1:
-        return _integrate_affine(poly, pieces[0], region)
-
-    total = Fraction(0)
-    covered = Fraction(0)
-    for piece, sub in zip(pieces, fn.regions()):
-        covered += volume_data(sub).volume
+    outer = set(poly.halfspaces)
+    total = covered = Fraction(0)
+    for piece, cell in zip(pieces, cells):
+        vd = volume_data(cell)
+        covered += vd.volume
         if region == "interior":
-            total += _integrate_affine(sub, piece, "interior")
+            total += vd.volume * _eval_piece(piece, vd.barycenter)
         else:
-            outer = {(h.normal, h.offset) for h in poly.halfspaces}
-            for k, h in enumerate(sub.halfspaces):
-                if (h.normal, h.offset) in outer:
-                    for s in _facet_simplices(sub, k):
-                        sig = _sigma_simplex(s, h.normal)
-                        cen = tuple(sum(p[j] for p in s) / len(s)
-                                    for j in range(poly.dim))
-                        total += sig * _eval_piece(piece, cen)
-    if covered != volume_data(poly).volume:
+            facets = zip(cell.halfspaces, vd.per_facet_sigma,
+                         vd.facet_barycenters)
+            total += sum(sigma * _eval_piece(piece, centroid)
+                         for h, sigma, centroid in facets if h in outer)
+    if len(cells) > 1 and covered != volume_data(poly).volume:
         raise InconsistentInput("maximality regions do not tile the polytope")
-    return total
-
-
-def _integrate_affine(poly: Polytope, piece, region: str) -> Fraction:
-    total = Fraction(0)
-    if region == "interior":
-        for s in _triangulate(poly):
-            cen = tuple(sum(p[j] for p in s) / len(s) for j in range(poly.dim))
-            total += _simplex_volume(s) * _eval_piece(piece, cen)
-        return total
-    for k, h in enumerate(poly.halfspaces):
-        for s in _facet_simplices(poly, k):
-            cen = tuple(sum(p[j] for p in s) / len(s) for j in range(poly.dim))
-            total += _sigma_simplex(s, h.normal) * _eval_piece(piece, cen)
     return total
 
 
@@ -752,7 +692,7 @@ def minkowski_sum(terms):
         for (_, b1), (_, b2) in itertools.combinations(terms, 2):
             for d1 in b1.edge_dirs:
                 for d2 in b2.edge_dirs:
-                    c = _cross3(d1, d2)
+                    c = _cofactor_normal((d1, d2))
                     if any(x != 0 for x in c):
                         prim, _ = primitivize(c)
                         cands[prim] = True
@@ -796,13 +736,7 @@ def _facet_measures(obj):
     if not body.plane_normals or _affine_rank(body.vertices) != body.ambient - 1:
         return None
     nu = body.plane_normals[0]
-    # dropping a coordinate where |nu_i| = 1 maps the hyperplane's lattice
-    # onto Z^(d-1), so the shadow's volume is the lattice measure sigma
-    drop = next((i for i, c in enumerate(nu) if abs(c) == 1), None)
-    if drop is None:
-        return None
-    shadow = {v[:drop] + v[drop + 1:] for v in body.vertices}
-    sigma = volume_data(_construct_from_vertices(list(shadow))).volume
+    sigma, _ = _facet_measure(body.vertices, nu)
     return [(nu, sigma), (tuple(-c for c in nu), sigma)]
 
 
@@ -831,16 +765,11 @@ def mixed_volume(bodies) -> Fraction:
     if any(d != n for d in dims):
         raise DomainMismatch("bodies of mixed ambient dimension")
 
-    distinct, mult = [], []
+    groups = {}
     for b in bodies:
-        key = frozenset(b.vertices)
-        for i, d in enumerate(distinct):
-            if frozenset(d.vertices) == key:
-                mult[i] += 1
-                break
-        else:
-            distinct.append(b)
-            mult.append(1)
+        groups.setdefault(frozenset(b.vertices), []).append(b)
+    distinct = [group[0] for group in groups.values()]
+    mult = [len(group) for group in groups.values()]
 
     if len(distinct) == 1:
         poly = _solid(distinct[0])

@@ -124,6 +124,10 @@ def test_invalid_scenarios_exit_3(tmp_path, mutate, capsys):
     lambda b: b["tasks"][1].update(schedule={"beta0": "nan"}),
     lambda b: b["tasks"][1].update(schedule={"tol": "nan"}),
     lambda b: b["tasks"][1].update(schedule={"tol": -1e-3}),
+    lambda b: b.update(polytope={"vertices": 5}),
+    lambda b: b.update(tasks=[{"kind": "stoppa", "vertex": ["0"],
+                               "epsilons": 5}]),
+    lambda b: b.update(tasks=[{"kind": "scan", "candidates": 5}]),
 ])
 def test_malformed_numbers_exit_3_without_traceback(tmp_path, mutate,
                                                     capsys):

@@ -79,11 +79,43 @@ def test_cube_measures():
 
 
 def test_tesseract_measures():
-    # exercises the project-and-lift facet triangulation used for
-    # four-dimensional Cayley polytopes
+    # exercises the shadow measure of facets used for four-dimensional
+    # Cayley polytopes
     vd = volume_data(box(4))
     assert vd.volume == 1
     assert vd.boundary_sigma_volume == 8
+
+
+def _assert_facet_moments(p):
+    """Divergence theorem for x and for x * x_j over p, facet by facet:
+    n vol = sum offset_F sigma_F and
+    (n + 1) vol barycenter = sum offset_F sigma_F centroid_F."""
+    vd = volume_data(p)
+    n = p.dim
+    weights = [h.offset * s for h, s in zip(p.halfspaces, vd.per_facet_sigma)]
+    assert n * vd.volume == sum(weights)
+    for j in range(n):
+        assert (n + 1) * vd.volume * vd.barycenter[j] == sum(
+            w * c[j] for w, c in zip(weights, vd.facet_barycenters))
+    for h, c in zip(p.halfspaces, vd.facet_barycenters):
+        assert h.slack(c) == 0
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_facet_moments_of_random_bases(seed):
+    cfg = random_config(random.Random(seed))
+    for p in (cfg.base, cfg.cayley) + cfg.g.regions():
+        _assert_facet_moments(p)
+
+
+def test_facet_moments_in_three_and_four_dimensions():
+    for p in (box(3), box(4), unit_simplex(3),
+              corner_chop(box(3), (1, 1, 1), F(1, 3))):
+        _assert_facet_moments(p)
+
+
+def test_volume_data_cache_is_bounded():
+    assert volume_data.cache_info().maxsize is not None
 
 
 def test_redundant_halfspace_dropped():
@@ -108,6 +140,23 @@ def test_unbounded_rejected():
             Halfspace((-1, 0), F(0)), Halfspace((0, -1), F(0)),
             Halfspace((-1, -1), F(0)),
         ])
+
+
+def _unit_normal(i, dim, sign=1):
+    return tuple(sign if j == i else 0 for j in range(dim))
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_unbounded_along_a_diagonal(dim):
+    """x >= 0, |x1 - xn| <= 1 and x2, ..., x(n-1) <= 1: the normals have
+    rank n, but the set is unbounded along e1 + en."""
+    hs = [Halfspace(_unit_normal(i, dim, -1), F(0)) for i in range(dim)]
+    diag = tuple(1 if j == 0 else -1 if j == dim - 1 else 0
+                 for j in range(dim))
+    hs += [Halfspace(diag, F(1)), Halfspace(tuple(-c for c in diag), F(1))]
+    hs += [Halfspace(_unit_normal(i, dim), F(1)) for i in range(1, dim - 1)]
+    with pytest.raises(UnboundedInput):
+        construct(halfspaces=hs)
 
 
 def test_infeasible_rejected():
