@@ -69,7 +69,12 @@ POINT_COLUMNS = ("tau", "value", "err_estimate")
 
 _SCENARIO_KEYS = {"schema", "name", "polytope", "pl", "shift", "alpha",
                   "normalization", "tasks", "output_dir"}
-_TASK_KINDS = ("invariants", "slopes", "stoppa", "scan", "l1")
+_TASK_KEYS = {"invariants": {"kind"},
+              "slopes": {"kind", "theorems", "vertex", "schedule"},
+              "stoppa": {"kind", "vertex", "epsilons"},
+              "scan": {"kind", "candidates"},
+              "l1": {"kind", "schedule"}}
+_SCHEDULE_KEYS = {"taus", "beta0", "tol"}
 
 
 class _ParseFailure(Exception):
@@ -178,9 +183,16 @@ def load_scenario(path: Path) -> dict:
     if not isinstance(tasks, list) or not tasks:
         raise ValidationError("scenario needs a nonempty task list")
     for task in tasks:
-        if not isinstance(task, dict) or task.get("kind") not in _TASK_KINDS:
+        kind = task.get("kind") if isinstance(task, dict) else None
+        if not isinstance(kind, str) or kind not in _TASK_KEYS:
             raise ValidationError(
-                f"task {task!r} must set kind to one of {_TASK_KINDS}")
+                f"task {task!r} must set kind to one of {tuple(_TASK_KEYS)}")
+        unknown = set(task) - _TASK_KEYS[kind]
+        if "schedule" not in unknown and isinstance(task.get("schedule"), dict):
+            unknown |= {f"schedule.{k}" for k in task["schedule"]
+                        if k not in _SCHEDULE_KEYS}
+        if unknown:
+            raise ValidationError(f"unknown {kind} task keys: {sorted(unknown)}")
     return blob
 
 

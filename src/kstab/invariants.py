@@ -74,11 +74,8 @@ def _boundary_raw(cfg: ToricTestConfig) -> Fraction:
 
 
 def _gradient_lcm(cfg: ToricTestConfig) -> int:
-    d = 1
-    for p in cfg.g.pieces:
-        for c in p.gradient:
-            d = math.lcm(d, Fraction(c).denominator)
-    return d
+    return math.lcm(*(Fraction(c).denominator
+                      for p in cfg.g.pieces for c in p.gradient))
 
 
 def _intersection_df(cfg: ToricTestConfig) -> Fraction:

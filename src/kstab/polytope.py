@@ -7,14 +7,17 @@ computed exactly.  The ambient dimensions that matter here are small
 (1 to 4), so the algorithms are chosen for transparency rather than
 asymptotics, one rule per job:
 
-  * vertices by n-fold facet intersection (Cramer's rule);
+  * vertices by n-fold facet intersection in integers (Cramer
+    numerators, one sign test per slack, a Fraction per vertex); a
+    vertex lies on its zero-slack halfspaces, the union of its bases;
   * boundedness: the normals have full rank and no null line of
     n - 1 of them is one-signed on all normals;
   * hulls (dimension <= 3): a facet is the hyperplane through n
     affinely independent points with every point on one side;
   * hyperplanes orthogonal to n - 1 vectors by cofactor expansion
     (hulls, boundedness, Minkowski candidate normals);
-  * rank and linear solves by one exact Gauss-Jordan elimination;
+  * rank and linear solves by one fraction-free Gauss-Jordan
+    elimination (Bareiss);
   * measures by one pass, ``volume_data``: per facet its sigma and
     centroid (a fan of simplices up to dimension 3, an affine shadow
     above), then the volume and barycenter as cones from a vertex;
@@ -39,7 +42,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
-from math import factorial, gcd
+from math import factorial, gcd, lcm
+from operator import mul
 
 from .errors import (
     ChopTooLarge,
@@ -66,9 +70,7 @@ def frac(x) -> Fraction:
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"expected exact rational, got {type(x).__name__}")
 
@@ -92,7 +94,7 @@ def vec(xs) -> Vec:
 
 
 def dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _det(rows):
@@ -118,35 +120,29 @@ def _cofactor_normal(rows):
                  for j in range(len(rows) + 1))
 
 
-def _solve_square(rows, rhs):
-    """Cramer solve; returns None when the system is singular."""
-    d = _det(rows)
-    if d == 0:
-        return None
-    n = len(rows)
-    out = []
-    for j in range(n):
-        cols = [r[:j] + (rhs[i],) + r[j + 1:] for i, r in enumerate(rows)]
-        out.append(Fraction(_det(cols), 1) / d)
-    return tuple(out)
-
-
 def _row_reduce(rows):
-    """Exact Gauss-Jordan elimination: (reduced rows, pivot columns)."""
-    mat = [list(r) for r in rows]
-    pivots = []
+    """Fraction-free Gauss-Jordan (Bareiss 1968) on the rows scaled to
+    integers: (rows, pivot columns).  Pivot p maps each other row to
+    (p * row - a * pivot row) / previous pivot, an exact division.  A
+    pivot row ends as the last pivot at its column, 0 at other pivots."""
+    mat = []
+    for r in rows:
+        scale = lcm(*(x.denominator for x in r))
+        mat.append([x.numerator * (scale // x.denominator) for x in r])
+    pivots, prev = [], 1
     for col in range(len(mat[0]) if mat else 0):
         top = len(pivots)
         piv = next((i for i in range(top, len(mat)) if mat[i][col] != 0), None)
         if piv is None:
             continue
         mat[top], mat[piv] = mat[piv], mat[top]
-        pv = Fraction(mat[top][col])
-        mat[top] = [x / pv for x in mat[top]]
-        for i in range(len(mat)):
-            if i != top and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[top])]
+        prow = mat[top]
+        p = prow[col]
+        for i, row in enumerate(mat):
+            if i != top:
+                f = row[col]
+                mat[i] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
+        prev = p
         pivots.append(col)
         if len(pivots) == len(mat):
             break
@@ -161,25 +157,20 @@ def solve_exact(rows, rhs):
     """Exact solution of a square linear system; None if it is singular."""
     n = len(rows)
     mat, pivots = _row_reduce([list(r) + [b] for r, b in zip(rows, rhs)])
-    return [row[n] for row in mat] if pivots == list(range(n)) else None
+    return [Fraction(row[n], row[i]) for i, row in enumerate(mat)] \
+        if pivots == list(range(n)) else None
 
 
 def _affine_rank(points):
-    if len(points) <= 1:
-        return 0
-    base = points[0]
-    return _rank([tuple(a - b for a, b in zip(p, base)) for p in points[1:]])
+    return _rank([tuple(p) + (1,) for p in points]) - 1
 
 
 def primitivize(v):
     """Scale a rational vector to a primitive integer vector (same ray)."""
-    denom = 1
-    for x in v:
-        denom = denom * frac(x).denominator // gcd(denom, frac(x).denominator)
-    ints = [int(frac(x) * denom) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    v = [frac(x) for x in v]
+    denom = lcm(*(x.denominator for x in v))
+    ints = [int(x * denom) for x in v]
+    g = gcd(*ints)
     if g == 0:
         raise InconsistentInput("zero vector cannot be primitivized")
     return tuple(x // g for x in ints), Fraction(denom, g)
@@ -201,10 +192,7 @@ class Halfspace:
             raise InconsistentInput("halfspace normal must be nonzero")
         if any(not isinstance(c, int) for c in self.normal):
             raise InconsistentInput("halfspace normal must be integer")
-        g = 0
-        for c in self.normal:
-            g = gcd(g, abs(c))
-        if g != 1:
+        if gcd(*self.normal) != 1:
             raise InconsistentInput("halfspace normal must be primitive")
         if not isinstance(self.offset, Fraction):
             object.__setattr__(self, "offset", frac(self.offset))
@@ -251,36 +239,23 @@ class Polytope:
         return tuple(k for k, fv in enumerate(self.facet_vertices) if i in fv)
 
     def edges(self):
-        """Vertex-index pairs spanning the 1-faces."""
-        if self.dim == 1:
-            return ((0, 1),) if len(self.vertices) == 2 else ()
+        """Vertex-index pairs whose common facets have rank dim - 1."""
+        on = [set(self.vertex_facets(i)) for i in range(len(self.vertices))]
         out = []
-        for i, j in itertools.combinations(range(len(self.vertices)), 2):
-            common = [self.halfspaces[k].normal
-                      for k in set(self.vertex_facets(i)) & set(self.vertex_facets(j))]
-            if len(common) >= self.dim - 1 and _rank(common) == self.dim - 1:
+        for i, j in itertools.combinations(range(len(on)), 2):
+            if _rank([self.halfspaces[k].normal for k in on[i] & on[j]]) \
+                    == self.dim - 1:
                 out.append((i, j))
         return tuple(out)
 
     def is_delzant_vertex(self, i: int) -> bool:
         ks = self.vertex_facets(i)
-        if len(ks) != self.dim:
-            return False
-        d = _det([self.halfspaces[k].normal for k in ks])
-        return abs(d) == 1
+        return len(ks) == self.dim and abs(
+            _det([self.halfspaces[k].normal for k in ks])) == 1
 
     @property
     def is_delzant(self) -> bool:
         return all(self.is_delzant_vertex(i) for i in range(len(self.vertices)))
-
-
-def _dedupe_halfspaces(halfspaces):
-    """The tightest halfspace per normal, in order of first appearance."""
-    best = {}
-    for h in halfspaces:
-        if h.normal not in best or h.offset < best[h.normal].offset:
-            best[h.normal] = h
-    return list(best.values())
 
 
 def _unbounded(normals, dim) -> bool:
@@ -307,46 +282,70 @@ def construct(halfspaces=None, vertices=None) -> Polytope:
     Raises UnboundedInput / InconsistentInput / DegenerateInput as
     appropriate.  The result is canonical: sorted vertices, sorted
     irredundant facet list, exact incidence.
+
+    Halfspaces meet in integers: with b = L * offset over the common
+    denominator L, a nonsingular dim-subset (determinant D, Cramer
+    numerators c) meets in x = c / (L * D), the homogeneous point
+    (num, den) in lowest terms with den > 0, where halfspace k has slack
+    (b_k * den - L * <n_k, num>) / (L * den).  Each distinct point is
+    tested once; a feasible one is a vertex on its zero-slack halfspaces.
     """
     if halfspaces is None and vertices is None:
         raise InconsistentInput("need halfspaces or vertices")
     if vertices is not None and halfspaces is None:
         return _construct_from_vertices([vec(v) for v in vertices])
 
-    hs = _dedupe_halfspaces(halfspaces)
+    best = {}  # the tightest halfspace per normal, in order of appearance
+    for h in halfspaces:
+        if h.normal not in best or h.offset < best[h.normal].offset:
+            best[h.normal] = h
+    hs = list(best.values())
     if not hs:
         raise UnboundedInput("empty halfspace list describes all of space")
     dim = len(hs[0].normal)
-    if any(len(h.normal) != dim for h in hs):
+    normals = [h.normal for h in hs]
+    if any(len(n) != dim for n in normals):
         raise DomainMismatch("halfspaces of mixed dimension")
-    if _unbounded([h.normal for h in hs], dim):
+    if _unbounded(normals, dim):
         raise UnboundedInput("halfspace system is unbounded")
 
-    verts = {}
+    scale = lcm(*(h.offset.denominator for h in hs))
+    b = [h.offset.numerator * (scale // h.offset.denominator) for h in hs]
+    tight = {}  # point -> its zero-slack halfspaces, None if infeasible
     for idx in itertools.combinations(range(len(hs)), dim):
-        rows = [hs[k].normal for k in idx]
-        rhs = [hs[k].offset for k in idx]
-        x = _solve_square(rows, rhs)
-        if x is None:
+        rows = [normals[k] for k in idx]
+        det = _det(rows) * scale
+        if det == 0:
             continue
-        if all(h.slack(x) >= 0 for h in hs):
-            verts[x] = True
-    if not verts:
+        num = [_det([r[:j] + (b[k],) + r[j + 1:] for k, r in zip(idx, rows)])
+               for j in range(dim)] + [det]
+        g = gcd(*num) if det > 0 else -gcd(*num)
+        point = tuple(c // g for c in num)
+        if point in tight:
+            continue
+        num, den, slacks = point[:dim], point[dim], []
+        for n, bk in zip(normals, b):
+            slacks.append(bk * den - scale * dot(n, num))
+            if slacks[-1] < 0:
+                break
+        tight[point] = None if slacks[-1] < 0 else {
+            k for k, s in enumerate(slacks) if s == 0}
+    vlist = sorted((tuple(Fraction(c, p[dim]) for c in p[:dim]), p)
+                   for p, on in tight.items() if on is not None)
+    if not vlist:
         raise InconsistentInput("halfspace system is infeasible")
-    vlist = sorted(verts)
-    if _affine_rank(vlist) < dim:
+    if _rank([p for _, p in vlist]) <= dim:
         raise DegenerateInput("feasible set is lower-dimensional")
 
-    kept, incidence = [], []
-    for h in hs:
-        tight = tuple(i for i, v in enumerate(vlist) if h.slack(v) == 0)
-        if len(tight) >= dim and _affine_rank([vlist[i] for i in tight]) == dim - 1:
-            kept.append((h, tight))
+    kept = []
+    for k, h in enumerate(hs):
+        on = tuple(i for i, (_, p) in enumerate(vlist) if k in tight[p])
+        if len(on) >= dim and _rank([vlist[i][1] for i in on]) == dim:
+            kept.append((h, on))
     kept.sort(key=lambda pair: (pair[0].normal, pair[0].offset))
-    half = tuple(h for h, _ in kept)
-    incidence = tuple(t for _, t in kept)
-    return Polytope(dim=dim, halfspaces=half, vertices=tuple(vlist),
-                    facet_vertices=incidence)
+    return Polytope(dim=dim, halfspaces=tuple(h for h, _ in kept),
+                    vertices=tuple(v for v, _ in vlist),
+                    facet_vertices=tuple(on for _, on in kept))
 
 
 def _construct_from_vertices(points) -> Polytope:
@@ -514,11 +513,6 @@ def volume_data(poly: Polytope) -> VolumeData:
 # integration of affine / piecewise-linear data
 
 
-def _eval_piece(piece, x):
-    grad, const = piece
-    return dot(grad, x) + const
-
-
 def regions_of_max(poly: Polytope, pieces):
     """Closure of {piece i strictly maximal}, as a polytope per piece.
 
@@ -576,15 +570,15 @@ def integrate(poly: Polytope, fn, region: str = "interior") -> Fraction:
 
     outer = set(poly.halfspaces)
     total = covered = Fraction(0)
-    for piece, cell in zip(pieces, cells):
+    for (grad, const), cell in zip(pieces, cells):
         vd = volume_data(cell)
         covered += vd.volume
         if region == "interior":
-            total += vd.volume * _eval_piece(piece, vd.barycenter)
+            total += vd.volume * (dot(grad, vd.barycenter) + const)
         else:
             facets = zip(cell.halfspaces, vd.per_facet_sigma,
                          vd.facet_barycenters)
-            total += sum(sigma * _eval_piece(piece, centroid)
+            total += sum(sigma * (dot(grad, centroid) + const)
                          for h, sigma, centroid in facets if h in outer)
     if len(cells) > 1 and covered != volume_data(poly).volume:
         raise InconsistentInput("maximality regions do not tile the polytope")
@@ -638,10 +632,6 @@ def embed_at_height(poly: Polytope) -> VBody:
         facet_normals=tuple(n + (0,) for n in base.facet_normals),
         plane_normals=(e_t, tuple(-x for x in e_t)),
     )
-
-
-def _support(body: VBody, scale: Fraction, nrm):
-    return scale * max(dot(nrm, v) for v in body.vertices)
 
 
 def _support_face_dim(body: VBody, nrm) -> int:
@@ -701,7 +691,8 @@ def minkowski_sum(terms):
     halfspaces = []
     for nrm in cands:
         if sum(_support_face_dim(b, nrm) for _, b in terms) >= dim - 1:
-            off = sum(_support(b, s, nrm) for s, b in terms)
+            off = sum(s * max(dot(nrm, v) for v in b.vertices)
+                      for s, b in terms)
             halfspaces.append(Halfspace(nrm, off))
     poly = construct(halfspaces=halfspaces)
     cloudset = set(cloud)

@@ -104,6 +104,15 @@ def test_malformed_json_exits_2_with_byte_offset(tmp_path, capsys):
     lambda b: b.update(pl=[]),
     lambda b: b.pop("polytope"),
     lambda b: b.update(surprise=1),
+    lambda b: b.update(tasks=[{"kind": ["slopes"]}]),
+    lambda b: b["tasks"][0].update(schedule={"taus": [1, 2]}),
+    lambda b: b["tasks"][1].update(theorem="DF"),
+    lambda b: b["tasks"][1].update(schedule={"beta": 5}),
+    lambda b: b["tasks"][2].update(vertex=["0"]),
+    lambda b: b.update(tasks=[{"kind": "stoppa", "vertex": ["0"],
+                               "epsilons": ["1/8", "1/4"], "tol": 1}]),
+    lambda b: b.update(tasks=[{"kind": "l1", "theorems": ["DF"]}]),
+    lambda b: b.update(tasks=[{"kind": "l1", "schedule": {"tau": [1]}}]),
 ])
 def test_invalid_scenarios_exit_3(tmp_path, mutate, capsys):
     blob = json.loads(json.dumps(KINK))
@@ -111,6 +120,24 @@ def test_invalid_scenarios_exit_3(tmp_path, mutate, capsys):
     path = write_scenario(tmp_path, blob)
     assert run_scenario(path, out_dir=tmp_path / "out") == EXIT_VALIDATION
     assert "invalid scenario" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("task, named", [
+    ({"kind": "slopes", "theorems": ["JALPHA"],
+      "alpha": {"kind": "interval", "lo": "0", "hi": "2"}}, "'alpha'"),
+    ({"kind": "slopes", "theorems": ["MINNORM"],
+      "schedule": {"taus": [1, 2, 4, 8], "beta_0": 5}}, "'schedule.beta_0'"),
+    ({"kind": "scan", "candidate": [["0"]]}, "'candidate'"),
+])
+def test_unknown_task_key_is_named(tmp_path, task, named, capsys):
+    """A misplaced or misspelled task key exits 3 before any work and
+    names the key, instead of being dropped."""
+    blob = json.loads(json.dumps(KINK))
+    blob["tasks"] = [task]
+    path = write_scenario(tmp_path, blob)
+    assert run_scenario(path, out_dir=tmp_path / "out") == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "unknown" in err and named in err
 
 
 @pytest.mark.parametrize("mutate", [

@@ -1,4 +1,5 @@
 """Exact-kernel tests: construction, measures, integration, mixed volumes."""
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,9 +16,11 @@ from kstab.errors import (
     NotAVertex,
     UnboundedInput,
 )
-from kstab.plconfig import pl_fn
+from kstab import plconfig, polytope
+from kstab.plconfig import make_config, pl_fn
 from kstab.polytope import (
     Halfspace,
+    Polytope,
     VBody,
     as_body,
     box,
@@ -30,6 +33,7 @@ from kstab.polytope import (
     minkowski_sum,
     mixed_volume,
     regions_of_max,
+    solve_exact,
     unit_simplex,
     volume_data,
 )
@@ -191,6 +195,232 @@ def test_delzant_flags():
     assert unit_simplex(2).is_delzant
     skew = construct(vertices=[(0, 0), (1, 2), (2, 1)])
     assert not skew.is_delzant
+
+
+# -- the integer enumeration against the Fraction reference -----------------
+
+
+def _reference_row_reduce(rows):
+    """Gauss-Jordan elimination in Fractions: (reduced rows, pivots)."""
+    mat = [[F(x) for x in r] for r in rows]
+    pivots = []
+    for col in range(len(mat[0]) if mat else 0):
+        top = len(pivots)
+        piv = next((i for i in range(top, len(mat)) if mat[i][col] != 0), None)
+        if piv is None:
+            continue
+        mat[top], mat[piv] = mat[piv], mat[top]
+        pv = mat[top][col]
+        mat[top] = [x / pv for x in mat[top]]
+        for i in range(len(mat)):
+            if i != top and mat[i][col] != 0:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[top])]
+        pivots.append(col)
+    return mat, pivots
+
+
+def _reference_rank(rows):
+    return len(_reference_row_reduce(rows)[1])
+
+
+def _reference_affine_rank(points):
+    return _reference_rank([tuple(a - b for a, b in zip(p, points[0]))
+                            for p in points[1:]])
+
+
+def _reference_unbounded(normals, dim):
+    if _reference_rank(normals) < dim:
+        return True
+    for rows in itertools.combinations(normals, dim - 1):
+        d = polytope._cofactor_normal(rows)
+        signs = [polytope.dot(n, d) for n in normals]
+        if any(d) and (max(signs) <= 0 or min(signs) >= 0):
+            return True
+    return False
+
+
+def _reference_solve_square(rows, rhs):
+    """Cramer's rule in Fractions; None when the system is singular."""
+    d = polytope._det(rows)
+    if d == 0:
+        return None
+    return tuple(F(polytope._det([r[:j] + (rhs[i],) + r[j + 1:]
+                                  for i, r in enumerate(rows)])) / d
+                 for j in range(len(rows)))
+
+
+def _reference_construct(halfspaces):
+    """Vertices by solving every dim-subset of the halfspaces in
+    Fractions and testing each solution against every slack; the
+    incidence by a second slack pass over every vertex."""
+    best = {}
+    for h in halfspaces:
+        if h.normal not in best or h.offset < best[h.normal].offset:
+            best[h.normal] = h
+    hs = list(best.values())
+    if not hs:
+        raise UnboundedInput("empty")
+    dim = len(hs[0].normal)
+    if any(len(h.normal) != dim for h in hs):
+        raise DomainMismatch("mixed dimension")
+    if _reference_unbounded([h.normal for h in hs], dim):
+        raise UnboundedInput("unbounded")
+    verts = set()
+    for idx in itertools.combinations(hs, dim):
+        x = _reference_solve_square([h.normal for h in idx],
+                                    [h.offset for h in idx])
+        if x is not None and all(h.slack(x) >= 0 for h in hs):
+            verts.add(x)
+    if not verts:
+        raise InconsistentInput("infeasible")
+    vlist = sorted(verts)
+    if _reference_affine_rank(vlist) < dim:
+        raise DegenerateInput("lower-dimensional")
+    kept = []
+    for h in hs:
+        tight = tuple(i for i, v in enumerate(vlist) if h.slack(v) == 0)
+        if (len(tight) >= dim and _reference_affine_rank(
+                [vlist[i] for i in tight]) == dim - 1):
+            kept.append((h, tight))
+    kept.sort(key=lambda pair: (pair[0].normal, pair[0].offset))
+    return Polytope(dim=dim, halfspaces=tuple(h for h, _ in kept),
+                    vertices=tuple(vlist),
+                    facet_vertices=tuple(t for _, t in kept))
+
+
+def _assert_matches_reference(halfspaces):
+    """construct(halfspaces=...) equals the reference polytope, or
+    raises an error of exactly the reference's type."""
+    try:
+        want = _reference_construct(halfspaces)
+    except (UnboundedInput, InconsistentInput, DegenerateInput,
+            DomainMismatch) as exc:
+        with pytest.raises(Exception) as got:
+            construct(halfspaces=halfspaces)
+        assert type(got.value) is type(exc)
+        return None
+    assert construct(halfspaces=halfspaces) == want
+    return want
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_construct_matches_reference_on_seeded_configs(seed, monkeypatch):
+    """Every halfspace system built for a seeded configuration: its
+    base, maximality cells and Cayley polytope, and per base vertex the
+    chopped base, its cells and its chopped Cayley polytope."""
+    calls = []
+    real = polytope.construct
+
+    def recording(halfspaces=None, vertices=None):
+        if halfspaces is not None:
+            calls.append(tuple(halfspaces))
+        return real(halfspaces=halfspaces, vertices=vertices)
+
+    monkeypatch.setattr(polytope, "construct", recording)
+    monkeypatch.setattr(plconfig, "construct", recording)
+    cfg = random_config(random.Random(seed), normalized="min_zero")
+    for v in cfg.base.vertices:
+        try:
+            chopped = corner_chop(cfg.base, v, F(1, 8))
+        except ChopTooLarge:
+            continue
+        make_config(chopped, cfg.g.restricted_to(chopped), cfg.shift)
+    monkeypatch.undo()
+    assert any(len(hs[0].normal) == cfg.dim + 1 for hs in calls)
+    for hs in calls:
+        _assert_matches_reference(hs)
+
+
+@pytest.mark.parametrize("halfspaces", [
+    [],
+    [Halfspace((1,), F(1))],
+    [Halfspace((-1, 0), F(0)), Halfspace((0, -1), F(0)),
+     Halfspace((-1, -1), F(0))],
+    [Halfspace((1,), F(1)), Halfspace((1, 0), F(1))],
+    [Halfspace((1,), F(0)), Halfspace((-1,), F(-1)), Halfspace((1,), F(-5))],
+    [Halfspace((1, 0), F(0)), Halfspace((-1, 0), F(-1)),
+     Halfspace((0, 1), F(1)), Halfspace((0, -1), F(0))],
+    [Halfspace((1,), F(0)), Halfspace((-1,), F(0)), Halfspace((1,), F(1))],
+    [Halfspace((1, 1), F(1)), Halfspace((-1, -1), F(-1)),
+     Halfspace((-1, 0), F(0)), Halfspace((0, -1), F(0))],
+])
+def test_construct_errors_match_reference(halfspaces):
+    """Empty, unbounded, mixed-dimension, infeasible and
+    lower-dimensional systems raise the reference's error type."""
+    assert _assert_matches_reference(halfspaces) is None
+
+
+def test_square_pyramid_apex_lies_on_four_facets():
+    hs = [Halfspace((0, 0, -1), F(0)),
+          Halfspace((-1, 0, 1), F(0)), Halfspace((0, -1, 1), F(0)),
+          Halfspace((1, 0, 1), F(2)), Halfspace((0, 1, 1), F(2))]
+    p = _assert_matches_reference(hs)
+    apex = p.vertex_index((1, 1, 1))
+    sides = {p.halfspaces[k].normal for k in p.vertex_facets(apex)}
+    assert sides == {h.normal for h in hs[1:]}
+    assert {h.normal: len(fv) for h, fv in zip(
+        p.halfspaces, p.facet_vertices)}[(0, 0, -1)] == 4
+    assert all(len(fv) == 3 for h, fv in zip(p.halfspaces, p.facet_vertices)
+               if h.normal != (0, 0, -1))
+    assert not p.is_delzant_vertex(apex)
+
+
+def test_cayley_pieces_meeting_at_a_base_vertex():
+    """g = max(x, y) on the unit square: both top facets of the Cayley
+    polytope pass through the corners over (0, 0) and (1, 1), so those
+    vertices lie on four facets of a three-dimensional polytope."""
+    base = box(2)
+    cfg = make_config(base, pl_fn(base, [((1, 0), 0), ((0, 1), 0)]), 3)
+    hs = [Halfspace(h.normal + (0,), h.offset) for h in base.halfspaces]
+    hs += [Halfspace((0, 0, -1), F(0)), Halfspace((1, 0, 1), F(3)),
+           Halfspace((0, 1, 1), F(3))]
+    assert _assert_matches_reference(hs) == cfg.cayley
+    q = cfg.cayley
+    for corner in ((0, 0, 3), (1, 1, 2)):
+        assert len(q.vertex_facets(q.vertex_index(corner))) == 4
+    assert _assert_matches_reference(q.halfspaces) == q
+
+
+def _random_rational_rows(rng, nrows, ncols):
+    def entry():
+        if rng.random() < 0.3:
+            return 0
+        return F(rng.randrange(-9, 10), rng.randrange(1, 7))
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    if nrows >= 2 and rng.random() < 0.5:
+        a, b = F(rng.randrange(-3, 4), 2), F(rng.randrange(-3, 4), 3)
+        rows.append([a * x + b * y for x, y in zip(rows[0], rows[1])])
+    if rng.random() < 0.3:
+        rows.append([0] * ncols)
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_rank_and_solve_match_fraction_gauss_jordan(seed):
+    """The fraction-free elimination against Fraction Gauss-Jordan on
+    rational matrices with 1-4 columns, zero rows and dependent rows:
+    the same pivots, rows proportional to the reduced ones, and the
+    same solutions of square systems."""
+    rng = random.Random(seed)
+    for _ in range(40):
+        rows = _random_rational_rows(rng, rng.randrange(0, 5),
+                                     rng.randrange(1, 5))
+        mat, pivots = polytope._row_reduce(rows)
+        ref, ref_pivots = _reference_row_reduce(rows)
+        assert pivots == ref_pivots
+        assert polytope._rank(rows) == _reference_rank(rows)
+        for row, ref_row, col in zip(mat, ref, pivots):
+            assert [F(x, row[col]) for x in row] == ref_row
+        n = rng.randrange(1, 5)
+        square = _random_rational_rows(rng, n, n)[:n]
+        rhs = [F(rng.randrange(-9, 10), rng.randrange(1, 5)) for _ in range(n)]
+        ref, ref_pivots = _reference_row_reduce(
+            [r + [b] for r, b in zip(square, rhs)])
+        want = ([r[n] for r in ref] if ref_pivots == list(range(n))
+                else None)
+        assert solve_exact(square, rhs) == want
 
 
 # -- integration -------------------------------------------------------------
