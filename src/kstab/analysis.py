@@ -4,10 +4,12 @@ Everything numeric lives downstream of three ingredients built here:
 
   * the Guillemin symplectic potential of a Delzant polytope and its
     exact Hessian field,
-  * deterministic quadrature grids with geometric collar grading (the
-    transported volume forms concentrate mass in an exp(-2*tau) collar
-    near the boundary, so the grading depth is coupled to the largest
-    tau the grid will serve rather than to a fixed shrink factor),
+  * deterministic quadrature grids with geometric grading: the collar
+    depth follows the largest tau the grid serves (the transported
+    volume forms concentrate mass in an exp(-2*tau) collar near the
+    boundary), and in 2D the along-edge depth follows the distance to
+    the facet, min(depth, k + 2) at 2^-k, since such a node is at least
+    as far from the adjacent facets (see fan_grid),
   * a vectorized damped Newton solver for the Legendre transport
     x -> x_tau defined by grad u_tau(x_tau) = grad u_0(x).
 
@@ -197,8 +199,8 @@ def collar_depth_for(tau_max: float) -> int:
     coordinates (see the functionals module), where the collar tail
     carries only O(2^-46) mass regardless of tau.
     """
-    return min(46, max(12, math.ceil((2.0 * float(tau_max) + 14.0)
-                                     / math.log(2.0))))
+    need = (2.0 * float(tau_max) + 14.0) / math.log(2.0)
+    return max(12, math.ceil(min(46.0, need)))  # need may be inf
 
 
 @lru_cache(maxsize=None)
@@ -267,31 +269,38 @@ def line_grid(base: Polytope, depth: int, creases=(), graded_order: int = 8,
 
 def fan_grid(base: Polytope, depth: int, inner_order: int = 12,
              graded_order: int = 4) -> Grid:
-    """Barycentric fan over the facets with dyadic grading.
+    """Barycentric fan over the facets, graded at the collar and corners.
 
     Each facet spans a triangle (barycenter, v_i, v_j) parametrized by
-    radial t and along-edge s; both parameters are graded dyadically so
-    the collar and the corners are resolved to depth 2^-depth.
+    radial t, graded dyadically to 1 - 2^-depth, and along-edge s.  The
+    radial panel ending at 1 - 2^-k grades s to min(depth, max(3, k + 2))
+    and the panel touching the facet to the full depth: a node about 2^-k
+    from the facet is also about 2^-k or more from the adjacent facets,
+    so only the corner panels need 2^-depth along the edge.
     """
     vd = volume_data(base)
     bary = np.array([float(c) for c in vd.barycenter])
-    t_breaks = [0.0, 0.25, 0.5] + [1.0 - 0.5 ** k for k in range(1, depth + 1)] + [1.0]
-    t_breaks = sorted(set(t_breaks))
-    s_breaks = _graded_breaks(depth)
-    tx, tw = _panel_nodes(t_breaks, inner_order, graded_order, 0.0, 0.5)
-    sx, sw = _panel_nodes(s_breaks, inner_order, graded_order, 0.25, 0.75)
+    t_breaks = [0.0, 0.25] + [1.0 - 0.5 ** k for k in range(1, depth + 1)] + [1.0]
+    s_rules = {d: _panel_nodes(_graded_breaks(d), inner_order, graded_order,
+                               0.25, 0.75)
+               for d in range(min(3, depth), depth + 1)}
+    blocks = []
+    for k, (a, b) in enumerate(zip(t_breaks[:-1], t_breaks[1:])):
+        tx, tw = _panel_nodes([a, b], inner_order, graded_order, 0.0, 0.5)
+        sx, sw = s_rules[min(depth, max(3, k + 2))]  # b = 1 - 2^-k for k >= 1
+        blocks.append((np.repeat(tx, len(sx)), np.tile(sx, len(tx)),
+                       (np.outer(tw, sw) * tx[:, None]).reshape(-1)))
+    t, s, w = map(np.concatenate, zip(*blocks))
 
     pts_all, w_all = [], []
-    for k, h in enumerate(base.halfspaces):
-        vi, vj = sorted(base.facet_vertices[k])[:2]
+    for fv in base.facet_vertices:
+        vi, vj = sorted(fv)[:2]
         A = np.array([float(c) for c in base.vertices[vi]]) - bary
         B = np.array([float(c) for c in base.vertices[vj]]) - bary
         det = abs(A[0] * B[1] - A[1] * B[0])
-        edge = (1 - sx)[:, None] * A[None, :] + sx[:, None] * B[None, :]
-        pts = bary[None, None, :] + tx[:, None, None] * edge[None, :, :]
-        wgt = (tw[:, None] * sw[None, :]) * tx[:, None] * det
-        pts_all.append(pts.reshape(-1, 2))
-        w_all.append(wgt.reshape(-1))
+        edge = (1 - s)[:, None] * A[None, :] + s[:, None] * B[None, :]
+        pts_all.append(bary[None, :] + t[:, None] * edge)
+        w_all.append(w * det)
     return Grid(points=np.concatenate(pts_all), weights=np.concatenate(w_all))
 
 
@@ -332,7 +341,7 @@ def crease_points(g: PLConvexFn):
 def crease_ladder_depth(beta: float, tau_max: float) -> int:
     """Crease grading depth resolving features of scale 1/(beta*tau)."""
     need = 0.32 * max(float(beta), 1.0) * max(float(tau_max), 1.0)
-    return min(22, max(8, math.ceil(math.log2(need))))
+    return max(8, math.ceil(min(22.0, math.log2(need))))  # need may be inf
 
 
 # ---------------------------------------------------------------------------

@@ -418,26 +418,25 @@ class VolumeData:
 
 
 def _order_facet_cycle(points, normal):
-    """Cyclic order of a convex facet polygon (exact angular sort)."""
-    drop = max(range(len(normal)), key=lambda i: abs(normal[i]))
-    flat = [tuple(p[i] for i in range(len(p)) if i != drop) for p in points]
-    cx = sum(p[0] for p in flat) / len(flat)
-    cy = sum(p[1] for p in flat) / len(flat)
+    """Cyclic order of a convex facet polygon (exact angular sort).
 
-    def half(p):
-        dx, dy = p[0] - cx, p[1] - cy
-        return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
+    The offsets from the centroid are integers, scaled once by the point
+    count and the common denominator; the scale is positive, so every
+    comparison is that of the Fraction offsets.
+    """
+    drop = max(range(len(normal)), key=lambda i: abs(normal[i]))
+    flat = [[c for i, c in enumerate(p) if i != drop] for p in points]
+    den = lcm(*(c.denominator for p in flat for c in p))
+    ints = [[c.numerator * (den // c.denominator) for c in p] for p in flat]
+    sx, sy = map(sum, zip(*ints))
+    rel = [(len(ints) * x - sx, len(ints) * y - sy) for x, y in ints]
+    half = [0 if (dy > 0 or (dy == 0 and dx > 0)) else 1 for dx, dy in rel]
 
     def cmp(i, j):
-        hi, hj = half(flat[i]), half(flat[j])
-        if hi != hj:
-            return -1 if hi < hj else 1
-        ax, ay = flat[i][0] - cx, flat[i][1] - cy
-        bx, by = flat[j][0] - cx, flat[j][1] - cy
-        cross = ax * by - ay * bx
-        if cross == 0:
-            return 0
-        return -1 if cross > 0 else 1
+        if half[i] != half[j]:
+            return half[i] - half[j]
+        cross = rel[i][0] * rel[j][1] - rel[i][1] * rel[j][0]
+        return (cross < 0) - (cross > 0)
 
     return [points[i] for i in sorted(range(len(points)), key=cmp_to_key(cmp))]
 

@@ -36,6 +36,7 @@ from kstab.errors import NewtonDivergence, NonDelzant
 from kstab.functionals import mixed_discriminant
 from kstab.plconfig import make_config, normalize
 from kstab.polytope import box, construct, interval, unit_simplex, volume_data
+from kstab.slopes import Schedule, _energy_row, ladder
 
 
 def same_bits(a, b) -> bool:
@@ -160,12 +161,14 @@ def test_collar_depth_schedule():
     assert collar_depth_for(8.0) == 44
     assert collar_depth_for(12.0) == 46  # capped at the float64 wall
     assert collar_depth_for(30.0) == 46
+    assert collar_depth_for(1e308) == 46  # capped before ceil, no overflow
 
 
 def test_crease_ladder_depth_tracks_schedule():
     assert crease_ladder_depth(10.0, 1.0) == 8
     assert crease_ladder_depth(120.0, 12.0) >= 9
     assert crease_ladder_depth(1e9, 1e9) == 22
+    assert crease_ladder_depth(10.0, 1e308) == 22
 
 
 @pytest.mark.parametrize("base", [interval(0, 1), interval(-2, 1),
@@ -215,6 +218,95 @@ def test_grids_match_fresh_leggauss_panels(monkeypatch):
     for grid, ref in zip(cached, build()):
         assert same_bits(grid.points, ref.points)
         assert same_bits(grid.weights, ref.weights)
+
+
+def test_transport_and_bulk_grid_node_counts():
+    assert fan_grid(box(2), 46).size == 170_880
+    assert fan_grid(unit_simplex(2), 46).size == 128_160
+    assert bulk_grid(box(2)).size == 26_560
+    assert bulk_grid(unit_simplex(2)).size == 19_920
+
+
+@pytest.mark.parametrize("depth", [12, 20])
+@pytest.mark.parametrize("base", [box(2), unit_simplex(2)])
+def test_fan_grid_couples_edge_depth_to_radial_level(base, depth):
+    """Each radial panel of a facet triangle carries the along-edge rule
+    of depth min(depth, max(3, k + 2)), k the level of its outer break
+    1 - 2^-k; the two inner panels take depth 3 and the panel touching
+    the facet the full depth.  Counted per panel from the slack of the
+    first facet, which fixes the radial parameter t of every node."""
+    grid = fan_grid(base, depth)
+    h = base.halfspaces[0]
+    normal = np.array([float(c) for c in h.normal])
+    offset = float(h.offset)
+    bary = np.array([float(c) for c in volume_data(base).barycenter])
+    pts = grid.points[:grid.size // len(base.halfspaces)]
+    t = 1.0 - (offset - pts @ normal) / (offset - bary @ normal)
+
+    def edge_nodes(d):
+        breaks = analysis._graded_breaks(d)
+        return len(analysis._panel_nodes(breaks, 12, 4, 0.25, 0.75)[0])
+
+    panels = [(0.0, 0.25, 12, 3), (0.25, 0.5, 12, 3)]
+    panels += [(1.0 - 0.5 ** (k - 1), 1.0 - 0.5 ** k, 4, min(depth, k + 2))
+               for k in range(2, depth + 1)]
+    panels.append((1.0 - 0.5 ** depth, 1.0, 4, depth))
+    for a, b, radial_order, edge_depth in panels:
+        inside = np.count_nonzero((t > a) & (t < b))
+        assert inside == radial_order * edge_nodes(edge_depth), (a, b)
+    assert sum(radial_order * edge_nodes(d)
+               for _, _, radial_order, d in panels) == len(pts)
+
+
+def tensor_fan_grid(base, depth, inner_order=12, graded_order=4):
+    """The fan grid before corner coupling: every radial panel takes the
+    full along-edge breakpoints of `depth`.  Reference only."""
+    vd = volume_data(base)
+    bary = np.array([float(c) for c in vd.barycenter])
+    t_breaks = [0.0, 0.25, 0.5] + [1.0 - 0.5 ** k for k in range(1, depth + 1)] + [1.0]
+    t_breaks = sorted(set(t_breaks))
+    s_breaks = analysis._graded_breaks(depth)
+    tx, tw = analysis._panel_nodes(t_breaks, inner_order, graded_order,
+                                   0.0, 0.5)
+    sx, sw = analysis._panel_nodes(s_breaks, inner_order, graded_order,
+                                   0.25, 0.75)
+    pts_all, w_all = [], []
+    for k, h in enumerate(base.halfspaces):
+        vi, vj = sorted(base.facet_vertices[k])[:2]
+        A = np.array([float(c) for c in base.vertices[vi]]) - bary
+        B = np.array([float(c) for c in base.vertices[vj]]) - bary
+        det = abs(A[0] * B[1] - A[1] * B[0])
+        edge = (1 - sx)[:, None] * A[None, :] + sx[:, None] * B[None, :]
+        pts = bary[None, None, :] + tx[:, None, None] * edge[None, :, :]
+        wgt = (tw[:, None] * sw[None, :]) * tx[:, None] * det
+        pts_all.append(pts.reshape(-1, 2))
+        w_all.append(wgt.reshape(-1))
+    return analysis.Grid(points=np.concatenate(pts_all),
+                         weights=np.concatenate(w_all))
+
+
+def test_coupled_grid_matches_tensor_grid_rows(monkeypatch):
+    """The square affine DF rungs M(tau) at tau = 1, 2, 4 and the simplex
+    MINNORM energy rows at tau = 1, 2 agree with the tensor grid's to
+    1e-9."""
+    square = normalize(make_config(box(2), [((1, 0), 0)]), "min_zero")
+    simplex = normalize(make_config(unit_simplex(2), [((1, 0), 0)]),
+                        "min_zero")
+    cases = ((square, "DF", (1.0, 2.0, 4.0)), (simplex, "MINNORM", (1.0, 2.0)))
+
+    def rows():
+        out = []
+        for cfg, theorem, taus in cases:
+            out += ladder(cfg, Schedule(taus=taus), lambda ray, t: _energy_row(
+                ray, t, theorem, None, None)[:6])
+        return np.array(out)
+
+    coupled = rows()
+    monkeypatch.setattr(analysis, "fan_grid", tensor_fan_grid)
+    tensor = rows()
+    assert build_grid(box(2), 46).size == 319_488
+    assert np.all(np.isfinite(coupled))
+    assert np.max(np.abs(coupled - tensor)) < 1e-9
 
 
 def test_crease_ladder_adds_panels():

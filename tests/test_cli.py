@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import kstab
-from kstab.cli import (EXIT_PARSE, EXIT_PASS, EXIT_VALIDATION,
+from kstab.cli import (EXIT_NUMERIC, EXIT_PARSE, EXIT_PASS, EXIT_VALIDATION,
                        EXIT_VERDICT_FAIL, bundled_scenarios, emit_outputs,
                        main, run_scenario)
 
@@ -30,6 +30,16 @@ def write_scenario(tmp_path, blob, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(blob))
     return path
+
+
+def run_cli(*args):
+    """python -m kstab.cli in a child that imports the same kstab as
+    this test, installed or not."""
+    src = str(Path(kstab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "kstab.cli", *args],
+                          capture_output=True, text=True, env=env)
 
 
 def _refuse_constant(name):
@@ -168,6 +178,30 @@ def test_malformed_numbers_exit_3_without_traceback(tmp_path, mutate,
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("blob", [
+    {"schema": "kstab-scenario/1", "name": "interval-huge-tau",
+     "polytope": {"kind": "interval", "lo": "0", "hi": "1"},
+     "pl": [[["1"], "0"]],
+     "tasks": [{"kind": "slopes", "theorems": ["MINNORM"],
+                "schedule": {"taus": [1, 2, 1e308]}}]},
+    {"schema": "kstab-scenario/1", "name": "square-huge-tau",
+     "polytope": {"kind": "box", "dim": 2},
+     "pl": [[["1", "0"], "0"]],
+     "tasks": [{"kind": "slopes", "theorems": ["AM"],
+                "schedule": {"taus": [1, 2, 3, 4, 5, 1e308]}}]},
+])
+def test_huge_finite_tau_exits_4_without_traceback(tmp_path, blob):
+    """A finite tau too large for the grid depths ends in a numerical
+    failure, not in an OverflowError from the depth schedules.  Run as
+    the console command: the transport overflows on the way, and its
+    RuntimeWarnings are only warnings there."""
+    path = write_scenario(tmp_path, blob)
+    proc = run_cli("run", str(path), "--out", str(tmp_path / "out"))
+    assert proc.returncode == EXIT_NUMERIC, proc.stderr
+    assert "numerical failure" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_report_refuses_non_finite_numbers(tmp_path):
     results = {"name": "nan-smoke", "timestamp": "t", "seed": None,
                "options": {}, "pass": True,
@@ -279,14 +313,7 @@ def test_bundled_scenarios_are_discoverable():
 def test_console_entry_point_matches_main(tmp_path):
     path = write_scenario(tmp_path, KINK)
     out = tmp_path / "out"
-    # the child imports the same kstab as this test, installed or not
-    src = str(Path(kstab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "kstab.cli", "run", str(path),
-         "--out", str(out), "--seed", "7"],
-        capture_output=True, text=True, env=env)
+    proc = run_cli("run", str(path), "--out", str(out), "--seed", "7")
     assert proc.returncode == EXIT_PASS, proc.stderr
     report = read_report(out)
     assert report["seed"] == 7

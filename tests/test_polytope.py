@@ -2,6 +2,7 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings
@@ -330,6 +331,51 @@ def test_construct_matches_reference_on_seeded_configs(seed, monkeypatch):
     assert any(len(hs[0].normal) == cfg.dim + 1 for hs in calls)
     for hs in calls:
         _assert_matches_reference(hs)
+
+
+def _reference_facet_cycle(points, normal):
+    """The Fraction comparator sort that _order_facet_cycle replaced:
+    every comparison recomputes the offsets from the centroid."""
+    drop = max(range(len(normal)), key=lambda i: abs(normal[i]))
+    flat = [tuple(p[i] for i in range(len(p)) if i != drop) for p in points]
+    cx = sum(p[0] for p in flat) / len(flat)
+    cy = sum(p[1] for p in flat) / len(flat)
+
+    def half(p):
+        dx, dy = p[0] - cx, p[1] - cy
+        return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
+
+    def cmp(i, j):
+        hi, hj = half(flat[i]), half(flat[j])
+        if hi != hj:
+            return -1 if hi < hj else 1
+        ax, ay = flat[i][0] - cx, flat[i][1] - cy
+        bx, by = flat[j][0] - cx, flat[j][1] - cy
+        cross = ax * by - ay * bx
+        if cross == 0:
+            return 0
+        return -1 if cross > 0 else 1
+
+    return [points[i] for i in sorted(range(len(points)), key=cmp_to_key(cmp))]
+
+
+def test_facet_cycle_matches_fraction_comparator():
+    """Same cyclic order as the Fraction comparator on every 3D facet of
+    40 seeded Cayley polytopes, for the stored and a shuffled order."""
+    checked = 0
+    for seed in range(40):
+        cayley = random_config(random.Random(seed), "min_zero").cayley
+        if cayley.dim != 3:
+            continue
+        rng = random.Random(seed)
+        for h, fv in zip(cayley.halfspaces, cayley.facet_vertices):
+            points = [cayley.vertices[i] for i in fv]
+            for _ in range(2):
+                assert polytope._order_facet_cycle(points, h.normal) == \
+                    _reference_facet_cycle(points, h.normal)
+                rng.shuffle(points)
+            checked += 1
+    assert checked > 100
 
 
 @pytest.mark.parametrize("halfspaces", [
