@@ -15,10 +15,12 @@ Euclidean volumes and intersection numbers (L^n = n! vol P).  Every
 Donaldson-Futaki evaluation compares the routes exactly; any
 disagreement raises instead of silently picking a route.
 
-The intersection route needs one subtlety: when g has non-integer
-gradients the top facets of Q carry lattice multiplicities, so the
-route is evaluated after a degree-d rescaling of the fibre direction
-(d = lcm of the gradient denominators) and divided back by d.
+On Q the DF reads n! * (a * vol Q - sum of sigma_F over the vertical
+facets of Q), those with normal (nu, 0), where a = sigma(boundary P) /
+vol P.  Only the vertical facets enter: a top facet over a cell of g
+with primitive normal (k, k_t) has |k_t| * sigma_F = vol(cell), so the
+top facets together with the bottom facet t = 0 carry no information
+beyond vol P, whatever the denominators of the gradients of g.
 """
 from __future__ import annotations
 
@@ -73,29 +75,21 @@ def _boundary_raw(cfg: ToricTestConfig) -> Fraction:
             - a * integrate(cfg.base, cfg.g))
 
 
-def _gradient_lcm(cfg: ToricTestConfig) -> int:
-    return math.lcm(*(Fraction(c).denominator
-                      for p in cfg.g.pieces for c in p.gradient))
-
-
 def _intersection_df(cfg: ToricTestConfig) -> Fraction:
-    """DF from exact data of the Cayley polytope.
+    """DF from exact data of the Cayley polytope Q alone.
 
-    Rescales the fibre direction by d = lcm of gradient denominators so
-    that every top facet of Q is reduced, evaluates the intersection
-    formula there, and divides by d.
+    The vertical facet of Q over a facet E of P has sigma equal to the
+    integral of the fibre length f = shift - g over E, and vol Q is its
+    integral over P, so n! * (a * vol Q - sum of vertical sigma) is the
+    boundary formula with the shift cancelling (a * vol P = sigma(dP)).
     """
-    n = cfg.dim
-    d = _gradient_lcm(cfg)
-    work = cfg if d == 1 else make_config(cfg.base, cfg.g.scaled(d),
-                                          cfg.shift * d)
     base_vd = volume_data(cfg.base)
-    q_vd = volume_data(work.cayley)
+    q_vd = volume_data(cfg.cayley)
     a = base_vd.boundary_sigma_volume / base_vd.volume
-    fact = math.factorial(n)
-    raw = a * fact * q_vd.volume \
-        - fact * (q_vd.boundary_sigma_volume - 2 * base_vd.volume)
-    return raw / d
+    vertical = sum(sigma for h, sigma in zip(cfg.cayley.halfspaces,
+                                             q_vd.per_facet_sigma)
+                   if h.normal[-1] == 0)
+    return math.factorial(cfg.dim) * (a * q_vd.volume - vertical)
 
 
 def calibration_constant(n: int) -> Fraction:

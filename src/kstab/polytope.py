@@ -23,7 +23,8 @@ asymptotics, one rule per job:
     above), then the volume and barycenter as cones from a vertex;
     affine integrals read these moments;
   * mixed volumes V(K, ..., K, L) by Minkowski's facet formula over
-    the facets of K.
+    the facets of K; a flat K (a base lifted by ``embed_at_height``)
+    has the two facets +-e_t, each of sigma vol(base).
 
 A PL integrand is integrated over the maximality cells that it
 carries (``plconfig.PLConvexFn``); ``regions_of_max`` computes them.
@@ -590,102 +591,83 @@ def integrate(poly: Polytope, fn, region: str = "interior") -> Fraction:
 
 @dataclass(frozen=True)
 class VBody:
-    """Vertex-described convex body, possibly lower-dimensional.
+    """An n-polytope lifted to height 0 in dimension n + 1: a flat
+    mixed-volume summand (``embed_at_height``).  Its faces are those of
+    ``base``; ``vertices`` are the lifted base vertices."""
 
-    Used as mixed-volume input alongside full Polytope objects; carries
-    just enough face data (edge directions, facet normals, affine-hull
-    normals) to generate candidate facet normals of Minkowski sums.
-    """
-
-    ambient: int
+    base: Polytope
     vertices: tuple
-    edge_dirs: tuple
-    facet_normals: tuple
-    plane_normals: tuple
 
-
-def as_body(obj) -> VBody:
-    if isinstance(obj, VBody):
-        return obj
-    if isinstance(obj, Polytope):
-        dirs = []
-        for i, j in obj.edges():
-            d = tuple(a - b for a, b in zip(obj.vertices[j], obj.vertices[i]))
-            prim, _ = primitivize(d)
-            dirs.append(prim)
-        return VBody(ambient=obj.dim, vertices=obj.vertices,
-                     edge_dirs=tuple(dirs),
-                     facet_normals=tuple(h.normal for h in obj.halfspaces),
-                     plane_normals=())
-    raise DomainMismatch(f"cannot interpret {type(obj).__name__} as a convex body")
+    @property
+    def dim(self) -> int:  # ambient dimension, n + 1
+        return self.base.dim + 1
 
 
 def embed_at_height(poly: Polytope) -> VBody:
-    """Embed an n-polytope as a horizontal body at height 0 in dimension n+1."""
-    base = as_body(poly)
-    e_t = tuple([0] * poly.dim + [1])
-    return VBody(
-        ambient=poly.dim + 1,
-        vertices=tuple(v + (Fraction(0),) for v in base.vertices),
-        edge_dirs=tuple(d + (0,) for d in base.edge_dirs),
-        facet_normals=tuple(n + (0,) for n in base.facet_normals),
-        plane_normals=(e_t, tuple(-x for x in e_t)),
-    )
+    """The flat body {(x, 0) : x in poly} in dimension n + 1.
+
+    Mixed volumes read its two facets +-e_t, each with sigma = vol(poly),
+    and Minkowski sums its base faces lifted; nothing is re-measured.
+    """
+    return VBody(base=poly,
+                 vertices=tuple(v + (Fraction(0),) for v in poly.vertices))
 
 
-def _support_face_dim(body: VBody, nrm) -> int:
+def _support_face_dim(body, nrm) -> int:
     best = max(dot(nrm, v) for v in body.vertices)
     face = [v for v in body.vertices if dot(nrm, v) == best]
     return _affine_rank(face)
 
 
+def _summand_faces(body):
+    """(facet normals, primitive edge directions) of a Minkowski summand:
+    a Polytope's own, or a flat body's base faces lifted, plus +-e_t."""
+    poly = body if isinstance(body, Polytope) else body.base
+    normals = [h.normal for h in poly.halfspaces]
+    dirs = [primitivize(tuple(a - b for a, b in zip(poly.vertices[j],
+                                                     poly.vertices[i])))[0]
+            for i, j in poly.edges()]
+    if poly is body:
+        return normals, dirs
+    e_t = (0,) * poly.dim + (1,)
+    return ([nu + (0,) for nu in normals] + [e_t, tuple(-x for x in e_t)],
+            [d + (0,) for d in dirs])
+
+
 def minkowski_sum(terms):
     """Exact Minkowski sum of scaled bodies; None if lower-dimensional.
 
-    ``terms`` is a list of (nonnegative scale, VBody-or-Polytope).  The
-    halfspace representation is assembled from support values over a
-    complete candidate normal set, then validated: every vertex of the
-    result must be a sum of scaled summand vertices.
+    ``terms`` is a list of (nonnegative scale, Polytope or flat VBody).
+    The halfspace representation is assembled from support values over
+    the candidate facet normals, then validated: every vertex of the
+    result must be a sum of scaled summand vertices.  A facet of the sum
+    is a sum of faces of the summands, so its normal is a facet normal
+    of a summand or, in dimension 3, spanned by edges of two summands.
     """
-    terms = [(frac(s), as_body(b)) for s, b in terms if frac(s) != 0]
+    terms = [(frac(s), b) for s, b in terms if frac(s) != 0]
     if not terms:
         return None
-    dim = terms[0][1].ambient
-    if any(b.ambient != dim for _, b in terms):
+    dim = terms[0][1].dim
+    if any(b.dim != dim for _, b in terms):
         raise DomainMismatch("bodies of mixed ambient dimension")
     if dim > 3:
         raise DomainMismatch(
             "Minkowski facet enumeration implemented for ambient dim <= 3")
-
-    cloud = {}
-    combos = [[(s, v) for v in b.vertices] for s, b in terms]
-    for pick in itertools.product(*combos):
-        pt = tuple(sum(s * v[j] for s, v in pick) for j in range(dim))
-        cloud[pt] = True
-    cloud = list(cloud)
+    cloud = {tuple(sum(s * v[j] for s, v in pick) for j in range(dim))
+             for pick in itertools.product(
+                 *([(s, v) for v in b.vertices] for s, b in terms))}
     if _affine_rank(cloud) < dim:
         return None
 
-    cands = {}
-    for _, b in terms:
-        for nrm in b.facet_normals + b.plane_normals:
-            cands[nrm] = True
-        if dim == 2:
-            for d in b.edge_dirs:
-                cands[(d[1], -d[0])] = True
-                cands[(-d[1], d[0])] = True
-    if dim == 1:
-        cands[(1,)] = True
-        cands[(-1,)] = True
+    faces = [_summand_faces(b) for _, b in terms]
+    cands = {nrm for normals, _ in faces for nrm in normals}
     if dim == 3:
-        for (_, b1), (_, b2) in itertools.combinations(terms, 2):
-            for d1 in b1.edge_dirs:
-                for d2 in b2.edge_dirs:
-                    c = _cofactor_normal((d1, d2))
-                    if any(x != 0 for x in c):
-                        prim, _ = primitivize(c)
-                        cands[prim] = True
-                        cands[tuple(-x for x in prim)] = True
+        for (_, dirs1), (_, dirs2) in itertools.combinations(faces, 2):
+            for d1, d2 in itertools.product(dirs1, dirs2):
+                c = _cofactor_normal((d1, d2))
+                if any(c):
+                    prim, _ = primitivize(c)
+                    cands |= {prim, tuple(-x for x in prim)}
 
     halfspaces = []
     for nrm in cands:
@@ -694,65 +676,49 @@ def minkowski_sum(terms):
                       for s, b in terms)
             halfspaces.append(Halfspace(nrm, off))
     poly = construct(halfspaces=halfspaces)
-    cloudset = set(cloud)
-    if any(v not in cloudset for v in poly.vertices):
+    if any(v not in cloud for v in poly.vertices):
         raise InconsistentInput("Minkowski sum facet candidates incomplete")
     return poly
 
 
-def _solid(obj):
-    """obj as a full-dimensional Polytope, or None if it is lower-dimensional."""
-    if isinstance(obj, Polytope):
-        return obj
-    body = as_body(obj)
-    if _affine_rank(body.vertices) < body.ambient:
-        return None
-    return _construct_from_vertices(list(body.vertices))
+def _facet_measures(body):
+    """(primitive outer normal, sigma) per facet of a mixed-volume body.
 
-
-def _facet_measures(obj):
-    """(primitive outer normal, sigma) per facet of obj, or None.
-
-    A full-dimensional body lists its facets.  A body spanning a
-    hyperplane with primitive normal nu (the prism base of
-    embed_at_height) is the two-sided limit of thin slabs: facets
-    +nu and -nu, each carrying the body's lattice (d-1)-volume.
+    A Polytope lists its facets.  A flat body is the two-sided limit of
+    thin slabs over its base: facets +e_t and -e_t, each carrying
+    sigma = vol(base).
     """
-    poly = _solid(obj)
-    if poly is not None:
-        return list(zip((h.normal for h in poly.halfspaces),
-                        volume_data(poly).per_facet_sigma))
-    body = as_body(obj)
-    if not body.plane_normals or _affine_rank(body.vertices) != body.ambient - 1:
-        return None
-    nu = body.plane_normals[0]
-    sigma, _ = _facet_measure(body.vertices, nu)
-    return [(nu, sigma), (tuple(-c for c in nu), sigma)]
+    if isinstance(body, Polytope):
+        return zip((h.normal for h in body.halfspaces),
+                   volume_data(body).per_facet_sigma)
+    e_t = (0,) * body.base.dim + (1,)
+    sigma = volume_data(body.base).volume
+    return [(e_t, sigma), (tuple(-x for x in e_t), sigma)]
 
 
 def mixed_volume(bodies) -> Fraction:
     """Mixed volume V(K_1, ..., K_d), normalized so V(K,...,K) = Vol(K).
 
-    Bodies are grouped up to equal vertex sets.  One distinct body
-    gives its volume (0 if it is lower-dimensional).  Two distinct
-    bodies K, appearing d-1 times, and L give Minkowski's facet formula
+    Bodies are Polytopes or flat bodies (``embed_at_height``), grouped
+    up to equal vertex sets.  One distinct body gives its volume (0 if
+    it is flat).  Two distinct bodies K, appearing d-1 times, and L give
+    Minkowski's facet formula
 
         V(K[d-1], L) = (1/d) * sum over facets F of K of h_L(nu_F) * sigma(F),
 
     with nu_F the primitive outer normal, h_L the support function and
     sigma the lattice facet measure of volume_data (d sigma ^ d ell =
-    d mu, so h_L(nu) * sigma equals the Euclidean h_L(u) * area).  K
-    is full-dimensional or spans a hyperplane; any other mix of bodies
-    raises DomainMismatch.
+    d mu, so h_L(nu) * sigma equals the Euclidean h_L(u) * area).  A
+    flat K has the two facets +-e_t with sigma = vol(base), read from
+    the base's volume_data.  Any other mix of bodies raises
+    DomainMismatch.
     """
     if not bodies:
         raise InconsistentInput("mixed volume of an empty list")
-    dims = [b.dim if isinstance(b, Polytope) else as_body(b).ambient
-            for b in bodies]
-    n = dims[0]
+    n = bodies[0].dim
     if len(bodies) != n:
         raise DomainMismatch(f"need exactly {n} bodies in dimension {n}")
-    if any(d != n for d in dims):
+    if any(b.dim != n for b in bodies):
         raise DomainMismatch("bodies of mixed ambient dimension")
 
     groups = {}
@@ -762,18 +728,16 @@ def mixed_volume(bodies) -> Fraction:
     mult = [len(group) for group in groups.values()]
 
     if len(distinct) == 1:
-        poly = _solid(distinct[0])
-        return Fraction(0) if poly is None else volume_data(poly).volume
-    if len(distinct) == 2:
-        for k in (0, 1):
-            facets = _facet_measures(distinct[k]) if mult[k] == n - 1 else None
-            if facets is not None:
-                other = distinct[1 - k].vertices
-                return sum(max(dot(nu, v) for v in other) * sigma
-                           for nu, sigma in facets) / n
+        k = distinct[0]
+        return volume_data(k).volume if isinstance(k, Polytope) \
+            else Fraction(0)
+    if len(distinct) == 2 and n - 1 in mult:
+        k = mult.index(n - 1)
+        other = distinct[1 - k].vertices
+        return sum(max(dot(nu, v) for v in other) * sigma
+                   for nu, sigma in _facet_measures(distinct[k])) / n
     raise DomainMismatch(
-        "mixed volume needs the form V(K, ..., K, L) with K full-dimensional "
-        "or spanning a hyperplane")
+        "mixed volume needs the form V(K, ..., K, L)")
 
 
 # ---------------------------------------------------------------------------

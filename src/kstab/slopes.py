@@ -77,21 +77,27 @@ class SlopeEstimate:
     samples_used: int
 
 
-def _unpack(trace, min_samples: int, min_tau: float):
-    """(taus, values) of a trace of (tau, value, ...) rows, after checking
-    the sample floor, strictly increasing tau and the tau floor."""
-    rows = [(float(r[0]), float(r[1])) for r in trace]
-    taus = np.array([r[0] for r in rows])
-    values = np.array([r[1] for r in rows])
+def _check_taus(taus, min_samples: int, min_tau: float):
+    """Refuse a tau ladder the extrapolator cannot use: fewer than
+    min_samples taus, taus not strictly increasing, or a largest tau
+    below min_tau.  verify_theorem checks its schedule, the estimators
+    their traces."""
     if len(taus) < min_samples:
         raise InsufficientSamples(
             f"need at least {min_samples} samples, got {len(taus)}")
-    if np.any(np.diff(taus) <= 0):
+    if any(b <= a for a, b in zip(taus, taus[1:])):
         raise NonMonotoneTau("trace tau values must be strictly increasing")
     if taus[-1] < min_tau:
         raise InsufficientSamples(
             f"largest tau is {taus[-1]:g}; need tau_max >= {min_tau:g}")
-    return taus, values
+
+
+def _unpack(trace, min_samples: int, min_tau: float):
+    """(taus, values) of a trace of (tau, value, ...) rows, after
+    _check_taus."""
+    taus = [float(r[0]) for r in trace]
+    _check_taus(taus, min_samples, min_tau)
+    return np.array(taus), np.array([float(r[1]) for r in trace])
 
 
 def estimate_limit_slope(trace) -> SlopeEstimate:
@@ -290,7 +296,8 @@ def verify_theorem(cfg: ToricTestConfig, theorem: str,
     passes iff |slope - exact| <= tol * (1 + |exact|).  The tolerance
     defaults by theorem and tier (affine rays are certified, PL rays
     are the looser experimental tier) and can be pinned on the
-    schedule.
+    schedule.  A schedule below the extrapolator's floor is refused
+    before the ladder runs.
     """
     name = str(theorem).upper()
     if name not in THEOREMS:
@@ -301,6 +308,9 @@ def verify_theorem(cfg: ToricTestConfig, theorem: str,
         raise NotAVertex("POINT verdict needs a vertex")
     if schedule is None:
         schedule = POINT_SCHEDULE if name == "POINT" else Schedule()
+    floor = (VALUE_MIN_SAMPLES, VALUE_MIN_TAU) if name == "POINT" \
+        else (MIN_SAMPLES, MIN_TAU_MAX)
+    _check_taus(schedule.taus, *floor)
     target = _NORMALIZATION.get(name)
     ncfg = normalize(cfg, target) if target else cfg
     tier = _tier(ncfg)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import kstab
+from kstab import slopes
 from kstab.cli import (EXIT_NUMERIC, EXIT_PARSE, EXIT_PASS, EXIT_VALIDATION,
                        EXIT_VERDICT_FAIL, bundled_scenarios, emit_outputs,
                        main, run_scenario)
@@ -183,7 +184,7 @@ def test_malformed_numbers_exit_3_without_traceback(tmp_path, mutate,
      "polytope": {"kind": "interval", "lo": "0", "hi": "1"},
      "pl": [[["1"], "0"]],
      "tasks": [{"kind": "slopes", "theorems": ["MINNORM"],
-                "schedule": {"taus": [1, 2, 1e308]}}]},
+                "schedule": {"taus": [1, 2, 3, 4, 5, 1e308]}}]},
     {"schema": "kstab-scenario/1", "name": "square-huge-tau",
      "polytope": {"kind": "box", "dim": 2},
      "pl": [[["1", "0"], "0"]],
@@ -200,6 +201,29 @@ def test_huge_finite_tau_exits_4_without_traceback(tmp_path, blob):
     assert proc.returncode == EXIT_NUMERIC, proc.stderr
     assert "numerical failure" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("theorem,taus,message", [
+    ("AM", [1, 2, 4], "need at least 6 samples, got 3"),
+    ("AM", [1, 2, 3, 4, 5, 6], "need tau_max >= 8"),
+    ("POINT", [1, 2, 3], "need at least 4 samples, got 3"),
+], ids=["too-few", "tau-too-small", "point-too-few"])
+def test_schedule_below_the_floor_exits_3_before_the_ladder(
+        tmp_path, capsys, monkeypatch, theorem, taus, message):
+    """A schedule the extrapolator would refuse is refused before any
+    Ray is built or transported."""
+    def no_ladder(*args, **kwargs):
+        raise AssertionError("the ladder ran")
+
+    monkeypatch.setattr(slopes, "Ray", no_ladder)
+    path = write_scenario(tmp_path, {
+        "schema": "kstab-scenario/1", "name": "square-short",
+        "polytope": {"kind": "box", "dim": 2},
+        "pl": [[["1", "0"], "0"]],
+        "tasks": [{"kind": "slopes", "theorems": [theorem],
+                   "vertex": ["0", "0"], "schedule": {"taus": taus}}]})
+    assert run_scenario(path, out_dir=tmp_path / "out") == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
 
 
 def test_report_refuses_non_finite_numbers(tmp_path):

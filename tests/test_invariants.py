@@ -15,6 +15,7 @@ from kstab.errors import (
     RouteMismatch,
 )
 from kstab.invariants import (
+    _intersection_df,
     blowup_expansion,
     calibration_constant,
     chow_weight,
@@ -27,6 +28,7 @@ from kstab.invariants import (
 )
 from kstab.plconfig import make_config, normalize, pl_fn
 from kstab.polytope import (
+    Halfspace,
     box,
     construct,
     integrate,
@@ -87,10 +89,55 @@ def test_df_interval_hinge():
 
 
 def test_df_fractional_gradient():
-    # max(x/2, 1 - x): hand integrals give 1/3; exercises the degree-2
-    # fibre rescaling inside the intersection route
+    # max(x/2, 1 - x): hand integrals give 1/3; the top facet of Q over
+    # the x/2 piece has primitive normal (1, 2), so sigma_F is half the
+    # length of its cell
     cfg = cfg_interval([((F(1, 2),), 0), ((-1,), 1)])
     assert donaldson_futaki(cfg) == F(1, 3)
+
+
+def _seeded_configs():
+    return [random_config(random.Random(seed), "min_zero")
+            for seed in range(40)]
+
+
+def test_top_facets_of_cayley_carry_cell_volumes():
+    """The top facet of Q over piece g_i has primitive normal (k, k_t) on
+    the ray of (grad g_i, 1), and k_t * sigma_F is the volume of the cell
+    where g_i is maximal; together they cover P."""
+    for cfg in _seeded_configs():
+        q = cfg.cayley
+        sigma = dict(zip(q.halfspaces, volume_data(q).per_facet_sigma))
+        top = {h.normal: (h.normal[-1], s) for h, s in sigma.items()
+               if h.normal[-1] > 0}
+        assert len(top) == len(cfg.g.pieces)
+        for piece, cell in zip(cfg.g.pieces, cfg.g.regions()):
+            normal = Halfspace.make(piece.gradient + (1,), 0).normal
+            k_t, s = top[normal]
+            assert k_t * s == volume_data(cell).volume
+        assert sum(k_t * s for k_t, s in top.values()) \
+            == volume_data(cfg.base).volume
+
+
+def _rescaled_intersection_df(cfg):
+    """The intersection route through a reduced Cayley polytope: rescale
+    the fibre by d = lcm of the gradient denominators, so every top facet
+    has normal (k, 1), count all of the boundary but the top and bottom
+    facets (each of total sigma vol(P) there), and divide by d."""
+    d = math.lcm(*(F(c).denominator for p in cfg.g.pieces
+                   for c in p.gradient))
+    work = make_config(cfg.base, cfg.g.scaled(d), cfg.shift * d)
+    base_vd, q_vd = volume_data(cfg.base), volume_data(work.cayley)
+    a = base_vd.boundary_sigma_volume / base_vd.volume
+    side = q_vd.boundary_sigma_volume - 2 * base_vd.volume
+    return math.factorial(cfg.dim) * (a * q_vd.volume - side) / d
+
+
+def test_intersection_df_matches_rescaled_cayley():
+    configs = _seeded_configs()
+    assert any(_rescaled_intersection_df(c) != 0 for c in configs)
+    for cfg in configs:
+        assert _intersection_df(cfg) == _rescaled_intersection_df(cfg)
 
 
 def test_df_requires_normalization():

@@ -22,8 +22,6 @@ from kstab.plconfig import make_config, pl_fn
 from kstab.polytope import (
     Halfspace,
     Polytope,
-    VBody,
-    as_body,
     box,
     construct,
     corner_chop,
@@ -547,11 +545,12 @@ def test_mixed_volume_square_simplex():
     assert mixed_volume([box(2), unit_simplex(2)]) == 1
 
 
-def test_mixed_volume_point_summand():
-    point = VBody(ambient=2, vertices=((F(0), F(0)),), edge_dirs=(),
-                  facet_normals=(), plane_normals=())
-    assert mixed_volume([box(2), point]) == 0
-    assert mixed_volume([point, box(2)]) == 0
+def test_mixed_volume_flat_segment_either_side():
+    # segment second: the facets of the square; segment first: its two
+    # facets +-e_t with sigma = vol(unit interval) = 1
+    seg = embed_at_height(interval(0, 1))
+    assert mixed_volume([box(2), seg]) == F(1, 2)
+    assert mixed_volume([seg, box(2)]) == F(1, 2)
 
 
 def test_mixed_volume_multilinearity_3d():

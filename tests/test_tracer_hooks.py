@@ -4,16 +4,22 @@ perfbench/tracer.py wraps every name in ENTRY_POINTS on its
 ``kstab.<layer>`` module and every name in RAY_METHODS on ``Ray`` with a
 plain getattr, so a renamed or deleted entry point breaks every traced
 benchmark run at install time.  The tracer is loaded by path, unedited.
+One traced round of the exact workload checks that the wrapped entry
+points are also reached.
 """
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from kstab.analysis import Ray
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _load_tracer():
@@ -36,3 +42,16 @@ def test_entry_points_resolve(layer):
 
 def test_ray_methods_resolve():
     assert [m for m in tracer.RAY_METHODS if not hasattr(Ray, m)] == []
+
+
+def test_traced_exact_round_records_mixed_volumes():
+    """perfbench/run.py, one traced exact round (about 1 s); it writes
+    only under the git-ignored .perfbench/."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "exact",
+         "--seed", "1", "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["metrics"]["polytope.mixed_volume_s"]["value"] > 0
