@@ -21,8 +21,7 @@ square, simplex).  The reference Ricci data is the xi-Hessian of half
 the log-determinant of the potential Hessian, computed through the
 moment-coordinate chain rule; with this pairing the pointwise identity
 S = n * MD(ricci, G^(n-1)) / det G holds against the same grids
-(tested), which is what makes the two Mabuchi evaluation routes in the
-functionals module agree.
+(tested).
 """
 from __future__ import annotations
 
@@ -330,12 +329,8 @@ def crease_points(g: PLConvexFn):
     if g.domain.dim != 1:
         return ()
     ends = {v[0] for v in g.domain.vertices}
-    out = set()
-    for sub in g.regions():
-        for v in sub.vertices:
-            if v[0] not in ends:
-                out.add(v[0])
-    return tuple(sorted(out))
+    return tuple(sorted({v[0] for sub in g.regions() for v in sub.vertices}
+                        - ends))
 
 
 def crease_ladder_depth(beta: float, tau_max: float) -> int:
@@ -348,39 +343,31 @@ def crease_ladder_depth(beta: float, tau_max: float) -> int:
 # vectorized damped Newton for the Legendre transport
 
 
+# batched 1x1 and 2x2 solves: the grids exist in dimensions 1 and 2
 def _solve_small(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    n = H.shape[-1]
-    if n == 1:
+    if H.shape[-1] == 1:
         return rhs / H[:, :, 0]
-    if n == 2:
-        det = H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] * H[:, 1, 0]
-        out = np.empty_like(rhs)
-        out[:, 0] = (H[:, 1, 1] * rhs[:, 0] - H[:, 0, 1] * rhs[:, 1]) / det
-        out[:, 1] = (H[:, 0, 0] * rhs[:, 1] - H[:, 1, 0] * rhs[:, 0]) / det
-        return out
-    return np.linalg.solve(H, rhs)
+    det = H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] * H[:, 1, 0]
+    out = np.empty_like(rhs)
+    out[:, 0] = (H[:, 1, 1] * rhs[:, 0] - H[:, 0, 1] * rhs[:, 1]) / det
+    out[:, 1] = (H[:, 0, 0] * rhs[:, 1] - H[:, 1, 0] * rhs[:, 0]) / det
+    return out
 
 
 def _inv_small(H: np.ndarray) -> np.ndarray:
-    n = H.shape[-1]
-    if n == 1:
+    if H.shape[-1] == 1:
         return 1.0 / H
-    if n == 2:
-        det = (H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] * H[:, 1, 0])[:, None, None]
-        adj = np.empty_like(H)
-        adj[:, 0, 0], adj[:, 1, 1] = H[:, 1, 1], H[:, 0, 0]
-        adj[:, 0, 1], adj[:, 1, 0] = -H[:, 0, 1], -H[:, 1, 0]
-        return adj / det
-    return np.linalg.inv(H)
+    det = (H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] * H[:, 1, 0])[:, None, None]
+    adj = np.empty_like(H)
+    adj[:, 0, 0], adj[:, 1, 1] = H[:, 1, 1], H[:, 0, 0]
+    adj[:, 0, 1], adj[:, 1, 0] = -H[:, 0, 1], -H[:, 1, 0]
+    return adj / det
 
 
 def _logdet_small(H: np.ndarray) -> np.ndarray:
-    n = H.shape[-1]
-    if n == 1:
+    if H.shape[-1] == 1:
         return np.log(H[:, 0, 0])
-    if n == 2:
-        return np.log(H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] * H[:, 1, 0])
-    return np.linalg.slogdet(H)[1]
+    return np.log(H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] * H[:, 1, 0])
 
 
 def _row_reduce(op, a: np.ndarray) -> np.ndarray:
@@ -633,8 +620,17 @@ class Ray:
 
     def state(self, tau: float) -> RayState:
         """phi from the forward transport at tau, and the transported
-        frame from the inverse one."""
+        frame from the inverse one.  A tau that shifts some target
+        xi + tau * grad g_beta past the reach of grad u0 at _SLACK_FLOOR
+        has no inverse transport: NewtonDivergence, before Newton runs."""
         tau = float(tau)
+        reach = 0.5 * (1.0 - math.log(_SLACK_FLOOR)) \
+            * float(np.abs(self.u0.normals).sum(axis=0).max())
+        shift = float(np.abs(self.g_grad).max())
+        if tau * shift > reach + float(np.abs(self.xi).max()):
+            raise NewtonDivergence(
+                f"moment targets shift by tau * |grad g| = {tau * shift:.3g}, "
+                f"beyond the reach {reach:.4g} of grad u0 at the slack floor")
         pts = self.grid.points
         moved = self.transport(tau)
         phi = ((moved * self.xi).sum(axis=1)

@@ -21,11 +21,11 @@ The energies of a fixed form theta, the Ricci energy (theta = Ric0) and
 the twisted energy L_alpha (theta = alpha), share one Chen-Tian endpoint
 form, sum_j integral phi theta ^ omega0^j ^ omega_phi^(n-1-j), so no
 path in s is integrated for them.  The Mabuchi functional is computed
-by two genuinely different routes: an explicit formula at time tau
-(entropy + slope term - Ricci energy, with the entropy coefficient
-matching the curvature normalization in which mean S equals n times the
-slope) and a path integral of the curvature pairing in s.  Disagreement
-beyond tolerance raises RouteMismatch.
+by two genuinely different endpoint routes: the Chen-Tian formula
+through the transport (entropy + slope term - Ricci energy, with the
+entropy coefficient matching the curvature normalization in which mean
+S equals n times the slope) and Donaldson's toric formula, which needs
+no transport.  Disagreement beyond tolerance raises RouteMismatch.
 """
 from __future__ import annotations
 
@@ -34,13 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import (Grid, Ray, RayState, ShiftedPotential,
-                       _inv_small, _logdet_small, abreu_scalar_curvature,
-                       bulk_grid, crease_ladder_depth, crease_points,
-                       guillemin_potential, newton_transport, ricci_reference)
+from .analysis import (Ray, RayState, _inv_small, _logdet_small,
+                       crease_ladder_depth, guillemin_potential, line_grid,
+                       newton_transport, ricci_reference)
 from .errors import MissingAlpha, NormalizationRequired, RouteMismatch
 from .invariants import slope_mu
-from .polytope import Polytope, volume_data
+from .polytope import Polytope, dot, interval, volume_data
 
 PATH_REL_TOL = 1e-7
 PATH_MAX_DEPTH = 26
@@ -48,13 +47,11 @@ ROUTE_TOL = 1e-4
 
 
 # ---------------------------------------------------------------------------
-# small mixed discriminants (dimensions 1 and 2)
+# small mixed discriminants (dimension 2; in 1D MD(a, b) = a * b inline)
 
 
 def mixed_discriminant(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """MD(A, B) normalized so MD(A, A) = det A; batched over axis 0."""
-    if a.shape[-1] == 1:
-        return a[:, 0, 0] * b[:, 0, 0]
     return 0.5 * (a[:, 0, 0] * b[:, 1, 1] + a[:, 1, 1] * b[:, 0, 0]
                   - a[:, 0, 1] * b[:, 1, 0] - a[:, 1, 0] * b[:, 0, 1])
 
@@ -72,15 +69,12 @@ def adaptive_simpson(f, upper: float, lower: float = 0.0):
     Returns (value, error_estimate) with the estimate accumulated from
     the per-panel refinement differences.  The error budget is
     PATH_REL_TOL times the pilot value, halved at each bisection, and
-    bisection stops after PATH_MAX_DEPTH levels.  Local bisection
-    matters here: path integrands along smoothed rays have an
-    s-boundary-layer of width ~ 1/beta near s = 0 where the curvature
-    first collapses onto the creases, and uniform refinement wastes
-    hundreds of quadrature states on the smooth tail.
-
-    The recursive `rec` closes over itself; the cell is cleared on
-    return so that the integrand (and the Ray it holds) is freed by
-    reference counting rather than left in a cycle for the collector.
+    bisection stops after PATH_MAX_DEPTH levels.  The recursive `rec`
+    closes over itself; the cell is cleared on return so that the
+    integrand is freed by reference counting, not left in a cycle.  No
+    functional integrates a path in s any more: the tests use this as
+    their path reference, and perfbench/tracer.py hooks it by name, so
+    it stays here until that hook is retired.
     """
     if upper == lower:
         return 0.0, 0.0
@@ -119,39 +113,14 @@ def adaptive_simpson(f, upper: float, lower: float = 0.0):
         del rec
 
 
-def _path_prefix(ray: Ray, integrand, tau: float):
-    """Accumulated path integral over [0, tau], reusing shorter prefixes.
-
-    Verdict ladders visit one ray at an ascending sequence of tau values
-    and the path functional re-integrates from zero, which makes the
-    ladder quadratically expensive in path length.  The per-ray cache
-    keeps accumulated (tau, value, error) anchors so only the new
-    segment beyond the nearest anchor is integrated; the anchors double
-    as forced panel boundaries at the ladder points.
-    """
-    anchors = ray.__dict__.setdefault("_path_anchors", [(0.0, 0.0, 0.0)])
-    lo, acc, err = max(row for row in anchors if row[0] <= tau)
-    if lo == tau:
-        return acc, err
-    seg, seg_err = adaptive_simpson(integrand, tau, lower=lo)
-    row = (tau, acc + seg, err + seg_err)
-    anchors.append(row)
-    anchors.sort(key=lambda r: r[0])
-    return row[1], row[2]
-
-
 # ---------------------------------------------------------------------------
 # per-ray evaluation helpers
 
 
-def _am_slope(ray: Ray) -> float:
-    """d/ds of the Aubin-Mabuchi energy: constant along the ray."""
-    n = ray.cfg.dim
-    return -math.factorial(n + 1) * ray.grid.integrate(ray.g_vals)
-
-
 def am_energy(ray: Ray, tau: float) -> float:
-    return _am_slope(ray) * tau
+    """Aubin-Mabuchi energy: its s-derivative is constant along the ray."""
+    return -math.factorial(ray.cfg.dim + 1) * ray.grid.integrate(ray.g_vals) \
+        * tau
 
 
 @dataclass(frozen=True)
@@ -265,26 +234,66 @@ class MabuchiReport:
     err_estimate: float
 
 
-def _curvature_grid(ray: Ray) -> Grid:
-    if not hasattr(ray, "_bulk_grid"):
-        ray._bulk_grid = bulk_grid(
-            ray.cfg.base, creases=crease_points(ray.cfg.g),
-            crease_depth=crease_ladder_depth(ray.smooth.beta, 1.0))
-    return ray._bulk_grid
+def _facet_mean(ray: Ray, facet, ends):
+    """Mean of g_beta over the facet with vertices ends, and an error
+    estimate: the vertex value in 1D; in 2D a Gauss rule on the edge's
+    [0, 1] parameter graded at every cell vertex of g on it, corners too,
+    and its change on the rule graded two crease levels less."""
+    if len(ends) == 1:
+        return float(ray.smooth.value(np.array(ends, dtype=float))[0]), 0.0
+    p, d = ends[0], [b - a for a, b in zip(*ends)]
+    creases = {dot([x - a for x, a in zip(v, p)], d) / dot(d, d)
+               for cell in ray.cfg.g.regions() for v in cell.vertices
+               if facet.slack(v) == 0}
+    depth = crease_ladder_depth(ray.smooth.beta, 1.0)
+    start, step = (np.array(c, dtype=float) for c in (p, d))
+    fine, coarse = (
+        rule.integrate(ray.smooth.value(start + rule.points * step))
+        for rule in (line_grid(interval(0, 1), 2, creases=creases,
+                               crease_depth=k) for k in (depth, depth - 2)))
+    return fine, abs(fine - coarse)
+
+
+def _route_b(ray: Ray, tau: float):
+    """Route (b) of mabuchi at tau and its error estimate: Donaldson's
+    toric Mabuchi functional (Donaldson 2002, section 3),
+
+        n! * [tau * L(g_beta) - 1/2 integral_P log det(I + tau H0^-1 D2g_beta)],
+        L(f) = integral_dP f dsigma - a integral_P f,  a = sigma(dP) / vol P,
+
+    the s-integral of n! * integral_P g_beta (S_s - n mu) in closed form.
+    The log-det in this form tends to 0 where H0 blows up at the facets;
+    a difference of two log-dets would cancel there.  L sums sigma_F
+    times _facet_mean over the facets, as does the estimate.
+    """
+    base = ray.cfg.base
+    n = base.dim
+    vd = volume_data(base)
+    boundary = miss = 0.0
+    for facet, fv, sigma in zip(base.halfspaces, base.facet_vertices,
+                                vd.per_facet_sigma):
+        mean, err = _facet_mean(ray, facet, [base.vertices[i] for i in fv])
+        boundary += float(sigma) * mean
+        miss += float(sigma) * err
+    l_g = boundary - float(vd.boundary_sigma_volume / vd.volume) \
+        * ray.grid.integrate(ray.g_vals)
+    logdet = _logdet_small(np.eye(n) + tau * (_inv_small(ray.h0) @ ray.g_hess))
+    return (math.factorial(n) * (tau * l_g - 0.5 * ray.grid.integrate(logdet)),
+            math.factorial(n) * tau * miss)
 
 
 def mabuchi(state: RayState) -> MabuchiReport:
-    """Mabuchi energy via the explicit formula, checked against the path.
+    """Mabuchi energy by two endpoint routes, checked against each other.
 
-    Route (a): (1/2) * entropy + n/(n+1) * mu * AM - E_Ric, the half on
-    the entropy paired with the halved Ricci convention in which the
-    mean scalar curvature is n * mu.  E_Ric is the Chen-Tian endpoint
-    energy of the fixed form Ric0 (_fixed_form_energy, as for alpha in
-    energy_report); its transported term takes Ric0 at the inverse
-    transport x that the entropy uses.  Route (b): the path integral of
-    -phi_dot * (S - n mu) against the evolving volume form, on the bulk
-    grid.  err_estimate is route (b)'s Simpson error plus the route gap,
-    so it also reflects the error of route (a).
+    Route (a), the Chen-Tian formula through the transport:
+    (1/2) * entropy + n/(n+1) * mu * AM - E_Ric, the half on the entropy
+    paired with the halved Ricci convention in which the mean scalar
+    curvature is n * mu.  E_Ric is the Chen-Tian endpoint energy of the
+    fixed form Ric0 (_fixed_form_energy, as for alpha in energy_report);
+    its transported term takes Ric0 at the inverse transport x that the
+    entropy uses.  Route (b), _route_b, shares only the grid, u0 and
+    g_beta with it.  err_estimate is the route gap plus route (b)'s
+    edge-quadrature estimate (0 in 1D).
     """
     ray = state.ray
     cfg = ray.cfg
@@ -297,20 +306,11 @@ def mabuchi(state: RayState) -> MabuchiReport:
     l_ric = _fixed_form_energy(state, "ricci",
                                lambda _tau, x: ricci_reference(ray.u0, x))
     route_a = 0.5 * entropy + (n / (n + 1)) * mu * am_energy(ray, tau) - l_ric
-
-    grid = _curvature_grid(ray)
-    gvals = ray.smooth.value(grid.points)
-
-    def integrand(s: float) -> float:
-        pot = ShiftedPotential(ray.u0, ray.smooth, float(s))
-        s_field = abreu_scalar_curvature(pot, grid.points)
-        return fact * grid.integrate(gvals * (s_field - n * mu))
-
-    route_b, err = _path_prefix(ray, integrand, tau)
+    route_b, err = _route_b(ray, tau)
     if abs(route_a - route_b) > ROUTE_TOL * (1.0 + abs(route_a)):
         raise RouteMismatch(
-            f"Mabuchi routes disagree at tau={tau}: explicit {route_a!r} "
-            f"vs path {route_b!r}")
+            f"Mabuchi routes disagree at tau={tau}: Chen-Tian {route_a!r} "
+            f"vs toric {route_b!r}")
     return MabuchiReport(tau=tau, value=route_a, route_a=route_a,
                          route_b=route_b, entropy=entropy, l_ricci=l_ric,
                          err_estimate=err + abs(route_a - route_b))

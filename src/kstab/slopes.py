@@ -364,8 +364,11 @@ def scan_destabilizer(cfg: ToricTestConfig, candidates="vertices",
 
     Vertices are scored exactly; any other candidate is probed
     numerically through the fixed-point limit in the average-zero
-    normalization, so the two routes share one sign convention.
+    normalization, so the two routes share one sign convention.  The
+    schedule is checked against the POINT floor before any probe runs.
     """
+    schedule = schedule or POINT_SCHEDULE
+    _check_taus(schedule.taus, VALUE_MIN_SAMPLES, VALUE_MIN_TAU)
     ncfg = normalize(cfg, "average_zero")
     vertex_set = {v: chow_weight(ncfg, v) for v in ncfg.base.vertices}
     points = ncfg.base.vertices if candidates == "vertices" else tuple(
@@ -376,7 +379,7 @@ def scan_destabilizer(cfg: ToricTestConfig, candidates="vertices",
             scored.append(CandidateWeight(p, vertex_set[p], True))
         else:
             probe = np.array([float(c) for c in p])
-            trace = _probe_trace(ncfg, probe, schedule or POINT_SCHEDULE)
+            trace = _probe_trace(ncfg, probe, schedule)
             est = estimate_limit_value(trace)
             scored.append(CandidateWeight(p, -est.value, False))
     best = max(scored, key=lambda c: float(c.value))

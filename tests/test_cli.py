@@ -179,7 +179,7 @@ def test_malformed_numbers_exit_3_without_traceback(tmp_path, mutate,
     assert not (out / "report.json").exists()
 
 
-@pytest.mark.parametrize("blob", [
+HUGE_TAU = [
     {"schema": "kstab-scenario/1", "name": "interval-huge-tau",
      "polytope": {"kind": "interval", "lo": "0", "hi": "1"},
      "pl": [[["1"], "0"]],
@@ -190,17 +190,32 @@ def test_malformed_numbers_exit_3_without_traceback(tmp_path, mutate,
      "pl": [[["1", "0"], "0"]],
      "tasks": [{"kind": "slopes", "theorems": ["AM"],
                 "schedule": {"taus": [1, 2, 3, 4, 5, 1e308]}}]},
-])
+]
+
+
+@pytest.mark.parametrize("blob", HUGE_TAU)
 def test_huge_finite_tau_exits_4_without_traceback(tmp_path, blob):
     """A finite tau too large for the grid depths ends in a numerical
-    failure, not in an OverflowError from the depth schedules.  Run as
-    the console command: the transport overflows on the way, and its
-    RuntimeWarnings are only warnings there."""
+    failure, not in an OverflowError from the depth schedules, nor in a
+    numpy overflow warning from the transport.  Run as the console
+    command, where a RuntimeWarning would only be printed."""
     path = write_scenario(tmp_path, blob)
     proc = run_cli("run", str(path), "--out", str(tmp_path / "out"))
     assert proc.returncode == EXIT_NUMERIC, proc.stderr
     assert "numerical failure" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
+def test_huge_finite_tau_is_refused_before_newton_in_process(tmp_path,
+                                                             capsys):
+    """In process, where the suite turns RuntimeWarnings into errors, the
+    square's tau = 1e308 ends in a NewtonDivergence naming it before any
+    Newton step overflows."""
+    path = write_scenario(tmp_path, HUGE_TAU[1])
+    assert run_scenario(path, out_dir=tmp_path / "out") == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "tau=1e+308" in err
 
 
 @pytest.mark.parametrize("theorem,taus,message", [

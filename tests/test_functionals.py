@@ -24,11 +24,14 @@ import pytest
 import kstab.analysis
 import kstab.functionals
 from kstab.analysis import (Ray, _inv_small, _logdet_small,
+                            abreu_scalar_curvature, bulk_grid,
+                            crease_ladder_depth, crease_points,
                             guillemin_potential, newton_transport,
                             ricci_reference)
-from kstab.errors import MissingAlpha, NormalizationRequired
+from kstab.errors import MissingAlpha, NormalizationRequired, RouteMismatch
 from kstab.functionals import (
     EnergyReport,
+    _route_b,
     adaptive_simpson,
     am_energy,
     energy_report,
@@ -36,7 +39,8 @@ from kstab.functionals import (
     mabuchi,
     mixed_discriminant,
 )
-from kstab.invariants import donaldson_futaki, minimum_norm, twisted_weights
+from kstab.invariants import (donaldson_futaki, minimum_norm, slope_mu,
+                              twisted_weights)
 from kstab.plconfig import make_config, normalize
 from kstab.polytope import box, interval, unit_simplex, volume_data
 from kstab.slopes import Schedule, ladder
@@ -50,6 +54,7 @@ def interval_config(pieces, mode="min_zero"):
 
 AFFINE = interval_config([((1,), 0)])
 KINK = interval_config([((1,), 0), ((-1,), 1)])
+STEEP = interval_config([((-3,), 0), ((3,), -3)])
 
 
 def ent_exact(tau):
@@ -157,9 +162,8 @@ def test_path_independence_kink():
 
 
 def test_mabuchi_vanishes_on_affine_ray():
-    """Product configuration on a constant-curvature reference: the
-    path integrand S - n mu is identically zero, and the explicit
-    formula must agree."""
+    """Product configuration on a constant-curvature reference: route
+    (b) vanishes (L(g) = 0 and D2g = 0), and route (a) must agree."""
     ray = Ray(AFFINE, beta=10.0, tau_max=4.0)
     mb = mabuchi(ray.state(4.0))
     assert abs(mb.value) < 1e-8
@@ -219,6 +223,8 @@ def _alpha_path(ray, alpha, taus):
 
 
 SQUARE = normalize(make_config(box(2), [((1, 0), 0)]), "min_zero")
+SQUARE3 = normalize(make_config(box(2), [((1, 0), 0), ((0, 1), 0),
+                                         ((-1, -1), 1)]), "min_zero")
 
 
 @pytest.mark.parametrize("cfg,beta,taus", [
@@ -252,9 +258,91 @@ def test_mabuchi_transports_only_at_tau(monkeypatch):
     assert len(calls) == 2
 
 
-def test_simpson_leaves_no_reference_cycle():
-    """A finished Simpson path holds nothing alive: the Ray goes with its
-    last reference, not only at the next cyclic collection."""
+def _mabuchi_path(ray, taus):
+    """Path form of route (b): the integral over s of the curvature
+    pairing n! * integral g_beta * (S_s - n mu), with Abreu's curvature
+    of u0 + s * g_beta on the bulk grid graded at the creases."""
+    cfg = ray.cfg
+    n = cfg.dim
+    mu = float(slope_mu(cfg.base))
+    grid = bulk_grid(cfg.base, creases=crease_points(cfg.g),
+                     crease_depth=crease_ladder_depth(ray.smooth.beta, 1.0))
+    g_vals = ray.smooth.value(grid.points)
+
+    def integrand(s):
+        curvature = abreu_scalar_curvature(ray.potential(s), grid.points)
+        return math.factorial(n) * grid.integrate(g_vals * (curvature - n * mu))
+    return _energy_path(integrand, taus)
+
+
+@pytest.mark.parametrize("cfg,tau", [
+    (KINK, 1.0), (KINK, 2.0), (KINK, 4.0), (KINK, 8.0),
+    (STEEP, 1.0), (STEEP, 2.0), (STEEP, 4.0), (SQUARE3, 1.0),
+], ids=["kink-1", "kink-2", "kink-4", "kink-8",
+        "steep-1", "steep-2", "steep-4", "square3-1"])
+def test_route_b_is_the_curvature_path(cfg, tau):
+    """Donaldson's endpoint formula is the s-integral of the curvature
+    pairing it replaces, on the Ray a DF ladder builds for tau."""
+    ray = Ray(cfg, beta=10.0 * tau, tau_max=tau)
+    [(path, _)] = _mabuchi_path(ray, (tau,))
+    assert abs(_route_b(ray, tau)[0] - path) < 1e-7
+
+
+@pytest.mark.parametrize("tau,value", [(8.0, 11.908221256),
+                                       (12.0, 17.927822553)])
+def test_route_b_on_the_steep_ray(tau, value):
+    """Route (b) keeps the path's values on the steep ray where route (a)
+    meets the float wall near the facets and mabuchi refuses."""
+    ray = Ray(STEEP, beta=10.0 * tau, tau_max=tau)
+    assert _route_b(ray, tau)[0] == pytest.approx(value, abs=1e-8)
+    with pytest.raises(RouteMismatch):
+        mabuchi(ray.state(tau))
+
+
+def test_route_b_converged_on_steep_seeded_ray():
+    """On the interval u0'' = 1 / (2 x (1 - x)), so route (b) is
+    tau * L(g_beta) - 1/2 integral log(1 + 2 tau x (1 - x) g_beta'').
+    On a uniform rule of 20,000 Gauss panels, graded into both ends, it
+    matches route (b) on an off-centre steep ray (the seeded ray1d
+    g = 5/2 |x - 1/8|) to 1e-8 at tau = 12."""
+    cfg = interval_config([((F(-5, 2),), 0), ((F(5, 2),), F(-5, 8))])
+    tau = 12.0
+    ray = Ray(cfg, beta=10.0 * tau, tau_max=tau)
+    grading = 0.5 ** np.arange(1, 60)
+    breaks = np.unique(np.concatenate([np.linspace(0.0, 1.0, 20_001),
+                                       grading, 1.0 - grading]))
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    mid, half = 0.5 * (breaks[1:] + breaks[:-1]), 0.5 * np.diff(breaks)
+    x = (mid[:, None] + half[:, None] * nodes).reshape(-1, 1)
+    w = (half[:, None] * weights).reshape(-1)
+    smooth = ray.smooth
+    ends = smooth.value(np.array([[0.0], [1.0]])).sum()
+    l_g = ends - 2.0 * (smooth.value(x) @ w)
+    logdet = np.log1p(2.0 * tau * x[:, 0] * (1.0 - x[:, 0])
+                      * smooth.hessian(x)[:, 0, 0]) @ w
+    assert abs(_route_b(ray, tau)[0] - (tau * l_g - 0.5 * logdet)) < 1e-8
+
+
+@pytest.mark.parametrize("cfg", [KINK, SQUARE3], ids=["kink", "square3"])
+def test_mabuchi_integrates_no_path(monkeypatch, cfg):
+    """mabuchi reaches no s-quadrature, no curvature field and no second
+    grid, and leaves no path state on the Ray."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("mabuchi integrated a path in s")
+
+    for name in ("abreu_scalar_curvature", "bulk_grid", "adaptive_simpson"):
+        for module in (kstab.analysis, kstab.functionals):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    ray = Ray(cfg, beta=10.0, tau_max=1.0)
+    state = ray.state(1.0)
+    cached = set(vars(ray))
+    mabuchi(state)
+    assert set(vars(ray)) - cached <= {"_density0"}
+
+
+def test_mabuchi_leaves_no_reference_cycle():
+    """mabuchi holds nothing alive after it returns: the Ray goes with
+    its last reference, not only at the next cyclic collection."""
     gc.disable()
     try:
         ray = Ray(KINK, beta=10.0, tau_max=2.0)
@@ -275,8 +363,9 @@ def test_mabuchi_routes_agree_on_kink(tau, beta):
 
 
 def test_mabuchi_err_estimate_covers_route_gap():
-    """On the interval-affine DF ladder route (b) is exact (S - n mu
-    vanishes), so only the route gap makes err_estimate nonzero."""
+    """On the interval-affine DF ladder route (b) has no quadrature
+    estimate (it is 0 in 1D), so only the route gap makes err_estimate
+    nonzero."""
     rows = ladder(AFFINE, Schedule(), lambda ray, t: mabuchi(ray.state(t)))
     for mb in rows:
         assert mb.err_estimate >= abs(mb.route_a - mb.route_b)

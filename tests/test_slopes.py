@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import kstab.slopes
 from kstab.errors import (
     InconsistentInput,
     InsufficientSamples,
@@ -249,3 +250,15 @@ def test_scan_numeric_interior_candidate():
     # interior orbit drains to the minimizing vertex: height of g there,
     # with the loose tolerance of the exploratory numeric route
     assert numeric[0].value == pytest.approx(-0.5, abs=2e-2)
+
+
+def test_scan_refuses_short_schedule_before_any_ray(monkeypatch):
+    """A probe schedule below the POINT floor is refused before the
+    candidate loop builds a Ray for the non-vertex candidate."""
+    def no_ray(*args, **kwargs):
+        raise AssertionError("scan built a Ray")
+
+    monkeypatch.setattr(kstab.slopes, "Ray", no_ray)
+    with pytest.raises(InsufficientSamples, match="got 3"):
+        scan_destabilizer(AFFINE, candidates=[(F(1, 2),)],
+                          schedule=Schedule(taus=(1.0, 2.0, 3.0)))
