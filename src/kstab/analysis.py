@@ -7,9 +7,12 @@ Everything numeric lives downstream of three ingredients built here:
   * deterministic quadrature grids with geometric grading: the collar
     depth follows the largest tau the grid serves (the transported
     volume forms concentrate mass in an exp(-2*tau) collar near the
-    boundary), and in 2D the along-edge depth follows the distance to
-    the facet, min(depth, k + 2) at 2^-k, since such a node is at least
-    as far from the adjacent facets (see fan_grid),
+    boundary).  In 2D the radial mesh is geometric, with every second
+    dyadic level past 2^-8 and a higher Gauss order away from the
+    facet, so the inverse-transported frame resolves that layer; the
+    along-edge depth follows the distance to the facet, min(depth,
+    k + 2) at 2^-k, since such a node is at least as far from the
+    adjacent facets (see fan_grid),
   * a vectorized damped Newton solver for the Legendre transport
     x -> x_tau defined by grad u_tau(x_tau) = grad u_0(x).
 
@@ -271,22 +274,34 @@ def fan_grid(base: Polytope, depth: int, inner_order: int = 12,
     """Barycentric fan over the facets, graded at the collar and corners.
 
     Each facet spans a triangle (barycenter, v_i, v_j) parametrized by
-    radial t, graded dyadically to 1 - 2^-depth, and along-edge s.  The
-    radial panel ending at 1 - 2^-k grades s to min(depth, max(3, k + 2))
-    and the panel touching the facet to the full depth: a node about 2^-k
-    from the facet is also about 2^-k or more from the adjacent facets,
-    so only the corner panels need 2^-depth along the edge.
+    radial t and along-edge s.  Radially, [0, 1/2] is two inner panels,
+    then the breaks are 1 - 2^-k at every level k <= 8, every second
+    level beyond, and depth: a geometric mesh whose Gauss order is 10 on
+    the panels ending at level k <= depth - 10 and graded_order on the
+    deepest ten levels (Babuska & Guo 1986).  The higher order away from
+    the facet resolves the e^(-2 tau) layer that the inverse-transported
+    nodes carry there.  The radial panel ending at 1 - 2^-k grades s to
+    min(depth, max(3, k + 2)) and the panel touching the facet to the
+    full depth: a node about 2^-k from the facet is also about 2^-k or
+    more from the adjacent facets, so only the corner panels need
+    2^-depth along the edge.
     """
     vd = volume_data(base)
     bary = np.array([float(c) for c in vd.barycenter])
-    t_breaks = [0.0, 0.25] + [1.0 - 0.5 ** k for k in range(1, depth + 1)] + [1.0]
+    levels = sorted({*range(1, min(8, depth) + 1), *range(9, depth, 2), depth})
+    # (a, b, radial order, level of b); the last panel ends on the facet
+    panels = [(0.0, 0.25, inner_order, 0), (0.25, 0.5, inner_order, 1)] + [
+        (1.0 - 0.5 ** j, 1.0 - 0.5 ** k,
+         10 if k <= depth - 10 else graded_order, k)
+        for j, k in zip(levels, levels[1:])]
+    panels.append((1.0 - 0.5 ** depth, 1.0, graded_order, depth))
     s_rules = {d: _panel_nodes(_graded_breaks(d), inner_order, graded_order,
                                0.25, 0.75)
                for d in range(min(3, depth), depth + 1)}
     blocks = []
-    for k, (a, b) in enumerate(zip(t_breaks[:-1], t_breaks[1:])):
-        tx, tw = _panel_nodes([a, b], inner_order, graded_order, 0.0, 0.5)
-        sx, sw = s_rules[min(depth, max(3, k + 2))]  # b = 1 - 2^-k for k >= 1
+    for a, b, order, k in panels:
+        tx, tw = _gauss_panel(a, b, order)
+        sx, sw = s_rules[min(depth, max(3, k + 2))]
         blocks.append((np.repeat(tx, len(sx)), np.tile(sx, len(tx)),
                        (np.outer(tw, sw) * tx[:, None]).reshape(-1)))
     t, s, w = map(np.concatenate, zip(*blocks))
@@ -382,14 +397,16 @@ def _row_reduce(op, a: np.ndarray) -> np.ndarray:
 
 
 _NEWTON_BLOCK = 8192
+_NEWTON_TOL = 1e-11
 
 
 def newton_transport(potential, targets: np.ndarray, start: np.ndarray,
-                     tol: float = 1e-11, max_iter: int = 80):
+                     max_iter: int = 80):
     """Solve grad(potential)(z) = target per row, staying strictly interior.
 
     Returns z and the Hessian of the potential at z, which the last
-    convergence test evaluated anyway.
+    convergence test evaluated anyway.  A residual component settles
+    below _NEWTON_TOL * (1 + max |target|).
 
     Damping: steps are clipped against the facet slacks (never consume
     more than 85% of the distance to the boundary) and halved until the
@@ -414,7 +431,7 @@ def newton_transport(potential, targets: np.ndarray, start: np.ndarray,
     hess = np.empty((len(z), dim, dim))
     normals = potential.u0.normals if isinstance(potential, ShiftedPotential) \
         else potential.normals
-    tol = tol * (1.0 + np.abs(targets).max())
+    tol = _NEWTON_TOL * (1.0 + np.abs(targets).max())
     stalled, worst = [], []
     for lo in range(0, len(z), _NEWTON_BLOCK):
         rows = slice(lo, lo + _NEWTON_BLOCK)
@@ -535,33 +552,31 @@ def _newton_rows(potential, normals, targets, z, hess, tol, max_iter):
 
 @dataclass(frozen=True)
 class RayState:
-    """The degeneration path at one tau, in both coordinate systems.
+    """The degeneration path at one tau, in its transported frame.
 
-    phi is the potential increment at the reference moment coordinates
-    (the grid points).  The other fields are the transported frame,
-    indexed by the grid node in its role as transported coordinate y,
-    where the plain node weights integrate against the evolving volume
-    form: x is the inverse transport of the nodes, h0_at_x is D2u0(x),
-    phi_y is phi at x and log_ratio is log det D2u0(x) - log det H_tau.
-    For n = 2, g_tau and det_tau are the inverse and determinant of
-    H_tau at the nodes, the ingredients of wedge densities; both are
-    None for n = 1.
+    Fields are indexed by the grid node in its role as transported
+    coordinate y, where the plain node weights integrate against the
+    evolving volume form and e^(-log_ratio) times them against the fixed
+    one: x is the inverse transport of the nodes, h0_at_x is D2u0(x),
+    phi_y is the potential increment at x, log_ratio is
+    log det D2u0(x) - log det H_tau and det_tau is det H_tau.  For n = 2,
+    g_tau is the inverse of H_tau, an ingredient of wedge densities; it
+    is None for n = 1.
     """
 
     ray: "Ray"
     tau: float
-    phi: np.ndarray
     x: np.ndarray
     h0_at_x: np.ndarray
     phi_y: np.ndarray
     log_ratio: np.ndarray
+    det_tau: np.ndarray
     g_tau: np.ndarray | None
-    det_tau: np.ndarray | None
 
 
 class Ray:
-    """Workspace for one smoothing level: the latest transport along s
-    in each direction, kept to warm-start the next."""
+    """Workspace for one smoothing level: the latest inverse transport,
+    kept to warm-start the next."""
 
     def __init__(self, cfg: ToricTestConfig, beta: float,
                  tau_max: float = 12.0):
@@ -579,77 +594,66 @@ class Ray:
         self.g_vals = self.smooth.value(pts)
         self.g_grad = self.smooth.gradient(pts)
         self.g_hess = self.smooth.hessian(pts)
-        self._fwd_cache: dict = {}
-        self._inv_cache: dict = {}
+        self._inv = (0.0, pts)
 
     def potential(self, s: float) -> ShiftedPotential:
         return ShiftedPotential(self.u0, self.smooth, float(s))
 
-    def _solve(self, cache: dict, s: float, solve) -> np.ndarray:
-        """solve(s, start) with s rounded to 12 digits; s = 0 is the
-        identity.  cache holds only the latest solution: it answers the
-        same s again and warm-starts a larger one, and any smaller s
-        starts from the grid."""
-        key = round(float(s), 12)
-        if key not in cache:
-            if key == 0.0:
-                solution = self.grid.points.copy()
-            else:
-                start = next((v for k, v in cache.items() if k < key),
-                             self.grid.points)
-                solution = solve(key, start)
-            cache.clear()
-            cache[key] = solution
-        return cache[key]
-
     def transport(self, s: float) -> np.ndarray:
-        """Moved points: the u_s-moment images of the grid nodes."""
-        return self._solve(self._fwd_cache, s, lambda key, start: (
-            newton_transport(self.potential(key), self.xi, start)[0]))
+        """Moved points: the u_s-moment images of the grid nodes, solved
+        from the grid on every call.  No energy reads it: every energy is
+        taken in the transported frame of inverse_transport."""
+        return newton_transport(self.potential(s), self.xi,
+                                self.grid.points)[0]
 
     def inverse_transport(self, s: float) -> np.ndarray:
         """Reference point x whose u_s-moment image is each grid node.
 
-        Solves grad u0(x) = grad u_s(y) per node y; the iterates press
-        into the boundary collar, where the Newton solver saturates at
-        float spacing.  Downstream integrands are slack-stable there.
+        Solves grad u0(x) = grad u_s(y) per node y, with s rounded to 12
+        digits.  Only the latest solution is kept: it answers the same s
+        again and warm-starts a larger one; a smaller s starts from the
+        grid, which is also the answer at s = 0.  The iterates press into
+        the boundary collar, where the Newton solver saturates at float
+        spacing; downstream integrands are slack-stable there.
         """
-        return self._solve(self._inv_cache, s, lambda key, start: (
-            newton_transport(self.u0, self.xi + key * self.g_grad,
-                             start)[0]))
+        key = round(float(s), 12)
+        last, x = self._inv
+        if key != last:
+            start = x if last < key else self.grid.points
+            x = newton_transport(self.u0, self.xi + key * self.g_grad,
+                                 start)[0]
+            self._inv = (key, x)
+        return x
 
-    def state(self, tau: float) -> RayState:
-        """phi from the forward transport at tau, and the transported
-        frame from the inverse one.  A tau that shifts some target
-        xi + tau * grad g_beta past the reach of grad u0 at _SLACK_FLOOR
-        has no inverse transport: NewtonDivergence, before Newton runs."""
-        tau = float(tau)
+    def check_reach(self, tau: float) -> None:
+        """NewtonDivergence if tau shifts some target xi + tau * grad g_beta
+        past the reach of grad u0 at _SLACK_FLOOR: such a tau has no
+        inverse transport."""
         reach = 0.5 * (1.0 - math.log(_SLACK_FLOOR)) \
             * float(np.abs(self.u0.normals).sum(axis=0).max())
-        shift = float(np.abs(self.g_grad).max())
-        if tau * shift > reach + float(np.abs(self.xi).max()):
+        shift = float(tau) * float(np.abs(self.g_grad).max())
+        if shift > reach + float(np.abs(self.xi).max()):
             raise NewtonDivergence(
-                f"moment targets shift by tau * |grad g| = {tau * shift:.3g}, "
+                f"moment targets shift by tau * |grad g| = {shift:.3g}, "
                 f"beyond the reach {reach:.4g} of grad u0 at the slack floor")
-        pts = self.grid.points
-        moved = self.transport(tau)
-        phi = ((moved * self.xi).sum(axis=1)
-               - self.potential(tau).value(moved)) \
-            - ((pts * self.xi).sum(axis=1) - self.u0_vals)
+
+    def state(self, tau: float) -> RayState:
+        """The transported frame at tau, from one inverse transport;
+        check_reach refuses an unreachable tau before Newton runs."""
+        tau = float(tau)
+        self.check_reach(tau)
         x = self.inverse_transport(tau)
         h0_at_x = self.u0.hessian(x)
         h_tau = self.h0 + tau * self.g_hess
         logdet_tau = _logdet_small(h_tau)
         xi = self.xi + tau * self.g_grad
-        phi_y = ((pts * xi).sum(axis=1) - (self.u0_vals + tau * self.g_vals)) \
+        phi_y = ((self.grid.points * xi).sum(axis=1)
+                 - (self.u0_vals + tau * self.g_vals)) \
             - ((x * xi).sum(axis=1) - self.u0.value(x))
-        g_tau = det_tau = None
-        if self.cfg.dim == 2:
-            g_tau, det_tau = _inv_small(h_tau), np.exp(logdet_tau)
-        return RayState(ray=self, tau=tau, phi=phi, x=x, h0_at_x=h0_at_x,
-                        phi_y=phi_y,
+        return RayState(ray=self, tau=tau, x=x, h0_at_x=h0_at_x, phi_y=phi_y,
                         log_ratio=_logdet_small(h0_at_x) - logdet_tau,
-                        g_tau=g_tau, det_tau=det_tau)
+                        det_tau=np.exp(logdet_tau),
+                        g_tau=_inv_small(h_tau) if self.cfg.dim == 2 else None)
 
     def point_derivative(self, tau: float, p: np.ndarray) -> float:
         """phi_dot at a single reference point (used by the vertex probe)."""

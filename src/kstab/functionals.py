@@ -4,16 +4,14 @@ Conventions.  With the wedge dictionary for invariant forms, an
 integral of a function h against eta_1 ^ ... ^ eta_n equals
 n! * integral over the moment polytope of h times the mixed
 discriminant of the dual Hessians, in whichever moment coordinates the
-measure is written.  Two coordinate systems are used on purpose:
-
-  * reference coordinates for integrals against the fixed form (plain
-    polytope measure at the grid nodes),
-  * transported coordinates for integrals against the evolving form,
-    where the pulled-back measure is again the plain one and every
-    integrand is a bounded, slack-stable function.  This is what keeps
-    entropy-type integrals accurate at large tau: in reference
-    coordinates their mass concentrates in an exp(-2 tau) collar that
-    float64 cannot resolve near facets with unit-scale offsets.
+measure is written.  Every integral is taken in one frame, the
+transported coordinates y of the ray state, where the pulled-back
+evolving form is the plain measure and the fixed form is
+dx = e^(-log_ratio) dy, so one inverse transport per tau serves both.
+Every integrand is a bounded, slack-stable function there.  This is
+what keeps entropy-type integrals accurate at large tau: in reference
+coordinates their mass concentrates in an exp(-2 tau) collar that
+float64 cannot resolve near facets with unit-scale offsets.
 
 The Aubin functionals are wired so that the n = 1 identity I = 2J holds
 exactly in floating point (I and J are assembled from the same sums).
@@ -54,13 +52,6 @@ def mixed_discriminant(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """MD(A, B) normalized so MD(A, A) = det A; batched over axis 0."""
     return 0.5 * (a[:, 0, 0] * b[:, 1, 1] + a[:, 1, 1] * b[:, 0, 0]
                   - a[:, 0, 1] * b[:, 1, 0] - a[:, 1, 0] * b[:, 0, 1])
-
-
-def _wedge(state: RayState, a_field: np.ndarray) -> np.ndarray:
-    """MD(a, G_tau) * det H_tau, the density of a ^ omega_tau in the
-    transported coordinates of a 2D state, for a dual-Hessian field a
-    given at the inverse-transported points state.x."""
-    return mixed_discriminant(a_field, state.g_tau) * state.det_tau
 
 
 def adaptive_simpson(f, upper: float, lower: float = 0.0):
@@ -154,26 +145,27 @@ def energy_report(state: RayState, alpha: Polytope | None = None) -> EnergyRepor
     tau = state.tau
     am = am_energy(ray, tau)
 
-    a_ref = fact * ray.grid.integrate(state.phi)        # against fixed form
-    b_mov = fact * ray.grid.integrate(state.phi_y)      # against evolving form
+    # against the fixed form (dx = e^(-log_ratio) dy) and the evolving one
+    a_ref = fact * ray.grid.integrate(state.phi_y * np.exp(-state.log_ratio))
+    b_mov = fact * ray.grid.integrate(state.phi_y)
     if n == 1:
         am_direct = a_ref + b_mov
     else:
-        mixed = _wedge(state, _inv_small(state.h0_at_x))
+        mixed = mixed_discriminant(_inv_small(state.h0_at_x), state.g_tau)
         am_direct = a_ref + b_mov \
-            + fact * ray.grid.integrate(state.phi_y * mixed)
+            + fact * ray.grid.integrate(state.phi_y * mixed * state.det_tau)
     i_val = a_ref - b_mov
     j_val = 0.5 * i_val if n == 1 else a_ref - am_direct / (n + 1)
     entropy = fact * ray.grid.integrate(state.log_ratio)
 
     l_alpha = None if alpha is None else _fixed_form_energy(
-        state, alpha, _alpha_field(ray, alpha))
+        state, _alpha_field(ray, alpha))
     return EnergyReport(tau=tau, am=am, am_direct=am_direct, i_val=i_val,
                         j_val=j_val, entropy=entropy, l_alpha=l_alpha,
                         err_estimate=abs(am - am_direct))
 
 
-def _fixed_form_energy(state: RayState, key, field) -> float:
+def _fixed_form_energy(state: RayState, field) -> float:
     """Chen-Tian energy of a fixed form theta at the endpoint,
 
         E_theta(phi) = sum_{j=0}^{n-1} integral phi theta ^ omega0^j
@@ -182,27 +174,22 @@ def _fixed_form_energy(state: RayState, key, field) -> float:
     whose s-derivative is n * <phi_dot, theta ^ omega_s^(n-1)>.
     field(tau, x) is theta's dual-Hessian field at the moment-dual point
     xi + tau * grad g of each node, where x are the reference points
-    with that u0-gradient.  The j = n-1 term is n! * integral of
-    phi * MD(theta, G0) * det H0 over the reference nodes (phi * theta
-    * h0 for n = 1), its density cached per Ray under key (a name or
-    alpha's polytope); for n = 2 the j = 0 term is n! * integral of
-    phi * MD(theta, G_tau) * det H_tau over the transported nodes, read
-    from the state's transported frame.
+    with that u0-gradient.  Every term is read over the transported
+    nodes with theta at state.x: the j = n-1 term, an integral of
+    phi * MD(theta, G0) * det H0 against dx = e^(-log_ratio) dy, has
+    density phi_y * MD(theta, G0(x)) * det H_tau (phi_y * theta * h_tau
+    for n = 1), and for n = 2 the j = 0 term adds
+    phi_y * MD(theta, G_tau) * det H_tau.
     """
     ray = state.ray
-    n = ray.cfg.dim
-    fact = math.factorial(n)
-    densities = ray.__dict__.setdefault("_density0", {})
-    if key not in densities:
-        a = field(0.0, ray.grid.points)
-        densities[key] = a[:, 0, 0] * ray.h0[:, 0, 0] if n == 1 \
-            else mixed_discriminant(a, _inv_small(ray.h0)) \
-            * np.exp(_logdet_small(ray.h0))
-    energy = fact * ray.grid.integrate(state.phi * densities[key])
-    if n == 2:
-        energy += fact * ray.grid.integrate(
-            state.phi_y * _wedge(state, field(state.tau, state.x)))
-    return energy
+    theta = field(state.tau, state.x)
+    if ray.cfg.dim == 1:
+        density = theta[:, 0, 0]
+    else:
+        density = mixed_discriminant(
+            theta, _inv_small(state.h0_at_x) + state.g_tau)
+    return math.factorial(ray.cfg.dim) * ray.grid.integrate(
+        state.phi_y * density * state.det_tau)
 
 
 def _alpha_field(ray: Ray, alpha: Polytope):
@@ -289,11 +276,11 @@ def mabuchi(state: RayState) -> MabuchiReport:
     (1/2) * entropy + n/(n+1) * mu * AM - E_Ric, the half on the entropy
     paired with the halved Ricci convention in which the mean scalar
     curvature is n * mu.  E_Ric is the Chen-Tian endpoint energy of the
-    fixed form Ric0 (_fixed_form_energy, as for alpha in energy_report);
-    its transported term takes Ric0 at the inverse transport x that the
-    entropy uses.  Route (b), _route_b, shares only the grid, u0 and
-    g_beta with it.  err_estimate is the route gap plus route (b)'s
-    edge-quadrature estimate (0 in 1D).
+    fixed form Ric0 (_fixed_form_energy, as for alpha in energy_report),
+    with Ric0 at the inverse transport x that the entropy uses.  Route
+    (b), _route_b, shares only the grid, u0 and g_beta with it.
+    err_estimate is the route gap plus route (b)'s edge-quadrature
+    estimate (0 in 1D).
     """
     ray = state.ray
     cfg = ray.cfg
@@ -303,7 +290,7 @@ def mabuchi(state: RayState) -> MabuchiReport:
     mu = float(slope_mu(cfg.base))
 
     entropy = fact * ray.grid.integrate(state.log_ratio)
-    l_ric = _fixed_form_energy(state, "ricci",
+    l_ric = _fixed_form_energy(state,
                                lambda _tau, x: ricci_reference(ray.u0, x))
     route_a = 0.5 * entropy + (n / (n + 1)) * mu * am_energy(ray, tau) - l_ric
     route_b, err = _route_b(ray, tau)

@@ -238,19 +238,26 @@ def ladder(cfg: ToricTestConfig, schedule: Schedule, fn) -> list:
     An affine ray is exact, so one Ray serves the whole ladder and its
     transport cache warm-starts each tau from the one below.  A PL ray
     gets one Ray per tau, smoothed at beta = beta0 * tau and graded for
-    that tau.  A NewtonDivergence raised by fn is re-raised with its tau.
+    that tau.  The largest tau is checked against the Ray that serves it
+    (Ray.check_reach) before any rung runs; a PL ladder builds that Ray
+    first and keeps it for its rung.  A NewtonDivergence raised there or
+    by fn is re-raised with its tau.
     """
-    def rung(ray, t):
+    taus = [float(t) for t in schedule.taus]
+    top = max(taus)
+    affine = _tier(cfg) == "affine"
+    last = Ray(cfg, beta=schedule.beta0 if affine else schedule.beta(top),
+               tau_max=top)
+
+    def rung(t, call):
         try:
-            return fn(ray, t)
+            return call(last if affine or t == top
+                        else Ray(cfg, beta=schedule.beta(t), tau_max=t))
         except NewtonDivergence as exc:
             raise NewtonDivergence(f"tau={t:g}: {exc}") from exc
 
-    taus = [float(t) for t in schedule.taus]
-    if _tier(cfg) == "affine":
-        ray = Ray(cfg, beta=schedule.beta0, tau_max=max(taus))
-        return [rung(ray, t) for t in taus]
-    return [rung(Ray(cfg, beta=schedule.beta(t), tau_max=t), t) for t in taus]
+    rung(top, lambda ray: ray.check_reach(top))
+    return [rung(t, lambda ray: fn(ray, t)) for t in taus]
 
 
 def _energy_row(ray, tau, theorem, alpha, gamma):

@@ -221,20 +221,38 @@ def test_grids_match_fresh_leggauss_panels(monkeypatch):
 
 
 def test_transport_and_bulk_grid_node_counts():
-    assert fan_grid(box(2), 46).size == 170_880
-    assert fan_grid(unit_simplex(2), 46).size == 128_160
+    assert fan_grid(box(2), 46).size == 181_440
+    assert fan_grid(unit_simplex(2), 46).size == 136_080
     assert bulk_grid(box(2)).size == 26_560
     assert bulk_grid(unit_simplex(2)).size == 19_920
 
 
-@pytest.mark.parametrize("depth", [12, 20])
+def radial_panels(depth, inner_order=12, graded_order=4):
+    """(a, b, radial order, along-edge depth) of each radial panel of a
+    fan triangle: two inner panels, breaks at 1 - 2^-k for k <= 8, every
+    second k beyond and depth, order 10 up to level depth - 10 and the
+    graded order on the deepest ten levels, the along-edge depth coupled
+    to the level k of the outer break.  Reference only."""
+    levels = [k for k in range(1, depth + 1)
+              if k <= 8 or k % 2 == 1 or k == depth]
+    panels = [(0.0, 0.25, inner_order, 3), (0.25, 0.5, inner_order, 3)]
+    for j, k in zip(levels, levels[1:]):
+        order = 10 if k <= depth - 10 else graded_order
+        panels.append((1.0 - 0.5 ** j, 1.0 - 0.5 ** k, order,
+                       min(depth, k + 2)))
+    panels.append((1.0 - 0.5 ** depth, 1.0, graded_order, depth))
+    return panels
+
+
+@pytest.mark.parametrize("depth", [8, 12, 20, 46])
 @pytest.mark.parametrize("base", [box(2), unit_simplex(2)])
 def test_fan_grid_couples_edge_depth_to_radial_level(base, depth):
-    """Each radial panel of a facet triangle carries the along-edge rule
-    of depth min(depth, max(3, k + 2)), k the level of its outer break
-    1 - 2^-k; the two inner panels take depth 3 and the panel touching
-    the facet the full depth.  Counted per panel from the slack of the
-    first facet, which fixes the radial parameter t of every node."""
+    """Each radial panel of a facet triangle carries its radial Gauss
+    order times the along-edge rule of depth min(depth, max(3, k + 2)),
+    k the level of its outer break 1 - 2^-k; the two inner panels take
+    depth 3 and the panel touching the facet the full depth.  Counted
+    per panel from the slack of the first facet, which fixes the radial
+    parameter t of every node."""
     grid = fan_grid(base, depth)
     h = base.halfspaces[0]
     normal = np.array([float(c) for c in h.normal])
@@ -247,10 +265,9 @@ def test_fan_grid_couples_edge_depth_to_radial_level(base, depth):
         breaks = analysis._graded_breaks(d)
         return len(analysis._panel_nodes(breaks, 12, 4, 0.25, 0.75)[0])
 
-    panels = [(0.0, 0.25, 12, 3), (0.25, 0.5, 12, 3)]
-    panels += [(1.0 - 0.5 ** (k - 1), 1.0 - 0.5 ** k, 4, min(depth, k + 2))
-               for k in range(2, depth + 1)]
-    panels.append((1.0 - 0.5 ** depth, 1.0, 4, depth))
+    panels = radial_panels(depth)
+    if depth == 46:
+        assert [p[2] for p in panels].count(10) == 21  # levels 2..8, 9..35
     for a, b, radial_order, edge_depth in panels:
         inside = np.count_nonzero((t > a) & (t < b))
         assert inside == radial_order * edge_nodes(edge_depth), (a, b)
@@ -263,11 +280,11 @@ def tensor_fan_grid(base, depth, inner_order=12, graded_order=4):
     full along-edge breakpoints of `depth`.  Reference only."""
     vd = volume_data(base)
     bary = np.array([float(c) for c in vd.barycenter])
-    t_breaks = [0.0, 0.25, 0.5] + [1.0 - 0.5 ** k for k in range(1, depth + 1)] + [1.0]
-    t_breaks = sorted(set(t_breaks))
+    tx, tw = map(np.concatenate, zip(*(
+        analysis._gauss_panel(a, b, order)
+        for a, b, order, _ in radial_panels(depth, inner_order,
+                                            graded_order))))
     s_breaks = analysis._graded_breaks(depth)
-    tx, tw = analysis._panel_nodes(t_breaks, inner_order, graded_order,
-                                   0.0, 0.5)
     sx, sw = analysis._panel_nodes(s_breaks, inner_order, graded_order,
                                    0.25, 0.75)
     pts_all, w_all = [], []
@@ -304,7 +321,7 @@ def test_coupled_grid_matches_tensor_grid_rows(monkeypatch):
     coupled = rows()
     monkeypatch.setattr(analysis, "fan_grid", tensor_fan_grid)
     tensor = rows()
-    assert build_grid(box(2), 46).size == 319_488
+    assert build_grid(box(2), 46).size == 402_432
     assert np.all(np.isfinite(coupled))
     assert np.max(np.abs(coupled - tensor)) < 1e-9
 
@@ -448,7 +465,8 @@ def _log_volume_ratio(ray, tau):
 def test_state_at_zero_is_identity():
     ray = Ray(KINK, beta=20.0, tau_max=2.0)
     st = ray.state(0.0)
-    assert np.all(st.phi == 0.0)
+    assert np.all(st.phi_y == 0.0)
+    assert np.array_equal(st.x, ray.grid.points)
     lvr = _log_volume_ratio(ray, 0.0)
     assert np.all(lvr == 0.0)
     mass = ray.grid.integrate(np.exp(lvr))
@@ -487,9 +505,18 @@ def test_phi_dot_bounded_by_g_range():
 
 
 def test_phi_convex_in_tau():
+    """phi at a reference node, through the forward transport: the
+    Legendre dual of u_tau minus that of u0 at its moment-dual point."""
     ray = Ray(AFFINE, beta=10.0, tau_max=3.0)
     idx = np.argmin(np.abs(ray.grid.points[:, 0] - 0.5))
-    phis = [ray.state(t).phi[idx] for t in (1.0, 2.0, 3.0)]
+    p, xi = ray.grid.points[idx], ray.xi[idx]
+
+    def phi(tau):
+        moved = ray.transport(tau)[idx]
+        return (moved @ xi - ray.potential(tau).value(moved[None])[0]) \
+            - (p @ xi - ray.u0_vals[idx])
+
+    phis = [phi(t) for t in (1.0, 2.0, 3.0)]
     assert phis[1] <= 0.5 * (phis[0] + phis[2]) + 1e-10
 
 

@@ -218,6 +218,27 @@ def test_huge_finite_tau_is_refused_before_newton_in_process(tmp_path,
     assert "numerical failure" in err and "tau=1e+308" in err
 
 
+def test_huge_finite_tau_is_refused_before_the_first_rung(tmp_path,
+                                                          monkeypatch):
+    """The schedule's largest tau is checked before any rung runs, so the
+    square's rungs 1-5 transport nothing before tau = 1e308 is refused."""
+    import kstab.analysis
+    import kstab.functionals
+
+    calls = []
+    original = kstab.analysis.newton_transport
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return original(*args, **kwargs)
+
+    for module in (kstab.analysis, kstab.functionals):
+        monkeypatch.setattr(module, "newton_transport", counted)
+    path = write_scenario(tmp_path, HUGE_TAU[1])
+    assert run_scenario(path, out_dir=tmp_path / "out") == EXIT_NUMERIC
+    assert calls == []
+
+
 @pytest.mark.parametrize("theorem,taus,message", [
     ("AM", [1, 2, 4], "need at least 6 samples, got 3"),
     ("AM", [1, 2, 3, 4, 5, 6], "need tau_max >= 8"),

@@ -25,7 +25,7 @@ import kstab.analysis
 import kstab.functionals
 from kstab.analysis import (Ray, _inv_small, _logdet_small,
                             abreu_scalar_curvature, bulk_grid,
-                            crease_ladder_depth, crease_points,
+                            crease_ladder_depth, crease_points, fan_grid,
                             guillemin_potential, newton_transport,
                             ricci_reference)
 from kstab.errors import MissingAlpha, NormalizationRequired, RouteMismatch
@@ -128,6 +128,26 @@ def test_square_affine_doubles_by_product_structure():
     assert abs(rep.i_val - 2.0 * i_exact(2.0)) < 1e-6
     assert abs(rep.entropy - 2.0 * ent_exact(2.0)) < 1e-6
     assert abs(rep.am - rep.am_direct) < 1e-6 * (1.0 + abs(rep.am))
+
+
+def test_square_transported_frame_matches_product_values():
+    """On the square with g = x1 every energy is a 1D value by product
+    structure: integral phi = (I_1D - tau) / 2 (AM_1D = -tau) and
+    E_Ric = Ent_1D - 2 mu tau.  Read over the inverse-transported nodes of
+    the tau_max 12 grid, integral phi holds to 1e-8 at every rung; up to
+    tau = 8, where route (a)'s float wall has not set in, the direct AM
+    holds to 2e-8 and E_Ric to 3e-8."""
+    ray = Ray(SQUARE, beta=10.0, tau_max=12.0)
+    mu = float(slope_mu(SQUARE.base))
+    for tau in (1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0):
+        state = ray.state(tau)
+        phi_int = ray.grid.integrate(state.phi_y * np.exp(-state.log_ratio))
+        assert abs(phi_int - 0.5 * (i_exact(tau) - tau)) < 1e-8, tau
+        if tau <= 8.0:
+            rep = energy_report(state)
+            assert abs(rep.am_direct - rep.am) <= 2e-8, tau
+            l_ric = mabuchi(state).l_ricci
+            assert abs(l_ric - (ent_exact(tau) - 2.0 * mu * tau)) < 3e-8, tau
 
 
 @pytest.mark.parametrize("cfg,dim", [(AFFINE, 1), (KINK, 1)])
@@ -253,20 +273,26 @@ def test_mabuchi_transports_only_at_tau(monkeypatch):
     monkeypatch.setattr(kstab.functionals, "newton_transport", counting)
     ray = Ray(KINK, beta=40.0, tau_max=4.0)
     state = ray.state(4.0)
-    assert len(calls) == 2  # the forward and the inverse transport at tau
+    assert len(calls) == 1  # the inverse transport at tau
     mabuchi(state)
-    assert len(calls) == 2
+    energy_report(state)
+    assert len(calls) == 1
 
 
 def _mabuchi_path(ray, taus):
     """Path form of route (b): the integral over s of the curvature
     pairing n! * integral g_beta * (S_s - n mu), with Abreu's curvature
-    of u0 + s * g_beta on the bulk grid graded at the creases."""
+    of u0 + s * g_beta on the bulk grid graded at the creases in 1D.  In
+    2D the bulk grid misses the converged path by 1.8e-7 on the 3-piece
+    square at tau = 1, so the path runs on a fan grid of higher radial
+    order, which agrees with finer ones to 4e-10."""
     cfg = ray.cfg
     n = cfg.dim
     mu = float(slope_mu(cfg.base))
     grid = bulk_grid(cfg.base, creases=crease_points(cfg.g),
-                     crease_depth=crease_ladder_depth(ray.smooth.beta, 1.0))
+                     crease_depth=crease_ladder_depth(ray.smooth.beta, 1.0)) \
+        if n == 1 else fan_grid(cfg.base, depth=8, inner_order=16,
+                                graded_order=8)
     g_vals = ray.smooth.value(grid.points)
 
     def integrand(s):
@@ -337,7 +363,7 @@ def test_mabuchi_integrates_no_path(monkeypatch, cfg):
     state = ray.state(1.0)
     cached = set(vars(ray))
     mabuchi(state)
-    assert set(vars(ray)) - cached <= {"_density0"}
+    assert set(vars(ray)) == cached
 
 
 def test_mabuchi_leaves_no_reference_cycle():
@@ -439,8 +465,8 @@ def test_l_alpha_endpoint_matches_path(cfg, beta, alpha, taus):
     (SQUARE, box(2)),
 ], ids=["interval", "square"])
 def test_alpha_ladder_transports_into_alpha(monkeypatch, cfg, alpha):
-    """An alpha ladder on one Ray solves the reference-side transport
-    into alpha once; in 2D each tau adds one for its transported term."""
+    """An alpha ladder solves one transport into alpha per tau: alpha's
+    field at the inverse-transported points serves every term."""
     calls = []
 
     def counted(potential, targets, start, **kwargs):
@@ -452,8 +478,7 @@ def test_alpha_ladder_transports_into_alpha(monkeypatch, cfg, alpha):
     ray = Ray(cfg, beta=10.0, tau_max=max(taus))
     for tau in taus:
         energy_report(ray.state(tau), alpha=alpha)
-    extra = len(taus) if cfg.dim == 2 else 0
-    assert calls == [ray.grid.size] * (1 + extra)
+    assert calls == [ray.grid.size] * len(taus)
 
 
 def test_missing_alpha_raises():
