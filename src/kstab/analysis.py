@@ -50,13 +50,8 @@ _SLACK_FLOOR = 1e-300
 class SymplecticPotential:
     """Guillemin potential u = (1/2) sum ell_k log ell_k (zero correction)."""
 
-    base: Polytope
     normals: np.ndarray
     offsets: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.normals.shape[1]
 
     # slacks, gradient and hessian work in place: on the Newton blocks a
     # fresh (n, K) temporary costs more than the arithmetic done in it
@@ -95,7 +90,7 @@ def guillemin_potential(base: Polytope) -> SymplecticPotential:
         raise NonDelzant("Guillemin potential needs a Delzant polytope")
     normals = np.array([[float(c) for c in h.normal] for h in base.halfspaces])
     offsets = np.array([float(h.offset) for h in base.halfspaces])
-    return SymplecticPotential(base=base, normals=normals, offsets=offsets)
+    return SymplecticPotential(normals=normals, offsets=offsets)
 
 
 @dataclass(frozen=True)
@@ -156,10 +151,6 @@ class ShiftedPotential:
     u0: SymplecticPotential
     smooth: SmoothedPL
     s: float
-
-    @property
-    def dim(self) -> int:
-        return self.u0.dim
 
     def slacks(self, pts):
         return self.u0.slacks(pts)
@@ -227,11 +218,10 @@ def _graded_breaks(depth: int):
     return [0.0] + left + [0.5] + right + [1.0]
 
 
-def _panel_nodes(breaks, inner_order, graded_order, inner_lo, inner_hi):
+def _panel_nodes(breaks, inner_order, graded_order):
     xs, ws = [], []
     for a, b in zip(breaks[:-1], breaks[1:]):
-        order = inner_order if (a >= inner_lo and b <= inner_hi) \
-            else graded_order
+        order = inner_order if (a >= 0.25 and b <= 0.75) else graded_order
         x, w = _gauss_panel(a, b, order)
         xs.append(x)
         ws.append(w)
@@ -265,7 +255,7 @@ def line_grid(base: Polytope, depth: int, creases=(), graded_order: int = 8,
     for t in bs[1:]:
         if t - merged[-1] > 1e-14:
             merged.append(t)
-    x, w = _panel_nodes(merged, 16, graded_order, 0.25, 0.75)
+    x, w = _panel_nodes(merged, 16, graded_order)
     return Grid(points=(a + span * x)[:, None], weights=span * w)
 
 
@@ -295,8 +285,7 @@ def fan_grid(base: Polytope, depth: int, inner_order: int = 12,
          10 if k <= depth - 10 else graded_order, k)
         for j, k in zip(levels, levels[1:])]
     panels.append((1.0 - 0.5 ** depth, 1.0, graded_order, depth))
-    s_rules = {d: _panel_nodes(_graded_breaks(d), inner_order, graded_order,
-                               0.25, 0.75)
+    s_rules = {d: _panel_nodes(_graded_breaks(d), inner_order, graded_order)
                for d in range(min(3, depth), depth + 1)}
     blocks = []
     for a, b, order, k in panels:
@@ -398,10 +387,10 @@ def _row_reduce(op, a: np.ndarray) -> np.ndarray:
 
 _NEWTON_BLOCK = 8192
 _NEWTON_TOL = 1e-11
+_NEWTON_MAX_ITER = 80
 
 
-def newton_transport(potential, targets: np.ndarray, start: np.ndarray,
-                     max_iter: int = 80):
+def newton_transport(potential, targets: np.ndarray, start: np.ndarray):
     """Solve grad(potential)(z) = target per row, staying strictly interior.
 
     Returns z and the Hessian of the potential at z, which the last
@@ -423,7 +412,7 @@ def newton_transport(potential, targets: np.ndarray, start: np.ndarray,
 
     Rows are independent, so they are solved in fixed-size blocks whose
     temporaries stay cache-sized.  NewtonDivergence names the count of
-    rows still unsettled after max_iter, the worst live residual
+    rows still unsettled after _NEWTON_MAX_ITER, the worst live residual
     component among them and where that row's iterate stopped.
     """
     z = start.copy()
@@ -436,7 +425,7 @@ def newton_transport(potential, targets: np.ndarray, start: np.ndarray,
     for lo in range(0, len(z), _NEWTON_BLOCK):
         rows = slice(lo, lo + _NEWTON_BLOCK)
         idx, res = _newton_rows(potential, normals, targets[rows], z[rows],
-                                hess[rows], tol, max_iter)
+                                hess[rows], tol)
         stalled.append(lo + idx)
         worst.append(res)
     stalled = np.concatenate(stalled)
@@ -451,7 +440,7 @@ def newton_transport(potential, targets: np.ndarray, start: np.ndarray,
     return z, hess
 
 
-def _newton_rows(potential, normals, targets, z, hess, tol, max_iter):
+def _newton_rows(potential, normals, targets, z, hess, tol):
     """Damped Newton on the rows of z in place, filling hess at the result.
 
     The active rows live in compact working arrays: their block
@@ -464,7 +453,7 @@ def _newton_rows(potential, normals, targets, z, hess, tol, max_iter):
     scaled by the targets' magnitude).
 
     Returns the block positions of the rows still unsettled after
-    max_iter and the largest live residual component of each.
+    _NEWTON_MAX_ITER and the largest live residual component of each.
     """
     idx = np.arange(len(z))
     dim = z.shape[1]
@@ -472,7 +461,7 @@ def _newton_rows(potential, normals, targets, z, hess, tol, max_iter):
     ell = potential.slacks(x)
     res = potential.gradient(x, ell) - targets
     frozen = np.zeros(x.shape, dtype=bool)
-    for it in range(max_iter + 1):
+    for it in range(_NEWTON_MAX_ITER + 1):
         h = potential.hessian(x, ell)
         ulp = np.abs(x)
         np.spacing(ulp, out=ulp)
@@ -501,7 +490,7 @@ def _newton_rows(potential, normals, targets, z, hess, tol, max_iter):
             idx, x, ell, res, h, targets, frozen, live = (
                 a.take(keep, axis=0)
                 for a in (idx, x, ell, res, h, targets, frozen, live))
-        if it == max_iter:  # the last pass only tests the final iterates
+        if it == _NEWTON_MAX_ITER:  # the last pass only tests the iterates
             break
         step = -_solve_small(h, res)
         if frozen.any():  # nor may a frozen component clip the others
@@ -557,17 +546,16 @@ class RayState:
     Fields are indexed by the grid node in its role as transported
     coordinate y, where the plain node weights integrate against the
     evolving volume form and e^(-log_ratio) times them against the fixed
-    one: x is the inverse transport of the nodes, h0_at_x is D2u0(x),
-    phi_y is the potential increment at x, log_ratio is
-    log det D2u0(x) - log det H_tau and det_tau is det H_tau.  For n = 2,
-    g_tau is the inverse of H_tau, an ingredient of wedge densities; it
-    is None for n = 1.
+    one: x is the inverse transport of the nodes, phi_y is the potential
+    increment at x, log_ratio is log det D2u0(x) - log det H_tau and
+    det_tau is det H_tau.  Wedge densities take g0_at_x = D2u0(x)^-1
+    and g_tau = H_tau^-1, which are None for n = 1.
     """
 
     ray: "Ray"
     tau: float
     x: np.ndarray
-    h0_at_x: np.ndarray
+    g0_at_x: np.ndarray | None
     phi_y: np.ndarray
     log_ratio: np.ndarray
     det_tau: np.ndarray
@@ -606,24 +594,26 @@ class Ray:
         return newton_transport(self.potential(s), self.xi,
                                 self.grid.points)[0]
 
-    def inverse_transport(self, s: float) -> np.ndarray:
-        """Reference point x whose u_s-moment image is each grid node.
+    def inverse_transport(self, s: float):
+        """(x, D2u0(x)): the reference point x whose u_s-moment image is
+        each grid node, and the Hessian Newton's last test took there.
 
         Solves grad u0(x) = grad u_s(y) per node y, with s rounded to 12
-        digits.  Only the latest solution is kept: it answers the same s
-        again and warm-starts a larger one; a smaller s starts from the
-        grid, which is also the answer at s = 0.  The iterates press into
-        the boundary collar, where the Newton solver saturates at float
+        digits.  Only the latest x is kept: it answers the same s again
+        and warm-starts a larger one; a smaller s starts from the grid,
+        which is also the answer at s = 0.  The iterates press into the
+        boundary collar, where the Newton solver saturates at float
         spacing; downstream integrands are slack-stable there.
         """
         key = round(float(s), 12)
         last, x = self._inv
-        if key != last:
-            start = x if last < key else self.grid.points
-            x = newton_transport(self.u0, self.xi + key * self.g_grad,
-                                 start)[0]
-            self._inv = (key, x)
-        return x
+        if key == last:
+            return x, self.u0.hessian(x)
+        start = x if last < key else self.grid.points
+        x, h0_at_x = newton_transport(self.u0, self.xi + key * self.g_grad,
+                                      start)
+        self._inv = (key, x)
+        return x, h0_at_x
 
     def check_reach(self, tau: float) -> None:
         """NewtonDivergence if tau shifts some target xi + tau * grad g_beta
@@ -642,18 +632,21 @@ class Ray:
         check_reach refuses an unreachable tau before Newton runs."""
         tau = float(tau)
         self.check_reach(tau)
-        x = self.inverse_transport(tau)
-        h0_at_x = self.u0.hessian(x)
+        x, h0_at_x = self.inverse_transport(tau)
         h_tau = self.h0 + tau * self.g_hess
         logdet_tau = _logdet_small(h_tau)
+        log_ratio = _logdet_small(h0_at_x) - logdet_tau
+        g_tau = _inv_small(h_tau) if self.cfg.dim == 2 else None
+        del h_tau  # before D2u0(x) is inverted: one matrix field fewer alive
+        g0_at_x = None if g_tau is None else _inv_small(h0_at_x)
+        del h0_at_x
         xi = self.xi + tau * self.g_grad
         phi_y = ((self.grid.points * xi).sum(axis=1)
                  - (self.u0_vals + tau * self.g_vals)) \
             - ((x * xi).sum(axis=1) - self.u0.value(x))
-        return RayState(ray=self, tau=tau, x=x, h0_at_x=h0_at_x, phi_y=phi_y,
-                        log_ratio=_logdet_small(h0_at_x) - logdet_tau,
-                        det_tau=np.exp(logdet_tau),
-                        g_tau=_inv_small(h_tau) if self.cfg.dim == 2 else None)
+        return RayState(ray=self, tau=tau, x=x, g0_at_x=g0_at_x, phi_y=phi_y,
+                        log_ratio=log_ratio, det_tau=np.exp(logdet_tau),
+                        g_tau=g_tau)
 
     def point_derivative(self, tau: float, p: np.ndarray) -> float:
         """phi_dot at a single reference point (used by the vertex probe)."""
@@ -785,9 +778,10 @@ def ricci_reference(u0: SymplecticPotential, pts: np.ndarray) -> np.ndarray:
     for lo in range(0, len(pts), _RICCI_BLOCK):
         x = pts[lo:lo + _RICCI_BLOCK]
         rows = len(x)
-        w = 1.0 / u0.slacks(x)
+        ell = u0.slacks(x)
+        w = 1.0 / ell
         w2 = w * w
-        hinv = _inv_small(u0.hessian(x))
+        hinv = _inv_small(u0.hessian(x, ell))
         big_q = hinv.reshape(rows, dim * dim) @ pair.T
         q = big_q[:, diag]
         # 2 (P_k . grad v) = sum_k' Q_kk' w_k'^2 q_k'

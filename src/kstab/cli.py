@@ -45,7 +45,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import NumericalFailure, ValidationError
-from .functionals import l1_norm_path
+from .functionals import l1_norm_path, l1_speed
 from .invariants import blowup_expansion, invariant_report
 from .plconfig import make_config, normalize
 from .polytope import (box, construct, frac_json, frac_str, interval,
@@ -92,11 +92,18 @@ def _rational(blob, what: str) -> Fraction:
         raise ValidationError(f"{what}: {blob!r} is not a rational") from exc
 
 
-def _integer(blob, what: str) -> int:
+def _dimension(blob, what: str) -> int:
+    """A box or simplex dimension, 1 to 4: vertex enumeration walks
+    C(2d, d) facet subsets, so dimension 10 would run for minutes."""
     try:
-        return int(blob)
-    except (TypeError, ValueError) as exc:
+        dim = int(blob)
+        if isinstance(blob, bool) or isinstance(blob, float) and dim != blob:
+            raise ValueError
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{what}: {blob!r} is not an integer") from exc
+    if not 1 <= dim <= 4:
+        raise ValidationError(f"{what} must be 1 to 4, got {dim}")
+    return dim
 
 
 def _positive(blob, what: str) -> float:
@@ -133,10 +140,10 @@ def _parse_polytope(blob, what: str = "polytope"):
         return interval(_rational(blob.get("lo", 0), what),
                         _rational(blob.get("hi", 1), what))
     if kind == "box":
-        return box(_integer(blob.get("dim", 2), f"{what} dim"),
+        return box(_dimension(blob.get("dim", 2), f"{what} dim"),
                    side=_rational(blob.get("side", 1), what))
     if kind == "simplex":
-        return unit_simplex(_integer(blob.get("dim", 2), f"{what} dim"))
+        return unit_simplex(_dimension(blob.get("dim", 2), f"{what} dim"))
     raise ValidationError(
         f"{what}: unknown kind {kind!r} (expected interval, box, simplex, "
         "or an explicit vertex list)")
@@ -316,7 +323,8 @@ def _task_scan(cfg, task):
 def _task_l1(cfg, task, tau_max):
     ncfg = normalize(cfg, "average_zero")
     schedule = _schedule_from(task, tau_max, point=False)
-    report = l1_norm_path(ladder(ncfg, schedule, lambda ray, t: (t, ray)))
+    report = l1_norm_path(
+        ncfg, ladder(ncfg, schedule, lambda ray, t: (t, l1_speed(ray))))
     entry = {"kind": "l1", "limit": _finite(report.limit),
              "length": _finite(report.length),
              "trace": [[t, _finite(v)] for t, v in report.trace]}

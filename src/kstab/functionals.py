@@ -151,7 +151,7 @@ def energy_report(state: RayState, alpha: Polytope | None = None) -> EnergyRepor
     if n == 1:
         am_direct = a_ref + b_mov
     else:
-        mixed = mixed_discriminant(_inv_small(state.h0_at_x), state.g_tau)
+        mixed = mixed_discriminant(state.g0_at_x, state.g_tau)
         am_direct = a_ref + b_mov \
             + fact * ray.grid.integrate(state.phi_y * mixed * state.det_tau)
     i_val = a_ref - b_mov
@@ -159,55 +159,49 @@ def energy_report(state: RayState, alpha: Polytope | None = None) -> EnergyRepor
     entropy = fact * ray.grid.integrate(state.log_ratio)
 
     l_alpha = None if alpha is None else _fixed_form_energy(
-        state, _alpha_field(ray, alpha))
+        state, _alpha_theta(state, alpha))
     return EnergyReport(tau=tau, am=am, am_direct=am_direct, i_val=i_val,
                         j_val=j_val, entropy=entropy, l_alpha=l_alpha,
                         err_estimate=abs(am - am_direct))
 
 
-def _fixed_form_energy(state: RayState, field) -> float:
+def _fixed_form_energy(state: RayState, theta: np.ndarray) -> float:
     """Chen-Tian energy of a fixed form theta at the endpoint,
 
         E_theta(phi) = sum_{j=0}^{n-1} integral phi theta ^ omega0^j
                        ^ omega_phi^(n-1-j),
 
     whose s-derivative is n * <phi_dot, theta ^ omega_s^(n-1)>.
-    field(tau, x) is theta's dual-Hessian field at the moment-dual point
-    xi + tau * grad g of each node, where x are the reference points
-    with that u0-gradient.  Every term is read over the transported
-    nodes with theta at state.x: the j = n-1 term, an integral of
+    theta is its dual-Hessian field at xi + tau * grad g, the u0-moment
+    image of state.x, at each node.  Every term is read over the
+    transported nodes: the j = n-1 term, an integral of
     phi * MD(theta, G0) * det H0 against dx = e^(-log_ratio) dy, has
     density phi_y * MD(theta, G0(x)) * det H_tau (phi_y * theta * h_tau
     for n = 1), and for n = 2 the j = 0 term adds
     phi_y * MD(theta, G_tau) * det H_tau.
     """
     ray = state.ray
-    theta = field(state.tau, state.x)
     if ray.cfg.dim == 1:
         density = theta[:, 0, 0]
     else:
-        density = mixed_discriminant(
-            theta, _inv_small(state.h0_at_x) + state.g_tau)
+        density = mixed_discriminant(theta, state.g0_at_x + state.g_tau)
     return math.factorial(ray.cfg.dim) * ray.grid.integrate(
         state.phi_y * density * state.det_tau)
 
 
-def _alpha_field(ray: Ray, alpha: Polytope):
-    """field(tau, x) of the alpha form for _fixed_form_energy: the
-    inverse Hessian of alpha's Guillemin potential where its gradient is
-    xi + tau * grad g, one Newton transport into alpha per call."""
+def _alpha_theta(state: RayState, alpha: Polytope) -> np.ndarray:
+    """theta of the alpha form for _fixed_form_energy: the inverse
+    Hessian of alpha's Guillemin potential where its gradient is
+    xi + tau * grad g, from one Newton transport into alpha."""
+    ray = state.ray
     if alpha.dim != ray.cfg.dim:
-        raise MissingAlpha(
-            "twisting polytope has dimension "
-            f"{alpha.dim}, expected {ray.cfg.dim}")
-    u_alpha = guillemin_potential(alpha)
+        raise MissingAlpha(f"twisting polytope has dimension {alpha.dim}, "
+                           f"expected {ray.cfg.dim}")
     bary = np.array([[float(c) for c in volume_data(alpha).barycenter]])
-
-    def field(tau: float, _x: np.ndarray) -> np.ndarray:
-        _, h_alpha = newton_transport(u_alpha, ray.xi + tau * ray.g_grad,
-                                      np.tile(bary, (ray.grid.size, 1)))
-        return _inv_small(h_alpha)
-    return field
+    _, h_alpha = newton_transport(guillemin_potential(alpha),
+                                  ray.xi + state.tau * ray.g_grad,
+                                  np.tile(bary, (ray.grid.size, 1)))
+    return _inv_small(h_alpha)
 
 
 @dataclass(frozen=True)
@@ -290,8 +284,7 @@ def mabuchi(state: RayState) -> MabuchiReport:
     mu = float(slope_mu(cfg.base))
 
     entropy = fact * ray.grid.integrate(state.log_ratio)
-    l_ric = _fixed_form_energy(state,
-                               lambda _tau, x: ricci_reference(ray.u0, x))
+    l_ric = _fixed_form_energy(state, ricci_reference(ray.u0, state.x))
     route_a = 0.5 * entropy + (n / (n + 1)) * mu * am_energy(ray, tau) - l_ric
     route_b, err = _route_b(ray, tau)
     if abs(route_a - route_b) > ROUTE_TOL * (1.0 + abs(route_a)):
@@ -310,24 +303,27 @@ class L1Report:
     trace: tuple
 
 
-def l1_norm_path(rungs: list[tuple[float, Ray]]) -> L1Report:
+def l1_speed(ray: Ray) -> float:
+    """The l1 speed of a rung: n! * integral of |phi_dot| against the
+    evolving volume form, which in transported coordinates is the plain
+    integral of |g_beta|, so no transport runs."""
+    fact = math.factorial(ray.cfg.dim)
+    return fact * ray.grid.integrate(np.abs(ray.g_vals))
+
+
+def l1_norm_path(cfg, trace: list[tuple[float, float]]) -> L1Report:
     """Transfinite l1 data of a ray: extrapolated speed and path length.
 
-    rungs are the (tau, Ray) pairs of a ladder.  The l1 speed at tau is
-    n! * integral of |phi_dot| against the evolving volume form, which
-    in transported coordinates is the plain integral of |g_beta|, so no
-    transport runs.  Requires the average-zero normalization (the
-    bookkeeping under which the top self-intersection vanishes).
+    trace holds the (tau, l1_speed) pairs of a ladder on cfg, which must
+    be in the average-zero normalization (the bookkeeping under which
+    the top self-intersection vanishes).
     """
-    if not rungs:
+    if not trace:
         raise NormalizationRequired("l1 path needs at least one rung")
-    cfg = rungs[0][1].cfg
     if cfg.normalization != "average_zero":
         raise NormalizationRequired(
             "l1 norms are defined under the average-zero normalization")
-    fact = math.factorial(cfg.dim)
-    trace = [(tau, fact * ray.grid.integrate(np.abs(ray.g_vals)))
-             for tau, ray in sorted(rungs, key=lambda r: r[0])]
+    trace = sorted(trace, key=lambda r: r[0])
     taus = np.array([t for t, _ in trace])
     speeds = np.array([v for _, v in trace])
     if len(trace) >= 3:

@@ -100,6 +100,20 @@ def _unpack(trace, min_samples: int, min_tau: float):
     return np.array(taus), np.array([float(r[1]) for r in trace])
 
 
+def _fit_limit(taus, decay, ys, cross: float, k: int) -> SlopeEstimate:
+    """s_inf of the fit ys ~ s_inf + c * decay, its gap to cross as the
+    residual; with nothing to fit (decay underflowed) or a non-finite
+    fit, cross itself with the spread of the last k ys."""
+    fitted = math.nan
+    if decay.max() >= 1e-280:
+        basis = np.column_stack([np.ones_like(decay), decay])
+        coeff, *_ = np.linalg.lstsq(basis, ys, rcond=None)
+        fitted = float(coeff[0])
+    head = (fitted, "exp_fit", abs(cross - fitted)) if math.isfinite(fitted) \
+        else (cross, "window_diff", float(np.ptp(ys[-k:])))
+    return SlopeEstimate(*head, float(taus[-1]), len(taus))
+
+
 def estimate_limit_slope(trace) -> SlopeEstimate:
     """Limit slope of a trace of (tau, value, err) triples.
 
@@ -116,16 +130,7 @@ def estimate_limit_slope(trace) -> SlopeEstimate:
     window = float((values[-1] - values[-1 - k]) / (taus[-1] - taus[-1 - k]))
     # mean of exp(-tau) over each interval: exact for a + b tau + c e^-tau
     decay = (np.exp(-taus[:-1]) - np.exp(-taus[1:])) / gaps
-    fitted = math.nan  # an underflowed decay column leaves nothing to fit
-    if decay.max() >= 1e-280:
-        basis = np.column_stack([np.ones_like(decay), decay])
-        coeff, *_ = np.linalg.lstsq(basis, diffs, rcond=None)
-        fitted = float(coeff[0])
-    if not math.isfinite(fitted):
-        return SlopeEstimate(window, "window_diff", float(np.ptp(diffs[-k:])),
-                             float(taus[-1]), len(taus))
-    return SlopeEstimate(fitted, "exp_fit", abs(window - fitted),
-                         float(taus[-1]), len(taus))
+    return _fit_limit(taus, decay, diffs, window, k)
 
 
 def estimate_limit_value(trace) -> SlopeEstimate:
@@ -136,17 +141,8 @@ def estimate_limit_value(trace) -> SlopeEstimate:
     on the values themselves; the last sample is the cross-check.
     """
     taus, values = _unpack(trace, VALUE_MIN_SAMPLES, VALUE_MIN_TAU)
-    last = float(values[-1])
-    decay = np.exp(-taus)
-    basis = np.column_stack([np.ones_like(decay), decay])
-    coeff, *_ = np.linalg.lstsq(basis, values, rcond=None)
-    fitted = float(coeff[0])
-    if not math.isfinite(fitted):
-        k = min(WINDOW, len(values) - 1)
-        return SlopeEstimate(last, "window_diff", float(np.ptp(values[-k:])),
-                             float(taus[-1]), len(taus))
-    return SlopeEstimate(fitted, "exp_fit", abs(last - fitted),
-                         float(taus[-1]), len(taus))
+    return _fit_limit(taus, np.exp(-taus), values, float(values[-1]),
+                      min(WINDOW, len(values) - 1))
 
 
 # -- schedules and verdicts ---------------------------------------------------
@@ -191,7 +187,6 @@ class VerdictReport:
     passed: bool
     tier: str
     normalization: str
-    estimate: SlopeEstimate
     trace: tuple
     energies: tuple
 
@@ -218,7 +213,7 @@ def _default_tol(theorem: str, tier: str) -> float:
     return 1e-3 if theorem in ("AM", "POINT") else 1e-2
 
 
-def _exact_value(cfg, theorem, alpha, vertex) -> Fraction:
+def _exact_value(cfg, theorem, vertex) -> Fraction:
     n = cfg.base.dim
     if theorem == "AM":
         return -math.factorial(n + 1) * integrate(cfg.base, cfg.g)
@@ -226,8 +221,6 @@ def _exact_value(cfg, theorem, alpha, vertex) -> Fraction:
         return donaldson_futaki(cfg)
     if theorem == "MINNORM":
         return minimum_norm(cfg)
-    if theorem == "JALPHA":
-        return twisted_weights(cfg, alpha)[1]
     # POINT: the fixed-point phi_dot settles at minus the vertex height
     return -chow_weight(cfg, vertex)
 
@@ -322,17 +315,17 @@ def verify_theorem(cfg: ToricTestConfig, theorem: str,
     ncfg = normalize(cfg, target) if target else cfg
     tier = _tier(ncfg)
     tol = schedule.tol if schedule.tol is not None else _default_tol(name, tier)
-    exact = _exact_value(ncfg, name, alpha, vertex)
+    # one twisted_weights call gives JALPHA its exact value and its gamma
+    gamma, exact, _ = twisted_weights(ncfg, alpha) if name == "JALPHA" \
+        else (0.0, _exact_value(ncfg, name, vertex), None)
     if name == "POINT":
         probe = _vertex_probe(ncfg, vertex, schedule)
         trace = tuple(_probe_trace(ncfg, probe, schedule))
         energies = ()
         est = estimate_limit_value(trace)
     else:
-        gamma = float(twisted_weights(ncfg, alpha)[0]) \
-            if name == "JALPHA" else 0.0
         rows = ladder(ncfg, schedule, lambda ray, t: _energy_row(
-            ray, t, name, alpha, gamma))
+            ray, t, name, alpha, float(gamma)))
         trace = tuple(r[:3] for r in rows)
         energies = tuple((r[0],) + r[3:] for r in rows)
         est = estimate_limit_slope(trace)
@@ -343,9 +336,8 @@ def verify_theorem(cfg: ToricTestConfig, theorem: str,
     passed = abs(est.value - float(exact)) <= tol * (1.0 + abs(float(exact)))
     return VerdictReport(
         theorem=name, exact=exact, slope=est.value, residual=est.residual,
-        tol=tol, passed=passed, tier=tier,
-        normalization=target or cfg.normalization, estimate=est,
-        trace=trace, energies=energies)
+        tol=tol, passed=passed, tier=tier, trace=trace,
+        normalization=target or cfg.normalization, energies=energies)
 
 
 # -- destabilizer scan --------------------------------------------------------

@@ -263,7 +263,7 @@ def test_fan_grid_couples_edge_depth_to_radial_level(base, depth):
 
     def edge_nodes(d):
         breaks = analysis._graded_breaks(d)
-        return len(analysis._panel_nodes(breaks, 12, 4, 0.25, 0.75)[0])
+        return len(analysis._panel_nodes(breaks, 12, 4)[0])
 
     panels = radial_panels(depth)
     if depth == 46:
@@ -285,8 +285,7 @@ def tensor_fan_grid(base, depth, inner_order=12, graded_order=4):
         for a, b, order, _ in radial_panels(depth, inner_order,
                                             graded_order))))
     s_breaks = analysis._graded_breaks(depth)
-    sx, sw = analysis._panel_nodes(s_breaks, inner_order, graded_order,
-                                   0.25, 0.75)
+    sx, sw = analysis._panel_nodes(s_breaks, inner_order, graded_order)
     pts_all, w_all = [], []
     for k, h in enumerate(base.halfspaces):
         vi, vj = sorted(base.facet_vertices[k])[:2]
@@ -382,7 +381,7 @@ def test_transport_2d_factorizes():
     assert np.max(np.abs(moved[:, 1] - pts[:, 1])[ok]) < 1e-9
     assert np.max(np.abs(moved[:, 0] - exact_x)[ok]) < 1e-8
     # inverse: x = y / (q + y (1 - q)) along the moving axis, x = y across
-    x_inv = ray.inverse_transport(2.0)
+    x_inv, _ = ray.inverse_transport(2.0)
     exact_inv = pts[:, 0] / (q + pts[:, 0] * (1.0 - q))
     ok = np.minimum.reduce([pts[:, 1], 1 - pts[:, 1],
                             exact_inv, 1 - exact_inv]) > 1e-8
@@ -390,13 +389,14 @@ def test_transport_2d_factorizes():
     assert np.max(np.abs(x_inv[:, 0] - exact_inv)[ok]) < 1e-8
 
 
-def test_newton_divergence_reports_node_count():
+def test_newton_divergence_reports_node_count(monkeypatch):
+    monkeypatch.setattr(analysis, "_NEWTON_MAX_ITER", 2)
     u0 = guillemin_potential(interval(0, 1))
     targets = np.full((5, 1), 30.0)
     targets[3] = 35.0
     start = np.full((5, 1), 0.5)
     with pytest.raises(NewtonDivergence) as err:
-        newton_transport(u0, targets, start, max_iter=2)
+        newton_transport(u0, targets, start)
     msg = str(err.value)
     assert "stalled at 5 node(s)" in msg
     found = re.search(r"worst live residual (\S+) at node (\d+), z = \((\S+)\)",
@@ -525,7 +525,7 @@ def test_phi_convex_in_tau():
 
 def test_inverse_transport_inverts_forward():
     ray = Ray(AFFINE, beta=10.0, tau_max=4.0)
-    x_inv = ray.inverse_transport(4.0)[:, 0]
+    x_inv = ray.inverse_transport(4.0)[0][:, 0]
     y = ray.grid.points[:, 0]
     q = math.exp(-8.0)
     # y = x q / (1 - x + x q)  <=>  x = y / (q + y (1 - q))
@@ -537,7 +537,7 @@ def test_inverse_transport_inverts_forward():
 def test_inverse_transport_saturates_gracefully_at_float_wall():
     """Nodes mapping within one ulp of a facet stay finite and ordered."""
     ray = Ray(AFFINE, beta=10.0, tau_max=12.0)
-    x_inv = ray.inverse_transport(12.0)[:, 0]
+    x_inv = ray.inverse_transport(12.0)[0][:, 0]
     assert np.all(np.isfinite(x_inv))
     assert np.all(x_inv <= 1.0)
     assert np.all(x_inv >= 0.0)

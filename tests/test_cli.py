@@ -1,15 +1,20 @@
 """End-to-end checks of the scenario runner and its artifacts."""
 
+import contextlib
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
+import weakref
 from pathlib import Path
 
 import pytest
 
 import kstab
 from kstab import slopes
+from kstab.analysis import Ray
 from kstab.cli import (EXIT_NUMERIC, EXIT_PARSE, EXIT_PASS, EXIT_VALIDATION,
                        EXIT_VERDICT_FAIL, bundled_scenarios, emit_outputs,
                        main, run_scenario)
@@ -177,6 +182,40 @@ def test_malformed_numbers_exit_3_without_traceback(tmp_path, mutate,
     err = capsys.readouterr().err
     assert "invalid scenario" in err and "Traceback" not in err
     assert not (out / "report.json").exists()
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the block once seconds have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("kind", ["box", "simplex"])
+@pytest.mark.parametrize("dim", [2.5, True, 0, 5, 10])
+def test_polytope_dim_outside_one_to_four_exits_3_at_once(tmp_path, kind,
+                                                          dim, capsys):
+    """A non-integral, boolean or out-of-range dim is refused while the
+    scenario is parsed; vertex enumeration of a box of dimension 10
+    would otherwise run for minutes."""
+    blob = json.loads(json.dumps(KINK))
+    blob["polytope"] = {"kind": kind, "dim": dim}
+    blob["tasks"] = [{"kind": "invariants"}]
+    path = write_scenario(tmp_path, blob)
+    start = time.perf_counter()
+    with _deadline(1.0):
+        code = run_scenario(path, out_dir=tmp_path / "out")
+    assert code == EXIT_VALIDATION
+    assert time.perf_counter() - start < 1.0
+    assert "polytope dim" in capsys.readouterr().err
 
 
 HUGE_TAU = [
@@ -354,6 +393,28 @@ def test_l1_task_reports_positive_speed(tmp_path, capsys):
     assert entry["limit"] > 0
     assert entry["length"] > 0
     assert len(entry["trace"]) == 7
+    capsys.readouterr()
+
+
+def test_l1_task_keeps_only_the_ladders_rays_alive(tmp_path, monkeypatch,
+                                                   capsys):
+    """The l1 task reads each rung's speed inside the ladder: at most
+    the top rung's Ray and the current one are alive at once."""
+    alive, counts = weakref.WeakSet(), []
+    init = Ray.__init__
+
+    def tracked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        alive.add(self)
+        counts.append(len(alive))
+
+    monkeypatch.setattr(Ray, "__init__", tracked)
+    blob = json.loads(json.dumps(KINK))
+    blob["tasks"] = [{"kind": "l1"}]
+    path = write_scenario(tmp_path, blob)
+    assert run_scenario(path, out_dir=tmp_path / "out") == EXIT_PASS
+    assert len(counts) == 7  # one Ray per PL rung
+    assert max(counts) == 2
     capsys.readouterr()
 
 

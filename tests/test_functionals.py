@@ -23,7 +23,8 @@ import pytest
 
 import kstab.analysis
 import kstab.functionals
-from kstab.analysis import (Ray, _inv_small, _logdet_small,
+from kstab.analysis import (_NEWTON_BLOCK, Ray, SymplecticPotential,
+                            _inv_small, _logdet_small,
                             abreu_scalar_curvature, bulk_grid,
                             crease_ladder_depth, crease_points, fan_grid,
                             guillemin_potential, newton_transport,
@@ -36,6 +37,7 @@ from kstab.functionals import (
     am_energy,
     energy_report,
     l1_norm_path,
+    l1_speed,
     mabuchi,
     mixed_discriminant,
 )
@@ -223,7 +225,7 @@ def _ricci_path(ray, taus):
     """Path form of the Ricci energy: the integral over s of
     n * <phi_dot, Ric0 ^ omega_s^(n-1)>."""
     def integrand(s):
-        x = ray.inverse_transport(s)
+        x, _ = ray.inverse_transport(s)
         return _phi_dot_pairing(ray, s, ricci_reference(ray.u0, x))
     return _energy_path(integrand, taus)
 
@@ -277,6 +279,36 @@ def test_mabuchi_transports_only_at_tau(monkeypatch):
     mabuchi(state)
     energy_report(state)
     assert len(calls) == 1
+
+
+def test_square_rung_inverts_each_matrix_field_once(monkeypatch):
+    """A DF rung on the square inverts H_tau and D2u0(x) once each in
+    Ray.state, and route (b) inverts D2u0 at the nodes: three grid-length
+    inversions.  D2u0(x) is the Hessian Newton returned, never evaluated
+    again over the grid."""
+    ray = Ray(SQUARE, beta=10.0, tau_max=1.0)
+    size = ray.grid.size
+    assert size > _NEWTON_BLOCK  # Newton's blocks are shorter than the grid
+    inversions, hessians = [], []
+
+    def inv_counted(h):
+        inversions.append(len(h))
+        return _inv_small(h)
+
+    hessian = SymplecticPotential.hessian
+
+    def hessian_counted(self, pts, ell=None):
+        hessians.append(len(pts))
+        return hessian(self, pts, ell)
+
+    for module in (kstab.analysis, kstab.functionals):
+        monkeypatch.setattr(module, "_inv_small", inv_counted)
+    monkeypatch.setattr(SymplecticPotential, "hessian", hessian_counted)
+    state = ray.state(1.0)
+    energy_report(state)
+    mabuchi(state)
+    assert inversions.count(size) == 3
+    assert hessians and size not in hessians
 
 
 def _mabuchi_path(ray, taus):
@@ -493,7 +525,8 @@ def test_missing_alpha_raises():
 def test_l1_limit_and_length_affine():
     cfg = interval_config([((1,), 0)], mode="average_zero")
     ray = Ray(cfg, beta=10.0, tau_max=8.0)
-    rep = l1_norm_path([(t, ray) for t in (1.0, 2.0, 4.0, 6.0, 8.0)])
+    rep = l1_norm_path(cfg, [(t, l1_speed(ray))
+                             for t in (1.0, 2.0, 4.0, 6.0, 8.0)])
     assert abs(rep.limit - 0.25) < 1e-12       # integral of |x - 1/2|
     assert abs(rep.length - 0.25 * 7.0) < 1e-12
     assert len(rep.trace) == 5
@@ -502,14 +535,14 @@ def test_l1_limit_and_length_affine():
 def test_l1_requires_average_zero():
     ray = Ray(AFFINE, beta=10.0, tau_max=2.0)
     with pytest.raises(NormalizationRequired):
-        l1_norm_path([(1.0, ray)])
+        l1_norm_path(AFFINE, [(1.0, l1_speed(ray))])
     with pytest.raises(NormalizationRequired):
-        l1_norm_path([])
+        l1_norm_path(normalize(AFFINE, "average_zero"), [])
 
 
 def test_l1_positive_iff_minimum_norm_positive():
     cfg = interval_config([((1,), 0), ((-1,), 1)], mode="average_zero")
     assert minimum_norm(cfg) > 0
     ray = Ray(cfg, beta=20.0, tau_max=4.0)
-    rep = l1_norm_path([(t, ray) for t in (1.0, 2.0, 4.0)])
+    rep = l1_norm_path(cfg, [(t, l1_speed(ray)) for t in (1.0, 2.0, 4.0)])
     assert rep.limit > 0.0

@@ -21,7 +21,7 @@ from kstab.errors import (
     NotAVertex,
     NumericalFailure,
 )
-from kstab.invariants import minimum_norm
+from kstab.invariants import minimum_norm, twisted_weights
 from kstab.plconfig import make_config, normalize
 from kstab.polytope import interval, unit_simplex
 from kstab.slopes import (
@@ -91,6 +91,17 @@ def test_value_estimator_on_plateau():
     assert est.residual < 1e-2
 
 
+def test_value_estimator_falls_back_when_decay_underflows():
+    """Past tau ~ 644 exp(-tau) leaves nothing to fit: the last value is
+    reported, with the spread of the last four as residual."""
+    trace = [(t, 1.0 + 1e-3 * (t - 700.0), 0.0)
+             for t in (700.0, 701.0, 702.0, 703.0, 704.0)]
+    est = estimate_limit_value(trace)
+    assert est.model == "window_diff"
+    assert est.value == trace[-1][1]
+    assert est.residual == pytest.approx(3e-3, rel=1e-9)
+
+
 def test_value_estimator_preconditions():
     with pytest.raises(InsufficientSamples):
         estimate_limit_value([(1.0, 0.0, 0.0), (2.0, 0.0, 0.0),
@@ -147,6 +158,19 @@ def test_jalpha_verdict_interval():
     assert rep.passed
     with pytest.raises(MissingAlpha):
         verify_theorem(AFFINE, "JALPHA")
+
+
+def test_jalpha_verdict_computes_twisted_weights_once(monkeypatch):
+    """One twisted_weights call gives the exact value and gamma."""
+    calls = []
+
+    def counted(cfg, alpha):
+        calls.append(alpha)
+        return twisted_weights(cfg, alpha)
+
+    monkeypatch.setattr(kstab.slopes, "twisted_weights", counted)
+    assert verify_theorem(AFFINE, "JALPHA", alpha=interval(0, 2)).passed
+    assert len(calls) == 1
 
 
 def test_point_verdict_both_vertices():
