@@ -108,6 +108,8 @@ def _dimension(blob, what: str) -> int:
 
 def _positive(blob, what: str) -> float:
     try:
+        if isinstance(blob, bool):  # float(True) would read as 1.0
+            raise ValueError
         x = float(blob)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{what}: {blob!r} is not a number") from exc
@@ -294,29 +296,19 @@ def _task_stoppa(cfg, task):
     return entry, None
 
 
-def _scan_value(val) -> dict:
-    if isinstance(val, Fraction):
-        return frac_json(val)
-    return {"decimal": _finite(val)}
-
-
 def _task_scan(cfg, task):
     candidates = task.get("candidates", "vertices")
     if candidates != "vertices":
         candidates = [_rational_point(p, "scan candidate")
                       for p in _items(candidates, "scan candidates")]
-    report = scan_destabilizer(cfg, candidates, POINT_SCHEDULE)
-    entry = {
-        "kind": "scan",
-        "destabilizing": report.destabilizing,
-        "best": {"point": [frac_str(c) for c in report.best.point],
-                 "value": _scan_value(report.best.value),
-                 "exact": report.best.exact},
-        "candidates": [
-            {"point": [frac_str(c) for c in c_.point],
-             "value": _scan_value(c_.value), "exact": c_.exact}
-            for c_ in report.candidates],
-    }
+    report = scan_destabilizer(cfg, candidates)
+
+    def scored(c):  # every weight is exact; "exact" stays for REPORT_SCHEMA
+        return {"point": [frac_str(x) for x in c.point],
+                "value": frac_json(c.value), "exact": True}
+    entry = {"kind": "scan", "destabilizing": report.destabilizing,
+             "best": scored(report.best),
+             "candidates": [scored(c) for c in report.candidates]}
     return entry, None
 
 

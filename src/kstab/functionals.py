@@ -296,6 +296,21 @@ def mabuchi(state: RayState) -> MabuchiReport:
                          err_estimate=err + abs(route_a - route_b))
 
 
+def fit_limit(decay, ys, cross: float, k: int):
+    """(value, model, residual) of the fit ys ~ s_inf + c * decay: s_inf
+    with its gap to cross as the residual; with nothing to fit (decay
+    underflowed) or a non-finite fit, cross itself with the spread of
+    the last k ys.  The one limit fit behind every extrapolated trace."""
+    fitted = math.nan
+    if decay.max() >= 1e-280:
+        basis = np.column_stack([np.ones_like(decay), decay])
+        coeff, *_ = np.linalg.lstsq(basis, ys, rcond=None)
+        fitted = float(coeff[0])
+    if math.isfinite(fitted):
+        return fitted, "exp_fit", abs(cross - fitted)
+    return cross, "window_diff", float(np.ptp(ys[-k:]))
+
+
 @dataclass(frozen=True)
 class L1Report:
     limit: float
@@ -326,11 +341,8 @@ def l1_norm_path(cfg, trace: list[tuple[float, float]]) -> L1Report:
     trace = sorted(trace, key=lambda r: r[0])
     taus = np.array([t for t, _ in trace])
     speeds = np.array([v for _, v in trace])
+    limit = float(speeds[-1])
     if len(trace) >= 3:
-        design = np.column_stack([np.ones_like(taus), np.exp(-taus)])
-        coef, *_ = np.linalg.lstsq(design, speeds, rcond=None)
-        limit = float(coef[0])
-    else:
-        limit = float(speeds[-1])
+        limit = fit_limit(np.exp(-taus), speeds, limit, 1)[0]
     length = float(np.trapezoid(speeds, taus)) if len(trace) > 1 else 0.0
     return L1Report(limit=limit, length=length, trace=tuple(trace))

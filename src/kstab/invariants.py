@@ -30,6 +30,7 @@ from fractions import Fraction
 
 from .errors import (
     DimensionMismatch,
+    DomainMismatch,
     InsufficientSamples,
     NonDelzant,
     NotNormalized,
@@ -45,6 +46,7 @@ from .polytope import (
     integrate,
     mixed_volume,
     solve_exact,
+    vec,
     volume_data,
 )
 
@@ -149,16 +151,34 @@ def minimum_norm_mixed(cfg: ToricTestConfig) -> Fraction:
     return math.factorial(n + 1) * (v_mixed - q_vol / (n + 1))
 
 
-def chow_weight(cfg: ToricTestConfig, v) -> Fraction:
-    """Height of g at a vertex above its mean value.
-
-    Positive at some vertex exactly when the configuration is
-    nontrivial; see the destabilizing-vertex dichotomy tests.
+def fixed_point_weight(cfg: ToricTestConfig, p) -> Fraction:
+    """Limit of minus phi_dot at the point p of P along the ray, in the
+    average-zero normalization: min of g over the smallest face F of P
+    holding p, minus the mean of g.  (The transported point minimizes
+    u0 + tau * g_beta - <grad u0(p), .> on F, and (u0 + tau * g_beta) / tau
+    tends to g.)  The minimum sits at a cell vertex of g on every facet
+    tight at p; a vertex of P is its own F.  DomainMismatch for a point
+    outside P or of the wrong dimension.
     """
-    i = cfg.base.vertex_index(v)
-    vd = volume_data(cfg.base)
-    avg = integrate(cfg.base, cfg.g) / vd.volume
-    return cfg.g(cfg.base.vertices[i]) - avg
+    p = vec(p)
+    if p in cfg.base.vertices:
+        low = cfg.g(p)
+    elif cfg.base.contains(p):
+        tight = [h for h in cfg.base.halfspaces if h.slack(p) == 0]
+        low = min(cfg.g(v) for cell in cfg.g.regions() for v in cell.vertices
+                  if all(h.slack(v) == 0 for h in tight))
+    else:
+        raise DomainMismatch(
+            f"point ({', '.join(map(str, p))}) lies outside the polytope")
+    return low - cfg.g.average()
+
+
+def chow_weight(cfg: ToricTestConfig, v) -> Fraction:
+    """Height of g at a vertex above its mean value, the fixed-point
+    weight there; NotAVertex elsewhere.  Positive at some vertex exactly
+    when the configuration is nontrivial (the destabilizer dichotomy)."""
+    cfg.base.vertex_index(v)
+    return fixed_point_weight(cfg, v)
 
 
 def twisted_weights(cfg: ToricTestConfig, p_alpha: Polytope):

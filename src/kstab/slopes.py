@@ -4,6 +4,8 @@ Energy traces converge to their algebraic limits like
 ``s(tau) = s_inf + transient``.  This module owns the extrapolation
 (windowed differences cross-checked by an exponential-decay fit), the
 per-theorem verification harness, and the destabilizing-point scan.
+The scan runs no ray: the limit of phi_dot at any point of P has a
+closed form (invariants.fixed_point_weight), so it is exact throughout.
 
 Verdict conventions
 -------------------
@@ -44,10 +46,11 @@ from .errors import (
     NotAVertex,
     NumericalFailure,
 )
-from .functionals import energy_report, mabuchi
+from .functionals import energy_report, fit_limit, mabuchi
 from .invariants import (
     chow_weight,
     donaldson_futaki,
+    fixed_point_weight,
     minimum_norm,
     twisted_weights,
 )
@@ -100,20 +103,6 @@ def _unpack(trace, min_samples: int, min_tau: float):
     return np.array(taus), np.array([float(r[1]) for r in trace])
 
 
-def _fit_limit(taus, decay, ys, cross: float, k: int) -> SlopeEstimate:
-    """s_inf of the fit ys ~ s_inf + c * decay, its gap to cross as the
-    residual; with nothing to fit (decay underflowed) or a non-finite
-    fit, cross itself with the spread of the last k ys."""
-    fitted = math.nan
-    if decay.max() >= 1e-280:
-        basis = np.column_stack([np.ones_like(decay), decay])
-        coeff, *_ = np.linalg.lstsq(basis, ys, rcond=None)
-        fitted = float(coeff[0])
-    head = (fitted, "exp_fit", abs(cross - fitted)) if math.isfinite(fitted) \
-        else (cross, "window_diff", float(np.ptp(ys[-k:])))
-    return SlopeEstimate(*head, float(taus[-1]), len(taus))
-
-
 def estimate_limit_slope(trace) -> SlopeEstimate:
     """Limit slope of a trace of (tau, value, err) triples.
 
@@ -130,7 +119,8 @@ def estimate_limit_slope(trace) -> SlopeEstimate:
     window = float((values[-1] - values[-1 - k]) / (taus[-1] - taus[-1 - k]))
     # mean of exp(-tau) over each interval: exact for a + b tau + c e^-tau
     decay = (np.exp(-taus[:-1]) - np.exp(-taus[1:])) / gaps
-    return _fit_limit(taus, decay, diffs, window, k)
+    return SlopeEstimate(*fit_limit(decay, diffs, window, k),
+                         float(taus[-1]), len(taus))
 
 
 def estimate_limit_value(trace) -> SlopeEstimate:
@@ -141,8 +131,9 @@ def estimate_limit_value(trace) -> SlopeEstimate:
     on the values themselves; the last sample is the cross-check.
     """
     taus, values = _unpack(trace, VALUE_MIN_SAMPLES, VALUE_MIN_TAU)
-    return _fit_limit(taus, np.exp(-taus), values, float(values[-1]),
-                      min(WINDOW, len(values) - 1))
+    fit = fit_limit(np.exp(-taus), values, float(values[-1]),
+                    min(WINDOW, len(values) - 1))
+    return SlopeEstimate(*fit, float(taus[-1]), len(taus))
 
 
 # -- schedules and verdicts ---------------------------------------------------
@@ -271,12 +262,6 @@ def _energy_row(ray, tau, theorem, alpha, gamma):
     return (tau, float(value), rep.err_estimate) + battery
 
 
-def _probe_trace(cfg, probe: np.ndarray, schedule):
-    """(tau, phi_dot at the reference point probe, 0) over the ladder."""
-    return ladder(cfg, schedule,
-                  lambda ray, t: (t, ray.point_derivative(t, probe), 0.0))
-
-
 def _vertex_probe(cfg, vertex, schedule) -> np.ndarray:
     """Probe point at depth delta inside the vertex, toward the barycenter."""
     i = cfg.base.vertex_index(vertex)
@@ -320,7 +305,8 @@ def verify_theorem(cfg: ToricTestConfig, theorem: str,
         else (0.0, _exact_value(ncfg, name, vertex), None)
     if name == "POINT":
         probe = _vertex_probe(ncfg, vertex, schedule)
-        trace = tuple(_probe_trace(ncfg, probe, schedule))
+        trace = tuple(ladder(ncfg, schedule, lambda ray, t: (
+            t, ray.point_derivative(t, probe), 0.0)))
         energies = ()
         est = estimate_limit_value(trace)
     else:
@@ -346,8 +332,7 @@ def verify_theorem(cfg: ToricTestConfig, theorem: str,
 @dataclass(frozen=True)
 class CandidateWeight:
     point: tuple
-    value: object         # Fraction at vertices, float at probe points
-    exact: bool
+    value: Fraction
 
 
 @dataclass(frozen=True)
@@ -357,31 +342,14 @@ class ScanReport:
     candidates: tuple
 
 
-def scan_destabilizer(cfg: ToricTestConfig, candidates="vertices",
-                      schedule: Optional[Schedule] = None) -> ScanReport:
-    """Largest height of g above its mean over candidate points.
-
-    Vertices are scored exactly; any other candidate is probed
-    numerically through the fixed-point limit in the average-zero
-    normalization, so the two routes share one sign convention.  The
-    schedule is checked against the POINT floor before any probe runs.
-    """
-    schedule = schedule or POINT_SCHEDULE
-    _check_taus(schedule.taus, VALUE_MIN_SAMPLES, VALUE_MIN_TAU)
-    ncfg = normalize(cfg, "average_zero")
-    vertex_set = {v: chow_weight(ncfg, v) for v in ncfg.base.vertices}
-    points = ncfg.base.vertices if candidates == "vertices" else tuple(
+def scan_destabilizer(cfg: ToricTestConfig,
+                      candidates="vertices") -> ScanReport:
+    """Largest fixed-point weight over candidate points: every point of
+    P is scored exactly by fixed_point_weight (the Chow weight at a
+    vertex), and a candidate outside P raises DomainMismatch."""
+    points = cfg.base.vertices if candidates == "vertices" else tuple(
         tuple(Fraction(c) for c in p) for p in candidates)
-    scored = []
-    for p in points:
-        if p in vertex_set:
-            scored.append(CandidateWeight(p, vertex_set[p], True))
-        else:
-            probe = np.array([float(c) for c in p])
-            trace = _probe_trace(ncfg, probe, schedule)
-            est = estimate_limit_value(trace)
-            scored.append(CandidateWeight(p, -est.value, False))
-    best = max(scored, key=lambda c: float(c.value))
-    positive = best.value > 0
-    return ScanReport(best=best, destabilizing=bool(positive),
+    scored = [CandidateWeight(p, fixed_point_weight(cfg, p)) for p in points]
+    best = max(scored, key=lambda c: c.value)
+    return ScanReport(best=best, destabilizing=best.value > 0,
                       candidates=tuple(scored))

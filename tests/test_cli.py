@@ -184,6 +184,38 @@ def test_malformed_numbers_exit_3_without_traceback(tmp_path, mutate,
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("schedule", [
+    {"taus": [True, 2, 4, 6, 8, 10, 12]},
+    {"beta0": True},
+    {"tol": True},
+], ids=["taus", "beta0", "tol"])
+def test_boolean_schedule_number_exits_3(tmp_path, schedule, capsys):
+    """JSON true is not the number 1: a boolean tau, beta0 or tol is
+    refused while the schedule is read, before any rung runs."""
+    blob = json.loads(json.dumps(KINK))
+    blob["tasks"][1]["schedule"] = schedule
+    path = write_scenario(tmp_path, blob)
+    assert run_scenario(path, out_dir=tmp_path / "out") == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "schedule" in err and "True" in err
+
+
+@pytest.mark.parametrize("point", [["2", "2"], ["1/2"]],
+                         ids=["outside", "wrong-dimension"])
+def test_scan_candidate_off_the_polytope_exits_3(tmp_path, point):
+    path = write_scenario(tmp_path, {
+        "schema": "kstab-scenario/1", "name": "square-scan",
+        "polytope": {"kind": "box", "dim": 2},
+        "pl": [[["1", "0"], "0"]],
+        "tasks": [{"kind": "scan", "candidates": [["0", "0"], point]}]})
+    out = tmp_path / "out"
+    proc = run_cli("run", str(path), "--out", str(out))
+    assert proc.returncode == EXIT_VALIDATION
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("invalid scenario")
+    assert not (out / "report.json").exists()
+
+
 @contextlib.contextmanager
 def _deadline(seconds):
     """Raise TimeoutError in the block once seconds have passed."""

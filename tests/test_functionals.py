@@ -532,6 +532,14 @@ def test_l1_limit_and_length_affine():
     assert len(rep.trace) == 5
 
 
+def test_l1_limit_falls_back_when_decay_underflows():
+    """At tau near 700 exp(-tau) underflows: the limit is the last
+    speed, not the column mean a fit on a zero column returns."""
+    cfg = interval_config([((1,), 0)], mode="average_zero")
+    trace = [(700.0 + k, 1.0 + 0.001 * k) for k in range(5)]
+    assert l1_norm_path(cfg, trace).limit == 1.004
+
+
 def test_l1_requires_average_zero():
     ray = Ray(AFFINE, beta=10.0, tau_max=2.0)
     with pytest.raises(NormalizationRequired):

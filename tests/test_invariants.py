@@ -8,6 +8,7 @@ import pytest
 from kstab.errors import (
     ChopTooLarge,
     DimensionMismatch,
+    DomainMismatch,
     InsufficientSamples,
     NonDelzant,
     NotAVertex,
@@ -20,6 +21,7 @@ from kstab.invariants import (
     calibration_constant,
     chow_weight,
     donaldson_futaki,
+    fixed_point_weight,
     invariant_report,
     minimum_norm,
     minimum_norm_mixed,
@@ -215,6 +217,24 @@ def test_chow_constant_and_errors():
     assert chow_weight(flat, (1,)) == 0
     with pytest.raises(NotAVertex):
         chow_weight(flat, (F(1, 2),))
+
+
+def test_fixed_point_weight_is_face_minimum_minus_mean():
+    """Inside P the face is P itself; on a facet of the square g = x1 + x2
+    only that facet's minimum counts; outside P is refused."""
+    rng = random.Random(13)
+    for _ in range(10):
+        cfg = random_config(rng)
+        inside = volume_data(cfg.base).barycenter
+        assert fixed_point_weight(cfg, inside) == \
+            cfg.g.min_over_domain() - cfg.g.average()
+    sq = make_config(box(2), [((1, 1), 0)])
+    assert fixed_point_weight(sq, (1, F(1, 2))) == 0
+    assert fixed_point_weight(sq, (F(1, 2), 0)) == -1
+    with pytest.raises(DomainMismatch):
+        fixed_point_weight(sq, (F(3, 2), 0))
+    with pytest.raises(DomainMismatch):
+        fixed_point_weight(sq, (0,))
 
 
 def test_destabilizer_dichotomy_sample():

@@ -11,8 +11,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import kstab.analysis
 import kstab.slopes
 from kstab.errors import (
+    DomainMismatch,
     InconsistentInput,
     InsufficientSamples,
     MissingAlpha,
@@ -21,9 +23,9 @@ from kstab.errors import (
     NotAVertex,
     NumericalFailure,
 )
-from kstab.invariants import minimum_norm, twisted_weights
+from kstab.invariants import chow_weight, minimum_norm, twisted_weights
 from kstab.plconfig import make_config, normalize
-from kstab.polytope import interval, unit_simplex
+from kstab.polytope import box, interval, unit_simplex
 from kstab.slopes import (
     Schedule,
     estimate_limit_slope,
@@ -249,7 +251,8 @@ def test_doubling_tau_max_keeps_verdicts_passing():
 def test_scan_finds_kink_destabilizer():
     scan = scan_destabilizer(KINK)
     assert scan.destabilizing
-    assert scan.best.exact and scan.best.value == F(1, 4)
+    assert isinstance(scan.best.value, Fraction)
+    assert scan.best.value == F(1, 4)
 
 
 def test_scan_constant_config_is_clean():
@@ -268,21 +271,62 @@ def test_scan_matches_minnorm_dichotomy():
 
 def test_scan_numeric_interior_candidate():
     scan = scan_destabilizer(AFFINE, candidates=[(F(1),), (F(1, 2),)])
-    assert scan.best.exact and scan.best.point == (F(1),)
-    numeric = [c for c in scan.candidates if not c.exact]
-    assert len(numeric) == 1
-    # interior orbit drains to the minimizing vertex: height of g there,
-    # with the loose tolerance of the exploratory numeric route
-    assert numeric[0].value == pytest.approx(-0.5, abs=2e-2)
+    assert scan.best.point == (F(1),)
+    # interior orbit drains to the minimizing vertex: height of g there
+    assert scan.candidates[1].value == F(-1, 2)
 
 
-def test_scan_refuses_short_schedule_before_any_ray(monkeypatch):
-    """A probe schedule below the POINT floor is refused before the
-    candidate loop builds a Ray for the non-vertex candidate."""
-    def no_ray(*args, **kwargs):
-        raise AssertionError("scan built a Ray")
+SQUARE_X1 = make_config(box(2), [((1, 0), 0)])
+SQUARE_MAX = make_config(box(2), [((1, 0), 0), ((0, 1), 0)])
+SIMPLEX_X1 = make_config(unit_simplex(2), [((1, 0), 0)])
 
-    monkeypatch.setattr(kstab.slopes, "Ray", no_ray)
-    with pytest.raises(InsufficientSamples, match="got 3"):
-        scan_destabilizer(AFFINE, candidates=[(F(1, 2),)],
-                          schedule=Schedule(taus=(1.0, 2.0, 3.0)))
+
+@pytest.mark.parametrize("cfg, point, weight", [
+    (AFFINE, (F(1, 2),), F(-1, 2)),
+    (AFFINE, (F(7, 8),), F(-1, 2)),
+    (KINK, (F(1, 2),), F(-1, 4)),
+    (SQUARE_X1, (F(1, 2), 0), F(-1, 2)),
+    (SQUARE_MAX, (F(1, 2), 0), F(-2, 3)),
+    (SIMPLEX_X1, (F(1, 2), F(1, 2)), F(-1, 3)),
+    (SIMPLEX_X1, (F(1, 4), F(1, 4)), F(-1, 3)),
+], ids=["interval-mid", "interval-7/8", "kink-mid", "square-facet",
+        "square-max-facet", "simplex-hypotenuse", "simplex-interior"])
+def test_scan_scores_every_point_by_its_face_minimum(cfg, point, weight):
+    """Off a vertex the weight is min of g on the smallest face holding
+    the point, minus the mean of g: (1/2, 0) on the square sits on the
+    facet x2 = 0, (1/2, 1/2) on the simplex on its hypotenuse."""
+    scan = scan_destabilizer(cfg, candidates=[point])
+    assert scan.best.value == weight
+    assert isinstance(scan.best.value, Fraction)
+    assert not scan.destabilizing
+
+
+@pytest.mark.parametrize("point", [(2, 2), (F(1, 2),), (0, 0, 0)],
+                         ids=["outside", "short", "long"])
+def test_scan_refuses_a_point_off_the_polytope(point):
+    with pytest.raises(DomainMismatch):
+        scan_destabilizer(SQUARE_X1, candidates=[(0, 0), point])
+
+
+def test_scan_runs_no_ray(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scan ran the numeric route")
+
+    monkeypatch.setattr(kstab.slopes, "Ray", refuse)
+    monkeypatch.setattr(kstab.analysis, "newton_transport", refuse)
+    scan = scan_destabilizer(SQUARE_MAX, candidates=[
+        (F(1, 2), F(1, 2)), (F(1, 2), 0), (1, F(1, 3)), (1, 1)])
+    assert [c.value for c in scan.candidates] == [
+        F(-2, 3), F(-2, 3), F(1, 3), F(1, 3)]
+    assert scan.best.point == (1, F(1, 3)) and scan.destabilizing
+
+
+def test_scan_vertex_weights_are_chow_weights():
+    rng = random.Random(11)
+    for _ in range(12):
+        cfg = random_config(rng)
+        scan = scan_destabilizer(cfg)
+        assert [c.point for c in scan.candidates] == list(cfg.base.vertices)
+        for c in scan.candidates:
+            assert c.value == chow_weight(cfg, c.point)
+            assert c.value == cfg.g(c.point) - cfg.g.average()
