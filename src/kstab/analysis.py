@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -583,6 +583,12 @@ class Ray:
         self.g_grad = self.smooth.gradient(pts)
         self.g_hess = self.smooth.hessian(pts)
         self._inv = (0.0, pts)
+
+    @cached_property
+    def h0_inv_g_hess(self) -> np.ndarray:
+        """D2u0^-1 D2g_beta at the nodes for Mabuchi's route (b): one
+        inversion per Ray, and none on a Ray that never reaches it."""
+        return _inv_small(self.h0) @ self.g_hess
 
     def potential(self, s: float) -> ShiftedPotential:
         return ShiftedPotential(self.u0, self.smooth, float(s))

@@ -11,7 +11,7 @@ list.  Tasks run in order:
     slopes      limit-slope verdicts (AM, DF, MINNORM, JALPHA, POINT)
     stoppa      corner-chop expansion check at a vertex
     scan        destabilizing-point search over candidate points
-    l1          transfinite l1 speed and path length of the ray
+    l1          exact L1 norm of the ray: its constant speed and path length
 
 Exit codes: 0 all checks pass; 1 some verdict failed (report.json is
 still written); 2 the scenario did not parse; 3 the scenario parsed but
@@ -45,12 +45,12 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import NumericalFailure, ValidationError
-from .functionals import l1_norm_path, l1_speed
+from .functionals import l1_norm_path
 from .invariants import blowup_expansion, invariant_report
 from .plconfig import make_config, normalize
 from .polytope import (box, construct, frac_json, frac_str, interval,
                        unit_simplex)
-from .slopes import (POINT_SCHEDULE, Schedule, ladder, scan_destabilizer,
+from .slopes import (POINT_SCHEDULE, Schedule, scan_destabilizer,
                      verify_theorem)
 
 SCENARIO_SCHEMA = "kstab-scenario/1"
@@ -74,7 +74,7 @@ _TASK_KEYS = {"invariants": {"kind"},
               "stoppa": {"kind", "vertex", "epsilons"},
               "scan": {"kind", "candidates"},
               "l1": {"kind", "schedule"}}
-_SCHEDULE_KEYS = {"taus", "beta0", "tol"}
+_SCHEDULE_KEYS = {"slopes": {"taus", "beta0", "tol"}, "l1": {"taus"}}
 
 
 class _ParseFailure(Exception):
@@ -199,7 +199,7 @@ def load_scenario(path: Path) -> dict:
         unknown = set(task) - _TASK_KEYS[kind]
         if "schedule" not in unknown and isinstance(task.get("schedule"), dict):
             unknown |= {f"schedule.{k}" for k in task["schedule"]
-                        if k not in _SCHEDULE_KEYS}
+                        if k not in _SCHEDULE_KEYS[kind]}
         if unknown:
             raise ValidationError(f"unknown {kind} task keys: {sorted(unknown)}")
     return blob
@@ -313,14 +313,11 @@ def _task_scan(cfg, task):
 
 
 def _task_l1(cfg, task, tau_max):
-    ncfg = normalize(cfg, "average_zero")
-    schedule = _schedule_from(task, tau_max, point=False)
-    report = l1_norm_path(
-        ncfg, ladder(ncfg, schedule, lambda ray, t: (t, l1_speed(ray))))
-    entry = {"kind": "l1", "limit": _finite(report.limit),
-             "length": _finite(report.length),
-             "trace": [[t, _finite(v)] for t, v in report.trace]}
-    return entry, None
+    taus = _schedule_from(task, tau_max, point=False).taus
+    rep = l1_norm_path(normalize(cfg, "average_zero"), taus)
+    return {"kind": "l1", "exact": frac_str(rep.limit),
+            "limit": _finite(rep.limit), "length": _finite(rep.length),
+            "trace": [[t, _finite(v)] for t, v in rep.trace]}, None
 
 
 # ---------------------------------------------------------------------------
@@ -343,14 +340,6 @@ def _csv_rows(verdict):
                repr(l_alpha), repr(m_val), repr(j_a), repr(err))
 
 
-def _diff_series(trace):
-    mids, diffs = [], []
-    for (t0, v0, _), (t1, v1, _) in zip(trace, trace[1:]):
-        mids.append(0.5 * (t0 + t1))
-        diffs.append((v1 - v0) / (t1 - t0))
-    return mids, diffs
-
-
 def _svg_plot(xs, ys, exact: float, title: str, y_label: str) -> str:
     width, height = 720.0, 440.0
     left, right, top, bottom = 74.0, 24.0, 42.0, 52.0
@@ -360,55 +349,46 @@ def _svg_plot(xs, ys, exact: float, title: str, y_label: str) -> str:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
     pad = 0.08 * (y_hi - y_lo) or max(1e-9, 0.1 * abs(y_hi) + 1e-3)
     y_lo, y_hi = y_lo - pad, y_hi + pad
+    floor, middle = height - bottom, (top + height - bottom) / 2
 
     def px(x):
         return left + (x - x_lo) / (x_hi - x_lo) * (width - left - right)
 
     def py(y):
-        return height - bottom - (y - y_lo) / (y_hi - y_lo) \
-            * (height - top - bottom)
+        return floor - (y - y_lo) / (y_hi - y_lo) * (height - top - bottom)
+
+    def line(x1, y1, x2, y2, style='stroke="black" stroke-width="1"'):
+        parts.append(f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" '
+                     f'y2="{y2:.1f}" {style}/>')
+
+    def text(x, y, size, anchor, body, fill="", turn=""):
+        parts.append(f'<text x="{x}" y="{y}" font-family="monospace" '
+                     f'font-size="{size}"{fill} text-anchor="{anchor}"{turn}>'
+                     f'{body}</text>')
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" '
         f'height="{height:g}" viewBox="0 0 {width:g} {height:g}">',
         f'<rect width="{width:g}" height="{height:g}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="24" font-family="monospace" '
-        f'font-size="15" text-anchor="middle">{title}</text>',
     ]
-    axis = 'stroke="black" stroke-width="1"'
-    parts.append(f'<line x1="{left:.1f}" y1="{height - bottom:.1f}" '
-                 f'x2="{width - right:.1f}" y2="{height - bottom:.1f}" '
-                 f'{axis}/>')
-    parts.append(f'<line x1="{left:.1f}" y1="{top:.1f}" x2="{left:.1f}" '
-                 f'y2="{height - bottom:.1f}" {axis}/>')
+    text(f"{width / 2:.1f}", "24", 15, "middle", title)
+    line(left, floor, width - right, floor)
+    line(left, top, left, floor)
     for k in range(5):
         xt = x_lo + k * (x_hi - x_lo) / 4.0
         yt = y_lo + k * (y_hi - y_lo) / 4.0
-        parts.append(f'<line x1="{px(xt):.1f}" y1="{height - bottom:.1f}" '
-                     f'x2="{px(xt):.1f}" y2="{height - bottom + 5:.1f}" '
-                     f'{axis}/>')
-        parts.append(f'<text x="{px(xt):.1f}" y="{height - bottom + 19:.1f}" '
-                     f'font-family="monospace" font-size="11" '
-                     f'text-anchor="middle">{xt:.4g}</text>')
-        parts.append(f'<line x1="{left - 5:.1f}" y1="{py(yt):.1f}" '
-                     f'x2="{left:.1f}" y2="{py(yt):.1f}" {axis}/>')
-        parts.append(f'<text x="{left - 8:.1f}" y="{py(yt) + 4:.1f}" '
-                     f'font-family="monospace" font-size="11" '
-                     f'text-anchor="end">{yt:.4g}</text>')
-    parts.append(f'<text x="{(left + width - right) / 2:.1f}" '
-                 f'y="{height - 14:.1f}" font-family="monospace" '
-                 f'font-size="12" text-anchor="middle">tau</text>')
-    parts.append(f'<text x="18" y="{(top + height - bottom) / 2:.1f}" '
-                 f'font-family="monospace" font-size="12" '
-                 f'text-anchor="middle" transform="rotate(-90 18 '
-                 f'{(top + height - bottom) / 2:.1f})">{y_label}</text>')
-    parts.append(f'<line x1="{left:.1f}" y1="{py(exact):.1f}" '
-                 f'x2="{width - right:.1f}" y2="{py(exact):.1f}" '
-                 f'stroke="#b22222" stroke-width="1.2" '
-                 f'stroke-dasharray="7,4"/>')
-    parts.append(f'<text x="{width - right:.1f}" y="{py(exact) - 6:.1f}" '
-                 f'font-family="monospace" font-size="11" fill="#b22222" '
-                 f'text-anchor="end">exact {exact:.6g}</text>')
+        line(px(xt), floor, px(xt), floor + 5)
+        text(f"{px(xt):.1f}", f"{floor + 19:.1f}", 11, "middle", f"{xt:.4g}")
+        line(left - 5, py(yt), left, py(yt))
+        text(f"{left - 8:.1f}", f"{py(yt) + 4:.1f}", 11, "end", f"{yt:.4g}")
+    text(f"{(left + width - right) / 2:.1f}", f"{height - 14:.1f}", 12,
+         "middle", "tau")
+    text("18", f"{middle:.1f}", 12, "middle", y_label,
+         turn=f' transform="rotate(-90 18 {middle:.1f})"')
+    line(left, py(exact), width - right, py(exact),
+         'stroke="#b22222" stroke-width="1.2" stroke-dasharray="7,4"')
+    text(f"{width - right:.1f}", f"{py(exact) - 6:.1f}", 11, "end",
+         f"exact {exact:.6g}", fill=' fill="#b22222"')
     if len(xs) > 1:
         pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
         parts.append(f'<polyline points="{pts}" fill="none" '
@@ -421,12 +401,13 @@ def _svg_plot(xs, ys, exact: float, title: str, y_label: str) -> str:
 
 
 def _verdict_svg(verdict, title: str) -> str:
+    rows = verdict.trace
     if verdict.theorem == "POINT":
-        xs = [row[0] for row in verdict.trace]
-        ys = [row[1] for row in verdict.trace]
+        xs, ys = [r[0] for r in rows], [r[1] for r in rows]
         label = "phi_dot at probe"
     else:
-        xs, ys = _diff_series(verdict.trace)
+        xs = [0.5 * (a[0] + b[0]) for a, b in zip(rows, rows[1:])]
+        ys = [(b[1] - a[1]) / (b[0] - a[0]) for a, b in zip(rows, rows[1:])]
         label = "windowed d/dtau"
     return _svg_plot(xs, ys, float(verdict.exact), title, label)
 

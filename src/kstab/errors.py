@@ -84,7 +84,7 @@ class RouteMismatch(NumericalFailure):
 
 
 class InsufficientSamples(ValidationError):
-    """Slope estimation needs more (or larger) tau samples."""
+    """A slope needs more (or larger) tau samples, a scan more points."""
 
 
 class NonMonotoneTau(ValidationError):

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .analysis import (Ray, RayState, _inv_small, _logdet_small,
                        crease_ladder_depth, guillemin_potential, line_grid,
                        newton_transport, ricci_reference)
 from .errors import MissingAlpha, NormalizationRequired, RouteMismatch
-from .invariants import slope_mu
+from .invariants import l1_norm, slope_mu
 from .polytope import Polytope, dot, interval, volume_data
 
 PATH_REL_TOL = 1e-7
@@ -258,7 +259,7 @@ def _route_b(ray: Ray, tau: float):
         miss += float(sigma) * err
     l_g = boundary - float(vd.boundary_sigma_volume / vd.volume) \
         * ray.grid.integrate(ray.g_vals)
-    logdet = _logdet_small(np.eye(n) + tau * (_inv_small(ray.h0) @ ray.g_hess))
+    logdet = _logdet_small(np.eye(n) + tau * ray.h0_inv_g_hess)
     return (math.factorial(n) * (tau * l_g - 0.5 * ray.grid.integrate(logdet)),
             math.factorial(n) * tau * miss)
 
@@ -296,53 +297,24 @@ def mabuchi(state: RayState) -> MabuchiReport:
                          err_estimate=err + abs(route_a - route_b))
 
 
-def fit_limit(decay, ys, cross: float, k: int):
-    """(value, model, residual) of the fit ys ~ s_inf + c * decay: s_inf
-    with its gap to cross as the residual; with nothing to fit (decay
-    underflowed) or a non-finite fit, cross itself with the spread of
-    the last k ys.  The one limit fit behind every extrapolated trace."""
-    fitted = math.nan
-    if decay.max() >= 1e-280:
-        basis = np.column_stack([np.ones_like(decay), decay])
-        coeff, *_ = np.linalg.lstsq(basis, ys, rcond=None)
-        fitted = float(coeff[0])
-    if math.isfinite(fitted):
-        return fitted, "exp_fit", abs(cross - fitted)
-    return cross, "window_diff", float(np.ptp(ys[-k:]))
-
-
 @dataclass(frozen=True)
 class L1Report:
-    limit: float
+    limit: Fraction
     length: float
     trace: tuple
 
 
-def l1_speed(ray: Ray) -> float:
-    """The l1 speed of a rung: n! * integral of |phi_dot| against the
-    evolving volume form, which in transported coordinates is the plain
-    integral of |g_beta|, so no transport runs."""
-    fact = math.factorial(ray.cfg.dim)
-    return fact * ray.grid.integrate(np.abs(ray.g_vals))
-
-
-def l1_norm_path(cfg, trace: list[tuple[float, float]]) -> L1Report:
-    """Transfinite l1 data of a ray: extrapolated speed and path length.
-
-    trace holds the (tau, l1_speed) pairs of a ladder on cfg, which must
-    be in the average-zero normalization (the bookkeeping under which
-    the top self-intersection vanishes).
-    """
-    if not trace:
-        raise NormalizationRequired("l1 path needs at least one rung")
+def l1_norm_path(cfg, taus) -> L1Report:
+    """Transfinite l1 data of the ray over taus, in closed form: its l1
+    speed, n! * integral |phi_dot| against the evolving volume form, is
+    invariants.l1_norm at every tau.  cfg must be in the average-zero
+    normalization (under which the top self-intersection vanishes)."""
+    taus = sorted(float(t) for t in taus)
+    if not taus:
+        raise NormalizationRequired("l1 path needs at least one tau")
     if cfg.normalization != "average_zero":
         raise NormalizationRequired(
             "l1 norms are defined under the average-zero normalization")
-    trace = sorted(trace, key=lambda r: r[0])
-    taus = np.array([t for t, _ in trace])
-    speeds = np.array([v for _, v in trace])
-    limit = float(speeds[-1])
-    if len(trace) >= 3:
-        limit = fit_limit(np.exp(-taus), speeds, limit, 1)[0]
-    length = float(np.trapezoid(speeds, taus)) if len(trace) > 1 else 0.0
-    return L1Report(limit=limit, length=length, trace=tuple(trace))
+    limit = l1_norm(cfg)
+    return L1Report(limit=limit, length=float(limit) * (taus[-1] - taus[0]),
+                    trace=tuple((t, limit) for t in taus))

@@ -45,6 +45,7 @@ from .polytope import (
     frac_json,
     integrate,
     mixed_volume,
+    regions_of_max,
     solve_exact,
     vec,
     volume_data,
@@ -149,6 +150,18 @@ def minimum_norm_mixed(cfg: ToricTestConfig) -> Fraction:
     v_mixed = mixed_volume(bodies)
     q_vol = volume_data(cfg.cayley).volume
     return math.factorial(n + 1) * (v_mixed - q_vol / (n + 1))
+
+
+def l1_norm(cfg: ToricTestConfig) -> Fraction:
+    """n! * integral over P of |g - mean g|, exactly: twice n! times the
+    integral of max(g - mean g, 0), each piece over its cell in the max
+    of the pieces and the zero piece (a piece below zero has none)."""
+    h = cfg.g.shifted(-cfg.g.average())
+    pieces = [(p.gradient, p.constant) for p in h.pieces]
+    cells = regions_of_max(cfg.base, pieces + [((0,) * cfg.dim, 0)])
+    return 2 * math.factorial(cfg.dim) * sum(
+        (integrate(c, p) for p, c in zip(pieces, cells) if c is not None),
+        Fraction(0))
 
 
 def fixed_point_weight(cfg: ToricTestConfig, p) -> Fraction:

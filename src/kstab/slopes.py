@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import Ray
+from .analysis import Ray, guillemin_potential
 from .errors import (
     InconsistentInput,
     InsufficientSamples,
@@ -46,7 +46,7 @@ from .errors import (
     NotAVertex,
     NumericalFailure,
 )
-from .functionals import energy_report, fit_limit, mabuchi
+from .functionals import energy_report, mabuchi
 from .invariants import (
     chow_weight,
     donaldson_futaki,
@@ -103,6 +103,21 @@ def _unpack(trace, min_samples: int, min_tau: float):
     return np.array(taus), np.array([float(r[1]) for r in trace])
 
 
+def _fit_limit(decay, ys, cross: float, k: int):
+    """(value, model, residual) of the fit ys ~ s_inf + c * decay: s_inf
+    with its gap to cross as the residual; with nothing to fit (decay
+    underflowed) or a non-finite fit, cross itself with the spread of
+    the last k ys.  The one limit fit behind both estimators."""
+    fitted = math.nan
+    if decay.max() >= 1e-280:
+        basis = np.column_stack([np.ones_like(decay), decay])
+        coeff, *_ = np.linalg.lstsq(basis, ys, rcond=None)
+        fitted = float(coeff[0])
+    if math.isfinite(fitted):
+        return fitted, "exp_fit", abs(cross - fitted)
+    return cross, "window_diff", float(np.ptp(ys[-k:]))
+
+
 def estimate_limit_slope(trace) -> SlopeEstimate:
     """Limit slope of a trace of (tau, value, err) triples.
 
@@ -119,7 +134,7 @@ def estimate_limit_slope(trace) -> SlopeEstimate:
     window = float((values[-1] - values[-1 - k]) / (taus[-1] - taus[-1 - k]))
     # mean of exp(-tau) over each interval: exact for a + b tau + c e^-tau
     decay = (np.exp(-taus[:-1]) - np.exp(-taus[1:])) / gaps
-    return SlopeEstimate(*fit_limit(decay, diffs, window, k),
+    return SlopeEstimate(*_fit_limit(decay, diffs, window, k),
                          float(taus[-1]), len(taus))
 
 
@@ -131,7 +146,7 @@ def estimate_limit_value(trace) -> SlopeEstimate:
     on the values themselves; the last sample is the cross-check.
     """
     taus, values = _unpack(trace, VALUE_MIN_SAMPLES, VALUE_MIN_TAU)
-    fit = fit_limit(np.exp(-taus), values, float(values[-1]),
+    fit = _fit_limit(np.exp(-taus), values, float(values[-1]),
                     min(WINDOW, len(values) - 1))
     return SlopeEstimate(*fit, float(taus[-1]), len(taus))
 
@@ -263,12 +278,21 @@ def _energy_row(ray, tau, theorem, alpha, gamma):
 
 
 def _vertex_probe(cfg, vertex, schedule) -> np.ndarray:
-    """Probe point at depth delta inside the vertex, toward the barycenter."""
+    """Probe point at depth delta inside the vertex, toward the barycenter;
+    NumericalFailure, before any Ray is built, if it rounds onto a facet."""
     i = cfg.base.vertex_index(vertex)
     vf = np.array([float(c) for c in cfg.base.vertices[i]])
     bary = np.array([float(c) for c in volume_data(cfg.base).barycenter])
-    delta = math.exp(-2.0 * (float(max(schedule.taus)) + 4.0))
-    return vf + delta * (bary - vf)
+    top = float(max(schedule.taus))
+    probe = vf + math.exp(-2.0 * (top + 4.0)) * (bary - vf)
+    u0 = guillemin_potential(cfg.base)
+    if (probe @ u0.normals.T >= u0.offsets).any():  # a float slack of 0
+        where = ", ".join(map(str, cfg.base.vertices[i]))
+        raise NumericalFailure(
+            f"POINT probe at vertex ({where}) rounds onto a facet at "
+            f"tau_max={top:g}: its depth exp(-2 (tau_max + 4)) is below "
+            "the float spacing there")
+    return probe
 
 
 def verify_theorem(cfg: ToricTestConfig, theorem: str,
@@ -346,9 +370,12 @@ def scan_destabilizer(cfg: ToricTestConfig,
                       candidates="vertices") -> ScanReport:
     """Largest fixed-point weight over candidate points: every point of
     P is scored exactly by fixed_point_weight (the Chow weight at a
-    vertex), and a candidate outside P raises DomainMismatch."""
+    vertex); a candidate outside P raises DomainMismatch and an empty
+    candidate list InsufficientSamples."""
     points = cfg.base.vertices if candidates == "vertices" else tuple(
         tuple(Fraction(c) for c in p) for p in candidates)
+    if not points:
+        raise InsufficientSamples("scan needs at least one candidate point")
     scored = [CandidateWeight(p, fixed_point_weight(cfg, p)) for p in points]
     best = max(scored, key=lambda c: c.value)
     return ScanReport(best=best, destabilizing=best.value > 0,

@@ -7,7 +7,6 @@ import signal
 import subprocess
 import sys
 import time
-import weakref
 from pathlib import Path
 
 import pytest
@@ -310,6 +309,23 @@ def test_huge_finite_tau_is_refused_before_the_first_rung(tmp_path,
     assert calls == []
 
 
+def test_point_probe_on_a_facet_exits_4_without_warning(tmp_path):
+    """At tau_max = 16 the square's probe at vertex (0, 1) rounds onto
+    the facet x2 = 1: a numerical failure naming the vertex and tau_max,
+    with no overflow warning from a transport that never runs."""
+    blob = {"schema": "kstab-scenario/1", "name": "square-point-16",
+            "polytope": {"kind": "box", "dim": 2},
+            "pl": [[["1", "0"], "0"]],
+            "tasks": [{"kind": "slopes", "theorems": ["POINT"],
+                       "vertex": ["0", "1"],
+                       "schedule": {"taus": [4, 8, 12, 16]}}]}
+    path = write_scenario(tmp_path, blob)
+    proc = run_cli("run", str(path), "--out", str(tmp_path / "out"))
+    assert proc.returncode == EXIT_NUMERIC, proc.stderr
+    assert "vertex (0, 1)" in proc.stderr and "tau_max=16" in proc.stderr
+    assert "Warning" not in proc.stderr
+
+
 @pytest.mark.parametrize("theorem,taus,message", [
     ("AM", [1, 2, 4], "need at least 6 samples, got 3"),
     ("AM", [1, 2, 3, 4, 5, 6], "need tau_max >= 8"),
@@ -422,32 +438,52 @@ def test_l1_task_reports_positive_speed(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_scenario(path, out_dir=out) == EXIT_PASS
     entry = read_report(out)["tasks"][0]
-    assert entry["limit"] > 0
-    assert entry["length"] > 0
-    assert len(entry["trace"]) == 7
+    assert entry["exact"] == "1/8"
+    assert entry["limit"] == 0.125
+    assert entry["length"] == 0.125 * 11.0
+    assert entry["trace"] == [[t, 0.125] for t in
+                              (1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0)]
     capsys.readouterr()
 
 
-def test_l1_task_keeps_only_the_ladders_rays_alive(tmp_path, monkeypatch,
-                                                   capsys):
-    """The l1 task reads each rung's speed inside the ladder: at most
-    the top rung's Ray and the current one are alive at once."""
-    alive, counts = weakref.WeakSet(), []
-    init = Ray.__init__
+def test_l1_task_runs_no_ray(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the l1 task ran the numeric route")
 
-    def tracked(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        alive.add(self)
-        counts.append(len(alive))
-
-    monkeypatch.setattr(Ray, "__init__", tracked)
+    monkeypatch.setattr(Ray, "__init__", refuse)
+    for module in (kstab.analysis, kstab.functionals):
+        monkeypatch.setattr(module, "newton_transport", refuse)
     blob = json.loads(json.dumps(KINK))
-    blob["tasks"] = [{"kind": "l1"}]
+    blob["tasks"] = [{"kind": "l1", "schedule": {"taus": [1, 3]}}]
     path = write_scenario(tmp_path, blob)
-    assert run_scenario(path, out_dir=tmp_path / "out") == EXIT_PASS
-    assert len(counts) == 7  # one Ray per PL rung
-    assert max(counts) == 2
+    out = tmp_path / "out"
+    assert run_scenario(path, out_dir=out) == EXIT_PASS
+    entry = read_report(out)["tasks"][0]
+    assert (entry["exact"], entry["length"]) == ("1/8", 0.25)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("dim,exact", [(3, "243/256"), (4, "49152/15625")])
+def test_l1_task_runs_past_the_grids(tmp_path, dim, exact, capsys):
+    """The exact l1 task takes every box dimension the parser does."""
+    unit = [["1" if i == j else "0" for j in range(dim)] for i in range(dim)]
+    blob = {"schema": "kstab-scenario/1", "name": f"box{dim}-l1",
+            "polytope": {"kind": "box", "dim": dim},
+            "pl": [[row, "0"] for row in unit], "tasks": [{"kind": "l1"}]}
+    path = write_scenario(tmp_path, blob)
+    out = tmp_path / "out"
+    assert run_scenario(path, out_dir=out) == EXIT_PASS
+    assert read_report(out)["tasks"][0]["exact"] == exact
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("key,value", [("beta0", 10), ("tol", 0.01)])
+def test_l1_schedule_takes_taus_only(tmp_path, key, value, capsys):
+    blob = json.loads(json.dumps(KINK))
+    blob["tasks"] = [{"kind": "l1", "schedule": {"taus": [1, 2], key: value}}]
+    path = write_scenario(tmp_path, blob)
+    assert run_scenario(path, out_dir=tmp_path / "out") == EXIT_VALIDATION
+    assert f"schedule.{key}" in capsys.readouterr().err
 
 
 def test_bundled_scenarios_are_discoverable():

@@ -37,7 +37,6 @@ from kstab.functionals import (
     am_energy,
     energy_report,
     l1_norm_path,
-    l1_speed,
     mabuchi,
     mixed_discriminant,
 )
@@ -282,8 +281,9 @@ def test_mabuchi_transports_only_at_tau(monkeypatch):
 
 
 def test_square_rung_inverts_each_matrix_field_once(monkeypatch):
-    """A DF rung on the square inverts H_tau and D2u0(x) once each in
-    Ray.state, and route (b) inverts D2u0 at the nodes: three grid-length
+    """Each DF rung on the square inverts H_tau and D2u0(x) once in
+    Ray.state, and route (b) inverts D2u0 at the nodes once per Ray: on
+    a two-rung affine ladder, which shares one Ray, five grid-length
     inversions.  D2u0(x) is the Hessian Newton returned, never evaluated
     again over the grid."""
     ray = Ray(SQUARE, beta=10.0, tau_max=1.0)
@@ -304,10 +304,11 @@ def test_square_rung_inverts_each_matrix_field_once(monkeypatch):
     for module in (kstab.analysis, kstab.functionals):
         monkeypatch.setattr(module, "_inv_small", inv_counted)
     monkeypatch.setattr(SymplecticPotential, "hessian", hessian_counted)
-    state = ray.state(1.0)
-    energy_report(state)
-    mabuchi(state)
-    assert inversions.count(size) == 3
+    for tau in (0.5, 1.0):
+        state = ray.state(tau)
+        energy_report(state)
+        mabuchi(state)
+    assert inversions.count(size) == 2 * 2 + 1
     assert hessians and size not in hessians
 
 
@@ -384,7 +385,8 @@ def test_route_b_converged_on_steep_seeded_ray():
 @pytest.mark.parametrize("cfg", [KINK, SQUARE3], ids=["kink", "square3"])
 def test_mabuchi_integrates_no_path(monkeypatch, cfg):
     """mabuchi reaches no s-quadrature, no curvature field and no second
-    grid, and leaves no path state on the Ray."""
+    grid, and leaves no path state on the Ray: the one field it adds is
+    route (b)'s tau-free D2u0^-1 D2g_beta."""
     def forbidden(*args, **kwargs):
         raise AssertionError("mabuchi integrated a path in s")
 
@@ -395,7 +397,7 @@ def test_mabuchi_integrates_no_path(monkeypatch, cfg):
     state = ray.state(1.0)
     cached = set(vars(ray))
     mabuchi(state)
-    assert set(vars(ray)) == cached
+    assert set(vars(ray)) == cached | {"h0_inv_g_hess"}
 
 
 def test_mabuchi_leaves_no_reference_cycle():
@@ -524,26 +526,15 @@ def test_missing_alpha_raises():
 
 def test_l1_limit_and_length_affine():
     cfg = interval_config([((1,), 0)], mode="average_zero")
-    ray = Ray(cfg, beta=10.0, tau_max=8.0)
-    rep = l1_norm_path(cfg, [(t, l1_speed(ray))
-                             for t in (1.0, 2.0, 4.0, 6.0, 8.0)])
-    assert abs(rep.limit - 0.25) < 1e-12       # integral of |x - 1/2|
-    assert abs(rep.length - 0.25 * 7.0) < 1e-12
-    assert len(rep.trace) == 5
-
-
-def test_l1_limit_falls_back_when_decay_underflows():
-    """At tau near 700 exp(-tau) underflows: the limit is the last
-    speed, not the column mean a fit on a zero column returns."""
-    cfg = interval_config([((1,), 0)], mode="average_zero")
-    trace = [(700.0 + k, 1.0 + 0.001 * k) for k in range(5)]
-    assert l1_norm_path(cfg, trace).limit == 1.004
+    rep = l1_norm_path(cfg, (1.0, 2.0, 4.0, 6.0, 8.0))
+    assert rep.limit == F(1, 4)                # integral of |x - 1/2|
+    assert rep.length == 0.25 * 7.0
+    assert rep.trace == tuple((t, F(1, 4)) for t in (1.0, 2.0, 4.0, 6.0, 8.0))
 
 
 def test_l1_requires_average_zero():
-    ray = Ray(AFFINE, beta=10.0, tau_max=2.0)
     with pytest.raises(NormalizationRequired):
-        l1_norm_path(AFFINE, [(1.0, l1_speed(ray))])
+        l1_norm_path(AFFINE, [1.0])
     with pytest.raises(NormalizationRequired):
         l1_norm_path(normalize(AFFINE, "average_zero"), [])
 
@@ -551,6 +542,7 @@ def test_l1_requires_average_zero():
 def test_l1_positive_iff_minimum_norm_positive():
     cfg = interval_config([((1,), 0), ((-1,), 1)], mode="average_zero")
     assert minimum_norm(cfg) > 0
-    ray = Ray(cfg, beta=20.0, tau_max=4.0)
-    rep = l1_norm_path(cfg, [(t, l1_speed(ray)) for t in (1.0, 2.0, 4.0)])
-    assert rep.limit > 0.0
+    assert l1_norm_path(cfg, (1.0, 2.0, 4.0)).limit > 0
+    flat = interval_config([((0,), 0)], mode="average_zero")
+    assert minimum_norm(flat) == 0
+    assert l1_norm_path(flat, (1.0, 2.0, 4.0)).limit == 0

@@ -2,13 +2,17 @@
 import math
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
+from kstab.cli import _build_config, bundled_scenarios, load_scenario
 from kstab.errors import (
     ChopTooLarge,
+    DegenerateInput,
     DimensionMismatch,
     DomainMismatch,
+    InconsistentInput,
     InsufficientSamples,
     NonDelzant,
     NotAVertex,
@@ -23,6 +27,7 @@ from kstab.invariants import (
     donaldson_futaki,
     fixed_point_weight,
     invariant_report,
+    l1_norm,
     minimum_norm,
     minimum_norm_mixed,
     slope_mu,
@@ -200,6 +205,83 @@ def test_homogeneity_exact():
                 make_config(cfg.base, cfg.g.scaled(d)), "min_zero")
             assert donaldson_futaki(scaled) == d * df1
             assert minimum_norm(scaled) == d * mn1
+
+
+# -- l1 norm ------------------------------------------------------------------
+
+
+def _l1_by_splitting(cfg):
+    """n! * integral |g - mean g| by a second exact route: each cell of
+    g is cut at the zero set of its piece, and the piece is integrated
+    on both sides with its sign."""
+    h = normalize(cfg, "average_zero").g
+    total = F(0)
+    for piece, cell in zip(h.pieces, h.regions()):
+        grad, const = piece.gradient, piece.constant
+        if all(a == 0 for a in grad):
+            total += abs(integrate(cell, (grad, const)))
+            continue
+        for sign in (1, -1):  # the side where sign * piece >= 0
+            cut = Halfspace.make(tuple(-sign * a for a in grad), sign * const)
+            try:
+                side = construct(halfspaces=list(cell.halfspaces) + [cut])
+            except (InconsistentInput, DegenerateInput):
+                continue  # the piece keeps one sign on the cell
+            total += sign * integrate(side, (grad, const))
+    return math.factorial(cfg.dim) * total
+
+
+def _bundled_configs():
+    configs = []
+    for res in bundled_scenarios():
+        with resources.as_file(res) as path:
+            configs.append(_build_config(load_scenario(path))[0])
+    return configs
+
+
+BOX3 = [make_config(box(3), pieces) for pieces in (
+    [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0)],
+    [((1, -1, 0), 0), ((-1, 0, 1), F(1, 2))],
+    [((0, 0, 2), -1)],
+)]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_l1_norm_matches_cell_splitting_on_random_configs(dim):
+    rng = random.Random(2100 + dim)
+    seen = 0
+    while seen < 10:
+        cfg = random_config(rng)
+        if cfg.dim == dim:
+            assert l1_norm(cfg) == _l1_by_splitting(cfg)
+            seen += 1
+
+
+@pytest.mark.parametrize("cfg", _bundled_configs() + BOX3)
+def test_l1_norm_matches_cell_splitting(cfg):
+    assert l1_norm(cfg) == _l1_by_splitting(cfg)
+
+
+@pytest.mark.parametrize("base,pieces,exact", [
+    (interval(0, 1), [((1,), 0)], F(1, 4)),
+    (interval(0, 1), [((1,), 0), ((-1,), 1)], F(1, 8)),
+    (interval(0, 1), [((-3,), 0), ((3,), -3)], F(3, 8)),
+    (box(2), [((1, 0), 0)], F(1, 2)),
+    (box(2), [((1, 0), 0), ((0, 1), 0)], F(32, 81)),
+    (unit_simplex(2), [((1, 0), 0)], F(16, 81)),
+], ids=["interval-affine", "interval-kink", "interval-steep", "square-x1",
+        "square-max", "simplex-x1"])
+def test_l1_norm_oracles(base, pieces, exact):
+    cfg = make_config(base, pieces)
+    assert l1_norm(cfg) == exact
+    for mode in ("min_zero", "average_zero"):
+        assert l1_norm(normalize(cfg, mode)) == exact
+    assert l1_norm(make_config(base, cfg.g.scaled(3))) == 3 * exact
+
+
+def test_l1_norm_vanishes_exactly_on_trivial_configs():
+    assert l1_norm(cfg_interval([((0,), 5)])) == 0
+    assert l1_norm(make_config(box(3), [((0, 0, 0), F(1, 3))])) == 0
 
 
 # -- Chow weights -------------------------------------------------------------

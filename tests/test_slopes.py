@@ -185,6 +185,32 @@ def test_point_verdict_both_vertices():
     assert hi.slope < 0.0 < lo.slope
 
 
+@pytest.mark.parametrize("base,vertex,taus", [
+    (interval(0, 1), (F(1),), tuple(range(1, 16))),
+    (box(2), (0, 1), (4, 8, 12, 16)),
+], ids=["interval-15", "square-16"])
+def test_point_probe_on_a_facet_is_refused(monkeypatch, base, vertex, taus):
+    """At these tau_max the probe depth exp(-2 (tau_max + 4)) rounds the
+    probe onto a facet: refused before any Ray is built."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Ray was built")
+
+    monkeypatch.setattr(kstab.slopes, "Ray", refuse)
+    cfg = make_config(base, [((1,) + (0,) * (base.dim - 1), 0)])
+    schedule = Schedule(taus=tuple(float(t) for t in taus))
+    with pytest.raises(NumericalFailure) as err:
+        verify_theorem(cfg, "POINT", schedule=schedule, vertex=vertex)
+    where = ", ".join(str(c) for c in vertex)
+    assert f"vertex ({where})" in str(err.value)
+    assert f"tau_max={taus[-1]}" in str(err.value)
+
+
+def test_point_probe_keeps_its_slack_at_tau_max_14():
+    schedule = Schedule(taus=tuple(float(t) for t in range(1, 15)))
+    assert verify_theorem(AFFINE, "POINT", schedule=schedule,
+                          vertex=(F(1),)).passed
+
+
 def test_point_verdict_requires_vertex():
     with pytest.raises(NotAVertex):
         verify_theorem(AFFINE, "POINT")
@@ -319,6 +345,11 @@ def test_scan_runs_no_ray(monkeypatch):
     assert [c.value for c in scan.candidates] == [
         F(-2, 3), F(-2, 3), F(1, 3), F(1, 3)]
     assert scan.best.point == (1, F(1, 3)) and scan.destabilizing
+
+
+def test_scan_refuses_an_empty_candidate_list():
+    with pytest.raises(InsufficientSamples):
+        scan_destabilizer(KINK, [])
 
 
 def test_scan_vertex_weights_are_chow_weights():

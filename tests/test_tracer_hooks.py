@@ -1,11 +1,13 @@
-"""The benchmark tracer's hooks must name live kstab entry points.
+"""The benchmark's hooks must name live kstab entry points.
 
 perfbench/tracer.py wraps every name in ENTRY_POINTS on its
 ``kstab.<layer>`` module and every name in RAY_METHODS on ``Ray`` with a
 plain getattr, so a renamed or deleted entry point breaks every traced
-benchmark run at install time.  The tracer is loaded by path, unedited.
-One traced round of the exact workload checks that the wrapped entry
-points are also reached.
+benchmark run at install time.  perfbench/workloads.py's _ErrorObserver
+wraps each of its NAMES on ``kstab.cli`` the same way, so a name the CLI
+no longer imports breaks every ray1d run at set-up.  Both files are
+loaded by path, unedited.  One traced round of the exact workload checks
+that the wrapped entry points are also reached.
 """
 import importlib
 import importlib.util
@@ -16,20 +18,22 @@ from pathlib import Path
 
 import pytest
 
+import kstab.cli
 from kstab.analysis import Ray
 
 ROOT = Path(__file__).resolve().parents[1]
-TRACER = ROOT / "perfbench" / "tracer.py"
+PERFBENCH = ROOT / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-tracer = _load_tracer()
+tracer = _load("tracer")
 
 
 @pytest.mark.parametrize("layer", sorted(tracer.ENTRY_POINTS))
@@ -42,6 +46,12 @@ def test_entry_points_resolve(layer):
 
 def test_ray_methods_resolve():
     assert [m for m in tracer.RAY_METHODS if not hasattr(Ray, m)] == []
+
+
+def test_error_observer_names_resolve_on_cli(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads.py imports gen
+    observer = _load("workloads")._ErrorObserver
+    assert [n for n in observer.NAMES if not hasattr(kstab.cli, n)] == []
 
 
 def test_traced_exact_round_records_mixed_volumes():
