@@ -34,7 +34,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import NewtonDivergence, NonDelzant
+from .errors import DomainMismatch, NewtonDivergence, NonDelzant
 from .plconfig import PLConvexFn, ToricTestConfig
 from .polytope import Polytope, volume_data
 
@@ -547,7 +547,8 @@ class RayState:
     coordinate y, where the plain node weights integrate against the
     evolving volume form and e^(-log_ratio) times them against the fixed
     one: x is the inverse transport of the nodes, phi_y is the potential
-    increment at x, log_ratio is log det D2u0(x) - log det H_tau and
+    increment at x, log_ratio is log det D2u0(x) - log det H_tau, entropy
+    is n! times its integral (read by energy_report and mabuchi) and
     det_tau is det H_tau.  Wedge densities take g0_at_x = D2u0(x)^-1
     and g_tau = H_tau^-1, which are None for n = 1.
     """
@@ -558,6 +559,7 @@ class RayState:
     g0_at_x: np.ndarray | None
     phi_y: np.ndarray
     log_ratio: np.ndarray
+    entropy: float
     det_tau: np.ndarray
     g_tau: np.ndarray | None
 
@@ -642,6 +644,7 @@ class Ray:
         h_tau = self.h0 + tau * self.g_hess
         logdet_tau = _logdet_small(h_tau)
         log_ratio = _logdet_small(h0_at_x) - logdet_tau
+        entropy = math.factorial(self.cfg.dim) * self.grid.integrate(log_ratio)
         g_tau = _inv_small(h_tau) if self.cfg.dim == 2 else None
         del h_tau  # before D2u0(x) is inverted: one matrix field fewer alive
         g0_at_x = None if g_tau is None else _inv_small(h0_at_x)
@@ -651,15 +654,22 @@ class Ray:
                  - (self.u0_vals + tau * self.g_vals)) \
             - ((x * xi).sum(axis=1) - self.u0.value(x))
         return RayState(ray=self, tau=tau, x=x, g0_at_x=g0_at_x, phi_y=phi_y,
-                        log_ratio=log_ratio, det_tau=np.exp(logdet_tau),
-                        g_tau=g_tau)
+                        log_ratio=log_ratio, entropy=entropy,
+                        det_tau=np.exp(logdet_tau), g_tau=g_tau)
 
-    def point_derivative(self, tau: float, p: np.ndarray) -> float:
-        """phi_dot at a single reference point (used by the vertex probe)."""
-        target = self.u0.gradient(p[None, :])
-        moved, _ = newton_transport(self.potential(tau), target,
-                                    p[None, :].copy())
-        return float(-self.smooth.value(moved)[0])
+    @staticmethod
+    def point_derivative(u0, smooth, tau: float, p: np.ndarray) -> float:
+        """phi_dot at a reference point p, from one 1-row forward solve of
+        u0 + tau * g_beta started at p: no grid is built.  DomainMismatch,
+        before Newton runs, if some float slack at p is 0 or below."""
+        if (p @ u0.normals.T >= u0.offsets).any():
+            at = ", ".join(f"{c:.17g}" for c in p)
+            raise DomainMismatch(f"phi_dot probe ({at}) is not strictly "
+                                 "inside the polytope")
+        target = u0.gradient(p[None, :])
+        moved, _ = newton_transport(ShiftedPotential(u0, smooth, float(tau)),
+                                    target, p[None, :].copy())
+        return float(-smooth.value(moved)[0])
 
 
 # ---------------------------------------------------------------------------

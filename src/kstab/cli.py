@@ -86,10 +86,17 @@ class _ParseFailure(Exception):
 
 
 def _rational(blob, what: str) -> Fraction:
+    """An exact rational that float64 can also hold: the numeric layers
+    read every input as a float."""
     try:
-        return Fraction(str(blob))
+        value = Fraction(str(blob))
+        float(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"{what}: {blob!r} is not a rational") from exc
+    except OverflowError as exc:
+        raise ValidationError(
+            f"{what}: {blob!r} is too large for float64") from exc
+    return value
 
 
 def _dimension(blob, what: str) -> int:

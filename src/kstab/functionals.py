@@ -157,12 +157,11 @@ def energy_report(state: RayState, alpha: Polytope | None = None) -> EnergyRepor
             + fact * ray.grid.integrate(state.phi_y * mixed * state.det_tau)
     i_val = a_ref - b_mov
     j_val = 0.5 * i_val if n == 1 else a_ref - am_direct / (n + 1)
-    entropy = fact * ray.grid.integrate(state.log_ratio)
 
     l_alpha = None if alpha is None else _fixed_form_energy(
         state, _alpha_theta(state, alpha))
     return EnergyReport(tau=tau, am=am, am_direct=am_direct, i_val=i_val,
-                        j_val=j_val, entropy=entropy, l_alpha=l_alpha,
+                        j_val=j_val, entropy=state.entropy, l_alpha=l_alpha,
                         err_estimate=abs(am - am_direct))
 
 
@@ -280,20 +279,20 @@ def mabuchi(state: RayState) -> MabuchiReport:
     ray = state.ray
     cfg = ray.cfg
     n = cfg.dim
-    fact = math.factorial(n)
     tau = state.tau
     mu = float(slope_mu(cfg.base))
 
-    entropy = fact * ray.grid.integrate(state.log_ratio)
     l_ric = _fixed_form_energy(state, ricci_reference(ray.u0, state.x))
-    route_a = 0.5 * entropy + (n / (n + 1)) * mu * am_energy(ray, tau) - l_ric
+    route_a = 0.5 * state.entropy + (n / (n + 1)) * mu * am_energy(ray, tau) \
+        - l_ric
     route_b, err = _route_b(ray, tau)
     if abs(route_a - route_b) > ROUTE_TOL * (1.0 + abs(route_a)):
         raise RouteMismatch(
             f"Mabuchi routes disagree at tau={tau}: Chen-Tian {route_a!r} "
             f"vs toric {route_b!r}")
     return MabuchiReport(tau=tau, value=route_a, route_a=route_a,
-                         route_b=route_b, entropy=entropy, l_ricci=l_ric,
+                         route_b=route_b, entropy=state.entropy,
+                         l_ricci=l_ric,
                          err_estimate=err + abs(route_a - route_b))
 
 

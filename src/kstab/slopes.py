@@ -19,12 +19,12 @@ share a single transport cache across the whole ladder.
 
 Fixed-point probes
 ------------------
-The POINT check probes just inside a vertex.  A probe at relative depth
-delta sits on a plateau of phi_dot until tau ~ -log(delta)/2, after
-which it drains toward the minimizing vertex; on the plateau phi_dot
-equals minus the vertex height of g above its mean.  The depth is
-coupled to the schedule (delta = exp(-2 (tau_max + 4))), which keeps the
-plateau exit beyond the last sample at any tau_max.
+The POINT check probes just inside a vertex, one 1-row forward solve
+per tau and no grid.  A probe at relative depth delta sits on a plateau
+of phi_dot until tau ~ -log(delta)/2, then drains toward the minimizing
+vertex; on the plateau phi_dot equals minus the vertex height of g above
+its mean.  The depth delta = exp(-2 (tau_max + 4)) follows the schedule
+and keeps the plateau exit beyond the last sample at any tau_max.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import Ray, guillemin_potential
+from .analysis import Ray, SmoothedPL, guillemin_potential
 from .errors import (
     InconsistentInput,
     InsufficientSamples,
@@ -277,9 +277,10 @@ def _energy_row(ray, tau, theorem, alpha, gamma):
     return (tau, float(value), rep.err_estimate) + battery
 
 
-def _vertex_probe(cfg, vertex, schedule) -> np.ndarray:
-    """Probe point at depth delta inside the vertex, toward the barycenter;
-    NumericalFailure, before any Ray is built, if it rounds onto a facet."""
+def _point_trace(cfg, vertex, schedule) -> tuple:
+    """(tau, phi_dot, 0.0) per tau at the probe at depth delta inside the
+    vertex, toward the barycenter, with no grid; NumericalFailure, before
+    any solve, if the probe rounds onto a facet."""
     i = cfg.base.vertex_index(vertex)
     vf = np.array([float(c) for c in cfg.base.vertices[i]])
     bary = np.array([float(c) for c in volume_data(cfg.base).barycenter])
@@ -292,7 +293,9 @@ def _vertex_probe(cfg, vertex, schedule) -> np.ndarray:
             f"POINT probe at vertex ({where}) rounds onto a facet at "
             f"tau_max={top:g}: its depth exp(-2 (tau_max + 4)) is below "
             "the float spacing there")
-    return probe
+    return tuple((t, Ray.point_derivative(
+        u0, SmoothedPL.from_fn(cfg.g, schedule.beta(t)), t, probe), 0.0)
+        for t in map(float, schedule.taus))
 
 
 def verify_theorem(cfg: ToricTestConfig, theorem: str,
@@ -328,9 +331,7 @@ def verify_theorem(cfg: ToricTestConfig, theorem: str,
     gamma, exact, _ = twisted_weights(ncfg, alpha) if name == "JALPHA" \
         else (0.0, _exact_value(ncfg, name, vertex), None)
     if name == "POINT":
-        probe = _vertex_probe(ncfg, vertex, schedule)
-        trace = tuple(ladder(ncfg, schedule, lambda ray, t: (
-            t, ray.point_derivative(t, probe), 0.0)))
+        trace = _point_trace(ncfg, vertex, schedule)
         energies = ()
         est = estimate_limit_value(trace)
     else:

@@ -32,7 +32,7 @@ from kstab.analysis import (
     _logdet_small,
     ricci_reference,
 )
-from kstab.errors import NewtonDivergence, NonDelzant
+from kstab.errors import DomainMismatch, NewtonDivergence, NonDelzant
 from kstab.functionals import mixed_discriminant
 from kstab.plconfig import make_config, normalize
 from kstab.polytope import box, construct, interval, unit_simplex, volume_data
@@ -408,6 +408,26 @@ def test_newton_divergence_reports_node_count(monkeypatch):
     assert node == 3
     at = u0.gradient(np.array([[z]]))[0, 0] - targets[node, 0]
     assert residual == pytest.approx(abs(at), rel=1e-3)
+
+
+@pytest.mark.parametrize("p", [(0.5, 0.0), (1.0, 1.0), (2.0, 0.5)],
+                         ids=["facet", "vertex", "outside"])
+def test_point_derivative_refuses_a_point_off_the_interior(monkeypatch, p):
+    """A point with a float slack of 0 or below is refused before Newton
+    runs.  Solved anyway, (1/2, 0) on the average-zero square with
+    g = max(x1, x2) read 0.166 at tau = 1, 2 and 6 against the limit 2/3
+    of phi_dot there."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("Newton ran")
+
+    monkeypatch.setattr(analysis, "newton_transport", refuse)
+    cfg = normalize(make_config(box(2), [((1, 0), 0), ((0, 1), 0)]),
+                    "average_zero")
+    u0 = guillemin_potential(cfg.base)
+    for tau in (1.0, 2.0, 6.0):
+        with pytest.raises(DomainMismatch, match="not strictly inside"):
+            Ray.point_derivative(u0, SmoothedPL.from_fn(cfg.g, 10.0 * tau),
+                                 tau, np.array(p))
 
 
 def test_newton_rows_are_independent_of_order_and_blocks():

@@ -349,6 +349,23 @@ def test_schedule_below_the_floor_exits_3_before_the_ladder(
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("task", [
+    {"kind": "invariants"},
+    {"kind": "l1"},
+    {"kind": "slopes", "theorems": ["POINT"], "vertex": ["1"]},
+], ids=["invariants", "l1", "slopes"])
+def test_rational_too_large_for_float64_exits_3(tmp_path, capsys, task):
+    """1e400 is an exact rational that no float64 holds: refused at parse
+    time, naming its field, not left to overflow in the task."""
+    path = write_scenario(tmp_path, {
+        "schema": "kstab-scenario/1", "name": "huge-gradient",
+        "polytope": {"kind": "interval", "lo": "0", "hi": "1"},
+        "pl": [[["1e400"], "0"]], "tasks": [task]})
+    assert run_scenario(path, out_dir=tmp_path / "out") == EXIT_VALIDATION
+    assert "pl gradient: '1e400' is too large for float64" \
+        in capsys.readouterr().err
+
+
 def test_report_refuses_non_finite_numbers(tmp_path):
     results = {"name": "nan-smoke", "timestamp": "t", "seed": None,
                "options": {}, "pass": True,

@@ -23,7 +23,7 @@ import pytest
 
 import kstab.analysis
 import kstab.functionals
-from kstab.analysis import (_NEWTON_BLOCK, Ray, SymplecticPotential,
+from kstab.analysis import (_NEWTON_BLOCK, Grid, Ray, SymplecticPotential,
                             _inv_small, _logdet_small,
                             abreu_scalar_curvature, bulk_grid,
                             crease_ladder_depth, crease_points, fan_grid,
@@ -278,6 +278,24 @@ def test_mabuchi_transports_only_at_tau(monkeypatch):
     mabuchi(state)
     energy_report(state)
     assert len(calls) == 1
+
+
+def test_df_rung_integrates_the_entropy_once(monkeypatch):
+    """Ray.state integrates n! * log_ratio once; energy_report and
+    mabuchi both report that value, with its bits."""
+    seen = []
+    integrate = Grid.integrate
+
+    def counted(self, values):
+        seen.append(values)
+        return integrate(self, values)
+
+    monkeypatch.setattr(Grid, "integrate", counted)
+    state = Ray(KINK, beta=20.0, tau_max=2.0).state(2.0)
+    rep, mab = energy_report(state), mabuchi(state)
+    assert sum(v is state.log_ratio for v in seen) == 1
+    assert rep.entropy == mab.entropy == state.entropy
+    assert state.entropy == integrate(state.ray.grid, state.log_ratio)
 
 
 def test_square_rung_inverts_each_matrix_field_once(monkeypatch):

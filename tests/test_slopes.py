@@ -40,6 +40,9 @@ F = Fraction
 
 AFFINE = make_config(interval(0, 1), [((1,), 0)])
 KINK = make_config(interval(0, 1), [((1,), 0), ((-1,), 1)])
+SQUARE_X1 = make_config(box(2), [((1, 0), 0)])
+SQUARE_MAX = make_config(box(2), [((1, 0), 0), ((0, 1), 0)])
+SIMPLEX_X1 = make_config(unit_simplex(2), [((1, 0), 0)])
 
 TAUS = (1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0)
 
@@ -211,6 +214,29 @@ def test_point_probe_keeps_its_slack_at_tau_max_14():
                           vertex=(F(1),)).passed
 
 
+@pytest.mark.parametrize("cfg, vertex, slope", [
+    (AFFINE, (0,), 0.5000000000101334),
+    (AFFINE, (1,), -0.4999502121964334),
+    (KINK, (0,), -0.24994978203565127),
+    (KINK, (1,), -0.24994978203396717),
+    (SQUARE_MAX, (0, 1), -0.3332831153673943),
+    (SIMPLEX_X1, (1, 0), -0.6666002862099114),
+], ids=["affine-0", "affine-1", "kink-0", "kink-1", "square-max",
+        "simplex-x1"])
+def test_point_verdict_builds_no_grid(monkeypatch, cfg, vertex, slope):
+    """A POINT rung is one 1-row forward solve from the probe: no grid
+    and no Ray instance.  Each slope keeps the bits it had when every
+    rung built a Ray and its grid."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid or a Ray was built")
+
+    monkeypatch.setattr(kstab.analysis, "build_grid", refuse)
+    monkeypatch.setattr(kstab.analysis.Ray, "__init__", refuse)
+    rep = verify_theorem(cfg, "POINT", vertex=vertex)
+    assert rep.passed
+    assert rep.slope == slope
+
+
 def test_point_verdict_requires_vertex():
     with pytest.raises(NotAVertex):
         verify_theorem(AFFINE, "POINT")
@@ -301,10 +327,6 @@ def test_scan_numeric_interior_candidate():
     # interior orbit drains to the minimizing vertex: height of g there
     assert scan.candidates[1].value == F(-1, 2)
 
-
-SQUARE_X1 = make_config(box(2), [((1, 0), 0)])
-SQUARE_MAX = make_config(box(2), [((1, 0), 0), ((0, 1), 0)])
-SIMPLEX_X1 = make_config(unit_simplex(2), [((1, 0), 0)])
 
 
 @pytest.mark.parametrize("cfg, point, weight", [

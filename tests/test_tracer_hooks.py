@@ -6,8 +6,8 @@ plain getattr, so a renamed or deleted entry point breaks every traced
 benchmark run at install time.  perfbench/workloads.py's _ErrorObserver
 wraps each of its NAMES on ``kstab.cli`` the same way, so a name the CLI
 no longer imports breaks every ray1d run at set-up.  Both files are
-loaded by path, unedited.  One traced round of the exact workload checks
-that the wrapped entry points are also reached.
+loaded by path, unedited.  One traced round of the exact workload and one
+of ray1d check that the wrapped entry points are also reached.
 """
 import importlib
 import importlib.util
@@ -54,14 +54,26 @@ def test_error_observer_names_resolve_on_cli(monkeypatch):
     assert [n for n in observer.NAMES if not hasattr(kstab.cli, n)] == []
 
 
-def test_traced_exact_round_records_mixed_volumes():
-    """perfbench/run.py, one traced exact round (about 1 s); it writes
-    only under the git-ignored .perfbench/."""
+def _traced_round(workload):
+    """perfbench/run.py, one traced round of workload; it writes only
+    under the git-ignored .perfbench/."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "exact",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "0", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
-    assert result["metrics"]["polytope.mixed_volume_s"]["value"] > 0
+    return result["metrics"]
+
+
+def test_traced_exact_round_records_mixed_volumes():
+    """One traced exact round, about 1 s."""
+    assert _traced_round("exact")["polytope.mixed_volume_s"]["value"] > 0
+
+
+def test_traced_ray1d_round_times_the_point_probe():
+    """One traced ray1d round, about 2 s.  Ray.point_derivative is a
+    static method, called through the class, so the tracer's class-level
+    wrap still times the POINT probe."""
+    assert _traced_round("ray1d")["analysis.point_probe_s"]["value"] > 0
