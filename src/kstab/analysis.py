@@ -13,8 +13,12 @@ Everything numeric lives downstream of three ingredients built here:
     along-edge depth follows the distance to the facet, min(depth,
     k + 2) at 2^-k, since such a node is at least as far from the
     adjacent facets (see fan_grid),
-  * a vectorized damped Newton solver for the Legendre transport
-    x -> x_tau defined by grad u_tau(x_tau) = grad u_0(x).
+  * the inverse Legendre transport of u0, the point x where
+    grad u0(x) = xi.  On an interval it is closed-form in log-slacks:
+    the slacks at x are span * sigma(+-2 xi) (interval_log_slacks), so
+    no Newton step is taken and no slack is formed by subtraction.  In
+    2D, and for the forward transport x -> x_tau defined by
+    grad u_tau(x_tau) = grad u_0(x), a vectorized damped Newton solver.
 
 Scalar curvature uses Abreu's expression in closed form (facet sums
 and softmax cumulants for the third and fourth derivatives of the
@@ -83,6 +87,20 @@ class SymplecticPotential:
         h = (1.0 / ell) @ outer.reshape(n_facets, dim * dim)
         h *= 0.5
         return h.reshape(-1, dim, dim)
+
+
+def interval_log_slacks(u: SymplecticPotential, xi: np.ndarray) -> np.ndarray:
+    """log ell_k, per row, at the point of an interval where grad u = xi.
+
+    On [lo, hi] the Guillemin gradient is xi = (1/2) log(ell_a / ell_b),
+    ell_a = x - lo and ell_b = hi - x, so the slacks are span * sigma(+-2 xi):
+    log ell_k = log span - logaddexp(0, 2 nu_k xi) with nu_k = -+1 the
+    facet normal (Guillemin 1994; Abreu 2003).  No slack is formed by a
+    subtraction from an endpoint, so one far below the float spacing at
+    the endpoint keeps its digits, and no Newton step is taken.
+    """
+    return math.log(u.offsets.sum()) \
+        - np.logaddexp(0.0, 2.0 * (xi @ u.normals.T))
 
 
 def guillemin_potential(base: Polytope) -> SymplecticPotential:
@@ -218,10 +236,16 @@ def _graded_breaks(depth: int):
     return [0.0] + left + [0.5] + right + [1.0]
 
 
-def _panel_nodes(breaks, inner_order, graded_order):
+def _panel_nodes(breaks, inner_order, graded_order, windows=()):
+    """Gauss nodes and weights over the panels between breaks: order
+    inner_order inside [0.25, 0.75] and on every panel whose midpoint
+    lies in one of the (centre, half-width) windows, graded_order
+    elsewhere."""
     xs, ws = [], []
     for a, b in zip(breaks[:-1], breaks[1:]):
-        order = inner_order if (a >= 0.25 and b <= 0.75) else graded_order
+        inner = (a >= 0.25 and b <= 0.75) or any(
+            abs(0.5 * (a + b) - c) < r for c, r in windows)
+        order = inner_order if inner else graded_order
         x, w = _gauss_panel(a, b, order)
         xs.append(x)
         ws.append(w)
@@ -233,7 +257,8 @@ def line_grid(base: Polytope, depth: int, creases=(), graded_order: int = 8,
     """Graded Gauss panels on an interval, refined at supplied crease points.
 
     Around each crease the panels grade dyadically from a 0.08-wide
-    window down to 0.08 * 2^-crease_depth.  Transported-coordinate
+    window down to 0.08 * 2^-crease_depth, and every panel of the window
+    takes the inner Gauss order 16, even near a facet.  Transported-coordinate
     integrands sweep across a kink of g on a scale ~ 1/(beta * tau), so
     callers size crease_depth from the smoothing schedule; the fixed
     window is enough for the curvature spike itself, whose width is
@@ -244,8 +269,8 @@ def line_grid(base: Polytope, depth: int, creases=(), graded_order: int = 8,
     span = b - a
     breaks = set(_graded_breaks(depth))
     ladder = [0.0] + [0.08 * 0.5 ** k for k in range(crease_depth + 1)]
-    for c in creases:
-        t = (float(c) - a) / span
+    centres = [(float(c) - a) / span for c in creases]
+    for t in centres:
         for off in ladder:
             for s in (-1.0, 1.0):
                 if 1e-9 < t + s * off < 1 - 1e-9:
@@ -255,7 +280,8 @@ def line_grid(base: Polytope, depth: int, creases=(), graded_order: int = 8,
     for t in bs[1:]:
         if t - merged[-1] > 1e-14:
             merged.append(t)
-    x, w = _panel_nodes(merged, 16, graded_order)
+    x, w = _panel_nodes(merged, 16, graded_order,
+                        windows=[(t, ladder[1]) for t in centres])
     return Grid(points=(a + span * x)[:, None], weights=span * w)
 
 
@@ -436,7 +462,7 @@ def newton_transport(potential, targets: np.ndarray, start: np.ndarray):
         raise NewtonDivergence(
             f"Legendre inversion stalled at {len(stalled)} node(s); worst "
             f"live residual {worst.max():.3e} at node {node}, z = ({at}); "
-            "grid likely reaches too close to the boundary")
+            "a target likely asks for a slack below the float spacing")
     return z, hess
 
 
@@ -550,7 +576,10 @@ class RayState:
     increment at x, log_ratio is log det D2u0(x) - log det H_tau, entropy
     is n! times its integral (read by energy_report and mabuchi) and
     det_tau is det H_tau.  Wedge densities take g0_at_x = D2u0(x)^-1
-    and g_tau = H_tau^-1, which are None for n = 1.
+    and g_tau = H_tau^-1, which are None for n = 1.  On an interval
+    every field comes in closed form from log_slacks, the log ell_k at
+    x (interval_log_slacks), and x is only their float image, kept
+    strictly inside; in 2D Newton solves for x and log_slacks is None.
     """
 
     ray: "Ray"
@@ -562,6 +591,7 @@ class RayState:
     entropy: float
     det_tau: np.ndarray
     g_tau: np.ndarray | None
+    log_slacks: np.ndarray | None = None
 
 
 class Ray:
@@ -604,15 +634,23 @@ class Ray:
 
     def inverse_transport(self, s: float):
         """(x, D2u0(x)): the reference point x whose u_s-moment image is
-        each grid node, and the Hessian Newton's last test took there.
+        each grid node, and the Hessian of u0 there, from
+        grad u0(x) = grad u_s(y) per node y.
 
-        Solves grad u0(x) = grad u_s(y) per node y, with s rounded to 12
-        digits.  Only the latest x is kept: it answers the same s again
-        and warm-starts a larger one; a smaller s starts from the grid,
-        which is also the answer at s = 0.  The iterates press into the
-        boundary collar, where the Newton solver saturates at float
-        spacing; downstream integrands are slack-stable there.
+        On an interval both are closed-form in the log-slacks at x
+        (_interval_frame), with D2u0(x) = span / (2 ell_a ell_b).  In 2D
+        Newton solves it, with s rounded to 12 digits, and the Hessian is
+        the one its last test took.  Only the latest x is kept: it answers
+        the same s again and warm-starts a larger one; a smaller s starts
+        from the grid, which is also the answer at s = 0.  The iterates
+        press into the boundary collar, where the Newton solver saturates
+        at float spacing; downstream integrands are slack-stable there.
         """
+        if self.cfg.dim == 1:
+            x, log_ell = self._interval_frame(float(s))
+            half_span = 0.5 * float(self.u0.offsets.sum())
+            return x, np.exp(math.log(half_span)
+                             - log_ell.sum(axis=1))[:, None, None]
         key = round(float(s), 12)
         last, x = self._inv
         if key == last:
@@ -626,7 +664,7 @@ class Ray:
     def check_reach(self, tau: float) -> None:
         """NewtonDivergence if tau shifts some target xi + tau * grad g_beta
         past the reach of grad u0 at _SLACK_FLOOR: such a tau has no
-        inverse transport."""
+        inverse transport with every slack above the floor."""
         reach = 0.5 * (1.0 - math.log(_SLACK_FLOOR)) \
             * float(np.abs(self.u0.normals).sum(axis=0).max())
         shift = float(tau) * float(np.abs(self.g_grad).max())
@@ -635,11 +673,55 @@ class Ray:
                 f"moment targets shift by tau * |grad g| = {shift:.3g}, "
                 f"beyond the reach {reach:.4g} of grad u0 at the slack floor")
 
+    def _interval_frame(self, s: float):
+        """(x, log ell_k(x)) on the interval: the log-slacks of
+        interval_log_slacks at xi + s * grad g_beta, and x read off the
+        nearer facet and clipped to the last floats inside P.  s = 0
+        gives the nodes themselves."""
+        log_ell = interval_log_slacks(self.u0, self.xi + s * self.g_grad)
+        if s == 0.0:
+            return self.grid.points, log_ell
+        near = log_ell.argmin(axis=1)
+        x = self.u0.normals[near, 0] * (self.u0.offsets[near]
+                                        - np.exp(log_ell.min(axis=1)))
+        lo, hi = (float(v[0]) for v in self.cfg.base.vertices)
+        return np.clip(x, np.nextafter(lo, hi),
+                       np.nextafter(hi, lo))[:, None], log_ell
+
+    def _interval_state(self, tau: float) -> RayState:
+        """Ray.state on an interval, closed-form in the log-slacks at x.
+        The nodes' own log-slacks come from the same closed form at xi,
+        so every difference below is 0 bit for bit at tau = 0:
+
+            log_ratio = sum_k (log ell_k(y) - log ell_k(x))
+                        - log1p(tau * g_beta'' / u0''),
+            phi_y = y xi - u_tau(y) - u0*(xi)
+                  = tau (y g_beta' - g_beta) + u0*(xi0) - u0*(xi),
+
+        with xi0 = grad u0(y) and the Legendre dual in slacks,
+        u0*(xi) = (1/2) sum ell_k - (1/2) sum lambda_k (1 + log ell_k)
+        (lambda the facet offsets; sum ell_k = span), so x xi is never
+        formed."""
+        x, log_ell = self._interval_frame(tau)
+        step = log_ell - interval_log_slacks(self.u0, self.xi)
+        h0, g2 = self.h0[:, 0, 0], self.g_hess[:, 0, 0]
+        log_ratio = -step.sum(axis=1) - np.log1p(tau * g2 / h0)
+        phi_y = tau * ((self.grid.points * self.g_grad).sum(axis=1)
+                       - self.g_vals) + 0.5 * (step @ self.u0.offsets)
+        return RayState(ray=self, tau=tau, x=x, g0_at_x=None, phi_y=phi_y,
+                        log_ratio=log_ratio,
+                        entropy=self.grid.integrate(log_ratio),
+                        det_tau=h0 + tau * g2, g_tau=None,
+                        log_slacks=log_ell)
+
     def state(self, tau: float) -> RayState:
         """The transported frame at tau, from one inverse transport;
-        check_reach refuses an unreachable tau before Newton runs."""
+        check_reach refuses an unreachable tau before it runs.  On an
+        interval the transport is closed-form (_interval_state)."""
         tau = float(tau)
         self.check_reach(tau)
+        if self.cfg.dim == 1:
+            return self._interval_state(tau)
         x, h0_at_x = self.inverse_transport(tau)
         h_tau = self.h0 + tau * self.g_hess
         logdet_tau = _logdet_small(h_tau)

@@ -34,8 +34,9 @@ from fractions import Fraction
 import numpy as np
 
 from .analysis import (Ray, RayState, _inv_small, _logdet_small,
-                       crease_ladder_depth, guillemin_potential, line_grid,
-                       newton_transport, ricci_reference)
+                       crease_ladder_depth, guillemin_potential,
+                       interval_log_slacks, line_grid, newton_transport,
+                       ricci_reference)
 from .errors import MissingAlpha, NormalizationRequired, RouteMismatch
 from .invariants import l1_norm, slope_mu
 from .polytope import Polytope, dot, interval, volume_data
@@ -192,16 +193,34 @@ def _fixed_form_energy(state: RayState, theta: np.ndarray) -> float:
 def _alpha_theta(state: RayState, alpha: Polytope) -> np.ndarray:
     """theta of the alpha form for _fixed_form_energy: the inverse
     Hessian of alpha's Guillemin potential where its gradient is
-    xi + tau * grad g, from one Newton transport into alpha."""
+    xi + tau * grad g.  On an interval it is 2 ell_a ell_b / span_alpha,
+    from alpha's log-slacks there (interval_log_slacks); in 2D it comes
+    from one Newton transport into alpha."""
     ray = state.ray
     if alpha.dim != ray.cfg.dim:
         raise MissingAlpha(f"twisting polytope has dimension {alpha.dim}, "
                            f"expected {ray.cfg.dim}")
+    u_alpha = guillemin_potential(alpha)
+    xi = ray.xi + state.tau * ray.g_grad
+    if alpha.dim == 1:
+        log_ell = interval_log_slacks(u_alpha, xi)
+        half_span = 0.5 * float(u_alpha.offsets.sum())
+        return np.exp(log_ell.sum(axis=1) - math.log(half_span))[:, None, None]
     bary = np.array([[float(c) for c in volume_data(alpha).barycenter]])
-    _, h_alpha = newton_transport(guillemin_potential(alpha),
-                                  ray.xi + state.tau * ray.g_grad,
+    _, h_alpha = newton_transport(u_alpha, xi,
                                   np.tile(bary, (ray.grid.size, 1)))
     return _inv_small(h_alpha)
+
+
+def _ricci_theta(state: RayState) -> np.ndarray:
+    """theta of Ric0 for _fixed_form_energy, at the inverse transport x:
+    on an interval 4 ell_a ell_b / span^2 from the state's log-slacks,
+    with no 1/ell to overflow; in 2D ricci_reference at x."""
+    if state.log_slacks is None:
+        return ricci_reference(state.ray.u0, state.x)
+    half_span = 0.5 * float(state.ray.u0.offsets.sum())
+    return np.exp(state.log_slacks.sum(axis=1)
+                  - 2.0 * math.log(half_span))[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -271,8 +290,9 @@ def mabuchi(state: RayState) -> MabuchiReport:
     paired with the halved Ricci convention in which the mean scalar
     curvature is n * mu.  E_Ric is the Chen-Tian endpoint energy of the
     fixed form Ric0 (_fixed_form_energy, as for alpha in energy_report),
-    with Ric0 at the inverse transport x that the entropy uses.  Route
-    (b), _route_b, shares only the grid, u0 and g_beta with it.
+    with Ric0 at the inverse transport x that the entropy uses
+    (_ricci_theta).  Route (b), _route_b, shares only the grid, u0 and
+    g_beta with it.
     err_estimate is the route gap plus route (b)'s edge-quadrature
     estimate (0 in 1D).
     """
@@ -282,7 +302,7 @@ def mabuchi(state: RayState) -> MabuchiReport:
     tau = state.tau
     mu = float(slope_mu(cfg.base))
 
-    l_ric = _fixed_form_energy(state, ricci_reference(ray.u0, state.x))
+    l_ric = _fixed_form_energy(state, _ricci_theta(state))
     route_a = 0.5 * state.entropy + (n / (n + 1)) * mu * am_energy(ray, tau) \
         - l_ric
     route_b, err = _route_b(ray, tau)

@@ -15,7 +15,7 @@ whatever normalization the caller supplies (the shift enters the exact
 slope, so it is reported rather than removed).  The smoothing schedule
 couples beta to tau (beta = beta0 * tau) so the mollification bias of
 piecewise-linear rays vanishes in the limit; affine rays are exact and
-share a single transport cache across the whole ladder.
+share a single Ray across the whole ladder.
 
 Fixed-point probes
 ------------------
@@ -234,7 +234,7 @@ def _exact_value(cfg, theorem, vertex) -> Fraction:
 def ladder(cfg: ToricTestConfig, schedule: Schedule, fn) -> list:
     """fn(ray, tau) at each tau of the schedule, in schedule order.
 
-    An affine ray is exact, so one Ray serves the whole ladder and its
+    An affine ray is exact, so one Ray serves the whole ladder; in 2D its
     transport cache warm-starts each tau from the one below.  A PL ray
     gets one Ray per tau, smoothed at beta = beta0 * tau and graded for
     that tau.  The largest tau is checked against the Ray that serves it
@@ -280,7 +280,8 @@ def _energy_row(ray, tau, theorem, alpha, gamma):
 def _point_trace(cfg, vertex, schedule) -> tuple:
     """(tau, phi_dot, 0.0) per tau at the probe at depth delta inside the
     vertex, toward the barycenter, with no grid; NumericalFailure, before
-    any solve, if the probe rounds onto a facet."""
+    any solve, if the probe rounds onto a facet.  A NewtonDivergence of
+    a probe solve is re-raised with its tau, as in ladder."""
     i = cfg.base.vertex_index(vertex)
     vf = np.array([float(c) for c in cfg.base.vertices[i]])
     bary = np.array([float(c) for c in volume_data(cfg.base).barycenter])
@@ -293,9 +294,14 @@ def _point_trace(cfg, vertex, schedule) -> tuple:
             f"POINT probe at vertex ({where}) rounds onto a facet at "
             f"tau_max={top:g}: its depth exp(-2 (tau_max + 4)) is below "
             "the float spacing there")
-    return tuple((t, Ray.point_derivative(
-        u0, SmoothedPL.from_fn(cfg.g, schedule.beta(t)), t, probe), 0.0)
-        for t in map(float, schedule.taus))
+
+    def rung(t):
+        try:
+            return Ray.point_derivative(
+                u0, SmoothedPL.from_fn(cfg.g, schedule.beta(t)), t, probe)
+        except NewtonDivergence as exc:
+            raise NewtonDivergence(f"tau={t:g}: {exc}") from exc
+    return tuple((t, rung(t), 0.0) for t in map(float, schedule.taus))
 
 
 def verify_theorem(cfg: ToricTestConfig, theorem: str,

@@ -25,6 +25,7 @@ from kstab.analysis import (
     crease_points,
     fan_grid,
     guillemin_potential,
+    interval_log_slacks,
     line_grid,
     newton_transport,
     _gauss_rule,
@@ -51,6 +52,7 @@ def interval_config(pieces, mode="min_zero"):
 
 AFFINE = interval_config([((1,), 0)])          # g = x
 KINK = interval_config([((1,), 0), ((-1,), 1)])  # g = max(x, 1-x)
+STEEP = interval_config([((-3,), 0), ((3,), -3)])  # g = max(-3x, 3x - 3)
 SQUARE = normalize(make_config(box(2), [((1, 0), 0)]), "min_zero")  # g = x1
 SQUARE3 = normalize(make_config(box(2), [((1, 0), 0), ((0, 1), 0),
                                          ((-1, -1), 1)]), "min_zero")
@@ -552,6 +554,47 @@ def test_inverse_transport_inverts_forward():
     exact = y / (q + y * (1.0 - q))
     resolvable = np.minimum(exact, 1.0 - exact) > 1e-8
     assert np.max(np.abs(x_inv - exact)[resolvable]) < 1e-8
+
+
+@pytest.mark.parametrize("cfg", [KINK, STEEP], ids=["kink", "steep"])
+@pytest.mark.parametrize("tau", [1.0, 4.0, 12.0])
+def test_interval_slacks_match_newton(cfg, tau):
+    """The closed-form slacks at x are those of a Newton solve of
+    grad u0(x) = xi + tau * grad g_beta, to 1e-8 relative wherever the
+    solve resolves them (slack above 1e-8); below, Newton's x sits on
+    the float spacing and the closed form keeps the digits."""
+    ray = Ray(cfg, beta=10.0 * tau, tau_max=tau)
+    log_ell = ray.state(tau).log_slacks
+    z, _ = newton_transport(ray.u0, ray.xi + tau * ray.g_grad,
+                            ray.grid.points)
+    ell = ray.u0.slacks(z)
+    ok = ell > 1e-8
+    assert ok.sum() > 0.5 * ok.size
+    assert np.max(np.abs(np.exp(log_ell[ok]) / ell[ok] - 1.0)) < 1e-8
+    assert np.all(np.isfinite(log_ell))
+
+
+def test_interval_log_slacks_on_an_offset_interval():
+    """On [-1, 3] the slacks are x + 1 and 3 - x, in the facet order of
+    the potential, wherever the gradient of u0 is taken."""
+    u0 = guillemin_potential(interval(-1, 3))
+    x = np.array([[-0.999], [0.0], [1.5], [2.75]])
+    log_ell = interval_log_slacks(u0, u0.gradient(x))
+    assert np.allclose(np.exp(log_ell), u0.slacks(x), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("cfg", [KINK, STEEP], ids=["kink", "steep"])
+@pytest.mark.parametrize("tau", [1.0, 4.0, 12.0])
+def test_interval_ricci_slack_form_matches_ricci_reference(cfg, tau):
+    """Ric0 = 4 ell_a ell_b / span^2 on [0, 1], read from the log-slacks,
+    is ricci_reference at x wherever x resolves its slacks (above 1e-6,
+    where the float x costs 1e-10 relative)."""
+    ray = Ray(cfg, beta=10.0 * tau, tau_max=tau)
+    state = ray.state(tau)
+    form = 4.0 * np.exp(state.log_slacks.sum(axis=1))
+    ok = ray.u0.slacks(state.x).min(axis=1) > 1e-6
+    ric = ricci_reference(ray.u0, state.x[ok])[:, 0, 0]
+    assert np.max(np.abs(ric / form[ok] - 1.0)) < 1e-9
 
 
 def test_inverse_transport_saturates_gracefully_at_float_wall():

@@ -270,6 +270,19 @@ def test_ladder_names_the_tau_of_a_newton_divergence(cfg):
     assert err.value.__cause__ is original
 
 
+def test_point_probe_stall_names_its_tau():
+    """With g = 1000 x the probe inside the vertex 1 asks, at tau = 1, for
+    a slack near e^-1980, below the float range: the stalled 1-row solve
+    names its tau and blames no grid, since the probe builds none."""
+    cfg = make_config(interval(0, 1), [((1000,), 0)])
+    with pytest.raises(NewtonDivergence) as err:
+        verify_theorem(cfg, "POINT", vertex=(1,))
+    msg = str(err.value)
+    assert msg.startswith("tau=1: Legendre inversion stalled"), msg
+    assert "grid" not in msg
+    assert isinstance(err.value.__cause__, NewtonDivergence)
+
+
 def test_verdict_json_shape():
     rep = verify_theorem(AFFINE, "MINNORM")
     blob = rep.to_json()
