@@ -3,11 +3,14 @@
     python3 scripts/bench.py --label 2
 
 From the repository root this runs ``perfbench/run.py`` on each workload
-(exact, ray1d, ray2d) twice, untraced for the end-to-end metrics and
-traced for the per-layer ones, then the Tier-1 suite.  The file records
-the machine facts, each run's result line (correctness, attempted and
-failed ops, every metric with its unit), the Tier-1 wall time and
-summary, and ``wc -l src/kstab/*.py``.  Each run uses seed 1 and the
+(exact, ray1d, ray2d) three times untraced, for the end-to-end metrics,
+and once traced, for the per-layer ones, then the Tier-1 suite.  The
+file records the machine facts; per workload the median of the three
+untraced runs, each number taken on its own, next to their raw result
+lines under ``runs``; the traced run's result line (correctness,
+attempted and failed ops, every metric with its unit); the Tier-1 wall
+time and summary; and ``wc -l src/kstab/*.py``.  One slow run among the
+three does not move the medians.  Each run uses seed 1 and the
 ``run_seconds`` of BENCHMARK.json.  Everything runs one after another
 in one closed loop, so two files compare only when they come from the
 same machine.
@@ -15,6 +18,7 @@ same machine.
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -23,6 +27,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("exact", "ray1d", "ray2d")
 SEED = 1
+UNTRACED_RUNS = 3
 TIER1 = [sys.executable, "-m", "pytest", "-q",
          "--continue-on-collection-errors"]
 
@@ -36,6 +41,25 @@ def bench_run(workload: str, seed: int, seconds: float, trace: int) -> dict:
         raise SystemExit(f"{' '.join(cmd)} exited {done.returncode}:\n"
                          f"{done.stderr.strip()[-800:]}")
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def median_run(workload: str, seed: int, seconds: float) -> dict:
+    """UNTRACED_RUNS untraced runs of workload: the median of each number
+    of their result lines, ``correct`` only if every run was, and the
+    raw result lines under ``runs``."""
+    runs = [bench_run(workload, seed, seconds, 0)
+            for _ in range(UNTRACED_RUNS)]
+
+    def median(get):
+        return statistics.median(get(r) for r in runs)
+
+    metrics = {name: {"value": median(lambda r: r["metrics"][name]["value"]),
+                      "unit": metric["unit"]}
+               for name, metric in runs[0]["metrics"].items()}
+    return {"correct": all(r["correct"] for r in runs),
+            "attempted": median(lambda r: r["attempted"]),
+            "failed": median(lambda r: r["failed"]),
+            "metrics": metrics, "runs": runs}
 
 
 def tier1() -> dict:
@@ -72,9 +96,10 @@ def main(argv=None) -> int:
     out = {"label": args.label, "seed": SEED, "seconds": seconds,
            "machine": machine_facts(), "end_to_end": {}, "per_layer": {}}
     for workload in WORKLOADS:
-        for trace, key in ((0, "end_to_end"), (1, "per_layer")):
-            print(f"bench: {workload} trace={trace}", file=sys.stderr)
-            out[key][workload] = bench_run(workload, SEED, seconds, trace)
+        print(f"bench: {workload} x{UNTRACED_RUNS} untraced", file=sys.stderr)
+        out["end_to_end"][workload] = median_run(workload, SEED, seconds)
+        print(f"bench: {workload} traced", file=sys.stderr)
+        out["per_layer"][workload] = bench_run(workload, SEED, seconds, 1)
     print("bench: tier-1", file=sys.stderr)
     out["tier1"] = tier1()
     out["src_lines"] = src_lines()

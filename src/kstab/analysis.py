@@ -14,33 +14,38 @@ Everything numeric lives downstream of three ingredients built here:
     k + 2) at 2^-k, since such a node is at least as far from the
     adjacent facets (see fan_grid),
   * the inverse Legendre transport of u0, the point x where
-    grad u0(x) = xi.  On an interval it is closed-form in log-slacks:
-    the slacks at x are span * sigma(+-2 xi) (interval_log_slacks), so
-    no Newton step is taken and no slack is formed by subtraction.  In
-    2D, and for the forward transport x -> x_tau defined by
-    grad u_tau(x_tau) = grad u_0(x), a vectorized damped Newton solver.
+    grad u0(x) = xi.  On a simplex-product base (the interval, Delzant
+    triangles and parallelograms; SimplexProduct) it is closed-form in
+    log-slacks: log ell_k = log Lambda_B + r_k - logsumexp_B r with
+    r = -2 E^-T xi, so no Newton step is taken and no slack is formed by
+    subtraction, and D2u0(x)^-1 and Ric0 are sums of positive terms in
+    the slacks.  On other Delzant polygons, and for the forward
+    transport x -> x_tau defined by grad u_tau(x_tau) = grad u_0(x), a
+    vectorized damped Newton solver.
 
 Scalar curvature uses Abreu's expression in closed form (facet sums
 and softmax cumulants for the third and fourth derivatives of the
 potential) with the calibration constant kappa = 1/2, fixed so that
 the mean curvature equals n times the slope (checked for interval,
 square, simplex).  The reference Ricci data is the xi-Hessian of half
-the log-determinant of the potential Hessian, computed through the
-moment-coordinate chain rule; with this pairing the pointwise identity
-S = n * MD(ricci, G^(n-1)) / det G holds against the same grids
-(tested).
+the log-determinant of the potential Hessian: on a simplex-product base
+in closed form from the log-slacks (SimplexProduct.ricci), elsewhere
+through the moment-coordinate chain rule (ricci_reference); with this
+pairing the pointwise identity S = n * MD(ricci, G^(n-1)) / det G holds
+against the same grids (tested).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations, product
 
 import numpy as np
 
 from .errors import DomainMismatch, NewtonDivergence, NonDelzant
 from .plconfig import PLConvexFn, ToricTestConfig
-from .polytope import Polytope, volume_data
+from .polytope import Polytope, _det, volume_data
 
 KAPPA = 0.5
 _SLACK_FLOOR = 1e-300
@@ -89,20 +94,6 @@ class SymplecticPotential:
         return h.reshape(-1, dim, dim)
 
 
-def interval_log_slacks(u: SymplecticPotential, xi: np.ndarray) -> np.ndarray:
-    """log ell_k, per row, at the point of an interval where grad u = xi.
-
-    On [lo, hi] the Guillemin gradient is xi = (1/2) log(ell_a / ell_b),
-    ell_a = x - lo and ell_b = hi - x, so the slacks are span * sigma(+-2 xi):
-    log ell_k = log span - logaddexp(0, 2 nu_k xi) with nu_k = -+1 the
-    facet normal (Guillemin 1994; Abreu 2003).  No slack is formed by a
-    subtraction from an endpoint, so one far below the float spacing at
-    the endpoint keeps its digits, and no Newton step is taken.
-    """
-    return math.log(u.offsets.sum()) \
-        - np.logaddexp(0.0, 2.0 * (xi @ u.normals.T))
-
-
 def guillemin_potential(base: Polytope) -> SymplecticPotential:
     if not base.is_delzant:
         raise NonDelzant("Guillemin potential needs a Delzant polytope")
@@ -147,9 +138,9 @@ class SmoothedPL:
         return self._fields(pts)[2] @ self.grads
 
     def hessian(self, pts: np.ndarray) -> np.ndarray:
-        if self.exact:
+        if self.exact:  # zero: a read-only view that holds no memory
             n = self.grads.shape[1]
-            return np.zeros((len(pts), n, n))
+            return np.broadcast_to(0.0, (len(pts), n, n))
         return self.weights_hessian(self._fields(pts)[2])
 
     def weights_hessian(self, w: np.ndarray) -> np.ndarray:
@@ -374,10 +365,16 @@ def crease_ladder_depth(beta: float, tau_max: float) -> int:
 
 
 # batched 1x1 and 2x2 solves: the grids exist in dimensions 1 and 2
+def _det_small(H: np.ndarray) -> np.ndarray:
+    if H.shape[-1] == 1:
+        return H[:, 0, 0]
+    return H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] * H[:, 1, 0]
+
+
 def _solve_small(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if H.shape[-1] == 1:
         return rhs / H[:, :, 0]
-    det = H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] * H[:, 1, 0]
+    det = _det_small(H)
     out = np.empty_like(rhs)
     out[:, 0] = (H[:, 1, 1] * rhs[:, 0] - H[:, 0, 1] * rhs[:, 1]) / det
     out[:, 1] = (H[:, 0, 0] * rhs[:, 1] - H[:, 1, 0] * rhs[:, 0]) / det
@@ -387,17 +384,23 @@ def _solve_small(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _inv_small(H: np.ndarray) -> np.ndarray:
     if H.shape[-1] == 1:
         return 1.0 / H
-    det = (H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] * H[:, 1, 0])[:, None, None]
     adj = np.empty_like(H)
     adj[:, 0, 0], adj[:, 1, 1] = H[:, 1, 1], H[:, 0, 0]
     adj[:, 0, 1], adj[:, 1, 0] = -H[:, 0, 1], -H[:, 1, 0]
-    return adj / det
+    return adj / _det_small(H)[:, None, None]
 
 
 def _logdet_small(H: np.ndarray) -> np.ndarray:
-    if H.shape[-1] == 1:
-        return np.log(H[:, 0, 0])
-    return np.log(H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] * H[:, 1, 0])
+    return np.log(_det_small(H))
+
+
+def _log1p_det(m: np.ndarray, s: float) -> np.ndarray:
+    """log det(I + s m) as log1p(s tr m + s^2 det m) (log1p(s m) in 1D):
+    no rounding of 1 + s m hides a small s m, and no matrix field is
+    formed."""
+    if m.shape[-1] == 1:
+        return np.log1p(s * m[:, 0, 0])
+    return np.log1p(s * (m[:, 0, 0] + m[:, 1, 1]) + s * s * _det_small(m))
 
 
 def _row_reduce(op, a: np.ndarray) -> np.ndarray:
@@ -562,6 +565,177 @@ def _newton_rows(potential, normals, targets, z, hess, tol):
 
 
 # ---------------------------------------------------------------------------
+# simplex-product bases: the Legendre transport in closed form
+
+
+@dataclass(frozen=True)
+class SimplexProduct:
+    """A Delzant polytope whose facets split into blocks B, the normals
+    of each block summing to 0, with one facet k0 per block dropped
+    leaving a unimodular basis E of normals: the interval, and in 2D the
+    Delzant triangles and parallelograms.  Each block's slacks sum to
+    the constant Lambda_B = sum_{k in B} lambda_k, and grad u0 = xi of
+    the Guillemin potential has a closed-form solution in log-slacks
+    (Guillemin 1994; Abreu 2003): with r = -2 E^-T xi, r_k0 = 0,
+
+        log ell_k = log Lambda_B + r_k - logsumexp_{j in B} r_j,
+
+    so no slack is formed by a subtraction and no Newton step is taken.
+    With p_k = ell_k / Lambda_B and the integer vectors
+    w_kl = (R_k - R_l) / 2, R_k the xi-gradient of r_k, the dual fields
+    are sums of positive terms over the pairs k < l of a block,
+
+        D2u0(x)^-1 = sum_B (2 Lambda_B) sum_{k<l} p_k p_l w_kl w_kl^T,
+        Ric0       = sum_B 2 (n_B + 1) sum_{k<l} p_k p_l w_kl w_kl^T,
+
+    Ric0 the xi-Hessian of (1/2) log det D2u0, where
+    det D2u0 = prod_B 2^-n_B Lambda_B / prod_{k in B} ell_k.  Each
+    diagonal entry is a sum of nonnegative terms: nothing cancels next
+    to a slanted facet, as it does in ricci_reference.
+    """
+
+    normals: np.ndarray
+    offsets: np.ndarray
+    blocks: tuple          # facet indices per block, the dropped k0 first
+    ratio_map: np.ndarray  # (n, K): r = xi @ ratio_map
+    log_sums: np.ndarray   # log Lambda_B per block
+    pairs: tuple           # (k, l) index arrays over the pairs of every block
+    pair_outer: np.ndarray  # (P, n * n): w_kl w_kl^T
+    g0_coef: np.ndarray    # log(2 / Lambda_B) per pair
+    ricci_coef: np.ndarray  # log(2 (n_B + 1) / Lambda_B^2) per pair
+    chart_facets: np.ndarray    # (C, n): the facets each chart keeps
+    chart_inverses: np.ndarray  # (C, n, n): their normals, inverted
+    center: np.ndarray
+
+    def log_slacks(self, xi: np.ndarray) -> np.ndarray:
+        """log ell_k, per row, at the point where grad u0 = xi."""
+        r = xi @ self.ratio_map
+        for block, log_sum in zip(self.blocks, self.log_sums):
+            base = log_sum - _row_reduce(np.logaddexp, r[:, block])
+            r[:, block] += base[:, None]
+        return r
+
+    def _pair_field(self, log_ell, log_coef):
+        k, l = self.pairs
+        weight = np.exp(log_ell[:, k] + log_ell[:, l] + log_coef)
+        dim = self.normals.shape[1]
+        return (weight @ self.pair_outer).reshape(-1, dim, dim)
+
+    def inverse_hessian(self, log_ell: np.ndarray) -> np.ndarray:
+        """D2u0^-1 at the point with log-slacks log_ell."""
+        return self._pair_field(log_ell, self.g0_coef)
+
+    def ricci(self, log_ell: np.ndarray) -> np.ndarray:
+        """Ric0, the dual Hessian of (1/2) log det D2u0, at log_ell."""
+        return self._pair_field(log_ell, self.ricci_coef)
+
+    def point(self, log_ell: np.ndarray) -> np.ndarray:
+        """The float image of the point with log-slacks log_ell, solved
+        from the n_B smallest slacks of each block and moved ulp by ulp
+        toward the centre while it rounds onto or past a facet."""
+        code = 0  # the chart: which facet of each block is dropped
+        for block in self.blocks:
+            top, drop = log_ell[:, block[0]], 0
+            for j, k in enumerate(block[1:], 1):  # column by column
+                drop = np.where(log_ell[:, k] > top, j, drop)
+                top = np.maximum(top, log_ell[:, k])
+            code = code * len(block) + drop
+        facets = self.chart_facets[code]
+        near = self.offsets[facets] \
+            - np.exp(np.take_along_axis(log_ell, facets, axis=1))
+        inverse = self.chart_inverses[code]
+        x = inverse[:, :, 0] * near[:, :1]
+        for j in range(1, near.shape[1]):  # no batched matmul of 2x2s
+            x += inverse[:, :, j] * near[:, j:j + 1]
+        while (out := x @ self.normals.T >= self.offsets).any():
+            rows = out.any(axis=1)
+            x[rows] = np.nextafter(x[rows], self.center)
+        return x
+
+
+def _zero_sum_blocks(normals, free):
+    """A partition of the facet indices free into blocks whose normals
+    sum to 0, the block of each first free facet as small as possible;
+    None if there is none."""
+    if not free:
+        return []
+    first, rest = free[0], free[1:]
+    for size in range(1, len(rest) + 1):
+        for others in combinations(rest, size):
+            block = (first,) + others
+            if any(map(sum, zip(*(normals[k] for k in block)))):
+                continue
+            tail = _zero_sum_blocks(
+                normals, tuple(k for k in rest if k not in others))
+            if tail is not None:
+                return [block] + tail
+    return None
+
+
+def _unimodular_inverse(rows):
+    """Inverse of integer matrices of determinant +-1, whose entries are
+    integers: the float inverse rounded is exact."""
+    return np.rint(np.linalg.inv(np.array(rows, dtype=float)))
+
+
+@lru_cache(maxsize=64)
+def simplex_product(base: Polytope) -> SimplexProduct | None:
+    """The simplex-product structure of base, or None if it has none;
+    built once per polytope, as every PL rung builds a Ray on it.
+
+    The blocks come from the exact integer normals: a product of m
+    simplices in dimension n has n + m facets and its minimal zero-sum
+    sets of normals are its blocks, so base is one exactly when its
+    facets split into that many zero-sum blocks and the normals left
+    after dropping the first facet of each have determinant +-1.
+    """
+    normals = [h.normal for h in base.halfspaces]
+    n = base.dim
+    if len(normals) > 2 * n:
+        return None
+    blocks = _zero_sum_blocks(normals, tuple(range(len(normals))))
+    if blocks is None or len(blocks) != len(normals) - n:
+        return None
+    kept = [k for block in blocks for k in block[1:]]
+    basis = [normals[k] for k in kept]
+    if abs(_det(basis)) != 1:
+        return None
+    ratio_map = np.zeros((n, len(normals)))
+    ratio_map[:, kept] = -2.0 * _unimodular_inverse(basis)
+    offsets = [h.offset for h in base.halfspaces]
+    sums = [sum(offsets[k] for k in block) for block in blocks]
+    pairs, g0_coef, ricci_coef = [], [], []
+    for block, total in zip(blocks, sums):
+        for k, l in combinations(block, 2):
+            pairs.append((k, l))
+            g0_coef.append(math.log(2 / total))
+            ricci_coef.append(math.log(2 * len(block) / total ** 2))
+    w = np.array([0.5 * (ratio_map[:, k] - ratio_map[:, l])
+                  for k, l in pairs])
+    # one chart per choice of dropped facet, in the mixed radix of point()
+    charts = [[k for block, d in zip(blocks, dropped) for k in block if k != d]
+              for dropped in product(*blocks)]
+    verts = np.array([[float(c) for c in v] for v in base.vertices])
+    frame = SimplexProduct(
+        normals=np.array(normals, dtype=float),
+        offsets=np.array([float(c) for c in offsets]),
+        blocks=tuple(np.array(b) for b in blocks),
+        ratio_map=ratio_map,
+        log_sums=np.log([float(s) for s in sums]),
+        pairs=tuple(np.array(c) for c in zip(*pairs)),
+        pair_outer=(w[:, :, None] * w[:, None, :]).reshape(len(pairs), -1),
+        g0_coef=np.array(g0_coef), ricci_coef=np.array(ricci_coef),
+        chart_facets=np.array(charts),
+        chart_inverses=_unimodular_inverse([[normals[k] for k in c]
+                                            for c in charts]),
+        center=verts.mean(axis=0))
+    for value in vars(frame).values():  # every caller shares the cached frame
+        for a in value if isinstance(value, tuple) else (value,):
+            a.flags.writeable = False
+    return frame
+
+
+# ---------------------------------------------------------------------------
 # rays and ray states
 
 
@@ -576,15 +750,15 @@ class RayState:
     increment at x, log_ratio is log det D2u0(x) - log det H_tau, entropy
     is n! times its integral (read by energy_report and mabuchi) and
     det_tau is det H_tau.  Wedge densities take g0_at_x = D2u0(x)^-1
-    and g_tau = H_tau^-1, which are None for n = 1.  On an interval
-    every field comes in closed form from log_slacks, the log ell_k at
-    x (interval_log_slacks), and x is only their float image, kept
-    strictly inside; in 2D Newton solves for x and log_slacks is None.
+    and g_tau = H_tau^-1, which are None for n = 1.  On a simplex-product
+    base every field at x comes in closed form from log_slacks, the
+    log ell_k at x (SimplexProduct), and no energy reads x itself; on
+    other bases Newton solves for x, kept in newton_x, and log_slacks is
+    None.
     """
 
     ray: "Ray"
     tau: float
-    x: np.ndarray
     g0_at_x: np.ndarray | None
     phi_y: np.ndarray
     log_ratio: np.ndarray
@@ -592,16 +766,30 @@ class RayState:
     det_tau: np.ndarray
     g_tau: np.ndarray | None
     log_slacks: np.ndarray | None = None
+    newton_x: np.ndarray | None = None
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        """x as Newton solved it; on a simplex-product base the float
+        image of log_slacks, kept strictly inside (SimplexProduct.point)
+        and formed only when read, and at tau = 0 the nodes themselves."""
+        if self.log_slacks is None:
+            return self.newton_x
+        if self.tau == 0.0:
+            return self.ray.grid.points
+        return self.ray.frame.point(self.log_slacks)
 
 
 class Ray:
-    """Workspace for one smoothing level: the latest inverse transport,
-    kept to warm-start the next."""
+    """Workspace for one smoothing level: the simplex-product frame of
+    the base if it has one, else the latest inverse transport, kept to
+    warm-start the next."""
 
     def __init__(self, cfg: ToricTestConfig, beta: float,
                  tau_max: float = 12.0):
         self.cfg = cfg
         self.u0 = guillemin_potential(cfg.base)
+        self.frame = simplex_product(cfg.base)
         self.smooth = SmoothedPL.from_fn(cfg.g, beta)
         orders = {"crease_depth": crease_ladder_depth(beta, tau_max)} \
             if cfg.base.dim == 1 else {}
@@ -610,16 +798,23 @@ class Ray:
         pts = self.grid.points
         self.h0 = self.u0.hessian(pts)
         self.xi = self.u0.gradient(pts)
-        self.u0_vals = self.u0.value(pts)
         self.g_vals = self.smooth.value(pts)
         self.g_grad = self.smooth.gradient(pts)
         self.g_hess = self.smooth.hessian(pts)
         self._inv = (0.0, pts)
 
     @cached_property
+    def u0_vals(self) -> np.ndarray:
+        """u0 at the nodes, for phi_y off a simplex-product base."""
+        return self.u0.value(self.grid.points)
+
+    @cached_property
     def h0_inv_g_hess(self) -> np.ndarray:
-        """D2u0^-1 D2g_beta at the nodes for Mabuchi's route (b): one
-        inversion per Ray, and none on a Ray that never reaches it."""
+        """D2u0^-1 D2g_beta at the nodes, for log det(I + tau of it) in
+        log_ratio and Mabuchi's route (b): one inversion per Ray, none
+        for an affine g_beta, whose Hessian is 0."""
+        if self.smooth.exact:
+            return self.g_hess
         return _inv_small(self.h0) @ self.g_hess
 
     def potential(self, s: float) -> ShiftedPotential:
@@ -637,20 +832,20 @@ class Ray:
         each grid node, and the Hessian of u0 there, from
         grad u0(x) = grad u_s(y) per node y.
 
-        On an interval both are closed-form in the log-slacks at x
-        (_interval_frame), with D2u0(x) = span / (2 ell_a ell_b).  In 2D
-        Newton solves it, with s rounded to 12 digits, and the Hessian is
-        the one its last test took.  Only the latest x is kept: it answers
-        the same s again and warm-starts a larger one; a smaller s starts
-        from the grid, which is also the answer at s = 0.  The iterates
-        press into the boundary collar, where the Newton solver saturates
-        at float spacing; downstream integrands are slack-stable there.
+        On a simplex-product base both come in closed form from the
+        log-slacks at x (SimplexProduct), and s = 0 gives the grid
+        itself.  Elsewhere Newton solves it, with s rounded to 12 digits,
+        and the Hessian is the one its last test took.  Only the latest
+        x is kept: it answers the same s again and warm-starts a larger
+        one; a smaller s starts from the grid, which is also the answer
+        at s = 0.  The iterates press into the boundary collar, where the
+        Newton solver saturates at float spacing; downstream integrands
+        are slack-stable there.
         """
-        if self.cfg.dim == 1:
-            x, log_ell = self._interval_frame(float(s))
-            half_span = 0.5 * float(self.u0.offsets.sum())
-            return x, np.exp(math.log(half_span)
-                             - log_ell.sum(axis=1))[:, None, None]
+        if self.frame is not None:
+            log_ell = self.frame.log_slacks(self.xi + float(s) * self.g_grad)
+            x = self.grid.points if s == 0.0 else self.frame.point(log_ell)
+            return x, self.u0.hessian(x, np.exp(log_ell))
         key = round(float(s), 12)
         last, x = self._inv
         if key == last:
@@ -673,71 +868,74 @@ class Ray:
                 f"moment targets shift by tau * |grad g| = {shift:.3g}, "
                 f"beyond the reach {reach:.4g} of grad u0 at the slack floor")
 
-    def _interval_frame(self, s: float):
-        """(x, log ell_k(x)) on the interval: the log-slacks of
-        interval_log_slacks at xi + s * grad g_beta, and x read off the
-        nearer facet and clipped to the last floats inside P.  s = 0
-        gives the nodes themselves."""
-        log_ell = interval_log_slacks(self.u0, self.xi + s * self.g_grad)
-        if s == 0.0:
-            return self.grid.points, log_ell
-        near = log_ell.argmin(axis=1)
-        x = self.u0.normals[near, 0] * (self.u0.offsets[near]
-                                        - np.exp(log_ell.min(axis=1)))
-        lo, hi = (float(v[0]) for v in self.cfg.base.vertices)
-        return np.clip(x, np.nextafter(lo, hi),
-                       np.nextafter(hi, lo))[:, None], log_ell
-
-    def _interval_state(self, tau: float) -> RayState:
-        """Ray.state on an interval, closed-form in the log-slacks at x.
-        The nodes' own log-slacks come from the same closed form at xi,
-        so every difference below is 0 bit for bit at tau = 0:
-
-            log_ratio = sum_k (log ell_k(y) - log ell_k(x))
-                        - log1p(tau * g_beta'' / u0''),
-            phi_y = y xi - u_tau(y) - u0*(xi)
-                  = tau (y g_beta' - g_beta) + u0*(xi0) - u0*(xi),
-
-        with xi0 = grad u0(y) and the Legendre dual in slacks,
-        u0*(xi) = (1/2) sum ell_k - (1/2) sum lambda_k (1 + log ell_k)
-        (lambda the facet offsets; sum ell_k = span), so x xi is never
-        formed."""
-        x, log_ell = self._interval_frame(tau)
-        step = log_ell - interval_log_slacks(self.u0, self.xi)
-        h0, g2 = self.h0[:, 0, 0], self.g_hess[:, 0, 0]
-        log_ratio = -step.sum(axis=1) - np.log1p(tau * g2 / h0)
-        phi_y = tau * ((self.grid.points * self.g_grad).sum(axis=1)
-                       - self.g_vals) + 0.5 * (step @ self.u0.offsets)
-        return RayState(ray=self, tau=tau, x=x, g0_at_x=None, phi_y=phi_y,
-                        log_ratio=log_ratio,
-                        entropy=self.grid.integrate(log_ratio),
-                        det_tau=h0 + tau * g2, g_tau=None,
-                        log_slacks=log_ell)
-
     def state(self, tau: float) -> RayState:
-        """The transported frame at tau, from one inverse transport;
-        check_reach refuses an unreachable tau before it runs.  On an
-        interval the transport is closed-form (_interval_state)."""
+        """The transported frame at tau; check_reach refuses an
+        unreachable tau first.  On a simplex-product base it is closed
+        form (_product_state); elsewhere it takes one Newton inverse
+        transport."""
         tau = float(tau)
         self.check_reach(tau)
-        if self.cfg.dim == 1:
-            return self._interval_state(tau)
+        if self.frame is not None:
+            return self._product_state(tau)
         x, h0_at_x = self.inverse_transport(tau)
         h_tau = self.h0 + tau * self.g_hess
         logdet_tau = _logdet_small(h_tau)
         log_ratio = _logdet_small(h0_at_x) - logdet_tau
         entropy = math.factorial(self.cfg.dim) * self.grid.integrate(log_ratio)
-        g_tau = _inv_small(h_tau) if self.cfg.dim == 2 else None
+        g_tau = _inv_small(h_tau)
         del h_tau  # before D2u0(x) is inverted: one matrix field fewer alive
-        g0_at_x = None if g_tau is None else _inv_small(h0_at_x)
+        g0_at_x = _inv_small(h0_at_x)
         del h0_at_x
         xi = self.xi + tau * self.g_grad
         phi_y = ((self.grid.points * xi).sum(axis=1)
                  - (self.u0_vals + tau * self.g_vals)) \
             - ((x * xi).sum(axis=1) - self.u0.value(x))
-        return RayState(ray=self, tau=tau, x=x, g0_at_x=g0_at_x, phi_y=phi_y,
+        return RayState(ray=self, tau=tau, g0_at_x=g0_at_x, phi_y=phi_y,
                         log_ratio=log_ratio, entropy=entropy,
-                        det_tau=np.exp(logdet_tau), g_tau=g_tau)
+                        det_tau=np.exp(logdet_tau), g_tau=g_tau, newton_x=x)
+
+    def _product_state(self, tau: float) -> RayState:
+        """Ray.state on a simplex-product base, in closed form from the
+        log-slacks at x and, through the same formula at xi, at the
+        nodes y, so every difference below is 0 bit for bit at tau = 0.
+        With step = log ell(x) - log ell(y) and
+        det D2u0 = prod_B 2^-n_B Lambda_B / prod_{k in B} ell_k,
+
+            log_ratio = -sum_k step_k - log det(I + tau D2u0^-1 D2g_beta),
+            phi_y = y xi - u_tau(y) - u0*(xi)
+                  = tau (<y, grad g_beta> - g_beta) + (1/2) lambda . step,
+
+        with the Legendre dual in slacks,
+        u0*(xi) = (1/2) sum ell_k - (1/2) sum lambda_k (1 + log ell_k)
+        (lambda the facet offsets; each block's slacks sum to Lambda_B),
+        so x xi is never formed.  det_tau and g_tau are taken at the
+        nodes.  Rows go in blocks of _NEWTON_BLOCK, so no temporary is
+        as long as the grid."""
+        frame, size, dim = self.frame, self.grid.size, self.cfg.dim
+        log_ell = np.empty((size, len(frame.offsets)))
+        phi_y, log_ratio, det_tau = (np.empty(size) for _ in range(3))
+        g0_at_x, g_tau = (np.empty((size, dim, dim)) if dim > 1 else None
+                          for _ in range(2))
+        for lo in range(0, size, _NEWTON_BLOCK):
+            rows = slice(lo, lo + _NEWTON_BLOCK)
+            xi, grad = self.xi[rows], self.g_grad[rows]
+            at_x = log_ell[rows] = frame.log_slacks(xi + tau * grad)
+            step = at_x - frame.log_slacks(xi)
+            log_ratio[rows] = -_row_reduce(np.add, step) \
+                - _log1p_det(self.h0_inv_g_hess[rows], tau)
+            phi_y[rows] = tau * ((self.grid.points[rows] * grad).sum(axis=1)
+                                 - self.g_vals[rows]) \
+                + 0.5 * (step @ frame.offsets)
+            h_tau = self.h0[rows] + tau * self.g_hess[rows]
+            det_tau[rows] = _det_small(h_tau)
+            if dim > 1:
+                g_tau[rows] = _inv_small(h_tau)
+                g0_at_x[rows] = frame.inverse_hessian(at_x)
+        return RayState(ray=self, tau=tau, g0_at_x=g0_at_x, phi_y=phi_y,
+                        log_ratio=log_ratio,
+                        entropy=math.factorial(dim)
+                        * self.grid.integrate(log_ratio),
+                        det_tau=det_tau, g_tau=g_tau, log_slacks=log_ell)
 
     @staticmethod
     def point_derivative(u0, smooth, tau: float, p: np.ndarray) -> float:

@@ -33,10 +33,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .analysis import (Ray, RayState, _inv_small, _logdet_small,
-                       crease_ladder_depth, guillemin_potential,
-                       interval_log_slacks, line_grid, newton_transport,
-                       ricci_reference)
+from .analysis import (Ray, RayState, _inv_small, _log1p_det,
+                       crease_ladder_depth, guillemin_potential, line_grid,
+                       newton_transport, ricci_reference, simplex_product)
 from .errors import MissingAlpha, NormalizationRequired, RouteMismatch
 from .invariants import l1_norm, slope_mu
 from .polytope import Polytope, dot, interval, volume_data
@@ -193,19 +192,18 @@ def _fixed_form_energy(state: RayState, theta: np.ndarray) -> float:
 def _alpha_theta(state: RayState, alpha: Polytope) -> np.ndarray:
     """theta of the alpha form for _fixed_form_energy: the inverse
     Hessian of alpha's Guillemin potential where its gradient is
-    xi + tau * grad g.  On an interval it is 2 ell_a ell_b / span_alpha,
-    from alpha's log-slacks there (interval_log_slacks); in 2D it comes
-    from one Newton transport into alpha."""
+    xi + tau * grad g.  On a simplex-product alpha it is closed-form in
+    alpha's log-slacks there (SimplexProduct.inverse_hessian); otherwise
+    it comes from one Newton transport into alpha."""
     ray = state.ray
     if alpha.dim != ray.cfg.dim:
         raise MissingAlpha(f"twisting polytope has dimension {alpha.dim}, "
                            f"expected {ray.cfg.dim}")
     u_alpha = guillemin_potential(alpha)
     xi = ray.xi + state.tau * ray.g_grad
-    if alpha.dim == 1:
-        log_ell = interval_log_slacks(u_alpha, xi)
-        half_span = 0.5 * float(u_alpha.offsets.sum())
-        return np.exp(log_ell.sum(axis=1) - math.log(half_span))[:, None, None]
+    frame = simplex_product(alpha)
+    if frame is not None:
+        return frame.inverse_hessian(frame.log_slacks(xi))
     bary = np.array([[float(c) for c in volume_data(alpha).barycenter]])
     _, h_alpha = newton_transport(u_alpha, xi,
                                   np.tile(bary, (ray.grid.size, 1)))
@@ -214,13 +212,14 @@ def _alpha_theta(state: RayState, alpha: Polytope) -> np.ndarray:
 
 def _ricci_theta(state: RayState) -> np.ndarray:
     """theta of Ric0 for _fixed_form_energy, at the inverse transport x:
-    on an interval 4 ell_a ell_b / span^2 from the state's log-slacks,
-    with no 1/ell to overflow; in 2D ricci_reference at x."""
-    if state.log_slacks is None:
+    on a simplex-product base in closed form from the state's
+    log-slacks (SimplexProduct.ricci), with no 1/ell to overflow and no
+    cancellation next to a slanted facet; elsewhere ricci_reference at
+    x."""
+    frame = state.ray.frame
+    if frame is None:
         return ricci_reference(state.ray.u0, state.x)
-    half_span = 0.5 * float(state.ray.u0.offsets.sum())
-    return np.exp(state.log_slacks.sum(axis=1)
-                  - 2.0 * math.log(half_span))[:, None, None]
+    return frame.ricci(state.log_slacks)
 
 
 @dataclass(frozen=True)
@@ -277,7 +276,7 @@ def _route_b(ray: Ray, tau: float):
         miss += float(sigma) * err
     l_g = boundary - float(vd.boundary_sigma_volume / vd.volume) \
         * ray.grid.integrate(ray.g_vals)
-    logdet = _logdet_small(np.eye(n) + tau * ray.h0_inv_g_hess)
+    logdet = _log1p_det(ray.h0_inv_g_hess, tau)
     return (math.factorial(n) * (tau * l_g - 0.5 * ray.grid.integrate(logdet)),
             math.factorial(n) * tau * miss)
 

@@ -234,8 +234,9 @@ def _exact_value(cfg, theorem, vertex) -> Fraction:
 def ladder(cfg: ToricTestConfig, schedule: Schedule, fn) -> list:
     """fn(ray, tau) at each tau of the schedule, in schedule order.
 
-    An affine ray is exact, so one Ray serves the whole ladder; in 2D its
-    transport cache warm-starts each tau from the one below.  A PL ray
+    An affine ray is exact, so one Ray serves the whole ladder; off a
+    simplex-product base its transport cache warm-starts each tau from
+    the one below.  A PL ray
     gets one Ray per tau, smoothed at beta = beta0 * tau and graded for
     that tau.  The largest tau is checked against the Ray that serves it
     (Ray.check_reach) before any rung runs; a PL ladder builds that Ray

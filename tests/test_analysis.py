@@ -6,6 +6,7 @@ near facets are asserted at the accuracy float64 actually supports.
 """
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,18 +26,19 @@ from kstab.analysis import (
     crease_points,
     fan_grid,
     guillemin_potential,
-    interval_log_slacks,
     line_grid,
     newton_transport,
     _gauss_rule,
     _inv_small,
     _logdet_small,
     ricci_reference,
+    simplex_product,
 )
 from kstab.errors import DomainMismatch, NewtonDivergence, NonDelzant
 from kstab.functionals import mixed_discriminant
 from kstab.plconfig import make_config, normalize
-from kstab.polytope import box, construct, interval, unit_simplex, volume_data
+from kstab.polytope import (box, construct, corner_chop, interval,
+                            unit_simplex, volume_data)
 from kstab.slopes import Schedule, _energy_row, ladder
 
 
@@ -579,7 +581,7 @@ def test_interval_log_slacks_on_an_offset_interval():
     the potential, wherever the gradient of u0 is taken."""
     u0 = guillemin_potential(interval(-1, 3))
     x = np.array([[-0.999], [0.0], [1.5], [2.75]])
-    log_ell = interval_log_slacks(u0, u0.gradient(x))
+    log_ell = simplex_product(interval(-1, 3)).log_slacks(u0.gradient(x))
     assert np.allclose(np.exp(log_ell), u0.slacks(x), rtol=1e-12, atol=0.0)
 
 
@@ -606,6 +608,172 @@ def test_inverse_transport_saturates_gracefully_at_float_wall():
     assert np.all(x_inv >= 0.0)
     y = ray.grid.points[:, 0]
     assert np.all(np.diff(x_inv[np.argsort(y)]) >= -1e-12)
+
+
+# -- simplex-product frames ----------------------------------------------------
+
+
+SHEARED = construct(vertices=[(0, 0), (1, 0), (1, 1)])     # Delzant triangle
+RHOMB = construct(vertices=[(0, 0), (1, 0), (2, 1), (1, 1)])  # parallelogram
+CHOPPED = corner_chop(box(2), (1, 1), Fraction(1, 4))
+TRIANGLE = normalize(make_config(unit_simplex(2), [((1, 0), 0)]), "min_zero")
+
+
+@pytest.mark.parametrize("base,sizes", [
+    (interval(-1, 3), [2]),
+    (box(2), [2, 2]),
+    (unit_simplex(2), [3]),
+    (SHEARED, [3]),
+    (RHOMB, [2, 2]),
+    (CHOPPED, None),
+    (construct(vertices=[(0, 0), (2, 0), (1, 1), (0, 1)]), None),
+], ids=["interval", "box", "simplex", "sheared", "rhomb", "chopped",
+        "hirzebruch"])
+def test_simplex_product_blocks(base, sizes):
+    """Blocks of zero-sum normals, found from the exact normals; a chopped
+    square and a Hirzebruch trapezoid are no simplex products."""
+    frame = simplex_product(base)
+    if sizes is None:
+        assert frame is None
+        return
+    assert sorted(len(b) for b in frame.blocks) == sorted(sizes)
+    for block in frame.blocks:
+        assert not frame.normals[block].sum(axis=0).any()
+
+
+def _interior_points(base, n, rng):
+    verts = np.array([[float(c) for c in v] for v in base.vertices])
+    return rng.dirichlet(np.full(len(verts), 0.3), n) @ verts
+
+
+@pytest.mark.parametrize("base", [interval(-1, 3), box(2), unit_simplex(2),
+                                  SHEARED, RHOMB],
+                         ids=["interval", "box", "simplex", "sheared",
+                              "rhomb"])
+def test_product_frame_inverts_grad_u0(base):
+    """At grad u0 of known points the frame gives back their slacks, the
+    point, D2u0^-1 and Ric0, where every slack is above 1e-6.  Each
+    reference is held within its own rounding next to a slanted facet:
+    eps cond(D2u0) for the inverted Hessian, about eps / slack^2 for
+    ricci_reference."""
+    u0 = guillemin_potential(base)
+    frame = simplex_product(base)
+    pts = _interior_points(base, 4000, np.random.default_rng(3))
+    ell = u0.slacks(pts)
+    keep = ell.min(axis=1) > 1e-6
+    pts, ell = pts[keep], ell[keep]
+    log_ell = frame.log_slacks(u0.gradient(pts))
+    assert np.max(np.abs(np.exp(log_ell) / ell - 1.0)) < 1e-12
+    assert np.max(np.abs(frame.point(log_ell) - pts)) < 1e-14
+    hess = u0.hessian(pts)
+    ref = _inv_small(hess)
+    scale = np.abs(ref).max(axis=(1, 2))
+    cond = np.abs(hess).max(axis=(1, 2)) * scale  # the adjugate loses eps cond
+    err = np.abs(frame.inverse_hessian(log_ell) - ref).max(axis=(1, 2))
+    assert np.all(err / scale < 1e-12 + 1e-14 * cond)
+    ref = ricci_reference(u0, pts)
+    scale = np.abs(ref).max(axis=(1, 2))
+    err = np.abs(frame.ricci(log_ell) - ref).max(axis=(1, 2))
+    assert np.all(err / scale < 1e-12 + 1e-14 / ell.min(axis=1) ** 2)
+
+
+@pytest.mark.parametrize("cfg", [SQUARE, TRIANGLE], ids=["square", "simplex"])
+def test_product_state_matches_newton(cfg):
+    """Ray.state in closed form against one Newton inverse transport:
+    slacks, x, D2u0(x)^-1, log_ratio (log det D2u0(x) - log det H_tau)
+    and Ric0 at every node whose Newton slacks are above 1e-6."""
+    ray = Ray(cfg, beta=10.0, tau_max=1.0)
+    state = ray.state(1.0)
+    z, h0_at_z = newton_transport(ray.u0, ray.xi + ray.g_grad,
+                                  ray.grid.points)
+    ell = ray.u0.slacks(z)
+    ok = ell.min(axis=1) > 1e-6
+    assert ok.mean() > 0.5
+    assert np.max(np.abs(np.exp(state.log_slacks[ok]) / ell[ok] - 1)) < 1e-9
+    assert np.max(np.abs(state.x[ok] - z[ok])) < 1e-9
+    ref = _inv_small(h0_at_z[ok])
+    scale = np.abs(ref).max(axis=(1, 2))
+    err = np.abs(state.g0_at_x[ok] - ref).max(axis=(1, 2))
+    assert np.max(err / scale) < 1e-9
+    log_ratio = _logdet_small(h0_at_z) - _logdet_small(ray.h0 + ray.g_hess)
+    assert np.max(np.abs(state.log_ratio - log_ratio)[ok]) < 1e-9
+    ref = ricci_reference(ray.u0, z[ok])
+    scale = np.abs(ref).max(axis=(1, 2))
+    err = np.abs(ray.frame.ricci(state.log_slacks[ok]) - ref).max(axis=(1, 2))
+    assert np.all(err / scale < 1e-9 + 1e-14 / ell[ok].min(axis=1) ** 2)
+
+
+@pytest.mark.parametrize("slack", [1e-8, 1e-12])
+def test_product_fields_near_the_hypotenuse_match_mpmath(slack):
+    """Next to the simplex's slanted facet, where ricci_reference cancels
+    to 4e-3 relative at slack 1e-6, D2u0^-1 and Ric0 from the log-slacks
+    keep every entry to 1e-12 relative against a 50-digit evaluation:
+    D2u0 inverted, and Ric0 the xi-Hessian of (1/2) log det D2u0, both
+    at the point whose gradient is the float xi."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    u0 = guillemin_potential(unit_simplex(2))
+    frame = simplex_product(unit_simplex(2))
+    nu = [[int(c) for c in row] for row in u0.normals]
+    hyp = next(k for k, row in enumerate(nu) if row == [1, 1])
+    with mpmath.workdps(50):
+        def slacks_at(xi):
+            # grad u0 = xi: ell_i = e^(2 xi_i) ell_hyp, summing to 1
+            e = [mp.e ** (2 * v) for v in xi]
+            ell_h = 1 / (1 + e[0] + e[1])
+            return [ell_h if k == hyp else
+                    e[row.index(-1)] * ell_h for k, row in enumerate(nu)]
+
+        def hessian(xi):
+            ell = slacks_at(xi)
+            return mp.matrix([[sum(row[i] * row[j] / (2 * l)
+                                   for row, l in zip(nu, ell))
+                               for j in range(2)] for i in range(2)])
+
+        def half_log_det(a, b):
+            return mp.log(mp.det(hessian([a, b]))) / 2
+
+        for t in np.linspace(0.1, 0.9, 5):
+            s, t = mp.mpf(slack), mp.mpf(float(t))
+            x = [t * (1 - s), (1 - t) * (1 - s)]
+            xi = [float((mp.log(xk) - mp.log(s)) / 2) for xk in x]
+            xi_mp = [mp.mpf(v) for v in xi]
+            grad = [sum(-(mp.log(l) + 1) * row[i] / 2 for row, l in
+                        zip(nu, slacks_at(xi_mp))) for i in range(2)]
+            assert max(abs(g - v) for g, v in zip(grad, xi_mp)) < 1e-40
+            g0_ref = hessian(xi_mp) ** -1
+            ric_ref = mp.matrix([[mpmath.diff(half_log_det, xi_mp,
+                                              (int(i == 0) + int(j == 0),
+                                               int(i == 1) + int(j == 1)))
+                                  for j in range(2)] for i in range(2)])
+            log_ell = frame.log_slacks(np.array([xi]))
+            for field, ref in ((frame.inverse_hessian(log_ell), g0_ref),
+                               (frame.ricci(log_ell), ric_ref)):
+                for i in range(2):
+                    for j in range(2):
+                        assert abs(field[0, i, j] - ref[i, j]) \
+                            <= 1e-12 * abs(ref[i, j])
+
+
+def test_chopped_square_state_runs_newton(monkeypatch):
+    """A corner-chopped square is no simplex product: Ray.state takes one
+    Newton inverse transport and returns finite fields."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return newton_transport(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "newton_transport", counted)
+    cfg = normalize(make_config(CHOPPED, [((1, 0), 0)]), "min_zero")
+    ray = Ray(cfg, beta=10.0, tau_max=1.0)
+    state = ray.state(1.0)
+    assert ray.frame is None and state.log_slacks is None
+    assert calls == [ray.grid.size]
+    for field in (state.x, state.g0_at_x, state.phi_y, state.log_ratio,
+                  state.det_tau, state.g_tau):
+        assert np.all(np.isfinite(field))
+    assert math.isfinite(state.entropy)
 
 
 # -- curvature ----------------------------------------------------------------

@@ -28,10 +28,12 @@ from kstab.analysis import (_NEWTON_BLOCK, Grid, Ray, SymplecticPotential,
                             abreu_scalar_curvature, bulk_grid,
                             crease_ladder_depth, crease_points, fan_grid,
                             guillemin_potential, newton_transport,
-                            ricci_reference)
+                            ricci_reference, simplex_product)
 from kstab.errors import MissingAlpha, NormalizationRequired
 from kstab.functionals import (
+    ROUTE_TOL,
     EnergyReport,
+    _alpha_theta,
     _route_b,
     adaptive_simpson,
     am_energy,
@@ -43,7 +45,7 @@ from kstab.functionals import (
 from kstab.invariants import (donaldson_futaki, minimum_norm, slope_mu,
                               twisted_weights)
 from kstab.plconfig import make_config, normalize
-from kstab.polytope import box, interval, unit_simplex, volume_data
+from kstab.polytope import box, corner_chop, interval, unit_simplex, volume_data
 from kstab.slopes import Schedule, ladder
 
 F = Fraction
@@ -300,14 +302,13 @@ def test_df_rung_integrates_the_entropy_once(monkeypatch):
 
 
 def test_square_rung_inverts_each_matrix_field_once(monkeypatch):
-    """Each DF rung on the square inverts H_tau and D2u0(x) once in
-    Ray.state, and route (b) inverts D2u0 at the nodes once per Ray: on
-    a two-rung affine ladder, which shares one Ray, five grid-length
-    inversions.  D2u0(x) is the Hessian Newton returned, never evaluated
-    again over the grid."""
-    ray = Ray(SQUARE, beta=10.0, tau_max=1.0)
-    size = ray.grid.size
-    assert size > _NEWTON_BLOCK  # Newton's blocks are shorter than the grid
+    """Each DF rung on the square inverts H_tau once, in row blocks, and
+    D2u0 at the nodes is inverted once per Ray, for log_ratio and route
+    (b), and not at all for an affine g, whose Hessian is 0.  On a
+    two-rung ladder that shares one Ray that is three grids' worth of
+    inverted rows for a PL g and two for an affine one.  D2u0(x) is
+    never evaluated over the grid: its inverse comes in closed form from
+    the log-slacks."""
     inversions, hessians = [], []
 
     def inv_counted(h):
@@ -320,15 +321,22 @@ def test_square_rung_inverts_each_matrix_field_once(monkeypatch):
         hessians.append(len(pts))
         return hessian(self, pts, ell)
 
-    for module in (kstab.analysis, kstab.functionals):
-        monkeypatch.setattr(module, "_inv_small", inv_counted)
-    monkeypatch.setattr(SymplecticPotential, "hessian", hessian_counted)
-    for tau in (0.5, 1.0):
-        state = ray.state(tau)
-        energy_report(state)
-        mabuchi(state)
-    assert inversions.count(size) == 2 * 2 + 1
-    assert hessians and size not in hessians
+    for cfg, grids in ((SQUARE3, 2 + 1), (SQUARE, 2)):
+        ray = Ray(cfg, beta=10.0, tau_max=1.0)
+        size = ray.grid.size
+        assert size > _NEWTON_BLOCK  # the state's blocks are shorter
+        inversions.clear()
+        with monkeypatch.context() as patch:
+            for module in (kstab.analysis, kstab.functionals):
+                patch.setattr(module, "_inv_small", inv_counted)
+            patch.setattr(SymplecticPotential, "hessian", hessian_counted)
+            for tau in (0.5, 1.0):
+                state = ray.state(tau)
+                energy_report(state)
+                mabuchi(state)
+        assert sum(inversions) == grids * size
+        assert max(inversions) <= size
+    assert hessians == []
 
 
 def _mabuchi_path(ray, taus):
@@ -405,8 +413,9 @@ def test_route_b_converged_on_steep_seeded_ray():
 @pytest.mark.parametrize("cfg", [KINK, SQUARE3], ids=["kink", "square3"])
 def test_mabuchi_integrates_no_path(monkeypatch, cfg):
     """mabuchi reaches no s-quadrature, no curvature field and no second
-    grid, and leaves no path state on the Ray: the one field it adds is
-    route (b)'s tau-free D2u0^-1 D2g_beta."""
+    grid, and leaves no path state on the Ray: the one field beyond the
+    state's own it may add is route (b)'s tau-free D2u0^-1 D2g_beta,
+    which Ray.state already built for log_ratio."""
     def forbidden(*args, **kwargs):
         raise AssertionError("mabuchi integrated a path in s")
 
@@ -542,11 +551,13 @@ def test_l_alpha_endpoint_matches_path(cfg, beta, alpha, taus):
 @pytest.mark.parametrize("cfg,alpha", [
     (AFFINE, interval(0, 2)),
     (SQUARE, box(2)),
-], ids=["interval", "square"])
+    (SQUARE, corner_chop(box(2), (1, 1), F(1, 4))),
+], ids=["interval", "square", "chopped-alpha"])
 def test_alpha_ladder_transports_into_alpha(monkeypatch, cfg, alpha):
-    """An alpha ladder solves one transport into alpha per tau in 2D:
-    alpha's field at the inverse-transported points serves every term.
-    On an interval that field is closed-form and Newton never runs."""
+    """An alpha ladder solves one transport into alpha per tau when alpha
+    is not a simplex product: alpha's field at the inverse-transported
+    points serves every term.  On a simplex-product alpha that field is
+    closed-form and Newton never runs."""
     calls = []
 
     def counted(potential, targets, start, **kwargs):
@@ -558,7 +569,40 @@ def test_alpha_ladder_transports_into_alpha(monkeypatch, cfg, alpha):
     ray = Ray(cfg, beta=10.0, tau_max=max(taus))
     for tau in taus:
         energy_report(ray.state(tau), alpha=alpha)
-    assert calls == ([ray.grid.size] * len(taus) if cfg.dim == 2 else [])
+    assert calls == ([ray.grid.size] * len(taus)
+                     if simplex_product(alpha) is None else [])
+
+
+@pytest.mark.parametrize("tau", [1.0, 4.0, 12.0])
+def test_simplex_df_routes_agree(tau):
+    """On the unit simplex with g = x1, route (a) through the closed-form
+    transport, with Ric0 from the log-slacks, meets Donaldson's route (b)
+    within ROUTE_TOL: before, Ric0 from ricci_reference cancelled next to
+    the hypotenuse and route (a) read -0.0508 at tau = 1 against 0."""
+    cfg = normalize(make_config(unit_simplex(2), [((1, 0), 0)]), "min_zero")
+    mab = mabuchi(Ray(cfg, beta=10.0, tau_max=12.0).state(tau))
+    assert abs(mab.route_a - mab.route_b) <= ROUTE_TOL * (1.0 + abs(mab.route_a))
+    assert abs(mab.route_b) < 1e-12   # DF = 0: the affine toric Mabuchi vanishes
+
+
+@pytest.mark.parametrize("alpha", [unit_simplex(2), box(2, side=2)],
+                         ids=["simplex", "box"])
+def test_alpha_theta_closed_form_matches_newton(alpha):
+    """On a simplex-product alpha, theta is alpha's inverse Hessian at the
+    point where alpha's gradient is xi + tau * grad g, as one Newton
+    transport into alpha finds it wherever that solve resolves the
+    slacks (above 1e-6)."""
+    state = Ray(SQUARE, beta=10.0, tau_max=1.0).state(1.0)
+    theta = _alpha_theta(state, alpha)
+    u_alpha = guillemin_potential(alpha)
+    bary = np.array([[float(c) for c in volume_data(alpha).barycenter]])
+    z, h = newton_transport(u_alpha, state.ray.xi + state.ray.g_grad,
+                            np.tile(bary, (state.ray.grid.size, 1)))
+    ok = u_alpha.slacks(z).min(axis=1) > 1e-6
+    assert ok.mean() > 0.5
+    ref = _inv_small(h[ok])
+    scale = np.abs(ref).max(axis=(1, 2))[:, None, None]
+    assert np.max(np.abs(theta[ok] - ref) / scale) < 1e-8
 
 
 def test_missing_alpha_raises():

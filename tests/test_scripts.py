@@ -21,3 +21,29 @@ def load_script(name):
 def test_script_main_returns_0(name, argv, capsys):
     assert load_script(name).main(argv) == 0
     assert capsys.readouterr().out
+
+
+def test_bench_records_the_median_of_three_untraced_runs(monkeypatch):
+    """Each number of the end-to-end entry is the median of three
+    untraced runs, so one 2.4x outlier does not reach the file; the raw
+    runs are kept next to it."""
+    bench = load_script("bench")
+    times = iter([3.80, 1.52, 1.61])
+    calls = []
+
+    def stub(workload, seed, seconds, trace):
+        calls.append((workload, seed, seconds, trace))
+        t = next(times)
+        return {"correct": t < 3.0, "attempted": 2, "failed": 0,
+                "metrics": {"time_per_ok_s": {"value": t, "unit": "s"},
+                            "ok_ratio": {"value": 1.0, "unit": "ratio"}}}
+
+    monkeypatch.setattr(bench, "bench_run", stub)
+    entry = bench.median_run("ray2d", 1, 25.0)
+    assert calls == [("ray2d", 1, 25.0, 0)] * 3
+    assert entry["metrics"]["time_per_ok_s"] == {"value": 1.61, "unit": "s"}
+    assert entry["metrics"]["ok_ratio"]["value"] == 1.0
+    assert [r["metrics"]["time_per_ok_s"]["value"] for r in entry["runs"]] \
+        == [3.80, 1.52, 1.61]
+    assert entry["correct"] is False   # one run missed a check
+    assert entry["attempted"] == 2 and entry["failed"] == 0

@@ -157,6 +157,22 @@ def test_df_and_minnorm_verdicts_on_kink():
     assert df.tol == pytest.approx(3e-2)
 
 
+def test_2d_affine_verdicts_on_simplex_products():
+    """The closed-form transport carries the 2D affine verdicts, with no
+    RuntimeWarning (an error in this suite): the square DF slope is
+    within 1e-8 of 0, and the simplex MINNORM and DF verdicts run every
+    rung and pass.  Newton diverged at tau = 4 on the simplex."""
+    square = verify_theorem(SQUARE_X1, "DF")
+    assert square.passed and square.exact == 0
+    assert abs(square.slope) <= 1e-8
+    minnorm = verify_theorem(SIMPLEX_X1, "MINNORM")
+    assert minnorm.passed and len(minnorm.trace) == len(TAUS)
+    assert abs(minnorm.slope - float(minnorm.exact)) <= 2e-3
+    df = verify_theorem(SIMPLEX_X1, "DF")
+    assert df.passed and df.exact == 0 and len(df.trace) == len(TAUS)
+    assert abs(df.slope) <= 1e-6
+
+
 def test_jalpha_verdict_interval():
     rep = verify_theorem(AFFINE, "JALPHA", alpha=interval(0, 2))
     assert rep.exact == F(1)
