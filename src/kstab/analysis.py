@@ -580,7 +580,8 @@ class SimplexProduct:
 
         log ell_k = log Lambda_B + r_k - logsumexp_{j in B} r_j,
 
-    so no slack is formed by a subtraction and no Newton step is taken.
+    the logsumexp max-shifted (log_slacks), so no slack is formed by a
+    subtraction, no exp overflows and no Newton step is taken.
     With p_k = ell_k / Lambda_B and the integer vectors
     w_kl = (R_k - R_l) / 2, R_k the xi-gradient of r_k, the dual fields
     are sums of positive terms over the pairs k < l of a block,
@@ -608,12 +609,34 @@ class SimplexProduct:
     center: np.ndarray
 
     def log_slacks(self, xi: np.ndarray) -> np.ndarray:
-        """log ell_k, per row, at the point where grad u0 = xi."""
-        r = xi @ self.ratio_map
+        """log ell_k, per row, at the point where grad u0 = xi.
+
+        Each block's logsumexp is max-shifted and taken column by column:
+        with top the row maximum of r over B,
+
+            log ell_k = log Lambda_B + (r_k - top)
+                        - log sum_{j in B} e^(r_j - top),
+
+        so every exponent is at most 0, the largest slack of a block keeps
+        its digits (its r_k - top is exactly 0) and no slack is formed by
+        a subtraction.  The result is the transpose of a facet-by-row
+        array, so each facet's column is contiguous for the column-wise
+        reductions here and in the fields read from it."""
+        r = self.ratio_map.T @ xi.T
         for block, log_sum in zip(self.blocks, self.log_sums):
-            base = log_sum - _row_reduce(np.logaddexp, r[:, block])
-            r[:, block] += base[:, None]
-        return r
+            cols = [r[k] for k in block]  # views: shifted in place
+            top = cols[0].copy()
+            for col in cols[1:]:
+                np.maximum(top, col, out=top)
+            for col in cols:
+                col -= top
+            total = np.exp(cols[0])
+            for col in cols[1:]:
+                total += np.exp(col)
+            shift = log_sum - np.log(total)
+            for col in cols:
+                col += shift
+        return r.T
 
     def _pair_field(self, log_ell, log_coef):
         k, l = self.pairs
@@ -750,11 +773,12 @@ class RayState:
     increment at x, log_ratio is log det D2u0(x) - log det H_tau, entropy
     is n! times its integral (read by energy_report and mabuchi) and
     det_tau is det H_tau.  Wedge densities take g0_at_x = D2u0(x)^-1
-    and g_tau = H_tau^-1, which are None for n = 1.  On a simplex-product
-    base every field at x comes in closed form from log_slacks, the
-    log ell_k at x (SimplexProduct), and no energy reads x itself; on
-    other bases Newton solves for x, kept in newton_x, and log_slacks is
-    None.
+    and g_tau = H_tau^-1, which are None for n = 1; for an exact g_beta
+    they are read-only and shared by all the Ray's states
+    (Ray.h_tau_fields).  On a simplex-product base every field at x
+    comes in closed form from log_slacks, the log ell_k at x
+    (SimplexProduct), and no energy reads x itself; on other bases
+    Newton solves for x, kept in newton_x, and log_slacks is None.
     """
 
     ray: "Ray"
@@ -802,6 +826,7 @@ class Ray:
         self.g_grad = self.smooth.gradient(pts)
         self.g_hess = self.smooth.hessian(pts)
         self._inv = (0.0, pts)
+        self._h0_fields = None  # h_tau_fields of an exact g_beta
 
     @cached_property
     def u0_vals(self) -> np.ndarray:
@@ -856,14 +881,22 @@ class Ray:
         self._inv = (key, x)
         return x, h0_at_x
 
+    @cached_property
+    def _reach(self) -> tuple:
+        """(reach of grad u0 at _SLACK_FLOOR, max |grad g_beta|, max |xi|)
+        over the grid: check_reach's bounds, taken once per Ray."""
+        reach = 0.5 * (1.0 - math.log(_SLACK_FLOOR)) \
+            * float(np.abs(self.u0.normals).sum(axis=0).max())
+        return (reach, float(np.abs(self.g_grad).max()),
+                float(np.abs(self.xi).max()))
+
     def check_reach(self, tau: float) -> None:
         """NewtonDivergence if tau shifts some target xi + tau * grad g_beta
         past the reach of grad u0 at _SLACK_FLOOR: such a tau has no
         inverse transport with every slack above the floor."""
-        reach = 0.5 * (1.0 - math.log(_SLACK_FLOOR)) \
-            * float(np.abs(self.u0.normals).sum(axis=0).max())
-        shift = float(tau) * float(np.abs(self.g_grad).max())
-        if shift > reach + float(np.abs(self.xi).max()):
+        reach, grad_max, xi_max = self._reach
+        shift = float(tau) * grad_max
+        if shift > reach + xi_max:
             raise NewtonDivergence(
                 f"moment targets shift by tau * |grad g| = {shift:.3g}, "
                 f"beyond the reach {reach:.4g} of grad u0 at the slack floor")
@@ -878,12 +911,9 @@ class Ray:
         if self.frame is not None:
             return self._product_state(tau)
         x, h0_at_x = self.inverse_transport(tau)
-        h_tau = self.h0 + tau * self.g_hess
-        logdet_tau = _logdet_small(h_tau)
-        log_ratio = _logdet_small(h0_at_x) - logdet_tau
+        det_tau, g_tau = self.h_tau_fields(tau)
+        log_ratio = _logdet_small(h0_at_x) - np.log(det_tau)
         entropy = math.factorial(self.cfg.dim) * self.grid.integrate(log_ratio)
-        g_tau = _inv_small(h_tau)
-        del h_tau  # before D2u0(x) is inverted: one matrix field fewer alive
         g0_at_x = _inv_small(h0_at_x)
         del h0_at_x
         xi = self.xi + tau * self.g_grad
@@ -892,7 +922,32 @@ class Ray:
             - ((x * xi).sum(axis=1) - self.u0.value(x))
         return RayState(ray=self, tau=tau, g0_at_x=g0_at_x, phi_y=phi_y,
                         log_ratio=log_ratio, entropy=entropy,
-                        det_tau=np.exp(logdet_tau), g_tau=g_tau, newton_x=x)
+                        det_tau=det_tau, g_tau=g_tau, newton_x=x)
+
+    def h_tau_fields(self, tau: float) -> tuple:
+        """(det H_tau, H_tau^-1) at the nodes, H_tau = D2u0 + tau D2g_beta
+        and the inverse None for n = 1, built in rows of _NEWTON_BLOCK.
+        An exact g_beta has H_tau = D2u0 at every tau: its fields are
+        built once per Ray, read-only, and shared by every state."""
+        exact = self.smooth.exact
+        if exact and self._h0_fields is not None:
+            return self._h0_fields
+        size, dim = self.grid.size, self.cfg.dim
+        det = np.empty(size)
+        inv = np.empty((size, dim, dim)) if dim > 1 else None
+        for lo in range(0, size, _NEWTON_BLOCK):
+            rows = slice(lo, lo + _NEWTON_BLOCK)
+            h_tau = self.h0[rows] if exact \
+                else self.h0[rows] + tau * self.g_hess[rows]
+            det[rows] = _det_small(h_tau)
+            if inv is not None:
+                inv[rows] = _inv_small(h_tau)
+        if exact:
+            for field in (det, inv):
+                if field is not None:
+                    field.flags.writeable = False
+            self._h0_fields = (det, inv)
+        return det, inv
 
     def _product_state(self, tau: float) -> RayState:
         """Ray.state on a simplex-product base, in closed form from the
@@ -908,29 +963,30 @@ class Ray:
         with the Legendre dual in slacks,
         u0*(xi) = (1/2) sum ell_k - (1/2) sum lambda_k (1 + log ell_k)
         (lambda the facet offsets; each block's slacks sum to Lambda_B),
-        so x xi is never formed.  det_tau and g_tau are taken at the
-        nodes.  Rows go in blocks of _NEWTON_BLOCK, so no temporary is
-        as long as the grid."""
+        so x xi is never formed.  det_tau and g_tau are h_tau_fields at
+        the nodes: for an exact g_beta, built once per Ray and shared by
+        every state, and the log det term, 0, is skipped.  Rows go in
+        blocks of _NEWTON_BLOCK, so no temporary is as long as the
+        grid."""
         frame, size, dim = self.frame, self.grid.size, self.cfg.dim
-        log_ell = np.empty((size, len(frame.offsets)))
-        phi_y, log_ratio, det_tau = (np.empty(size) for _ in range(3))
-        g0_at_x, g_tau = (np.empty((size, dim, dim)) if dim > 1 else None
-                          for _ in range(2))
+        log_ell = np.empty((len(frame.offsets), size)).T  # as log_slacks
+        phi_y, log_ratio = np.empty(size), np.empty(size)
+        g0_at_x = np.empty((size, dim, dim)) if dim > 1 else None
         for lo in range(0, size, _NEWTON_BLOCK):
             rows = slice(lo, lo + _NEWTON_BLOCK)
             xi, grad = self.xi[rows], self.g_grad[rows]
             at_x = log_ell[rows] = frame.log_slacks(xi + tau * grad)
             step = at_x - frame.log_slacks(xi)
-            log_ratio[rows] = -_row_reduce(np.add, step) \
-                - _log1p_det(self.h0_inv_g_hess[rows], tau)
-            phi_y[rows] = tau * ((self.grid.points[rows] * grad).sum(axis=1)
+            log_ratio[rows] = -_row_reduce(np.add, step)
+            phi_y[rows] = tau * (_row_reduce(np.add,
+                                             self.grid.points[rows] * grad)
                                  - self.g_vals[rows]) \
                 + 0.5 * (step @ frame.offsets)
-            h_tau = self.h0[rows] + tau * self.g_hess[rows]
-            det_tau[rows] = _det_small(h_tau)
             if dim > 1:
-                g_tau[rows] = _inv_small(h_tau)
                 g0_at_x[rows] = frame.inverse_hessian(at_x)
+            if not self.smooth.exact:
+                log_ratio[rows] -= _log1p_det(self.h0_inv_g_hess[rows], tau)
+        det_tau, g_tau = self.h_tau_fields(tau)
         return RayState(ray=self, tau=tau, g0_at_x=g0_at_x, phi_y=phi_y,
                         log_ratio=log_ratio,
                         entropy=math.factorial(dim)

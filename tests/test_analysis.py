@@ -393,6 +393,24 @@ def test_transport_2d_factorizes():
     assert np.max(np.abs(x_inv[:, 0] - exact_inv)[ok]) < 1e-8
 
 
+def test_check_reach_takes_its_grid_maxima_once():
+    """check_reach takes max |grad g_beta| and max |xi| over the grid
+    once per Ray, and its refusal reads as the bound over the grid
+    gives."""
+    ray = Ray(SQUARE, beta=10.0, tau_max=4.0)
+    reach = 0.5 * (1.0 - math.log(analysis._SLACK_FLOOR)) \
+        * float(np.abs(ray.u0.normals).sum(axis=0).max())
+    shift = 1e300 * float(np.abs(ray.g_grad).max())
+    ray.check_reach(4.0)
+    ray.xi = ray.g_grad = None  # a second pass over the grid would fail
+    ray.check_reach(4.0)
+    with pytest.raises(NewtonDivergence) as err:
+        ray.check_reach(1e300)
+    assert str(err.value) == (
+        f"moment targets shift by tau * |grad g| = {shift:.3g}, "
+        f"beyond the reach {reach:.4g} of grad u0 at the slack floor")
+
+
 def test_newton_divergence_reports_node_count(monkeypatch):
     monkeypatch.setattr(analysis, "_NEWTON_MAX_ITER", 2)
     u0 = guillemin_potential(interval(0, 1))
@@ -753,6 +771,67 @@ def test_product_fields_near_the_hypotenuse_match_mpmath(slack):
                     for j in range(2):
                         assert abs(field[0, i, j] - ref[i, j]) \
                             <= 1e-12 * abs(ref[i, j])
+
+
+def _log_lambda(mpmath, base, block):
+    total = sum(base.halfspaces[k].offset for k in block)
+    return mpmath.log(mpmath.mpf(total.numerator) / total.denominator)
+
+
+def _log_slacks_mp(mpmath, frame, base, xi):
+    """log ell_k at grad u0 = xi as mpf in the working precision: r =
+    xi @ ratio_map with its integer entries exact, then
+    log Lambda_B + r_k - logsumexp_B r per block."""
+    r = [sum(mpmath.mpf(float(x)) * int(frame.ratio_map[i, k])
+             for i, x in enumerate(xi))
+         for k in range(len(base.halfspaces))]
+    out = list(r)
+    for block in frame.blocks:
+        lse = mpmath.log(sum(mpmath.exp(r[k]) for k in block))
+        for k in block:
+            out[k] = _log_lambda(mpmath, base, block) + r[k] - lse
+    return out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("base", [interval(-1, 3), box(2), unit_simplex(2)],
+                         ids=["interval", "box", "simplex"])
+def test_max_shift_log_slacks_match_mpmath(base):
+    """The max-shifted logsumexp of log_slacks against 50 digits, at
+    ordinary targets and at targets where some log ell is about -600.
+    Each log ell_k is within 2 ulps of 1 + the largest term forming
+    r = xi @ ratio_map; on the interval and the box, where r = -2 xi is
+    exact, within 2 ulps of max(1, |log ell_k|).  Each block's slacks
+    sum to Lambda_B: their logsumexp is log Lambda_B within 4 ulps of
+    max(1, |log Lambda_B|)."""
+    mpmath = pytest.importorskip("mpmath")
+    frame = simplex_product(base)
+    n = base.dim
+    far = np.array([[-300.0] * n, [300.0] * n, [-300.0] + [0.0] * (n - 1),
+                    [300.0] + [-300.0] * (n - 1), [0.5] + [300.0] * (n - 1)])
+    rng = np.random.default_rng(7)
+    xi = np.concatenate([2.0 * rng.standard_normal((40, n)),
+                         far + rng.standard_normal(far.shape)])
+    log_ell = frame.log_slacks(xi)
+    eps = np.finfo(float).eps
+    terms = 1.0 + (np.abs(xi) @ np.abs(frame.ratio_map)).max(axis=1)
+    exact_r = len(frame.blocks) == n  # one facet kept per block: r = -2 xi
+    deepest = 0.0
+    with mpmath.workdps(50):
+        for row, got, scale in zip(xi, log_ell, terms):
+            ref = _log_slacks_mp(mpmath, frame, base, row)
+            deepest = min(deepest, float(min(ref)))
+            for v, w in zip(got, ref):
+                err = float(abs(mpmath.mpf(float(v)) - w))
+                assert err <= 2 * eps * scale
+                if exact_r:
+                    assert err <= 2 * eps * max(1.0, abs(float(w)))
+            for block in frame.blocks:
+                log_sum = _log_lambda(mpmath, base, block)
+                lse = mpmath.log(sum(mpmath.exp(mpmath.mpf(float(got[k])))
+                                     for k in block))
+                assert abs(lse - log_sum) <= 4 * eps * max(1, abs(log_sum))
+    assert deepest < -590.0
 
 
 def test_chopped_square_state_runs_newton(monkeypatch):

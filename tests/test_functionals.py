@@ -302,13 +302,14 @@ def test_df_rung_integrates_the_entropy_once(monkeypatch):
 
 
 def test_square_rung_inverts_each_matrix_field_once(monkeypatch):
-    """Each DF rung on the square inverts H_tau once, in row blocks, and
-    D2u0 at the nodes is inverted once per Ray, for log_ratio and route
-    (b), and not at all for an affine g, whose Hessian is 0.  On a
-    two-rung ladder that shares one Ray that is three grids' worth of
-    inverted rows for a PL g and two for an affine one.  D2u0(x) is
-    never evaluated over the grid: its inverse comes in closed form from
-    the log-slacks."""
+    """Each DF rung on the square inverts H_tau once for a PL g, in row
+    blocks, and D2u0 at the nodes is inverted once per Ray, for
+    log_ratio and route (b).  For an affine g, whose Hessian is 0,
+    H_tau = D2u0 at every tau: it is inverted once per Ray and shared by
+    every state.  On a two-rung ladder that shares one Ray that is three
+    grids' worth of inverted rows for a PL g and one for an affine one.
+    D2u0(x) is never evaluated over the grid: its inverse comes in
+    closed form from the log-slacks."""
     inversions, hessians = [], []
 
     def inv_counted(h):
@@ -321,7 +322,7 @@ def test_square_rung_inverts_each_matrix_field_once(monkeypatch):
         hessians.append(len(pts))
         return hessian(self, pts, ell)
 
-    for cfg, grids in ((SQUARE3, 2 + 1), (SQUARE, 2)):
+    for cfg, grids in ((SQUARE3, 2 + 1), (SQUARE, 1)):
         ray = Ray(cfg, beta=10.0, tau_max=1.0)
         size = ray.grid.size
         assert size > _NEWTON_BLOCK  # the state's blocks are shorter
@@ -337,6 +338,40 @@ def test_square_rung_inverts_each_matrix_field_once(monkeypatch):
         assert sum(inversions) == grids * size
         assert max(inversions) <= size
     assert hessians == []
+
+
+@pytest.mark.parametrize("cfg,affine", [
+    (SQUARE, True), (SQUARE3, False), (AFFINE, True), (KINK, False),
+    (normalize(make_config(corner_chop(box(2), (1, 1), F(1, 4)),
+                           [((1, 0), 0)]), "min_zero"), True),
+], ids=["square", "square3", "affine", "kink", "chopped"])
+def test_affine_states_share_the_rays_h_tau_fields(cfg, affine):
+    """The states of an affine ladder share the Ray's read-only det_tau
+    and g_tau, bit for bit what D2u0 + tau * 0 gives, on the closed-form
+    path and on Newton's (the chopped square); a PL Ray builds them per
+    state from H_tau."""
+    ray = Ray(cfg, beta=10.0, tau_max=2.0)
+    states = [ray.state(tau) for tau in (0.5, 1.0, 2.0)]
+    if not affine:
+        first, *rest = states
+        for state in rest:
+            assert state.det_tau is not first.det_tau
+            assert state.g_tau is None or state.g_tau is not first.g_tau
+        assert first.det_tau.flags.writeable
+        return
+    det, inv = ray.h_tau_fields(1.0)
+    h_tau = ray.h0 + 1.0 * ray.g_hess
+    if cfg.dim == 1:
+        assert inv is None
+        assert det.tobytes() == h_tau[:, 0, 0].tobytes()
+    else:
+        assert not inv.flags.writeable
+        assert inv.tobytes() == _inv_small(h_tau).tobytes()
+        assert det.tobytes() == (h_tau[:, 0, 0] * h_tau[:, 1, 1]
+                                 - h_tau[:, 0, 1] * h_tau[:, 1, 0]).tobytes()
+    assert not det.flags.writeable
+    for state in states:
+        assert state.det_tau is det and state.g_tau is inv
 
 
 def _mabuchi_path(ray, taus):
