@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     DomainMismatch,
@@ -24,6 +25,7 @@ from .errors import (
 from .polytope import (
     Halfspace,
     Polytope,
+    _clip,
     construct,
     dot,
     frac,
@@ -52,7 +54,7 @@ class PLConvexFn:
     region-wise integration downstream relies on the pieces tiling P.
 
     ``cells[i]`` is the region of the domain where piece i is maximal.
-    Only ``pl_fn`` and ``restricted_to`` compute cells (``regions_of_max``);
+    Only ``pl_fn`` and ``restricted_to`` compute cells, by clipping;
     ``integrate`` and every other reader take them from here.  Shifting
     or positively scaling all pieces keeps the sign of each difference
     of two pieces, hence every cell, so ``shifted`` and ``scaled`` carry
@@ -74,15 +76,20 @@ class PLConvexFn:
         return self.cells
 
     def min_over_domain(self) -> Fraction:
-        """Exact min of a convex PL function: scan linearity-region vertices."""
-        return min(self(v) for cell in self.cells for v in cell.vertices)
+        """Exact min of a convex PL function: on cell i, g is piece i, so
+        scan each cell's vertices with its own piece."""
+        return min(p(v) for p, cell in zip(self.pieces, self.cells)
+                   for v in cell.vertices)
 
     def max_over_domain(self) -> Fraction:
         return max(self(v) for v in self.domain.vertices)
 
     def average(self) -> Fraction:
-        vd = volume_data(self.domain)
-        return integrate(self.domain, self) / vd.volume
+        return self._mean
+
+    @cached_property
+    def _mean(self) -> Fraction:  # replace() builds a fresh instance
+        return integrate(self.domain, self) / volume_data(self.domain).volume
 
     def shifted(self, c) -> "PLConvexFn":
         c = frac(c)
@@ -98,12 +105,18 @@ class PLConvexFn:
             for p in self.pieces))
 
     def restricted_to(self, sub: Polytope) -> "PLConvexFn":
-        """Restriction to a sub-polytope, dropping newly redundant pieces
-        (they lie below the kept ones on sub, so no kept cell moves)."""
-        regions = regions_of_max(sub, [(p.gradient, p.constant)
-                                       for p in self.pieces])
-        pieces, cells = zip(*((p, r) for p, r in zip(self.pieces, regions)
-                              if r is not None))
+        """Restriction to a sub-polytope of the domain: each cell clipped
+        by the halfspaces of sub that the domain lacks, dropping a piece
+        whose cell empties (it lies below the kept ones on sub, so no
+        kept cell moves).  DomainMismatch when sub leaves the domain."""
+        outer, inner = set(self.domain.halfspaces), set(sub.halfspaces)
+        if any(h.slack(v) < 0 for h in outer - inner for v in sub.vertices):
+            raise DomainMismatch("sub-polytope leaves the domain")
+        cells = self.cells
+        for h in inner - outer:
+            cells = [c and _clip(c, h) for c in cells]
+        pieces, cells = zip(*((p, c) for p, c in zip(self.pieces, cells)
+                              if c is not None))
         return PLConvexFn(pieces, sub, cells)
 
 

@@ -9,7 +9,10 @@ asymptotics, one rule per job:
 
   * vertices by n-fold facet intersection in integers (Cramer
     numerators, one sign test per slack, a Fraction per vertex); a
-    vertex lies on its zero-slack halfspaces, the union of its bases;
+    vertex lies on its zero-slack halfspaces, the union of its bases,
+    and a halfspace is a facet when its vertex set is maximal;
+  * one cut by clipping: the vertices of nonnegative slack stay and each
+    edge with ends of opposite sign gains its crossing (chops, cells);
   * boundedness: the normals have full rank and no null line of
     n - 1 of them is one-signed on all normals;
   * hulls (dimension <= 3): a facet is the hyperplane through n
@@ -18,10 +21,10 @@ asymptotics, one rule per job:
     (hulls, boundedness, Minkowski candidate normals);
   * rank and linear solves by one fraction-free Gauss-Jordan
     elimination (Bareiss);
-  * measures by one pass, ``volume_data``: per facet its sigma and
-    centroid (a fan of simplices up to dimension 3, an affine shadow
-    above), then the volume and barycenter as cones from a vertex;
-    affine integrals read these moments;
+  * measures by one pass in integers, ``volume_data``: per facet its
+    sigma and centroid over a pulling triangulation, then the volume
+    and barycenter as cones from a vertex; affine integrals read these
+    moments;
   * mixed volumes V(K, ..., K, L) by Minkowski's facet formula over
     the facets of K; a flat K (a base lifted by ``embed_at_height``)
     has the two facets +-e_t, each of sigma vol(base).
@@ -42,7 +45,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
+from functools import cached_property, lru_cache
 from math import factorial, gcd, lcm
 from operator import mul
 
@@ -222,6 +225,14 @@ class Polytope:
     vertices: tuple
     facet_vertices: tuple
 
+    def __hash__(self):  # volume_data's cache hashes on every lookup
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.dim, self.halfspaces, self.vertices,
+                     self.facet_vertices))
+
     def contains(self, x, strict: bool = False) -> bool:
         if len(x) != self.dim:
             raise DomainMismatch("point dimension mismatch")
@@ -240,14 +251,11 @@ class Polytope:
         return tuple(k for k, fv in enumerate(self.facet_vertices) if i in fv)
 
     def edges(self):
-        """Vertex-index pairs whose common facets have rank dim - 1."""
+        """Vertex-index pairs whose common facets hold no third vertex."""
         on = [set(self.vertex_facets(i)) for i in range(len(self.vertices))]
-        out = []
-        for i, j in itertools.combinations(range(len(on)), 2):
-            if _rank([self.halfspaces[k].normal for k in on[i] & on[j]]) \
-                    == self.dim - 1:
-                out.append((i, j))
-        return tuple(out)
+        pairs = itertools.combinations(range(len(on)), 2)
+        return tuple((i, j) for i, j in pairs if not any(
+            on[k] >= on[i] & on[j] for k in range(len(on)) if k not in (i, j)))
 
     def is_delzant_vertex(self, i: int) -> bool:
         ks = self.vertex_facets(i)
@@ -290,6 +298,8 @@ def construct(halfspaces=None, vertices=None) -> Polytope:
     (num, den) in lowest terms with den > 0, where halfspace k has slack
     (b_k * den - L * <n_k, num>) / (L * den).  Each distinct point is
     tested once; a feasible one is a vertex on its zero-slack halfspaces.
+    A halfspace is a facet when its set of vertices is not inside
+    another's: a lower face lies in a facet, and a facet only in P.
     """
     if halfspaces is None and vertices is None:
         raise InconsistentInput("need halfspaces or vertices")
@@ -338,11 +348,10 @@ def construct(halfspaces=None, vertices=None) -> Polytope:
     if _rank([p for _, p in vlist]) <= dim:
         raise DegenerateInput("feasible set is lower-dimensional")
 
-    kept = []
-    for k, h in enumerate(hs):
-        on = tuple(i for i, (_, p) in enumerate(vlist) if k in tight[p])
-        if len(on) >= dim and _rank([vlist[i][1] for i in on]) == dim:
-            kept.append((h, on))
+    zero = [frozenset(i for i, (_, p) in enumerate(vlist) if k in tight[p])
+            for k in range(len(hs))]
+    kept = [(h, tuple(sorted(z))) for h, z in zip(hs, zero)
+            if z and not any(z < y for y in zero)]
     kept.sort(key=lambda pair: (pair[0].normal, pair[0].offset))
     return Polytope(dim=dim, halfspaces=tuple(h for h, _ in kept),
                     vertices=tuple(v for v, _ in vlist),
@@ -376,6 +385,42 @@ def _construct_from_vertices(points) -> Polytope:
                 facets[cand] = off
     return construct(halfspaces=[Halfspace(n, frac(off))
                                  for n, off in facets.items()])
+
+
+def _clip(poly: Polytope, h: Halfspace) -> Polytope | None:
+    """``construct(halfspaces=poly.halfspaces + (h,))``, or None where
+    that raises (a face or nothing left), by one step in integers: the
+    vertices of slack >= 0 stay, each edge with ends of opposite sign
+    gains its crossing, and a facet stays when a vertex of it has
+    positive slack; h holds the zero-slack vertices and the crossings.
+    """
+    den = lcm(h.offset.denominator,
+              *(c.denominator for v in poly.vertices for c in v))
+    pts = [tuple(c.numerator * (den // c.denominator) for c in v)
+           for v in poly.vertices]
+    b = h.offset.numerator * (den // h.offset.denominator)
+    slack = [b - dot(h.normal, p) for p in pts]
+    if min(slack) >= 0 or max(slack) <= 0:
+        return poly if min(slack) >= 0 else None
+    new, hs = len(poly.halfspaces), poly.halfspaces + (h,)  # h has index new
+    on = [set(poly.vertex_facets(i)) for i in range(len(pts))]
+    points = [(v, on[i] | {new} if slack[i] == 0 else on[i])
+              for i, v in enumerate(poly.vertices) if slack[i] >= 0]
+    for i, j in poly.edges():
+        si, sj = slack[i], slack[j]
+        if si * sj < 0:
+            points.append((tuple(Fraction(si * a - sj * c, (si - sj) * den)
+                                 for a, c in zip(pts[j], pts[i])),
+                           on[i] & on[j] | {new}))
+    points.sort(key=lambda vp: vp[0])
+    keep = sorted([k for k, fv in enumerate(poly.facet_vertices)
+                   if any(slack[i] > 0 for i in fv)] + [new],
+                  key=lambda k: (hs[k].normal, hs[k].offset))
+    return Polytope(dim=poly.dim, halfspaces=tuple(hs[k] for k in keep),
+                    vertices=tuple(v for v, _ in points),
+                    facet_vertices=tuple(
+                        tuple(i for i, (_, ks) in enumerate(points) if k in ks)
+                        for k in keep))
 
 
 # ---------------------------------------------------------------------------
@@ -418,93 +463,62 @@ class VolumeData:
     facet_barycenters: tuple
 
 
-def _order_facet_cycle(points, normal):
-    """Cyclic order of a convex facet polygon (exact angular sort).
-
-    The offsets from the centroid are integers, scaled once by the point
-    count and the common denominator; the scale is positive, so every
-    comparison is that of the Fraction offsets.
-    """
-    drop = max(range(len(normal)), key=lambda i: abs(normal[i]))
-    flat = [[c for i, c in enumerate(p) if i != drop] for p in points]
-    den = lcm(*(c.denominator for p in flat for c in p))
-    ints = [[c.numerator * (den // c.denominator) for c in p] for p in flat]
-    sx, sy = map(sum, zip(*ints))
-    rel = [(len(ints) * x - sx, len(ints) * y - sy) for x, y in ints]
-    half = [0 if (dy > 0 or (dy == 0 and dx > 0)) else 1 for dx, dy in rel]
-
-    def cmp(i, j):
-        if half[i] != half[j]:
-            return half[i] - half[j]
-        cross = rel[i][0] * rel[j][1] - rel[i][1] * rel[j][0]
-        return (cross < 0) - (cross > 0)
-
-    return [points[i] for i in sorted(range(len(points)), key=cmp_to_key(cmp))]
-
-
-def _simplex_sigma(simplex, normal) -> Fraction:
-    """sigma-measure of an (n-1)-simplex in a hyperplane with primitive
-    normal: |det(edges, normal)| / ((n-1)! |normal|^2)."""
-    rows = [tuple(a - b for a, b in zip(p, simplex[0])) for p in simplex[1:]]
-    return Fraction(abs(_det(rows + [normal])),
-                    factorial(len(rows)) * dot(normal, normal))
-
-
-def _facet_measure(points, normal):
-    """(sigma, centroid) of the flat convex polytope spanned by points in
-    a hyperplane with primitive normal.
-
-    Up to ambient dimension 3 the facet is a point, a segment or a
-    polygon fanned from its first vertex.  Above, dropping the
-    coordinate i of the largest |normal_i| maps it affinely onto a
-    full-dimensional shadow, and sigma = vol(shadow) / |normal_i|.
-    """
-    n = len(normal)
-    if n > 3:
-        i = max(range(n), key=lambda j: abs(normal[j]))
-        vd = volume_data(_construct_from_vertices(
-            [p[:i] + p[i + 1:] for p in points]))
-        c = vd.barycenter
-        lift = (dot(normal, points[0])
-                - dot(normal[:i] + normal[i + 1:], c)) / normal[i]
-        return vd.volume / abs(normal[i]), c[:i] + (lift,) + c[i:]
-    if n == 3:
-        points = _order_facet_cycle(points, normal)
-    sigma, moment = Fraction(0), [Fraction(0)] * n
-    for k in range(1, len(points) - n + 2):
-        simplex = (points[0],) + tuple(points[k:k + n - 1])
-        m = _simplex_sigma(simplex, normal)
-        sigma += m
-        for j in range(n):
-            moment[j] += m * sum(p[j] for p in simplex) / n
-    return sigma, tuple(x / sigma for x in moment)
+def _pulling(face, facets, memo):
+    """Pulling triangulation of a face (a frozenset of vertex indices):
+    its lowest vertex w coned over each of its facets that misses w.
+    The facets of a face are the maximal proper sets among its meets
+    with the polytope's facets.  ``memo`` holds the faces done."""
+    if len(face) == 1:
+        return [tuple(face)]
+    if face not in memo:
+        w = min(face)
+        meets = {face & g for g in facets} - {face}
+        memo[face] = [(w,) + s for sub in meets
+                      if w not in sub and not any(sub < m for m in meets)
+                      for s in _pulling(sub, facets, memo)]
+    return memo[face]
 
 
 @lru_cache(maxsize=1024)
 def volume_data(poly: Polytope) -> VolumeData:
     """Volume, barycenter and, per facet, sigma-measure and centroid.
 
-    The only measure pass of the kernel.  It measures each facet F once,
-    then cones the first vertex v0 over the facets: the cone over F has
-    volume slack_F(v0) * sigma_F / n (d sigma ^ d ell = d mu) and
-    centroid (v0 + n * centroid_F) / (n + 1).
+    The only measure pass of the kernel, in integers: vertices scaled by
+    their common denominator L, facets triangulated by pulling.  A facet
+    simplex with edges e has sigma |det(e, nu)| / ((n-1)! |nu|^2 L^(n-1));
+    coned from v0 at height h = L * slack(v0) it has the integer
+    |det| = h |det(e, nu)| / |nu|^2 and volume |det| / (n! L^n).
     """
-    n, v0 = poly.dim, poly.vertices[0]
-    vol, moment = Fraction(0), [Fraction(0)] * n
+    n = poly.dim
+    den = lcm(*(c.denominator for v in poly.vertices for c in v))
+    pts = [tuple(c.numerator * (den // c.denominator) for c in v)
+           for v in poly.vertices]
+    facets = [frozenset(fv) for fv in poly.facet_vertices]
+    memo, vol, moment = {}, 0, [0] * n
     sigmas, centroids = [], []
-    for h, fv in zip(poly.halfspaces, poly.facet_vertices):
-        sigma, centroid = _facet_measure([poly.vertices[i] for i in fv],
-                                         h.normal)
-        sigmas.append(sigma)
-        centroids.append(centroid)
-        cone = h.slack(v0) * sigma / n
-        vol += cone
-        for j in range(n):
-            moment[j] += cone * (v0[j] + n * centroid[j]) / (n + 1)
+    for h, face in zip(poly.halfspaces, facets):
+        nu = h.normal
+        mass, mom = 0, [0] * n
+        for s in _pulling(face, facets, memo):
+            p0 = pts[s[0]]
+            d = abs(_det([tuple(a - b for a, b in zip(pts[i], p0))
+                          for i in s[1:]] + [nu]))
+            mass += d
+            mom = [m + d * sum(pts[i][j] for i in s)
+                   for j, m in enumerate(mom)]
+        nn = dot(nu, nu)
+        sigmas.append(Fraction(mass, factorial(n - 1) * nn * den ** (n - 1)))
+        centroids.append(tuple(Fraction(m, n * den * mass) for m in mom))
+        height = dot(nu, pts[min(face)]) - dot(nu, pts[0])
+        vol += height * mass // nn
+        moment = [x + height * (m + mass * w) // nn
+                  for x, m, w in zip(moment, mom, pts[0])]
     if vol == 0:
         raise DegenerateInput("zero volume")
-    return VolumeData(volume=vol, boundary_sigma_volume=sum(sigmas),
-                      barycenter=tuple(x / vol for x in moment),
+    return VolumeData(volume=Fraction(vol, factorial(n) * den ** n),
+                      boundary_sigma_volume=sum(sigmas),
+                      barycenter=tuple(Fraction(m, (n + 1) * den * vol)
+                                       for m in moment),
                       per_facet_sigma=tuple(sigmas),
                       facet_barycenters=tuple(centroids))
 
@@ -514,7 +528,8 @@ def volume_data(poly: Polytope) -> VolumeData:
 
 
 def regions_of_max(poly: Polytope, pieces):
-    """Closure of {piece i strictly maximal}, as a polytope per piece.
+    """Closure of {piece i strictly maximal}, as a polytope per piece:
+    poly clipped by piece i >= piece j for every other j.
 
     Entries are None for pieces that are never strictly maximal on a
     full-dimensional region.
@@ -522,25 +537,16 @@ def regions_of_max(poly: Polytope, pieces):
     pieces = [(vec(g), frac(c)) for g, c in pieces]
     out = []
     for i, (gi, ci) in enumerate(pieces):
-        hs = list(poly.halfspaces)
-        empty = False
+        cell = poly
         for j, (gj, cj) in enumerate(pieces):
-            if j == i:
+            if j == i or cell is None:
                 continue
             diff = tuple(a - b for a, b in zip(gj, gi))
-            if all(x == 0 for x in diff):
-                if cj >= ci:
-                    empty = True  # piece j dominates everywhere
-                    break
-                continue
-            hs.append(Halfspace.make(diff, ci - cj))
-        if empty:
-            out.append(None)
-            continue
-        try:
-            out.append(construct(halfspaces=hs))
-        except (InconsistentInput, DegenerateInput):
-            out.append(None)
+            if any(diff):
+                cell = _clip(cell, Halfspace.make(diff, ci - cj))
+            elif cj >= ci:
+                cell = None  # piece j dominates everywhere
+        out.append(cell)
     return out
 
 
@@ -764,8 +770,8 @@ def corner_chop(poly: Polytope, vertex, eps) -> Polytope:
     ks = poly.vertex_facets(i)
     w = tuple(sum(poly.halfspaces[k].normal[j] for k in ks)
               for j in range(poly.dim))
-    offset = dot(w, v) - eps
-    for j, u in enumerate(poly.vertices):
-        if j != i and dot(w, u) >= offset:
+    cut = Halfspace(w, dot(w, v) - eps)
+    for u in poly.vertices[:i] + poly.vertices[i + 1:]:
+        if cut.slack(u) <= 0:
             raise ChopTooLarge(f"chop at depth {eps} reaches vertex {u}")
-    return construct(halfspaces=list(poly.halfspaces) + [Halfspace(w, offset)])
+    return _clip(poly, cut)

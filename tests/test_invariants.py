@@ -382,6 +382,18 @@ def test_blowup_simplex_oracle():
     assert rep.df_values[-1] == -F(27, 275)
 
 
+def test_blowup_cube_second_order():
+    """On the cube the eps^2 coefficient, -n(n-1) times the Chow weight,
+    is not degenerate: g = max(x1, x2 + x3 - 1/2) has mean 45/64 and
+    vanishes at the chopped origin."""
+    cfg = normalize(make_config(box(3), [((1, 0, 0), 0),
+                                         ((0, 1, 1), -F(1, 2))]), "min_zero")
+    eps = [F(1, k) for k in range(100, 49, -10)]
+    rep = blowup_expansion(cfg, (0, 0, 0), eps)
+    assert rep.fitted_coefficient == rep.reference_coefficient == F(135, 32)
+    assert rep.matches
+
+
 def test_blowup_guards():
     cfg = normalize(make_config(unit_simplex(2), [((1, 0), 0)]), "min_zero")
     with pytest.raises(InsufficientSamples):

@@ -1,6 +1,7 @@
 """Config layer: validation, Cayley polytopes, normalization, smoothing."""
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -82,6 +83,25 @@ def test_min_and_average():
     assert g.min_over_domain() == F(1, 2)
     assert g.max_over_domain() == 1
     assert g.average() == F(3, 4)
+
+
+def test_mean_is_never_stale():
+    """The mean is integrated once per function; shifted, scaled and
+    replace build new functions that never carry the old one."""
+    g = pl_fn(box(2), [((1, 0), 0), ((0, 1), F(1, 4))])
+    mean = g.average()
+    assert mean == integrate(g.domain, g) / volume_data(g.domain).volume
+    assert g.shifted(1).average() == mean + 1
+    assert g.scaled(2).average() == 2 * mean
+    assert replace(g, pieces=g.shifted(-mean).pieces).average() == 0
+    assert g.average() == mean
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_min_reads_each_cell_with_its_own_piece(seed):
+    g = random_config(random.Random(seed)).g
+    assert g.min_over_domain() == min(
+        g(v) for cell in g.regions() for v in cell.vertices)
 
 
 def test_normalize_min_zero():

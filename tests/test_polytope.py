@@ -1,5 +1,6 @@
 """Exact-kernel tests: construction, measures, integration, mixed volumes."""
 import itertools
+import math
 import random
 from fractions import Fraction
 from functools import cmp_to_key
@@ -82,7 +83,7 @@ def test_cube_measures():
 
 
 def test_tesseract_measures():
-    # exercises the shadow measure of facets used for four-dimensional
+    # facets triangulated in dimension 3, as for four-dimensional
     # Cayley polytopes
     vd = volume_data(box(4))
     assert vd.volume == 1
@@ -306,8 +307,9 @@ def _assert_matches_reference(halfspaces):
 @pytest.mark.parametrize("seed", range(40))
 def test_construct_matches_reference_on_seeded_configs(seed, monkeypatch):
     """Every halfspace system built for a seeded configuration: its
-    base, maximality cells and Cayley polytope, and per base vertex the
-    chopped base, its cells and its chopped Cayley polytope."""
+    base and Cayley polytope, and per base vertex its chopped Cayley
+    polytope.  The chops and the cells are cuts, checked against
+    construct by test_clip_matches_construct_on_seeded_chops."""
     calls = []
     real = polytope.construct
 
@@ -332,7 +334,7 @@ def test_construct_matches_reference_on_seeded_configs(seed, monkeypatch):
 
 
 def _reference_facet_cycle(points, normal):
-    """The Fraction comparator sort that _order_facet_cycle replaced:
+    """Cyclic order of a convex facet polygon by a Fraction comparator:
     every comparison recomputes the offsets from the centroid."""
     drop = max(range(len(normal)), key=lambda i: abs(normal[i]))
     flat = [tuple(p[i] for i in range(len(p)) if i != drop) for p in points]
@@ -357,23 +359,183 @@ def _reference_facet_cycle(points, normal):
     return [points[i] for i in sorted(range(len(points)), key=cmp_to_key(cmp))]
 
 
-def test_facet_cycle_matches_fraction_comparator():
-    """Same cyclic order as the Fraction comparator on every 3D facet of
-    40 seeded Cayley polytopes, for the stored and a shuffled order."""
-    checked = 0
-    for seed in range(40):
-        cayley = random_config(random.Random(seed), "min_zero").cayley
-        if cayley.dim != 3:
+def _reference_facet_measure(points, normal):
+    """(sigma, centroid) of a flat facet: a Fraction fan of simplices up
+    to dimension 3, polygons in _reference_facet_cycle order; above, the
+    hull of the shadow that drops the coordinate i of the largest
+    |normal_i|, with sigma = vol(shadow) / |normal_i|."""
+    n = len(normal)
+    if n > 3:
+        i = max(range(n), key=lambda j: abs(normal[j]))
+        vd = _reference_volume_data(polytope._construct_from_vertices(
+            [p[:i] + p[i + 1:] for p in points]))
+        c = vd.barycenter
+        lift = (polytope.dot(normal, points[0])
+                - polytope.dot(normal[:i] + normal[i + 1:], c)) / normal[i]
+        return vd.volume / abs(normal[i]), c[:i] + (lift,) + c[i:]
+    if n == 3:
+        points = _reference_facet_cycle(points, normal)
+    sigma, moment = F(0), [F(0)] * n
+    for k in range(1, len(points) - n + 2):
+        simplex = (points[0],) + tuple(points[k:k + n - 1])
+        rows = [tuple(a - b for a, b in zip(p, simplex[0]))
+                for p in simplex[1:]]
+        m = F(abs(polytope._det(rows + [normal])),
+              math.factorial(n - 1) * polytope.dot(normal, normal))
+        sigma += m
+        for j in range(n):
+            moment[j] += m * sum(p[j] for p in simplex) / n
+    return sigma, tuple(x / sigma for x in moment)
+
+
+def _reference_volume_data(poly):
+    """The Fraction fan that the integer pulling pass replaced: each
+    facet measured by _reference_facet_measure, then the first vertex
+    coned over every facet."""
+    n, v0 = poly.dim, poly.vertices[0]
+    vol, moment, sigmas, centroids = F(0), [F(0)] * n, [], []
+    for h, fv in zip(poly.halfspaces, poly.facet_vertices):
+        sigma, centroid = _reference_facet_measure(
+            [poly.vertices[i] for i in fv], h.normal)
+        sigmas.append(sigma)
+        centroids.append(centroid)
+        cone = h.slack(v0) * sigma / n
+        vol += cone
+        for j in range(n):
+            moment[j] += cone * (v0[j] + n * centroid[j]) / (n + 1)
+    return polytope.VolumeData(
+        volume=vol, boundary_sigma_volume=sum(sigmas),
+        barycenter=tuple(x / vol for x in moment),
+        per_facet_sigma=tuple(sigmas), facet_barycenters=tuple(centroids))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_volume_data_matches_reference_on_seeded_configs(seed):
+    """The polytopes of test_construct_matches_reference_on_seeded_configs:
+    base, cells and Cayley polytope, and per base vertex the chopped
+    base, its cells and its chopped Cayley polytope."""
+    cfg = random_config(random.Random(seed), normalized="min_zero")
+    polys = [cfg.base, cfg.cayley, *cfg.g.regions()]
+    for v in cfg.base.vertices:
+        try:
+            chopped = corner_chop(cfg.base, v, F(1, 8))
+        except ChopTooLarge:
             continue
-        rng = random.Random(seed)
-        for h, fv in zip(cayley.halfspaces, cayley.facet_vertices):
-            points = [cayley.vertices[i] for i in fv]
-            for _ in range(2):
-                assert polytope._order_facet_cycle(points, h.normal) == \
-                    _reference_facet_cycle(points, h.normal)
-                rng.shuffle(points)
-            checked += 1
-    assert checked > 100
+        cfg_e = make_config(chopped, cfg.g.restricted_to(chopped), cfg.shift)
+        polys += [chopped, cfg_e.cayley, *cfg_e.g.regions()]
+    for p in polys:
+        assert volume_data(p) == _reference_volume_data(p)
+
+
+def test_volume_data_matches_reference_in_three_and_four_dimensions():
+    base = box(3)
+    cayley = make_config(base, [((1, 0, 0), 0), ((0, 1, 1), F(-1, 2))]).cayley
+    assert cayley.dim == 4
+    for p in (box(3), box(4), unit_simplex(3),
+              corner_chop(box(3), (1, 1, 1), F(1, 3)), cayley):
+        assert volume_data(p) == _reference_volume_data(p)
+
+
+def _chop_halfspace(poly, i, eps):
+    """The cut of corner_chop at vertex i and depth eps, unchecked."""
+    ks = poly.vertex_facets(i)
+    w = tuple(sum(poly.halfspaces[k].normal[j] for k in ks)
+              for j in range(poly.dim))
+    return Halfspace(w, polytope.dot(w, poly.vertices[i]) - eps)
+
+
+def _assert_clip_matches_construct(poly, h):
+    """_clip(poly, h) is construct's polytope, or None where construct
+    finds the cut empty or lower-dimensional."""
+    try:
+        want = construct(halfspaces=poly.halfspaces + (h,))
+    except (InconsistentInput, DegenerateInput):
+        assert polytope._clip(poly, h) is None
+        return None
+    assert polytope._clip(poly, h) == want
+    return want
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_clip_matches_construct_on_seeded_chops(seed):
+    """The cut at every Delzant vertex of a seeded base, at depths 1/8
+    and 1/100, against the base and each maximality cell, whether or not
+    the cut stays inside one corner; and each cell, a sequence of cuts,
+    against construct on the base's and the separating halfspaces."""
+    cfg = random_config(random.Random(seed))
+    pieces = cfg.g.pieces
+    for p, cell in zip(pieces, cfg.g.regions()):
+        separators = tuple(Halfspace.make(
+            tuple(a - b for a, b in zip(q.gradient, p.gradient)),
+            p.constant - q.constant) for q in pieces if q is not p)
+        assert cell == construct(halfspaces=cfg.base.halfspaces + separators)
+    for i, v in enumerate(cfg.base.vertices):
+        if not cfg.base.is_delzant_vertex(i):
+            continue
+        for eps in (F(1, 8), F(1, 100)):
+            h = _chop_halfspace(cfg.base, i, eps)
+            want = _assert_clip_matches_construct(cfg.base, h)
+            try:
+                assert corner_chop(cfg.base, v, eps) == want
+            except ChopTooLarge:
+                pass
+            for cell in cfg.g.regions():
+                _assert_clip_matches_construct(cell, h)
+
+
+def test_clip_replaces_a_facet_of_the_same_normal():
+    """The interval chop's cut has the normal of the facet it cuts."""
+    p = interval(0, 1)
+    h = Halfspace((1,), F(3, 4))
+    assert _assert_clip_matches_construct(p, h).halfspaces == (
+        Halfspace((-1,), F(0)), h)
+    assert corner_chop(p, (1,), F(1, 4)) == polytope._clip(p, h)
+
+
+def test_clip_edge_cases():
+    """A cut that misses or only touches the polytope returns it; one
+    through vertices keeps them on the new facet; one that leaves a face
+    or nothing returns None."""
+    square = box(2)
+    for h in (Halfspace((1, 1), F(3)), Halfspace((1, 1), F(2)),
+              Halfspace((1, 0), F(1))):
+        assert polytope._clip(square, h) is square
+        assert _assert_clip_matches_construct(square, h) == square
+    assert _assert_clip_matches_construct(
+        square, Halfspace((1, 1), F(1))) == unit_simplex(2)
+    for h in (Halfspace((1, 1), F(0)), Halfspace((1, 1), F(-1))):
+        assert _assert_clip_matches_construct(square, h) is None
+    h = Halfspace((1, 1, 1), F(2))
+    cut = _assert_clip_matches_construct(box(3), h)
+    assert {cut.vertices[i] for i in cut.facet_vertices[
+        cut.halfspaces.index(h)]} == {(F(1), F(1), F(0)), (F(1), F(0), F(1)),
+                                      (F(0), F(1), F(1))}
+
+
+@pytest.mark.parametrize("base, vertex, pieces, depths", [
+    (interval(0, 1), (1,), [((-1,), 0), ((1,), F(-3, 4))],
+     (F(5, 8), F(3, 4))),
+    (box(2), (1, 1), [((0, 0), 0), ((1, 1), F(-3, 2))], (F(1, 2), F(3, 4))),
+])
+def test_restriction_drops_an_emptied_cell_as_regions_of_max(
+        base, vertex, pieces, depths):
+    """A chop that leaves a cell only a face of it, or nothing: the
+    restriction drops that piece, exactly as regions_of_max does."""
+    g = pl_fn(base, pieces)
+    for eps in depths:
+        sub = corner_chop(base, vertex, eps)
+        fresh = regions_of_max(sub, [(p.gradient, p.constant)
+                                     for p in g.pieces])
+        assert fresh[1] is None
+        restricted = g.restricted_to(sub)
+        assert restricted.pieces == g.pieces[:1]
+        assert restricted.regions() == (fresh[0],)
+
+
+def test_restriction_outside_the_domain_rejected():
+    g = pl_fn(interval(0, 1), [((1,), 0)])
+    with pytest.raises(DomainMismatch):
+        g.restricted_to(interval(0, 2))
 
 
 @pytest.mark.parametrize("halfspaces", [
