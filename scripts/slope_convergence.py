@@ -6,6 +6,7 @@ against the exact invariant.  Short prefixes that fall under the
 estimator's sample floor are reported as such rather than padded.
 
     python3 scripts/slope_convergence.py --config kink --theorem DF
+    python3 scripts/slope_convergence.py --config square_max --theorem DF
 """
 import argparse
 from fractions import Fraction
@@ -21,6 +22,8 @@ CONFIGS = {
     "kink": lambda: make_config(
         interval(0, 1), [((F(1),), F(0)), ((F(-1),), F(1))]),
     "square": lambda: make_config(box(2), [((F(1), F(0)), F(0))]),
+    "square_max": lambda: make_config(
+        box(2), [((F(1), F(0)), F(0)), ((F(0), F(1)), F(0))]),
 }
 
 

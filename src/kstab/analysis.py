@@ -4,15 +4,13 @@ Everything numeric lives downstream of three ingredients built here:
 
   * the Guillemin symplectic potential of a Delzant polytope and its
     exact Hessian field,
-  * deterministic quadrature grids with geometric grading: the collar
-    depth follows the largest tau the grid serves (the transported
-    volume forms concentrate mass in an exp(-2*tau) collar near the
-    boundary).  In 2D the radial mesh is geometric, with every second
-    dyadic level past 2^-8 and a higher Gauss order away from the
-    facet, so the inverse-transported frame resolves that layer; the
-    along-edge depth follows the distance to the facet, min(depth,
-    k + 2) at 2^-k, since such a node is at least as far from the
-    adjacent facets (see fan_grid),
+  * deterministic quadrature grids with geometric grading, one per
+    cell of g (a one-piece g has the one cell P): at the facets of P
+    the collar depth follows the largest tau the grid serves (the
+    transported volume forms concentrate mass in an exp(-2*tau) collar
+    near the boundary), at a crease the depth follows the smoothing
+    (line_grid; a polygon cell's fan takes the collar depth on every
+    edge, see fan_grid),
   * the inverse Legendre transport of u0, the point x where
     grad u0(x) = xi.  On a simplex-product base (the interval, Delzant
     triangles and parallelograms; SimplexProduct) it is closed-form in
@@ -220,59 +218,42 @@ def _gauss_panel(a: float, b: float, order: int):
     return mid + half * x, half * w
 
 
-def _graded_breaks(depth: int):
-    """Dyadic breakpoints of [0,1] accumulating at both endpoints."""
+def _graded_breaks(depth: int, upper: int):
+    """Dyadic breakpoints of [0,1], down to 2^-depth at 0, 2^-upper at 1."""
     left = [0.5 ** k for k in range(depth, 1, -1)]
-    right = [1.0 - 0.5 ** k for k in range(2, depth + 1)]
+    right = [1.0 - 0.5 ** k for k in range(2, upper + 1)]
     return [0.0] + left + [0.5] + right + [1.0]
 
 
-def _panel_nodes(breaks, inner_order, graded_order, windows=()):
-    """Gauss nodes and weights over the panels between breaks: order
-    inner_order inside [0.25, 0.75] and on every panel whose midpoint
-    lies in one of the (centre, half-width) windows, graded_order
-    elsewhere."""
+def _panel_nodes(breaks, orders):
+    """Gauss nodes and weights over the panels between breaks, with the
+    orders (below 1/4, on [1/4, 3/4], above 3/4)."""
     xs, ws = [], []
     for a, b in zip(breaks[:-1], breaks[1:]):
-        inner = (a >= 0.25 and b <= 0.75) or any(
-            abs(0.5 * (a + b) - c) < r for c, r in windows)
-        order = inner_order if inner else graded_order
-        x, w = _gauss_panel(a, b, order)
+        x, w = _gauss_panel(a, b, orders[(a >= 0.25) + (a >= 0.75)])
         xs.append(x)
         ws.append(w)
     return np.concatenate(xs), np.concatenate(ws)
 
 
-def line_grid(base: Polytope, depth: int, creases=(), graded_order: int = 8,
-              crease_depth: int = 8) -> Grid:
-    """Graded Gauss panels on an interval, refined at supplied crease points.
+def line_grid(lo, hi, depths, crease_depth: int,
+              graded_order: int = 8) -> Grid:
+    """Graded Gauss panels on the exact [lo, hi]: an interval cell of g,
+    or a stretch of an edge between two creases of g.
 
-    Around each crease the panels grade dyadically from a 0.08-wide
-    window down to 0.08 * 2^-crease_depth, and every panel of the window
-    takes the inner Gauss order 16, even near a facet.  Transported-coordinate
-    integrands sweep across a kink of g on a scale ~ 1/(beta * tau), so
-    callers size crease_depth from the smoothing schedule; the fixed
-    window is enough for the curvature spike itself, whose width is
-    ~ 1/beta with only the amplitude growing along the ray.
-    """
-    a = float(base.vertices[0][0])
-    b = float(base.vertices[-1][0])
-    span = b - a
-    breaks = set(_graded_breaks(depth))
-    ladder = [0.0] + [0.08 * 0.5 ** k for k in range(crease_depth + 1)]
-    centres = [(float(c) - a) / span for c in creases]
-    for t in centres:
-        for off in ladder:
-            for s in (-1.0, 1.0):
-                if 1e-9 < t + s * off < 1 - 1e-9:
-                    breaks.add(t + s * off)
-    bs = sorted(breaks)
-    merged = [bs[0]]
-    for t in bs[1:]:
-        if t - merged[-1] > 1e-14:
-            merged.append(t)
-    x, w = _panel_nodes(merged, 16, graded_order,
-                        windows=[(t, ladder[1]) for t in centres])
+    depths holds, per end, its collar depth on a facet of P or None at a
+    crease.  The breaks halve toward each end: to 2^-depth of the span
+    at a facet; at a crease to a panel of at most 0.08 * 2^-crease_depth,
+    as transported integrands sweep across a kink on a scale 1/(beta tau),
+    with Gauss order 16 on its half.  The inner half [1/4, 3/4] takes
+    order 16 too, the rest of a facet end's half graded_order."""
+    # a crease end: the least k >= 2 with span 2^-k <= 0.08 * 2^-crease_depth
+    need = math.ceil((hi - lo) * 25 * 2 ** crease_depth / 2)  # 0.08 = 2/25
+    levels = [max(2, (need - 1).bit_length()) if d is None else d
+              for d in depths]
+    lower, upper = (16 if d is None else graded_order for d in depths)
+    x, w = _panel_nodes(_graded_breaks(*levels), (lower, 16, upper))
+    a, span = float(lo), float(hi) - float(lo)
     return Grid(points=(a + span * x)[:, None], weights=span * w)
 
 
@@ -302,7 +283,8 @@ def fan_grid(base: Polytope, depth: int, inner_order: int = 12,
          10 if k <= depth - 10 else graded_order, k)
         for j, k in zip(levels, levels[1:])]
     panels.append((1.0 - 0.5 ** depth, 1.0, graded_order, depth))
-    s_rules = {d: _panel_nodes(_graded_breaks(d), inner_order, graded_order)
+    s_rules = {d: _panel_nodes(_graded_breaks(d, d),
+                               (graded_order, inner_order, graded_order))
                for d in range(min(3, depth), depth + 1)}
     blocks = []
     for a, b, order, k in panels:
@@ -324,34 +306,40 @@ def fan_grid(base: Polytope, depth: int, inner_order: int = 12,
     return Grid(points=np.concatenate(pts_all), weights=np.concatenate(w_all))
 
 
-def build_grid(base: Polytope, depth: int, creases=(), **orders) -> Grid:
+def _cell_grid(g: PLConvexFn, depth: int, crease_depth: int,
+               graded_order: int, fan_orders) -> Grid:
+    """line_grid or fan_grid on each cell of g (its exact regions),
+    joined; a one-piece g has one cell, P itself."""
+    base = g.domain
     if base.dim == 1:
-        return line_grid(base, depth, creases=creases, **orders)
-    if base.dim == 2:
-        return fan_grid(base, depth, **orders)
-    raise NonDelzant("analysis grids implemented for dimensions 1 and 2")
+        grids = [line_grid(lo, hi, [depth if (t,) in base.vertices else None
+                                    for t in (lo, hi)],
+                           crease_depth, graded_order)
+                 for lo, hi in (sorted(v[0] for v in cell.vertices)
+                                for cell in g.regions())]
+    elif base.dim == 2:
+        grids = [fan_grid(cell, depth, *fan_orders) for cell in g.regions()]
+    else:
+        raise NonDelzant("analysis grids implemented for dimensions 1 and 2")
+    if len(grids) == 1:
+        return grids[0]
+    return Grid(*map(np.concatenate, zip(*((grid.points, grid.weights)
+                                           for grid in grids))))
 
 
-def bulk_grid(base: Polytope, creases=(), crease_depth: int = 8) -> Grid:
+def build_grid(g: PLConvexFn, depth: int, crease_depth: int = 8) -> Grid:
+    """A ray's transport grid: collar depth at the facets of P."""
+    return _cell_grid(g, depth, crease_depth, 8, (12, 4))
+
+
+def bulk_grid(g: PLConvexFn, crease_depth: int = 8) -> Grid:
     """Coarse interior grid for curvature quadrature (no deep collar).
 
     Crease refinement matters here: the scalar curvature of a smoothed
     potential has a spike of width ~1/beta at each kink of g, and the
-    split panels keep plain Gauss panels from averaging over it.
+    cell panels keep plain Gauss panels from averaging over it.
     """
-    if base.dim == 1:
-        return line_grid(base, depth=8, creases=creases, graded_order=10,
-                         crease_depth=crease_depth)
-    return fan_grid(base, depth=8, inner_order=16, graded_order=6)
-
-
-def crease_points(g: PLConvexFn):
-    """Interior crease abscissae of a one-dimensional PL function."""
-    if g.domain.dim != 1:
-        return ()
-    ends = {v[0] for v in g.domain.vertices}
-    return tuple(sorted({v[0] for sub in g.regions() for v in sub.vertices}
-                        - ends))
+    return _cell_grid(g, 8, crease_depth, 10, (16, 6))
 
 
 def crease_ladder_depth(beta: float, tau_max: float) -> int:
@@ -701,6 +689,12 @@ def _unimodular_inverse(rows):
     return np.rint(np.linalg.inv(np.array(rows, dtype=float)))
 
 
+def _log(q) -> float:
+    """log of a positive rational from its exact numerator and
+    denominator: no float of q, which may overflow or round to 0."""
+    return math.log(q.numerator) - math.log(q.denominator)
+
+
 @lru_cache(maxsize=64)
 def simplex_product(base: Polytope) -> SimplexProduct | None:
     """The simplex-product structure of base, or None if it has none;
@@ -731,8 +725,8 @@ def simplex_product(base: Polytope) -> SimplexProduct | None:
     for block, total in zip(blocks, sums):
         for k, l in combinations(block, 2):
             pairs.append((k, l))
-            g0_coef.append(math.log(2 / total))
-            ricci_coef.append(math.log(2 * len(block) / total ** 2))
+            g0_coef.append(_log(2 / total))
+            ricci_coef.append(_log(2 * len(block) / total ** 2))
     w = np.array([0.5 * (ratio_map[:, k] - ratio_map[:, l])
                   for k, l in pairs])
     # one chart per choice of dropped facet, in the mixed radix of point()
@@ -744,7 +738,7 @@ def simplex_product(base: Polytope) -> SimplexProduct | None:
         offsets=np.array([float(c) for c in offsets]),
         blocks=tuple(np.array(b) for b in blocks),
         ratio_map=ratio_map,
-        log_sums=np.log([float(s) for s in sums]),
+        log_sums=np.array([_log(s) for s in sums]),
         pairs=tuple(np.array(c) for c in zip(*pairs)),
         pair_outer=(w[:, :, None] * w[:, None, :]).reshape(len(pairs), -1),
         g0_coef=np.array(g0_coef), ricci_coef=np.array(ricci_coef),
@@ -815,10 +809,8 @@ class Ray:
         self.u0 = guillemin_potential(cfg.base)
         self.frame = simplex_product(cfg.base)
         self.smooth = SmoothedPL.from_fn(cfg.g, beta)
-        orders = {"crease_depth": crease_ladder_depth(beta, tau_max)} \
-            if cfg.base.dim == 1 else {}
-        self.grid = build_grid(cfg.base, collar_depth_for(tau_max),
-                               creases=crease_points(cfg.g), **orders)
+        self.grid = build_grid(cfg.g, collar_depth_for(tau_max),
+                               crease_ladder_depth(beta, tau_max))
         pts = self.grid.points
         self.h0 = self.u0.hessian(pts)
         self.xi = self.u0.gradient(pts)

@@ -86,11 +86,12 @@ class _ParseFailure(Exception):
 
 
 def _rational(blob, what: str) -> Fraction:
-    """An exact rational that float64 can also hold: the numeric layers
-    read every input as a float."""
+    """An exact rational that float64 can also hold, neither overflowing
+    nor rounding to 0: the numeric layers read every input as a float."""
     try:
         value = Fraction(str(blob))
-        float(value)
+        if value and not float(value):
+            raise ValidationError(f"{what}: {blob!r} is too small for float64")
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"{what}: {blob!r} is not a rational") from exc
     except OverflowError as exc:
@@ -502,7 +503,7 @@ def run_scenario(path, out_dir=None, tau_max=None, seed=None) -> int:
     except ValidationError as exc:
         print(f"invalid scenario: {path}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except NumericalFailure as exc:
+    except (NumericalFailure, OverflowError) as exc:  # float(huge Fraction)
         print(f"numerical failure: {path}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -38,7 +38,7 @@ from .analysis import (Ray, RayState, _inv_small, _log1p_det,
                        newton_transport, ricci_reference, simplex_product)
 from .errors import MissingAlpha, NormalizationRequired, RouteMismatch
 from .invariants import l1_norm, slope_mu
-from .polytope import Polytope, dot, interval, volume_data
+from .polytope import Polytope, dot, volume_data
 
 PATH_REL_TOL = 1e-7
 PATH_MAX_DEPTH = 26
@@ -235,21 +235,23 @@ class MabuchiReport:
 
 def _facet_mean(ray: Ray, facet, ends):
     """Mean of g_beta over the facet with vertices ends, and an error
-    estimate: the vertex value in 1D; in 2D a Gauss rule on the edge's
-    [0, 1] parameter graded at every cell vertex of g on it, corners too,
-    and its change on the rule graded two crease levels less."""
+    estimate: the vertex value in 1D; in 2D Gauss panels on the edge's
+    [0, 1] parameter, cut at every cell vertex of g on it, each stretch
+    graded toward both ends as a crease end of line_grid (corners too),
+    and its change on the panels graded two crease levels less."""
     if len(ends) == 1:
         return float(ray.smooth.value(np.array(ends, dtype=float))[0]), 0.0
     p, d = ends[0], [b - a for a, b in zip(*ends)]
-    creases = {dot([x - a for x, a in zip(v, p)], d) / dot(d, d)
-               for cell in ray.cfg.g.regions() for v in cell.vertices
-               if facet.slack(v) == 0}
+    cuts = sorted({dot([x - a for x, a in zip(v, p)], d) / dot(d, d)
+                   for cell in ray.cfg.g.regions() for v in cell.vertices
+                   if facet.slack(v) == 0})
     depth = crease_ladder_depth(ray.smooth.beta, 1.0)
     start, step = (np.array(c, dtype=float) for c in (p, d))
     fine, coarse = (
-        rule.integrate(ray.smooth.value(start + rule.points * step))
-        for rule in (line_grid(interval(0, 1), 2, creases=creases,
-                               crease_depth=k) for k in (depth, depth - 2)))
+        sum(rule.integrate(ray.smooth.value(start + rule.points * step))
+            for rule in (line_grid(a, b, (None, None), k)
+                         for a, b in zip(cuts, cuts[1:])))
+        for k in (depth, depth - 2))
     return fine, abs(fine - coarse)
 
 

@@ -342,6 +342,9 @@ def verify_theorem(cfg: ToricTestConfig, theorem: str,
         energies = ()
         est = estimate_limit_value(trace)
     else:
+        # every energy integrates g over P in float64
+        if integrate(ncfg.base, ncfg.g) > np.finfo(float).max:
+            raise NumericalFailure(f"{name}: integral of g beyond float64")
         rows = ladder(ncfg, schedule, lambda ray, t: _energy_row(
             ray, t, name, alpha, float(gamma)))
         trace = tuple(r[:3] for r in rows)

@@ -35,6 +35,11 @@ def random_fraction(rng: random.Random, span=2, denom=4):
     return F(rng.randrange(-span * denom, span * denom + 1), denom)
 
 
+def flat(base):
+    """g = 0 on base: one cell, P itself, as the grids see an affine g."""
+    return pl_fn(base, [(tuple(F(0) for _ in range(base.dim)), F(0))])
+
+
 def random_pl(rng: random.Random, base, max_pieces=3):
     dim = base.dim
     for _ in range(30):
@@ -45,7 +50,7 @@ def random_pl(rng: random.Random, base, max_pieces=3):
             return pl_fn(base, pieces)
         except NotConvex:
             continue
-    return pl_fn(base, [(tuple(F(0) for _ in range(dim)), F(0))])
+    return flat(base)
 
 
 def random_config(rng: random.Random, normalized=None):

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from gens import random_config, random_fraction, random_pl
+from gens import flat, random_config, random_fraction, random_pl
 from kstab.analysis import (KAPPA, abreu_scalar_curvature, bulk_grid,
                             guillemin_potential)
 from kstab.invariants import (
@@ -233,7 +233,7 @@ def test_criterion_12_curvature_calibration():
     assert np.max(np.abs(raw - 4.0)) < 1e-7
     for base, n_mu in ((interval(0, 1), 2.0), (box(2), 4.0),
                        (unit_simplex(2), 6.0)):
-        grid = bulk_grid(base)
+        grid = bulk_grid(flat(base))
         s_field = abreu_scalar_curvature(guillemin_potential(base),
                                          grid.points)
         mean = grid.integrate(s_field) / float(volume_data(base).volume)

@@ -23,7 +23,6 @@ from kstab.analysis import (
     bulk_grid,
     collar_depth_for,
     crease_ladder_depth,
-    crease_points,
     fan_grid,
     guillemin_potential,
     line_grid,
@@ -34,9 +33,10 @@ from kstab.analysis import (
     ricci_reference,
     simplex_product,
 )
+from gens import flat
 from kstab.errors import DomainMismatch, NewtonDivergence, NonDelzant
 from kstab.functionals import mixed_discriminant
-from kstab.plconfig import make_config, normalize
+from kstab.plconfig import make_config, normalize, pl_fn
 from kstab.polytope import (box, construct, corner_chop, interval,
                             unit_simplex, volume_data)
 from kstab.slopes import Schedule, _energy_row, ladder
@@ -58,6 +58,9 @@ STEEP = interval_config([((-3,), 0), ((3,), -3)])  # g = max(-3x, 3x - 3)
 SQUARE = normalize(make_config(box(2), [((1, 0), 0)]), "min_zero")  # g = x1
 SQUARE3 = normalize(make_config(box(2), [((1, 0), 0), ((0, 1), 0),
                                          ((-1, -1), 1)]), "min_zero")
+# g = max(1/4 - x, 0, x - 5/8): cells [0, 1/4], [1/4, 5/8], [5/8, 1]
+TWO_CREASES = pl_fn(interval(0, 1), [((-1,), Fraction(1, 4)), ((0,), 0),
+                                     ((1,), Fraction(-5, 8))])
 
 
 # -- Guillemin potential ------------------------------------------------------
@@ -178,7 +181,7 @@ def test_crease_ladder_depth_tracks_schedule():
 @pytest.mark.parametrize("base", [interval(0, 1), interval(-2, 1),
                                   box(2), unit_simplex(2)])
 def test_grid_weights_sum_to_volume(base):
-    grid = build_grid(base, depth=14)
+    grid = build_grid(flat(base), depth=14)
     vol = float(volume_data(base).volume)
     assert abs(grid.integrate(np.ones(grid.size)) - vol) < 1e-12 * vol
     # all nodes strictly interior
@@ -187,10 +190,10 @@ def test_grid_weights_sum_to_volume(base):
 
 
 def test_grid_integrates_polynomials():
-    grid = build_grid(interval(0, 1), depth=12)
+    grid = build_grid(flat(interval(0, 1)), depth=12)
     x = grid.points[:, 0]
     assert abs(grid.integrate(x ** 5) - 1.0 / 6.0) < 1e-13
-    tri = build_grid(unit_simplex(2), depth=12)
+    tri = build_grid(flat(unit_simplex(2)), depth=12)
     xy = tri.points[:, 0] * tri.points[:, 1]
     assert abs(tri.integrate(xy) - 1.0 / 24.0) < 1e-10
 
@@ -208,8 +211,7 @@ def test_gauss_rule_is_cached_leggauss():
 
 def test_grids_match_fresh_leggauss_panels(monkeypatch):
     def build():
-        return [line_grid(interval(0, 1), 46, creases=(0.25, 0.625),
-                          crease_depth=22),
+        return [build_grid(TWO_CREASES, 46, crease_depth=22),
                 fan_grid(box(2), 34), fan_grid(unit_simplex(2), 34)]
 
     def fresh_panel(a, b, order):
@@ -227,8 +229,8 @@ def test_grids_match_fresh_leggauss_panels(monkeypatch):
 def test_transport_and_bulk_grid_node_counts():
     assert fan_grid(box(2), 46).size == 181_440
     assert fan_grid(unit_simplex(2), 46).size == 136_080
-    assert bulk_grid(box(2)).size == 26_560
-    assert bulk_grid(unit_simplex(2)).size == 19_920
+    assert bulk_grid(flat(box(2))).size == 26_560
+    assert bulk_grid(flat(unit_simplex(2))).size == 19_920
 
 
 def radial_panels(depth, inner_order=12, graded_order=4):
@@ -266,8 +268,8 @@ def test_fan_grid_couples_edge_depth_to_radial_level(base, depth):
     t = 1.0 - (offset - pts @ normal) / (offset - bary @ normal)
 
     def edge_nodes(d):
-        breaks = analysis._graded_breaks(d)
-        return len(analysis._panel_nodes(breaks, 12, 4)[0])
+        breaks = analysis._graded_breaks(d, d)
+        return len(analysis._panel_nodes(breaks, (4, 12, 4))[0])
 
     panels = radial_panels(depth)
     if depth == 46:
@@ -288,8 +290,9 @@ def tensor_fan_grid(base, depth, inner_order=12, graded_order=4):
         analysis._gauss_panel(a, b, order)
         for a, b, order, _ in radial_panels(depth, inner_order,
                                             graded_order))))
-    s_breaks = analysis._graded_breaks(depth)
-    sx, sw = analysis._panel_nodes(s_breaks, inner_order, graded_order)
+    s_breaks = analysis._graded_breaks(depth, depth)
+    sx, sw = analysis._panel_nodes(s_breaks, (graded_order, inner_order,
+                                              graded_order))
     pts_all, w_all = [], []
     for k, h in enumerate(base.halfspaces):
         vi, vj = sorted(base.facet_vertices[k])[:2]
@@ -324,29 +327,80 @@ def test_coupled_grid_matches_tensor_grid_rows(monkeypatch):
     coupled = rows()
     monkeypatch.setattr(analysis, "fan_grid", tensor_fan_grid)
     tensor = rows()
-    assert build_grid(box(2), 46).size == 402_432
+    assert build_grid(flat(box(2)), 46).size == 402_432
     assert np.all(np.isfinite(coupled))
     assert np.max(np.abs(coupled - tensor)) < 1e-9
 
 
 def test_crease_ladder_adds_panels():
-    coarse = line_grid(interval(0, 1), depth=10, creases=(0.5,),
-                       crease_depth=8)
-    fine = line_grid(interval(0, 1), depth=10, creases=(0.5,),
-                     crease_depth=14)
+    coarse = line_grid(Fraction(0), Fraction(1, 2), (10, None), 8)
+    fine = line_grid(Fraction(0), Fraction(1, 2), (10, None), 14)
     assert fine.size > coarse.size
-    assert abs(fine.integrate(np.ones(fine.size)) - 1.0) < 1e-12
+    assert abs(fine.integrate(np.ones(fine.size)) - 0.5) < 1e-12
 
 
-def test_crease_points_of_kink():
-    from fractions import Fraction
-    assert crease_points(KINK.g) == (Fraction(1, 2),)
-    assert crease_points(AFFINE.g) == ()
+@pytest.mark.parametrize("crease_depth", [8, 14, 22])
+def test_line_grid_cell_rule(crease_depth):
+    """On the cells [0, 1/4], [1/4, 5/8] and [5/8, 1] of a two-crease g,
+    an end on a facet of P grades to 2^-depth of its cell, with Gauss
+    order 16 on the inner half and order 8 nearer the facet; a crease end
+    grades until its last panel is at most 0.08 * 2^-crease_depth long,
+    but not half that, with order 16 on every panel of its half."""
+    grid = build_grid(TWO_CREASES, 20, crease_depth)
+    x = grid.points[:, 0]
+    assert abs(grid.integrate(np.ones(grid.size)) - 1.0) < 1e-14
+    width = 0.08 * 0.5 ** crease_depth
+    for crease in (0.25, 0.625):
+        gap = np.abs(x - crease).min()
+        nearest = analysis._gauss_rule(16)[0][-1]  # outermost node, in [-1, 1]
+        panel = 2.0 * gap / (1.0 - nearest)
+        assert 0.5 * width < panel * (1 + 1e-9) <= width * (1 + 1e-9)
+    cells = [(0.0, 0.25, (20, None)), (0.25, 0.625, (None, None)),
+             (0.625, 1.0, (None, 20))]
+    for lo, hi, depths in cells:
+        inside = (x > lo) & (x < hi)
+        cell = line_grid(Fraction(lo), Fraction(hi), depths, crease_depth)
+        assert same_bits(np.sort(x[inside]), np.sort(cell.points[:, 0]))
+        if depths[0] is not None:  # the facet at 0: 2^-20 of the cell
+            assert 0.0 < x[inside].min() < 0.25 * 0.5 ** 20
+            near = np.count_nonzero(x[inside] < 0.25 * 0.25)
+            assert near % 8 == 0 and near % 16 != 0
+    assert np.count_nonzero((x > 0.25) & (x < 0.625)) % 16 == 0
+
+
+def test_one_cell_grid_is_the_grid_on_p():
+    """A one-piece g has one cell, P: build_grid is line_grid or fan_grid
+    on P itself, bit for bit."""
+    for base in (interval(-2, 1), box(2)):
+        grid = build_grid(flat(base), 20)
+        ref = fan_grid(base, 20) if base.dim == 2 else line_grid(
+            base.vertices[0][0], base.vertices[-1][0], (20, 20), 8)
+        assert same_bits(grid.points, ref.points)
+        assert same_bits(grid.weights, ref.weights)
+
+
+@pytest.mark.parametrize("cfg", [SQUARE3, normalize(make_config(
+    unit_simplex(2), [((1, 0), 0), ((0, 1), 0)]), "min_zero")],
+    ids=["square3", "simplex-max"])
+def test_polygon_grid_is_one_fan_per_cell(cfg):
+    """In 2D the grid joins one fan per cell of g, every edge at the
+    collar depth, and integrates the volume of each cell."""
+    grid = build_grid(cfg.g, 20)
+    cells = cfg.g.regions()
+    fans = [fan_grid(cell, 20) for cell in cells]
+    assert grid.size == sum(f.size for f in fans)
+    assert same_bits(grid.points, np.concatenate([f.points for f in fans]))
+    start = 0
+    for cell, fan in zip(cells, fans):
+        weights = grid.weights[start:start + fan.size]
+        start += fan.size
+        vol = float(volume_data(cell).volume)
+        assert abs(weights.sum() - vol) < 1e-13
 
 
 def test_rejects_unsupported_dimension():
     with pytest.raises(NonDelzant):
-        build_grid(box(3), depth=8)
+        build_grid(flat(box(3)), depth=8)
 
 
 # -- Newton transport ---------------------------------------------------------
@@ -579,15 +633,20 @@ def test_inverse_transport_inverts_forward():
 @pytest.mark.parametrize("cfg", [KINK, STEEP], ids=["kink", "steep"])
 @pytest.mark.parametrize("tau", [1.0, 4.0, 12.0])
 def test_interval_slacks_match_newton(cfg, tau):
-    """The closed-form slacks at x are those of a Newton solve of
-    grad u0(x) = xi + tau * grad g_beta, to 1e-8 relative wherever the
-    solve resolves them (slack above 1e-8); below, Newton's x sits on
-    the float spacing and the closed form keeps the digits."""
+    """The closed-form slacks at x solve grad u0(x) = xi + tau * grad
+    g_beta to 1e-8 relative wherever the slack is above 1e-8, against
+    the solve in 50 digits: on [0, 1] the equation reads
+    (1/2) log(x / (1 - x)) = t, so the slack of the facet with normal nu
+    is 1 / (1 + e^(2 nu t)).  A float Newton solve of the same targets
+    stops a few ulps of x short, 3e-8 relative at slack 1e-8, so it is
+    no reference there; below 1e-8 the closed form keeps the digits."""
+    mpmath = pytest.importorskip("mpmath")
     ray = Ray(cfg, beta=10.0 * tau, tau_max=tau)
     log_ell = ray.state(tau).log_slacks
-    z, _ = newton_transport(ray.u0, ray.xi + tau * ray.g_grad,
-                            ray.grid.points)
-    ell = ray.u0.slacks(z)
+    targets = (ray.xi + tau * ray.g_grad)[:, 0]
+    with mpmath.workdps(50):
+        ell = np.array([[float(1 / (1 + mpmath.exp(2 * nu * mpmath.mpf(t))))
+                         for nu in ray.u0.normals[:, 0]] for t in targets])
     ok = ell > 1e-8
     assert ok.sum() > 0.5 * ok.size
     assert np.max(np.abs(np.exp(log_ell[ok]) / ell[ok] - 1.0)) < 1e-8
@@ -873,7 +932,7 @@ def test_abreu_interval_raw_and_calibrated():
 ])
 def test_mean_curvature_equals_n_mu(base, n_mu):
     u0 = guillemin_potential(base)
-    grid = bulk_grid(base)
+    grid = bulk_grid(flat(base))
     s_field = abreu_scalar_curvature(u0, grid.points)
     mean = grid.integrate(s_field) / float(volume_data(base).volume)
     assert abs(mean - n_mu) < 1e-10 * n_mu
@@ -935,7 +994,7 @@ def test_curvature_consistency_identity(base):
     Abreu's formula, two closed forms assembled differently, on every
     node of the bulk grid, collar included (slacks down to 4e-5)."""
     u0 = guillemin_potential(base)
-    pts = bulk_grid(base).points
+    pts = bulk_grid(flat(base)).points
     s_abreu = abreu_scalar_curvature(u0, pts)
     ric = ricci_reference(u0, pts)
     hess = u0.hessian(pts)
@@ -951,21 +1010,22 @@ _D2 = ((-1 / 12, -2.0), (16 / 12, -1.0), (-30 / 12, 0.0), (16 / 12, 1.0),
 
 def _abreu_by_differences(potential, pts, h):
     """-kappa sum_jk d_j d_k (H^-1)_jk by 4th-order central differences
-    with per-node step h."""
+    with per-node, per-axis steps h."""
     def inv_hess(j, k, shift_j, shift_k=0.0):
         z = pts.copy()
-        z[:, j] += shift_j * h
-        z[:, k] += shift_k * h
+        z[:, j] += shift_j * h[:, j]
+        z[:, k] += shift_k * h[:, k]
         return _inv_small(potential.hessian(z))[:, j, k]
 
     dim = pts.shape[1]
     total = np.zeros(len(pts))
     for j in range(dim):
-        total += sum(c * inv_hess(j, j, o) for c, o in _D2)
+        total += sum(c * inv_hess(j, j, o) for c, o in _D2) / h[:, j] ** 2
         for k in range(j + 1, dim):
             total += 2.0 * sum(cj * ck * inv_hess(j, k, oj, ok)
-                               for cj, oj in _D1 for ck, ok in _D1)
-    return -KAPPA * total / h ** 2
+                               for cj, oj in _D1 for ck, ok in _D1) \
+                / (h[:, j] * h[:, k])
+    return -KAPPA * total
 
 
 @pytest.mark.parametrize("cfg,beta,s", [
@@ -978,17 +1038,23 @@ def _abreu_by_differences(potential, pts, h):
         "square3-beta40"])
 def test_abreu_pl_terms_match_differences(cfg, beta, s):
     """The softmax-cumulant terms of Abreu's formula against differences
-    of the inverse Hessian on every node of the crease-refined bulk grid.
-    The step stays inside one crease feature (1/(64 beta)) and inside
-    the polytope; the gap left is the stencil's own error, largest
-    (about 6e-6) on the collar nodes of the square at beta = 40."""
+    of the inverse Hessian on every node of the bulk grid, built on the
+    cells of g.  The step along each axis stays inside one crease feature
+    (1/(64 beta)) and inside the polytope, limited by the facets that
+    axis crosses: a node deep in one facet's collar keeps a wide step
+    along that facet, where a step shrunk to the collar would leave
+    rounding of order eps / h^2.  The gap left is the stencil's own
+    error, largest (about 6e-6) on the collar nodes of the square at
+    beta = 40."""
     u0 = guillemin_potential(cfg.base)
     pot = ShiftedPotential(u0, SmoothedPL.from_fn(cfg.g, beta), s)
-    pts = bulk_grid(cfg.base, creases=crease_points(cfg.g),
-                    crease_depth=crease_ladder_depth(beta, 1.0)).points
+    pts = bulk_grid(cfg.g, crease_ladder_depth(beta, 1.0)).points
     reach = np.abs(u0.normals).sum(axis=1).max()
-    h = np.minimum(np.minimum(1e-3, 0.15 * u0.slacks(pts).min(axis=1) / reach),
-                   1.0 / (64.0 * beta))
+    slacks = u0.slacks(pts)
+    h = np.column_stack([
+        np.minimum(np.minimum(1e-3, 0.15 * slacks[:, axis != 0].min(axis=1)
+                              / reach), 1.0 / (64.0 * beta))
+        for axis in u0.normals.T])
     exact = abreu_scalar_curvature(pot, pts)
     ref = _abreu_by_differences(pot, pts, h)
     gap = np.abs(exact - ref) / (1.0 + np.abs(ref))

@@ -15,8 +15,8 @@ import kstab
 from kstab import slopes
 from kstab.analysis import Ray
 from kstab.cli import (EXIT_NUMERIC, EXIT_PARSE, EXIT_PASS, EXIT_VALIDATION,
-                       EXIT_VERDICT_FAIL, bundled_scenarios, emit_outputs,
-                       main, run_scenario)
+                       EXIT_VERDICT_FAIL, bundled_scenarios, check_suite,
+                       emit_outputs, main, run_scenario)
 
 KINK = {
     "schema": "kstab-scenario/1",
@@ -366,6 +366,40 @@ def test_rational_too_large_for_float64_exits_3(tmp_path, capsys, task):
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("hi,codes", [
+    ("1e-400", {EXIT_VALIDATION}),
+    ("1e-300", {EXIT_PASS, EXIT_VERDICT_FAIL}),
+    ("1e-160", {EXIT_PASS, EXIT_VERDICT_FAIL}),
+    ("1e200", {EXIT_NUMERIC}),
+])
+def test_interval_far_from_unit_scale_ends_cleanly(tmp_path, capsys,
+                                                   recwarn, hi, codes):
+    """An interval of length hi runs to a valid report (exit 0 or 1), or
+    ends with exit 3 or 4 and one stderr line: no traceback and no
+    numpy warning.  1e-400 rounds to 0 in float64 and is refused at
+    parse time.  At 1e-300 and 1e-160 the verdicts run: the
+    simplex-product frame takes its logs from exact numerators and
+    denominators, where 2 * 2 / hi^2 leaves float64.  At 1e200 the
+    integral of g leaves it, and the exact invariants do too."""
+    path = write_scenario(tmp_path, {
+        "schema": "kstab-scenario/1", "name": "far-scale",
+        "polytope": {"kind": "interval", "lo": "0", "hi": hi},
+        "pl": [[["1"], "0"]],
+        "tasks": [{"kind": "invariants"},
+                  {"kind": "slopes", "theorems": ["DF", "MINNORM", "AM"]},
+                  {"kind": "scan"}, {"kind": "l1"}]})
+    code = run_scenario(path, out_dir=tmp_path / "out")
+    err = capsys.readouterr().err
+    assert code in codes, err
+    if code in (EXIT_PASS, EXIT_VERDICT_FAIL):
+        assert err == ""
+        assert read_report(tmp_path / "out")["name"] == "far-scale"
+    else:
+        assert code in (EXIT_VALIDATION, EXIT_NUMERIC)
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_report_refuses_non_finite_numbers(tmp_path):
     results = {"name": "nan-smoke", "timestamp": "t", "seed": None,
                "options": {}, "pass": True,
@@ -514,6 +548,16 @@ def test_bundled_scenarios_are_discoverable():
         with resources.as_file(res) as path:
             blob = load_scenario(path)
             assert blob["schema"] == "kstab-scenario/1"
+
+
+def test_check_suite_passes(tmp_path, capsys):
+    """Every bundled scenario runs and passes, the 2D PL square with
+    max(x1, x2) among them."""
+    assert check_suite(out_dir=tmp_path) == EXIT_PASS
+    out = capsys.readouterr().out
+    for res in bundled_scenarios():
+        assert f"suite {res.name}: pass" in out
+    assert "suite square_max.json: pass" in out
 
 
 def test_console_entry_point_matches_main(tmp_path):

@@ -26,7 +26,7 @@ import kstab.functionals
 from kstab.analysis import (_NEWTON_BLOCK, Grid, Ray, SymplecticPotential,
                             _inv_small, _logdet_small,
                             abreu_scalar_curvature, bulk_grid,
-                            crease_ladder_depth, crease_points, fan_grid,
+                            crease_ladder_depth, fan_grid,
                             guillemin_potential, newton_transport,
                             ricci_reference, simplex_product)
 from kstab.errors import MissingAlpha, NormalizationRequired
@@ -384,8 +384,7 @@ def _mabuchi_path(ray, taus):
     cfg = ray.cfg
     n = cfg.dim
     mu = float(slope_mu(cfg.base))
-    grid = bulk_grid(cfg.base, creases=crease_points(cfg.g),
-                     crease_depth=crease_ladder_depth(ray.smooth.beta, 1.0)) \
+    grid = bulk_grid(cfg.g, crease_ladder_depth(ray.smooth.beta, 1.0)) \
         if n == 1 else fan_grid(cfg.base, depth=8, inner_order=16,
                                 graded_order=8)
     g_vals = ray.smooth.value(grid.points)
@@ -503,9 +502,9 @@ def test_interval_affine_route_a_stays_at_zero():
 ], ids=["crease-7/8", "creases-1/8-7/8"])
 def test_crease_windows_near_a_facet_close_the_route_gap(pieces, tau):
     """Creases at 1/8 and 7/8 take the inner Gauss order on every panel
-    of their window, as the middle of the interval does: the route gap
+    of their half of a cell, as the middle of a cell does: the route gap
     of these steep rays stays below 1e-6, where order-8 panels next to
-    the facet leave 7.5e-4 and 9.8e-4."""
+    the facet left 7.5e-4 and 9.8e-4."""
     ray = Ray(interval_config(pieces), beta=10.0 * tau, tau_max=tau)
     mb = mabuchi(ray.state(tau))
     assert abs(mb.route_a - mb.route_b) < 1e-6 * (1.0 + abs(mb.route_b))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import kstab.plconfig
 import kstab.polytope
-from kstab.analysis import SmoothedPL, crease_points
+from kstab.analysis import SmoothedPL, bulk_grid
 from kstab.errors import ChopTooLarge, DomainMismatch, NotConvex, ShiftTooSmall
 from kstab.invariants import donaldson_futaki, minimum_norm
 from kstab.plconfig import make_config, normalize, pl_fn
@@ -217,7 +217,7 @@ def test_cells_leave_equality_alone():
 
 def test_exact_invariants_reuse_the_cells(monkeypatch):
     """Once a configuration is built, normalizing it, its exact
-    invariants and its creases read the cells g carries."""
+    invariants and its grids read the cells g carries."""
     cfgs = [make_config(interval(0, 1), [((-1,), 0), ((1,), -1)]),
             make_config(box(2), [((1, 0), 0), ((0, 1), 0), ((-1, -1), 1)]),
             make_config(unit_simplex(2), [((1, 0), 0), ((0, 1), F(1, 3))])]
@@ -230,7 +230,7 @@ def test_exact_invariants_reuse_the_cells(monkeypatch):
     monkeypatch.setattr(kstab.polytope, "regions_of_max", counting)
     monkeypatch.setattr(kstab.plconfig, "regions_of_max", counting)
     for cfg in cfgs:
-        crease_points(cfg.g)
+        bulk_grid(cfg.g)
         for mode in ("min_zero", "average_zero"):
             norm = normalize(cfg, mode)
             donaldson_futaki(norm)

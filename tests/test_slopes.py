@@ -23,6 +23,7 @@ from kstab.errors import (
     NotAVertex,
     NumericalFailure,
 )
+from kstab.functionals import mabuchi
 from kstab.invariants import chow_weight, minimum_norm, twisted_weights
 from kstab.plconfig import make_config, normalize
 from kstab.polytope import box, interval, unit_simplex
@@ -45,6 +46,14 @@ SQUARE_MAX = make_config(box(2), [((1, 0), 0), ((0, 1), 0)])
 SIMPLEX_X1 = make_config(unit_simplex(2), [((1, 0), 0)])
 
 TAUS = (1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0)
+
+PL_2D = {
+    "square-max": SQUARE_MAX,
+    "simplex-max": make_config(unit_simplex(2), [((1, 0), 0), ((0, 1), 0)]),
+    "square3": make_config(box(2), [((1, 0), 0), ((0, 1), 0),
+                                    ((-1, -1), 1)]),
+    "square-half": make_config(box(2), [((0, 0), 0), ((1, 0), F(-1, 2))]),
+}
 
 
 # -- estimator on synthetic traces --------------------------------------------
@@ -324,6 +333,28 @@ def test_doubling_tau_max_keeps_verdicts_passing():
     point_wide = Schedule(taus=(2.0, 4.0, 6.0, 8.0, 10.0, 12.0))
     assert verify_theorem(AFFINE, "POINT", vertex=(F(1),),
                           schedule=point_wide).passed
+
+
+@pytest.mark.parametrize("cfg", PL_2D.values(), ids=PL_2D.keys())
+def test_2d_pl_verdicts_pass_with_the_routes_agreeing(monkeypatch, cfg):
+    """On grids built on the cells of g, the two Mabuchi routes of every
+    rung of a 2D PL DF ladder agree to 1e-5 (1 + |M|), and the DF and
+    MINNORM verdicts pass.  A fan over P that ignored the creases left
+    the routes 1e-2 apart at tau = 6 on the square with max(x1, x2), and
+    the simplex MINNORM 8.8e-2 off its exact 1/2."""
+    reports = []
+
+    def recording(state):
+        reports.append(mabuchi(state))
+        return reports[-1]
+
+    monkeypatch.setattr(kstab.slopes, "mabuchi", recording)
+    df = verify_theorem(cfg, "DF")
+    assert [r.tau for r in reports] == list(TAUS)
+    for r in reports:
+        assert abs(r.route_a - r.route_b) <= 1e-5 * (1.0 + abs(r.value))
+    assert df.passed
+    assert verify_theorem(cfg, "MINNORM").passed
 
 
 # -- destabilizer scan ---------------------------------------------------------
