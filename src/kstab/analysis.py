@@ -12,25 +12,24 @@ Everything numeric lives downstream of three ingredients built here:
     (line_grid; a polygon cell's fan takes the collar depth on every
     edge, see fan_grid),
   * the inverse Legendre transport of u0, the point x where
-    grad u0(x) = xi.  On a simplex-product base (the interval, Delzant
-    triangles and parallelograms; SimplexProduct) it is closed-form in
-    log-slacks: log ell_k = log Lambda_B + r_k - logsumexp_B r with
-    r = -2 E^-T xi, so no Newton step is taken and no slack is formed by
-    subtraction, and D2u0(x)^-1 and Ric0 are sums of positive terms in
-    the slacks.  On other Delzant polygons, and for the forward
-    transport x -> x_tau defined by grad u_tau(x_tau) = grad u_0(x), a
-    vectorized damped Newton solver.
+    grad u0(x) = xi, on a simplex-product base (the interval, Delzant
+    triangles and parallelograms; SimplexProduct), where it is
+    closed-form in log-slacks: log ell_k = log Lambda_B + r_k -
+    logsumexp_B r with r = -2 E^-T xi, so no Newton step is taken and no
+    slack is formed by subtraction, and D2u0(x)^-1 and Ric0 are sums of
+    positive terms in the slacks.  A Ray refuses any other base.  The
+    forward transport x -> x_tau defined by grad u_tau(x_tau) =
+    grad u_0(x) is a vectorized damped Newton solve.
 
 Scalar curvature uses Abreu's expression in closed form (facet sums
 and softmax cumulants for the third and fourth derivatives of the
 potential) with the calibration constant kappa = 1/2, fixed so that
 the mean curvature equals n times the slope (checked for interval,
-square, simplex).  The reference Ricci data is the xi-Hessian of half
-the log-determinant of the potential Hessian: on a simplex-product base
-in closed form from the log-slacks (SimplexProduct.ricci), elsewhere
-through the moment-coordinate chain rule (ricci_reference); with this
-pairing the pointwise identity S = n * MD(ricci, G^(n-1)) / det G holds
-against the same grids (tested).
+square, simplex).  The Ricci data is the xi-Hessian of half the
+log-determinant of the potential Hessian, in closed form from the
+log-slacks (SimplexProduct.ricci); with this pairing the pointwise
+identity S = n * MD(ricci, G^(n-1)) / det G holds against the same
+grids (tested).
 """
 from __future__ import annotations
 
@@ -41,7 +40,8 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .errors import DomainMismatch, NewtonDivergence, NonDelzant
+from .errors import (DomainMismatch, NewtonDivergence, NonDelzant,
+                     NumericalFailure)
 from .plconfig import PLConvexFn, ToricTestConfig
 from .polytope import Polytope, _det, volume_data
 
@@ -769,10 +769,9 @@ class RayState:
     det_tau is det H_tau.  Wedge densities take g0_at_x = D2u0(x)^-1
     and g_tau = H_tau^-1, which are None for n = 1; for an exact g_beta
     they are read-only and shared by all the Ray's states
-    (Ray.h_tau_fields).  On a simplex-product base every field at x
-    comes in closed form from log_slacks, the log ell_k at x
-    (SimplexProduct), and no energy reads x itself; on other bases
-    Newton solves for x, kept in newton_x, and log_slacks is None.
+    (Ray.h_tau_fields).  Every field at x comes in closed form from
+    log_slacks, the log ell_k at x (SimplexProduct), and no energy reads
+    x itself.
     """
 
     ray: "Ray"
@@ -783,31 +782,33 @@ class RayState:
     entropy: float
     det_tau: np.ndarray
     g_tau: np.ndarray | None
-    log_slacks: np.ndarray | None = None
-    newton_x: np.ndarray | None = None
+    log_slacks: np.ndarray
 
     @cached_property
     def x(self) -> np.ndarray:
-        """x as Newton solved it; on a simplex-product base the float
-        image of log_slacks, kept strictly inside (SimplexProduct.point)
-        and formed only when read, and at tau = 0 the nodes themselves."""
-        if self.log_slacks is None:
-            return self.newton_x
+        """The float image of log_slacks, kept strictly inside
+        (SimplexProduct.point) and formed only when read; at tau = 0 the
+        nodes themselves."""
         if self.tau == 0.0:
             return self.ray.grid.points
         return self.ray.frame.point(self.log_slacks)
 
 
 class Ray:
-    """Workspace for one smoothing level: the simplex-product frame of
-    the base if it has one, else the latest inverse transport, kept to
-    warm-start the next."""
+    """Workspace for one smoothing level on a simplex-product base, its
+    frame (SimplexProduct) and the grid fields every state reads.  Any
+    other base is refused with NumericalFailure before a grid is built."""
 
     def __init__(self, cfg: ToricTestConfig, beta: float,
                  tau_max: float = 12.0):
         self.cfg = cfg
         self.u0 = guillemin_potential(cfg.base)
         self.frame = simplex_product(cfg.base)
+        if self.frame is None:
+            raise NumericalFailure(
+                f"a ray needs a simplex-product base (an interval, a Delzant "
+                f"triangle or parallelogram); this base has "
+                f"{len(cfg.base.halfspaces)} facets")
         self.smooth = SmoothedPL.from_fn(cfg.g, beta)
         self.grid = build_grid(cfg.g, collar_depth_for(tau_max),
                                crease_ladder_depth(beta, tau_max))
@@ -817,13 +818,7 @@ class Ray:
         self.g_vals = self.smooth.value(pts)
         self.g_grad = self.smooth.gradient(pts)
         self.g_hess = self.smooth.hessian(pts)
-        self._inv = (0.0, pts)
         self._h0_fields = None  # h_tau_fields of an exact g_beta
-
-    @cached_property
-    def u0_vals(self) -> np.ndarray:
-        """u0 at the nodes, for phi_y off a simplex-product base."""
-        return self.u0.value(self.grid.points)
 
     @cached_property
     def h0_inv_g_hess(self) -> np.ndarray:
@@ -847,31 +842,12 @@ class Ray:
     def inverse_transport(self, s: float):
         """(x, D2u0(x)): the reference point x whose u_s-moment image is
         each grid node, and the Hessian of u0 there, from
-        grad u0(x) = grad u_s(y) per node y.
-
-        On a simplex-product base both come in closed form from the
-        log-slacks at x (SimplexProduct), and s = 0 gives the grid
-        itself.  Elsewhere Newton solves it, with s rounded to 12 digits,
-        and the Hessian is the one its last test took.  Only the latest
-        x is kept: it answers the same s again and warm-starts a larger
-        one; a smaller s starts from the grid, which is also the answer
-        at s = 0.  The iterates press into the boundary collar, where the
-        Newton solver saturates at float spacing; downstream integrands
-        are slack-stable there.
-        """
-        if self.frame is not None:
-            log_ell = self.frame.log_slacks(self.xi + float(s) * self.g_grad)
-            x = self.grid.points if s == 0.0 else self.frame.point(log_ell)
-            return x, self.u0.hessian(x, np.exp(log_ell))
-        key = round(float(s), 12)
-        last, x = self._inv
-        if key == last:
-            return x, self.u0.hessian(x)
-        start = x if last < key else self.grid.points
-        x, h0_at_x = newton_transport(self.u0, self.xi + key * self.g_grad,
-                                      start)
-        self._inv = (key, x)
-        return x, h0_at_x
+        grad u0(x) = grad u_s(y) per node y, both in closed form from the
+        log-slacks at x (SimplexProduct); s = 0 gives the grid itself.
+        state reads the same log-slacks and never forms x."""
+        log_ell = self.frame.log_slacks(self.xi + float(s) * self.g_grad)
+        x = self.grid.points if s == 0.0 else self.frame.point(log_ell)
+        return x, self.u0.hessian(x, np.exp(log_ell))
 
     @cached_property
     def _reach(self) -> tuple:
@@ -892,29 +868,6 @@ class Ray:
             raise NewtonDivergence(
                 f"moment targets shift by tau * |grad g| = {shift:.3g}, "
                 f"beyond the reach {reach:.4g} of grad u0 at the slack floor")
-
-    def state(self, tau: float) -> RayState:
-        """The transported frame at tau; check_reach refuses an
-        unreachable tau first.  On a simplex-product base it is closed
-        form (_product_state); elsewhere it takes one Newton inverse
-        transport."""
-        tau = float(tau)
-        self.check_reach(tau)
-        if self.frame is not None:
-            return self._product_state(tau)
-        x, h0_at_x = self.inverse_transport(tau)
-        det_tau, g_tau = self.h_tau_fields(tau)
-        log_ratio = _logdet_small(h0_at_x) - np.log(det_tau)
-        entropy = math.factorial(self.cfg.dim) * self.grid.integrate(log_ratio)
-        g0_at_x = _inv_small(h0_at_x)
-        del h0_at_x
-        xi = self.xi + tau * self.g_grad
-        phi_y = ((self.grid.points * xi).sum(axis=1)
-                 - (self.u0_vals + tau * self.g_vals)) \
-            - ((x * xi).sum(axis=1) - self.u0.value(x))
-        return RayState(ray=self, tau=tau, g0_at_x=g0_at_x, phi_y=phi_y,
-                        log_ratio=log_ratio, entropy=entropy,
-                        det_tau=det_tau, g_tau=g_tau, newton_x=x)
 
     def h_tau_fields(self, tau: float) -> tuple:
         """(det H_tau, H_tau^-1) at the nodes, H_tau = D2u0 + tau D2g_beta
@@ -941,11 +894,12 @@ class Ray:
             self._h0_fields = (det, inv)
         return det, inv
 
-    def _product_state(self, tau: float) -> RayState:
-        """Ray.state on a simplex-product base, in closed form from the
-        log-slacks at x and, through the same formula at xi, at the
-        nodes y, so every difference below is 0 bit for bit at tau = 0.
-        With step = log ell(x) - log ell(y) and
+    def state(self, tau: float) -> RayState:
+        """The transported frame at tau; check_reach refuses an
+        unreachable tau first.  It is closed form from the log-slacks at
+        x and, through the same formula at xi, at the nodes y, so every
+        difference below is 0 bit for bit at tau = 0.  With
+        step = log ell(x) - log ell(y) and
         det D2u0 = prod_B 2^-n_B Lambda_B / prod_{k in B} ell_k,
 
             log_ratio = -sum_k step_k - log det(I + tau D2u0^-1 D2g_beta),
@@ -960,6 +914,8 @@ class Ray:
         every state, and the log det term, 0, is skipped.  Rows go in
         blocks of _NEWTON_BLOCK, so no temporary is as long as the
         grid."""
+        tau = float(tau)
+        self.check_reach(tau)
         frame, size, dim = self.frame, self.grid.size, self.cfg.dim
         log_ell = np.empty((len(frame.offsets), size)).T  # as log_slacks
         phi_y, log_ratio = np.empty(size), np.empty(size)
@@ -1110,7 +1066,10 @@ def ricci_reference(u0: SymplecticPotential, pts: np.ndarray) -> np.ndarray:
     cancel: against a long-double evaluation of the same chain rule on
     the unit simplex the relative error is about 3e-9 at slack 1e-4 and
     4e-6 at slack 1e-5, and the field is not trustworthy below slack
-    about 1e-6.
+    about 1e-6.  No energy reads it (mabuchi takes Ric0 from
+    SimplexProduct.ricci): the tests use it as that field's reference,
+    and perfbench/tracer.py hooks it by name, so it stays here until that
+    hook is retired.
     """
     nu = u0.normals
     n_facets, dim = nu.shape

@@ -35,7 +35,7 @@ import numpy as np
 
 from .analysis import (Ray, RayState, _inv_small, _log1p_det,
                        crease_ladder_depth, guillemin_potential, line_grid,
-                       newton_transport, ricci_reference, simplex_product)
+                       newton_transport, simplex_product)
 from .errors import MissingAlpha, NormalizationRequired, RouteMismatch
 from .invariants import l1_norm, slope_mu
 from .polytope import Polytope, dot, volume_data
@@ -210,18 +210,6 @@ def _alpha_theta(state: RayState, alpha: Polytope) -> np.ndarray:
     return _inv_small(h_alpha)
 
 
-def _ricci_theta(state: RayState) -> np.ndarray:
-    """theta of Ric0 for _fixed_form_energy, at the inverse transport x:
-    on a simplex-product base in closed form from the state's
-    log-slacks (SimplexProduct.ricci), with no 1/ell to overflow and no
-    cancellation next to a slanted facet; elsewhere ricci_reference at
-    x."""
-    frame = state.ray.frame
-    if frame is None:
-        return ricci_reference(state.ray.u0, state.x)
-    return frame.ricci(state.log_slacks)
-
-
 @dataclass(frozen=True)
 class MabuchiReport:
     tau: float
@@ -291,9 +279,9 @@ def mabuchi(state: RayState) -> MabuchiReport:
     paired with the halved Ricci convention in which the mean scalar
     curvature is n * mu.  E_Ric is the Chen-Tian endpoint energy of the
     fixed form Ric0 (_fixed_form_energy, as for alpha in energy_report),
-    with Ric0 at the inverse transport x that the entropy uses
-    (_ricci_theta).  Route (b), _route_b, shares only the grid, u0 and
-    g_beta with it.
+    with Ric0 at the inverse transport x that the entropy uses, in closed
+    form from the state's log-slacks (SimplexProduct.ricci).  Route (b),
+    _route_b, shares only the grid, u0 and g_beta with it.
     err_estimate is the route gap plus route (b)'s edge-quadrature
     estimate (0 in 1D).
     """
@@ -303,7 +291,7 @@ def mabuchi(state: RayState) -> MabuchiReport:
     tau = state.tau
     mu = float(slope_mu(cfg.base))
 
-    l_ric = _fixed_form_energy(state, _ricci_theta(state))
+    l_ric = _fixed_form_energy(state, ray.frame.ricci(state.log_slacks))
     route_a = 0.5 * state.entropy + (n / (n + 1)) * mu * am_energy(ray, tau) \
         - l_ric
     route_b, err = _route_b(ray, tau)

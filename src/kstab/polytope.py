@@ -85,8 +85,13 @@ def frac_str(q: Fraction) -> str:
 
 
 def frac_json(q: Fraction) -> dict:
-    """A rational for report.json: "p/q" (integers plain) and a decimal."""
-    return {"exact": frac_str(q), "decimal": float(q)}
+    """A rational for report.json: "p/q" (integers plain) and a decimal,
+    null where q is beyond float64."""
+    try:
+        decimal = float(q)
+    except OverflowError:
+        decimal = None
+    return {"exact": frac_str(q), "decimal": decimal}
 
 
 def vec(xs) -> Vec:

@@ -234,14 +234,13 @@ def _exact_value(cfg, theorem, vertex) -> Fraction:
 def ladder(cfg: ToricTestConfig, schedule: Schedule, fn) -> list:
     """fn(ray, tau) at each tau of the schedule, in schedule order.
 
-    An affine ray is exact, so one Ray serves the whole ladder; off a
-    simplex-product base its transport cache warm-starts each tau from
-    the one below.  A PL ray
+    An affine ray is exact, so one Ray serves the whole ladder; a PL ray
     gets one Ray per tau, smoothed at beta = beta0 * tau and graded for
-    that tau.  The largest tau is checked against the Ray that serves it
-    (Ray.check_reach) before any rung runs; a PL ladder builds that Ray
-    first and keeps it for its rung.  A NewtonDivergence raised there or
-    by fn is re-raised with its tau.
+    that tau.  A base that is not a simplex product is refused by the
+    first Ray, before any grid is built.  The largest tau is checked
+    against the Ray that serves it (Ray.check_reach) before any rung
+    runs; a PL ladder builds that Ray first and keeps it for its rung.  A
+    NewtonDivergence raised there or by fn is re-raised with its tau.
     """
     taus = [float(t) for t in schedule.taus]
     top = max(taus)

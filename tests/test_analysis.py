@@ -34,7 +34,8 @@ from kstab.analysis import (
     simplex_product,
 )
 from gens import flat
-from kstab.errors import DomainMismatch, NewtonDivergence, NonDelzant
+from kstab.errors import (DomainMismatch, NewtonDivergence, NonDelzant,
+                          NumericalFailure)
 from kstab.functionals import mixed_discriminant
 from kstab.plconfig import make_config, normalize, pl_fn
 from kstab.polytope import (box, construct, corner_chop, interval,
@@ -610,7 +611,7 @@ def test_phi_convex_in_tau():
     def phi(tau):
         moved = ray.transport(tau)[idx]
         return (moved @ xi - ray.potential(tau).value(moved[None])[0]) \
-            - (p @ xi - ray.u0_vals[idx])
+            - (p @ xi - ray.u0.value(ray.grid.points)[idx])
 
     phis = [phi(t) for t in (1.0, 2.0, 3.0)]
     assert phis[1] <= 0.5 * (phis[0] + phis[2]) + 1e-10
@@ -693,6 +694,7 @@ def test_inverse_transport_saturates_gracefully_at_float_wall():
 SHEARED = construct(vertices=[(0, 0), (1, 0), (1, 1)])     # Delzant triangle
 RHOMB = construct(vertices=[(0, 0), (1, 0), (2, 1), (1, 1)])  # parallelogram
 CHOPPED = corner_chop(box(2), (1, 1), Fraction(1, 4))
+HIRZEBRUCH = construct(vertices=[(0, 0), (2, 0), (1, 1), (0, 1)])
 TRIANGLE = normalize(make_config(unit_simplex(2), [((1, 0), 0)]), "min_zero")
 
 
@@ -703,7 +705,7 @@ TRIANGLE = normalize(make_config(unit_simplex(2), [((1, 0), 0)]), "min_zero")
     (SHEARED, [3]),
     (RHOMB, [2, 2]),
     (CHOPPED, None),
-    (construct(vertices=[(0, 0), (2, 0), (1, 1), (0, 1)]), None),
+    (HIRZEBRUCH, None),
 ], ids=["interval", "box", "simplex", "sheared", "rhomb", "chopped",
         "hirzebruch"])
 def test_simplex_product_blocks(base, sizes):
@@ -893,25 +895,27 @@ def test_max_shift_log_slacks_match_mpmath(base):
     assert deepest < -590.0
 
 
-def test_chopped_square_state_runs_newton(monkeypatch):
-    """A corner-chopped square is no simplex product: Ray.state takes one
-    Newton inverse transport and returns finite fields."""
+@pytest.mark.parametrize("base", [CHOPPED, HIRZEBRUCH],
+                         ids=["chopped", "hirzebruch"])
+def test_ray_refuses_a_base_that_is_no_simplex_product(monkeypatch, base):
+    """A corner-chopped square and a Hirzebruch trapezoid are no simplex
+    products: Ray raises NumericalFailure, naming the facet count, before
+    any grid is built.  The same counter sees the square's one grid."""
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(len(args[1]))
-        return newton_transport(*args, **kwargs)
+        calls.append(args)
+        return build_grid(*args, **kwargs)
 
-    monkeypatch.setattr(analysis, "newton_transport", counted)
-    cfg = normalize(make_config(CHOPPED, [((1, 0), 0)]), "min_zero")
-    ray = Ray(cfg, beta=10.0, tau_max=1.0)
-    state = ray.state(1.0)
-    assert ray.frame is None and state.log_slacks is None
-    assert calls == [ray.grid.size]
-    for field in (state.x, state.g0_at_x, state.phi_y, state.log_ratio,
-                  state.det_tau, state.g_tau):
-        assert np.all(np.isfinite(field))
-    assert math.isfinite(state.entropy)
+    monkeypatch.setattr(analysis, "build_grid", counted)
+    cfg = normalize(make_config(base, [((1, 0), 0)]), "min_zero")
+    with pytest.raises(NumericalFailure,
+                       match=f"simplex-product base .* has "
+                             f"{len(base.halfspaces)} facets"):
+        Ray(cfg, beta=10.0, tau_max=1.0)
+    assert calls == []
+    Ray(SQUARE, beta=10.0, tau_max=1.0)
+    assert len(calls) == 1
 
 
 # -- curvature ----------------------------------------------------------------

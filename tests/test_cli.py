@@ -380,7 +380,8 @@ def test_interval_far_from_unit_scale_ends_cleanly(tmp_path, capsys,
     parse time.  At 1e-300 and 1e-160 the verdicts run: the
     simplex-product frame takes its logs from exact numerators and
     denominators, where 2 * 2 / hi^2 leaves float64.  At 1e200 the
-    integral of g leaves it, and the exact invariants do too."""
+    integral of g leaves it, so the verdicts stop; an invariants task
+    alone still exits 0 there."""
     path = write_scenario(tmp_path, {
         "schema": "kstab-scenario/1", "name": "far-scale",
         "polytope": {"kind": "interval", "lo": "0", "hi": hi},
@@ -398,6 +399,73 @@ def test_interval_far_from_unit_scale_ends_cleanly(tmp_path, capsys,
         assert code in (EXIT_VALIDATION, EXIT_NUMERIC)
         assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_exact_values_beyond_float64_keep_their_report(tmp_path, capsys):
+    """On the interval [0, 1e200] the exact invariants leave float64: the
+    report keeps every exact "p/q" string and writes a null decimal for
+    each value too large for a float, with exit 0."""
+    path = write_scenario(tmp_path, {
+        "schema": "kstab-scenario/1", "name": "far-invariants",
+        "polytope": {"kind": "interval", "lo": "0", "hi": "1e200"},
+        "pl": [[["1"], "0"]], "tasks": [{"kind": "invariants"}]})
+    assert run_scenario(path, out_dir=tmp_path / "out") == EXIT_PASS
+    assert capsys.readouterr().err == ""
+    report = read_report(tmp_path / "out")["tasks"][0]["report"]
+    hi = 10 ** 200
+    assert report["minimum_norm"] == {"exact": str(hi * hi // 2),
+                                      "decimal": None}
+    assert report["am_top"]["decimal"] is None
+    assert report["slope_mu"] == {"exact": f"1/{hi // 2}", "decimal": 2e-200}
+    assert report["df"] == {"exact": "0", "decimal": 0.0}
+
+
+HIRZEBRUCH = {  # no simplex product; g = max(x1, x2)
+    "schema": "kstab-scenario/1", "name": "hirzebruch",
+    "polytope": {"vertices": [["0", "0"], ["2", "0"], ["1", "1"],
+                              ["0", "1"]]},
+    "pl": [[["1", "0"], "0"], [["0", "1"], "0"]],
+}
+
+
+def test_grid_verdict_off_a_simplex_product_exits_4(tmp_path, capsys,
+                                                    monkeypatch):
+    """A DF verdict on the Hirzebruch trapezoid is refused by its first
+    Ray before any grid is built: exit 4, one stderr line naming the
+    facet count, and no report."""
+    built = []
+    build_grid = kstab.analysis.build_grid
+    monkeypatch.setattr(kstab.analysis, "build_grid",
+                        lambda *args: built.append(args) or build_grid(*args))
+    path = write_scenario(tmp_path, dict(HIRZEBRUCH, tasks=[
+        {"kind": "slopes", "theorems": ["DF"]}]))
+    assert run_scenario(path, out_dir=tmp_path / "out") == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert "simplex-product base" in err and "has 4 facets" in err
+    assert built == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_tasks_without_a_ray_run_off_a_simplex_product(tmp_path, capsys):
+    """The same trapezoid keeps every task that builds no Ray: the exact
+    invariants, the Stoppa expansion, the vertex scan, the l1 norm and a
+    POINT verdict, whose slope passes against -10/9."""
+    path = write_scenario(tmp_path, dict(HIRZEBRUCH, tasks=[
+        {"kind": "invariants"},
+        {"kind": "stoppa", "vertex": ["2", "0"],
+         "epsilons": ["1/32", "1/16", "1/8", "1/4"]},
+        {"kind": "scan"}, {"kind": "l1"},
+        {"kind": "slopes", "theorems": ["POINT"], "vertex": ["2", "0"]}]))
+    assert run_scenario(path, out_dir=tmp_path / "out") == EXIT_PASS
+    assert capsys.readouterr().err == ""
+    tasks = read_report(tmp_path / "out")["tasks"]
+    assert [t["kind"] for t in tasks] == ["invariants", "stoppa", "scan",
+                                         "l1", "slopes"]
+    assert tasks[0]["report"]["df"]["exact"] == "10/9"
+    point = tasks[4]["verdicts"][0]
+    assert point["pass"] and point["exact"] == "-10/9"
+    assert abs(point["slope"] + 10 / 9) < 1e-3
 
 
 def test_report_refuses_non_finite_numbers(tmp_path):

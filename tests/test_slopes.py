@@ -26,7 +26,7 @@ from kstab.errors import (
 from kstab.functionals import mabuchi
 from kstab.invariants import chow_weight, minimum_norm, twisted_weights
 from kstab.plconfig import make_config, normalize
-from kstab.polytope import box, interval, unit_simplex
+from kstab.polytope import box, construct, corner_chop, interval, unit_simplex
 from kstab.slopes import (
     Schedule,
     estimate_limit_slope,
@@ -44,6 +44,12 @@ KINK = make_config(interval(0, 1), [((1,), 0), ((-1,), 1)])
 SQUARE_X1 = make_config(box(2), [((1, 0), 0)])
 SQUARE_MAX = make_config(box(2), [((1, 0), 0), ((0, 1), 0)])
 SIMPLEX_X1 = make_config(unit_simplex(2), [((1, 0), 0)])
+# no simplex products, g = max(x1, x2)
+CHOPPED_MAX = make_config(corner_chop(box(2), (1, 1), F(1, 4)),
+                          [((1, 0), 0), ((0, 1), 0)])
+HIRZEBRUCH_MAX = make_config(
+    construct(vertices=[(0, 0), (2, 0), (1, 1), (0, 1)]),
+    [((1, 0), 0), ((0, 1), 0)])
 
 TAUS = (1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0)
 
@@ -260,6 +266,31 @@ def test_point_verdict_builds_no_grid(monkeypatch, cfg, vertex, slope):
     rep = verify_theorem(cfg, "POINT", vertex=vertex)
     assert rep.passed
     assert rep.slope == slope
+
+
+@pytest.mark.parametrize("theorem", ["AM", "DF", "MINNORM", "JALPHA"])
+@pytest.mark.parametrize("cfg", [CHOPPED_MAX, HIRZEBRUCH_MAX],
+                         ids=["chopped", "hirzebruch"])
+def test_grid_verdict_off_a_simplex_product_builds_no_grid(monkeypatch, cfg,
+                                                           theorem):
+    """A corner chop and a Hirzebruch trapezoid get no grid verdict: the
+    ladder's first Ray raises NumericalFailure before a grid is built."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(kstab.analysis, "build_grid", refuse)
+    with pytest.raises(NumericalFailure, match="simplex-product base"):
+        verify_theorem(cfg, theorem, alpha=box(2))
+
+
+@pytest.mark.parametrize("cfg, vertex, exact", [
+    (CHOPPED_MAX, (F(3, 4), 1), F(-85, 248)),
+    (HIRZEBRUCH_MAX, (2, 0), F(-10, 9)),
+], ids=["chopped", "hirzebruch"])
+def test_point_verdict_off_a_simplex_product_passes(cfg, vertex, exact):
+    rep = verify_theorem(cfg, "POINT", vertex=vertex)
+    assert rep.exact == exact
+    assert rep.passed
 
 
 def test_point_verdict_requires_vertex():
