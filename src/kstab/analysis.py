@@ -11,15 +11,15 @@ Everything numeric lives downstream of three ingredients built here:
     near the boundary), at a crease the depth follows the smoothing
     (line_grid; a polygon cell's fan takes the collar depth on every
     edge, see fan_grid),
-  * the inverse Legendre transport of u0, the point x where
-    grad u0(x) = xi, on a simplex-product base (the interval, Delzant
-    triangles and parallelograms; SimplexProduct), where it is
-    closed-form in log-slacks: log ell_k = log Lambda_B + r_k -
-    logsumexp_B r with r = -2 E^-T xi, so no Newton step is taken and no
-    slack is formed by subtraction, and D2u0(x)^-1 and Ric0 are sums of
-    positive terms in the slacks.  A Ray refuses any other base.  The
-    forward transport x -> x_tau defined by grad u_tau(x_tau) =
-    grad u_0(x) is a vectorized damped Newton solve.
+  * the inverse Legendre transport of u0 on a simplex-product base (the
+    interval, Delzant triangles and parallelograms; SimplexProduct),
+    kept as the log-slacks of the point x where grad u0(x) = xi:
+    log ell_k = log Lambda_B + r_k - logsumexp_B r with r = -2 E^-T xi,
+    so no Newton step is taken, no slack is formed by subtraction and x
+    itself is never formed; D2u0(x)^-1 and Ric0 are sums of positive
+    terms in the slacks.  A Ray refuses any other base.  The forward
+    transport x -> x_tau defined by grad u_tau(x_tau) = grad u_0(x) is a
+    vectorized damped Newton solve.
 
 Scalar curvature uses Abreu's expression in closed form (facet sums
 and softmax cumulants for the third and fourth derivatives of the
@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -592,9 +592,6 @@ class SimplexProduct:
     pair_outer: np.ndarray  # (P, n * n): w_kl w_kl^T
     g0_coef: np.ndarray    # log(2 / Lambda_B) per pair
     ricci_coef: np.ndarray  # log(2 (n_B + 1) / Lambda_B^2) per pair
-    chart_facets: np.ndarray    # (C, n): the facets each chart keeps
-    chart_inverses: np.ndarray  # (C, n, n): their normals, inverted
-    center: np.ndarray
 
     def log_slacks(self, xi: np.ndarray) -> np.ndarray:
         """log ell_k, per row, at the point where grad u0 = xi.
@@ -640,29 +637,6 @@ class SimplexProduct:
         """Ric0, the dual Hessian of (1/2) log det D2u0, at log_ell."""
         return self._pair_field(log_ell, self.ricci_coef)
 
-    def point(self, log_ell: np.ndarray) -> np.ndarray:
-        """The float image of the point with log-slacks log_ell, solved
-        from the n_B smallest slacks of each block and moved ulp by ulp
-        toward the centre while it rounds onto or past a facet."""
-        code = 0  # the chart: which facet of each block is dropped
-        for block in self.blocks:
-            top, drop = log_ell[:, block[0]], 0
-            for j, k in enumerate(block[1:], 1):  # column by column
-                drop = np.where(log_ell[:, k] > top, j, drop)
-                top = np.maximum(top, log_ell[:, k])
-            code = code * len(block) + drop
-        facets = self.chart_facets[code]
-        near = self.offsets[facets] \
-            - np.exp(np.take_along_axis(log_ell, facets, axis=1))
-        inverse = self.chart_inverses[code]
-        x = inverse[:, :, 0] * near[:, :1]
-        for j in range(1, near.shape[1]):  # no batched matmul of 2x2s
-            x += inverse[:, :, j] * near[:, j:j + 1]
-        while (out := x @ self.normals.T >= self.offsets).any():
-            rows = out.any(axis=1)
-            x[rows] = np.nextafter(x[rows], self.center)
-        return x
-
 
 def _zero_sum_blocks(normals, free):
     """A partition of the facet indices free into blocks whose normals
@@ -681,12 +655,6 @@ def _zero_sum_blocks(normals, free):
             if tail is not None:
                 return [block] + tail
     return None
-
-
-def _unimodular_inverse(rows):
-    """Inverse of integer matrices of determinant +-1, whose entries are
-    integers: the float inverse rounded is exact."""
-    return np.rint(np.linalg.inv(np.array(rows, dtype=float)))
 
 
 def _log(q) -> float:
@@ -718,7 +686,9 @@ def simplex_product(base: Polytope) -> SimplexProduct | None:
     if abs(_det(basis)) != 1:
         return None
     ratio_map = np.zeros((n, len(normals)))
-    ratio_map[:, kept] = -2.0 * _unimodular_inverse(basis)
+    # basis has determinant +-1, so its inverse is an integer matrix and
+    # the float inverse rounded is exact
+    ratio_map[:, kept] = -2.0 * np.rint(np.linalg.inv(np.array(basis, float)))
     offsets = [h.offset for h in base.halfspaces]
     sums = [sum(offsets[k] for k in block) for block in blocks]
     pairs, g0_coef, ricci_coef = [], [], []
@@ -729,10 +699,6 @@ def simplex_product(base: Polytope) -> SimplexProduct | None:
             ricci_coef.append(_log(2 * len(block) / total ** 2))
     w = np.array([0.5 * (ratio_map[:, k] - ratio_map[:, l])
                   for k, l in pairs])
-    # one chart per choice of dropped facet, in the mixed radix of point()
-    charts = [[k for block, d in zip(blocks, dropped) for k in block if k != d]
-              for dropped in product(*blocks)]
-    verts = np.array([[float(c) for c in v] for v in base.vertices])
     frame = SimplexProduct(
         normals=np.array(normals, dtype=float),
         offsets=np.array([float(c) for c in offsets]),
@@ -741,11 +707,7 @@ def simplex_product(base: Polytope) -> SimplexProduct | None:
         log_sums=np.array([_log(s) for s in sums]),
         pairs=tuple(np.array(c) for c in zip(*pairs)),
         pair_outer=(w[:, :, None] * w[:, None, :]).reshape(len(pairs), -1),
-        g0_coef=np.array(g0_coef), ricci_coef=np.array(ricci_coef),
-        chart_facets=np.array(charts),
-        chart_inverses=_unimodular_inverse([[normals[k] for k in c]
-                                            for c in charts]),
-        center=verts.mean(axis=0))
+        g0_coef=np.array(g0_coef), ricci_coef=np.array(ricci_coef))
     for value in vars(frame).values():  # every caller shares the cached frame
         for a in value if isinstance(value, tuple) else (value,):
             a.flags.writeable = False
@@ -763,15 +725,15 @@ class RayState:
     Fields are indexed by the grid node in its role as transported
     coordinate y, where the plain node weights integrate against the
     evolving volume form and e^(-log_ratio) times them against the fixed
-    one: x is the inverse transport of the nodes, phi_y is the potential
-    increment at x, log_ratio is log det D2u0(x) - log det H_tau, entropy
-    is n! times its integral (read by energy_report and mabuchi) and
-    det_tau is det H_tau.  Wedge densities take g0_at_x = D2u0(x)^-1
-    and g_tau = H_tau^-1, which are None for n = 1; for an exact g_beta
+    one.  x, the inverse transport of a node, is held only as
+    log_slacks, the log ell_k at x (SimplexProduct), and every field at
+    x comes in closed form from them: phi_y is the potential increment
+    at x, log_ratio is log det D2u0(x) - log det H_tau, entropy is n!
+    times its integral (read by energy_report and mabuchi) and det_tau
+    is det H_tau.  Wedge densities take g0_at_x = D2u0(x)^-1 and
+    g_tau = H_tau^-1, which are None for n = 1; for an exact g_beta
     they are read-only and shared by all the Ray's states
-    (Ray.h_tau_fields).  Every field at x comes in closed form from
-    log_slacks, the log ell_k at x (SimplexProduct), and no energy reads
-    x itself.
+    (Ray.h_tau_fields).
     """
 
     ray: "Ray"
@@ -783,15 +745,6 @@ class RayState:
     det_tau: np.ndarray
     g_tau: np.ndarray | None
     log_slacks: np.ndarray
-
-    @cached_property
-    def x(self) -> np.ndarray:
-        """The float image of log_slacks, kept strictly inside
-        (SimplexProduct.point) and formed only when read; at tau = 0 the
-        nodes themselves."""
-        if self.tau == 0.0:
-            return self.ray.grid.points
-        return self.ray.frame.point(self.log_slacks)
 
 
 class Ray:
@@ -835,19 +788,16 @@ class Ray:
     def transport(self, s: float) -> np.ndarray:
         """Moved points: the u_s-moment images of the grid nodes, solved
         from the grid on every call.  No energy reads it: every energy is
-        taken in the transported frame of inverse_transport."""
+        taken in the log-slacks of inverse_transport (Ray.state)."""
         return newton_transport(self.potential(s), self.xi,
                                 self.grid.points)[0]
 
-    def inverse_transport(self, s: float):
-        """(x, D2u0(x)): the reference point x whose u_s-moment image is
-        each grid node, and the Hessian of u0 there, from
-        grad u0(x) = grad u_s(y) per node y, both in closed form from the
-        log-slacks at x (SimplexProduct); s = 0 gives the grid itself.
-        state reads the same log-slacks and never forms x."""
-        log_ell = self.frame.log_slacks(self.xi + float(s) * self.g_grad)
-        x = self.grid.points if s == 0.0 else self.frame.point(log_ell)
-        return x, self.u0.hessian(x, np.exp(log_ell))
+    def inverse_transport(self, s: float) -> np.ndarray:
+        """log ell_k at the x whose u_s-moment image is each node y, from
+        grad u0(x) = grad u_s(y) (SimplexProduct); state reads the same
+        log-slacks, so only the tests call this, and perfbench/tracer.py
+        hooks it by name, so it stays here until that hook is retired."""
+        return self.frame.log_slacks(self.xi + float(s) * self.g_grad)
 
     @cached_property
     def _reach(self) -> tuple:

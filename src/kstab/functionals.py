@@ -33,10 +33,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .analysis import (Ray, RayState, _inv_small, _log1p_det,
-                       crease_ladder_depth, guillemin_potential, line_grid,
-                       newton_transport, simplex_product)
-from .errors import MissingAlpha, NormalizationRequired, RouteMismatch
+from .analysis import (Ray, RayState, SimplexProduct, _log1p_det,
+                       crease_ladder_depth, line_grid, simplex_product)
+from .errors import (DimensionMismatch, NonDelzant, NormalizationRequired,
+                     NumericalFailure, RouteMismatch)
 from .invariants import l1_norm, slope_mu
 from .polytope import Polytope, dot, volume_data
 
@@ -173,12 +173,12 @@ def _fixed_form_energy(state: RayState, theta: np.ndarray) -> float:
 
     whose s-derivative is n * <phi_dot, theta ^ omega_s^(n-1)>.
     theta is its dual-Hessian field at xi + tau * grad g, the u0-moment
-    image of state.x, at each node.  Every term is read over the
-    transported nodes: the j = n-1 term, an integral of
-    phi * MD(theta, G0) * det H0 against dx = e^(-log_ratio) dy, has
-    density phi_y * MD(theta, G0(x)) * det H_tau (phi_y * theta * h_tau
-    for n = 1), and for n = 2 the j = 0 term adds
-    phi_y * MD(theta, G_tau) * det H_tau.
+    image of the point x with the state's log-slacks, at each node.
+    Every term is read over the transported nodes: the j = n-1 term, an
+    integral of phi * MD(theta, G0) * det H0 against
+    dx = e^(-log_ratio) dy, has density phi_y * MD(theta, G0(x)) *
+    det H_tau (phi_y * theta * h_tau for n = 1), and for n = 2 the j = 0
+    term adds phi_y * MD(theta, G_tau) * det H_tau.
     """
     ray = state.ray
     if ray.cfg.dim == 1:
@@ -189,25 +189,33 @@ def _fixed_form_energy(state: RayState, theta: np.ndarray) -> float:
         state.phi_y * density * state.det_tau)
 
 
+def alpha_frame(alpha: Polytope, dim: int) -> SimplexProduct:
+    """The SimplexProduct of the twisting polytope, after every JALPHA
+    check in order: DimensionMismatch, NonDelzant, and NumericalFailure
+    for an alpha that is not a simplex product."""
+    if alpha.dim != dim:
+        raise DimensionMismatch(
+            f"twisting polytope has dimension {alpha.dim}, expected {dim}")
+    if not alpha.is_delzant:
+        raise NonDelzant("twisting polytope is not Delzant")
+    frame = simplex_product(alpha)
+    if frame is None:
+        raise NumericalFailure(
+            f"JALPHA needs a simplex-product alpha (an interval, a Delzant "
+            f"triangle or parallelogram); this alpha has "
+            f"{len(alpha.halfspaces)} facets")
+    return frame
+
+
 def _alpha_theta(state: RayState, alpha: Polytope) -> np.ndarray:
     """theta of the alpha form for _fixed_form_energy: the inverse
     Hessian of alpha's Guillemin potential where its gradient is
-    xi + tau * grad g.  On a simplex-product alpha it is closed-form in
-    alpha's log-slacks there (SimplexProduct.inverse_hessian); otherwise
-    it comes from one Newton transport into alpha."""
+    xi + tau * grad g, closed-form in alpha's log-slacks there
+    (SimplexProduct.inverse_hessian) after alpha_frame's checks."""
     ray = state.ray
-    if alpha.dim != ray.cfg.dim:
-        raise MissingAlpha(f"twisting polytope has dimension {alpha.dim}, "
-                           f"expected {ray.cfg.dim}")
-    u_alpha = guillemin_potential(alpha)
-    xi = ray.xi + state.tau * ray.g_grad
-    frame = simplex_product(alpha)
-    if frame is not None:
-        return frame.inverse_hessian(frame.log_slacks(xi))
-    bary = np.array([[float(c) for c in volume_data(alpha).barycenter]])
-    _, h_alpha = newton_transport(u_alpha, xi,
-                                  np.tile(bary, (ray.grid.size, 1)))
-    return _inv_small(h_alpha)
+    frame = alpha_frame(alpha, ray.cfg.dim)
+    return frame.inverse_hessian(
+        frame.log_slacks(ray.xi + state.tau * ray.g_grad))
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ from .errors import (
     NotAVertex,
     NumericalFailure,
 )
-from .functionals import energy_report, mabuchi
+from .functionals import alpha_frame, energy_report, mabuchi
 from .invariants import (
     chow_weight,
     donaldson_futaki,
@@ -314,8 +314,8 @@ def verify_theorem(cfg: ToricTestConfig, theorem: str,
     passes iff |slope - exact| <= tol * (1 + |exact|).  The tolerance
     defaults by theorem and tier (affine rays are certified, PL rays
     are the looser experimental tier) and can be pinned on the
-    schedule.  A schedule below the extrapolator's floor is refused
-    before the ladder runs.
+    schedule.  A schedule below the extrapolator's floor, and a JALPHA
+    alpha that alpha_frame refuses, are refused before the ladder runs.
     """
     name = str(theorem).upper()
     if name not in THEOREMS:
@@ -333,6 +333,8 @@ def verify_theorem(cfg: ToricTestConfig, theorem: str,
     ncfg = normalize(cfg, target) if target else cfg
     tier = _tier(ncfg)
     tol = schedule.tol if schedule.tol is not None else _default_tol(name, tier)
+    if name == "JALPHA":
+        alpha_frame(alpha, ncfg.dim)
     # one twisted_weights call gives JALPHA its exact value and its gamma
     gamma, exact, _ = twisted_weights(ncfg, alpha) if name == "JALPHA" \
         else (0.0, _exact_value(ncfg, name, vertex), None)

@@ -1,4 +1,5 @@
-"""Deterministic random toric configurations for stress tests.
+"""Deterministic random toric configurations for stress tests, and
+small readers the test modules share.
 
 Kept outside conftest so the acceptance suite can import the same
 generators and stay reproducible (everything is seeded, no hypothesis
@@ -6,6 +7,8 @@ state involved).
 """
 import random
 from fractions import Fraction
+
+import numpy as np
 
 from kstab.errors import NotConvex
 from kstab.plconfig import make_config, normalize, pl_fn
@@ -62,3 +65,14 @@ def random_config(rng: random.Random, normalized=None):
     if normalized is not None:
         cfg = normalize(cfg, normalized)
     return cfg
+
+
+def corner_coords(frame, log_ell):
+    """x on a polytope with a corner at 0 whose facets there are
+    -x_i <= 0 (a box, an interval, the unit simplex), read from the
+    log-slacks of its SimplexProduct frame: x_i is the slack of the
+    facet -x_i <= 0."""
+    cols = [np.flatnonzero((frame.normals == -e).all(axis=1)
+                           & (frame.offsets == 0))[0]
+            for e in np.eye(frame.normals.shape[1])]
+    return np.exp(log_ell[:, cols])

@@ -33,7 +33,7 @@ from kstab.analysis import (
     ricci_reference,
     simplex_product,
 )
-from gens import flat
+from gens import corner_coords, flat
 from kstab.errors import (DomainMismatch, NewtonDivergence, NonDelzant,
                           NumericalFailure)
 from kstab.functionals import mixed_discriminant
@@ -440,7 +440,7 @@ def test_transport_2d_factorizes():
     assert np.max(np.abs(moved[:, 1] - pts[:, 1])[ok]) < 1e-9
     assert np.max(np.abs(moved[:, 0] - exact_x)[ok]) < 1e-8
     # inverse: x = y / (q + y (1 - q)) along the moving axis, x = y across
-    x_inv, _ = ray.inverse_transport(2.0)
+    x_inv = corner_coords(ray.frame, ray.inverse_transport(2.0))
     exact_inv = pts[:, 0] / (q + pts[:, 0] * (1.0 - q))
     ok = np.minimum.reduce([pts[:, 1], 1 - pts[:, 1],
                             exact_inv, 1 - exact_inv]) > 1e-8
@@ -563,7 +563,7 @@ def test_state_at_zero_is_identity():
     ray = Ray(KINK, beta=20.0, tau_max=2.0)
     st = ray.state(0.0)
     assert np.all(st.phi_y == 0.0)
-    assert np.array_equal(st.x, ray.grid.points)
+    assert np.array_equal(st.log_slacks, ray.frame.log_slacks(ray.xi))
     lvr = _log_volume_ratio(ray, 0.0)
     assert np.all(lvr == 0.0)
     mass = ray.grid.integrate(np.exp(lvr))
@@ -622,7 +622,7 @@ def test_phi_convex_in_tau():
 
 def test_inverse_transport_inverts_forward():
     ray = Ray(AFFINE, beta=10.0, tau_max=4.0)
-    x_inv = ray.inverse_transport(4.0)[0][:, 0]
+    x_inv = corner_coords(ray.frame, ray.inverse_transport(4.0))[:, 0]
     y = ray.grid.points[:, 0]
     q = math.exp(-8.0)
     # y = x q / (1 - x + x q)  <=>  x = y / (q + y (1 - q))
@@ -672,15 +672,16 @@ def test_interval_ricci_slack_form_matches_ricci_reference(cfg, tau):
     ray = Ray(cfg, beta=10.0 * tau, tau_max=tau)
     state = ray.state(tau)
     form = 4.0 * np.exp(state.log_slacks.sum(axis=1))
-    ok = ray.u0.slacks(state.x).min(axis=1) > 1e-6
-    ric = ricci_reference(ray.u0, state.x[ok])[:, 0, 0]
+    x = corner_coords(ray.frame, state.log_slacks)
+    ok = ray.u0.slacks(x).min(axis=1) > 1e-6
+    ric = ricci_reference(ray.u0, x[ok])[:, 0, 0]
     assert np.max(np.abs(ric / form[ok] - 1.0)) < 1e-9
 
 
 def test_inverse_transport_saturates_gracefully_at_float_wall():
     """Nodes mapping within one ulp of a facet stay finite and ordered."""
     ray = Ray(AFFINE, beta=10.0, tau_max=12.0)
-    x_inv = ray.inverse_transport(12.0)[0][:, 0]
+    x_inv = corner_coords(ray.frame, ray.inverse_transport(12.0))[:, 0]
     assert np.all(np.isfinite(x_inv))
     assert np.all(x_inv <= 1.0)
     assert np.all(x_inv >= 0.0)
@@ -730,8 +731,8 @@ def _interior_points(base, n, rng):
                          ids=["interval", "box", "simplex", "sheared",
                               "rhomb"])
 def test_product_frame_inverts_grad_u0(base):
-    """At grad u0 of known points the frame gives back their slacks, the
-    point, D2u0^-1 and Ric0, where every slack is above 1e-6.  Each
+    """At grad u0 of known points the frame gives back their slacks,
+    D2u0^-1 and Ric0, where every slack is above 1e-6.  Each
     reference is held within its own rounding next to a slanted facet:
     eps cond(D2u0) for the inverted Hessian, about eps / slack^2 for
     ricci_reference."""
@@ -743,7 +744,6 @@ def test_product_frame_inverts_grad_u0(base):
     pts, ell = pts[keep], ell[keep]
     log_ell = frame.log_slacks(u0.gradient(pts))
     assert np.max(np.abs(np.exp(log_ell) / ell - 1.0)) < 1e-12
-    assert np.max(np.abs(frame.point(log_ell) - pts)) < 1e-14
     hess = u0.hessian(pts)
     ref = _inv_small(hess)
     scale = np.abs(ref).max(axis=(1, 2))
@@ -759,7 +759,7 @@ def test_product_frame_inverts_grad_u0(base):
 @pytest.mark.parametrize("cfg", [SQUARE, TRIANGLE], ids=["square", "simplex"])
 def test_product_state_matches_newton(cfg):
     """Ray.state in closed form against one Newton inverse transport:
-    slacks, x, D2u0(x)^-1, log_ratio (log det D2u0(x) - log det H_tau)
+    slacks, D2u0(x)^-1, log_ratio (log det D2u0(x) - log det H_tau)
     and Ric0 at every node whose Newton slacks are above 1e-6."""
     ray = Ray(cfg, beta=10.0, tau_max=1.0)
     state = ray.state(1.0)
@@ -769,7 +769,6 @@ def test_product_state_matches_newton(cfg):
     ok = ell.min(axis=1) > 1e-6
     assert ok.mean() > 0.5
     assert np.max(np.abs(np.exp(state.log_slacks[ok]) / ell[ok] - 1)) < 1e-9
-    assert np.max(np.abs(state.x[ok] - z[ok])) < 1e-9
     ref = _inv_small(h0_at_z[ok])
     scale = np.abs(ref).max(axis=(1, 2))
     err = np.abs(state.g0_at_x[ok] - ref).max(axis=(1, 2))

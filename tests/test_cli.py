@@ -293,7 +293,6 @@ def test_huge_finite_tau_is_refused_before_the_first_rung(tmp_path,
     """The schedule's largest tau is checked before any rung runs, so the
     square's rungs 1-5 transport nothing before tau = 1e308 is refused."""
     import kstab.analysis
-    import kstab.functionals
 
     calls = []
     original = kstab.analysis.newton_transport
@@ -302,8 +301,7 @@ def test_huge_finite_tau_is_refused_before_the_first_rung(tmp_path,
         calls.append(len(args[1]))
         return original(*args, **kwargs)
 
-    for module in (kstab.analysis, kstab.functionals):
-        monkeypatch.setattr(module, "newton_transport", counted)
+    monkeypatch.setattr(kstab.analysis, "newton_transport", counted)
     path = write_scenario(tmp_path, HUGE_TAU[1])
     assert run_scenario(path, out_dir=tmp_path / "out") == EXIT_NUMERIC
     assert calls == []
@@ -447,6 +445,22 @@ def test_grid_verdict_off_a_simplex_product_exits_4(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+def test_jalpha_off_a_simplex_product_alpha_exits_4(tmp_path, capsys):
+    """A JALPHA verdict on the square twisted by the Hirzebruch trapezoid
+    is refused before any grid is built: exit 4, one stderr line naming
+    alpha's facet count, and no report."""
+    path = write_scenario(tmp_path, {
+        "schema": "kstab-scenario/1", "name": "square-hirzebruch-alpha",
+        "polytope": {"kind": "box", "dim": 2}, "pl": [[["1", "0"], "0"]],
+        "alpha": {"vertices": HIRZEBRUCH["polytope"]["vertices"]},
+        "tasks": [{"kind": "slopes", "theorems": ["JALPHA"]}]})
+    assert run_scenario(path, out_dir=tmp_path / "out") == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert "simplex-product alpha" in err and "has 4 facets" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_tasks_without_a_ray_run_off_a_simplex_product(tmp_path, capsys):
     """The same trapezoid keeps every task that builds no Ray: the exact
     invariants, the Stoppa expansion, the vertex scan, the l1 norm and a
@@ -570,8 +584,7 @@ def test_l1_task_runs_no_ray(tmp_path, monkeypatch, capsys):
         raise AssertionError("the l1 task ran the numeric route")
 
     monkeypatch.setattr(Ray, "__init__", refuse)
-    for module in (kstab.analysis, kstab.functionals):
-        monkeypatch.setattr(module, "newton_transport", refuse)
+    monkeypatch.setattr(kstab.analysis, "newton_transport", refuse)
     blob = json.loads(json.dumps(KINK))
     blob["tasks"] = [{"kind": "l1", "schedule": {"taus": [1, 3]}}]
     path = write_scenario(tmp_path, blob)

@@ -29,7 +29,8 @@ from kstab.analysis import (_NEWTON_BLOCK, Grid, Ray, SymplecticPotential,
                             crease_ladder_depth, fan_grid,
                             guillemin_potential, newton_transport,
                             ricci_reference, simplex_product)
-from kstab.errors import MissingAlpha, NormalizationRequired
+from kstab.errors import (DimensionMismatch, NormalizationRequired,
+                          NumericalFailure)
 from kstab.functionals import (
     ROUTE_TOL,
     EnergyReport,
@@ -47,6 +48,7 @@ from kstab.invariants import (donaldson_futaki, minimum_norm, slope_mu,
 from kstab.plconfig import make_config, normalize
 from kstab.polytope import box, corner_chop, interval, unit_simplex, volume_data
 from kstab.slopes import Schedule, ladder
+from gens import corner_coords
 
 F = Fraction
 
@@ -224,9 +226,13 @@ def _energy_path(integrand, taus):
 
 def _ricci_path(ray, taus):
     """Path form of the Ricci energy: the integral over s of
-    n * <phi_dot, Ric0 ^ omega_s^(n-1)>."""
+    n * <phi_dot, Ric0 ^ omega_s^(n-1)>, with Ric0 from ricci_reference
+    at the inverse-transported points."""
     def integrand(s):
-        x, _ = ray.inverse_transport(s)
+        x = corner_coords(ray.frame, ray.inverse_transport(s))
+        # a slack to x_i <= 1 below the float spacing rounds x_i onto 1:
+        # keep it on the last float inside, where ricci_reference is finite
+        x = np.minimum(x, np.nextafter(1.0, 0.0))
         return _phi_dot_pairing(ray, s, ricci_reference(ray.u0, x))
     return _energy_path(integrand, taus)
 
@@ -275,7 +281,6 @@ def test_mabuchi_transports_only_at_tau(monkeypatch):
         return newton_transport(*args, **kwargs)
 
     monkeypatch.setattr(kstab.analysis, "newton_transport", counting)
-    monkeypatch.setattr(kstab.functionals, "newton_transport", counting)
     ray = Ray(KINK, beta=40.0, tau_max=4.0)
     state = ray.state(4.0)
     mabuchi(state)
@@ -328,8 +333,7 @@ def test_square_rung_inverts_each_matrix_field_once(monkeypatch):
         assert size > _NEWTON_BLOCK  # the state's blocks are shorter
         inversions.clear()
         with monkeypatch.context() as patch:
-            for module in (kstab.analysis, kstab.functionals):
-                patch.setattr(module, "_inv_small", inv_counted)
+            patch.setattr(kstab.analysis, "_inv_small", inv_counted)
             patch.setattr(SymplecticPotential, "hessian", hessian_counted)
             for tau in (0.5, 1.0):
                 state = ray.state(tau)
@@ -585,23 +589,25 @@ def test_l_alpha_endpoint_matches_path(cfg, beta, alpha, taus):
     (SQUARE, corner_chop(box(2), (1, 1), F(1, 4))),
 ], ids=["interval", "square", "chopped-alpha"])
 def test_alpha_ladder_transports_into_alpha(monkeypatch, cfg, alpha):
-    """An alpha ladder solves one transport into alpha per tau when alpha
-    is not a simplex product: alpha's field at the inverse-transported
-    points serves every term.  On a simplex-product alpha that field is
-    closed-form and Newton never runs."""
+    """alpha's field at the inverse-transported points serves every term
+    of an alpha ladder, closed-form on a simplex-product alpha, so Newton
+    never runs; any other alpha is refused, naming its facet count."""
     calls = []
 
     def counted(potential, targets, start, **kwargs):
         calls.append(len(targets))
         return newton_transport(potential, targets, start, **kwargs)
 
-    monkeypatch.setattr(kstab.functionals, "newton_transport", counted)
+    monkeypatch.setattr(kstab.analysis, "newton_transport", counted)
     taus = (1.0, 2.0, 4.0)
     ray = Ray(cfg, beta=10.0, tau_max=max(taus))
     for tau in taus:
-        energy_report(ray.state(tau), alpha=alpha)
-    assert calls == ([ray.grid.size] * len(taus)
-                     if simplex_product(alpha) is None else [])
+        if simplex_product(alpha) is not None:
+            energy_report(ray.state(tau), alpha=alpha)
+            continue
+        with pytest.raises(NumericalFailure, match="this alpha has 5 facets"):
+            energy_report(ray.state(tau), alpha=alpha)
+    assert calls == []
 
 
 @pytest.mark.parametrize("tau", [1.0, 4.0, 12.0])
@@ -636,10 +642,14 @@ def test_alpha_theta_closed_form_matches_newton(alpha):
     assert np.max(np.abs(theta[ok] - ref) / scale) < 1e-8
 
 
-def test_missing_alpha_raises():
+def test_wrong_dimension_alpha_raises():
+    """energy_report refuses an alpha of the wrong dimension as
+    twisted_weights does, with DimensionMismatch."""
     ray = Ray(AFFINE, beta=10.0, tau_max=1.0)
-    with pytest.raises(MissingAlpha):
+    with pytest.raises(DimensionMismatch):
         energy_report(ray.state(1.0), alpha=unit_simplex(2))
+    with pytest.raises(DimensionMismatch):
+        twisted_weights(AFFINE, unit_simplex(2))
 
 
 # -- l1 path data -------------------------------------------------------------

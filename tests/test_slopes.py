@@ -6,6 +6,7 @@ invariants) on desk-scale configurations.
 """
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from kstab.errors import (
     InsufficientSamples,
     MissingAlpha,
     NewtonDivergence,
+    NonDelzant,
     NonMonotoneTau,
     NotAVertex,
     NumericalFailure,
@@ -281,6 +283,37 @@ def test_grid_verdict_off_a_simplex_product_builds_no_grid(monkeypatch, cfg,
     monkeypatch.setattr(kstab.analysis, "build_grid", refuse)
     with pytest.raises(NumericalFailure, match="simplex-product base"):
         verify_theorem(cfg, theorem, alpha=box(2))
+
+
+@pytest.mark.parametrize("alpha,error,match", [
+    (CHOPPED_MAX.base, NumericalFailure,
+     "simplex-product alpha .* has 5 facets"),
+    (HIRZEBRUCH_MAX.base, NumericalFailure,
+     "simplex-product alpha .* has 4 facets"),
+    (construct(vertices=[(0, 0), (2, 0), (0, 1)]), NonDelzant, "not Delzant"),
+], ids=["chopped", "hirzebruch", "non-delzant"])
+@pytest.mark.parametrize("cfg", [SQUARE_X1, SIMPLEX_X1, SQUARE_MAX],
+                         ids=["square-x1", "simplex-x1", "square-max"])
+def test_jalpha_off_a_simplex_product_alpha_builds_no_grid(monkeypatch, cfg,
+                                                           alpha, error,
+                                                           match):
+    """JALPHA refuses an alpha that is not a simplex product with
+    NumericalFailure naming its facet count, and a non-Delzant alpha
+    with NonDelzant, before any grid is built.  A Newton transport into
+    a chop or a Hirzebruch trapezoid raised NewtonDivergence at tau = 2
+    to 8 on every ray tried, after 0.9-3.6 s."""
+    built = []
+
+    def refuse(*args, **kwargs):
+        built.append(args)
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(kstab.analysis, "build_grid", refuse)
+    start = time.perf_counter()
+    with pytest.raises(error, match=match):
+        verify_theorem(cfg, "JALPHA", alpha=alpha)
+    assert time.perf_counter() - start < 0.05
+    assert built == []
 
 
 @pytest.mark.parametrize("cfg, vertex, exact", [
