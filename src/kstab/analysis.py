@@ -378,10 +378,6 @@ def _inv_small(H: np.ndarray) -> np.ndarray:
     return adj / _det_small(H)[:, None, None]
 
 
-def _logdet_small(H: np.ndarray) -> np.ndarray:
-    return np.log(_det_small(H))
-
-
 def _log1p_det(m: np.ndarray, s: float) -> np.ndarray:
     """log det(I + s m) as log1p(s tr m + s^2 det m) (log1p(s m) in 1D):
     no rounding of 1 + s m hides a small s m, and no matrix field is
@@ -731,9 +727,9 @@ class RayState:
     at x, log_ratio is log det D2u0(x) - log det H_tau, entropy is n!
     times its integral (read by energy_report and mabuchi) and det_tau
     is det H_tau.  Wedge densities take g0_at_x = D2u0(x)^-1 and
-    g_tau = H_tau^-1, which are None for n = 1; for an exact g_beta
-    they are read-only and shared by all the Ray's states
-    (Ray.h_tau_fields).
+    h_tau = H_tau at the nodes, which are None for n = 1; for an exact
+    g_beta, h_tau and det_tau are the Ray's read-only h0 and det_h0,
+    shared by all its states.
     """
 
     ray: "Ray"
@@ -743,7 +739,7 @@ class RayState:
     log_ratio: np.ndarray
     entropy: float
     det_tau: np.ndarray
-    g_tau: np.ndarray | None
+    h_tau: np.ndarray | None
     log_slacks: np.ndarray
 
 
@@ -767,20 +763,24 @@ class Ray:
                                crease_ladder_depth(beta, tau_max))
         pts = self.grid.points
         self.h0 = self.u0.hessian(pts)
+        self.det_h0 = _det_small(self.h0)
+        # H_tau and det H_tau of every affine state, shared by them all
+        self.h0.flags.writeable = self.det_h0.flags.writeable = False
         self.xi = self.u0.gradient(pts)
         self.g_vals = self.smooth.value(pts)
         self.g_grad = self.smooth.gradient(pts)
         self.g_hess = self.smooth.hessian(pts)
-        self._h0_fields = None  # h_tau_fields of an exact g_beta
 
     @cached_property
     def h0_inv_g_hess(self) -> np.ndarray:
         """D2u0^-1 D2g_beta at the nodes, for log det(I + tau of it) in
-        log_ratio and Mabuchi's route (b): one inversion per Ray, none
-        for an affine g_beta, whose Hessian is 0."""
+        log_ratio and route (b); D2u0^-1 is closed form in the log-slacks
+        (1 / D2u0 in 1D, to the last digit); 0 for an affine g_beta."""
         if self.smooth.exact:
             return self.g_hess
-        return _inv_small(self.h0) @ self.g_hess
+        inv = 1.0 / self.h0 if self.cfg.dim == 1 else \
+            self.frame.inverse_hessian(self.frame.log_slacks(self.xi))
+        return inv @ self.g_hess
 
     def potential(self, s: float) -> ShiftedPotential:
         return ShiftedPotential(self.u0, self.smooth, float(s))
@@ -819,31 +819,6 @@ class Ray:
                 f"moment targets shift by tau * |grad g| = {shift:.3g}, "
                 f"beyond the reach {reach:.4g} of grad u0 at the slack floor")
 
-    def h_tau_fields(self, tau: float) -> tuple:
-        """(det H_tau, H_tau^-1) at the nodes, H_tau = D2u0 + tau D2g_beta
-        and the inverse None for n = 1, built in rows of _NEWTON_BLOCK.
-        An exact g_beta has H_tau = D2u0 at every tau: its fields are
-        built once per Ray, read-only, and shared by every state."""
-        exact = self.smooth.exact
-        if exact and self._h0_fields is not None:
-            return self._h0_fields
-        size, dim = self.grid.size, self.cfg.dim
-        det = np.empty(size)
-        inv = np.empty((size, dim, dim)) if dim > 1 else None
-        for lo in range(0, size, _NEWTON_BLOCK):
-            rows = slice(lo, lo + _NEWTON_BLOCK)
-            h_tau = self.h0[rows] if exact \
-                else self.h0[rows] + tau * self.g_hess[rows]
-            det[rows] = _det_small(h_tau)
-            if inv is not None:
-                inv[rows] = _inv_small(h_tau)
-        if exact:
-            for field in (det, inv):
-                if field is not None:
-                    field.flags.writeable = False
-            self._h0_fields = (det, inv)
-        return det, inv
-
     def state(self, tau: float) -> RayState:
         """The transported frame at tau; check_reach refuses an
         unreachable tau first.  It is closed form from the log-slacks at
@@ -859,17 +834,19 @@ class Ray:
         with the Legendre dual in slacks,
         u0*(xi) = (1/2) sum ell_k - (1/2) sum lambda_k (1 + log ell_k)
         (lambda the facet offsets; each block's slacks sum to Lambda_B),
-        so x xi is never formed.  det_tau and g_tau are h_tau_fields at
-        the nodes: for an exact g_beta, built once per Ray and shared by
-        every state, and the log det term, 0, is skipped.  Rows go in
-        blocks of _NEWTON_BLOCK, so no temporary is as long as the
-        grid."""
+        so x xi is never formed.  H_tau = D2u0 + tau D2g_beta and its
+        determinant are filled at the nodes, or for an exact g_beta, where
+        H_tau = D2u0, read from the Ray (h0, det_h0) and shared by every
+        state, and the log det term, 0, is skipped.  Rows go in blocks of
+        _NEWTON_BLOCK, so no temporary is as long as the grid."""
         tau = float(tau)
         self.check_reach(tau)
         frame, size, dim = self.frame, self.grid.size, self.cfg.dim
         log_ell = np.empty((len(frame.offsets), size)).T  # as log_slacks
         phi_y, log_ratio = np.empty(size), np.empty(size)
         g0_at_x = np.empty((size, dim, dim)) if dim > 1 else None
+        h_tau, det_tau = (self.h0, self.det_h0) if self.smooth.exact \
+            else (np.empty((size, dim, dim)), np.empty(size))
         for lo in range(0, size, _NEWTON_BLOCK):
             rows = slice(lo, lo + _NEWTON_BLOCK)
             xi, grad = self.xi[rows], self.g_grad[rows]
@@ -884,12 +861,14 @@ class Ray:
                 g0_at_x[rows] = frame.inverse_hessian(at_x)
             if not self.smooth.exact:
                 log_ratio[rows] -= _log1p_det(self.h0_inv_g_hess[rows], tau)
-        det_tau, g_tau = self.h_tau_fields(tau)
+                h = h_tau[rows] = self.h0[rows] + tau * self.g_hess[rows]
+                det_tau[rows] = _det_small(h)
         return RayState(ray=self, tau=tau, g0_at_x=g0_at_x, phi_y=phi_y,
                         log_ratio=log_ratio,
                         entropy=math.factorial(dim)
                         * self.grid.integrate(log_ratio),
-                        det_tau=det_tau, g_tau=g_tau, log_slacks=log_ell)
+                        det_tau=det_tau, h_tau=h_tau if dim > 1 else None,
+                        log_slacks=log_ell)
 
     @staticmethod
     def point_derivative(u0, smooth, tau: float, p: np.ndarray) -> float:

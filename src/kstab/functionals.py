@@ -55,6 +55,12 @@ def mixed_discriminant(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                   - a[:, 0, 1] * b[:, 1, 0] - a[:, 1, 0] * b[:, 0, 1])
 
 
+def half_trace(a: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """(1/2) tr(A H), which is MD(A, H^-1) * det H: no H is inverted."""
+    return 0.5 * (a[:, 0, 0] * h[:, 0, 0] + a[:, 1, 1] * h[:, 1, 1]
+                  + a[:, 0, 1] * h[:, 1, 0] + a[:, 1, 0] * h[:, 0, 1])
+
+
 def adaptive_simpson(f, upper: float, lower: float = 0.0):
     """Locally adaptive Simpson on [lower, upper].
 
@@ -136,9 +142,10 @@ def energy_report(state: RayState, alpha: Polytope | None = None) -> EnergyRepor
     identity I = 2J hold exactly in floating point (j_val is assembled
     as i_val / 2 there, which agrees with the defining combination to
     one rounding).  l_alpha is the Chen-Tian endpoint energy of the
-    fixed form alpha (_fixed_form_energy, as for Ric0 in mabuchi).
-    err_estimate is the am / am_direct discrepancy, the
-    path-vs-endpoint consistency estimate.
+    fixed form alpha (_fixed_form_energy, as for Ric0 in mabuchi).  In
+    2D am_direct adds phi_y * MD(G0(x), H_tau^-1) * det H_tau, read as
+    half_trace(G0(x), H_tau).  err_estimate is the am / am_direct
+    discrepancy, the path-vs-endpoint consistency estimate.
     """
     ray = state.ray
     n = ray.cfg.dim
@@ -152,9 +159,8 @@ def energy_report(state: RayState, alpha: Polytope | None = None) -> EnergyRepor
     if n == 1:
         am_direct = a_ref + b_mov
     else:
-        mixed = mixed_discriminant(state.g0_at_x, state.g_tau)
-        am_direct = a_ref + b_mov \
-            + fact * ray.grid.integrate(state.phi_y * mixed * state.det_tau)
+        am_direct = a_ref + b_mov + fact * ray.grid.integrate(
+            state.phi_y * half_trace(state.g0_at_x, state.h_tau))
     i_val = a_ref - b_mov
     j_val = 0.5 * i_val if n == 1 else a_ref - am_direct / (n + 1)
 
@@ -177,16 +183,18 @@ def _fixed_form_energy(state: RayState, theta: np.ndarray) -> float:
     Every term is read over the transported nodes: the j = n-1 term, an
     integral of phi * MD(theta, G0) * det H0 against
     dx = e^(-log_ratio) dy, has density phi_y * MD(theta, G0(x)) *
-    det H_tau (phi_y * theta * h_tau for n = 1), and for n = 2 the j = 0
-    term adds phi_y * MD(theta, G_tau) * det H_tau.
+    det H_tau (phi_y * theta * det H_tau for n = 1), and for n = 2 the
+    j = 0 term adds phi_y * MD(theta, H_tau^-1) * det H_tau, read as
+    phi_y * half_trace(theta, H_tau).
     """
     ray = state.ray
     if ray.cfg.dim == 1:
-        density = theta[:, 0, 0]
+        density = state.phi_y * theta[:, 0, 0] * state.det_tau
     else:
-        density = mixed_discriminant(theta, state.g0_at_x + state.g_tau)
-    return math.factorial(ray.cfg.dim) * ray.grid.integrate(
-        state.phi_y * density * state.det_tau)
+        density = state.phi_y * (
+            mixed_discriminant(theta, state.g0_at_x) * state.det_tau
+            + half_trace(theta, state.h_tau))
+    return math.factorial(ray.cfg.dim) * ray.grid.integrate(density)
 
 
 def alpha_frame(alpha: Polytope, dim: int) -> SimplexProduct:
@@ -303,7 +311,8 @@ def mabuchi(state: RayState) -> MabuchiReport:
     route_a = 0.5 * state.entropy + (n / (n + 1)) * mu * am_energy(ray, tau) \
         - l_ric
     route_b, err = _route_b(ray, tau)
-    if abs(route_a - route_b) > ROUTE_TOL * (1.0 + abs(route_a)):
+    # written with <=, which a NaN route fails
+    if not abs(route_a - route_b) <= ROUTE_TOL * (1.0 + abs(route_a)):
         raise RouteMismatch(
             f"Mabuchi routes disagree at tau={tau}: Chen-Tian {route_a!r} "
             f"vs toric {route_b!r}")

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from kstab.analysis import _det_small
 from kstab.errors import NotConvex
 from kstab.plconfig import make_config, normalize, pl_fn
 from kstab.polytope import box, construct, corner_chop, interval, unit_simplex
@@ -76,3 +77,9 @@ def corner_coords(frame, log_ell):
                            & (frame.offsets == 0))[0]
             for e in np.eye(frame.normals.shape[1])]
     return np.exp(log_ell[:, cols])
+
+
+def logdet_small(h):
+    """log det of a stack of 1x1 or 2x2 matrices (Hessian fields at grid
+    nodes), the tests' reference log-determinant."""
+    return np.log(_det_small(h))

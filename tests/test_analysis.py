@@ -29,11 +29,10 @@ from kstab.analysis import (
     newton_transport,
     _gauss_rule,
     _inv_small,
-    _logdet_small,
     ricci_reference,
     simplex_product,
 )
-from gens import corner_coords, flat
+from gens import corner_coords, flat, logdet_small
 from kstab.errors import (DomainMismatch, NewtonDivergence, NonDelzant,
                           NumericalFailure)
 from kstab.functionals import mixed_discriminant
@@ -555,8 +554,8 @@ def test_newton_never_lands_on_a_facet(y_lo, y_hi):
 def _log_volume_ratio(ray, tau):
     """log(omega_phi^n / omega^n) at the reference nodes."""
     moved = ray.transport(tau)
-    return _logdet_small(ray.h0) \
-        - _logdet_small(ray.potential(tau).hessian(moved))
+    return logdet_small(ray.h0) \
+        - logdet_small(ray.potential(tau).hessian(moved))
 
 
 def test_state_at_zero_is_identity():
@@ -568,6 +567,24 @@ def test_state_at_zero_is_identity():
     assert np.all(lvr == 0.0)
     mass = ray.grid.integrate(np.exp(lvr))
     assert abs(mass / float(volume_data(KINK.base).volume) - 1.0) < 1e-12
+
+
+def test_interval_h0_inverse_keeps_its_digits():
+    """On [0, 1], D2u0^-1 = 2 x (1 - x).  h0_inv_g_hess reads it as
+    1 / D2u0: on the off-centre steep ray every node where D2g_beta is
+    nonzero is within 2 ulps of 2 x (1 - x) D2g_beta, exact in rationals
+    from the float x, 1 - x and D2g_beta.  The closed form through the
+    log-slacks reads nearly 4 ulps off there."""
+    cfg = interval_config([((Fraction(-5, 2),), 0),
+                           ((Fraction(5, 2),), Fraction(-5, 8))])
+    ray = Ray(cfg, beta=120.0, tau_max=12.0)
+    x, hess = ray.grid.points[:, 0], ray.g_hess[:, 0, 0]
+    got = ray.h0_inv_g_hess[:, 0, 0]
+    rows = np.flatnonzero(hess > 0)
+    assert len(rows) > 100
+    for i in rows:
+        ref = 2 * Fraction(x[i]) * Fraction(1.0 - x[i]) * Fraction(hess[i])
+        assert abs(Fraction(got[i]) / ref - 1) <= 2 * 2.0 ** -52
 
 
 @pytest.mark.parametrize("tau", [1.0, 4.0, 8.0])
@@ -773,7 +790,7 @@ def test_product_state_matches_newton(cfg):
     scale = np.abs(ref).max(axis=(1, 2))
     err = np.abs(state.g0_at_x[ok] - ref).max(axis=(1, 2))
     assert np.max(err / scale) < 1e-9
-    log_ratio = _logdet_small(h0_at_z) - _logdet_small(ray.h0 + ray.g_hess)
+    log_ratio = logdet_small(h0_at_z) - logdet_small(ray.h0 + ray.g_hess)
     assert np.max(np.abs(state.log_ratio - log_ratio)[ok]) < 1e-9
     ref = ricci_reference(ray.u0, z[ok])
     scale = np.abs(ref).max(axis=(1, 2))

@@ -24,13 +24,12 @@ import pytest
 import kstab.analysis
 import kstab.functionals
 from kstab.analysis import (_NEWTON_BLOCK, Grid, Ray, SymplecticPotential,
-                            _inv_small, _logdet_small,
-                            abreu_scalar_curvature, bulk_grid,
+                            _inv_small, abreu_scalar_curvature, bulk_grid,
                             crease_ladder_depth, fan_grid,
                             guillemin_potential, newton_transport,
                             ricci_reference, simplex_product)
 from kstab.errors import (DimensionMismatch, NormalizationRequired,
-                          NumericalFailure)
+                          NumericalFailure, RouteMismatch)
 from kstab.functionals import (
     ROUTE_TOL,
     EnergyReport,
@@ -39,6 +38,7 @@ from kstab.functionals import (
     adaptive_simpson,
     am_energy,
     energy_report,
+    half_trace,
     l1_norm_path,
     mabuchi,
     mixed_discriminant,
@@ -48,7 +48,7 @@ from kstab.invariants import (donaldson_futaki, minimum_norm, slope_mu,
 from kstab.plconfig import make_config, normalize
 from kstab.polytope import box, corner_chop, interval, unit_simplex, volume_data
 from kstab.slopes import Schedule, ladder
-from gens import corner_coords
+from gens import corner_coords, logdet_small
 
 F = Fraction
 
@@ -209,7 +209,7 @@ def _phi_dot_pairing(ray, s, a_field):
         det = h_s[:, 0, 0]
     else:
         md = mixed_discriminant(a_field, _inv_small(h_s))
-        det = np.exp(_logdet_small(h_s))
+        det = np.exp(logdet_small(h_s))
     return -n * math.factorial(n) * ray.grid.integrate(ray.g_vals * md * det)
 
 
@@ -306,15 +306,12 @@ def test_df_rung_integrates_the_entropy_once(monkeypatch):
     assert state.entropy == integrate(state.ray.grid, state.log_ratio)
 
 
-def test_square_rung_inverts_each_matrix_field_once(monkeypatch):
-    """Each DF rung on the square inverts H_tau once for a PL g, in row
-    blocks, and D2u0 at the nodes is inverted once per Ray, for
-    log_ratio and route (b).  For an affine g, whose Hessian is 0,
-    H_tau = D2u0 at every tau: it is inverted once per Ray and shared by
-    every state.  On a two-rung ladder that shares one Ray that is three
-    grids' worth of inverted rows for a PL g and one for an affine one.
-    D2u0(x) is never evaluated over the grid: its inverse comes in
-    closed form from the log-slacks."""
+def test_rung_path_inverts_no_matrix_field(monkeypatch):
+    """From Ray(...) through state, energy_report and mabuchi on two
+    rungs, no Hessian field is inverted: D2u0^-1 at x and at the nodes
+    comes in closed form from the log-slacks, and every wedge density
+    pairs a form with H_tau in trace form (half_trace).  D2u0 at the
+    nodes is evaluated once, when the Ray is built."""
     inversions, hessians = [], []
 
     def inv_counted(h):
@@ -327,52 +324,102 @@ def test_square_rung_inverts_each_matrix_field_once(monkeypatch):
         hessians.append(len(pts))
         return hessian(self, pts, ell)
 
-    for cfg, grids in ((SQUARE3, 2 + 1), (SQUARE, 1)):
+    monkeypatch.setattr(kstab.analysis, "_inv_small", inv_counted)
+    monkeypatch.setattr(SymplecticPotential, "hessian", hessian_counted)
+    for cfg in (SQUARE3, SQUARE):
+        hessians.clear()
         ray = Ray(cfg, beta=10.0, tau_max=1.0)
-        size = ray.grid.size
-        assert size > _NEWTON_BLOCK  # the state's blocks are shorter
-        inversions.clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(kstab.analysis, "_inv_small", inv_counted)
-            patch.setattr(SymplecticPotential, "hessian", hessian_counted)
-            for tau in (0.5, 1.0):
-                state = ray.state(tau)
-                energy_report(state)
-                mabuchi(state)
-        assert sum(inversions) == grids * size
-        assert max(inversions) <= size
-    assert hessians == []
+        for tau in (0.5, 1.0):
+            state = ray.state(tau)
+            energy_report(state)
+            mabuchi(state)
+        assert hessians == [ray.grid.size]
+    assert inversions == []
 
 
 @pytest.mark.parametrize("cfg,affine", [
     (SQUARE, True), (SQUARE3, False), (AFFINE, True), (KINK, False),
 ], ids=["square", "square3", "affine", "kink"])
-def test_affine_states_share_the_rays_h_tau_fields(cfg, affine):
-    """The states of an affine ladder share the Ray's read-only det_tau
-    and g_tau, bit for bit what D2u0 + tau * 0 gives; a PL Ray builds
-    them per state from H_tau."""
+def test_affine_states_share_the_rays_h0(cfg, affine):
+    """The states of an affine ladder share the Ray's read-only h0 as
+    h_tau and det_h0 as det_tau, by identity; a PL state fills
+    h_tau = h0 + tau * g_hess and its determinant, bit for bit.  h_tau
+    is None for n = 1."""
     ray = Ray(cfg, beta=10.0, tau_max=2.0)
-    states = [ray.state(tau) for tau in (0.5, 1.0, 2.0)]
-    if not affine:
-        first, *rest = states
-        for state in rest:
-            assert state.det_tau is not first.det_tau
-            assert state.g_tau is None or state.g_tau is not first.g_tau
-        assert first.det_tau.flags.writeable
-        return
-    det, inv = ray.h_tau_fields(1.0)
-    h_tau = ray.h0 + 1.0 * ray.g_hess
-    if cfg.dim == 1:
-        assert inv is None
-        assert det.tobytes() == h_tau[:, 0, 0].tobytes()
+    # a 2D PL h_tau is filled in several blocks of rows
+    assert cfg.dim == 1 or ray.grid.size > _NEWTON_BLOCK
+    for tau in (0.5, 1.0, 2.0):
+        state = ray.state(tau)
+        if affine:
+            assert state.det_tau is ray.det_h0
+            assert state.h_tau is (ray.h0 if cfg.dim > 1 else None)
+            continue
+        h_tau = ray.h0 + tau * ray.g_hess
+        det = h_tau[:, 0, 0] if cfg.dim == 1 else (
+            h_tau[:, 0, 0] * h_tau[:, 1, 1] - h_tau[:, 0, 1] * h_tau[:, 1, 0])
+        assert state.det_tau.tobytes() == det.tobytes()
+        if cfg.dim == 1:
+            assert state.h_tau is None
+        else:
+            assert state.h_tau.tobytes() == h_tau.tobytes()
+    assert not ray.h0.flags.writeable and not ray.det_h0.flags.writeable
+
+
+SIMPLEX = normalize(make_config(unit_simplex(2), [((1, 0), 0)]), "min_zero")
+
+
+@pytest.mark.parametrize("cfg", [SQUARE, SIMPLEX, SQUARE3],
+                         ids=["square", "simplex", "square3"])
+@pytest.mark.parametrize("tau", [1.0, 4.0])
+def test_trace_form_energies_match_the_inverted_h_tau(cfg, tau):
+    """am_direct, E_Ric and L_alpha read in trace form meet the same
+    energies with H_tau inverted, MD(., H_tau^-1) * det H_tau, to 1e-12
+    relative."""
+    alpha = box(2, side=2)
+    ray = Ray(cfg, beta=10.0 * tau, tau_max=tau)
+    state = ray.state(tau)
+    rep, mab = energy_report(state, alpha=alpha), mabuchi(state)
+    g_tau = _inv_small(state.h_tau)
+
+    def wedge(a, b):
+        return 2 * ray.grid.integrate(
+            state.phi_y * mixed_discriminant(a, b) * state.det_tau)
+
+    am_direct = 2 * ray.grid.integrate(
+        state.phi_y * np.exp(-state.log_ratio)) \
+        + 2 * ray.grid.integrate(state.phi_y) + wedge(state.g0_at_x, g_tau)
+    e_ric = wedge(ray.frame.ricci(state.log_slacks), state.g0_at_x + g_tau)
+    l_alpha = wedge(_alpha_theta(state, alpha), state.g0_at_x + g_tau)
+    for value, ref in ((rep.am_direct, am_direct), (mab.l_ricci, e_ric),
+                       (rep.l_alpha, l_alpha)):
+        assert abs(value - ref) <= 1e-12 * abs(ref)
+
+
+def test_half_trace_is_the_mixed_discriminant_with_the_inverse():
+    """MD(A, H^-1) * det H = (1/2) tr(A H) on random 2 x 2 matrices: A
+    of any kind, H positive definite like a Hessian field."""
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(1000, 2, 2))
+    m = rng.normal(size=(1000, 2, 2))
+    h = m @ m.transpose(0, 2, 1) + 0.1 * np.eye(2)
+    ref = mixed_discriminant(a, _inv_small(h)) * np.linalg.det(h)
+    scale = np.abs(a).max(axis=(1, 2)) * np.abs(h).max(axis=(1, 2))
+    assert np.all(np.abs(half_trace(a, h) - ref) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("route", ["a", "b"])
+def test_a_nan_route_is_a_route_mismatch(monkeypatch, route):
+    """A NaN route fails the route check, which compares with <= so that
+    NaN cannot pass, and RouteMismatch names the tau."""
+    state = Ray(KINK, beta=20.0, tau_max=2.0).state(2.0)
+    if route == "a":
+        monkeypatch.setattr(kstab.functionals, "_fixed_form_energy",
+                            lambda state, theta: float("nan"))
     else:
-        assert not inv.flags.writeable
-        assert inv.tobytes() == _inv_small(h_tau).tobytes()
-        assert det.tobytes() == (h_tau[:, 0, 0] * h_tau[:, 1, 1]
-                                 - h_tau[:, 0, 1] * h_tau[:, 1, 0]).tobytes()
-    assert not det.flags.writeable
-    for state in states:
-        assert state.det_tau is det and state.g_tau is inv
+        monkeypatch.setattr(kstab.functionals, "_route_b",
+                            lambda ray, tau: (float("nan"), 0.0))
+    with pytest.raises(RouteMismatch, match="tau=2.0"):
+        mabuchi(state)
 
 
 def _mabuchi_path(ray, taus):
