@@ -9,8 +9,10 @@ file records the machine facts; per workload the median of the three
 untraced runs, each number taken on its own, next to their raw result
 lines under ``runs``; the traced run's result line (correctness,
 attempted and failed ops, every metric with its unit); the Tier-1 wall
-time and summary; and ``wc -l src/kstab/*.py``.  One slow run among the
-three does not move the medians.  Each run uses seed 1 and the
+time and summary; the ``pl_memory`` section, the wall time and peak RSS
+of two 2D PL DF verdicts (square max(x1, x2) and the 4-piece square),
+each in a fresh process; and ``wc -l src/kstab/*.py``.  One slow run
+among the three does not move the medians.  Each run uses seed 1 and the
 ``run_seconds`` of BENCHMARK.json.  Everything runs one after another
 in one closed loop, so two files compare only when they come from the
 same machine.
@@ -30,6 +32,22 @@ SEED = 1
 UNTRACED_RUNS = 3
 TIER1 = [sys.executable, "-m", "pytest", "-q",
          "--continue-on-collection-errors"]
+# the pieces of g on the unit square for the pl_memory verdicts
+PL_VERDICTS = {
+    "square_max_df": "[((1, 0), 0), ((0, 1), 0)]",
+    "square_4piece_df": "[((0, 0), 0), ((1, 0), F(-1, 2)), "
+                        "((0, 1), F(-1, 2)), ((1, 1), -1)]",
+}
+PL_PROBE = """\
+import resource, time
+from fractions import Fraction as F
+import kstab
+cfg = kstab.normalize(kstab.make_config(kstab.box(2), {pieces}), "min_zero")
+t0 = time.perf_counter()
+passed = kstab.verify_theorem(cfg, "DF").passed
+print(time.perf_counter() - t0, passed,
+      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
 
 
 def bench_run(workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -62,12 +80,35 @@ def median_run(workload: str, seed: int, seconds: float) -> dict:
             "metrics": metrics, "runs": runs}
 
 
-def tier1() -> dict:
+def src_env() -> dict:
+    """The environment with src/ first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def pl_memory() -> dict:
+    """Per PL_VERDICTS entry, its DF verdict in a fresh process: wall
+    time of verify_theorem, whether it passed, and the process's peak
+    RSS (ru_maxrss, import included)."""
+    out = {}
+    for name, pieces in PL_VERDICTS.items():
+        cmd = [sys.executable, "-c", PL_PROBE.format(pieces=pieces)]
+        done = subprocess.run(cmd, cwd=ROOT, env=src_env(),
+                              capture_output=True, text=True)
+        if done.returncode != 0:
+            raise SystemExit(f"pl_memory {name} exited {done.returncode}:\n"
+                             f"{done.stderr.strip()[-800:]}")
+        wall, passed, rss_kb = done.stdout.split()
+        out[name] = {"wall_s": float(wall), "pass": passed == "True",
+                     "peak_rss_mb": int(rss_kb) / 1024}
+    return out
+
+
+def tier1() -> dict:
     t0 = time.perf_counter()
-    done = subprocess.run(TIER1, cwd=ROOT, env=env, capture_output=True,
+    done = subprocess.run(TIER1, cwd=ROOT, env=src_env(), capture_output=True,
                           text=True)
     wall = time.perf_counter() - t0
     lines = done.stdout.strip().splitlines()
@@ -100,6 +141,8 @@ def main(argv=None) -> int:
         out["end_to_end"][workload] = median_run(workload, SEED, seconds)
         print(f"bench: {workload} traced", file=sys.stderr)
         out["per_layer"][workload] = bench_run(workload, SEED, seconds, 1)
+    print("bench: pl_memory", file=sys.stderr)
+    out["pl_memory"] = pl_memory()
     print("bench: tier-1", file=sys.stderr)
     out["tier1"] = tier1()
     out["src_lines"] = src_lines()

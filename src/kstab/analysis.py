@@ -83,11 +83,12 @@ class SymplecticPotential:
         return g @ self.normals
 
     def hessian(self, pts: np.ndarray, ell=None) -> np.ndarray:
-        if ell is None:
-            ell = self.slacks(pts)
+        own = ell is None  # this call's own slacks are inverted in place
+        ell = self.slacks(pts) if own else ell
+        inv = np.divide(1.0, ell, out=ell if own else None)
         n_facets, dim = self.normals.shape
         outer = self.normals[:, :, None] * self.normals[:, None, :]
-        h = (1.0 / ell) @ outer.reshape(n_facets, dim * dim)
+        h = inv @ outer.reshape(n_facets, dim * dim)
         h *= 0.5
         return h.reshape(-1, dim, dim)
 
@@ -121,11 +122,17 @@ class SmoothedPL:
     def _fields(self, pts):
         """Row max, softmax normaliser and softmax weights at pts; both
         reductions run column by column (see _row_reduce)."""
-        vals = pts @ self.grads.T + self.consts[None, :]
+        vals = pts @ self.grads.T  # then in place, column by column too
+        for col, const in zip(vals.T, self.consts):
+            col += const
         top = _row_reduce(np.maximum, vals)
-        w = np.exp(self.beta * (vals - top[:, None]))
+        for col in vals.T:
+            col -= top
+        w = np.exp(np.multiply(vals, self.beta, out=vals), out=vals)
         z = _row_reduce(np.add, w)
-        return top, z, w / z[:, None]
+        for col in w.T:
+            col /= z
+        return top, z, w
 
     def value(self, pts: np.ndarray) -> np.ndarray:
         top, z, _ = self._fields(pts)
@@ -147,8 +154,10 @@ class SmoothedPL:
         pair = (self.grads[:, :, None] * self.grads[:, None, :]).reshape(
             n_pieces, dim * dim)
         mean = w @ self.grads
-        sq = (w @ pair).reshape(-1, dim, dim)
-        return self.beta * (sq - mean[:, :, None] * mean[:, None, :])
+        h = w @ pair  # minus the mean's outer product, entry by entry
+        for k, (i, j) in enumerate(np.ndindex(dim, dim)):
+            h[:, k] -= mean[:, i] * mean[:, j]
+        return np.multiply(h, self.beta, out=h).reshape(-1, dim, dim)
 
 
 @dataclass(frozen=True)
@@ -183,6 +192,19 @@ class Grid:
 
     def integrate(self, values: np.ndarray) -> float:
         return float(values @ self.weights)
+
+    def blocks(self):
+        """Slices of _NEWTON_BLOCK rows covering the nodes, in order."""
+        return (slice(lo, lo + _NEWTON_BLOCK)
+                for lo in range(0, self.size, _NEWTON_BLOCK))
+
+    def integrate_blocks(self, density) -> float:
+        """integrate of the field density(rows) forms block by block, in
+        one grid-length array: integrate's order of summation, its bits."""
+        values = np.empty(self.size)
+        for rows in self.blocks():
+            values[rows] = density(rows)
+        return self.integrate(values)
 
     @property
     def size(self) -> int:
@@ -257,9 +279,9 @@ def line_grid(lo, hi, depths, crease_depth: int,
     return Grid(points=(a + span * x)[:, None], weights=span * w)
 
 
-def fan_grid(base: Polytope, depth: int, inner_order: int = 12,
+def fan_grid(cells, depth: int, inner_order: int = 12,
              graded_order: int = 4) -> Grid:
-    """Barycentric fan over the facets, graded at the collar and corners.
+    """A barycentric fan per cell, graded at the collar and corners.
 
     Each facet spans a triangle (barycenter, v_i, v_j) parametrized by
     radial t and along-edge s.  Radially, [0, 1/2] is two inner panels,
@@ -272,10 +294,9 @@ def fan_grid(base: Polytope, depth: int, inner_order: int = 12,
     min(depth, max(3, k + 2)) and the panel touching the facet to the
     full depth: a node about 2^-k from the facet is also about 2^-k or
     more from the adjacent facets, so only the corner panels need
-    2^-depth along the edge.
+    2^-depth along the edge.  Every facet maps the one rule (t, s, w)
+    into preallocated arrays, in place.
     """
-    vd = volume_data(base)
-    bary = np.array([float(c) for c in vd.barycenter])
     levels = sorted({*range(1, min(8, depth) + 1), *range(9, depth, 2), depth})
     # (a, b, radial order, level of b); the last panel ends on the facet
     panels = [(0.0, 0.25, inner_order, 0), (0.25, 0.5, inner_order, 1)] + [
@@ -294,16 +315,22 @@ def fan_grid(base: Polytope, depth: int, inner_order: int = 12,
                        (np.outer(tw, sw) * tx[:, None]).reshape(-1)))
     t, s, w = map(np.concatenate, zip(*blocks))
 
-    pts_all, w_all = [], []
-    for fv in base.facet_vertices:
+    facets = [(cell, fv) for cell in cells for fv in cell.facet_vertices]
+    weights = np.empty(len(facets) * len(w))
+    points = np.empty((len(weights), 2))
+    for i, (cell, fv) in enumerate(facets):
+        rows = slice(i * len(w), (i + 1) * len(w))
+        bary = np.array([float(c) for c in volume_data(cell).barycenter])
         vi, vj = sorted(fv)[:2]
-        A = np.array([float(c) for c in base.vertices[vi]]) - bary
-        B = np.array([float(c) for c in base.vertices[vj]]) - bary
-        det = abs(A[0] * B[1] - A[1] * B[0])
-        edge = (1 - s)[:, None] * A[None, :] + s[:, None] * B[None, :]
-        pts_all.append(bary[None, :] + t[:, None] * edge)
-        w_all.append(w * det)
-    return Grid(points=np.concatenate(pts_all), weights=np.concatenate(w_all))
+        A = np.array([float(c) for c in cell.vertices[vi]]) - bary
+        B = np.array([float(c) for c in cell.vertices[vj]]) - bary
+        # bary + t ((1 - s) A + s B), formed in place
+        pts = np.multiply((1 - s)[:, None], A, out=points[rows])
+        pts += s[:, None] * B
+        pts *= t[:, None]
+        pts += bary
+        np.multiply(w, abs(A[0] * B[1] - A[1] * B[0]), out=weights[rows])
+    return Grid(points=points, weights=weights)
 
 
 def _cell_grid(g: PLConvexFn, depth: int, crease_depth: int,
@@ -318,7 +345,7 @@ def _cell_grid(g: PLConvexFn, depth: int, crease_depth: int,
                  for lo, hi in (sorted(v[0] for v in cell.vertices)
                                 for cell in g.regions())]
     elif base.dim == 2:
-        grids = [fan_grid(cell, depth, *fan_orders) for cell in g.regions()]
+        return fan_grid(g.regions(), depth, *fan_orders)
     else:
         raise NonDelzant("analysis grids implemented for dimensions 1 and 2")
     if len(grids) == 1:
@@ -724,23 +751,30 @@ class RayState:
     one.  x, the inverse transport of a node, is held only as
     log_slacks, the log ell_k at x (SimplexProduct), and every field at
     x comes in closed form from them: phi_y is the potential increment
-    at x, log_ratio is log det D2u0(x) - log det H_tau, entropy is n!
-    times its integral (read by energy_report and mabuchi) and det_tau
-    is det H_tau.  Wedge densities take g0_at_x = D2u0(x)^-1 and
-    h_tau = H_tau at the nodes, which are None for n = 1; for an exact
-    g_beta, h_tau and det_tau are the Ray's read-only h0 and det_h0,
-    shared by all its states.
+    at x, log_ratio is log det D2u0(x) - log det H_tau and entropy is n!
+    times its integral (read by energy_report and mabuchi).  No matrix
+    field is held: wedge_fields forms them for one block of rows.
     """
 
     ray: "Ray"
     tau: float
-    g0_at_x: np.ndarray | None
     phi_y: np.ndarray
     log_ratio: np.ndarray
     entropy: float
-    det_tau: np.ndarray
-    h_tau: np.ndarray | None
     log_slacks: np.ndarray
+
+    def wedge_fields(self, rows: slice) -> tuple:
+        """(D2u0(x)^-1, H_tau, det H_tau) at the nodes rows, for the wedge
+        densities: D2u0(x)^-1 from the log-slacks (None for n = 1),
+        H_tau = D2u0 + tau D2g_beta (D2u0 for an exact g_beta)."""
+        ray, pts = self.ray, self.ray.grid.points[rows]
+        h_tau = ray.u0.hessian(pts)
+        if not ray.smooth.exact:
+            d2g = ray.smooth.hessian(pts)
+            h_tau += np.multiply(d2g, self.tau, out=d2g)
+        g0_at_x = None if ray.cfg.dim == 1 else \
+            ray.frame.inverse_hessian(self.log_slacks[rows])
+        return g0_at_x, h_tau, _det_small(h_tau)
 
 
 class Ray:
@@ -759,28 +793,28 @@ class Ray:
                 f"triangle or parallelogram); this base has "
                 f"{len(cfg.base.halfspaces)} facets")
         self.smooth = SmoothedPL.from_fn(cfg.g, beta)
-        self.grid = build_grid(cfg.g, collar_depth_for(tau_max),
-                               crease_ladder_depth(beta, tau_max))
-        pts = self.grid.points
-        self.h0 = self.u0.hessian(pts)
-        self.det_h0 = _det_small(self.h0)
-        # H_tau and det H_tau of every affine state, shared by them all
-        self.h0.flags.writeable = self.det_h0.flags.writeable = False
-        self.xi = self.u0.gradient(pts)
-        self.g_vals = self.smooth.value(pts)
-        self.g_grad = self.smooth.gradient(pts)
-        self.g_hess = self.smooth.hessian(pts)
+        grid = self.grid = build_grid(cfg.g, collar_depth_for(tau_max),
+                                      crease_ladder_depth(beta, tau_max))
+        self.xi, self.g_vals = np.empty(grid.points.shape), np.empty(grid.size)
+        self.g_grad = np.broadcast_to(self.smooth.grads[0], self.xi.shape) \
+            if self.smooth.exact else np.empty(self.xi.shape)
+        for rows in grid.blocks():  # no temporary as long as the grid
+            pts = grid.points[rows]
+            self.xi[rows] = self.u0.gradient(pts)
+            self.g_vals[rows] = self.smooth.value(pts)
+            if not self.smooth.exact:
+                self.g_grad[rows] = self.smooth.gradient(pts)
 
-    @cached_property
-    def h0_inv_g_hess(self) -> np.ndarray:
-        """D2u0^-1 D2g_beta at the nodes, for log det(I + tau of it) in
-        log_ratio and route (b); D2u0^-1 is closed form in the log-slacks
-        (1 / D2u0 in 1D, to the last digit); 0 for an affine g_beta."""
-        if self.smooth.exact:
-            return self.g_hess
-        inv = 1.0 / self.h0 if self.cfg.dim == 1 else \
-            self.frame.inverse_hessian(self.frame.log_slacks(self.xi))
-        return inv @ self.g_hess
+    def h0_inv_g_hess(self, rows: slice) -> np.ndarray:
+        """D2u0^-1 D2g_beta at the nodes rows, for log det(I + tau of it)
+        in log_ratio and route (b); D2u0^-1 is closed form in the
+        log-slacks (1 / D2u0 in 1D, to the last digit, times D2g_beta
+        elementwise: a 1 x 1 matmul costs a BLAS call per node)."""
+        pts = self.grid.points[rows]
+        if self.cfg.dim == 1:
+            return (1.0 / self.u0.hessian(pts)) * self.smooth.hessian(pts)
+        return self.frame.inverse_hessian(self.frame.log_slacks(
+            self.xi[rows])) @ self.smooth.hessian(pts)
 
     def potential(self, s: float) -> ShiftedPotential:
         return ShiftedPotential(self.u0, self.smooth, float(s))
@@ -834,21 +868,15 @@ class Ray:
         with the Legendre dual in slacks,
         u0*(xi) = (1/2) sum ell_k - (1/2) sum lambda_k (1 + log ell_k)
         (lambda the facet offsets; each block's slacks sum to Lambda_B),
-        so x xi is never formed.  H_tau = D2u0 + tau D2g_beta and its
-        determinant are filled at the nodes, or for an exact g_beta, where
-        H_tau = D2u0, read from the Ray (h0, det_h0) and shared by every
-        state, and the log det term, 0, is skipped.  Rows go in blocks of
-        _NEWTON_BLOCK, so no temporary is as long as the grid."""
+        so x xi is never formed.  For an exact g_beta the log det term,
+        0, is skipped.  Rows go in blocks of _NEWTON_BLOCK, so no
+        temporary is as long as the grid, and no matrix field is kept."""
         tau = float(tau)
         self.check_reach(tau)
-        frame, size, dim = self.frame, self.grid.size, self.cfg.dim
+        frame, size = self.frame, self.grid.size
         log_ell = np.empty((len(frame.offsets), size)).T  # as log_slacks
         phi_y, log_ratio = np.empty(size), np.empty(size)
-        g0_at_x = np.empty((size, dim, dim)) if dim > 1 else None
-        h_tau, det_tau = (self.h0, self.det_h0) if self.smooth.exact \
-            else (np.empty((size, dim, dim)), np.empty(size))
-        for lo in range(0, size, _NEWTON_BLOCK):
-            rows = slice(lo, lo + _NEWTON_BLOCK)
+        for rows in self.grid.blocks():
             xi, grad = self.xi[rows], self.g_grad[rows]
             at_x = log_ell[rows] = frame.log_slacks(xi + tau * grad)
             step = at_x - frame.log_slacks(xi)
@@ -857,17 +885,11 @@ class Ray:
                                              self.grid.points[rows] * grad)
                                  - self.g_vals[rows]) \
                 + 0.5 * (step @ frame.offsets)
-            if dim > 1:
-                g0_at_x[rows] = frame.inverse_hessian(at_x)
             if not self.smooth.exact:
-                log_ratio[rows] -= _log1p_det(self.h0_inv_g_hess[rows], tau)
-                h = h_tau[rows] = self.h0[rows] + tau * self.g_hess[rows]
-                det_tau[rows] = _det_small(h)
-        return RayState(ray=self, tau=tau, g0_at_x=g0_at_x, phi_y=phi_y,
-                        log_ratio=log_ratio,
-                        entropy=math.factorial(dim)
+                log_ratio[rows] -= _log1p_det(self.h0_inv_g_hess(rows), tau)
+        return RayState(ray=self, tau=tau, phi_y=phi_y, log_ratio=log_ratio,
+                        entropy=math.factorial(self.cfg.dim)
                         * self.grid.integrate(log_ratio),
-                        det_tau=det_tau, h_tau=h_tau if dim > 1 else None,
                         log_slacks=log_ell)
 
     @staticmethod

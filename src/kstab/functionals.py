@@ -144,7 +144,8 @@ def energy_report(state: RayState, alpha: Polytope | None = None) -> EnergyRepor
     one rounding).  l_alpha is the Chen-Tian endpoint energy of the
     fixed form alpha (_fixed_form_energy, as for Ric0 in mabuchi).  In
     2D am_direct adds phi_y * MD(G0(x), H_tau^-1) * det H_tau, read as
-    half_trace(G0(x), H_tau).  err_estimate is the am / am_direct
+    half_trace(G0(x), H_tau); every density is formed block by block
+    (Grid.integrate_blocks).  err_estimate is the am / am_direct
     discrepancy, the path-vs-endpoint consistency estimate.
     """
     ray = state.ray
@@ -154,13 +155,15 @@ def energy_report(state: RayState, alpha: Polytope | None = None) -> EnergyRepor
     am = am_energy(ray, tau)
 
     # against the fixed form (dx = e^(-log_ratio) dy) and the evolving one
-    a_ref = fact * ray.grid.integrate(state.phi_y * np.exp(-state.log_ratio))
+    a_ref = fact * ray.grid.integrate_blocks(
+        lambda rows: state.phi_y[rows] * np.exp(-state.log_ratio[rows]))
     b_mov = fact * ray.grid.integrate(state.phi_y)
     if n == 1:
         am_direct = a_ref + b_mov
     else:
-        am_direct = a_ref + b_mov + fact * ray.grid.integrate(
-            state.phi_y * half_trace(state.g0_at_x, state.h_tau))
+        am_direct = a_ref + b_mov + fact * ray.grid.integrate_blocks(
+            lambda rows: state.phi_y[rows]
+            * half_trace(*state.wedge_fields(rows)[:2]))
     i_val = a_ref - b_mov
     j_val = 0.5 * i_val if n == 1 else a_ref - am_direct / (n + 1)
 
@@ -171,30 +174,32 @@ def energy_report(state: RayState, alpha: Polytope | None = None) -> EnergyRepor
                         err_estimate=abs(am - am_direct))
 
 
-def _fixed_form_energy(state: RayState, theta: np.ndarray) -> float:
+def _fixed_form_energy(state: RayState, theta) -> float:
     """Chen-Tian energy of a fixed form theta at the endpoint,
 
         E_theta(phi) = sum_{j=0}^{n-1} integral phi theta ^ omega0^j
                        ^ omega_phi^(n-1-j),
 
     whose s-derivative is n * <phi_dot, theta ^ omega_s^(n-1)>.
-    theta is its dual-Hessian field at xi + tau * grad g, the u0-moment
-    image of the point x with the state's log-slacks, at each node.
-    Every term is read over the transported nodes: the j = n-1 term, an
-    integral of phi * MD(theta, G0) * det H0 against
-    dx = e^(-log_ratio) dy, has density phi_y * MD(theta, G0(x)) *
-    det H_tau (phi_y * theta * det H_tau for n = 1), and for n = 2 the
-    j = 0 term adds phi_y * MD(theta, H_tau^-1) * det H_tau, read as
+    theta(rows) is its dual-Hessian field at xi + tau * grad g, the
+    u0-moment image of the point x with the state's log-slacks, at the
+    nodes rows.  Every term is read over the transported nodes, a block
+    at a time (RayState.wedge_fields): the j = n-1 term, an integral of
+    phi * MD(theta, G0) * det H0 against dx = e^(-log_ratio) dy, has
+    density phi_y * MD(theta, G0(x)) * det H_tau (phi_y * theta *
+    det H_tau for n = 1), and for n = 2 the j = 0 term adds
+    phi_y * MD(theta, H_tau^-1) * det H_tau, read as
     phi_y * half_trace(theta, H_tau).
     """
+    def density(rows):
+        (g0_at_x, h_tau, det_tau), form = state.wedge_fields(rows), theta(rows)
+        if g0_at_x is None:
+            return state.phi_y[rows] * form[:, 0, 0] * det_tau
+        return state.phi_y[rows] * (
+            mixed_discriminant(form, g0_at_x) * det_tau
+            + half_trace(form, h_tau))
     ray = state.ray
-    if ray.cfg.dim == 1:
-        density = state.phi_y * theta[:, 0, 0] * state.det_tau
-    else:
-        density = state.phi_y * (
-            mixed_discriminant(theta, state.g0_at_x) * state.det_tau
-            + half_trace(theta, state.h_tau))
-    return math.factorial(ray.cfg.dim) * ray.grid.integrate(density)
+    return math.factorial(ray.cfg.dim) * ray.grid.integrate_blocks(density)
 
 
 def alpha_frame(alpha: Polytope, dim: int) -> SimplexProduct:
@@ -215,15 +220,15 @@ def alpha_frame(alpha: Polytope, dim: int) -> SimplexProduct:
     return frame
 
 
-def _alpha_theta(state: RayState, alpha: Polytope) -> np.ndarray:
-    """theta of the alpha form for _fixed_form_energy: the inverse
+def _alpha_theta(state: RayState, alpha: Polytope):
+    """theta(rows) of the alpha form for _fixed_form_energy: the inverse
     Hessian of alpha's Guillemin potential where its gradient is
     xi + tau * grad g, closed-form in alpha's log-slacks there
     (SimplexProduct.inverse_hessian) after alpha_frame's checks."""
     ray = state.ray
     frame = alpha_frame(alpha, ray.cfg.dim)
-    return frame.inverse_hessian(
-        frame.log_slacks(ray.xi + state.tau * ray.g_grad))
+    return lambda rows: frame.inverse_hessian(frame.log_slacks(
+        ray.xi[rows] + state.tau * ray.g_grad[rows]))
 
 
 @dataclass(frozen=True)
@@ -282,8 +287,9 @@ def _route_b(ray: Ray, tau: float):
         miss += float(sigma) * err
     l_g = boundary - float(vd.boundary_sigma_volume / vd.volume) \
         * ray.grid.integrate(ray.g_vals)
-    logdet = _log1p_det(ray.h0_inv_g_hess, tau)
-    return (math.factorial(n) * (tau * l_g - 0.5 * ray.grid.integrate(logdet)),
+    logdet = 0.0 if ray.smooth.exact else ray.grid.integrate_blocks(
+        lambda rows: _log1p_det(ray.h0_inv_g_hess(rows), tau))
+    return (math.factorial(n) * (tau * l_g - 0.5 * logdet),
             math.factorial(n) * tau * miss)
 
 
@@ -307,7 +313,8 @@ def mabuchi(state: RayState) -> MabuchiReport:
     tau = state.tau
     mu = float(slope_mu(cfg.base))
 
-    l_ric = _fixed_form_energy(state, ray.frame.ricci(state.log_slacks))
+    l_ric = _fixed_form_energy(
+        state, lambda rows: ray.frame.ricci(state.log_slacks[rows]))
     route_a = 0.5 * state.entropy + (n / (n + 1)) * mu * am_energy(ray, tau) \
         - l_ric
     route_b, err = _route_b(ray, tau)

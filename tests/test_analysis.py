@@ -93,6 +93,9 @@ def test_guillemin_square_separates():
     hess = u0.hessian(p)[0]
     assert abs(hess[0, 1]) < 1e-15
     assert abs(hess[0, 0] - 1.0 / (2 * 0.25 * 0.75)) < 1e-12
+    # the slacks inverted in place read as the caller's slacks divided
+    pts = np.random.default_rng(0).uniform(size=(997, 2))
+    assert same_bits(u0.hessian(pts), u0.hessian(pts, u0.slacks(pts)))
 
 
 def test_guillemin_rejects_non_delzant():
@@ -143,9 +146,13 @@ def test_smoothed_pl_matches_axis_reference_bitwise(n_pieces, beta):
         assert (w == 0.0).any()   # some weights underflow
     assert same_bits(sm.value(pts), value)
     assert same_bits(sm.gradient(pts), grad)
-    hess = sm.hessian(pts)
-    assert same_bits(hess, np.zeros((len(pts), 2, 2)) if n_pieces == 1
-                     else sm.weights_hessian(w))
+    # beta (E[a a^T] - E[a] E[a]^T) with whole-array broadcasting
+    sq = (w @ (sm.grads[:, :, None] * sm.grads[:, None, :]).reshape(-1, 4))
+    mean = w @ sm.grads
+    ref = sm.beta * (sq.reshape(-1, 2, 2) - mean[:, :, None] * mean[:, None, :])
+    assert same_bits(sm.weights_hessian(w), ref)
+    assert same_bits(sm.hessian(pts), np.zeros((len(pts), 2, 2))
+                     if n_pieces == 1 else ref)
 
 
 def test_shifted_potential_is_affine_in_s():
@@ -212,7 +219,7 @@ def test_gauss_rule_is_cached_leggauss():
 def test_grids_match_fresh_leggauss_panels(monkeypatch):
     def build():
         return [build_grid(TWO_CREASES, 46, crease_depth=22),
-                fan_grid(box(2), 34), fan_grid(unit_simplex(2), 34)]
+                fan_grid([box(2)], 34), fan_grid([unit_simplex(2)], 34)]
 
     def fresh_panel(a, b, order):
         x, w = np.polynomial.legendre.leggauss(order)
@@ -227,8 +234,8 @@ def test_grids_match_fresh_leggauss_panels(monkeypatch):
 
 
 def test_transport_and_bulk_grid_node_counts():
-    assert fan_grid(box(2), 46).size == 181_440
-    assert fan_grid(unit_simplex(2), 46).size == 136_080
+    assert fan_grid([box(2)], 46).size == 181_440
+    assert fan_grid([unit_simplex(2)], 46).size == 136_080
     assert bulk_grid(flat(box(2))).size == 26_560
     assert bulk_grid(flat(unit_simplex(2))).size == 19_920
 
@@ -259,7 +266,7 @@ def test_fan_grid_couples_edge_depth_to_radial_level(base, depth):
     depth 3 and the panel touching the facet the full depth.  Counted
     per panel from the slack of the first facet, which fixes the radial
     parameter t of every node."""
-    grid = fan_grid(base, depth)
+    grid = fan_grid([base], depth)
     h = base.halfspaces[0]
     normal = np.array([float(c) for c in h.normal])
     offset = float(h.offset)
@@ -281,9 +288,11 @@ def test_fan_grid_couples_edge_depth_to_radial_level(base, depth):
                for _, _, radial_order, d in panels) == len(pts)
 
 
-def tensor_fan_grid(base, depth, inner_order=12, graded_order=4):
-    """The fan grid before corner coupling: every radial panel takes the
-    full along-edge breakpoints of `depth`.  Reference only."""
+def tensor_fan_grid(cells, depth, inner_order=12, graded_order=4):
+    """The fan grid of one cell before corner coupling: every radial
+    panel takes the full along-edge breakpoints of `depth`.  Reference
+    only."""
+    base, = cells
     vd = volume_data(base)
     bary = np.array([float(c) for c in vd.barycenter])
     tx, tw = map(np.concatenate, zip(*(
@@ -373,7 +382,7 @@ def test_one_cell_grid_is_the_grid_on_p():
     on P itself, bit for bit."""
     for base in (interval(-2, 1), box(2)):
         grid = build_grid(flat(base), 20)
-        ref = fan_grid(base, 20) if base.dim == 2 else line_grid(
+        ref = fan_grid([base], 20) if base.dim == 2 else line_grid(
             base.vertices[0][0], base.vertices[-1][0], (20, 20), 8)
         assert same_bits(grid.points, ref.points)
         assert same_bits(grid.weights, ref.weights)
@@ -387,7 +396,7 @@ def test_polygon_grid_is_one_fan_per_cell(cfg):
     collar depth, and integrates the volume of each cell."""
     grid = build_grid(cfg.g, 20)
     cells = cfg.g.regions()
-    fans = [fan_grid(cell, 20) for cell in cells]
+    fans = [fan_grid([cell], 20) for cell in cells]
     assert grid.size == sum(f.size for f in fans)
     assert same_bits(grid.points, np.concatenate([f.points for f in fans]))
     start = 0
@@ -554,7 +563,7 @@ def test_newton_never_lands_on_a_facet(y_lo, y_hi):
 def _log_volume_ratio(ray, tau):
     """log(omega_phi^n / omega^n) at the reference nodes."""
     moved = ray.transport(tau)
-    return logdet_small(ray.h0) \
+    return logdet_small(ray.u0.hessian(ray.grid.points)) \
         - logdet_small(ray.potential(tau).hessian(moved))
 
 
@@ -578,8 +587,9 @@ def test_interval_h0_inverse_keeps_its_digits():
     cfg = interval_config([((Fraction(-5, 2),), 0),
                            ((Fraction(5, 2),), Fraction(-5, 8))])
     ray = Ray(cfg, beta=120.0, tau_max=12.0)
-    x, hess = ray.grid.points[:, 0], ray.g_hess[:, 0, 0]
-    got = ray.h0_inv_g_hess[:, 0, 0]
+    x = ray.grid.points[:, 0]
+    hess = ray.smooth.hessian(ray.grid.points)[:, 0, 0]
+    got = ray.h0_inv_g_hess(slice(None))[:, 0, 0]
     rows = np.flatnonzero(hess > 0)
     assert len(rows) > 100
     for i in rows:
@@ -786,11 +796,12 @@ def test_product_state_matches_newton(cfg):
     ok = ell.min(axis=1) > 1e-6
     assert ok.mean() > 0.5
     assert np.max(np.abs(np.exp(state.log_slacks[ok]) / ell[ok] - 1)) < 1e-9
+    g0_at_x, h_tau, _ = state.wedge_fields(slice(None))  # every node
     ref = _inv_small(h0_at_z[ok])
     scale = np.abs(ref).max(axis=(1, 2))
-    err = np.abs(state.g0_at_x[ok] - ref).max(axis=(1, 2))
+    err = np.abs(g0_at_x[ok] - ref).max(axis=(1, 2))
     assert np.max(err / scale) < 1e-9
-    log_ratio = logdet_small(h0_at_z) - logdet_small(ray.h0 + ray.g_hess)
+    log_ratio = logdet_small(h0_at_z) - logdet_small(h_tau)
     assert np.max(np.abs(state.log_ratio - log_ratio)[ok]) < 1e-9
     ref = ricci_reference(ray.u0, z[ok])
     scale = np.abs(ref).max(axis=(1, 2))

@@ -15,6 +15,7 @@ the exact invariants.
 """
 import gc
 import math
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -23,8 +24,8 @@ import pytest
 
 import kstab.analysis
 import kstab.functionals
-from kstab.analysis import (_NEWTON_BLOCK, Grid, Ray, SymplecticPotential,
-                            _inv_small, abreu_scalar_curvature, bulk_grid,
+from kstab.analysis import (_NEWTON_BLOCK, Grid, Ray, _inv_small,
+                            abreu_scalar_curvature, bulk_grid,
                             crease_ladder_depth, fan_grid,
                             guillemin_potential, newton_transport,
                             ricci_reference, simplex_product)
@@ -196,14 +197,23 @@ def test_mabuchi_vanishes_on_affine_ray():
     assert donaldson_futaki(AFFINE) == 0
 
 
-def _phi_dot_pairing(ray, s, a_field):
+def _node_hessians(ray):
+    """D2u0 and D2g_beta at every grid node, whole: a Ray forms them
+    only block by block.  Reference only."""
+    pts = ray.grid.points
+    return ray.u0.hessian(pts), ray.smooth.hessian(pts)
+
+
+def _phi_dot_pairing(ray, s, a_field, hessians):
     """n * <phi_dot, a ^ w_s^(n-1)> at the grid nodes for the field a_field.
 
     In moment coordinates this is -n * n! * integral of
-    g_beta * MD(a_field, G_s) * det H_s, with H_s the Hessian of u_s.
+    g_beta * MD(a_field, G_s) * det H_s, with H_s the Hessian of u_s,
+    from the (D2u0, D2g_beta) of _node_hessians.
     """
     n = ray.cfg.dim
-    h_s = ray.h0 + s * ray.g_hess
+    h0, g_hess = hessians
+    h_s = h0 + s * g_hess
     if n == 1:
         md = a_field[:, 0, 0]
         det = h_s[:, 0, 0]
@@ -228,12 +238,14 @@ def _ricci_path(ray, taus):
     """Path form of the Ricci energy: the integral over s of
     n * <phi_dot, Ric0 ^ omega_s^(n-1)>, with Ric0 from ricci_reference
     at the inverse-transported points."""
+    hessians = _node_hessians(ray)
+
     def integrand(s):
         x = corner_coords(ray.frame, ray.inverse_transport(s))
         # a slack to x_i <= 1 below the float spacing rounds x_i onto 1:
         # keep it on the last float inside, where ricci_reference is finite
         x = np.minimum(x, np.nextafter(1.0, 0.0))
-        return _phi_dot_pairing(ray, s, ricci_reference(ray.u0, x))
+        return _phi_dot_pairing(ray, s, ricci_reference(ray.u0, x), hessians)
     return _energy_path(integrand, taus)
 
 
@@ -243,11 +255,12 @@ def _alpha_path(ray, alpha, taus):
     from one Newton transport into alpha per Simpson node."""
     u_alpha = guillemin_potential(alpha)
     bary = np.array([[float(c) for c in volume_data(alpha).barycenter]])
+    hessians = _node_hessians(ray)
 
     def integrand(s):
         start = np.tile(bary, (ray.grid.size, 1))
         _, h_a = newton_transport(u_alpha, ray.xi + s * ray.g_grad, start)
-        return _phi_dot_pairing(ray, s, _inv_small(h_a))
+        return _phi_dot_pairing(ray, s, _inv_small(h_a), hessians)
     return _energy_path(integrand, taus)
 
 
@@ -310,59 +323,86 @@ def test_rung_path_inverts_no_matrix_field(monkeypatch):
     """From Ray(...) through state, energy_report and mabuchi on two
     rungs, no Hessian field is inverted: D2u0^-1 at x and at the nodes
     comes in closed form from the log-slacks, and every wedge density
-    pairs a form with H_tau in trace form (half_trace).  D2u0 at the
-    nodes is evaluated once, when the Ray is built."""
-    inversions, hessians = [], []
+    pairs a form with H_tau in trace form (half_trace)."""
+    inversions = []
 
     def inv_counted(h):
         inversions.append(len(h))
         return _inv_small(h)
 
-    hessian = SymplecticPotential.hessian
-
-    def hessian_counted(self, pts, ell=None):
-        hessians.append(len(pts))
-        return hessian(self, pts, ell)
-
     monkeypatch.setattr(kstab.analysis, "_inv_small", inv_counted)
-    monkeypatch.setattr(SymplecticPotential, "hessian", hessian_counted)
     for cfg in (SQUARE3, SQUARE):
-        hessians.clear()
         ray = Ray(cfg, beta=10.0, tau_max=1.0)
         for tau in (0.5, 1.0):
             state = ray.state(tau)
             energy_report(state)
             mabuchi(state)
-        assert hessians == [ray.grid.size]
     assert inversions == []
+
+
+def _owned_bytes(arrays) -> int:
+    """Bytes of the distinct buffers behind arrays: a view counts its
+    base once, and a broadcast only the small array it repeats."""
+    roots = {}
+    for a in arrays:
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        roots[id(a)] = a.nbytes
+    return sum(roots.values())
 
 
 @pytest.mark.parametrize("cfg,affine", [
     (SQUARE, True), (SQUARE3, False), (AFFINE, True), (KINK, False),
 ], ids=["square", "square3", "affine", "kink"])
-def test_affine_states_share_the_rays_h0(cfg, affine):
-    """The states of an affine ladder share the Ray's read-only h0 as
-    h_tau and det_h0 as det_tau, by identity; a PL state fills
-    h_tau = h0 + tau * g_hess and its determinant, bit for bit.  h_tau
-    is None for n = 1."""
+def test_rays_and_states_own_no_matrix_field(cfg, affine):
+    """Census of the arrays a Ray and its states own.  The Ray holds at
+    most 2 + 3n floats per node (points, weights, xi, g_beta and its
+    gradient, the last a broadcast for an affine g) and a state K + 2
+    (log-slacks, phi_y, log_ratio): no D2u0, H_tau or D2g_beta field
+    outlives its block.  RayState.wedge_fields forms
+    H_tau = D2u0 + tau * D2g_beta and det H_tau on each block bit for
+    bit as on the whole grid (D2u0 itself for an affine g)."""
     ray = Ray(cfg, beta=10.0, tau_max=2.0)
-    # a 2D PL h_tau is filled in several blocks of rows
-    assert cfg.dim == 1 or ray.grid.size > _NEWTON_BLOCK
+    n, size = cfg.dim, ray.grid.size
+    # a 2D PL ray has several blocks of rows
+    assert cfg.dim == 1 or size > _NEWTON_BLOCK
+    ray_arrays = [a for a in vars(ray).values() if isinstance(a, np.ndarray)]
+    assert _owned_bytes(ray_arrays + [ray.grid.points, ray.grid.weights]) \
+        <= (2 + 3 * n) * 8 * size
+    assert affine == (ray.g_grad.base is not None
+                      and not ray.g_grad.flags.writeable)
+    pts = ray.grid.points
+    h0, g_hess = ray.u0.hessian(pts), ray.smooth.hessian(pts)
     for tau in (0.5, 1.0, 2.0):
         state = ray.state(tau)
-        if affine:
-            assert state.det_tau is ray.det_h0
-            assert state.h_tau is (ray.h0 if cfg.dim > 1 else None)
-            continue
-        h_tau = ray.h0 + tau * ray.g_hess
-        det = h_tau[:, 0, 0] if cfg.dim == 1 else (
+        assert _owned_bytes([state.phi_y, state.log_ratio, state.log_slacks]) \
+            <= (len(ray.frame.offsets) + 2) * 8 * size
+        h_tau = h0 if affine else h0 + tau * g_hess
+        det = h_tau[:, 0, 0] if n == 1 else (
             h_tau[:, 0, 0] * h_tau[:, 1, 1] - h_tau[:, 0, 1] * h_tau[:, 1, 0])
-        assert state.det_tau.tobytes() == det.tobytes()
-        if cfg.dim == 1:
-            assert state.h_tau is None
-        else:
-            assert state.h_tau.tobytes() == h_tau.tobytes()
-    assert not ray.h0.flags.writeable and not ray.det_h0.flags.writeable
+        for rows in ray.grid.blocks():
+            g0_at_x, block_h, block_det = state.wedge_fields(rows)
+            assert (g0_at_x is None) == (n == 1)
+            assert block_h.tobytes() == h_tau[rows].tobytes()
+            assert block_det.tobytes() == det[rows].tobytes()
+
+
+def test_square_rung_peak_memory():
+    """Ray(square) -> state(1) -> energy_report -> mabuchi, the first DF
+    rung on 181,440 nodes, peaks under 28 MB of traced allocations:
+    about 8.7 MB of Ray fields, 8.7 MB of state fields and the blocks."""
+    schedule = Schedule()
+    tracemalloc.start()
+    try:
+        ray = Ray(SQUARE, beta=schedule.beta0, tau_max=max(schedule.taus))
+        state = ray.state(1.0)
+        energy_report(state)
+        mabuchi(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ray.grid.size == 181_440
+    assert peak <= 28e6
 
 
 SIMPLEX = normalize(make_config(unit_simplex(2), [((1, 0), 0)]), "min_zero")
@@ -379,17 +419,18 @@ def test_trace_form_energies_match_the_inverted_h_tau(cfg, tau):
     ray = Ray(cfg, beta=10.0 * tau, tau_max=tau)
     state = ray.state(tau)
     rep, mab = energy_report(state, alpha=alpha), mabuchi(state)
-    g_tau = _inv_small(state.h_tau)
+    g0_at_x, h_tau, det_tau = state.wedge_fields(slice(None))  # every node
+    g_tau = _inv_small(h_tau)
 
     def wedge(a, b):
         return 2 * ray.grid.integrate(
-            state.phi_y * mixed_discriminant(a, b) * state.det_tau)
+            state.phi_y * mixed_discriminant(a, b) * det_tau)
 
     am_direct = 2 * ray.grid.integrate(
         state.phi_y * np.exp(-state.log_ratio)) \
-        + 2 * ray.grid.integrate(state.phi_y) + wedge(state.g0_at_x, g_tau)
-    e_ric = wedge(ray.frame.ricci(state.log_slacks), state.g0_at_x + g_tau)
-    l_alpha = wedge(_alpha_theta(state, alpha), state.g0_at_x + g_tau)
+        + 2 * ray.grid.integrate(state.phi_y) + wedge(g0_at_x, g_tau)
+    e_ric = wedge(ray.frame.ricci(state.log_slacks), g0_at_x + g_tau)
+    l_alpha = wedge(_alpha_theta(state, alpha)(slice(None)), g0_at_x + g_tau)
     for value, ref in ((rep.am_direct, am_direct), (mab.l_ricci, e_ric),
                        (rep.l_alpha, l_alpha)):
         assert abs(value - ref) <= 1e-12 * abs(ref)
@@ -433,7 +474,7 @@ def _mabuchi_path(ray, taus):
     n = cfg.dim
     mu = float(slope_mu(cfg.base))
     grid = bulk_grid(cfg.g, crease_ladder_depth(ray.smooth.beta, 1.0)) \
-        if n == 1 else fan_grid(cfg.base, depth=8, inner_order=16,
+        if n == 1 else fan_grid([cfg.base], depth=8, inner_order=16,
                                 graded_order=8)
     g_vals = ray.smooth.value(grid.points)
 
@@ -495,9 +536,8 @@ def test_route_b_converged_on_steep_seeded_ray():
 @pytest.mark.parametrize("cfg", [KINK, SQUARE3], ids=["kink", "square3"])
 def test_mabuchi_integrates_no_path(monkeypatch, cfg):
     """mabuchi reaches no s-quadrature, no curvature field and no second
-    grid, and leaves no path state on the Ray: the one field beyond the
-    state's own it may add is route (b)'s tau-free D2u0^-1 D2g_beta,
-    which Ray.state already built for log_ratio."""
+    grid, and leaves no path state on the Ray: it adds no field to it
+    (route (b) forms its tau-free D2u0^-1 D2g_beta block by block)."""
     def forbidden(*args, **kwargs):
         raise AssertionError("mabuchi integrated a path in s")
 
@@ -508,7 +548,7 @@ def test_mabuchi_integrates_no_path(monkeypatch, cfg):
     state = ray.state(1.0)
     cached = set(vars(ray))
     mabuchi(state)
-    assert set(vars(ray)) == cached | {"h0_inv_g_hess"}
+    assert set(vars(ray)) == cached
 
 
 def test_mabuchi_leaves_no_reference_cycle():
@@ -677,7 +717,7 @@ def test_alpha_theta_closed_form_matches_newton(alpha):
     transport into alpha finds it wherever that solve resolves the
     slacks (above 1e-6)."""
     state = Ray(SQUARE, beta=10.0, tau_max=1.0).state(1.0)
-    theta = _alpha_theta(state, alpha)
+    theta = _alpha_theta(state, alpha)(slice(None))  # every node
     u_alpha = guillemin_potential(alpha)
     bary = np.array([[float(c) for c in volume_data(alpha).barycenter]])
     z, h = newton_transport(u_alpha, state.ray.xi + state.ray.g_grad,

@@ -47,3 +47,30 @@ def test_bench_records_the_median_of_three_untraced_runs(monkeypatch):
         == [3.80, 1.52, 1.61]
     assert entry["correct"] is False   # one run missed a check
     assert entry["attempted"] == 2 and entry["failed"] == 0
+
+
+def test_bench_pl_memory_runs_each_verdict_in_a_fresh_process(monkeypatch):
+    """pl_memory runs each PL DF verdict in its own process, with src/
+    on the path, and records its wall time, pass flag and peak RSS."""
+    bench = load_script("bench")
+    calls = []
+
+    class Done:
+        returncode = 0
+        stdout = "1.25 True 86016\n"
+        stderr = ""
+
+    def stub(cmd, cwd, env, capture_output, text):
+        calls.append(cmd)
+        assert env["PYTHONPATH"].startswith(str(bench.ROOT / "src"))
+        return Done()
+
+    monkeypatch.setattr(bench.subprocess, "run", stub)
+    out = bench.pl_memory()
+    assert list(out) == ["square_max_df", "square_4piece_df"]
+    assert out["square_max_df"] == {"wall_s": 1.25, "pass": True,
+                                    "peak_rss_mb": 84.0}
+    assert len(calls) == 2
+    for cmd, pieces in zip(calls, bench.PL_VERDICTS.values()):
+        assert cmd[1] == "-c" and pieces in cmd[2]
+        assert 'verify_theorem(cfg, "DF")' in cmd[2]
