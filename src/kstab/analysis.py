@@ -27,7 +27,7 @@ potential) with the calibration constant kappa = 1/2, fixed so that
 the mean curvature equals n times the slope (checked for interval,
 square, simplex).  The Ricci data is the xi-Hessian of half the
 log-determinant of the potential Hessian, in closed form from the
-log-slacks (SimplexProduct.ricci); with this pairing the pointwise
+log-slacks (SimplexProduct.dual_fields); with this pairing the pointwise
 identity S = n * MD(ricci, G^(n-1)) / det G holds against the same
 grids (tested).
 """
@@ -35,8 +35,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,12 +62,13 @@ class SymplecticPotential:
     offsets: np.ndarray
 
     # slacks, gradient and hessian work in place: on the Newton blocks a
-    # fresh (n, K) temporary costs more than the arithmetic done in it
+    # fresh (n, K) temporary, or an op along its short trailing axis, costs
+    # more than the arithmetic; slacks is a transposed facet-by-row array
 
     def slacks(self, pts: np.ndarray) -> np.ndarray:
-        ell = pts @ self.normals.T
-        np.subtract(self.offsets, ell, out=ell)
-        return np.maximum(ell, _SLACK_FLOOR, out=ell)
+        ell = self.normals @ pts.T
+        np.subtract(self.offsets[:, None], ell, out=ell)
+        return np.maximum(ell, _SLACK_FLOOR, out=ell).T
 
     def value(self, pts: np.ndarray) -> np.ndarray:
         ell = self.slacks(pts)
@@ -197,14 +199,6 @@ class Grid:
         """Slices of _NEWTON_BLOCK rows covering the nodes, in order."""
         return (slice(lo, lo + _NEWTON_BLOCK)
                 for lo in range(0, self.size, _NEWTON_BLOCK))
-
-    def integrate_blocks(self, density) -> float:
-        """integrate of the field density(rows) forms block by block, in
-        one grid-length array: integrate's order of summation, its bits."""
-        values = np.empty(self.size)
-        for rows in self.blocks():
-            values[rows] = density(rows)
-        return self.integrate(values)
 
     @property
     def size(self) -> int:
@@ -414,6 +408,18 @@ def _log1p_det(m: np.ndarray, s: float) -> np.ndarray:
     return np.log1p(s * (m[:, 0, 0] + m[:, 1, 1]) + s * s * _det_small(m))
 
 
+def mixed_discriminant(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """MD(A, B) of 2 x 2 fields, normalized so MD(A, A) = det A."""
+    return 0.5 * (a[:, 0, 0] * b[:, 1, 1] + a[:, 1, 1] * b[:, 0, 0]
+                  - a[:, 0, 1] * b[:, 1, 0] - a[:, 1, 0] * b[:, 0, 1])
+
+
+def half_trace(a: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """(1/2) tr(A H), which is MD(A, H^-1) * det H: no H is inverted."""
+    return 0.5 * (a[:, 0, 0] * h[:, 0, 0] + a[:, 1, 1] * h[:, 1, 1]
+                  + a[:, 0, 1] * h[:, 1, 0] + a[:, 1, 0] * h[:, 0, 1])
+
+
 def _row_reduce(op, a: np.ndarray) -> np.ndarray:
     """op.reduce(a, axis=1), taken column by column: numpy's reduction
     along a short trailing axis is an order of magnitude slower.  Terms
@@ -614,7 +620,7 @@ class SimplexProduct:
     pairs: tuple           # (k, l) index arrays over the pairs of every block
     pair_outer: np.ndarray  # (P, n * n): w_kl w_kl^T
     g0_coef: np.ndarray    # log(2 / Lambda_B) per pair
-    ricci_coef: np.ndarray  # log(2 (n_B + 1) / Lambda_B^2) per pair
+    ricci_scale: np.ndarray  # (n_B + 1) / Lambda_B per pair
 
     def log_slacks(self, xi: np.ndarray) -> np.ndarray:
         """log ell_k, per row, at the point where grad u0 = xi.
@@ -629,36 +635,49 @@ class SimplexProduct:
         its digits (its r_k - top is exactly 0) and no slack is formed by
         a subtraction.  The result is the transpose of a facet-by-row
         array, so each facet's column is contiguous for the column-wise
-        reductions here and in the fields read from it."""
+        reductions here and in the fields read from it.  Beyond r, two
+        rows of scratch hold the block maximum, each exp and the shift."""
         r = self.ratio_map.T @ xi.T
+        top, term = np.empty((2, r.shape[1]))
         for block, log_sum in zip(self.blocks, self.log_sums):
             cols = [r[k] for k in block]  # views: shifted in place
-            top = cols[0].copy()
-            for col in cols[1:]:
+            np.maximum(cols[0], cols[1], out=top)
+            for col in cols[2:]:
                 np.maximum(top, col, out=top)
             for col in cols:
                 col -= top
-            total = np.exp(cols[0])
+            total = np.exp(cols[0], out=top)  # top is spent: its row reused
             for col in cols[1:]:
-                total += np.exp(col)
-            shift = log_sum - np.log(total)
+                total += np.exp(col, out=term)
+            shift = np.subtract(log_sum, np.log(total, out=total), out=total)
             for col in cols:
                 col += shift
         return r.T
 
-    def _pair_field(self, log_ell, log_coef):
+    def _pair_weights(self, log_ell):
+        """2 ell_k ell_l / Lambda_B, one exp each, pair by row: log_ell.T."""
         k, l = self.pairs
-        weight = np.exp(log_ell[:, k] + log_ell[:, l] + log_coef)
+        weight = log_ell.T[k]  # a fresh array: the rest runs in place
+        weight += log_ell.T[l]
+        weight += self.g0_coef[:, None]
+        return np.exp(weight, out=weight)
+
+    def _pair_field(self, weight):
+        """sum over pairs of weight w_kl w_kl^T, each entry contiguous."""
         dim = self.normals.shape[1]
-        return (weight @ self.pair_outer).reshape(-1, dim, dim)
+        return (self.pair_outer.T @ weight).T.reshape(-1, dim, dim)
 
     def inverse_hessian(self, log_ell: np.ndarray) -> np.ndarray:
         """D2u0^-1 at the point with log-slacks log_ell."""
-        return self._pair_field(log_ell, self.g0_coef)
+        return self._pair_field(self._pair_weights(log_ell))
 
-    def ricci(self, log_ell: np.ndarray) -> np.ndarray:
-        """Ric0, the dual Hessian of (1/2) log det D2u0, at log_ell."""
-        return self._pair_field(log_ell, self.ricci_coef)
+    def dual_fields(self, log_ell: np.ndarray) -> tuple:
+        """(D2u0^-1, Ric0) at log_ell from the same pair weights, Ric0 the
+        dual Hessian of (1/2) log det D2u0."""
+        weight = self._pair_weights(log_ell)
+        g0 = self._pair_field(weight)
+        weight *= self.ricci_scale[:, None]
+        return g0, self._pair_field(weight)
 
 
 def _zero_sum_blocks(normals, free):
@@ -714,12 +733,12 @@ def simplex_product(base: Polytope) -> SimplexProduct | None:
     ratio_map[:, kept] = -2.0 * np.rint(np.linalg.inv(np.array(basis, float)))
     offsets = [h.offset for h in base.halfspaces]
     sums = [sum(offsets[k] for k in block) for block in blocks]
-    pairs, g0_coef, ricci_coef = [], [], []
+    pairs, g0_coef, ricci_scale = [], [], []
     for block, total in zip(blocks, sums):
         for k, l in combinations(block, 2):
             pairs.append((k, l))
             g0_coef.append(_log(2 / total))
-            ricci_coef.append(_log(2 * len(block) / total ** 2))
+            ricci_scale.append(float(len(block) / total))
     w = np.array([0.5 * (ratio_map[:, k] - ratio_map[:, l])
                   for k, l in pairs])
     frame = SimplexProduct(
@@ -730,7 +749,7 @@ def simplex_product(base: Polytope) -> SimplexProduct | None:
         log_sums=np.array([_log(s) for s in sums]),
         pairs=tuple(np.array(c) for c in zip(*pairs)),
         pair_outer=(w[:, :, None] * w[:, None, :]).reshape(len(pairs), -1),
-        g0_coef=np.array(g0_coef), ricci_coef=np.array(ricci_coef))
+        g0_coef=np.array(g0_coef), ricci_scale=np.array(ricci_scale))
     for value in vars(frame).values():  # every caller shares the cached frame
         for a in value if isinstance(value, tuple) else (value,):
             a.flags.writeable = False
@@ -743,44 +762,51 @@ def simplex_product(base: Polytope) -> SimplexProduct | None:
 
 @dataclass(frozen=True)
 class RayState:
-    """The degeneration path at one tau, in its transported frame.
-
-    Fields are indexed by the grid node in its role as transported
-    coordinate y, where the plain node weights integrate against the
-    evolving volume form and e^(-log_ratio) times them against the fixed
-    one.  x, the inverse transport of a node, is held only as
-    log_slacks, the log ell_k at x (SimplexProduct), and every field at
-    x comes in closed form from them: phi_y is the potential increment
-    at x, log_ratio is log det D2u0(x) - log det H_tau and entropy is n!
-    times its integral (read by energy_report and mabuchi).  No matrix
-    field is held: wedge_fields forms them for one block of rows.
-    """
+    """The degeneration path at one tau as the integrals of one pass of
+    Ray.fields (Ray.state); only JALPHA's L_alpha takes a pass of its own."""
 
     ray: "Ray"
     tau: float
+    entropy: float  # n! * integral of log_ratio
+    a_ref: float    # n! * integral of phi_y e^(-log_ratio): the fixed form
+    b_mov: float    # n! * integral of phi_y
+    mixed: float    # n! * integral of phi_y half_trace(G0(x), H_tau); 0, n = 1
+    l_ricci: float  # E_Ric: n! * integral of fixed_form_density(Ric0)
+    log_det: float  # integral of log det(I + tau D2u0^-1 D2g_beta), no n!
+
+
+class RungFields(NamedTuple):
+    """The fields of one rung at a block of grid nodes y (Ray.fields)."""
+
+    g: np.ndarray           # g_beta
+    xi: np.ndarray          # grad u0
+    grad: np.ndarray        # grad g_beta
+    log_slacks: np.ndarray  # log ell_k at x: grad u0(x) = xi + tau grad g_beta
     phi_y: np.ndarray
     log_ratio: np.ndarray
-    entropy: float
-    log_slacks: np.ndarray
+    h0_inv_g_hess: np.ndarray | None  # D2u0^-1 D2g_beta; None, exact g_beta
+    log_det: np.ndarray | None        # log det(I + tau of it)
+    g0_at_x: np.ndarray | None        # D2u0(x)^-1; None for n = 1
+    ricci: np.ndarray                 # Ric0 at x
+    h_tau: np.ndarray
+    det_tau: np.ndarray
 
-    def wedge_fields(self, rows: slice) -> tuple:
-        """(D2u0(x)^-1, H_tau, det H_tau) at the nodes rows, for the wedge
-        densities: D2u0(x)^-1 from the log-slacks (None for n = 1),
-        H_tau = D2u0 + tau D2g_beta (D2u0 for an exact g_beta)."""
-        ray, pts = self.ray, self.ray.grid.points[rows]
-        h_tau = ray.u0.hessian(pts)
-        if not ray.smooth.exact:
-            d2g = ray.smooth.hessian(pts)
-            h_tau += np.multiply(d2g, self.tau, out=d2g)
-        g0_at_x = None if ray.cfg.dim == 1 else \
-            ray.frame.inverse_hessian(self.log_slacks[rows])
-        return g0_at_x, h_tau, _det_small(h_tau)
+    def fixed_form_density(self, form: np.ndarray) -> np.ndarray:
+        """phi_y times the density at y of the fixed form with dual Hessian
+        form at x (functionals._fixed_form_energy): MD(form, G0(x)) det
+        H_tau, plus for n = 2 MD(form, H_tau^-1) det H_tau in trace form."""
+        if self.g0_at_x is None:
+            return self.phi_y * form[:, 0, 0] * self.det_tau
+        return self.phi_y * (
+            mixed_discriminant(form, self.g0_at_x) * self.det_tau
+            + half_trace(form, self.h_tau))
 
 
 class Ray:
-    """Workspace for one smoothing level on a simplex-product base, its
-    frame (SimplexProduct) and the grid fields every state reads.  Any
-    other base is refused with NumericalFailure before a grid is built."""
+    """One smoothing level on a simplex-product base: grid, u0, frame
+    (SimplexProduct), g_beta and, from one pass over the grid, g_integral
+    (of g_beta) and check_reach's max |xi| and max |grad g_beta|; no field
+    (see fields).  Other bases raise NumericalFailure before any grid."""
 
     def __init__(self, cfg: ToricTestConfig, beta: float,
                  tau_max: float = 12.0):
@@ -795,57 +821,88 @@ class Ray:
         self.smooth = SmoothedPL.from_fn(cfg.g, beta)
         grid = self.grid = build_grid(cfg.g, collar_depth_for(tau_max),
                                       crease_ladder_depth(beta, tau_max))
-        self.xi, self.g_vals = np.empty(grid.points.shape), np.empty(grid.size)
-        self.g_grad = np.broadcast_to(self.smooth.grads[0], self.xi.shape) \
-            if self.smooth.exact else np.empty(self.xi.shape)
-        for rows in grid.blocks():  # no temporary as long as the grid
-            pts = grid.points[rows]
-            self.xi[rows] = self.u0.gradient(pts)
-            self.g_vals[rows] = self.smooth.value(pts)
-            if not self.smooth.exact:
-                self.g_grad[rows] = self.smooth.gradient(pts)
+        g_integral = xi_max = grad_max = 0.0
+        for rows in grid.blocks():
+            _, xi, g, grad, _ = self._nodes(rows)
+            g_integral += g @ grid.weights[rows]
+            xi_max = max(xi_max, float(np.abs(xi).max()))
+            grad_max = max(grad_max, float(np.abs(grad).max()))
+        self.g_integral = float(g_integral)
+        reach = 0.5 * (1.0 - math.log(_SLACK_FLOOR)) \
+            * float(np.abs(self.u0.normals).sum(axis=0).max())
+        self._reach = (reach, grad_max, xi_max)  # check_reach's bounds
 
-    def h0_inv_g_hess(self, rows: slice) -> np.ndarray:
-        """D2u0^-1 D2g_beta at the nodes rows, for log det(I + tau of it)
-        in log_ratio and route (b); D2u0^-1 is closed form in the
-        log-slacks (1 / D2u0 in 1D, to the last digit, times D2g_beta
-        elementwise: a 1 x 1 matmul costs a BLAS call per node)."""
+    def _nodes(self, rows: slice) -> tuple:
+        """(slacks, xi = grad u0, g_beta, grad g_beta, softmax weights) at
+        the nodes rows, g_beta with SmoothedPL.value's bits; an exact
+        g_beta's gradient is repeated, not broadcast: that is slow to read."""
+        pts, smooth = self.grid.points[rows], self.smooth
+        ell = self.u0.slacks(pts)
+        top, z, w = smooth._fields(pts)
+        g = top + np.log(z, out=z) / smooth.beta
+        grad = np.repeat(smooth.grads, len(pts), axis=0) if smooth.exact \
+            else w @ smooth.grads
+        return ell, self.u0.gradient(pts, ell), g, grad, w
+
+    def fields(self, tau: float, rows: slice) -> RungFields:
+        """Every field of the rung at tau on the nodes rows, each formed
+        once.  x, the inverse transport of a node y, is only its log-slacks
+        (SimplexProduct.log_slacks at xi + tau * grad g_beta); the same
+        formula at xi gives y's, so every difference below is 0 at tau = 0.
+        With step = log ell(x) - log ell(y), by
+        det D2u0 = prod_B 2^-n_B Lambda_B / prod_{k in B} ell_k,
+
+            log_ratio = -sum_k step_k - log det(I + tau D2u0^-1 D2g_beta),
+            phi_y = y xi - u_tau(y) - u0*(xi)
+                  = tau (<y, grad g_beta> - g_beta) + (1/2) lambda . step,
+
+        u0*(xi) = (1/2) sum ell_k - (1/2) sum lambda_k (1 + log ell_k) with
+        lambda the facet offsets, so x xi is never formed.  The log det (0,
+        skipped, for an exact g_beta) reads D2u0^-1 at y from its slacks,
+        or as 1 / D2u0 in 1D, to the last digit.  H_tau is at y."""
+        tau, frame, smooth = float(tau), self.frame, self.smooth
         pts = self.grid.points[rows]
-        if self.cfg.dim == 1:
-            return (1.0 / self.u0.hessian(pts)) * self.smooth.hessian(pts)
-        return self.frame.inverse_hessian(self.frame.log_slacks(
-            self.xi[rows])) @ self.smooth.hessian(pts)
+        ell, xi, g, grad, w = self._nodes(rows)
+        h_tau = self.u0.hessian(pts, ell)  # D2u0 until D2g_beta is added
+        at_y = frame.log_slacks(xi)
+        at_x = frame.log_slacks(xi + tau * grad)
+        step = at_x - at_y
+        log_ratio = -_row_reduce(np.add, step)
+        phi_y = tau * (_row_reduce(np.add, pts * grad) - g) \
+            + 0.5 * (step @ frame.offsets)
+        ratio = log_det = None
+        if not smooth.exact:
+            d2g = smooth.weights_hessian(w)
+            # in 1D elementwise: a 1 x 1 matmul costs a BLAS call per node
+            ratio = (1.0 / h_tau) * d2g if self.cfg.dim == 1 \
+                else frame.inverse_hessian(at_y) @ d2g
+            log_det = _log1p_det(ratio, tau)
+            log_ratio -= log_det
+            h_tau += np.multiply(d2g, tau, out=d2g)
+        g0_at_x, ricci = frame.dual_fields(at_x)
+        return RungFields(g, xi, grad, at_x, phi_y, log_ratio, ratio, log_det,
+                          None if self.cfg.dim == 1 else g0_at_x, ricci,
+                          h_tau, _det_small(h_tau))
 
     def potential(self, s: float) -> ShiftedPotential:
         return ShiftedPotential(self.u0, self.smooth, float(s))
 
     def transport(self, s: float) -> np.ndarray:
         """Moved points: the u_s-moment images of the grid nodes, solved
-        from the grid on every call.  No energy reads it: every energy is
-        taken in the log-slacks of inverse_transport (Ray.state)."""
-        return newton_transport(self.potential(s), self.xi,
-                                self.grid.points)[0]
+        from the grid on every call.  No energy reads it."""
+        xi = np.concatenate([self._nodes(b)[1] for b in self.grid.blocks()])
+        return newton_transport(self.potential(s), xi, self.grid.points)[0]
 
     def inverse_transport(self, s: float) -> np.ndarray:
-        """log ell_k at the x whose u_s-moment image is each node y, from
-        grad u0(x) = grad u_s(y) (SimplexProduct); state reads the same
-        log-slacks, so only the tests call this, and perfbench/tracer.py
-        hooks it by name, so it stays here until that hook is retired."""
-        return self.frame.log_slacks(self.xi + float(s) * self.g_grad)
-
-    @cached_property
-    def _reach(self) -> tuple:
-        """(reach of grad u0 at _SLACK_FLOOR, max |grad g_beta|, max |xi|)
-        over the grid: check_reach's bounds, taken once per Ray."""
-        reach = 0.5 * (1.0 - math.log(_SLACK_FLOOR)) \
-            * float(np.abs(self.u0.normals).sum(axis=0).max())
-        return (reach, float(np.abs(self.g_grad).max()),
-                float(np.abs(self.xi).max()))
+        """log ell_k at the x whose u_s-moment image is each node y, as in
+        fields; kept for the tests and perfbench/tracer.py's hook by name."""
+        return np.concatenate([self.fields(s, rows).log_slacks
+                               for rows in self.grid.blocks()])
 
     def check_reach(self, tau: float) -> None:
         """NewtonDivergence if tau shifts some target xi + tau * grad g_beta
-        past the reach of grad u0 at _SLACK_FLOOR: such a tau has no
-        inverse transport with every slack above the floor."""
+        past the reach of grad u0 at _SLACK_FLOOR, by the bounds __init__
+        took: no inverse transport then keeps every slack above the floor."""
         reach, grad_max, xi_max = self._reach
         shift = float(tau) * grad_max
         if shift > reach + xi_max:
@@ -854,43 +911,26 @@ class Ray:
                 f"beyond the reach {reach:.4g} of grad u0 at the slack floor")
 
     def state(self, tau: float) -> RayState:
-        """The transported frame at tau; check_reach refuses an
-        unreachable tau first.  It is closed form from the log-slacks at
-        x and, through the same formula at xi, at the nodes y, so every
-        difference below is 0 bit for bit at tau = 0.  With
-        step = log ell(x) - log ell(y) and
-        det D2u0 = prod_B 2^-n_B Lambda_B / prod_{k in B} ell_k,
-
-            log_ratio = -sum_k step_k - log det(I + tau D2u0^-1 D2g_beta),
-            phi_y = y xi - u_tau(y) - u0*(xi)
-                  = tau (<y, grad g_beta> - g_beta) + (1/2) lambda . step,
-
-        with the Legendre dual in slacks,
-        u0*(xi) = (1/2) sum ell_k - (1/2) sum lambda_k (1 + log ell_k)
-        (lambda the facet offsets; each block's slacks sum to Lambda_B),
-        so x xi is never formed.  For an exact g_beta the log det term,
-        0, is skipped.  Rows go in blocks of _NEWTON_BLOCK, so no
-        temporary is as long as the grid, and no matrix field is kept."""
+        """The rung's integrals at tau, from one pass of fields, each
+        summed per block (values @ weights[rows]); check_reach refuses an
+        unreachable tau first."""
         tau = float(tau)
         self.check_reach(tau)
-        frame, size = self.frame, self.grid.size
-        log_ell = np.empty((len(frame.offsets), size)).T  # as log_slacks
-        phi_y, log_ratio = np.empty(size), np.empty(size)
+        n, weights = self.cfg.dim, self.grid.weights
+        entropy = a_ref = b_mov = mixed = l_ricci = log_det = 0.0
         for rows in self.grid.blocks():
-            xi, grad = self.xi[rows], self.g_grad[rows]
-            at_x = log_ell[rows] = frame.log_slacks(xi + tau * grad)
-            step = at_x - frame.log_slacks(xi)
-            log_ratio[rows] = -_row_reduce(np.add, step)
-            phi_y[rows] = tau * (_row_reduce(np.add,
-                                             self.grid.points[rows] * grad)
-                                 - self.g_vals[rows]) \
-                + 0.5 * (step @ frame.offsets)
-            if not self.smooth.exact:
-                log_ratio[rows] -= _log1p_det(self.h0_inv_g_hess(rows), tau)
-        return RayState(ray=self, tau=tau, phi_y=phi_y, log_ratio=log_ratio,
-                        entropy=math.factorial(self.cfg.dim)
-                        * self.grid.integrate(log_ratio),
-                        log_slacks=log_ell)
+            f, w = self.fields(tau, rows), weights[rows]
+            entropy += f.log_ratio @ w
+            a_ref += (f.phi_y * np.exp(-f.log_ratio)) @ w
+            b_mov += f.phi_y @ w
+            l_ricci += f.fixed_form_density(f.ricci) @ w
+            if n > 1:
+                mixed += (f.phi_y * half_trace(f.g0_at_x, f.h_tau)) @ w
+            if f.log_det is not None:
+                log_det += f.log_det @ w
+        fact = math.factorial(n)
+        return RayState(self, tau, *(fact * float(v) for v in (
+            entropy, a_ref, b_mov, mixed, l_ricci)), float(log_det))
 
     @staticmethod
     def point_derivative(u0, smooth, tau: float, p: np.ndarray) -> float:
@@ -1017,8 +1057,8 @@ def ricci_reference(u0: SymplecticPotential, pts: np.ndarray) -> np.ndarray:
     cancel: against a long-double evaluation of the same chain rule on
     the unit simplex the relative error is about 3e-9 at slack 1e-4 and
     4e-6 at slack 1e-5, and the field is not trustworthy below slack
-    about 1e-6.  No energy reads it (mabuchi takes Ric0 from
-    SimplexProduct.ricci): the tests use it as that field's reference,
+    about 1e-6.  No energy reads it (Ray.fields takes Ric0 from
+    SimplexProduct.dual_fields): the tests use it as that field's reference,
     and perfbench/tracer.py hooks it by name, so it stays here until that
     hook is retired.
     """

@@ -13,6 +13,10 @@ what keeps entropy-type integrals accurate at large tau: in reference
 coordinates their mass concentrates in an exp(-2 tau) collar that
 float64 cannot resolve near facets with unit-scale offsets.
 
+A ray state holds integrals, not fields: Ray.state sums every density
+of a rung in one pass over the grid's blocks, so the functionals here
+combine floats, and only L_alpha takes a pass of its own.
+
 The Aubin functionals are wired so that the n = 1 identity I = 2J holds
 exactly in floating point (I and J are assembled from the same sums).
 The energies of a fixed form theta, the Ricci energy (theta = Ric0) and
@@ -33,8 +37,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .analysis import (Ray, RayState, SimplexProduct, _log1p_det,
-                       crease_ladder_depth, line_grid, simplex_product)
+from .analysis import (Ray, RayState, SimplexProduct, crease_ladder_depth,
+                       line_grid, simplex_product)
 from .errors import (DimensionMismatch, NonDelzant, NormalizationRequired,
                      NumericalFailure, RouteMismatch)
 from .invariants import l1_norm, slope_mu
@@ -46,19 +50,7 @@ ROUTE_TOL = 1e-4
 
 
 # ---------------------------------------------------------------------------
-# small mixed discriminants (dimension 2; in 1D MD(a, b) = a * b inline)
-
-
-def mixed_discriminant(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """MD(A, B) normalized so MD(A, A) = det A; batched over axis 0."""
-    return 0.5 * (a[:, 0, 0] * b[:, 1, 1] + a[:, 1, 1] * b[:, 0, 0]
-                  - a[:, 0, 1] * b[:, 1, 0] - a[:, 1, 0] * b[:, 0, 1])
-
-
-def half_trace(a: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """(1/2) tr(A H), which is MD(A, H^-1) * det H: no H is inverted."""
-    return 0.5 * (a[:, 0, 0] * h[:, 0, 0] + a[:, 1, 1] * h[:, 1, 1]
-                  + a[:, 0, 1] * h[:, 1, 0] + a[:, 1, 0] * h[:, 0, 1])
+# path quadrature
 
 
 def adaptive_simpson(f, upper: float, lower: float = 0.0):
@@ -117,8 +109,7 @@ def adaptive_simpson(f, upper: float, lower: float = 0.0):
 
 def am_energy(ray: Ray, tau: float) -> float:
     """Aubin-Mabuchi energy: its s-derivative is constant along the ray."""
-    return -math.factorial(ray.cfg.dim + 1) * ray.grid.integrate(ray.g_vals) \
-        * tau
+    return -math.factorial(ray.cfg.dim + 1) * ray.g_integral * tau
 
 
 @dataclass(frozen=True)
@@ -141,37 +132,23 @@ def energy_report(state: RayState, alpha: Polytope | None = None) -> EnergyRepor
     coordinates avoids stacking s-quadrature error and makes the n = 1
     identity I = 2J hold exactly in floating point (j_val is assembled
     as i_val / 2 there, which agrees with the defining combination to
-    one rounding).  l_alpha is the Chen-Tian endpoint energy of the
-    fixed form alpha (_fixed_form_energy, as for Ric0 in mabuchi).  In
-    2D am_direct adds phi_y * MD(G0(x), H_tau^-1) * det H_tau, read as
-    half_trace(G0(x), H_tau); every density is formed block by block
-    (Grid.integrate_blocks).  err_estimate is the am / am_direct
+    one rounding).  Every term but l_alpha is read from the state's
+    integrals; l_alpha is the Chen-Tian endpoint energy of the fixed
+    form alpha (_fixed_form_energy).  err_estimate is the am / am_direct
     discrepancy, the path-vs-endpoint consistency estimate.
     """
-    ray = state.ray
-    n = ray.cfg.dim
-    fact = math.factorial(n)
-    tau = state.tau
-    am = am_energy(ray, tau)
-
+    n, am = state.ray.cfg.dim, am_energy(state.ray, state.tau)
     # against the fixed form (dx = e^(-log_ratio) dy) and the evolving one
-    a_ref = fact * ray.grid.integrate_blocks(
-        lambda rows: state.phi_y[rows] * np.exp(-state.log_ratio[rows]))
-    b_mov = fact * ray.grid.integrate(state.phi_y)
-    if n == 1:
-        am_direct = a_ref + b_mov
-    else:
-        am_direct = a_ref + b_mov + fact * ray.grid.integrate_blocks(
-            lambda rows: state.phi_y[rows]
-            * half_trace(*state.wedge_fields(rows)[:2]))
+    a_ref, b_mov = state.a_ref, state.b_mov
+    am_direct = a_ref + b_mov + state.mixed  # mixed is 0.0 for n = 1
     i_val = a_ref - b_mov
     j_val = 0.5 * i_val if n == 1 else a_ref - am_direct / (n + 1)
 
     l_alpha = None if alpha is None else _fixed_form_energy(
         state, _alpha_theta(state, alpha))
-    return EnergyReport(tau=tau, am=am, am_direct=am_direct, i_val=i_val,
-                        j_val=j_val, entropy=state.entropy, l_alpha=l_alpha,
-                        err_estimate=abs(am - am_direct))
+    return EnergyReport(tau=state.tau, am=am, am_direct=am_direct,
+                        i_val=i_val, j_val=j_val, entropy=state.entropy,
+                        l_alpha=l_alpha, err_estimate=abs(am - am_direct))
 
 
 def _fixed_form_energy(state: RayState, theta) -> float:
@@ -180,26 +157,17 @@ def _fixed_form_energy(state: RayState, theta) -> float:
         E_theta(phi) = sum_{j=0}^{n-1} integral phi theta ^ omega0^j
                        ^ omega_phi^(n-1-j),
 
-    whose s-derivative is n * <phi_dot, theta ^ omega_s^(n-1)>.
-    theta(rows) is its dual-Hessian field at xi + tau * grad g, the
-    u0-moment image of the point x with the state's log-slacks, at the
-    nodes rows.  Every term is read over the transported nodes, a block
-    at a time (RayState.wedge_fields): the j = n-1 term, an integral of
-    phi * MD(theta, G0) * det H0 against dx = e^(-log_ratio) dy, has
-    density phi_y * MD(theta, G0(x)) * det H_tau (phi_y * theta *
-    det H_tau for n = 1), and for n = 2 the j = 0 term adds
-    phi_y * MD(theta, H_tau^-1) * det H_tau, read as
-    phi_y * half_trace(theta, H_tau).
+    whose s-derivative is n * <phi_dot, theta ^ omega_s^(n-1)>, in
+    one pass of Ray.fields: theta(fields) is its dual-Hessian field at
+    x on a block, paired by RungFields.fixed_form_density.  Ray.state
+    takes E_Ric (theta = Ric0) so in its own pass.
     """
-    def density(rows):
-        (g0_at_x, h_tau, det_tau), form = state.wedge_fields(rows), theta(rows)
-        if g0_at_x is None:
-            return state.phi_y[rows] * form[:, 0, 0] * det_tau
-        return state.phi_y[rows] * (
-            mixed_discriminant(form, g0_at_x) * det_tau
-            + half_trace(form, h_tau))
     ray = state.ray
-    return math.factorial(ray.cfg.dim) * ray.grid.integrate_blocks(density)
+    total = 0.0
+    for rows in ray.grid.blocks():
+        f = ray.fields(state.tau, rows)
+        total += f.fixed_form_density(theta(f)) @ ray.grid.weights[rows]
+    return math.factorial(ray.cfg.dim) * float(total)
 
 
 def alpha_frame(alpha: Polytope, dim: int) -> SimplexProduct:
@@ -221,14 +189,12 @@ def alpha_frame(alpha: Polytope, dim: int) -> SimplexProduct:
 
 
 def _alpha_theta(state: RayState, alpha: Polytope):
-    """theta(rows) of the alpha form for _fixed_form_energy: the inverse
-    Hessian of alpha's Guillemin potential where its gradient is
-    xi + tau * grad g, closed-form in alpha's log-slacks there
-    (SimplexProduct.inverse_hessian) after alpha_frame's checks."""
-    ray = state.ray
-    frame = alpha_frame(alpha, ray.cfg.dim)
-    return lambda rows: frame.inverse_hessian(frame.log_slacks(
-        ray.xi[rows] + state.tau * ray.g_grad[rows]))
+    """theta(fields) of the alpha form for _fixed_form_energy, after
+    alpha_frame's checks: the inverse Hessian of alpha's Guillemin
+    potential where its gradient is xi + tau * grad g, in closed form."""
+    frame = alpha_frame(alpha, state.ray.cfg.dim)
+    return lambda f: frame.inverse_hessian(frame.log_slacks(
+        f.xi + state.tau * f.grad))
 
 
 @dataclass(frozen=True)
@@ -264,20 +230,20 @@ def _facet_mean(ray: Ray, facet, ends):
     return fine, abs(fine - coarse)
 
 
-def _route_b(ray: Ray, tau: float):
-    """Route (b) of mabuchi at tau and its error estimate: Donaldson's
-    toric Mabuchi functional (Donaldson 2002, section 3),
+def _route_b(state: RayState):
+    """Route (b) of mabuchi at the state's tau and its error estimate:
+    Donaldson's toric Mabuchi functional (Donaldson 2002, section 3),
 
         n! * [tau * L(g_beta) - 1/2 integral_P log det(I + tau H0^-1 D2g_beta)],
         L(f) = integral_dP f dsigma - a integral_P f,  a = sigma(dP) / vol P,
 
     the s-integral of n! * integral_P g_beta (S_s - n mu) in closed form.
     The log-det in this form tends to 0 where H0 blows up at the facets;
-    a difference of two log-dets would cancel there.  L sums sigma_F
-    times _facet_mean over the facets, as does the estimate.
+    a difference of two log-dets would cancel there; its integral is
+    the state's log_det.  L sums sigma_F times _facet_mean over the
+    facets, as does the estimate.
     """
-    base = ray.cfg.base
-    n = base.dim
+    ray, tau, base = state.ray, state.tau, state.ray.cfg.base
     vd = volume_data(base)
     boundary = miss = 0.0
     for facet, fv, sigma in zip(base.halfspaces, base.facet_vertices,
@@ -286,11 +252,9 @@ def _route_b(ray: Ray, tau: float):
         boundary += float(sigma) * mean
         miss += float(sigma) * err
     l_g = boundary - float(vd.boundary_sigma_volume / vd.volume) \
-        * ray.grid.integrate(ray.g_vals)
-    logdet = 0.0 if ray.smooth.exact else ray.grid.integrate_blocks(
-        lambda rows: _log1p_det(ray.h0_inv_g_hess(rows), tau))
-    return (math.factorial(n) * (tau * l_g - 0.5 * logdet),
-            math.factorial(n) * tau * miss)
+        * ray.g_integral
+    fact = math.factorial(base.dim)
+    return fact * (tau * l_g - 0.5 * state.log_det), fact * tau * miss
 
 
 def mabuchi(state: RayState) -> MabuchiReport:
@@ -299,25 +263,20 @@ def mabuchi(state: RayState) -> MabuchiReport:
     Route (a), the Chen-Tian formula through the transport:
     (1/2) * entropy + n/(n+1) * mu * AM - E_Ric, the half on the entropy
     paired with the halved Ricci convention in which the mean scalar
-    curvature is n * mu.  E_Ric is the Chen-Tian endpoint energy of the
-    fixed form Ric0 (_fixed_form_energy, as for alpha in energy_report),
-    with Ric0 at the inverse transport x that the entropy uses, in closed
-    form from the state's log-slacks (SimplexProduct.ricci).  Route (b),
-    _route_b, shares only the grid, u0 and g_beta with it.
+    curvature is n * mu.  E_Ric, the state's, is the Chen-Tian endpoint
+    energy of the fixed form Ric0 at the inverse transport x that the
+    entropy uses (SimplexProduct.dual_fields).  Route (b), _route_b,
+    shares with it the grid, u0, g_beta and the state's integral of
+    log det(I + tau D2u0^-1 D2g_beta), which both weigh alike.
     err_estimate is the route gap plus route (b)'s edge-quadrature
     estimate (0 in 1D).
     """
-    ray = state.ray
-    cfg = ray.cfg
-    n = cfg.dim
-    tau = state.tau
-    mu = float(slope_mu(cfg.base))
+    ray, tau = state.ray, state.tau
+    n, mu = ray.cfg.dim, float(slope_mu(ray.cfg.base))
 
-    l_ric = _fixed_form_energy(
-        state, lambda rows: ray.frame.ricci(state.log_slacks[rows]))
     route_a = 0.5 * state.entropy + (n / (n + 1)) * mu * am_energy(ray, tau) \
-        - l_ric
-    route_b, err = _route_b(ray, tau)
+        - state.l_ricci
+    route_b, err = _route_b(state)
     # written with <=, which a NaN route fails
     if not abs(route_a - route_b) <= ROUTE_TOL * (1.0 + abs(route_a)):
         raise RouteMismatch(
@@ -325,7 +284,7 @@ def mabuchi(state: RayState) -> MabuchiReport:
             f"vs toric {route_b!r}")
     return MabuchiReport(tau=tau, value=route_a, route_a=route_a,
                          route_b=route_b, entropy=state.entropy,
-                         l_ricci=l_ric,
+                         l_ricci=state.l_ricci,
                          err_estimate=err + abs(route_a - route_b))
 
 

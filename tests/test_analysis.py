@@ -26,6 +26,7 @@ from kstab.analysis import (
     fan_grid,
     guillemin_potential,
     line_grid,
+    mixed_discriminant,
     newton_transport,
     _gauss_rule,
     _inv_small,
@@ -35,7 +36,6 @@ from kstab.analysis import (
 from gens import corner_coords, flat, logdet_small
 from kstab.errors import (DomainMismatch, NewtonDivergence, NonDelzant,
                           NumericalFailure)
-from kstab.functionals import mixed_discriminant
 from kstab.plconfig import make_config, normalize, pl_fn
 from kstab.polytope import (box, construct, corner_chop, interval,
                             unit_simplex, volume_data)
@@ -457,15 +457,14 @@ def test_transport_2d_factorizes():
 
 
 def test_check_reach_takes_its_grid_maxima_once():
-    """check_reach takes max |grad g_beta| and max |xi| over the grid
-    once per Ray, and its refusal reads as the bound over the grid
-    gives."""
+    """check_reach reads the max |grad g_beta| and max |xi| that the
+    Ray's one pass over its grid took, not the grid, and its refusal
+    reads as the bound over the grid gives."""
     ray = Ray(SQUARE, beta=10.0, tau_max=4.0)
     reach = 0.5 * (1.0 - math.log(analysis._SLACK_FLOOR)) \
         * float(np.abs(ray.u0.normals).sum(axis=0).max())
-    shift = 1e300 * float(np.abs(ray.g_grad).max())
-    ray.check_reach(4.0)
-    ray.xi = ray.g_grad = None  # a second pass over the grid would fail
+    shift = 1e300 * float(np.abs(ray.fields(0.0, slice(None)).grad).max())
+    ray.grid = None  # a pass over the grid would fail
     ray.check_reach(4.0)
     with pytest.raises(NewtonDivergence) as err:
         ray.check_reach(1e300)
@@ -569,9 +568,9 @@ def _log_volume_ratio(ray, tau):
 
 def test_state_at_zero_is_identity():
     ray = Ray(KINK, beta=20.0, tau_max=2.0)
-    st = ray.state(0.0)
+    st = ray.fields(0.0, slice(None))  # every node
     assert np.all(st.phi_y == 0.0)
-    assert np.array_equal(st.log_slacks, ray.frame.log_slacks(ray.xi))
+    assert np.array_equal(st.log_slacks, ray.frame.log_slacks(st.xi))
     lvr = _log_volume_ratio(ray, 0.0)
     assert np.all(lvr == 0.0)
     mass = ray.grid.integrate(np.exp(lvr))
@@ -579,7 +578,7 @@ def test_state_at_zero_is_identity():
 
 
 def test_interval_h0_inverse_keeps_its_digits():
-    """On [0, 1], D2u0^-1 = 2 x (1 - x).  h0_inv_g_hess reads it as
+    """On [0, 1], D2u0^-1 = 2 x (1 - x).  Ray.fields reads it as
     1 / D2u0: on the off-centre steep ray every node where D2g_beta is
     nonzero is within 2 ulps of 2 x (1 - x) D2g_beta, exact in rationals
     from the float x, 1 - x and D2g_beta.  The closed form through the
@@ -589,7 +588,7 @@ def test_interval_h0_inverse_keeps_its_digits():
     ray = Ray(cfg, beta=120.0, tau_max=12.0)
     x = ray.grid.points[:, 0]
     hess = ray.smooth.hessian(ray.grid.points)[:, 0, 0]
-    got = ray.h0_inv_g_hess(slice(None))[:, 0, 0]
+    got = ray.fields(12.0, slice(None)).h0_inv_g_hess[:, 0, 0]
     rows = np.flatnonzero(hess > 0)
     assert len(rows) > 100
     for i in rows:
@@ -615,8 +614,9 @@ def test_mass_ratio_is_one(tau):
 def test_transported_mass_is_conserved(cfg, beta, tau_max, tau, bound):
     """exp(-log_ratio) is the Jacobian of the inverse transport, so its
     integral over the transported nodes is the volume of the polytope."""
-    st = Ray(cfg, beta=beta, tau_max=tau_max).state(tau)
-    mass = st.ray.grid.integrate(np.exp(-st.log_ratio))
+    ray = Ray(cfg, beta=beta, tau_max=tau_max)
+    st = ray.fields(tau, slice(None))  # every node
+    mass = ray.grid.integrate(np.exp(-st.log_ratio))
     assert abs(mass / float(volume_data(cfg.base).volume) - 1.0) < bound
 
 
@@ -633,7 +633,7 @@ def test_phi_convex_in_tau():
     Legendre dual of u_tau minus that of u0 at its moment-dual point."""
     ray = Ray(AFFINE, beta=10.0, tau_max=3.0)
     idx = np.argmin(np.abs(ray.grid.points[:, 0] - 0.5))
-    p, xi = ray.grid.points[idx], ray.xi[idx]
+    p, xi = ray.grid.points[idx], ray.fields(0.0, slice(None)).xi[idx]
 
     def phi(tau):
         moved = ray.transport(tau)[idx]
@@ -670,8 +670,9 @@ def test_interval_slacks_match_newton(cfg, tau):
     no reference there; below 1e-8 the closed form keeps the digits."""
     mpmath = pytest.importorskip("mpmath")
     ray = Ray(cfg, beta=10.0 * tau, tau_max=tau)
-    log_ell = ray.state(tau).log_slacks
-    targets = (ray.xi + tau * ray.g_grad)[:, 0]
+    f = ray.fields(tau, slice(None))  # every node
+    log_ell = f.log_slacks
+    targets = (f.xi + tau * f.grad)[:, 0]
     with mpmath.workdps(50):
         ell = np.array([[float(1 / (1 + mpmath.exp(2 * nu * mpmath.mpf(t))))
                          for nu in ray.u0.normals[:, 0]] for t in targets])
@@ -697,9 +698,9 @@ def test_interval_ricci_slack_form_matches_ricci_reference(cfg, tau):
     is ricci_reference at x wherever x resolves its slacks (above 1e-6,
     where the float x costs 1e-10 relative)."""
     ray = Ray(cfg, beta=10.0 * tau, tau_max=tau)
-    state = ray.state(tau)
-    form = 4.0 * np.exp(state.log_slacks.sum(axis=1))
-    x = corner_coords(ray.frame, state.log_slacks)
+    f = ray.fields(tau, slice(None))  # every node
+    form = 4.0 * np.exp(f.log_slacks.sum(axis=1))
+    x = corner_coords(ray.frame, f.log_slacks)
     ok = ray.u0.slacks(x).min(axis=1) > 1e-6
     ric = ricci_reference(ray.u0, x[ok])[:, 0, 0]
     assert np.max(np.abs(ric / form[ok] - 1.0)) < 1e-9
@@ -779,33 +780,33 @@ def test_product_frame_inverts_grad_u0(base):
     assert np.all(err / scale < 1e-12 + 1e-14 * cond)
     ref = ricci_reference(u0, pts)
     scale = np.abs(ref).max(axis=(1, 2))
-    err = np.abs(frame.ricci(log_ell) - ref).max(axis=(1, 2))
+    err = np.abs(frame.dual_fields(log_ell)[1] - ref).max(axis=(1, 2))
     assert np.all(err / scale < 1e-12 + 1e-14 / ell.min(axis=1) ** 2)
 
 
 @pytest.mark.parametrize("cfg", [SQUARE, TRIANGLE], ids=["square", "simplex"])
 def test_product_state_matches_newton(cfg):
-    """Ray.state in closed form against one Newton inverse transport:
+    """Ray.f in closed form against one Newton inverse transport:
     slacks, D2u0(x)^-1, log_ratio (log det D2u0(x) - log det H_tau)
     and Ric0 at every node whose Newton slacks are above 1e-6."""
     ray = Ray(cfg, beta=10.0, tau_max=1.0)
-    state = ray.state(1.0)
-    z, h0_at_z = newton_transport(ray.u0, ray.xi + ray.g_grad,
+    f = ray.fields(1.0, slice(None))  # every node
+    z, h0_at_z = newton_transport(ray.u0, f.xi + f.grad,
                                   ray.grid.points)
     ell = ray.u0.slacks(z)
     ok = ell.min(axis=1) > 1e-6
     assert ok.mean() > 0.5
-    assert np.max(np.abs(np.exp(state.log_slacks[ok]) / ell[ok] - 1)) < 1e-9
-    g0_at_x, h_tau, _ = state.wedge_fields(slice(None))  # every node
+    assert np.max(np.abs(np.exp(f.log_slacks[ok]) / ell[ok] - 1)) < 1e-9
+    g0_at_x, h_tau = f.g0_at_x, f.h_tau
     ref = _inv_small(h0_at_z[ok])
     scale = np.abs(ref).max(axis=(1, 2))
     err = np.abs(g0_at_x[ok] - ref).max(axis=(1, 2))
     assert np.max(err / scale) < 1e-9
     log_ratio = logdet_small(h0_at_z) - logdet_small(h_tau)
-    assert np.max(np.abs(state.log_ratio - log_ratio)[ok]) < 1e-9
+    assert np.max(np.abs(f.log_ratio - log_ratio)[ok]) < 1e-9
     ref = ricci_reference(ray.u0, z[ok])
     scale = np.abs(ref).max(axis=(1, 2))
-    err = np.abs(ray.frame.ricci(state.log_slacks[ok]) - ref).max(axis=(1, 2))
+    err = np.abs(f.ricci[ok] - ref).max(axis=(1, 2))
     assert np.all(err / scale < 1e-9 + 1e-14 / ell[ok].min(axis=1) ** 2)
 
 
@@ -853,8 +854,8 @@ def test_product_fields_near_the_hypotenuse_match_mpmath(slack):
                                                int(i == 1) + int(j == 1)))
                                   for j in range(2)] for i in range(2)])
             log_ell = frame.log_slacks(np.array([xi]))
-            for field, ref in ((frame.inverse_hessian(log_ell), g0_ref),
-                               (frame.ricci(log_ell), ric_ref)):
+            for field, ref in zip(frame.dual_fields(log_ell),
+                                  (g0_ref, ric_ref)):
                 for i in range(2):
                     for j in range(2):
                         assert abs(field[0, i, j] - ref[i, j]) \

@@ -13,6 +13,7 @@ structure.  These pin the transported-coordinate quadrature; the PL
 cases are covered by route consistency and slope convergence toward
 the exact invariants.
 """
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -24,10 +25,11 @@ import pytest
 
 import kstab.analysis
 import kstab.functionals
-from kstab.analysis import (_NEWTON_BLOCK, Grid, Ray, _inv_small,
+from kstab.analysis import (_NEWTON_BLOCK, Ray, SmoothedPL, _inv_small,
                             abreu_scalar_curvature, bulk_grid,
                             crease_ladder_depth, fan_grid,
-                            guillemin_potential, newton_transport,
+                            guillemin_potential, half_trace,
+                            mixed_discriminant, newton_transport,
                             ricci_reference, simplex_product)
 from kstab.errors import (DimensionMismatch, NormalizationRequired,
                           NumericalFailure, RouteMismatch)
@@ -39,10 +41,8 @@ from kstab.functionals import (
     adaptive_simpson,
     am_energy,
     energy_report,
-    half_trace,
     l1_norm_path,
     mabuchi,
-    mixed_discriminant,
 )
 from kstab.invariants import (donaldson_futaki, minimum_norm, slope_mu,
                               twisted_weights)
@@ -147,7 +147,8 @@ def test_square_transported_frame_matches_product_values():
     mu = float(slope_mu(SQUARE.base))
     for tau in (1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0):
         state = ray.state(tau)
-        phi_int = ray.grid.integrate(state.phi_y * np.exp(-state.log_ratio))
+        f = ray.fields(tau, slice(None))  # every node
+        phi_int = ray.grid.integrate(f.phi_y * np.exp(-f.log_ratio))
         assert abs(phi_int - 0.5 * (i_exact(tau) - tau)) < 1e-8, tau
         if tau <= 8.0:
             rep = energy_report(state)
@@ -198,10 +199,11 @@ def test_mabuchi_vanishes_on_affine_ray():
 
 
 def _node_hessians(ray):
-    """D2u0 and D2g_beta at every grid node, whole: a Ray forms them
-    only block by block.  Reference only."""
+    """D2u0, D2g_beta and g_beta at every grid node, whole: a Ray forms
+    them only block by block.  Reference only."""
     pts = ray.grid.points
-    return ray.u0.hessian(pts), ray.smooth.hessian(pts)
+    return ray.u0.hessian(pts), ray.smooth.hessian(pts), \
+        ray.fields(0.0, slice(None)).g
 
 
 def _phi_dot_pairing(ray, s, a_field, hessians):
@@ -209,10 +211,10 @@ def _phi_dot_pairing(ray, s, a_field, hessians):
 
     In moment coordinates this is -n * n! * integral of
     g_beta * MD(a_field, G_s) * det H_s, with H_s the Hessian of u_s,
-    from the (D2u0, D2g_beta) of _node_hessians.
+    from the (D2u0, D2g_beta, g_beta) of _node_hessians.
     """
     n = ray.cfg.dim
-    h0, g_hess = hessians
+    h0, g_hess, g_vals = hessians
     h_s = h0 + s * g_hess
     if n == 1:
         md = a_field[:, 0, 0]
@@ -220,7 +222,7 @@ def _phi_dot_pairing(ray, s, a_field, hessians):
     else:
         md = mixed_discriminant(a_field, _inv_small(h_s))
         det = np.exp(logdet_small(h_s))
-    return -n * math.factorial(n) * ray.grid.integrate(ray.g_vals * md * det)
+    return -n * math.factorial(n) * ray.grid.integrate(g_vals * md * det)
 
 
 def _energy_path(integrand, taus):
@@ -256,10 +258,11 @@ def _alpha_path(ray, alpha, taus):
     u_alpha = guillemin_potential(alpha)
     bary = np.array([[float(c) for c in volume_data(alpha).barycenter]])
     hessians = _node_hessians(ray)
+    f = ray.fields(0.0, slice(None))  # xi and grad g_beta at every node
 
     def integrand(s):
         start = np.tile(bary, (ray.grid.size, 1))
-        _, h_a = newton_transport(u_alpha, ray.xi + s * ray.g_grad, start)
+        _, h_a = newton_transport(u_alpha, f.xi + s * f.grad, start)
         return _phi_dot_pairing(ray, s, _inv_small(h_a), hessians)
     return _energy_path(integrand, taus)
 
@@ -302,21 +305,50 @@ def test_mabuchi_transports_only_at_tau(monkeypatch):
 
 
 def test_df_rung_integrates_the_entropy_once(monkeypatch):
-    """Ray.state integrates n! * log_ratio once; energy_report and
-    mabuchi both report that value, with its bits."""
-    seen = []
-    integrate = Grid.integrate
+    """One state pass per rung: Ray.state forms the rung's fields once
+    per block and integrates the entropy there with every other density;
+    energy_report and mabuchi run no pass and report that entropy, with
+    its bits."""
+    blocks = []
+    fields = Ray.fields
 
-    def counted(self, values):
-        seen.append(values)
-        return integrate(self, values)
+    def counted(self, tau, rows):
+        blocks.append(rows)
+        return fields(self, tau, rows)
 
-    monkeypatch.setattr(Grid, "integrate", counted)
-    state = Ray(KINK, beta=20.0, tau_max=2.0).state(2.0)
+    monkeypatch.setattr(Ray, "fields", counted)
+    ray = Ray(SQUARE3, beta=10.0, tau_max=1.0)
+    state = ray.state(1.0)
+    assert blocks == list(ray.grid.blocks()) and len(blocks) > 1
     rep, mab = energy_report(state), mabuchi(state)
-    assert sum(v is state.log_ratio for v in seen) == 1
+    assert len(blocks) == len(list(ray.grid.blocks()))
     assert rep.entropy == mab.entropy == state.entropy
-    assert state.entropy == integrate(state.ray.grid, state.log_ratio)
+
+
+def test_df_rung_forms_the_pl_hessian_once_per_block(monkeypatch):
+    """A PL DF rung (the square with max(x1, x2), tau = 2) forms D2g_beta
+    once per block across state, energy_report and mabuchi, and route
+    (b)'s log det is the state's integral of it."""
+    calls = []
+    weights_hessian = SmoothedPL.weights_hessian
+
+    def counted(self, w):
+        calls.append(len(w))
+        return weights_hessian(self, w)
+
+    monkeypatch.setattr(SmoothedPL, "weights_hessian", counted)
+    cfg = normalize(make_config(box(2), [((1, 0), 0), ((0, 1), 0)]),
+                    "min_zero")
+    ray = Ray(cfg, beta=20.0, tau_max=2.0)
+    state = ray.state(2.0)
+    energy_report(state)
+    mab = mabuchi(state)
+    assert calls == [len(ray.grid.weights[rows]) for rows in ray.grid.blocks()]
+    assert len(calls) > 1
+    log_det = sum(ray.fields(2.0, rows).log_det @ ray.grid.weights[rows]
+                  for rows in ray.grid.blocks())
+    assert state.log_det == log_det
+    assert _route_b(state)[0] == mab.route_b
 
 
 def test_rung_path_inverts_no_matrix_field(monkeypatch):
@@ -355,42 +387,41 @@ def _owned_bytes(arrays) -> int:
     (SQUARE, True), (SQUARE3, False), (AFFINE, True), (KINK, False),
 ], ids=["square", "square3", "affine", "kink"])
 def test_rays_and_states_own_no_matrix_field(cfg, affine):
-    """Census of the arrays a Ray and its states own.  The Ray holds at
-    most 2 + 3n floats per node (points, weights, xi, g_beta and its
-    gradient, the last a broadcast for an affine g) and a state K + 2
-    (log-slacks, phi_y, log_ratio): no D2u0, H_tau or D2g_beta field
-    outlives its block.  RayState.wedge_fields forms
-    H_tau = D2u0 + tau * D2g_beta and det H_tau on each block bit for
-    bit as on the whole grid (D2u0 itself for an affine g)."""
+    """Census of the arrays a Ray and its states own.  The Ray holds no
+    grid-length array but grid.points and grid.weights, and a state
+    none at all: every field lives in one block of Ray.fields.  Those
+    form H_tau = D2u0 + tau * D2g_beta and det H_tau on each block bit
+    for bit as on the whole grid (D2u0 itself for an affine g)."""
     ray = Ray(cfg, beta=10.0, tau_max=2.0)
     n, size = cfg.dim, ray.grid.size
     # a 2D PL ray has several blocks of rows
     assert cfg.dim == 1 or size > _NEWTON_BLOCK
     ray_arrays = [a for a in vars(ray).values() if isinstance(a, np.ndarray)]
+    assert _owned_bytes(ray_arrays) < size
     assert _owned_bytes(ray_arrays + [ray.grid.points, ray.grid.weights]) \
-        <= (2 + 3 * n) * 8 * size
-    assert affine == (ray.g_grad.base is not None
-                      and not ray.g_grad.flags.writeable)
+        == (n + 1) * 8 * size
     pts = ray.grid.points
     h0, g_hess = ray.u0.hessian(pts), ray.smooth.hessian(pts)
     for tau in (0.5, 1.0, 2.0):
         state = ray.state(tau)
-        assert _owned_bytes([state.phi_y, state.log_ratio, state.log_slacks]) \
-            <= (len(ray.frame.offsets) + 2) * 8 * size
+        assert not [v for v in vars(state).values()
+                    if isinstance(v, np.ndarray)]
         h_tau = h0 if affine else h0 + tau * g_hess
         det = h_tau[:, 0, 0] if n == 1 else (
             h_tau[:, 0, 0] * h_tau[:, 1, 1] - h_tau[:, 0, 1] * h_tau[:, 1, 0])
         for rows in ray.grid.blocks():
-            g0_at_x, block_h, block_det = state.wedge_fields(rows)
-            assert (g0_at_x is None) == (n == 1)
-            assert block_h.tobytes() == h_tau[rows].tobytes()
-            assert block_det.tobytes() == det[rows].tobytes()
+            f = ray.fields(tau, rows)
+            assert (f.g0_at_x is None) == (n == 1)
+            assert (f.log_det is None) == affine
+            assert f.h_tau.tobytes() == h_tau[rows].tobytes()
+            assert f.det_tau.tobytes() == det[rows].tobytes()
 
 
 def test_square_rung_peak_memory():
     """Ray(square) -> state(1) -> energy_report -> mabuchi, the first DF
-    rung on 181,440 nodes, peaks under 28 MB of traced allocations:
-    about 8.7 MB of Ray fields, 8.7 MB of state fields and the blocks."""
+    rung on 181,440 nodes, peaks under 10 MB of traced allocations
+    (8.2 MB measured): the grid's 4.4 MB while its fan is built, then the
+    grid and the fields of one block."""
     schedule = Schedule()
     tracemalloc.start()
     try:
@@ -402,7 +433,7 @@ def test_square_rung_peak_memory():
     finally:
         tracemalloc.stop()
     assert ray.grid.size == 181_440
-    assert peak <= 28e6
+    assert peak <= 10e6
 
 
 SIMPLEX = normalize(make_config(unit_simplex(2), [((1, 0), 0)]), "min_zero")
@@ -419,18 +450,18 @@ def test_trace_form_energies_match_the_inverted_h_tau(cfg, tau):
     ray = Ray(cfg, beta=10.0 * tau, tau_max=tau)
     state = ray.state(tau)
     rep, mab = energy_report(state, alpha=alpha), mabuchi(state)
-    g0_at_x, h_tau, det_tau = state.wedge_fields(slice(None))  # every node
+    f = ray.fields(tau, slice(None))  # every node
+    g0_at_x, h_tau, det_tau = f.g0_at_x, f.h_tau, f.det_tau
     g_tau = _inv_small(h_tau)
 
     def wedge(a, b):
         return 2 * ray.grid.integrate(
-            state.phi_y * mixed_discriminant(a, b) * det_tau)
+            f.phi_y * mixed_discriminant(a, b) * det_tau)
 
-    am_direct = 2 * ray.grid.integrate(
-        state.phi_y * np.exp(-state.log_ratio)) \
-        + 2 * ray.grid.integrate(state.phi_y) + wedge(g0_at_x, g_tau)
-    e_ric = wedge(ray.frame.ricci(state.log_slacks), g0_at_x + g_tau)
-    l_alpha = wedge(_alpha_theta(state, alpha)(slice(None)), g0_at_x + g_tau)
+    am_direct = 2 * ray.grid.integrate(f.phi_y * np.exp(-f.log_ratio)) \
+        + 2 * ray.grid.integrate(f.phi_y) + wedge(g0_at_x, g_tau)
+    e_ric = wedge(f.ricci, g0_at_x + g_tau)
+    l_alpha = wedge(_alpha_theta(state, alpha)(f), g0_at_x + g_tau)
     for value, ref in ((rep.am_direct, am_direct), (mab.l_ricci, e_ric),
                        (rep.l_alpha, l_alpha)):
         assert abs(value - ref) <= 1e-12 * abs(ref)
@@ -454,11 +485,10 @@ def test_a_nan_route_is_a_route_mismatch(monkeypatch, route):
     NaN cannot pass, and RouteMismatch names the tau."""
     state = Ray(KINK, beta=20.0, tau_max=2.0).state(2.0)
     if route == "a":
-        monkeypatch.setattr(kstab.functionals, "_fixed_form_energy",
-                            lambda state, theta: float("nan"))
+        state = dataclasses.replace(state, l_ricci=float("nan"))
     else:
         monkeypatch.setattr(kstab.functionals, "_route_b",
-                            lambda ray, tau: (float("nan"), 0.0))
+                            lambda state: (float("nan"), 0.0))
     with pytest.raises(RouteMismatch, match="tau=2.0"):
         mabuchi(state)
 
@@ -494,7 +524,7 @@ def test_route_b_is_the_curvature_path(cfg, tau):
     pairing it replaces, on the Ray a DF ladder builds for tau."""
     ray = Ray(cfg, beta=10.0 * tau, tau_max=tau)
     [(path, _)] = _mabuchi_path(ray, (tau,))
-    assert abs(_route_b(ray, tau)[0] - path) < 1e-7
+    assert abs(_route_b(ray.state(tau))[0] - path) < 1e-7
 
 
 @pytest.mark.parametrize("tau,value", [(8.0, 11.908221256),
@@ -503,9 +533,9 @@ def test_route_b_on_the_steep_ray(tau, value):
     """Route (b) keeps the path's values on the steep ray, and route (a),
     read from the closed-form log-slacks, meets no float wall near the
     facets: the two agree to 1e-9 relative."""
-    ray = Ray(STEEP, beta=10.0 * tau, tau_max=tau)
-    assert _route_b(ray, tau)[0] == pytest.approx(value, abs=1e-8)
-    mb = mabuchi(ray.state(tau))
+    state = Ray(STEEP, beta=10.0 * tau, tau_max=tau).state(tau)
+    assert _route_b(state)[0] == pytest.approx(value, abs=1e-8)
+    mb = mabuchi(state)
     assert abs(mb.route_a - mb.route_b) <= 1e-9 * (1.0 + abs(mb.route_b))
 
 
@@ -530,7 +560,8 @@ def test_route_b_converged_on_steep_seeded_ray():
     l_g = ends - 2.0 * (smooth.value(x) @ w)
     logdet = np.log1p(2.0 * tau * x[:, 0] * (1.0 - x[:, 0])
                       * smooth.hessian(x)[:, 0, 0]) @ w
-    assert abs(_route_b(ray, tau)[0] - (tau * l_g - 0.5 * logdet)) < 1e-8
+    assert abs(_route_b(ray.state(tau))[0] - (tau * l_g - 0.5 * logdet)) \
+        < 1e-8
 
 
 @pytest.mark.parametrize("cfg", [KINK, SQUARE3], ids=["kink", "square3"])
@@ -716,12 +747,13 @@ def test_alpha_theta_closed_form_matches_newton(alpha):
     point where alpha's gradient is xi + tau * grad g, as one Newton
     transport into alpha finds it wherever that solve resolves the
     slacks (above 1e-6)."""
-    state = Ray(SQUARE, beta=10.0, tau_max=1.0).state(1.0)
-    theta = _alpha_theta(state, alpha)(slice(None))  # every node
+    ray = Ray(SQUARE, beta=10.0, tau_max=1.0)
+    f = ray.fields(1.0, slice(None))  # every node
+    theta = _alpha_theta(ray.state(1.0), alpha)(f)
     u_alpha = guillemin_potential(alpha)
     bary = np.array([[float(c) for c in volume_data(alpha).barycenter]])
-    z, h = newton_transport(u_alpha, state.ray.xi + state.ray.g_grad,
-                            np.tile(bary, (state.ray.grid.size, 1)))
+    z, h = newton_transport(u_alpha, f.xi + f.grad,
+                            np.tile(bary, (ray.grid.size, 1)))
     ok = u_alpha.slacks(z).min(axis=1) > 1e-6
     assert ok.mean() > 0.5
     ref = _inv_small(h[ok])
