@@ -34,15 +34,15 @@ grids (tested).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (DomainMismatch, NewtonDivergence, NonDelzant,
-                     NumericalFailure)
+from .errors import (DimensionMismatch, DomainMismatch, NewtonDivergence,
+                     NonDelzant, NumericalFailure)
 from .plconfig import PLConvexFn, ToricTestConfig
 from .polytope import Polytope, _det, volume_data
 
@@ -122,19 +122,30 @@ class SmoothedPL:
         return len(self.consts) == 1
 
     def _fields(self, pts):
-        """Row max, softmax normaliser and softmax weights at pts; both
-        reductions run column by column (see _row_reduce)."""
+        """Row max, softmax normaliser and softmax weights at pts."""
+        top, vals = self._shifted(pts)
+        return (top, *self._softmax(vals, out=vals))
+
+    def _shifted(self, pts):
+        """(row max of the pieces, the pieces minus it) at pts, free of
+        beta; all reductions run column by column (see _row_reduce)."""
         vals = pts @ self.grads.T  # then in place, column by column too
         for col, const in zip(vals.T, self.consts):
             col += const
         top = _row_reduce(np.maximum, vals)
         for col in vals.T:
             col -= top
-        w = np.exp(np.multiply(vals, self.beta, out=vals), out=vals)
+        return top, vals
+
+    def _softmax(self, vals, out=None):
+        """(normaliser, weights) of the softmax at beta of _shifted's vals,
+        the weights in out (a fresh array by default)."""
+        w = np.multiply(vals, self.beta, out=out)
+        np.exp(w, out=w)
         z = _row_reduce(np.add, w)
         for col in w.T:
             col /= z
-        return top, z, w
+        return z, w
 
     def value(self, pts: np.ndarray) -> np.ndarray:
         top, z, _ = self._fields(pts)
@@ -399,13 +410,15 @@ def _inv_small(H: np.ndarray) -> np.ndarray:
     return adj / _det_small(H)[:, None, None]
 
 
-def _log1p_det(m: np.ndarray, s: float) -> np.ndarray:
-    """log det(I + s m) as log1p(s tr m + s^2 det m) (log1p(s m) in 1D):
-    no rounding of 1 + s m hides a small s m, and no matrix field is
-    formed."""
-    if m.shape[-1] == 1:
-        return np.log1p(s * m[:, 0, 0])
-    return np.log1p(s * (m[:, 0, 0] + m[:, 1, 1]) + s * s * _det_small(m))
+def _log1p_det(a: np.ndarray, det_a, d: np.ndarray, s: float) -> np.ndarray:
+    """log det(I + s A D) as log1p(s tr(A D) + s^2 det_a det D) (log1p(s A D)
+    in 1D) from entrywise products: no matrix product is formed, and no
+    rounding of 1 + s A D hides a small s A D."""
+    if d.shape[-1] == 1:
+        return np.log1p(s * (a[:, 0, 0] * d[:, 0, 0]))
+    trace = a[:, 0, 0] * d[:, 0, 0] + a[:, 0, 1] * d[:, 1, 0]
+    trace += a[:, 1, 0] * d[:, 0, 1] + a[:, 1, 1] * d[:, 1, 1]
+    return np.log1p(s * trace + s * s * (det_a * _det_small(d)))
 
 
 def mixed_discriminant(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -756,23 +769,49 @@ def simplex_product(base: Polytope) -> SimplexProduct | None:
     return frame
 
 
+def alpha_frame(alpha: Polytope, dim: int) -> SimplexProduct:
+    """The SimplexProduct of the twisting polytope, after every JALPHA
+    check in order: DimensionMismatch, NonDelzant, and NumericalFailure
+    for an alpha that is not a simplex product."""
+    if alpha.dim != dim:
+        raise DimensionMismatch(
+            f"twisting polytope has dimension {alpha.dim}, expected {dim}")
+    if not alpha.is_delzant:
+        raise NonDelzant("twisting polytope is not Delzant")
+    return _frame(alpha, "JALPHA", "alpha")
+
+
+def _frame(base: Polytope, who: str, what: str) -> SimplexProduct:
+    """simplex_product(base), or NumericalFailure naming its facet count."""
+    frame = simplex_product(base)
+    if frame is None:
+        raise NumericalFailure(
+            f"{who} needs a simplex-product {what} (an interval, a Delzant "
+            f"triangle or parallelogram); this {what} has "
+            f"{len(base.halfspaces)} facets")
+    return frame
+
+
 # ---------------------------------------------------------------------------
 # rays and ray states
 
 
 @dataclass(frozen=True)
 class RayState:
-    """The degeneration path at one tau as the integrals of one pass of
-    Ray.fields (Ray.state); only JALPHA's L_alpha takes a pass of its own."""
+    """The degeneration path at one rung (tau, beta) as the integrals of
+    one block pass of Ray.states: no functional runs a pass of its own."""
 
     ray: "Ray"
     tau: float
+    beta: float        # the smoothing of g_beta at this rung
+    g_integral: float  # integral of g_beta, no n!
     entropy: float  # n! * integral of log_ratio
     a_ref: float    # n! * integral of phi_y e^(-log_ratio): the fixed form
     b_mov: float    # n! * integral of phi_y
     mixed: float    # n! * integral of phi_y half_trace(G0(x), H_tau); 0, n = 1
     l_ricci: float  # E_Ric: n! * integral of fixed_form_density(Ric0)
     log_det: float  # integral of log det(I + tau D2u0^-1 D2g_beta), no n!
+    l_alpha: float | None  # as l_ricci for alpha's form; None, no alpha
 
 
 class RungFields(NamedTuple):
@@ -784,16 +823,15 @@ class RungFields(NamedTuple):
     log_slacks: np.ndarray  # log ell_k at x: grad u0(x) = xi + tau grad g_beta
     phi_y: np.ndarray
     log_ratio: np.ndarray
-    h0_inv_g_hess: np.ndarray | None  # D2u0^-1 D2g_beta; None, exact g_beta
-    log_det: np.ndarray | None        # log det(I + tau of it)
-    g0_at_x: np.ndarray | None        # D2u0(x)^-1; None for n = 1
-    ricci: np.ndarray                 # Ric0 at x
+    log_det: np.ndarray | None  # log det(I + tau D2u0^-1 D2g_beta), PL g
+    g0_at_x: np.ndarray | None  # D2u0(x)^-1; None for n = 1
+    ricci: np.ndarray           # Ric0 at x
     h_tau: np.ndarray
     det_tau: np.ndarray
 
     def fixed_form_density(self, form: np.ndarray) -> np.ndarray:
-        """phi_y times the density at y of the fixed form with dual Hessian
-        form at x (functionals._fixed_form_energy): MD(form, G0(x)) det
+        """phi_y times the density at y of the Chen-Tian endpoint energy of
+        the fixed form with dual Hessian form at x: MD(form, G0(x)) det
         H_tau, plus for n = 2 MD(form, H_tau^-1) det H_tau in trace form."""
         if self.g0_at_x is None:
             return self.phi_y * form[:, 0, 0] * self.det_tau
@@ -803,53 +841,50 @@ class RungFields(NamedTuple):
 
 
 class Ray:
-    """One smoothing level on a simplex-product base: grid, u0, frame
-    (SimplexProduct), g_beta and, from one pass over the grid, g_integral
-    (of g_beta) and check_reach's max |xi| and max |grad g_beta|; no field
-    (see fields).  Other bases raise NumericalFailure before any grid."""
+    """A ladder's ray on a simplex-product base: grid, u0, frame
+    (SimplexProduct), the pieces of g smoothed at beta and check_reach's
+    max |xi|; no field (see fields).  One Ray at a ladder's largest tau
+    serves every rung (states); other bases raise NumericalFailure first."""
 
     def __init__(self, cfg: ToricTestConfig, beta: float,
                  tau_max: float = 12.0):
         self.cfg = cfg
         self.u0 = guillemin_potential(cfg.base)
-        self.frame = simplex_product(cfg.base)
-        if self.frame is None:
-            raise NumericalFailure(
-                f"a ray needs a simplex-product base (an interval, a Delzant "
-                f"triangle or parallelogram); this base has "
-                f"{len(cfg.base.halfspaces)} facets")
+        self.frame = _frame(cfg.base, "a ray", "base")
         self.smooth = SmoothedPL.from_fn(cfg.g, beta)
         grid = self.grid = build_grid(cfg.g, collar_depth_for(tau_max),
                                       crease_ladder_depth(beta, tau_max))
-        g_integral = xi_max = grad_max = 0.0
-        for rows in grid.blocks():
-            _, xi, g, grad, _ = self._nodes(rows)
-            g_integral += g @ grid.weights[rows]
-            xi_max = max(xi_max, float(np.abs(xi).max()))
-            grad_max = max(grad_max, float(np.abs(grad).max()))
-        self.g_integral = float(g_integral)
+        xi_max = max(float(np.abs(self.u0.gradient(grid.points[rows])).max())
+                     for rows in grid.blocks())
         reach = 0.5 * (1.0 - math.log(_SLACK_FLOOR)) \
             * float(np.abs(self.u0.normals).sum(axis=0).max())
-        self._reach = (reach, grad_max, xi_max)  # check_reach's bounds
+        self._reach = (reach, float(np.abs(self.smooth.grads).max()), xi_max)
 
-    def _nodes(self, rows: slice) -> tuple:
-        """(slacks, xi = grad u0, g_beta, grad g_beta, softmax weights) at
-        the nodes rows, g_beta with SmoothedPL.value's bits; an exact
-        g_beta's gradient is repeated, not broadcast: that is slow to read."""
-        pts, smooth = self.grid.points[rows], self.smooth
+    def _block(self, rows: slice) -> tuple:
+        """The fields at the nodes rows that no rung changes: y, xi, log ell_k
+        at y and D2u0, then for an exact g g_beta (SmoothedPL.value's bits)
+        and its gradient, repeated (a broadcast is slow to read), for a PL g
+        the pieces' row max, the pieces minus it, and D2u0^-1 (from y's
+        log-slacks, or 1 / D2u0 in 1D, to the last digit) with its det."""
+        pts, smooth, frame = self.grid.points[rows], self.smooth, self.frame
         ell = self.u0.slacks(pts)
-        top, z, w = smooth._fields(pts)
-        g = top + np.log(z, out=z) / smooth.beta
-        grad = np.repeat(smooth.grads, len(pts), axis=0) if smooth.exact \
-            else w @ smooth.grads
-        return ell, self.u0.gradient(pts, ell), g, grad, w
+        xi = self.u0.gradient(pts, ell)
+        at_y, h0 = frame.log_slacks(xi), self.u0.hessian(pts, ell)
+        top, vals = smooth._shifted(pts)
+        if smooth.exact:
+            z, _ = smooth._softmax(vals, out=vals)
+            grad = np.repeat(smooth.grads, len(pts), axis=0)
+            g = top + np.log(z, out=z) / smooth.beta
+            return pts, xi, at_y, h0, g, grad, None, None, None
+        inv_h0 = 1.0 / h0 if self.cfg.dim == 1 else frame.inverse_hessian(at_y)
+        return pts, xi, at_y, h0, top, None, vals, inv_h0, _det_small(inv_h0)
 
-    def fields(self, tau: float, rows: slice) -> RungFields:
-        """Every field of the rung at tau on the nodes rows, each formed
-        once.  x, the inverse transport of a node y, is only its log-slacks
-        (SimplexProduct.log_slacks at xi + tau * grad g_beta); the same
-        formula at xi gives y's, so every difference below is 0 at tau = 0.
-        With step = log ell(x) - log ell(y), by
+    def _rung(self, block, tau: float, smooth) -> RungFields:
+        """Every field of the rung (tau, smooth.beta) on a _block, each
+        formed once.  x, the inverse transport of a node y, is only its
+        log-slacks (SimplexProduct.log_slacks at xi + tau * grad g_beta);
+        the same formula at xi gives y's, so every difference below is 0
+        at tau = 0.  With step = log ell(x) - log ell(y), by
         det D2u0 = prod_B 2^-n_B Lambda_B / prod_{k in B} ell_k,
 
             log_ratio = -sum_k step_k - log det(I + tau D2u0^-1 D2g_beta),
@@ -857,32 +892,31 @@ class Ray:
                   = tau (<y, grad g_beta> - g_beta) + (1/2) lambda . step,
 
         u0*(xi) = (1/2) sum ell_k - (1/2) sum lambda_k (1 + log ell_k) with
-        lambda the facet offsets, so x xi is never formed.  The log det (0,
-        skipped, for an exact g_beta) reads D2u0^-1 at y from its slacks,
-        or as 1 / D2u0 in 1D, to the last digit.  H_tau is at y."""
-        tau, frame, smooth = float(tau), self.frame, self.smooth
-        pts = self.grid.points[rows]
-        ell, xi, g, grad, w = self._nodes(rows)
-        h_tau = self.u0.hessian(pts, ell)  # D2u0 until D2g_beta is added
-        at_y = frame.log_slacks(xi)
+        lambda the facet offsets, so x xi is never formed.  The log det is
+        0, and skipped, for an exact g_beta.  H_tau is at y."""
+        pts, xi, at_y, h_tau, g, grad, vals, inv_h0, det_inv_h0 = block
+        frame, log_det = self.frame, None
+        if not smooth.exact:
+            z, w = smooth._softmax(vals)
+            g = g + np.log(z, out=z) / smooth.beta
+            grad, d2g = w @ smooth.grads, smooth.weights_hessian(w)
+            log_det = _log1p_det(inv_h0, det_inv_h0, d2g, tau)
+            h_tau = h_tau + np.multiply(d2g, tau, out=d2g)
         at_x = frame.log_slacks(xi + tau * grad)
         step = at_x - at_y
         log_ratio = -_row_reduce(np.add, step)
+        if log_det is not None:
+            log_ratio -= log_det
         phi_y = tau * (_row_reduce(np.add, pts * grad) - g) \
             + 0.5 * (step @ frame.offsets)
-        ratio = log_det = None
-        if not smooth.exact:
-            d2g = smooth.weights_hessian(w)
-            # in 1D elementwise: a 1 x 1 matmul costs a BLAS call per node
-            ratio = (1.0 / h_tau) * d2g if self.cfg.dim == 1 \
-                else frame.inverse_hessian(at_y) @ d2g
-            log_det = _log1p_det(ratio, tau)
-            log_ratio -= log_det
-            h_tau += np.multiply(d2g, tau, out=d2g)
         g0_at_x, ricci = frame.dual_fields(at_x)
-        return RungFields(g, xi, grad, at_x, phi_y, log_ratio, ratio, log_det,
+        return RungFields(g, xi, grad, at_x, phi_y, log_ratio, log_det,
                           None if self.cfg.dim == 1 else g0_at_x, ricci,
                           h_tau, _det_small(h_tau))
+
+    def fields(self, tau: float, rows: slice) -> RungFields:
+        """The rung at tau, smoothed at the Ray's beta, on the nodes rows."""
+        return self._rung(self._block(rows), float(tau), self.smooth)
 
     def potential(self, s: float) -> ShiftedPotential:
         return ShiftedPotential(self.u0, self.smooth, float(s))
@@ -890,7 +924,7 @@ class Ray:
     def transport(self, s: float) -> np.ndarray:
         """Moved points: the u_s-moment images of the grid nodes, solved
         from the grid on every call.  No energy reads it."""
-        xi = np.concatenate([self._nodes(b)[1] for b in self.grid.blocks()])
+        xi = self.u0.gradient(self.grid.points)
         return newton_transport(self.potential(s), xi, self.grid.points)[0]
 
     def inverse_transport(self, s: float) -> np.ndarray:
@@ -902,7 +936,9 @@ class Ray:
     def check_reach(self, tau: float) -> None:
         """NewtonDivergence if tau shifts some target xi + tau * grad g_beta
         past the reach of grad u0 at _SLACK_FLOOR, by the bounds __init__
-        took: no inverse transport then keeps every slack above the floor."""
+        took: no inverse transport then keeps every slack above the floor.
+        At every beta grad g_beta is a convex combination of the piece
+        gradients, so the largest of them bounds it."""
         reach, grad_max, xi_max = self._reach
         shift = float(tau) * grad_max
         if shift > reach + xi_max:
@@ -910,27 +946,44 @@ class Ray:
                 f"moment targets shift by tau * |grad g| = {shift:.3g}, "
                 f"beyond the reach {reach:.4g} of grad u0 at the slack floor")
 
-    def state(self, tau: float) -> RayState:
-        """The rung's integrals at tau, from one pass of fields, each
-        summed per block (values @ weights[rows]); check_reach refuses an
-        unreachable tau first."""
-        tau = float(tau)
-        self.check_reach(tau)
+    def states(self, rungs, alpha: Polytope | None = None) -> list:
+        """The RayState of each rung (tau, beta), in order, from one pass
+        over the grid's blocks: per block its _block once, then per rung its
+        _rung, every density (L_alpha too, given alpha) summed into the
+        rung's integrals.  check_reach and alpha_frame refuse first."""
+        rungs = [(float(tau), float(beta)) for tau, beta in rungs]
+        self.check_reach(max(tau for tau, _ in rungs))
+        twist = None if alpha is None else alpha_frame(alpha, self.cfg.dim)
+        smooths = [replace(self.smooth, beta=beta) for _, beta in rungs]
         n, weights = self.cfg.dim, self.grid.weights
-        entropy = a_ref = b_mov = mixed = l_ricci = log_det = 0.0
+        # per rung: g, entropy, a_ref, b_mov, mixed, l_ricci, log_det, l_alpha
+        sums = np.zeros((len(rungs), 8))
         for rows in self.grid.blocks():
-            f, w = self.fields(tau, rows), weights[rows]
-            entropy += f.log_ratio @ w
-            a_ref += (f.phi_y * np.exp(-f.log_ratio)) @ w
-            b_mov += f.phi_y @ w
-            l_ricci += f.fixed_form_density(f.ricci) @ w
-            if n > 1:
-                mixed += (f.phi_y * half_trace(f.g0_at_x, f.h_tau)) @ w
-            if f.log_det is not None:
-                log_det += f.log_det @ w
+            block, w = self._block(rows), weights[rows]
+            for acc, (tau, _), smooth in zip(sums, rungs, smooths):
+                f = self._rung(block, tau, smooth)
+                acc[0] += f.g @ w
+                acc[1] += f.log_ratio @ w
+                acc[2] += (f.phi_y * np.exp(-f.log_ratio)) @ w
+                acc[3] += f.phi_y @ w
+                if n > 1:
+                    acc[4] += (f.phi_y * half_trace(f.g0_at_x, f.h_tau)) @ w
+                acc[5] += f.fixed_form_density(f.ricci) @ w
+                if f.log_det is not None:
+                    acc[6] += f.log_det @ w
+                if twist is not None:
+                    theta = twist.inverse_hessian(
+                        twist.log_slacks(f.xi + tau * f.grad))
+                    acc[7] += f.fixed_form_density(theta) @ w
         fact = math.factorial(n)
-        return RayState(self, tau, *(fact * float(v) for v in (
-            entropy, a_ref, b_mov, mixed, l_ricci)), float(log_det))
+        return [RayState(self, tau, beta, float(acc[0]),
+                         *(fact * float(v) for v in acc[1:6]), float(acc[6]),
+                         None if twist is None else fact * float(acc[7]))
+                for acc, (tau, beta) in zip(sums, rungs)]
+
+    def state(self, tau: float, alpha: Polytope | None = None) -> RayState:
+        """states of the one rung at tau, smoothed at the Ray's beta."""
+        return self.states([(tau, self.smooth.beta)], alpha)[0]
 
     @staticmethod
     def point_derivative(u0, smooth, tau: float, p: np.ndarray) -> float:

@@ -13,9 +13,10 @@ what keeps entropy-type integrals accurate at large tau: in reference
 coordinates their mass concentrates in an exp(-2 tau) collar that
 float64 cannot resolve near facets with unit-scale offsets.
 
-A ray state holds integrals, not fields: Ray.state sums every density
-of a rung in one pass over the grid's blocks, so the functionals here
-combine floats, and only L_alpha takes a pass of its own.
+A ray state holds integrals, not fields: Ray.states sums every density
+of every rung of a ladder, L_alpha too when an alpha is given, in one
+pass over the grid's blocks, so the functionals here combine floats and
+run no pass.
 
 The Aubin functionals are wired so that the n = 1 identity I = 2J holds
 exactly in floating point (I and J are assembled from the same sums).
@@ -32,17 +33,15 @@ no transport.  Disagreement beyond tolerance raises RouteMismatch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .analysis import (Ray, RayState, SimplexProduct, crease_ladder_depth,
-                       line_grid, simplex_product)
-from .errors import (DimensionMismatch, NonDelzant, NormalizationRequired,
-                     NumericalFailure, RouteMismatch)
+from .analysis import RayState, crease_ladder_depth, line_grid
+from .errors import NormalizationRequired, RouteMismatch
 from .invariants import l1_norm, slope_mu
-from .polytope import Polytope, dot, volume_data
+from .polytope import dot, volume_data
 
 PATH_REL_TOL = 1e-7
 PATH_MAX_DEPTH = 26
@@ -107,9 +106,10 @@ def adaptive_simpson(f, upper: float, lower: float = 0.0):
 # per-ray evaluation helpers
 
 
-def am_energy(ray: Ray, tau: float) -> float:
+def am_energy(state: RayState) -> float:
     """Aubin-Mabuchi energy: its s-derivative is constant along the ray."""
-    return -math.factorial(ray.cfg.dim + 1) * ray.g_integral * tau
+    return -math.factorial(state.ray.cfg.dim + 1) * state.g_integral \
+        * state.tau
 
 
 @dataclass(frozen=True)
@@ -124,77 +124,28 @@ class EnergyReport:
     err_estimate: float
 
 
-def energy_report(state: RayState, alpha: Polytope | None = None) -> EnergyReport:
-    """Aubin energies of one ray state; l_alpha only when alpha is given.
+def energy_report(state: RayState) -> EnergyReport:
+    """Aubin energies of one ray state; l_alpha when the state has it.
 
     Endpoint values equal the integrated path forms by the fundamental
     theorem of calculus; evaluating at the endpoint in transported
     coordinates avoids stacking s-quadrature error and makes the n = 1
     identity I = 2J hold exactly in floating point (j_val is assembled
     as i_val / 2 there, which agrees with the defining combination to
-    one rounding).  Every term but l_alpha is read from the state's
-    integrals; l_alpha is the Chen-Tian endpoint energy of the fixed
-    form alpha (_fixed_form_energy).  err_estimate is the am / am_direct
-    discrepancy, the path-vs-endpoint consistency estimate.
+    one rounding).  Every term is read from the state's integrals,
+    l_alpha (the Chen-Tian endpoint energy of the fixed form alpha) too.
+    err_estimate is the am / am_direct gap, a path-vs-endpoint check.
     """
-    n, am = state.ray.cfg.dim, am_energy(state.ray, state.tau)
+    n, am = state.ray.cfg.dim, am_energy(state)
     # against the fixed form (dx = e^(-log_ratio) dy) and the evolving one
     a_ref, b_mov = state.a_ref, state.b_mov
     am_direct = a_ref + b_mov + state.mixed  # mixed is 0.0 for n = 1
     i_val = a_ref - b_mov
     j_val = 0.5 * i_val if n == 1 else a_ref - am_direct / (n + 1)
-
-    l_alpha = None if alpha is None else _fixed_form_energy(
-        state, _alpha_theta(state, alpha))
     return EnergyReport(tau=state.tau, am=am, am_direct=am_direct,
                         i_val=i_val, j_val=j_val, entropy=state.entropy,
-                        l_alpha=l_alpha, err_estimate=abs(am - am_direct))
-
-
-def _fixed_form_energy(state: RayState, theta) -> float:
-    """Chen-Tian energy of a fixed form theta at the endpoint,
-
-        E_theta(phi) = sum_{j=0}^{n-1} integral phi theta ^ omega0^j
-                       ^ omega_phi^(n-1-j),
-
-    whose s-derivative is n * <phi_dot, theta ^ omega_s^(n-1)>, in
-    one pass of Ray.fields: theta(fields) is its dual-Hessian field at
-    x on a block, paired by RungFields.fixed_form_density.  Ray.state
-    takes E_Ric (theta = Ric0) so in its own pass.
-    """
-    ray = state.ray
-    total = 0.0
-    for rows in ray.grid.blocks():
-        f = ray.fields(state.tau, rows)
-        total += f.fixed_form_density(theta(f)) @ ray.grid.weights[rows]
-    return math.factorial(ray.cfg.dim) * float(total)
-
-
-def alpha_frame(alpha: Polytope, dim: int) -> SimplexProduct:
-    """The SimplexProduct of the twisting polytope, after every JALPHA
-    check in order: DimensionMismatch, NonDelzant, and NumericalFailure
-    for an alpha that is not a simplex product."""
-    if alpha.dim != dim:
-        raise DimensionMismatch(
-            f"twisting polytope has dimension {alpha.dim}, expected {dim}")
-    if not alpha.is_delzant:
-        raise NonDelzant("twisting polytope is not Delzant")
-    frame = simplex_product(alpha)
-    if frame is None:
-        raise NumericalFailure(
-            f"JALPHA needs a simplex-product alpha (an interval, a Delzant "
-            f"triangle or parallelogram); this alpha has "
-            f"{len(alpha.halfspaces)} facets")
-    return frame
-
-
-def _alpha_theta(state: RayState, alpha: Polytope):
-    """theta(fields) of the alpha form for _fixed_form_energy, after
-    alpha_frame's checks: the inverse Hessian of alpha's Guillemin
-    potential where its gradient is xi + tau * grad g, in closed form."""
-    frame = alpha_frame(alpha, state.ray.cfg.dim)
-    return lambda f: frame.inverse_hessian(frame.log_slacks(
-        f.xi + state.tau * f.grad))
+                        l_alpha=state.l_alpha,
+                        err_estimate=abs(am - am_direct))
 
 
 @dataclass(frozen=True)
@@ -208,22 +159,23 @@ class MabuchiReport:
     err_estimate: float
 
 
-def _facet_mean(ray: Ray, facet, ends):
-    """Mean of g_beta over the facet with vertices ends, and an error
-    estimate: the vertex value in 1D; in 2D Gauss panels on the edge's
-    [0, 1] parameter, cut at every cell vertex of g on it, each stretch
-    graded toward both ends as a crease end of line_grid (corners too),
-    and its change on the panels graded two crease levels less."""
+def _facet_mean(state: RayState, facet, ends):
+    """Mean of the state's g_beta over the facet with vertices ends, and
+    an error estimate: the vertex value in 1D; in 2D Gauss panels on the
+    edge's [0, 1] parameter, cut at every cell vertex of g on it, each
+    stretch graded toward both ends as a crease end of line_grid (corners
+    too), and its change on the panels graded two crease levels less."""
+    smooth, g = replace(state.ray.smooth, beta=state.beta), state.ray.cfg.g
     if len(ends) == 1:
-        return float(ray.smooth.value(np.array(ends, dtype=float))[0]), 0.0
+        return float(smooth.value(np.array(ends, dtype=float))[0]), 0.0
     p, d = ends[0], [b - a for a, b in zip(*ends)]
     cuts = sorted({dot([x - a for x, a in zip(v, p)], d) / dot(d, d)
-                   for cell in ray.cfg.g.regions() for v in cell.vertices
+                   for cell in g.regions() for v in cell.vertices
                    if facet.slack(v) == 0})
-    depth = crease_ladder_depth(ray.smooth.beta, 1.0)
+    depth = crease_ladder_depth(smooth.beta, 1.0)
     start, step = (np.array(c, dtype=float) for c in (p, d))
     fine, coarse = (
-        sum(rule.integrate(ray.smooth.value(start + rule.points * step))
+        sum(rule.integrate(smooth.value(start + rule.points * step))
             for rule in (line_grid(a, b, (None, None), k)
                          for a, b in zip(cuts, cuts[1:])))
         for k in (depth, depth - 2))
@@ -240,19 +192,19 @@ def _route_b(state: RayState):
     the s-integral of n! * integral_P g_beta (S_s - n mu) in closed form.
     The log-det in this form tends to 0 where H0 blows up at the facets;
     a difference of two log-dets would cancel there; its integral is
-    the state's log_det.  L sums sigma_F times _facet_mean over the
-    facets, as does the estimate.
+    the state's log_det, as the integral of g_beta is its g_integral.  L
+    sums sigma_F times _facet_mean over the facets, as does the estimate.
     """
-    ray, tau, base = state.ray, state.tau, state.ray.cfg.base
+    tau, base = state.tau, state.ray.cfg.base
     vd = volume_data(base)
     boundary = miss = 0.0
     for facet, fv, sigma in zip(base.halfspaces, base.facet_vertices,
                                 vd.per_facet_sigma):
-        mean, err = _facet_mean(ray, facet, [base.vertices[i] for i in fv])
+        mean, err = _facet_mean(state, facet, [base.vertices[i] for i in fv])
         boundary += float(sigma) * mean
         miss += float(sigma) * err
     l_g = boundary - float(vd.boundary_sigma_volume / vd.volume) \
-        * ray.g_integral
+        * state.g_integral
     fact = math.factorial(base.dim)
     return fact * (tau * l_g - 0.5 * state.log_det), fact * tau * miss
 
@@ -274,7 +226,7 @@ def mabuchi(state: RayState) -> MabuchiReport:
     ray, tau = state.ray, state.tau
     n, mu = ray.cfg.dim, float(slope_mu(ray.cfg.base))
 
-    route_a = 0.5 * state.entropy + (n / (n + 1)) * mu * am_energy(ray, tau) \
+    route_a = 0.5 * state.entropy + (n / (n + 1)) * mu * am_energy(state) \
         - state.l_ricci
     route_b, err = _route_b(state)
     # written with <=, which a NaN route fails

@@ -14,8 +14,9 @@ MINNORM and JALPHA in ``min_zero``, POINT in ``average_zero``, AM in
 whatever normalization the caller supplies (the shift enters the exact
 slope, so it is reported rather than removed).  The smoothing schedule
 couples beta to tau (beta = beta0 * tau) so the mollification bias of
-piecewise-linear rays vanishes in the limit; affine rays are exact and
-share a single Ray across the whole ladder.
+piecewise-linear rays vanishes in the limit.  Every ladder, affine or
+PL, runs on one Ray built for its largest tau, and one pass over that
+Ray's grid forms every rung.
 
 Fixed-point probes
 ------------------
@@ -36,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import Ray, SmoothedPL, guillemin_potential
+from .analysis import Ray, SmoothedPL, alpha_frame, guillemin_potential
 from .errors import (
     InconsistentInput,
     InsufficientSamples,
@@ -46,7 +47,7 @@ from .errors import (
     NotAVertex,
     NumericalFailure,
 )
-from .functionals import alpha_frame, energy_report, mabuchi
+from .functionals import energy_report, mabuchi
 from .invariants import (
     chow_weight,
     donaldson_futaki,
@@ -231,37 +232,33 @@ def _exact_value(cfg, theorem, vertex) -> Fraction:
     return -chow_weight(cfg, vertex)
 
 
-def ladder(cfg: ToricTestConfig, schedule: Schedule, fn) -> list:
-    """fn(ray, tau) at each tau of the schedule, in schedule order.
-
-    An affine ray is exact, so one Ray serves the whole ladder; a PL ray
-    gets one Ray per tau, smoothed at beta = beta0 * tau and graded for
-    that tau.  A base that is not a simplex product is refused by the
-    first Ray, before any grid is built.  The largest tau is checked
-    against the Ray that serves it (Ray.check_reach) before any rung
-    runs; a PL ladder builds that Ray first and keeps it for its rung.  A
-    NewtonDivergence raised there or by fn is re-raised with its tau.
-    """
+def ladder(cfg: ToricTestConfig, schedule: Schedule, fn,
+           alpha: Optional[Polytope] = None) -> list:
+    """fn(state) at each rung (tau, beta0 * tau) of the schedule, in
+    schedule order, every state (with L_alpha when alpha is given) from
+    one pass of Ray.states on one Ray built for the largest tau: smoothed
+    at beta0 * tau_max, its grid graded for tau_max.  The Ray refuses a
+    base that is not a simplex product before any grid, and check_reach
+    the largest tau before the pass; a NewtonDivergence there or in fn is
+    re-raised with its tau."""
     taus = [float(t) for t in schedule.taus]
     top = max(taus)
-    affine = _tier(cfg) == "affine"
-    last = Ray(cfg, beta=schedule.beta0 if affine else schedule.beta(top),
-               tau_max=top)
-
-    def rung(t, call):
-        try:
-            return call(last if affine or t == top
-                        else Ray(cfg, beta=schedule.beta(t), tau_max=t))
-        except NewtonDivergence as exc:
-            raise NewtonDivergence(f"tau={t:g}: {exc}") from exc
-
-    rung(top, lambda ray: ray.check_reach(top))
-    return [rung(t, lambda ray: fn(ray, t)) for t in taus]
+    ray = Ray(cfg, beta=schedule.beta(top), tau_max=top)
+    _at_tau(top, ray.check_reach, top)
+    states = ray.states([(t, schedule.beta(t)) for t in taus], alpha)
+    return [_at_tau(state.tau, fn, state) for state in states]
 
 
-def _energy_row(ray, tau, theorem, alpha, gamma):
-    state = ray.state(tau)
-    rep = energy_report(state, alpha=alpha if theorem == "JALPHA" else None)
+def _at_tau(tau: float, fn, *args):
+    """fn(*args), a NewtonDivergence it raises re-raised with tau."""
+    try:
+        return fn(*args)
+    except NewtonDivergence as exc:
+        raise NewtonDivergence(f"tau={tau:g}: {exc}") from exc
+
+
+def _energy_row(state, theorem, gamma):
+    rep = energy_report(state)
     l_a = float("nan") if rep.l_alpha is None else float(rep.l_alpha)
     battery = (float(rep.am), rep.i_val, rep.j_val, l_a)
     if theorem == "AM":
@@ -269,19 +266,19 @@ def _energy_row(ray, tau, theorem, alpha, gamma):
     elif theorem == "MINNORM":
         value = rep.j_val
     elif theorem == "JALPHA":
-        n = ray.cfg.base.dim
+        n = state.ray.cfg.base.dim
         value = rep.l_alpha - (n / (n + 1.0)) * gamma * rep.am
     else:  # DF
         mab = mabuchi(state)
-        return (tau, mab.value, mab.err_estimate) + battery
-    return (tau, float(value), rep.err_estimate) + battery
+        return (state.tau, mab.value, mab.err_estimate) + battery
+    return (state.tau, float(value), rep.err_estimate) + battery
 
 
 def _point_trace(cfg, vertex, schedule) -> tuple:
     """(tau, phi_dot, 0.0) per tau at the probe at depth delta inside the
     vertex, toward the barycenter, with no grid; NumericalFailure, before
     any solve, if the probe rounds onto a facet.  A NewtonDivergence of
-    a probe solve is re-raised with its tau, as in ladder."""
+    a probe solve is re-raised with its tau (_at_tau)."""
     i = cfg.base.vertex_index(vertex)
     vf = np.array([float(c) for c in cfg.base.vertices[i]])
     bary = np.array([float(c) for c in volume_data(cfg.base).barycenter])
@@ -294,14 +291,10 @@ def _point_trace(cfg, vertex, schedule) -> tuple:
             f"POINT probe at vertex ({where}) rounds onto a facet at "
             f"tau_max={top:g}: its depth exp(-2 (tau_max + 4)) is below "
             "the float spacing there")
-
-    def rung(t):
-        try:
-            return Ray.point_derivative(
-                u0, SmoothedPL.from_fn(cfg.g, schedule.beta(t)), t, probe)
-        except NewtonDivergence as exc:
-            raise NewtonDivergence(f"tau={t:g}: {exc}") from exc
-    return tuple((t, rung(t), 0.0) for t in map(float, schedule.taus))
+    return tuple((t, _at_tau(t, Ray.point_derivative, u0,
+                             SmoothedPL.from_fn(cfg.g, schedule.beta(t)),
+                             t, probe), 0.0)
+                 for t in map(float, schedule.taus))
 
 
 def verify_theorem(cfg: ToricTestConfig, theorem: str,
@@ -346,8 +339,9 @@ def verify_theorem(cfg: ToricTestConfig, theorem: str,
         # every energy integrates g over P in float64
         if integrate(ncfg.base, ncfg.g) > np.finfo(float).max:
             raise NumericalFailure(f"{name}: integral of g beyond float64")
-        rows = ladder(ncfg, schedule, lambda ray, t: _energy_row(
-            ray, t, name, alpha, float(gamma)))
+        rows = ladder(ncfg, schedule,
+                      lambda state: _energy_row(state, name, float(gamma)),
+                      alpha if name == "JALPHA" else None)
         trace = tuple(r[:3] for r in rows)
         energies = tuple((r[0],) + r[3:] for r in rows)
         est = estimate_limit_slope(trace)

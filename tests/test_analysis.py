@@ -329,8 +329,8 @@ def test_coupled_grid_matches_tensor_grid_rows(monkeypatch):
     def rows():
         out = []
         for cfg, theorem, taus in cases:
-            out += ladder(cfg, Schedule(taus=taus), lambda ray, t: _energy_row(
-                ray, t, theorem, None, None)[:6])
+            out += ladder(cfg, Schedule(taus=taus), lambda state: _energy_row(
+                state, theorem, None)[:6])
         return np.array(out)
 
     coupled = rows()
@@ -579,8 +579,9 @@ def test_state_at_zero_is_identity():
 
 def test_interval_h0_inverse_keeps_its_digits():
     """On [0, 1], D2u0^-1 = 2 x (1 - x).  Ray.fields reads it as
-    1 / D2u0: on the off-centre steep ray every node where D2g_beta is
-    nonzero is within 2 ulps of 2 x (1 - x) D2g_beta, exact in rationals
+    1 / D2u0: its log det is log1p(tau D2g_beta / D2u0) bit for bit, and
+    on the off-centre steep ray every node where D2g_beta is nonzero has
+    that ratio within 2 ulps of 2 x (1 - x) D2g_beta, exact in rationals
     from the float x, 1 - x and D2g_beta.  The closed form through the
     log-slacks reads nearly 4 ulps off there."""
     cfg = interval_config([((Fraction(-5, 2),), 0),
@@ -588,12 +589,56 @@ def test_interval_h0_inverse_keeps_its_digits():
     ray = Ray(cfg, beta=120.0, tau_max=12.0)
     x = ray.grid.points[:, 0]
     hess = ray.smooth.hessian(ray.grid.points)[:, 0, 0]
-    got = ray.fields(12.0, slice(None)).h0_inv_g_hess[:, 0, 0]
+    got = (1.0 / ray.u0.hessian(ray.grid.points)[:, 0, 0]) * hess
+    log_det = ray.fields(12.0, slice(None)).log_det
+    assert log_det.tobytes() == np.log1p(12.0 * got).tobytes()
     rows = np.flatnonzero(hess > 0)
     assert len(rows) > 100
     for i in rows:
         ref = 2 * Fraction(x[i]) * Fraction(1.0 - x[i]) * Fraction(hess[i])
         assert abs(Fraction(got[i]) / ref - 1) <= 2 * 2.0 ** -52
+
+
+@pytest.mark.parametrize("cfg", [
+    normalize(make_config(box(2), [((1, 0), 0), ((0, 1), 0)]), "min_zero"),
+    normalize(make_config(unit_simplex(2), [((1, 0), 0), ((0, 1), 0)]),
+              "min_zero"),
+    SQUARE3,
+], ids=["square-max", "simplex-max", "square3"])
+@pytest.mark.parametrize("tau", [1.0, 12.0])
+def test_trace_form_log_det_matches_the_matmul_form(cfg, tau):
+    """log det(I + tau A D), A = D2u0^-1 and D = D2g_beta, read as
+    log1p(tau tr(A D) + tau^2 det A det D) from entrywise products, meets
+    the matmul form log1p(tau tr M + tau^2 det M), M = A @ D, to 4 ulps
+    plus the rounding of the two det terms.  On max(x1, x2) both cancel:
+    det D is 0 in exact arithmetic for two pieces, so at tau = 12 next
+    to the crease (tau tr M near 400) each is rounding noise near 1e-11,
+    and the matmul form written entrywise in another order moves by up
+    to 60 ulps itself.  At tau = 1 the 4 ulps hold alone.  Dropping the
+    det term misses the bound 47-fold on max(x1, x2) at tau = 12, and
+    1e14-fold on the 3-piece square."""
+    eps = np.finfo(float).eps
+    ray = Ray(cfg, beta=10.0 * tau, tau_max=tau)
+    for rows in ray.grid.blocks():
+        got = ray.fields(tau, rows).log_det
+        pts = ray.grid.points[rows]
+        a = ray.frame.inverse_hessian(
+            ray.frame.log_slacks(ray.u0.gradient(pts)))
+        d = ray.smooth.hessian(pts)
+        m = a @ d
+        x = tau * (m[:, 0, 0] + m[:, 1, 1]) + tau * tau * (
+            m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0])
+        ref = np.log1p(x)
+
+        def size(h):
+            return np.abs(h[:, 0, 0] * h[:, 1, 1]) \
+                + np.abs(h[:, 0, 1] * h[:, 1, 0])
+        det_a = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+        det_d = d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] * d[:, 1, 0]
+        noise = 4 * eps * tau * tau * (size(m) + np.abs(det_a) * size(d)
+                                       + np.abs(det_d) * size(a))
+        bound = 4 * eps * np.abs(ref) + (noise / (1.0 + x) if tau > 1 else 0)
+        assert np.all(np.abs(got - ref) <= bound)
 
 
 @pytest.mark.parametrize("tau", [1.0, 4.0, 8.0])

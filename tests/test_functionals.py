@@ -26,7 +26,7 @@ import pytest
 import kstab.analysis
 import kstab.functionals
 from kstab.analysis import (_NEWTON_BLOCK, Ray, SmoothedPL, _inv_small,
-                            abreu_scalar_curvature, bulk_grid,
+                            abreu_scalar_curvature, alpha_frame, bulk_grid,
                             crease_ladder_depth, fan_grid,
                             guillemin_potential, half_trace,
                             mixed_discriminant, newton_transport,
@@ -36,7 +36,6 @@ from kstab.errors import (DimensionMismatch, NormalizationRequired,
 from kstab.functionals import (
     ROUTE_TOL,
     EnergyReport,
-    _alpha_theta,
     _route_b,
     adaptive_simpson,
     am_energy,
@@ -102,7 +101,7 @@ def test_adaptive_simpson_polynomial_and_layer():
 
 def test_all_functionals_vanish_at_tau_zero():
     ray = Ray(KINK, beta=20.0, tau_max=2.0)
-    rep = energy_report(ray.state(0.0), alpha=interval(0, 2))
+    rep = energy_report(ray.state(0.0, alpha=interval(0, 2)))
     assert rep == EnergyReport(tau=0.0, am=0.0, am_direct=0.0, i_val=0.0,
                                j_val=0.0, entropy=0.0, l_alpha=0.0,
                                err_estimate=0.0)
@@ -111,7 +110,7 @@ def test_all_functionals_vanish_at_tau_zero():
 
 def test_am_is_exactly_linear():
     ray = Ray(AFFINE, beta=10.0, tau_max=4.0)
-    slopes = [am_energy(ray, t) / t for t in (1.0, 2.0, 4.0)]
+    slopes = [am_energy(ray.state(t)) / t for t in (1.0, 2.0, 4.0)]
     assert max(slopes) - min(slopes) < 1e-12
     assert abs(slopes[0] - (-1.0)) < 1e-9   # -(n+1)! * integral of x
 
@@ -267,6 +266,14 @@ def _alpha_path(ray, alpha, taus):
     return _energy_path(integrand, taus)
 
 
+def _alpha_theta(f, tau, alpha):
+    """alpha's field on the fields f of the rung at tau, as Ray.states
+    forms it: the inverse Hessian of alpha's Guillemin potential where its
+    gradient is xi + tau * grad g, in closed form."""
+    frame = alpha_frame(alpha, f.xi.shape[1])
+    return frame.inverse_hessian(frame.log_slacks(f.xi + tau * f.grad))
+
+
 SQUARE = normalize(make_config(box(2), [((1, 0), 0)]), "min_zero")
 SQUARE3 = normalize(make_config(box(2), [((1, 0), 0), ((0, 1), 0),
                                          ((-1, -1), 1)]), "min_zero")
@@ -298,25 +305,24 @@ def test_mabuchi_transports_only_at_tau(monkeypatch):
 
     monkeypatch.setattr(kstab.analysis, "newton_transport", counting)
     ray = Ray(KINK, beta=40.0, tau_max=4.0)
-    state = ray.state(4.0)
-    mabuchi(state)
-    energy_report(state, alpha=interval(0, 2))
+    mabuchi(ray.state(4.0))
+    energy_report(ray.state(4.0, alpha=interval(0, 2)))
     assert calls == []
 
 
 def test_df_rung_integrates_the_entropy_once(monkeypatch):
-    """One state pass per rung: Ray.state forms the rung's fields once
+    """One state pass per rung: Ray.state forms the block fields once
     per block and integrates the entropy there with every other density;
     energy_report and mabuchi run no pass and report that entropy, with
     its bits."""
     blocks = []
-    fields = Ray.fields
+    block = Ray._block
 
-    def counted(self, tau, rows):
+    def counted(self, rows):
         blocks.append(rows)
-        return fields(self, tau, rows)
+        return block(self, rows)
 
-    monkeypatch.setattr(Ray, "fields", counted)
+    monkeypatch.setattr(Ray, "_block", counted)
     ray = Ray(SQUARE3, beta=10.0, tau_max=1.0)
     state = ray.state(1.0)
     assert blocks == list(ray.grid.blocks()) and len(blocks) > 1
@@ -448,8 +454,8 @@ def test_trace_form_energies_match_the_inverted_h_tau(cfg, tau):
     relative."""
     alpha = box(2, side=2)
     ray = Ray(cfg, beta=10.0 * tau, tau_max=tau)
-    state = ray.state(tau)
-    rep, mab = energy_report(state, alpha=alpha), mabuchi(state)
+    state = ray.state(tau, alpha=alpha)
+    rep, mab = energy_report(state), mabuchi(state)
     f = ray.fields(tau, slice(None))  # every node
     g0_at_x, h_tau, det_tau = f.g0_at_x, f.h_tau, f.det_tau
     g_tau = _inv_small(h_tau)
@@ -461,7 +467,7 @@ def test_trace_form_energies_match_the_inverted_h_tau(cfg, tau):
     am_direct = 2 * ray.grid.integrate(f.phi_y * np.exp(-f.log_ratio)) \
         + 2 * ray.grid.integrate(f.phi_y) + wedge(g0_at_x, g_tau)
     e_ric = wedge(f.ricci, g0_at_x + g_tau)
-    l_alpha = wedge(_alpha_theta(state, alpha)(f), g0_at_x + g_tau)
+    l_alpha = wedge(_alpha_theta(f, tau, alpha), g0_at_x + g_tau)
     for value, ref in ((rep.am_direct, am_direct), (mab.l_ricci, e_ric),
                        (rep.l_alpha, l_alpha)):
         assert abs(value - ref) <= 1e-12 * abs(ref)
@@ -609,7 +615,7 @@ def test_interval_affine_route_a_stays_at_zero():
     (DF = 0), and route (a), read from the closed-form log-slacks, stays
     within 1e-9 of it up to tau = 12, where the transported nodes ask
     for slacks far below the float spacing at the facets."""
-    rows = ladder(AFFINE, Schedule(), lambda ray, t: mabuchi(ray.state(t)))
+    rows = ladder(AFFINE, Schedule(), mabuchi)
     assert [mb.tau for mb in rows] == list(Schedule().taus)
     assert max(abs(mb.route_a) for mb in rows) <= 1e-9
 
@@ -633,7 +639,7 @@ def test_mabuchi_err_estimate_covers_route_gap():
     """On the interval-affine DF ladder route (b) has no quadrature
     estimate (it is 0 in 1D), so only the route gap makes err_estimate
     nonzero."""
-    rows = ladder(AFFINE, Schedule(), lambda ray, t: mabuchi(ray.state(t)))
+    rows = ladder(AFFINE, Schedule(), mabuchi)
     for mb in rows:
         assert mb.err_estimate >= abs(mb.route_a - mb.route_b)
     assert rows[-1].tau == 12.0
@@ -670,7 +676,7 @@ def test_j_alpha_slope_matches_exact_weight():
     assert (gamma, j_weight) == (F(2), F(1))
     assert twisted_df == donaldson_futaki(AFFINE) + j_weight
     ray = Ray(AFFINE, beta=10.0, tau_max=8.0)
-    reps = [energy_report(ray.state(t), alpha=alpha) for t in (6.0, 8.0)]
+    reps = [energy_report(ray.state(t, alpha=alpha)) for t in (6.0, 8.0)]
     ja6, ja8 = (r.l_alpha - 0.5 * float(gamma) * r.am for r in reps)
     assert abs((ja8 - ja6) / 2.0 - float(j_weight)) < 1e-3
 
@@ -680,7 +686,7 @@ def test_j_alpha_self_twist_uses_unit_gamma():
     gamma, _, _ = twisted_weights(AFFINE, alpha)
     assert gamma == 1
     ray = Ray(AFFINE, beta=10.0, tau_max=2.0)
-    rep = energy_report(ray.state(2.0), alpha=alpha)
+    rep = energy_report(ray.state(2.0, alpha=alpha))
     assert math.isfinite(rep.l_alpha)
 
 
@@ -693,7 +699,7 @@ def test_l_alpha_endpoint_matches_path(cfg, beta, alpha, taus):
     """The endpoint L_alpha is the integral of its s-derivative, within
     the path quadrature's own error estimate."""
     ray = Ray(cfg, beta=beta, tau_max=max(taus))
-    endpoint = [energy_report(ray.state(t), alpha=alpha).l_alpha
+    endpoint = [energy_report(ray.state(t, alpha=alpha)).l_alpha
                 for t in taus]
     reference = _alpha_path(Ray(cfg, beta=beta, tau_max=max(taus)), alpha,
                             taus)
@@ -721,10 +727,10 @@ def test_alpha_ladder_transports_into_alpha(monkeypatch, cfg, alpha):
     ray = Ray(cfg, beta=10.0, tau_max=max(taus))
     for tau in taus:
         if simplex_product(alpha) is not None:
-            energy_report(ray.state(tau), alpha=alpha)
+            energy_report(ray.state(tau, alpha=alpha))
             continue
         with pytest.raises(NumericalFailure, match="this alpha has 5 facets"):
-            energy_report(ray.state(tau), alpha=alpha)
+            energy_report(ray.state(tau, alpha=alpha))
     assert calls == []
 
 
@@ -749,7 +755,7 @@ def test_alpha_theta_closed_form_matches_newton(alpha):
     slacks (above 1e-6)."""
     ray = Ray(SQUARE, beta=10.0, tau_max=1.0)
     f = ray.fields(1.0, slice(None))  # every node
-    theta = _alpha_theta(ray.state(1.0), alpha)(f)
+    theta = _alpha_theta(f, 1.0, alpha)
     u_alpha = guillemin_potential(alpha)
     bary = np.array([[float(c) for c in volume_data(alpha).barycenter]])
     z, h = newton_transport(u_alpha, f.xi + f.grad,
@@ -762,11 +768,11 @@ def test_alpha_theta_closed_form_matches_newton(alpha):
 
 
 def test_wrong_dimension_alpha_raises():
-    """energy_report refuses an alpha of the wrong dimension as
+    """Ray.state refuses an alpha of the wrong dimension as
     twisted_weights does, with DimensionMismatch."""
     ray = Ray(AFFINE, beta=10.0, tau_max=1.0)
     with pytest.raises(DimensionMismatch):
-        energy_report(ray.state(1.0), alpha=unit_simplex(2))
+        ray.state(1.0, alpha=unit_simplex(2))
     with pytest.raises(DimensionMismatch):
         twisted_weights(AFFINE, unit_simplex(2))
 

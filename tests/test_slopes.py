@@ -344,14 +344,52 @@ def test_non_finite_slope_is_a_numerical_failure():
         verify_theorem(AFFINE, "AM", schedule=Schedule(beta0=0.0))
 
 
+@pytest.mark.parametrize("cfg,theorem", [(SQUARE_MAX, "DF"),
+                                         (SQUARE_X1, "JALPHA")],
+                         ids=["pl-df", "affine-jalpha"])
+def test_a_verdict_builds_one_grid_and_one_block_pass(monkeypatch, cfg,
+                                                       theorem):
+    """A grid verdict builds one grid and forms the tau-free fields of
+    each of its blocks once for the whole ladder: every rung, L_alpha
+    included, reads them in the same pass, and no rung forms its fields
+    again through Ray.fields."""
+    Ray = kstab.analysis.Ray
+    grids, blocks, rungs = [], [], []
+    build_grid, block, rung = kstab.analysis.build_grid, Ray._block, Ray._rung
+
+    def counted_grid(*args, **kwargs):
+        grids.append(build_grid(*args, **kwargs))
+        return grids[-1]
+
+    def counted_block(self, rows):
+        blocks.append(rows)
+        return block(self, rows)
+
+    def counted_rung(self, b, tau, smooth):
+        rungs.append(tau)
+        return rung(self, b, tau, smooth)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rung formed its fields again")
+
+    monkeypatch.setattr(kstab.analysis, "build_grid", counted_grid)
+    monkeypatch.setattr(Ray, "_block", counted_block)
+    monkeypatch.setattr(Ray, "_rung", counted_rung)
+    monkeypatch.setattr(Ray, "fields", refuse)
+    assert verify_theorem(cfg, theorem, alpha=box(2)).passed
+    [grid] = grids
+    assert blocks == list(grid.blocks()) and len(blocks) > 1
+    assert rungs == list(TAUS) * len(blocks)
+
+
 @pytest.mark.parametrize("cfg", [AFFINE, KINK], ids=["affine", "pl"])
 def test_ladder_names_the_tau_of_a_newton_divergence(cfg):
     original = NewtonDivergence("Legendre inversion stalled at 1 node(s)")
 
-    def fn(ray, tau):
-        if tau == 2.0:
+    def fn(state):
+        if state.tau == 2.0:
             raise original
-        return tau
+        return state.tau
 
     with pytest.raises(NewtonDivergence) as err:
         ladder(normalize(cfg, "min_zero"), Schedule(), fn)
