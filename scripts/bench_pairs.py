@@ -1,0 +1,107 @@
+"""Compare the benchmark at REF and at HEAD in alternating pairs of runs.
+
+    python3 scripts/bench_pairs.py REF --workload ray1d --pairs 20
+
+From the repository root this extracts ``git archive`` checkouts of REF
+and of HEAD (committed files only) into a temporary directory and runs
+``perfbench/run.py --seed 1`` untraced in each, for the ``run_seconds``
+of BENCHMARK.json (25), PAIRS times, alternating which side runs first.  Per end-to-end metric of
+BENCHMARK.json it prints the median and the quartiles of each side and
+the number of pairs in which HEAD was better, in the metric's direction
+(ties are counted apart).  The runs write only into their checkouts,
+whose ``.perfbench/`` scratch goes with the temporary directory.
+"""
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("exact", "ray1d", "ray2d")
+SEED = 1
+
+
+def checkout(rev: str, dest: Path) -> Path:
+    """The committed tree of rev, extracted into dest."""
+    done = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
+                          capture_output=True)
+    if done.returncode != 0:
+        raise SystemExit(f"git archive {rev} exited {done.returncode}:\n"
+                         f"{done.stderr.decode(errors='replace')[-800:]}")
+    dest.mkdir(parents=True)
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=done.stdout,
+                   check=True)
+    return dest
+
+
+def run_once(tree: Path, workload: str, seconds) -> dict:
+    """End-to-end metric values of one untraced run in tree."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"{' '.join(cmd)} in {tree} exited "
+                         f"{done.returncode}:\n{done.stderr.strip()[-800:]}")
+    line = json.loads(done.stdout.strip().splitlines()[-1])
+    return {name: m["value"] for name, m in line["metrics"].items()}
+
+
+def quartiles(values) -> tuple:
+    """(first quartile, median, third quartile) of values."""
+    if len(values) == 1:
+        return (values[0],) * 3
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return q1, q2, q3
+
+
+def summary(ref_runs, head_runs, end_to_end) -> list:
+    """One line per end-to-end metric: each side's median and quartiles,
+    then HEAD's wins and ties over the pairs."""
+    lines = [f"{'metric':<14} {'ref median [q1, q3]':>34} "
+             f"{'head median [q1, q3]':>34}  head better"]
+    for metric in end_to_end:
+        name, lower = metric["name"], metric["better"] == "lower"
+        ref = [r[name] for r in ref_runs]
+        head = [r[name] for r in head_runs]
+        sides = []
+        for values in (ref, head):
+            q1, med, q3 = quartiles(values)
+            sides.append(f"{med:.6g} [{q1:.6g}, {q3:.6g}]")
+        wins = sum((h < r) if lower else (h > r) for r, h in zip(ref, head))
+        ties = sum(h == r for r, h in zip(ref, head))
+        change = (statistics.median(head) / statistics.median(ref) - 1.0) \
+            if statistics.median(ref) else 0.0
+        lines.append(f"{name:<14} {sides[0]:>34} {sides[1]:>34}  "
+                     f"{wins} of {len(ref)} ({ties} ties), "
+                     f"median {change:+.1%}")
+    return lines
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("ref", help="the revision to compare HEAD with")
+    ap.add_argument("--workload", required=True, choices=WORKLOADS)
+    ap.add_argument("--pairs", type=int, default=10)
+    args = ap.parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text("utf-8"))
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        ref = checkout(args.ref, Path(tmp) / "ref")
+        head = checkout("HEAD", Path(tmp) / "head")
+        ref_runs, head_runs = [], []
+        for i in range(args.pairs):
+            order = ((ref, ref_runs), (head, head_runs))
+            for tree, runs in order if i % 2 == 0 else order[::-1]:
+                runs.append(run_once(tree, args.workload,
+                                     spec["run_seconds"]))
+            print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
+    print(f"{args.workload}: {args.ref} (ref) vs HEAD, {args.pairs} "
+          f"alternating pairs, --seconds {spec['run_seconds']} --seed {SEED}")
+    print("\n".join(summary(ref_runs, head_runs, spec["end_to_end"])))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

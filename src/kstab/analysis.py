@@ -61,7 +61,7 @@ class SymplecticPotential:
     normals: np.ndarray
     offsets: np.ndarray
 
-    # slacks, gradient and hessian work in place: on the Newton blocks a
+    # slacks, gradient and hessian work in place: on a grid block a
     # fresh (n, K) temporary, or an op along its short trailing axis, costs
     # more than the arithmetic; slacks is a transposed facet-by-row array
 
@@ -85,9 +85,7 @@ class SymplecticPotential:
         return g @ self.normals
 
     def hessian(self, pts: np.ndarray, ell=None) -> np.ndarray:
-        own = ell is None  # this call's own slacks are inverted in place
-        ell = self.slacks(pts) if own else ell
-        inv = np.divide(1.0, ell, out=ell if own else None)
+        inv = 1.0 / (self.slacks(pts) if ell is None else ell)
         n_facets, dim = self.normals.shape
         outer = self.normals[:, :, None] * self.normals[:, None, :]
         h = inv @ outer.reshape(n_facets, dim * dim)
@@ -198,6 +196,9 @@ class ShiftedPotential:
 # quadrature grids
 
 
+_BLOCK = 8192  # rows per block of a pass over a grid (Grid.blocks)
+
+
 @dataclass(frozen=True)
 class Grid:
     points: np.ndarray
@@ -207,9 +208,8 @@ class Grid:
         return float(values @ self.weights)
 
     def blocks(self):
-        """Slices of _NEWTON_BLOCK rows covering the nodes, in order."""
-        return (slice(lo, lo + _NEWTON_BLOCK)
-                for lo in range(0, self.size, _NEWTON_BLOCK))
+        """Slices of _BLOCK rows covering the nodes, in order."""
+        return (slice(lo, lo + _BLOCK) for lo in range(0, self.size, _BLOCK))
 
     @property
     def size(self) -> int:
@@ -311,7 +311,7 @@ def fan_grid(cells, depth: int, inner_order: int = 12,
     panels.append((1.0 - 0.5 ** depth, 1.0, graded_order, depth))
     s_rules = {d: _panel_nodes(_graded_breaks(d, d),
                                (graded_order, inner_order, graded_order))
-               for d in range(min(3, depth), depth + 1)}
+               for d in {min(depth, max(3, k + 2)) for *_, k in panels}}
     blocks = []
     for a, b, order, k in panels:
         tx, tw = _gauss_panel(a, b, order)
@@ -444,17 +444,14 @@ def _row_reduce(op, a: np.ndarray) -> np.ndarray:
     return out
 
 
-_NEWTON_BLOCK = 8192
 _NEWTON_TOL = 1e-11
 _NEWTON_MAX_ITER = 80
 
 
 def newton_transport(potential, targets: np.ndarray, start: np.ndarray):
-    """Solve grad(potential)(z) = target per row, staying strictly interior.
-
-    Returns z and the Hessian of the potential at z, which the last
-    convergence test evaluated anyway.  A residual component settles
-    below _NEWTON_TOL * (1 + max |target|).
+    """Solve grad(potential)(z) = target per row, staying strictly interior,
+    and return z.  A residual component settles below
+    _NEWTON_TOL * (1 + max |target|).
 
     Damping: steps are clipped against the facet slacks (never consume
     more than 85% of the distance to the boundary) and halved until the
@@ -469,54 +466,18 @@ def newton_transport(potential, targets: np.ndarray, start: np.ndarray):
     facet may still owe real progress along the other axis, and a
     per-node test would either stall it or retire it early.
 
-    Rows are independent, so they are solved in fixed-size blocks whose
-    temporaries stay cache-sized.  NewtonDivergence names the count of
-    rows still unsettled after _NEWTON_MAX_ITER, the worst live residual
-    component among them and where that row's iterate stopped.
+    Every row is solved in one set of arrays; a row with no live
+    component takes a zero step, so it stays where it settled.  Each
+    iterate carries the slacks its residual was evaluated from, so the
+    Hessian and the step clip reuse them.  NewtonDivergence names the
+    count of rows still unsettled after _NEWTON_MAX_ITER, the worst live
+    residual component among them and where that row's iterate stopped.
     """
-    z = start.copy()
-    dim = z.shape[1]
-    hess = np.empty((len(z), dim, dim))
+    x = start.copy()
+    dim = x.shape[1]
     normals = potential.u0.normals if isinstance(potential, ShiftedPotential) \
         else potential.normals
     tol = _NEWTON_TOL * (1.0 + np.abs(targets).max())
-    stalled, worst = [], []
-    for lo in range(0, len(z), _NEWTON_BLOCK):
-        rows = slice(lo, lo + _NEWTON_BLOCK)
-        idx, res = _newton_rows(potential, normals, targets[rows], z[rows],
-                                hess[rows], tol)
-        stalled.append(lo + idx)
-        worst.append(res)
-    stalled = np.concatenate(stalled)
-    if len(stalled):
-        worst = np.concatenate(worst)
-        node = stalled[np.argmax(worst)]
-        at = ", ".join(f"{c:.17g}" for c in z[node])
-        raise NewtonDivergence(
-            f"Legendre inversion stalled at {len(stalled)} node(s); worst "
-            f"live residual {worst.max():.3e} at node {node}, z = ({at}); "
-            "a target likely asks for a slack below the float spacing")
-    return z, hess
-
-
-def _newton_rows(potential, normals, targets, z, hess, tol):
-    """Damped Newton on the rows of z in place, filling hess at the result.
-
-    The active rows live in compact working arrays: their block
-    positions idx, iterates x, slacks ell, residuals res, targets and
-    frozen flags.  Each iterate carries the slacks its residual was
-    evaluated from, so the Hessian and the step clip reuse them and an
-    iteration evaluates slacks once per line-search pass.  The arrays
-    shrink only when some rows settle, and a row is written back to z
-    and hess only when it retires.  tol is absolute here (already
-    scaled by the targets' magnitude).
-
-    Returns the block positions of the rows still unsettled after
-    _NEWTON_MAX_ITER and the largest live residual component of each.
-    """
-    idx = np.arange(len(z))
-    dim = z.shape[1]
-    x = z
     ell = potential.slacks(x)
     res = potential.gradient(x, ell) - targets
     frozen = np.zeros(x.shape, dtype=bool)
@@ -537,21 +498,12 @@ def _newton_rows(potential, normals, targets, z, hess, tol):
         live = size > tol
         live &= size > wall
         live &= ~frozen
-        settled = ~_row_reduce(np.maximum, live)
-        if settled.any():
-            # integer take: boolean masks on 2-D rows are ~8x slower
-            gone = np.flatnonzero(settled)
-            z[idx[gone]] = x[gone]
-            hess[idx[gone]] = h[gone]
-            keep = np.flatnonzero(~settled)
-            if len(keep) == 0:
-                return keep, np.empty(0)
-            idx, x, ell, res, h, targets, frozen, live = (
-                a.take(keep, axis=0)
-                for a in (idx, x, ell, res, h, targets, frozen, live))
-        if it == _NEWTON_MAX_ITER:  # the last pass only tests the iterates
-            break
+        active = _row_reduce(np.maximum, live)
+        if it == _NEWTON_MAX_ITER or not active.any():
+            break  # the last pass only tests the iterates
         step = -_solve_small(h, res)
+        if not active.all():  # a settled row stays put
+            step[~active] = 0.0
         if frozen.any():  # nor may a frozen component clip the others
             step[frozen] = 0.0
         # largest multiple of the step keeping every slack positive
@@ -589,9 +541,17 @@ def _newton_rows(potential, normals, targets, z, hess, tol):
             & (np.abs(new_res) >= np.abs(res) * (1 - 1e-6))
         frozen = stuck & (frozen | pinned)
         x, ell, res = moved, moved_ell, new_res
-    z[idx] = x
-    hess[idx] = h
-    return idx, _row_reduce(np.maximum, np.where(live, np.abs(res), 0.0))
+    if active.any():
+        stalled = np.flatnonzero(active)
+        worst = _row_reduce(np.maximum,
+                            np.where(live[stalled], np.abs(res[stalled]), 0.0))
+        node = stalled[np.argmax(worst)]
+        at = ", ".join(f"{c:.17g}" for c in x[node])
+        raise NewtonDivergence(
+            f"Legendre inversion stalled at {len(stalled)} node(s); worst "
+            f"live residual {worst.max():.3e} at node {node}, z = ({at}); "
+            "a target likely asks for a slack below the float spacing")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -922,10 +882,12 @@ class Ray:
         return ShiftedPotential(self.u0, self.smooth, float(s))
 
     def transport(self, s: float) -> np.ndarray:
-        """Moved points: the u_s-moment images of the grid nodes, solved
-        from the grid on every call.  No energy reads it."""
+        """Moved points: the u_s-moment images of the grid nodes, one
+        newton_transport of every node, started at the node, per call.
+        No energy reads it; kept for the tests and perfbench/tracer.py's
+        hook by name."""
         xi = self.u0.gradient(self.grid.points)
-        return newton_transport(self.potential(s), xi, self.grid.points)[0]
+        return newton_transport(self.potential(s), xi, self.grid.points)
 
     def inverse_transport(self, s: float) -> np.ndarray:
         """log ell_k at the x whose u_s-moment image is each node y, as in
@@ -995,8 +957,8 @@ class Ray:
             raise DomainMismatch(f"phi_dot probe ({at}) is not strictly "
                                  "inside the polytope")
         target = u0.gradient(p[None, :])
-        moved, _ = newton_transport(ShiftedPotential(u0, smooth, float(tau)),
-                                    target, p[None, :].copy())
+        moved = newton_transport(ShiftedPotential(u0, smooth, float(tau)),
+                                 target, p[None, :].copy())
         return float(-smooth.value(moved)[0])
 
 

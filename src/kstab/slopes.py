@@ -238,14 +238,14 @@ def ladder(cfg: ToricTestConfig, schedule: Schedule, fn,
     schedule order, every state (with L_alpha when alpha is given) from
     one pass of Ray.states on one Ray built for the largest tau: smoothed
     at beta0 * tau_max, its grid graded for tau_max.  The Ray refuses a
-    base that is not a simplex product before any grid, and check_reach
-    the largest tau before the pass; a NewtonDivergence there or in fn is
-    re-raised with its tau."""
+    base that is not a simplex product before any grid, and Ray.states
+    checks the reach of the largest tau before its pass; a NewtonDivergence
+    there is re-raised with that tau, one in fn with its rung's tau."""
     taus = [float(t) for t in schedule.taus]
     top = max(taus)
     ray = Ray(cfg, beta=schedule.beta(top), tau_max=top)
-    _at_tau(top, ray.check_reach, top)
-    states = ray.states([(t, schedule.beta(t)) for t in taus], alpha)
+    states = _at_tau(top, ray.states, [(t, schedule.beta(t)) for t in taus],
+                     alpha)
     return [_at_tau(state.tau, fn, state) for state in states]
 
 

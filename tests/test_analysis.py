@@ -15,7 +15,6 @@ import kstab.analysis as analysis
 from kstab.analysis import (
     KAPPA,
     Ray,
-    _NEWTON_BLOCK,
     ShiftedPotential,
     SmoothedPL,
     abreu_scalar_curvature,
@@ -288,6 +287,22 @@ def test_fan_grid_couples_edge_depth_to_radial_level(base, depth):
                for _, _, radial_order, d in panels) == len(pts)
 
 
+def test_fan_grid_builds_only_the_edge_rules_it_reads(monkeypatch):
+    """At depth 46 the radial panels read 27 along-edge depths (3, 4..10,
+    the odd 11..45 and 46), and fan_grid builds each of those rules once
+    and no other: every depth from 3 to 46 would be 44."""
+    calls = []
+
+    def counted(breaks, orders):
+        calls.append(len(breaks))
+        return panel_nodes(breaks, orders)
+
+    panel_nodes = analysis._panel_nodes
+    monkeypatch.setattr(analysis, "_panel_nodes", counted)
+    fan_grid([box(2)], 46)
+    assert len(calls) == len({d for *_, d in radial_panels(46)}) == 27
+
+
 def tensor_fan_grid(cells, depth, inner_order=12, graded_order=4):
     """The fan grid of one cell before corner coupling: every radial
     panel takes the full along-edge breakpoints of `depth`.  Reference
@@ -431,8 +446,8 @@ def test_transport_round_trip():
     x = ray.grid.points[:, 0]
     bulk = np.abs(x - 0.5) < 0.4
     moved = ray.transport(4.0)
-    back, _ = newton_transport(ray.u0, ray.potential(4.0).gradient(moved),
-                               moved.copy())
+    back = newton_transport(ray.u0, ray.potential(4.0).gradient(moved),
+                            moved.copy())
     assert np.max(np.abs(back[:, 0] - x)[bulk]) < 1e-9
 
 
@@ -514,27 +529,59 @@ def test_point_derivative_refuses_a_point_off_the_interior(monkeypatch, p):
                                  tau, np.array(p))
 
 
-def test_newton_rows_are_independent_of_order_and_blocks():
-    """Rows settling at different iterations are retired to their own
-    slots: a permuted input gives the permuted output bit for bit."""
-    u0 = guillemin_potential(box(2))
-    rng = np.random.default_rng(7)
-    n = _NEWTON_BLOCK + 1500
+def wall_rows(n, seed):
+    """(targets, start, wall) of n square rows: a third of the coordinates
+    (wall) ask for slacks of 2-115 float spacings at the facet x_i = 1,
+    so those rows saturate on the float wall after 7-80 iterations, the
+    others converge within 10."""
+    rng = np.random.default_rng(seed)
     targets = rng.uniform(-2.0, 2.0, (n, 2))
-    # a third of the coordinates ask for slacks of 2-115 float spacings
-    # at the facet x_i = 1: those rows saturate on the float wall after
-    # 7-80 iterations, the others converge within 10
     wall = rng.random((n, 2)) < 1.0 / 3.0
     targets[wall] = rng.uniform(16.0, 18.0, wall.sum())
-    start = rng.uniform(0.2, 0.8, (n, 2))
-    z, hess = newton_transport(u0, targets, start)
+    return targets, rng.uniform(0.2, 0.8, (n, 2)), wall
+
+
+def test_newton_rows_are_independent_of_order_and_blocks():
+    """A row that settles takes zero steps while the others go on, so
+    rows settling at different iterations keep their own results: a
+    permuted input gives the permuted output bit for bit."""
+    u0 = guillemin_potential(box(2))
+    n = analysis._BLOCK + 1500
+    targets, start, wall = wall_rows(n, 7)
+    z = newton_transport(u0, targets, start)
     assert np.all((z > 0.0) & (z < 1.0))
-    assert np.array_equal(hess, u0.hessian(z))
     assert np.max(z[wall]) > 1.0 - 1e-15
-    perm = rng.permutation(n)
-    z_p, hess_p = newton_transport(u0, targets[perm], start[perm])
+    perm = np.random.default_rng(7).permutation(n)
+    z_p = newton_transport(u0, targets[perm], start[perm])
     assert np.array_equal(z_p, z[perm])
-    assert np.array_equal(hess_p, hess[perm])
+
+
+def test_newton_rows_do_not_depend_on_batch_size():
+    """One row solved alone is the same row, bit for bit, solved among
+    9,000.  The tolerance scales with the largest |target| of the call,
+    so every row here has one target component of magnitude 18, the
+    largest: +18 asks for a slack of about two float spacings at the facet
+    x_i = 1, where the row saturates on the float wall, -18 for e^-36 at
+    x_i = 0, which converges.  The other component lies in [-2, 2] or on
+    the wall, in [16, 18]."""
+    u0 = guillemin_potential(box(2))
+    rng = np.random.default_rng(11)
+    n = 9000
+    targets = np.column_stack([rng.choice([-18.0, 18.0], n),
+                               rng.uniform(-2.0, 2.0, n)])
+    wall = rng.random(n) < 1.0 / 3.0
+    targets[wall, 1] = rng.uniform(16.0, 18.0, wall.sum())
+    swap = rng.random(n) < 0.5
+    targets[swap] = targets[swap, ::-1]
+    start = rng.uniform(0.2, 0.8, (n, 2))
+    z = newton_transport(u0, targets, start)
+    picks = np.arange(48)
+    on_wall = (targets[picks] > 15.0).sum(axis=1)
+    assert {0, 1, 2} <= set(on_wall)  # converged, one axis and both saturate
+    assert np.max(z[picks][targets[picks] > 15.0]) > 1.0 - 1e-15
+    for row in picks:
+        alone = newton_transport(u0, targets[row:row + 1], start[row:row + 1])
+        assert same_bits(alone, z[row:row + 1]), row
 
 
 @pytest.mark.parametrize("y_lo,y_hi", [(-2.0, 2.0), (18.0, 24.0)],
@@ -550,7 +597,8 @@ def test_newton_never_lands_on_a_facet(y_lo, y_hi):
     n = 4800
     targets = np.column_stack([rng.uniform(18.0, 24.0, n),
                                rng.uniform(y_lo, y_hi, n)])
-    z, hess = newton_transport(u0, targets, np.full((n, 2), 0.5))
+    z = newton_transport(u0, targets, np.full((n, 2), 0.5))
+    hess = u0.hessian(z)
     assert np.all(u0.slacks(z) > analysis._SLACK_FLOOR)
     assert np.all(np.isfinite(hess))
     assert np.abs(hess).max() < 1e300
@@ -836,8 +884,8 @@ def test_product_state_matches_newton(cfg):
     and Ric0 at every node whose Newton slacks are above 1e-6."""
     ray = Ray(cfg, beta=10.0, tau_max=1.0)
     f = ray.fields(1.0, slice(None))  # every node
-    z, h0_at_z = newton_transport(ray.u0, f.xi + f.grad,
-                                  ray.grid.points)
+    z = newton_transport(ray.u0, f.xi + f.grad, ray.grid.points)
+    h0_at_z = ray.u0.hessian(z)
     ell = ray.u0.slacks(z)
     ok = ell.min(axis=1) > 1e-6
     assert ok.mean() > 0.5

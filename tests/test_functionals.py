@@ -25,7 +25,7 @@ import pytest
 
 import kstab.analysis
 import kstab.functionals
-from kstab.analysis import (_NEWTON_BLOCK, Ray, SmoothedPL, _inv_small,
+from kstab.analysis import (_BLOCK, Ray, SmoothedPL, _inv_small,
                             abreu_scalar_curvature, alpha_frame, bulk_grid,
                             crease_ladder_depth, fan_grid,
                             guillemin_potential, half_trace,
@@ -261,8 +261,9 @@ def _alpha_path(ray, alpha, taus):
 
     def integrand(s):
         start = np.tile(bary, (ray.grid.size, 1))
-        _, h_a = newton_transport(u_alpha, f.xi + s * f.grad, start)
-        return _phi_dot_pairing(ray, s, _inv_small(h_a), hessians)
+        z = newton_transport(u_alpha, f.xi + s * f.grad, start)
+        return _phi_dot_pairing(ray, s, _inv_small(u_alpha.hessian(z)),
+                                hessians)
     return _energy_path(integrand, taus)
 
 
@@ -401,7 +402,7 @@ def test_rays_and_states_own_no_matrix_field(cfg, affine):
     ray = Ray(cfg, beta=10.0, tau_max=2.0)
     n, size = cfg.dim, ray.grid.size
     # a 2D PL ray has several blocks of rows
-    assert cfg.dim == 1 or size > _NEWTON_BLOCK
+    assert cfg.dim == 1 or size > _BLOCK
     ray_arrays = [a for a in vars(ray).values() if isinstance(a, np.ndarray)]
     assert _owned_bytes(ray_arrays) < size
     assert _owned_bytes(ray_arrays + [ray.grid.points, ray.grid.weights]) \
@@ -758,11 +759,11 @@ def test_alpha_theta_closed_form_matches_newton(alpha):
     theta = _alpha_theta(f, 1.0, alpha)
     u_alpha = guillemin_potential(alpha)
     bary = np.array([[float(c) for c in volume_data(alpha).barycenter]])
-    z, h = newton_transport(u_alpha, f.xi + f.grad,
-                            np.tile(bary, (ray.grid.size, 1)))
+    z = newton_transport(u_alpha, f.xi + f.grad,
+                         np.tile(bary, (ray.grid.size, 1)))
     ok = u_alpha.slacks(z).min(axis=1) > 1e-6
     assert ok.mean() > 0.5
-    ref = _inv_small(h[ok])
+    ref = _inv_small(u_alpha.hessian(z)[ok])
     scale = np.abs(ref).max(axis=(1, 2))[:, None, None]
     assert np.max(np.abs(theta[ok] - ref) / scale) < 1e-8
 
