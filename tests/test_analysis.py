@@ -15,6 +15,7 @@ import kstab.analysis as analysis
 from kstab.analysis import (
     KAPPA,
     Ray,
+    _BLOCK,
     ShiftedPotential,
     SmoothedPL,
     abreu_scalar_curvature,
@@ -529,29 +530,24 @@ def test_point_derivative_refuses_a_point_off_the_interior(monkeypatch, p):
                                  tau, np.array(p))
 
 
-def wall_rows(n, seed):
-    """(targets, start, wall) of n square rows: a third of the coordinates
-    (wall) ask for slacks of 2-115 float spacings at the facet x_i = 1,
-    so those rows saturate on the float wall after 7-80 iterations, the
-    others converge within 10."""
-    rng = np.random.default_rng(seed)
-    targets = rng.uniform(-2.0, 2.0, (n, 2))
-    wall = rng.random((n, 2)) < 1.0 / 3.0
-    targets[wall] = rng.uniform(16.0, 18.0, wall.sum())
-    return targets, rng.uniform(0.2, 0.8, (n, 2)), wall
-
-
 def test_newton_rows_are_independent_of_order_and_blocks():
     """A row that settles takes zero steps while the others go on, so
     rows settling at different iterations keep their own results: a
     permuted input gives the permuted output bit for bit."""
     u0 = guillemin_potential(box(2))
-    n = analysis._BLOCK + 1500
-    targets, start, wall = wall_rows(n, 7)
+    rng = np.random.default_rng(7)
+    n = _BLOCK + 1500
+    targets = rng.uniform(-2.0, 2.0, (n, 2))
+    # a third of the coordinates ask for slacks of 2-115 float spacings
+    # at the facet x_i = 1: those rows saturate on the float wall after
+    # 7-80 iterations, the others converge within 10
+    wall = rng.random((n, 2)) < 1.0 / 3.0
+    targets[wall] = rng.uniform(16.0, 18.0, wall.sum())
+    start = rng.uniform(0.2, 0.8, (n, 2))
     z = newton_transport(u0, targets, start)
     assert np.all((z > 0.0) & (z < 1.0))
     assert np.max(z[wall]) > 1.0 - 1e-15
-    perm = np.random.default_rng(7).permutation(n)
+    perm = rng.permutation(n)
     z_p = newton_transport(u0, targets[perm], start[perm])
     assert np.array_equal(z_p, z[perm])
 
