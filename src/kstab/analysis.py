@@ -500,7 +500,7 @@ def newton_transport(potential, targets: np.ndarray, start: np.ndarray):
         live &= ~frozen
         active = _row_reduce(np.maximum, live)
         if it == _NEWTON_MAX_ITER or not active.any():
-            break  # the last pass only tests the iterates
+            break  # all settled, or the last pass: it only tests the iterates
         step = -_solve_small(h, res)
         if not active.all():  # a settled row stays put
             step[~active] = 0.0
@@ -541,15 +541,13 @@ def newton_transport(potential, targets: np.ndarray, start: np.ndarray):
             & (np.abs(new_res) >= np.abs(res) * (1 - 1e-6))
         frozen = stuck & (frozen | pinned)
         x, ell, res = moved, moved_ell, new_res
-    if active.any():
-        stalled = np.flatnonzero(active)
-        worst = _row_reduce(np.maximum,
-                            np.where(live[stalled], np.abs(res[stalled]), 0.0))
-        node = stalled[np.argmax(worst)]
+    if active.any():  # a settled row's worst live residual reads 0
+        worst = _row_reduce(np.maximum, np.where(live, np.abs(res), 0.0))
+        node = np.argmax(worst)
         at = ", ".join(f"{c:.17g}" for c in x[node])
         raise NewtonDivergence(
-            f"Legendre inversion stalled at {len(stalled)} node(s); worst "
-            f"live residual {worst.max():.3e} at node {node}, z = ({at}); "
+            f"Legendre inversion stalled at {active.sum()} node(s); worst "
+            f"live residual {worst[node]:.3e} at node {node}, z = ({at}); "
             "a target likely asks for a slack below the float spacing")
     return x
 
@@ -958,7 +956,7 @@ class Ray:
                                  "inside the polytope")
         target = u0.gradient(p[None, :])
         moved = newton_transport(ShiftedPotential(u0, smooth, float(tau)),
-                                 target, p[None, :].copy())
+                                 target, p[None, :])
         return float(-smooth.value(moved)[0])
 
 
