@@ -1,18 +1,23 @@
 """Compare the benchmark at REF and at HEAD in alternating pairs of runs.
 
-    python3 scripts/bench_pairs.py REF --workload ray1d --pairs 20
+    python3 scripts/bench_pairs.py REF --workload ray1d --pairs 20 [--seed N]
 
 From the repository root this extracts ``git archive`` checkouts of REF
 and of HEAD (committed files only) into a temporary directory and runs
-``perfbench/run.py --seed 1`` untraced in each, for the ``run_seconds``
-of BENCHMARK.json (25), PAIRS times, alternating which side runs first.  Per end-to-end metric of
-BENCHMARK.json it prints the median and the quartiles of each side and
-the number of pairs in which HEAD was better, in the metric's direction
-(ties are counted apart).  The runs write only into their checkouts,
-whose ``.perfbench/`` scratch goes with the temporary directory.
+``perfbench/run.py --seed N`` (1 by default) untraced in each, for the
+``run_seconds`` of BENCHMARK.json (25), PAIRS times, alternating which
+side runs first.  Per end-to-end metric of BENCHMARK.json it prints the
+median and the quartiles of each side and the number of pairs in which
+HEAD was better, in the metric's direction (ties are counted apart),
+then one line per metric saying whether HEAD's change resolves as a
+gain: better in at least nine tenths of the pairs, ties counting for
+neither, and a median gap in its favour wider than REF's quartile
+spread.  The runs write only into their checkouts, whose
+``.perfbench/`` scratch goes with the temporary directory.
 """
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -21,7 +26,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("exact", "ray1d", "ray2d")
-SEED = 1
 
 
 def checkout(rev: str, dest: Path) -> Path:
@@ -37,10 +41,10 @@ def checkout(rev: str, dest: Path) -> Path:
     return dest
 
 
-def run_once(tree: Path, workload: str, seconds) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds) -> dict:
     """End-to-end metric values of one untraced run in tree."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} in {tree} exited "
@@ -57,11 +61,26 @@ def quartiles(values) -> tuple:
     return q1, q2, q3
 
 
+def resolution(name: str, ref, head, lower: bool, wins: int) -> str:
+    """Whether HEAD's change on one metric resolves as a gain: better
+    (wins) in at least nine tenths of the pairs and a median gap, in the
+    metric's direction, wider than REF's quartile spread."""
+    need = math.ceil(0.9 * len(ref))
+    q1, med, q3 = quartiles(ref)
+    gap = (med - statistics.median(head)) * (1 if lower else -1)
+    ok = wins >= need and gap > q3 - q1
+    return (f"resolve {name}: {'yes' if ok else 'no'} (better in {wins} of "
+            f"{len(ref)}, {need} needed; median gap {gap:+.6g}, ref "
+            f"quartile spread {q3 - q1:.6g})")
+
+
 def summary(ref_runs, head_runs, end_to_end) -> list:
     """One line per end-to-end metric: each side's median and quartiles,
-    then HEAD's wins and ties over the pairs."""
+    then HEAD's wins and ties over the pairs; then a resolution line per
+    metric."""
     lines = [f"{'metric':<14} {'ref median [q1, q3]':>34} "
              f"{'head median [q1, q3]':>34}  head better"]
+    verdicts = []
     for metric in end_to_end:
         name, lower = metric["name"], metric["better"] == "lower"
         ref = [r[name] for r in ref_runs]
@@ -77,7 +96,8 @@ def summary(ref_runs, head_runs, end_to_end) -> list:
         lines.append(f"{name:<14} {sides[0]:>34} {sides[1]:>34}  "
                      f"{wins} of {len(ref)} ({ties} ties), "
                      f"median {change:+.1%}")
-    return lines
+        verdicts.append(resolution(name, ref, head, lower, wins))
+    return lines + verdicts
 
 
 def main(argv=None) -> int:
@@ -85,6 +105,7 @@ def main(argv=None) -> int:
     ap.add_argument("ref", help="the revision to compare HEAD with")
     ap.add_argument("--workload", required=True, choices=WORKLOADS)
     ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text("utf-8"))
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
@@ -94,11 +115,12 @@ def main(argv=None) -> int:
         for i in range(args.pairs):
             order = ((ref, ref_runs), (head, head_runs))
             for tree, runs in order if i % 2 == 0 else order[::-1]:
-                runs.append(run_once(tree, args.workload,
+                runs.append(run_once(tree, args.workload, args.seed,
                                      spec["run_seconds"]))
             print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
     print(f"{args.workload}: {args.ref} (ref) vs HEAD, {args.pairs} "
-          f"alternating pairs, --seconds {spec['run_seconds']} --seed {SEED}")
+          f"alternating pairs, --seconds {spec['run_seconds']} "
+          f"--seed {args.seed}")
     print("\n".join(summary(ref_runs, head_runs, spec["end_to_end"])))
     return 0
 

@@ -10,14 +10,16 @@ Everything numeric lives downstream of three ingredients built here:
     transported volume forms concentrate mass in an exp(-2*tau) collar
     near the boundary), at a crease the depth follows the smoothing
     (line_grid; a polygon cell's fan takes the collar depth on every
-    edge, see fan_grid),
+    edge, its reference rule cached per depth, see fan_grid),
   * the inverse Legendre transport of u0 on a simplex-product base (the
     interval, Delzant triangles and parallelograms; SimplexProduct),
     kept as the log-slacks of the point x where grad u0(x) = xi:
     log ell_k = log Lambda_B + r_k - logsumexp_B r with r = -2 E^-T xi,
     so no Newton step is taken, no slack is formed by subtraction and x
-    itself is never formed; D2u0(x)^-1 and Ric0 are sums of positive
-    terms in the slacks.  A Ray refuses any other base.  The forward
+    itself is never formed.  D2u0(x)^-1 and Ric0 are sums of rank-one
+    pair terms with positive weights, and a rung reads every density as
+    a sum of nonnegative pair scalars (Cauchy-Binet; Ray._rung) without
+    forming a 2 x 2 field.  A Ray refuses any other base.  The forward
     transport x -> x_tau defined by grad u_tau(x_tau) = grad u_0(x) is a
     vectorized damped Newton solve.
 
@@ -25,17 +27,16 @@ Scalar curvature uses Abreu's expression in closed form (facet sums
 and softmax cumulants for the third and fourth derivatives of the
 potential) with the calibration constant kappa = 1/2, fixed so that
 the mean curvature equals n times the slope (checked for interval,
-square, simplex).  The Ricci data is the xi-Hessian of half the
-log-determinant of the potential Hessian, in closed form from the
-log-slacks (SimplexProduct.dual_fields); with this pairing the pointwise
-identity S = n * MD(ricci, G^(n-1)) / det G holds against the same
-grids (tested).
+square, simplex).  Ric0 is the xi-Hessian of half the log-determinant
+of the potential Hessian; with this pairing the pointwise identity
+S = n * MD(ricci, G^(n-1)) / det G holds against the same grids
+(tested).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from typing import NamedTuple
 
@@ -159,16 +160,29 @@ class SmoothedPL:
             return np.broadcast_to(0.0, (len(pts), n, n))
         return self.weights_hessian(self._fields(pts)[2])
 
+    @property
+    def hessian_vectors(self) -> np.ndarray:
+        """a_i - a_j per pair of pieces i < j (hessian_weights' order)."""
+        i, j = _index_pairs(len(self.consts))
+        return self.grads[i] - self.grads[j]
+
+    def hessian_weights(self, w: np.ndarray) -> np.ndarray:
+        """beta w_i w_j per pair of pieces i < j, pair by row: D2g_beta sums
+        them times the hessian_vectors' outer products, no term negative."""
+        i, j = _index_pairs(w.shape[1])
+        c = w.T[i]
+        c *= w.T[j]
+        return np.multiply(c, self.beta, out=c)
+
     def weights_hessian(self, w: np.ndarray) -> np.ndarray:
         """Hessian from the softmax weights w that _fields returns."""
-        n_pieces, dim = self.grads.shape
-        pair = (self.grads[:, :, None] * self.grads[:, None, :]).reshape(
-            n_pieces, dim * dim)
-        mean = w @ self.grads
-        h = w @ pair  # minus the mean's outer product, entry by entry
-        for k, (i, j) in enumerate(np.ndindex(dim, dim)):
-            h[:, k] -= mean[:, i] * mean[:, j]
-        return np.multiply(h, self.beta, out=h).reshape(-1, dim, dim)
+        v, dim = self.hessian_vectors, self.grads.shape[1]
+        outer = (v[:, :, None] * v[:, None, :]).reshape(len(v), dim * dim)
+        return (self.hessian_weights(w).T @ outer).reshape(-1, dim, dim)
+
+
+# (i, j) index arrays over the pairs i < j of range(count), once per count
+_index_pairs = lru_cache(maxsize=None)(partial(np.triu_indices, k=1))
 
 
 @dataclass(frozen=True)
@@ -238,11 +252,14 @@ def _gauss_rule(order: int):
     return x, w
 
 
+@lru_cache(maxsize=None)
 def _gauss_panel(a: float, b: float, order: int):
-    """The cached rule of `order` mapped affinely onto [a, b]."""
+    """The rule of `order` mapped onto [a, b], once per panel, read-only."""
     x, w = _gauss_rule(order)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w
+    x, w = mid + half * x, half * w
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _graded_breaks(depth: int, upper: int):
@@ -284,24 +301,9 @@ def line_grid(lo, hi, depths, crease_depth: int,
     return Grid(points=(a + span * x)[:, None], weights=span * w)
 
 
-def fan_grid(cells, depth: int, inner_order: int = 12,
-             graded_order: int = 4) -> Grid:
-    """A barycentric fan per cell, graded at the collar and corners.
-
-    Each facet spans a triangle (barycenter, v_i, v_j) parametrized by
-    radial t and along-edge s.  Radially, [0, 1/2] is two inner panels,
-    then the breaks are 1 - 2^-k at every level k <= 8, every second
-    level beyond, and depth: a geometric mesh whose Gauss order is 10 on
-    the panels ending at level k <= depth - 10 and graded_order on the
-    deepest ten levels (Babuska & Guo 1986).  The higher order away from
-    the facet resolves the e^(-2 tau) layer that the inverse-transported
-    nodes carry there.  The radial panel ending at 1 - 2^-k grades s to
-    min(depth, max(3, k + 2)) and the panel touching the facet to the
-    full depth: a node about 2^-k from the facet is also about 2^-k or
-    more from the adjacent facets, so only the corner panels need
-    2^-depth along the edge.  Every facet maps the one rule (t, s, w)
-    into preallocated arrays, in place.
-    """
+@lru_cache(maxsize=None)
+def _fan_rule(depth: int, inner_order: int, graded_order: int):
+    """fan_grid's reference rule (t, s, w), once per depth, read-only."""
     levels = sorted({*range(1, min(8, depth) + 1), *range(9, depth, 2), depth})
     # (a, b, radial order, level of b); the last panel ends on the facet
     panels = [(0.0, 0.25, inner_order, 0), (0.25, 0.5, inner_order, 1)] + [
@@ -318,8 +320,32 @@ def fan_grid(cells, depth: int, inner_order: int = 12,
         sx, sw = s_rules[min(depth, max(3, k + 2))]
         blocks.append((np.repeat(tx, len(sx)), np.tile(sx, len(tx)),
                        (np.outer(tw, sw) * tx[:, None]).reshape(-1)))
-    t, s, w = map(np.concatenate, zip(*blocks))
+    rule = tuple(map(np.concatenate, zip(*blocks)))
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
+
+def fan_grid(cells, depth: int, inner_order: int = 12,
+             graded_order: int = 4) -> Grid:
+    """A barycentric fan per cell, graded at the collar and corners.
+
+    Each facet spans a triangle (barycenter, v_i, v_j) parametrized by
+    radial t and along-edge s.  Radially, [0, 1/2] is two inner panels,
+    then the breaks are 1 - 2^-k at every level k <= 8, every second
+    level beyond, and depth: a geometric mesh whose Gauss order is 10 on
+    the panels ending at level k <= depth - 10 and graded_order on the
+    deepest ten levels (Babuska & Guo 1986).  The higher order away from
+    the facet resolves the e^(-2 tau) layer that the inverse-transported
+    nodes carry there.  The radial panel ending at 1 - 2^-k grades s to
+    min(depth, max(3, k + 2)) and the panel touching the facet to the
+    full depth: a node about 2^-k from the facet is also about 2^-k or
+    more from the adjacent facets, so only the corner panels need
+    2^-depth along the edge.  Every facet maps the one rule (t, s, w)
+    of _fan_rule into preallocated arrays.
+    """
+    t, s, w = _fan_rule(depth, inner_order, graded_order)
+    u = 1 - s
     facets = [(cell, fv) for cell in cells for fv in cell.facet_vertices]
     weights = np.empty(len(facets) * len(w))
     points = np.empty((len(weights), 2))
@@ -329,11 +355,8 @@ def fan_grid(cells, depth: int, inner_order: int = 12,
         vi, vj = sorted(fv)[:2]
         A = np.array([float(c) for c in cell.vertices[vi]]) - bary
         B = np.array([float(c) for c in cell.vertices[vj]]) - bary
-        # bary + t ((1 - s) A + s B), formed in place
-        pts = np.multiply((1 - s)[:, None], A, out=points[rows])
-        pts += s[:, None] * B
-        pts *= t[:, None]
-        pts += bary
+        for k in range(2):  # by coordinate: contiguous temporaries
+            points[rows, k] = (u * A[k] + s * B[k]) * t + bary[k]
         np.multiply(w, abs(A[0] * B[1] - A[1] * B[0]), out=weights[rows])
     return Grid(points=points, weights=weights)
 
@@ -410,27 +433,16 @@ def _inv_small(H: np.ndarray) -> np.ndarray:
     return adj / _det_small(H)[:, None, None]
 
 
-def _log1p_det(a: np.ndarray, det_a, d: np.ndarray, s: float) -> np.ndarray:
-    """log det(I + s A D) as log1p(s tr(A D) + s^2 det_a det D) (log1p(s A D)
-    in 1D) from entrywise products: no matrix product is formed, and no
-    rounding of 1 + s A D hides a small s A D."""
-    if d.shape[-1] == 1:
-        return np.log1p(s * (a[:, 0, 0] * d[:, 0, 0]))
-    trace = a[:, 0, 0] * d[:, 0, 0] + a[:, 0, 1] * d[:, 1, 0]
-    trace += a[:, 1, 0] * d[:, 0, 1] + a[:, 1, 1] * d[:, 1, 1]
-    return np.log1p(s * trace + s * s * (det_a * _det_small(d)))
+def _pair_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """MD(a_i a_i^T, b_j b_j^T) = det(a_i, b_j)^2 / 2 (2D, MD(A, A) = det A):
+    det(sum_i c_i a_i a_i^T) = c^T M c, M a's with a, terms all >= 0."""
+    det = a[:, 0, None] * b[:, 1] - a[:, 1, None] * b[:, 0]
+    return 0.5 * det * det
 
 
-def mixed_discriminant(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """MD(A, B) of 2 x 2 fields, normalized so MD(A, A) = det A."""
-    return 0.5 * (a[:, 0, 0] * b[:, 1, 1] + a[:, 1, 1] * b[:, 0, 0]
-                  - a[:, 0, 1] * b[:, 1, 0] - a[:, 1, 0] * b[:, 0, 1])
-
-
-def half_trace(a: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """(1/2) tr(A H), which is MD(A, H^-1) * det H: no H is inverted."""
-    return 0.5 * (a[:, 0, 0] * h[:, 0, 0] + a[:, 1, 1] * h[:, 1, 1]
-                  + a[:, 0, 1] * h[:, 1, 0] + a[:, 1, 0] * h[:, 0, 1])
+def _pair_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_p a_p b_p per row of two pair-by-row arrays."""
+    return np.einsum("pr,pr->r", a, b)
 
 
 def _row_reduce(op, a: np.ndarray) -> np.ndarray:
@@ -570,17 +582,17 @@ class SimplexProduct:
 
     the logsumexp max-shifted (log_slacks), so no slack is formed by a
     subtraction, no exp overflows and no Newton step is taken.
-    With p_k = ell_k / Lambda_B and the integer vectors
-    w_kl = (R_k - R_l) / 2, R_k the xi-gradient of r_k, the dual fields
-    are sums of positive terms over the pairs k < l of a block,
+    With the integer vectors w_p = (R_k - R_l) / 2 of the pairs
+    p = (k, l), k < l, of a block, R_k the xi-gradient of r_k, the dual
+    fields are sums over the pairs with omega_p = 2 ell_k ell_l / Lambda_B,
 
-        D2u0(x)^-1 = sum_B (2 Lambda_B) sum_{k<l} p_k p_l w_kl w_kl^T,
-        Ric0       = sum_B 2 (n_B + 1) sum_{k<l} p_k p_l w_kl w_kl^T,
+        D2u0^-1 = sum_p omega_p w_p w_p^T,
+        Ric0    = sum_p c_p omega_p w_p w_p^T,  c_p = (n_B + 1) / Lambda_B,
 
     Ric0 the xi-Hessian of (1/2) log det D2u0, where
-    det D2u0 = prod_B 2^-n_B Lambda_B / prod_{k in B} ell_k.  Each
-    diagonal entry is a sum of nonnegative terms: nothing cancels next
-    to a slanted facet, as it does in ricci_reference.
+    det D2u0 = prod_B 2^-n_B Lambda_B / prod_{k in B} ell_k.  A rung reads
+    them as these pair terms (Ray._rung), all nonnegative: nothing
+    cancels next to a slanted facet, as it does in ricci_reference.
     """
 
     normals: np.ndarray
@@ -589,9 +601,9 @@ class SimplexProduct:
     ratio_map: np.ndarray  # (n, K): r = xi @ ratio_map
     log_sums: np.ndarray   # log Lambda_B per block
     pairs: tuple           # (k, l) index arrays over the pairs of every block
-    pair_outer: np.ndarray  # (P, n * n): w_kl w_kl^T
+    pair_vectors: np.ndarray  # (P, n): w_p
     g0_coef: np.ndarray    # log(2 / Lambda_B) per pair
-    ricci_scale: np.ndarray  # (n_B + 1) / Lambda_B per pair
+    ricci_scale: np.ndarray  # c_p = (n_B + 1) / Lambda_B per pair
 
     def log_slacks(self, xi: np.ndarray) -> np.ndarray:
         """log ell_k, per row, at the point where grad u0 = xi.
@@ -626,29 +638,12 @@ class SimplexProduct:
         return r.T
 
     def _pair_weights(self, log_ell):
-        """2 ell_k ell_l / Lambda_B, one exp each, pair by row: log_ell.T."""
+        """omega_p = 2 ell_k ell_l / Lambda_B, one exp each, pair by row."""
         k, l = self.pairs
         weight = log_ell.T[k]  # a fresh array: the rest runs in place
         weight += log_ell.T[l]
         weight += self.g0_coef[:, None]
         return np.exp(weight, out=weight)
-
-    def _pair_field(self, weight):
-        """sum over pairs of weight w_kl w_kl^T, each entry contiguous."""
-        dim = self.normals.shape[1]
-        return (self.pair_outer.T @ weight).T.reshape(-1, dim, dim)
-
-    def inverse_hessian(self, log_ell: np.ndarray) -> np.ndarray:
-        """D2u0^-1 at the point with log-slacks log_ell."""
-        return self._pair_field(self._pair_weights(log_ell))
-
-    def dual_fields(self, log_ell: np.ndarray) -> tuple:
-        """(D2u0^-1, Ric0) at log_ell from the same pair weights, Ric0 the
-        dual Hessian of (1/2) log det D2u0."""
-        weight = self._pair_weights(log_ell)
-        g0 = self._pair_field(weight)
-        weight *= self.ricci_scale[:, None]
-        return g0, self._pair_field(weight)
 
 
 def _zero_sum_blocks(normals, free):
@@ -719,7 +714,7 @@ def simplex_product(base: Polytope) -> SimplexProduct | None:
         ratio_map=ratio_map,
         log_sums=np.array([_log(s) for s in sums]),
         pairs=tuple(np.array(c) for c in zip(*pairs)),
-        pair_outer=(w[:, :, None] * w[:, None, :]).reshape(len(pairs), -1),
+        pair_vectors=w,
         g0_coef=np.array(g0_coef), ricci_scale=np.array(ricci_scale))
     for value in vars(frame).values():  # every caller shares the cached frame
         for a in value if isinstance(value, tuple) else (value,):
@@ -766,14 +761,15 @@ class RayState:
     entropy: float  # n! * integral of log_ratio
     a_ref: float    # n! * integral of phi_y e^(-log_ratio): the fixed form
     b_mov: float    # n! * integral of phi_y
-    mixed: float    # n! * integral of phi_y half_trace(G0(x), H_tau); 0, n = 1
-    l_ricci: float  # E_Ric: n! * integral of fixed_form_density(Ric0)
+    mixed: float    # n! * integral of phi_y (1/2) tr(G0(x) H_tau); 0, n = 1
+    l_ricci: float  # E_Ric: n! * integral of phi_y form_density(Ric0)
     log_det: float  # integral of log det(I + tau D2u0^-1 D2g_beta), no n!
     l_alpha: float | None  # as l_ricci for alpha's form; None, no alpha
 
 
 class RungFields(NamedTuple):
-    """The fields of one rung at a block of grid nodes y (Ray.fields)."""
+    """The fields of one rung at a block of grid nodes y (Ray.fields), no
+    2 x 2 field: G0(x) as pair weights, H_tau as q = w^T H_tau w, det."""
 
     g: np.ndarray           # g_beta
     xi: np.ndarray          # grad u0
@@ -782,20 +778,20 @@ class RungFields(NamedTuple):
     phi_y: np.ndarray
     log_ratio: np.ndarray
     log_det: np.ndarray | None  # log det(I + tau D2u0^-1 D2g_beta), PL g
-    g0_at_x: np.ndarray | None  # D2u0(x)^-1; None for n = 1
-    ricci: np.ndarray           # Ric0 at x
-    h_tau: np.ndarray
+    weight: np.ndarray  # omega_p at x
+    quad: np.ndarray    # q of the frame's pair vectors w_p, then alpha's
     det_tau: np.ndarray
 
-    def fixed_form_density(self, form: np.ndarray) -> np.ndarray:
-        """phi_y times the density at y of the Chen-Tian endpoint energy of
-        the fixed form with dual Hessian form at x: MD(form, G0(x)) det
-        H_tau, plus for n = 2 MD(form, H_tau^-1) det H_tau in trace form."""
-        if self.g0_at_x is None:
-            return self.phi_y * form[:, 0, 0] * self.det_tau
-        return self.phi_y * (
-            mixed_discriminant(form, self.g0_at_x) * self.det_tau
-            + half_trace(form, self.h_tau))
+    def form_density(self, weight, quad, cross) -> np.ndarray:
+        """Per unit phi_y, the Chen-Tian endpoint density of the fixed form
+        sum_a weight_a v_a v_a^T, quad = v^T H_tau v, cross the v_a's
+        _pair_cross with the w_p: MD(form, G0(x)) det H_tau + tr(form
+        H_tau) / 2; in 1D (cross None) form H_tau."""
+        trace = _pair_dot(weight, quad)
+        if cross is None:
+            return trace
+        return _pair_dot(weight, cross @ self.weight) * self.det_tau \
+            + 0.5 * trace
 
 
 class Ray:
@@ -818,24 +814,47 @@ class Ray:
             * float(np.abs(self.u0.normals).sum(axis=0).max())
         self._reach = (reach, float(np.abs(self.smooth.grads).max()), xi_max)
 
-    def _block(self, rows: slice) -> tuple:
-        """The fields at the nodes rows that no rung changes: y, xi, log ell_k
-        at y and D2u0, then for an exact g g_beta (SmoothedPL.value's bits)
-        and its gradient, repeated (a broadcast is slow to read), for a PL g
-        the pieces' row max, the pieces minus it, and D2u0^-1 (from y's
-        log-slacks, or 1 / D2u0 in 1D, to the last digit) with its det."""
+    def _pairing(self, twist) -> tuple:
+        """Per pair vector w (the frame's, then twist's) the coefficients of
+        w^T D2u0 w on 1 / ell and of w^T D2g_beta w on the c_j of D2g_beta =
+        sum_j c_j v_j v_j^T (v = 1, c = D2g_beta in 1D); in 2D the
+        _pair_cross of the normals, of w with the frame's w, of the v_j."""
+        frame, normals, dim = self.frame, self.u0.normals, self.cfg.dim
+        w = frame.pair_vectors if twist is None else np.vstack(
+            [frame.pair_vectors, twist.pair_vectors])
+        v = self.smooth.hessian_vectors if dim == 2 else np.ones((1, 1))
+        return 0.5 * (w @ normals.T) ** 2, (w @ v.T) ** 2, None if dim == 1 \
+            else [_pair_cross(a, b) for a, b in
+                  ((normals, normals), (w, frame.pair_vectors), (v, v))]
+
+    def _block(self, rows: slice, pairing) -> tuple:
+        """The fields at the nodes rows that no rung changes: y, xi, log
+        ell_k, q = w^T D2u0 w, det D2u0; for an exact g, g_beta
+        (SmoothedPL.value's bits), its gradient, repeated (a broadcast is
+        slow to read), <y, grad g_beta> - g_beta; for a PL g, the pieces'
+        row max and minus it, v^T D2u0^-1 v (1 / D2u0 in 1D, to the last
+        digit), det D2u0^-1."""
         pts, smooth, frame = self.grid.points[rows], self.smooth, self.frame
+        on_facets, on_bends, crosses = pairing
         ell = self.u0.slacks(pts)
         xi = self.u0.gradient(pts, ell)
-        at_y, h0 = frame.log_slacks(xi), self.u0.hessian(pts, ell)
+        at_y, inv = frame.log_slacks(xi), 1.0 / ell.T
+        quad = on_facets @ inv  # D2u0 = sum_k nu_k nu_k^T / (2 ell_k)
+        det = quad[0] if crosses is None \
+            else 0.25 * _pair_dot(inv, crosses[0] @ inv)
         top, vals = smooth._shifted(pts)
         if smooth.exact:
             z, _ = smooth._softmax(vals, out=vals)
             grad = np.repeat(smooth.grads, len(pts), axis=0)
             g = top + np.log(z, out=z) / smooth.beta
-            return pts, xi, at_y, h0, g, grad, None, None, None
-        inv_h0 = 1.0 / h0 if self.cfg.dim == 1 else frame.inverse_hessian(at_y)
-        return pts, xi, at_y, h0, top, None, vals, inv_h0, _det_small(inv_h0)
+            lever = _row_reduce(np.add, pts * grad) - g
+            return pts, xi, at_y, quad, det, g, grad, lever, None
+        weight = (1.0 / det)[None] if crosses is None \
+            else frame._pair_weights(at_y)  # D2u0^-1 at y
+        det_g0 = None if crosses is None or not crosses[2].any() \
+            else _pair_dot(weight, crosses[1][:len(weight)] @ weight)
+        return pts, xi, at_y, quad, det, top, None, None, (
+            vals, pairing, on_bends[:len(weight)].T @ weight, det_g0)
 
     def _rung(self, block, tau: float, smooth) -> RungFields:
         """Every field of the rung (tau, smooth.beta) on a _block, each
@@ -850,31 +869,41 @@ class Ray:
                   = tau (<y, grad g_beta> - g_beta) + (1/2) lambda . step,
 
         u0*(xi) = (1/2) sum ell_k - (1/2) sum lambda_k (1 + log ell_k) with
-        lambda the facet offsets, so x xi is never formed.  The log det is
-        0, and skipped, for an exact g_beta.  H_tau is at y."""
-        pts, xi, at_y, h_tau, g, grad, vals, inv_h0, det_inv_h0 = block
+        lambda the facet offsets, so x xi is never formed.  H_tau is at y.
+        For a PL g, with A = D2u0^-1 at y and D2g_beta = sum_j c_j v_j v_j^T,
+        log det(I + tau A D2g_beta) = log1p(tau sum_j c_j v_j^T A v_j + tau^2
+        det A det D2g_beta), no term negative; q gains tau sum_j c_j (v_j .
+        w)^2, det H_tau = det D2u0 (1 + that argument).  The log det is 0,
+        and skipped, for an exact g."""
+        pts, xi, at_y, quad, det_tau, g, grad, lever, pl = block
         frame, log_det = self.frame, None
-        if not smooth.exact:
+        if pl is not None:
+            vals, (_, on_bends, crosses), g0_y, det_g0 = pl
             z, w = smooth._softmax(vals)
             g = g + np.log(z, out=z) / smooth.beta
-            grad, d2g = w @ smooth.grads, smooth.weights_hessian(w)
-            log_det = _log1p_det(inv_h0, det_inv_h0, d2g, tau)
-            h_tau = h_tau + np.multiply(d2g, tau, out=d2g)
+            grad = w @ smooth.grads
+            lever = _row_reduce(np.add, pts * grad) - g
+            c = smooth.weights_hessian(w)[:, 0, 0][None] if crosses is None \
+                else smooth.hessian_weights(w)
+            arg = tau * _pair_dot(g0_y, c)
+            if det_g0 is not None:
+                arg += tau * tau * (det_g0 * _pair_dot(c, crosses[2] @ c))
+            log_det = np.log1p(arg)
+            quad = quad + tau * (on_bends @ c)
+            det_tau = quad[0] if crosses is None else det_tau * (1.0 + arg)
         at_x = frame.log_slacks(xi + tau * grad)
         step = at_x - at_y
         log_ratio = -_row_reduce(np.add, step)
         if log_det is not None:
             log_ratio -= log_det
-        phi_y = tau * (_row_reduce(np.add, pts * grad) - g) \
-            + 0.5 * (step @ frame.offsets)
-        g0_at_x, ricci = frame.dual_fields(at_x)
+        phi_y = tau * lever + 0.5 * (step @ frame.offsets)
         return RungFields(g, xi, grad, at_x, phi_y, log_ratio, log_det,
-                          None if self.cfg.dim == 1 else g0_at_x, ricci,
-                          h_tau, _det_small(h_tau))
+                          frame._pair_weights(at_x), quad, det_tau)
 
     def fields(self, tau: float, rows: slice) -> RungFields:
         """The rung at tau, smoothed at the Ray's beta, on the nodes rows."""
-        return self._rung(self._block(rows), float(tau), self.smooth)
+        return self._rung(self._block(rows, self._pairing(None)),
+                          float(tau), self.smooth)
 
     def potential(self, s: float) -> ShiftedPotential:
         return ShiftedPotential(self.u0, self.smooth, float(s))
@@ -909,32 +938,40 @@ class Ray:
     def states(self, rungs, alpha: Polytope | None = None) -> list:
         """The RayState of each rung (tau, beta), in order, from one pass
         over the grid's blocks: per block its _block once, then per rung its
-        _rung, every density (L_alpha too, given alpha) summed into the
-        rung's integrals.  check_reach and alpha_frame refuse first."""
+        _rung, every density (L_alpha too, given alpha, from its own pair
+        weights) summed into the rung's integrals.  check_reach and
+        alpha_frame refuse first."""
         rungs = [(float(tau), float(beta)) for tau, beta in rungs]
         self.check_reach(max(tau for tau, _ in rungs))
         twist = None if alpha is None else alpha_frame(alpha, self.cfg.dim)
         smooths = [replace(self.smooth, beta=beta) for _, beta in rungs]
-        n, weights = self.cfg.dim, self.grid.weights
+        n, weights, frame = self.cfg.dim, self.grid.weights, self.frame
+        pairing, pairs = self._pairing(twist), len(frame.pair_vectors)
+        cross = pairing[2] and pairing[2][1]  # None in 1D
+        ricci_cross, twist_cross = (None, None) if cross is None \
+            else (cross[:pairs], cross[pairs:])
         # per rung: g, entropy, a_ref, b_mov, mixed, l_ricci, log_det, l_alpha
         sums = np.zeros((len(rungs), 8))
         for rows in self.grid.blocks():
-            block, w = self._block(rows), weights[rows]
+            block, w = self._block(rows, pairing), weights[rows]
             for acc, (tau, _), smooth in zip(sums, rungs, smooths):
                 f = self._rung(block, tau, smooth)
                 acc[0] += f.g @ w
                 acc[1] += f.log_ratio @ w
-                acc[2] += (f.phi_y * np.exp(-f.log_ratio)) @ w
                 acc[3] += f.phi_y @ w
-                if n > 1:
-                    acc[4] += (f.phi_y * half_trace(f.g0_at_x, f.h_tau)) @ w
-                acc[5] += f.fixed_form_density(f.ricci) @ w
+                phi_w = f.phi_y * w  # every other density is phi_y times one
+                acc[2] += np.exp(-f.log_ratio) @ phi_w
+                if n > 1:  # (1/2) tr(G0(x) H_tau)
+                    acc[4] += 0.5 * _pair_dot(f.weight, f.quad[:pairs]) @ phi_w
+                acc[5] += f.form_density(frame.ricci_scale[:, None] * f.weight,
+                                         f.quad[:pairs], ricci_cross) @ phi_w
                 if f.log_det is not None:
                     acc[6] += f.log_det @ w
                 if twist is not None:
-                    theta = twist.inverse_hessian(
+                    theta = twist._pair_weights(
                         twist.log_slacks(f.xi + tau * f.grad))
-                    acc[7] += f.fixed_form_density(theta) @ w
+                    acc[7] += f.form_density(
+                        theta, f.quad[pairs:], twist_cross) @ phi_w
         fact = math.factorial(n)
         return [RayState(self, tau, beta, float(acc[0]),
                          *(fact * float(v) for v in acc[1:6]), float(acc[6]),
@@ -1070,9 +1107,9 @@ def ricci_reference(u0: SymplecticPotential, pts: np.ndarray) -> np.ndarray:
     cancel: against a long-double evaluation of the same chain rule on
     the unit simplex the relative error is about 3e-9 at slack 1e-4 and
     4e-6 at slack 1e-5, and the field is not trustworthy below slack
-    about 1e-6.  No energy reads it (Ray.fields takes Ric0 from
-    SimplexProduct.dual_fields): the tests use it as that field's reference,
-    and perfbench/tracer.py hooks it by name, so it stays here until that
+    about 1e-6.  No energy reads it (a rung reads Ric0 as pair weights,
+    SimplexProduct): the tests use it as that field's reference, and
+    perfbench/tracer.py hooks it by name, so it stays here until that
     hook is retired.
     """
     nu = u0.normals

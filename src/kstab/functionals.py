@@ -217,7 +217,7 @@ def mabuchi(state: RayState) -> MabuchiReport:
     paired with the halved Ricci convention in which the mean scalar
     curvature is n * mu.  E_Ric, the state's, is the Chen-Tian endpoint
     energy of the fixed form Ric0 at the inverse transport x that the
-    entropy uses (SimplexProduct.dual_fields).  Route (b), _route_b,
+    entropy uses (its pair weights, SimplexProduct).  Route (b), _route_b,
     shares with it the grid, u0, g_beta and the state's integral of
     log det(I + tau D2u0^-1 D2g_beta), which both weigh alike.
     err_estimate is the route gap plus route (b)'s edge-quadrature

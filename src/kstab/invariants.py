@@ -36,7 +36,7 @@ from .errors import (
     NotNormalized,
     RouteMismatch,
 )
-from .plconfig import ToricTestConfig, make_config, normalize
+from .plconfig import ToricTestConfig, normalize, restricted
 from .polytope import (
     Polytope,
     corner_chop,
@@ -293,8 +293,7 @@ def blowup_expansion(cfg: ToricTestConfig, v, epsilons) -> BlowupReport:
     dfs, deviations = [], []
     for e in eps:
         chopped = corner_chop(cfg.base, v, e)
-        g_e = cfg.g.restricted_to(chopped)
-        cfg_e = normalize(make_config(chopped, g_e, cfg.shift), "min_zero")
+        cfg_e = normalize(restricted(cfg, chopped), "min_zero")
         df_e = donaldson_futaki(cfg_e)
         dfs.append(df_e)
         deviations.append((df_e - df0) * volume_data(chopped).volume)

@@ -25,6 +25,7 @@ from .errors import (
 from .polytope import (
     Halfspace,
     Polytope,
+    _bounded_hull,
     _clip,
     construct,
     dot,
@@ -149,13 +150,14 @@ class ToricTestConfig:
         return self.base.dim
 
 
-def _build_cayley(base: Polytope, g: PLConvexFn, shift: Fraction) -> Polytope:
+def _cayley_halfspaces(base: Polytope, g: PLConvexFn, shift: Fraction):
+    """Q = {(x, t): x in base, 0 <= t <= shift - g(x)}, normals distinct."""
     hs = [Halfspace(h.normal + (0,), h.offset) for h in base.halfspaces]
     hs.append(Halfspace(tuple([0] * base.dim + [-1]), Fraction(0)))
     for p in g.pieces:
         hs.append(Halfspace.make(tuple(p.gradient) + (Fraction(1),),
                                  shift - p.constant))
-    return construct(halfspaces=hs)
+    return hs
 
 
 def make_config(base: Polytope, g, shift="auto") -> ToricTestConfig:
@@ -171,8 +173,18 @@ def make_config(base: Polytope, g, shift="auto") -> ToricTestConfig:
         shift = frac(shift)
         if shift <= gmax:
             raise ShiftTooSmall(f"shift {shift} must exceed max g = {gmax}")
-    cayley = _build_cayley(base, g, shift)
+    cayley = construct(halfspaces=_cayley_halfspaces(base, g, shift))
     return ToricTestConfig(base=base, g=g, shift=shift, cayley=cayley,
+                           normalization="raw", trivial=g.is_constant)
+
+
+def restricted(cfg: ToricTestConfig, sub: Polytope) -> ToricTestConfig:
+    """The raw config of cfg's g and shift on sub, DomainMismatch if sub
+    leaves the base: the shift exceeds max g there, so on sub, and Q over
+    a bounded sub is bounded, so _bounded_hull enumerates it unchecked."""
+    g = cfg.g.restricted_to(sub)
+    cayley = _bounded_hull(_cayley_halfspaces(sub, g, cfg.shift))
+    return ToricTestConfig(base=sub, g=g, shift=cfg.shift, cayley=cayley,
                            normalization="raw", trivial=g.is_constant)
 
 

@@ -324,7 +324,13 @@ def construct(halfspaces=None, vertices=None) -> Polytope:
         raise DomainMismatch("halfspaces of mixed dimension")
     if _unbounded(normals, dim):
         raise UnboundedInput("halfspace system is unbounded")
+    return _bounded_hull(hs)
 
+
+def _bounded_hull(hs) -> Polytope:
+    """construct of halfspaces hs of one dimension with distinct normals
+    and a bounded system, as the caller knows: no check of either."""
+    dim, normals = len(hs[0].normal), [h.normal for h in hs]
     scale = lcm(*(h.offset.denominator for h in hs))
     b = [h.offset.numerator * (scale // h.offset.denominator) for h in hs]
     tight = {}  # point -> its zero-slack halfspaces, None if infeasible

@@ -83,3 +83,37 @@ def logdet_small(h):
     """log det of a stack of 1x1 or 2x2 matrices (Hessian fields at grid
     nodes), the tests' reference log-determinant."""
     return np.log(_det_small(h))
+
+
+def mixed_discriminant(a, b):
+    """MD(A, B) of 2 x 2 fields, normalized so MD(A, A) = det A: the
+    tests' reference for the pair sums of a rung."""
+    return 0.5 * (a[:, 0, 0] * b[:, 1, 1] + a[:, 1, 1] * b[:, 0, 0]
+                  - a[:, 0, 1] * b[:, 1, 0] - a[:, 1, 0] * b[:, 0, 1])
+
+
+def half_trace(a, h):
+    """(1/2) tr(A H), which is MD(A, H^-1) * det H: no H is inverted."""
+    return 0.5 * (a[:, 0, 0] * h[:, 0, 0] + a[:, 1, 1] * h[:, 1, 1]
+                  + a[:, 0, 1] * h[:, 1, 0] + a[:, 1, 0] * h[:, 0, 1])
+
+
+def pair_field(frame, weight):
+    """sum_p weight_p w_p w_p^T over the frame's pair vectors w_p, weight
+    pair by row: the 2 x 2 (or 1 x 1) field a rung never forms."""
+    w = frame.pair_vectors
+    outer = (w[:, :, None] * w[:, None, :]).reshape(len(w), -1)
+    return (outer.T @ weight).T.reshape(-1, w.shape[1], w.shape[1])
+
+
+def inverse_hessian(frame, log_ell):
+    """D2u0^-1 at the point with log-slacks log_ell, from the pair weights."""
+    return pair_field(frame, frame._pair_weights(log_ell))
+
+
+def dual_fields(frame, log_ell):
+    """(D2u0^-1, Ric0) at log_ell from the same pair weights, Ric0 the dual
+    Hessian of (1/2) log det D2u0."""
+    weight = frame._pair_weights(log_ell)
+    return pair_field(frame, weight), \
+        pair_field(frame, frame.ricci_scale[:, None] * weight)

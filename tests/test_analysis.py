@@ -26,14 +26,14 @@ from kstab.analysis import (
     fan_grid,
     guillemin_potential,
     line_grid,
-    mixed_discriminant,
     newton_transport,
     _gauss_rule,
     _inv_small,
     ricci_reference,
     simplex_product,
 )
-from gens import corner_coords, flat, logdet_small
+from gens import (corner_coords, dual_fields, flat, inverse_hessian,
+                  logdet_small, mixed_discriminant, pair_field)
 from kstab.errors import (DomainMismatch, NewtonDivergence, NonDelzant,
                           NumericalFailure)
 from kstab.plconfig import make_config, normalize, pl_fn
@@ -146,13 +146,22 @@ def test_smoothed_pl_matches_axis_reference_bitwise(n_pieces, beta):
         assert (w == 0.0).any()   # some weights underflow
     assert same_bits(sm.value(pts), value)
     assert same_bits(sm.gradient(pts), grad)
-    # beta (E[a a^T] - E[a] E[a]^T) with whole-array broadcasting
-    sq = (w @ (sm.grads[:, :, None] * sm.grads[:, None, :]).reshape(-1, 4))
-    mean = w @ sm.grads
-    ref = sm.beta * (sq.reshape(-1, 2, 2) - mean[:, :, None] * mean[:, None, :])
+    # beta sum_{i<j} w_i w_j (a_i - a_j)(a_i - a_j)^T, whole arrays
+    i, j = np.triu_indices(n_pieces, 1)
+    v = sm.grads[i] - sm.grads[j]
+    ref = ((w[:, i] * w[:, j]) * sm.beta) @ (
+        v[:, :, None] * v[:, None, :]).reshape(-1, 4)
+    ref = ref.reshape(-1, 2, 2)
     assert same_bits(sm.weights_hessian(w), ref)
     assert same_bits(sm.hessian(pts), np.zeros((len(pts), 2, 2))
                      if n_pieces == 1 else ref)
+    # it is beta (E[a a^T] - E[a] E[a]^T) to the rounding of those terms
+    outer = sm.grads[:, :, None] * sm.grads[:, None, :]
+    sq = (w @ outer.reshape(-1, 4)).reshape(-1, 2, 2)
+    mean = w @ sm.grads
+    cov = sm.beta * (sq - mean[:, :, None] * mean[:, None, :])
+    size = sm.beta * (w @ np.abs(outer).reshape(-1, 4)).reshape(-1, 2, 2)
+    assert np.all(np.abs(ref - cov) <= 8 * np.finfo(float).eps * size)
 
 
 def test_shifted_potential_is_affine_in_s():
@@ -206,18 +215,23 @@ def test_grid_integrates_polynomials():
 
 
 def test_gauss_rule_is_cached_leggauss():
+    """Rules and the panels mapped from them are built once, read-only."""
     for order in (4, 6, 8, 10, 12, 16):
         x, w = _gauss_rule(order)
         ref_x, ref_w = np.polynomial.legendre.leggauss(order)
         assert same_bits(x, ref_x) and same_bits(w, ref_w)
         assert _gauss_rule(order)[0] is x
-        for arr in (x, w):
+        px, pw = analysis._gauss_panel(0.25, 0.5, order)
+        assert analysis._gauss_panel(0.25, 0.5, order)[0] is px
+        assert same_bits(px, 0.375 + 0.125 * x) and same_bits(pw, 0.125 * w)
+        for arr in (x, w, px, pw):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
 
 def test_grids_match_fresh_leggauss_panels(monkeypatch):
     def build():
+        analysis._fan_rule.cache_clear()  # a cached rule reads no panel
         return [build_grid(TWO_CREASES, 46, crease_depth=22),
                 fan_grid([box(2)], 34), fan_grid([unit_simplex(2)], 34)]
 
@@ -291,7 +305,9 @@ def test_fan_grid_couples_edge_depth_to_radial_level(base, depth):
 def test_fan_grid_builds_only_the_edge_rules_it_reads(monkeypatch):
     """At depth 46 the radial panels read 27 along-edge depths (3, 4..10,
     the odd 11..45 and 46), and fan_grid builds each of those rules once
-    and no other: every depth from 3 to 46 would be 44."""
+    and no other: every depth from 3 to 46 would be 44.  The rule is
+    cached per depth: a second grid at that depth, on another base,
+    builds none, and its read-only arrays are the first grid's."""
     calls = []
 
     def counted(breaks, orders):
@@ -300,8 +316,16 @@ def test_fan_grid_builds_only_the_edge_rules_it_reads(monkeypatch):
 
     panel_nodes = analysis._panel_nodes
     monkeypatch.setattr(analysis, "_panel_nodes", counted)
+    analysis._fan_rule.cache_clear()
     fan_grid([box(2)], 46)
     assert len(calls) == len({d for *_, d in radial_panels(46)}) == 27
+    rule = analysis._fan_rule(46, 12, 4)
+    fan_grid([unit_simplex(2)], 46)
+    assert len(calls) == 27
+    assert analysis._fan_rule(46, 12, 4) is rule
+    for a in rule:
+        with pytest.raises(ValueError):
+            a[0] = 0.0
 
 
 def tensor_fan_grid(cells, depth, inner_order=12, graded_order=4):
@@ -666,7 +690,7 @@ def test_trace_form_log_det_matches_the_matmul_form(cfg, tau):
     for rows in ray.grid.blocks():
         got = ray.fields(tau, rows).log_det
         pts = ray.grid.points[rows]
-        a = ray.frame.inverse_hessian(
+        a = inverse_hessian(ray.frame,
             ray.frame.log_slacks(ray.u0.gradient(pts)))
         d = ray.smooth.hessian(pts)
         m = a @ d
@@ -683,6 +707,42 @@ def test_trace_form_log_det_matches_the_matmul_form(cfg, tau):
                                        + np.abs(det_d) * size(a))
         bound = 4 * eps * np.abs(ref) + (noise / (1.0 + x) if tau > 1 else 0)
         assert np.all(np.abs(got - ref) <= bound)
+
+
+def test_det_of_the_pl_hessian_is_exactly_zero_for_two_pieces():
+    """det D2g_beta, read from its rank-one pair terms as c^T M c (M the
+    _pair_cross of the hessian_vectors), is 0.0 exactly at every node of
+    the square with g = max(x1, x2), where it is 0 in exact arithmetic:
+    the tau^2 det term of the PL log det is 0.0, and the rung's log det is
+    log1p of its trace term alone, within 2 ulps of that trace read from
+    the 2 x 2 matrices.  On the 3-piece square it is positive and meets
+    the det of D2g_beta's entries to their rounding."""
+    eps = np.finfo(float).eps
+    square_max = normalize(make_config(box(2), [((1, 0), 0), ((0, 1), 0)]),
+                           "min_zero")
+    for cfg, two in ((square_max, True), (SQUARE3, False)):
+        ray = Ray(cfg, beta=120.0, tau_max=12.0)
+        sm = ray.smooth
+        v = sm.hessian_vectors
+        cross = analysis._pair_cross(v, v)
+        for rows in ray.grid.blocks():
+            pts = ray.grid.points[rows]
+            c = sm.hessian_weights(sm._fields(pts)[2])
+            det = analysis._pair_dot(c, cross @ c)
+            d = sm.hessian(pts)
+            if two:
+                assert np.all(det == 0.0)
+                a = inverse_hessian(ray.frame,
+                                    ray.frame.log_slacks(ray.u0.gradient(pts)))
+                trace = np.einsum("rij,rji->r", a, d)
+                got = ray.fields(12.0, rows).log_det
+                assert np.all(np.abs(got - np.log1p(12.0 * trace))
+                              <= 2 * eps * np.abs(got))
+            else:
+                size = np.abs(d[:, 0, 0] * d[:, 1, 1]) + d[:, 0, 1] ** 2
+                ref = d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] * d[:, 1, 0]
+                assert np.all(np.abs(det - ref) <= 4 * eps * size)
+                assert det.max() > 0.0
 
 
 @pytest.mark.parametrize("tau", [1.0, 4.0, 8.0])
@@ -865,19 +925,20 @@ def test_product_frame_inverts_grad_u0(base):
     ref = _inv_small(hess)
     scale = np.abs(ref).max(axis=(1, 2))
     cond = np.abs(hess).max(axis=(1, 2)) * scale  # the adjugate loses eps cond
-    err = np.abs(frame.inverse_hessian(log_ell) - ref).max(axis=(1, 2))
+    err = np.abs(inverse_hessian(frame, log_ell) - ref).max(axis=(1, 2))
     assert np.all(err / scale < 1e-12 + 1e-14 * cond)
     ref = ricci_reference(u0, pts)
     scale = np.abs(ref).max(axis=(1, 2))
-    err = np.abs(frame.dual_fields(log_ell)[1] - ref).max(axis=(1, 2))
+    err = np.abs(dual_fields(frame, log_ell)[1] - ref).max(axis=(1, 2))
     assert np.all(err / scale < 1e-12 + 1e-14 / ell.min(axis=1) ** 2)
 
 
 @pytest.mark.parametrize("cfg", [SQUARE, TRIANGLE], ids=["square", "simplex"])
 def test_product_state_matches_newton(cfg):
-    """Ray.f in closed form against one Newton inverse transport:
-    slacks, D2u0(x)^-1, log_ratio (log det D2u0(x) - log det H_tau)
-    and Ric0 at every node whose Newton slacks are above 1e-6."""
+    """Ray.fields in closed form against one Newton inverse transport:
+    slacks, D2u0(x)^-1 and Ric0 (rebuilt from the rung's pair weights)
+    and log_ratio (log det D2u0(x) - log det H_tau, H_tau = D2u0 at the
+    nodes for g = x1) at every node whose Newton slacks are above 1e-6."""
     ray = Ray(cfg, beta=10.0, tau_max=1.0)
     f = ray.fields(1.0, slice(None))  # every node
     z = newton_transport(ray.u0, f.xi + f.grad, ray.grid.points)
@@ -886,7 +947,9 @@ def test_product_state_matches_newton(cfg):
     ok = ell.min(axis=1) > 1e-6
     assert ok.mean() > 0.5
     assert np.max(np.abs(np.exp(f.log_slacks[ok]) / ell[ok] - 1)) < 1e-9
-    g0_at_x, h_tau = f.g0_at_x, f.h_tau
+    g0_at_x = pair_field(ray.frame, f.weight)
+    ricci = pair_field(ray.frame, ray.frame.ricci_scale[:, None] * f.weight)
+    h_tau = ray.u0.hessian(ray.grid.points)
     ref = _inv_small(h0_at_z[ok])
     scale = np.abs(ref).max(axis=(1, 2))
     err = np.abs(g0_at_x[ok] - ref).max(axis=(1, 2))
@@ -895,7 +958,7 @@ def test_product_state_matches_newton(cfg):
     assert np.max(np.abs(f.log_ratio - log_ratio)[ok]) < 1e-9
     ref = ricci_reference(ray.u0, z[ok])
     scale = np.abs(ref).max(axis=(1, 2))
-    err = np.abs(f.ricci[ok] - ref).max(axis=(1, 2))
+    err = np.abs(ricci[ok] - ref).max(axis=(1, 2))
     assert np.all(err / scale < 1e-9 + 1e-14 / ell[ok].min(axis=1) ** 2)
 
 
@@ -943,12 +1006,69 @@ def test_product_fields_near_the_hypotenuse_match_mpmath(slack):
                                                int(i == 1) + int(j == 1)))
                                   for j in range(2)] for i in range(2)])
             log_ell = frame.log_slacks(np.array([xi]))
-            for field, ref in zip(frame.dual_fields(log_ell),
+            for field, ref in zip(dual_fields(frame, log_ell),
                                   (g0_ref, ric_ref)):
                 for i in range(2):
                     for j in range(2):
                         assert abs(field[0, i, j] - ref[i, j]) \
                             <= 1e-12 * abs(ref[i, j])
+
+
+@pytest.mark.parametrize("slack", [1e-8, 1e-12])
+def test_rung_pair_sums_near_the_hypotenuse_match_mpmath(slack):
+    """Next to the simplex's slanted facet a rung's pair sums keep their
+    digits against a 50-digit evaluation from the same float inputs (the
+    slacks at the nodes y, xi + tau grad g at x): MD(Ric0, G0) at x,
+    (1/2) tr(G0(x) D2u0(y)) and det D2u0(y) on the ray g = x1 at tau = 1.
+    Measured worst errors 4.6e-15, 1.9e-15 and 2.0e-16 relative; the bound
+    is 4 times the largest.  The 2 x 2 matrix forms (mixed_discriminant
+    of the fields, half_trace, the det of D2u0's entries) miss it by up
+    to 6e-9 at slack 1e-8 and 6e-5 at slack 1e-12."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    cfg = normalize(make_config(unit_simplex(2), [((1, 0), 0)]), "min_zero")
+    ray = Ray(cfg, beta=10.0, tau_max=1.0)
+    frame, u0 = ray.frame, ray.u0
+    y = np.array([[t * (1 - slack), (1 - t) * (1 - slack)]
+                  for t in np.linspace(0.1, 0.9, 5)])
+    ray.grid = analysis.Grid(points=y, weights=np.ones(len(y)))
+    f = ray.fields(1.0, slice(None))
+    w = frame.pair_vectors
+    md = analysis._pair_dot(frame.ricci_scale[:, None] * f.weight,
+                            analysis._pair_cross(w, w) @ f.weight)
+    half_trace = 0.5 * analysis._pair_dot(f.weight, f.quad)
+    nu = [[int(c) for c in row] for row in u0.normals]
+    hyp = nu.index([1, 1])
+    with mpmath.workdps(50):
+        def slacks_at(xi):
+            # grad u0 = xi: ell_i = e^(2 xi_i) ell_hyp, summing to 1
+            e = [mp.e ** (2 * v) for v in xi]
+            ell_h = 1 / (1 + e[0] + e[1])
+            return [ell_h if k == hyp else
+                    e[row.index(-1)] * ell_h for k, row in enumerate(nu)]
+
+        def hessian(ell):
+            return mp.matrix([[sum(row[i] * row[j] / (2 * l)
+                                   for row, l in zip(nu, ell))
+                               for j in range(2)] for i in range(2)])
+
+        def half_log_det(a, b):
+            return mp.log(mp.det(hessian(slacks_at([a, b])))) / 2
+
+        for i, (xi, ell_y) in enumerate(zip(f.xi + f.grad, u0.slacks(y))):
+            xi = [mp.mpf(float(v)) for v in xi]
+            g0 = hessian(slacks_at(xi)) ** -1
+            ric = mp.matrix([[mpmath.diff(half_log_det, xi,
+                                          (int(j == 0) + int(k == 0),
+                                           int(j == 1) + int(k == 1)))
+                              for k in range(2)] for j in range(2)])
+            h = hessian([mp.mpf(float(v)) for v in ell_y])
+            ref_md = (ric[0, 0] * g0[1, 1] + ric[1, 1] * g0[0, 0]
+                      - 2 * ric[0, 1] * g0[0, 1]) / 2
+            ref_trace = ((g0 * h)[0, 0] + (g0 * h)[1, 1]) / 2
+            for got, ref in ((md[i], ref_md), (half_trace[i], ref_trace),
+                             (f.det_tau[i], mp.det(h))):
+                assert abs(got - ref) <= 2e-14 * abs(ref)
 
 
 def _log_lambda(mpmath, base, block):

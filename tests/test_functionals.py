@@ -28,8 +28,7 @@ import kstab.functionals
 from kstab.analysis import (_BLOCK, Ray, SmoothedPL, _inv_small,
                             abreu_scalar_curvature, alpha_frame, bulk_grid,
                             crease_ladder_depth, fan_grid,
-                            guillemin_potential, half_trace,
-                            mixed_discriminant, newton_transport,
+                            guillemin_potential, newton_transport,
                             ricci_reference, simplex_product)
 from kstab.errors import (DimensionMismatch, NormalizationRequired,
                           NumericalFailure, RouteMismatch)
@@ -48,7 +47,8 @@ from kstab.invariants import (donaldson_futaki, minimum_norm, slope_mu,
 from kstab.plconfig import make_config, normalize
 from kstab.polytope import box, corner_chop, interval, unit_simplex, volume_data
 from kstab.slopes import Schedule, ladder
-from gens import corner_coords, logdet_small
+from gens import (corner_coords, half_trace, inverse_hessian,
+                  logdet_small, mixed_discriminant, pair_field)
 
 F = Fraction
 
@@ -268,11 +268,12 @@ def _alpha_path(ray, alpha, taus):
 
 
 def _alpha_theta(f, tau, alpha):
-    """alpha's field on the fields f of the rung at tau, as Ray.states
-    forms it: the inverse Hessian of alpha's Guillemin potential where its
-    gradient is xi + tau * grad g, in closed form."""
+    """alpha's field on the fields f of the rung at tau, rebuilt from the
+    pair weights Ray.states reads: the inverse Hessian of alpha's
+    Guillemin potential where its gradient is xi + tau * grad g, in
+    closed form."""
     frame = alpha_frame(alpha, f.xi.shape[1])
-    return frame.inverse_hessian(frame.log_slacks(f.xi + tau * f.grad))
+    return inverse_hessian(frame, frame.log_slacks(f.xi + tau * f.grad))
 
 
 SQUARE = normalize(make_config(box(2), [((1, 0), 0)]), "min_zero")
@@ -319,9 +320,9 @@ def test_df_rung_integrates_the_entropy_once(monkeypatch):
     blocks = []
     block = Ray._block
 
-    def counted(self, rows):
+    def counted(self, rows, pairing):
         blocks.append(rows)
-        return block(self, rows)
+        return block(self, rows, pairing)
 
     monkeypatch.setattr(Ray, "_block", counted)
     ray = Ray(SQUARE3, beta=10.0, tau_max=1.0)
@@ -333,17 +334,18 @@ def test_df_rung_integrates_the_entropy_once(monkeypatch):
 
 
 def test_df_rung_forms_the_pl_hessian_once_per_block(monkeypatch):
-    """A PL DF rung (the square with max(x1, x2), tau = 2) forms D2g_beta
-    once per block across state, energy_report and mabuchi, and route
-    (b)'s log det is the state's integral of it."""
+    """A PL DF rung (the square with max(x1, x2), tau = 2) forms D2g_beta,
+    as the weights of its rank-one terms, once per block across state,
+    energy_report and mabuchi, and route (b)'s log det is the state's
+    integral of it."""
     calls = []
-    weights_hessian = SmoothedPL.weights_hessian
+    hessian_weights = SmoothedPL.hessian_weights
 
     def counted(self, w):
         calls.append(len(w))
-        return weights_hessian(self, w)
+        return hessian_weights(self, w)
 
-    monkeypatch.setattr(SmoothedPL, "weights_hessian", counted)
+    monkeypatch.setattr(SmoothedPL, "hessian_weights", counted)
     cfg = normalize(make_config(box(2), [((1, 0), 0), ((0, 1), 0)]),
                     "min_zero")
     ray = Ray(cfg, beta=20.0, tau_max=2.0)
@@ -362,7 +364,7 @@ def test_rung_path_inverts_no_matrix_field(monkeypatch):
     """From Ray(...) through state, energy_report and mabuchi on two
     rungs, no Hessian field is inverted: D2u0^-1 at x and at the nodes
     comes in closed form from the log-slacks, and every wedge density
-    pairs a form with H_tau in trace form (half_trace)."""
+    pairs a form with H_tau as sums of pair terms."""
     inversions = []
 
     def inv_counted(h):
@@ -396,9 +398,14 @@ def _owned_bytes(arrays) -> int:
 def test_rays_and_states_own_no_matrix_field(cfg, affine):
     """Census of the arrays a Ray and its states own.  The Ray holds no
     grid-length array but grid.points and grid.weights, and a state
-    none at all: every field lives in one block of Ray.fields.  Those
-    form H_tau = D2u0 + tau * D2g_beta and det H_tau on each block bit
-    for bit as on the whole grid (D2u0 itself for an affine g)."""
+    none at all: every field lives in one block of Ray.fields, pair by
+    row, with no 2 x 2 field.  Those form H_tau = D2u0 + tau * D2g_beta
+    (D2u0 itself for an affine g) as its quadratic forms q = w^T H_tau w
+    on the frame's pair vectors and det H_tau, on each block bit for bit
+    as on the whole grid: in 1D bit for bit as H_tau itself, in 2D
+    within 8 eps of the sizes in which the matrix forms round, |w|^T S |w|
+    and |s00 s11| + |s01 s10| for the entry sizes S = |D2u0| + tau beta
+    max |a_i|^2 (the terms of weights_hessian's entries cancel)."""
     ray = Ray(cfg, beta=10.0, tau_max=2.0)
     n, size = cfg.dim, ray.grid.size
     # a 2D PL ray has several blocks of rows
@@ -407,8 +414,9 @@ def test_rays_and_states_own_no_matrix_field(cfg, affine):
     assert _owned_bytes(ray_arrays) < size
     assert _owned_bytes(ray_arrays + [ray.grid.points, ray.grid.weights]) \
         == (n + 1) * 8 * size
-    pts = ray.grid.points
+    pts, w = ray.grid.points, ray.frame.pair_vectors
     h0, g_hess = ray.u0.hessian(pts), ray.smooth.hessian(pts)
+    eps = np.finfo(float).eps
     for tau in (0.5, 1.0, 2.0):
         state = ray.state(tau)
         assert not [v for v in vars(state).values()
@@ -416,20 +424,37 @@ def test_rays_and_states_own_no_matrix_field(cfg, affine):
         h_tau = h0 if affine else h0 + tau * g_hess
         det = h_tau[:, 0, 0] if n == 1 else (
             h_tau[:, 0, 0] * h_tau[:, 1, 1] - h_tau[:, 0, 1] * h_tau[:, 1, 0])
+        quad = np.einsum("pi,rij,pj->pr", w, h_tau, w)
+        size = np.abs(h0) + (0.0 if affine else tau * ray.smooth.beta
+                             * np.abs(ray.smooth.grads).max() ** 2)
+        quad_size = np.einsum("pi,rij,pj->pr", np.abs(w), size, np.abs(w))
+        det_size = size[:, 0, 0] * size[:, -1, -1] \
+            + size[:, 0, -1] * size[:, -1, 0]
+        whole = ray.fields(tau, slice(None))
         for rows in ray.grid.blocks():
             f = ray.fields(tau, rows)
-            assert (f.g0_at_x is None) == (n == 1)
+            assert f.weight.shape == (len(w), len(pts[rows]))
             assert (f.log_det is None) == affine
-            assert f.h_tau.tobytes() == h_tau[rows].tobytes()
-            assert f.det_tau.tobytes() == det[rows].tobytes()
+            assert f.quad.tobytes() == whole.quad[:, rows].tobytes()
+            assert f.det_tau.tobytes() == whole.det_tau[rows].tobytes()
+            if n == 1:
+                assert f.quad.tobytes() == h_tau[rows, 0, 0].tobytes()
+                assert f.det_tau.tobytes() == det[rows].tobytes()
+            else:
+                assert np.all(np.abs(f.quad - quad[:, rows])
+                              <= 8 * eps * quad_size[:, rows])
+                assert np.all(np.abs(f.det_tau - det[rows])
+                              <= 8 * eps * det_size[rows])
 
 
 def test_square_rung_peak_memory():
     """Ray(square) -> state(1) -> energy_report -> mabuchi, the first DF
     rung on 181,440 nodes, peaks under 10 MB of traced allocations
     (8.2 MB measured): the grid's 4.4 MB while its fan is built, then the
-    grid and the fields of one block."""
+    grid and the fields of one block.  The fan rule is built inside the
+    count, not read from an earlier test's cache."""
     schedule = Schedule()
+    kstab.analysis._fan_rule.cache_clear()
     tracemalloc.start()
     try:
         ray = Ray(SQUARE, beta=schedule.beta0, tau_max=max(schedule.taus))
@@ -450,16 +475,21 @@ SIMPLEX = normalize(make_config(unit_simplex(2), [((1, 0), 0)]), "min_zero")
                          ids=["square", "simplex", "square3"])
 @pytest.mark.parametrize("tau", [1.0, 4.0])
 def test_trace_form_energies_match_the_inverted_h_tau(cfg, tau):
-    """am_direct, E_Ric and L_alpha read in trace form meet the same
-    energies with H_tau inverted, MD(., H_tau^-1) * det H_tau, to 1e-12
-    relative."""
+    """am_direct, E_Ric and L_alpha read as pair sums meet the same
+    energies from 2 x 2 fields with H_tau inverted, MD(., H_tau^-1) *
+    det H_tau, to 1e-12 relative: G0(x) and Ric0 rebuilt from the rung's
+    pair weights, alpha's form from its own, H_tau = D2u0 + tau D2g_beta
+    as a matrix."""
     alpha = box(2, side=2)
     ray = Ray(cfg, beta=10.0 * tau, tau_max=tau)
     state = ray.state(tau, alpha=alpha)
     rep, mab = energy_report(state), mabuchi(state)
     f = ray.fields(tau, slice(None))  # every node
-    g0_at_x, h_tau, det_tau = f.g0_at_x, f.h_tau, f.det_tau
-    g_tau = _inv_small(h_tau)
+    pts, frame = ray.grid.points, ray.frame
+    g0_at_x = pair_field(frame, f.weight)
+    ricci = pair_field(frame, frame.ricci_scale[:, None] * f.weight)
+    h_tau = ray.u0.hessian(pts) + tau * ray.smooth.hessian(pts)
+    det_tau, g_tau = f.det_tau, _inv_small(h_tau)
 
     def wedge(a, b):
         return 2 * ray.grid.integrate(
@@ -467,7 +497,7 @@ def test_trace_form_energies_match_the_inverted_h_tau(cfg, tau):
 
     am_direct = 2 * ray.grid.integrate(f.phi_y * np.exp(-f.log_ratio)) \
         + 2 * ray.grid.integrate(f.phi_y) + wedge(g0_at_x, g_tau)
-    e_ric = wedge(f.ricci, g0_at_x + g_tau)
+    e_ric = wedge(ricci, g0_at_x + g_tau)
     l_alpha = wedge(_alpha_theta(f, tau, alpha), g0_at_x + g_tau)
     for value, ref in ((rep.am_direct, am_direct), (mab.l_ricci, e_ric),
                        (rep.l_alpha, l_alpha)):

@@ -80,50 +80,64 @@ def test_bench_pl_memory_runs_each_verdict_in_a_fresh_process(monkeypatch):
 def test_bench_pairs_alternates_the_sides_and_counts_wins(monkeypatch,
                                                           tmp_path, capsys):
     """bench_pairs extracts REF and HEAD into one temporary directory, runs
-    perfbench/run.py untraced in each, the side going first alternating
-    pair by pair, and prints each side's median and quartiles and HEAD's
-    wins per end-to-end metric; the temporary directory is gone after."""
+    perfbench/run.py untraced in each at the seed asked for (1 by
+    default), the side going first alternating pair by pair, and prints
+    each side's median and quartiles and HEAD's wins per end-to-end
+    metric, then whether each resolves as a gain: better in 9 of 10
+    pairs (here 4 of 4) and a median gap beyond REF's quartile spread;
+    the temporary directory is gone after."""
     pairs = load_script("bench_pairs")
-    runs, archives = [], []
-    # time_per_ok_s of each run, ref and head alternating per pair
-    times = {"ref": iter([1.0, 1.2, 1.1, 0.9]),
-             "head": iter([0.8, 1.3, 0.7, 0.9])}
+    for seed_args, seed in (([], "1"), (["--seed", "7"], "7")):
+        runs, archives = [], []
+        # time_per_ok_s of each run, ref and head alternating per pair
+        times = {"ref": iter([1.0, 1.2, 1.1, 0.9]),
+                 "head": iter([0.8, 1.3, 0.7, 0.9])}
 
-    class Done:
-        returncode = 0
-        stderr = ""
+        class Done:
+            returncode = 0
+            stderr = ""
 
-        def __init__(self, stdout):
-            self.stdout = stdout
+            def __init__(self, stdout):
+                self.stdout = stdout
 
-    def stub(cmd, cwd=None, capture_output=False, text=False, input=None,
-             check=False):
-        if cmd[0] == "git":
-            archives.append(cmd[-1])
-            return Done(b"tar of " + cmd[-1].encode())
-        if cmd[0] == "tar":
-            assert Path(cmd[-1]).parent.parent == tmp_path
-            return Done(b"")
-        assert cmd[1:] == ["perfbench/run.py", "--workload", "ray1d",
-                           "--seed", "1", "--seconds", "25", "--trace", "0"]
-        side = Path(cwd).name
-        runs.append(side)
-        t = next(times[side])
-        metrics = {"setup_s": 0.25, "time_per_ok_s": t, "ok_ratio": 1.0,
-                   "peak_rss_mb": 34.0 if side == "ref" else 33.0}
-        return Done("summary\n" + json.dumps({"metrics": {
-            k: {"value": v, "unit": "s"} for k, v in metrics.items()}}))
+        def stub(cmd, cwd=None, capture_output=False, text=False, input=None,
+                 check=False):
+            if cmd[0] == "git":
+                archives.append(cmd[-1])
+                return Done(b"tar of " + cmd[-1].encode())
+            if cmd[0] == "tar":
+                assert Path(cmd[-1]).parent.parent == tmp_path
+                return Done(b"")
+            assert cmd[1:] == ["perfbench/run.py", "--workload", "ray1d",
+                               "--seed", seed, "--seconds", "25", "--trace", "0"]
+            side = Path(cwd).name
+            runs.append(side)
+            t = next(times[side])
+            metrics = {"setup_s": 0.25, "time_per_ok_s": t, "ok_ratio": 1.0,
+                       "peak_rss_mb": 34.0 if side == "ref" else 33.0}
+            return Done("summary\n" + json.dumps({"metrics": {
+                k: {"value": v, "unit": "s"} for k, v in metrics.items()}}))
 
-    monkeypatch.setattr(pairs.subprocess, "run", stub)
-    monkeypatch.setattr(pairs.tempfile, "tempdir", str(tmp_path))
-    assert pairs.main(["a9f8f7a", "--workload", "ray1d", "--pairs", "4"]) == 0
-    assert archives == ["a9f8f7a", "HEAD"]
-    assert runs == ["ref", "head", "head", "ref"] * 2
-    assert list(tmp_path.iterdir()) == []
-    out = capsys.readouterr().out.splitlines()
-    rows = {line.split()[0]: line for line in out}
-    assert "1.05 [0.925, 1.175]" in rows["time_per_ok_s"]
-    assert "0.85 [0.725, 1.2]" in rows["time_per_ok_s"]
-    assert rows["time_per_ok_s"].endswith("2 of 4 (1 ties), median -19.0%")
-    assert rows["peak_rss_mb"].endswith("4 of 4 (0 ties), median -2.9%")
-    assert rows["ok_ratio"].endswith("0 of 4 (4 ties), median +0.0%")
+        monkeypatch.setattr(pairs.subprocess, "run", stub)
+        monkeypatch.setattr(pairs.tempfile, "tempdir", str(tmp_path))
+        assert pairs.main(["a9f8f7a", "--workload", "ray1d", "--pairs", "4",
+                           *seed_args]) == 0
+        assert archives == ["a9f8f7a", "HEAD"]
+        assert runs == ["ref", "head", "head", "ref"] * 2
+        assert list(tmp_path.iterdir()) == []
+        out = capsys.readouterr().out.splitlines()
+        rows = {line.split()[0]: line for line in out}
+        assert "1.05 [0.925, 1.175]" in rows["time_per_ok_s"]
+        assert "0.85 [0.725, 1.2]" in rows["time_per_ok_s"]
+        assert rows["time_per_ok_s"].endswith("2 of 4 (1 ties), median -19.0%")
+        assert rows["peak_rss_mb"].endswith("4 of 4 (0 ties), median -2.9%")
+        assert rows["ok_ratio"].endswith("0 of 4 (4 ties), median +0.0%")
+        assert out[0].endswith(f"--seed {seed}")
+        resolve = [line for line in out if line.startswith("resolve ")]
+        assert [line.split()[1:3] for line in resolve] == [
+            ["setup_s:", "no"], ["time_per_ok_s:", "no"], ["ok_ratio:", "no"],
+            ["peak_rss_mb:", "yes"]]
+        # time_per_ok_s: a 0.2 s median gap, but better in 2 of 4 pairs
+        assert "better in 2 of 4, 4 needed; median gap +0.2," in resolve[1]
+        # peak_rss_mb: better in 4 of 4 by 1 MB, REF's spread 0
+        assert resolve[3].endswith("median gap +1, ref quartile spread 0)")

@@ -361,9 +361,9 @@ def test_a_verdict_builds_one_grid_and_one_block_pass(monkeypatch, cfg,
         grids.append(build_grid(*args, **kwargs))
         return grids[-1]
 
-    def counted_block(self, rows):
+    def counted_block(self, rows, pairing):
         blocks.append(rows)
-        return block(self, rows)
+        return block(self, rows, pairing)
 
     def counted_rung(self, b, tau, smooth):
         rungs.append(tau)
