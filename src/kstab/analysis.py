@@ -817,8 +817,7 @@ class Ray:
     def _pairing(self, twist) -> tuple:
         """Per pair vector w (the frame's, then twist's) the coefficients of
         w^T D2u0 w on 1 / ell and of w^T D2g_beta w on the c_j of D2g_beta =
-        sum_j c_j v_j v_j^T (v = 1, c = D2g_beta in 1D); in 2D the
-        _pair_cross of the normals, of w with the frame's w, of the v_j."""
+        sum_j c_j v_j v_j^T (in 1D v = 1), and the 2D _pair_crosses."""
         frame, normals, dim = self.frame, self.u0.normals, self.cfg.dim
         w = frame.pair_vectors if twist is None else np.vstack(
             [frame.pair_vectors, twist.pair_vectors])
@@ -829,11 +828,10 @@ class Ray:
 
     def _block(self, rows: slice, pairing) -> tuple:
         """The fields at the nodes rows that no rung changes: y, xi, log
-        ell_k, q = w^T D2u0 w, det D2u0; for an exact g, g_beta
-        (SmoothedPL.value's bits), its gradient, repeated (a broadcast is
-        slow to read), <y, grad g_beta> - g_beta; for a PL g, the pieces'
-        row max and minus it, v^T D2u0^-1 v (1 / D2u0 in 1D, to the last
-        digit), det D2u0^-1."""
+        ell_k, q = w^T D2u0 w, det D2u0; for an exact g, g_beta, its
+        gradient, repeated (a broadcast is slow to read), <y, grad g_beta>
+        - g_beta; for a PL g, the pieces' row max and minus it, v^T D2u0^-1
+        v (1 / D2u0 in 1D, to the last digit), det D2u0^-1."""
         pts, smooth, frame = self.grid.points[rows], self.smooth, self.frame
         on_facets, on_bends, crosses = pairing
         ell = self.u0.slacks(pts)
@@ -842,13 +840,11 @@ class Ray:
         quad = on_facets @ inv  # D2u0 = sum_k nu_k nu_k^T / (2 ell_k)
         det = quad[0] if crosses is None \
             else 0.25 * _pair_dot(inv, crosses[0] @ inv)
-        top, vals = smooth._shifted(pts)
         if smooth.exact:
-            z, _ = smooth._softmax(vals, out=vals)
-            grad = np.repeat(smooth.grads, len(pts), axis=0)
-            g = top + np.log(z, out=z) / smooth.beta
+            g, grad = smooth.value(pts), np.repeat(smooth.grads, len(pts), 0)
             lever = _row_reduce(np.add, pts * grad) - g
             return pts, xi, at_y, quad, det, g, grad, lever, None
+        top, vals = smooth._shifted(pts)
         weight = (1.0 / det)[None] if crosses is None \
             else frame._pair_weights(at_y)  # D2u0^-1 at y
         det_g0 = None if crosses is None or not crosses[2].any() \
@@ -870,11 +866,10 @@ class Ray:
 
         u0*(xi) = (1/2) sum ell_k - (1/2) sum lambda_k (1 + log ell_k) with
         lambda the facet offsets, so x xi is never formed.  H_tau is at y.
-        For a PL g, with A = D2u0^-1 at y and D2g_beta = sum_j c_j v_j v_j^T,
-        log det(I + tau A D2g_beta) = log1p(tau sum_j c_j v_j^T A v_j + tau^2
-        det A det D2g_beta), no term negative; q gains tau sum_j c_j (v_j .
-        w)^2, det H_tau = det D2u0 (1 + that argument).  The log det is 0,
-        and skipped, for an exact g."""
+        For a PL g, with A = D2u0^-1 at y, log det(I + tau A D2g_beta) =
+        log1p(tau sum_j c_j v_j^T A v_j + tau^2 det A det D2g_beta), no term
+        negative; det H_tau = det D2u0 (1 + that argument).  The log det
+        is 0, and skipped, for an exact g."""
         pts, xi, at_y, quad, det_tau, g, grad, lever, pl = block
         frame, log_det = self.frame, None
         if pl is not None:

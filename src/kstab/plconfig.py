@@ -179,9 +179,8 @@ def make_config(base: Polytope, g, shift="auto") -> ToricTestConfig:
 
 
 def restricted(cfg: ToricTestConfig, sub: Polytope) -> ToricTestConfig:
-    """The raw config of cfg's g and shift on sub, DomainMismatch if sub
-    leaves the base: the shift exceeds max g there, so on sub, and Q over
-    a bounded sub is bounded, so _bounded_hull enumerates it unchecked."""
+    """cfg's g and shift on sub (DomainMismatch if sub leaves the base),
+    raw; Q over sub is bounded, and _bounded_hull enumerates it unchecked."""
     g = cfg.g.restricted_to(sub)
     cayley = _bounded_hull(_cayley_halfspaces(sub, g, cfg.shift))
     return ToricTestConfig(base=sub, g=g, shift=cfg.shift, cayley=cayley,
