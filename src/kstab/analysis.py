@@ -575,24 +575,33 @@ class SimplexProduct:
     leaving a unimodular basis E of normals: the interval, and in 2D the
     Delzant triangles and parallelograms.  Each block's slacks sum to
     the constant Lambda_B = sum_{k in B} lambda_k, and grad u0 = xi of
-    the Guillemin potential has a closed-form solution in log-slacks
-    (Guillemin 1994; Abreu 2003): with r = -2 E^-T xi, r_k0 = 0,
+    the Guillemin potential has a closed-form solution (Guillemin 1994;
+    Abreu 2003): with r = -2 E^-T xi, r_k0 = 0, the shares
+    p_k = ell_k / Lambda_B are a softmax of r over each block,
 
         log ell_k = log Lambda_B + r_k - logsumexp_{j in B} r_j,
 
     the logsumexp max-shifted (log_slacks), so no slack is formed by a
-    subtraction, no exp overflows and no Newton step is taken.
-    With the integer vectors w_p = (R_k - R_l) / 2 of the pairs
-    p = (k, l), k < l, of a block, R_k the xi-gradient of r_k, the dual
-    fields are sums over the pairs with omega_p = 2 ell_k ell_l / Lambda_B,
+    subtraction, no exp overflows and no Newton step is taken.  Moving
+    xi by t changes r by s = R^T t (R = ratio_map), so the shares at
+    xi + t are a per-block rescaling of those at xi (rescaled): with
+    f_k = e^(s_k - max_B s) and S_B = sum_{k in B} p_k f_k,
+    p_k(xi + t) = p_k f_k / S_B.  With the integer vectors
+    w_p = (R_k - R_l) / 2 of the pairs p = (k, l), k < l, of a block, R_k
+    the xi-gradient of r_k, the dual fields are sums over the pairs with
+    omega_p = 2 Lambda_B p_k p_l (weights),
 
         D2u0^-1 = sum_p omega_p w_p w_p^T,
-        Ric0    = sum_p c_p omega_p w_p w_p^T,  c_p = (n_B + 1) / Lambda_B,
+        Ric0    = sum_B c_B G0_B,  G0_B = sum_{p in B} omega_p w_p w_p^T,
 
-    Ric0 the xi-Hessian of (1/2) log det D2u0, where
-    det D2u0 = prod_B 2^-n_B Lambda_B / prod_{k in B} ell_k.  A rung reads
-    them as these pair terms (Ray._rung), all nonnegative: nothing
-    cancels next to a slanted facet, as it does in ricci_reference.
+    c_B = (n_B + 1) / Lambda_B (ricci_scale, per pair), Ric0 the
+    xi-Hessian of (1/2) log det D2u0, where
+    det D2u0^-1 = prod_B 2^n_B Lambda_B^n_B prod_{k in B} p_k
+    (inverse_det), and MD(G0_B, D2u0^-1) = (n_B / n) det D2u0^-1, so
+    MD(Ric0, D2u0^-1) = ricci_mean det D2u0^-1 with
+    ricci_mean = (1/n) sum_B n_B c_B.  A rung reads them so (Ray._rung),
+    every term nonnegative: nothing cancels next to a slanted facet, as
+    it does in ricci_reference.
     """
 
     normals: np.ndarray
@@ -600,10 +609,15 @@ class SimplexProduct:
     blocks: tuple          # facet indices per block, the dropped k0 first
     ratio_map: np.ndarray  # (n, K): r = xi @ ratio_map
     log_sums: np.ndarray   # log Lambda_B per block
+    sums: np.ndarray       # Lambda_B per facet: p_k = ell_k / sums_k
+    step_map: np.ndarray   # (2, K): 1 and lambda_k, the two step sums
+    step_weights: np.ndarray  # (2, blocks): n_B + 1 and Lambda_B
     pairs: tuple           # (k, l) index arrays over the pairs of every block
     pair_vectors: np.ndarray  # (P, n): w_p
-    g0_coef: np.ndarray    # log(2 / Lambda_B) per pair
+    pair_scale: np.ndarray  # 2 Lambda_B per pair
     ricci_scale: np.ndarray  # c_p = (n_B + 1) / Lambda_B per pair
+    ricci_mean: float      # (1/n) sum_B n_B c_B
+    det_scale: float       # prod_B (2 Lambda_B)^n_B
 
     def log_slacks(self, xi: np.ndarray) -> np.ndarray:
         """log ell_k, per row, at the point where grad u0 = xi.
@@ -637,13 +651,55 @@ class SimplexProduct:
                 col += shift
         return r.T
 
-    def _pair_weights(self, log_ell):
-        """omega_p = 2 ell_k ell_l / Lambda_B, one exp each, pair by row."""
-        k, l = self.pairs
-        weight = log_ell.T[k]  # a fresh array: the rest runs in place
-        weight += log_ell.T[l]
-        weight += self.g0_coef[:, None]
-        return np.exp(weight, out=weight)
+    def totals(self, shares, out=None) -> np.ndarray:
+        """S_B = sum_{k in B} p_k per block and row, added left to right."""
+        if out is None:
+            out = np.empty((len(self.blocks), shares.shape[1]))
+        for total, block in zip(out, self.blocks):
+            np.add(shares[block[0]], shares[block[1]], out=total)
+            for k in block[2:]:
+                total += shares[k]
+        return out
+
+    def rescaled(self, shares, totals, s, tau: float, out) -> tuple:
+        """The shares where the gradient is xi + tau t, written into out =
+        (shares, block rows), from shares at xi (facet by row), their
+        totals S^y and s = R^T t (K x 1, or K x rows; overwritten).  With
+        e = tau (s - max_B s), log ell_k(xi + tau t) - log ell_k(xi) is
+        e_k - log(S_B / S^y_B); returns (step_map @ e, log(S_B / S^y_B)),
+        both exactly 0 at tau = 0.  For one column s this takes K scalar
+        exps and one log per block and row."""
+        p, block_rows = out
+        for block in self.blocks:
+            top = np.maximum(s[block[0]], s[block[1]])
+            for k in block[2:]:
+                np.maximum(top, s[k], out=top)
+            for k in block:
+                s[k] -= top
+        s *= tau
+        e_sums = self.step_map @ s
+        np.multiply(shares, np.exp(s, out=s), out=p)
+        for total, block in zip(self.totals(p, out=block_rows), self.blocks):
+            for k in block:
+                p[k] /= total
+        np.divide(block_rows, totals, out=block_rows)
+        return e_sums, np.log(block_rows, out=block_rows)
+
+    def weights(self, shares, out=None) -> np.ndarray:
+        """omega_p = 2 Lambda_B p_k p_l per pair, pair by row."""
+        if out is None:
+            out = np.empty((len(self.pair_vectors), shares.shape[1]))
+        for row, k, l, scale in zip(out, *self.pairs, self.pair_scale):
+            np.multiply(shares[k], scale, out=row)
+            row *= shares[l]
+        return out
+
+    def inverse_det(self, shares, out=None) -> np.ndarray:
+        """det D2u0^-1 = det_scale prod_k p_k per row."""
+        out = np.multiply(shares[0], self.det_scale, out=out)
+        for row in shares[1:]:
+            out *= row
+        return out
 
 
 def _zero_sum_blocks(normals, free):
@@ -699,11 +755,13 @@ def simplex_product(base: Polytope) -> SimplexProduct | None:
     ratio_map[:, kept] = -2.0 * np.rint(np.linalg.inv(np.array(basis, float)))
     offsets = [h.offset for h in base.halfspaces]
     sums = [sum(offsets[k] for k in block) for block in blocks]
-    pairs, g0_coef, ricci_scale = [], [], []
+    per_facet = np.empty(len(normals))
+    pairs, pair_scale, ricci_scale = [], [], []
     for block, total in zip(blocks, sums):
+        per_facet[list(block)] = float(total)
         for k, l in combinations(block, 2):
             pairs.append((k, l))
-            g0_coef.append(_log(2 / total))
+            pair_scale.append(float(2 * total))
             ricci_scale.append(float(len(block) / total))
     w = np.array([0.5 * (ratio_map[:, k] - ratio_map[:, l])
                   for k, l in pairs])
@@ -713,12 +771,21 @@ def simplex_product(base: Polytope) -> SimplexProduct | None:
         blocks=tuple(np.array(b) for b in blocks),
         ratio_map=ratio_map,
         log_sums=np.array([_log(s) for s in sums]),
+        sums=per_facet,
+        step_map=np.array([[1.0] * len(normals), [float(c) for c in offsets]]),
+        step_weights=np.array([[len(b) for b in blocks],
+                               [float(s) for s in sums]], dtype=float),
         pairs=tuple(np.array(c) for c in zip(*pairs)),
         pair_vectors=w,
-        g0_coef=np.array(g0_coef), ricci_scale=np.array(ricci_scale))
+        pair_scale=np.array(pair_scale), ricci_scale=np.array(ricci_scale),
+        ricci_mean=float(sum((len(b) - 1) * len(b) / s
+                             for b, s in zip(blocks, sums)) / n),
+        det_scale=float(math.prod((2 * s) ** (len(b) - 1)
+                                  for b, s in zip(blocks, sums))))
     for value in vars(frame).values():  # every caller shares the cached frame
         for a in value if isinstance(value, tuple) else (value,):
-            a.flags.writeable = False
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
     return frame
 
 
@@ -769,36 +836,28 @@ class RayState:
 
 class RungFields(NamedTuple):
     """The fields of one rung at a block of grid nodes y (Ray.fields), no
-    2 x 2 field: G0(x) as pair weights, H_tau as q = w^T H_tau w, det."""
+    2 x 2 field: x as its shares p_k = ell_k(x) / Lambda_B, G0(x) as pair
+    weights and its det, H_tau at y as q = w^T H_tau w and its det."""
 
     g: np.ndarray           # g_beta
-    xi: np.ndarray          # grad u0
-    grad: np.ndarray        # grad g_beta
-    log_slacks: np.ndarray  # log ell_k at x: grad u0(x) = xi + tau grad g_beta
+    grad: np.ndarray        # grad g_beta (one row for an exact g)
+    shares: np.ndarray      # p_k at x, grad u0(x) = xi + tau grad g_beta
+    steps: np.ndarray       # sum_k step_k, lambda . step
     phi_y: np.ndarray
     log_ratio: np.ndarray
     log_det: np.ndarray | None  # log det(I + tau D2u0^-1 D2g_beta), PL g
-    weight: np.ndarray  # omega_p at x
-    quad: np.ndarray    # q of the frame's pair vectors w_p, then alpha's
+    weight: np.ndarray      # omega_p at x
+    inverse_det: np.ndarray  # det D2u0(x)^-1
+    quad: np.ndarray        # q of the frame's pair vectors w_p, then alpha's
     det_tau: np.ndarray
-
-    def form_density(self, weight, quad, cross) -> np.ndarray:
-        """Per unit phi_y, the Chen-Tian endpoint density of the fixed form
-        sum_a weight_a v_a v_a^T, quad = v^T H_tau v, cross the v_a's
-        _pair_cross with the w_p: MD(form, G0(x)) det H_tau + tr(form
-        H_tau) / 2; in 1D (cross None) form H_tau."""
-        trace = _pair_dot(weight, quad)
-        if cross is None:
-            return trace
-        return _pair_dot(weight, cross @ self.weight) * self.det_tau \
-            + 0.5 * trace
+    theta: np.ndarray | None  # alpha's pair weights at its own x
 
 
 class Ray:
     """A ladder's ray on a simplex-product base: grid, u0, frame
-    (SimplexProduct), the pieces of g smoothed at beta and check_reach's
-    max |xi|; no field (see fields).  One Ray at a ladder's largest tau
-    serves every rung (states); other bases raise NumericalFailure first."""
+    (SimplexProduct) and the pieces of g smoothed at beta; no field (see
+    fields).  One Ray at a ladder's largest tau serves every rung
+    (states); other bases raise NumericalFailure first."""
 
     def __init__(self, cfg: ToricTestConfig, beta: float,
                  tau_max: float = 12.0):
@@ -806,58 +865,70 @@ class Ray:
         self.u0 = guillemin_potential(cfg.base)
         self.frame = _frame(cfg.base, "a ray", "base")
         self.smooth = SmoothedPL.from_fn(cfg.g, beta)
-        grid = self.grid = build_grid(cfg.g, collar_depth_for(tau_max),
-                                      crease_ladder_depth(beta, tau_max))
-        xi_max = max(float(np.abs(self.u0.gradient(grid.points[rows])).max())
-                     for rows in grid.blocks())
-        reach = 0.5 * (1.0 - math.log(_SLACK_FLOOR)) \
-            * float(np.abs(self.u0.normals).sum(axis=0).max())
-        self._reach = (reach, float(np.abs(self.smooth.grads).max()), xi_max)
+        self.grid = build_grid(cfg.g, collar_depth_for(tau_max),
+                               crease_ladder_depth(beta, tau_max))
+        self.route_b = {}  # route (b)'s tau-free data (functionals)
 
     def _pairing(self, twist) -> tuple:
-        """Per pair vector w (the frame's, then twist's) the coefficients of
-        w^T D2u0 w on 1 / ell and of w^T D2g_beta w on the c_j of D2g_beta =
-        sum_j c_j v_j v_j^T (in 1D v = 1), and the 2D _pair_crosses."""
+        """twist; per pair vector w (the frame's, then twist's) the
+        coefficients of w^T D2u0 w on 1 / ell and of w^T D2g_beta w on the
+        c_j of D2g_beta = sum_j c_j v_j v_j^T (in 1D v = 1); in 2D the
+        _pair_crosses of twist's w with the frame's and of the v_j."""
         frame, normals, dim = self.frame, self.u0.normals, self.cfg.dim
         w = frame.pair_vectors if twist is None else np.vstack(
             [frame.pair_vectors, twist.pair_vectors])
         v = self.smooth.hessian_vectors if dim == 2 else np.ones((1, 1))
-        return 0.5 * (w @ normals.T) ** 2, (w @ v.T) ** 2, None if dim == 1 \
-            else [_pair_cross(a, b) for a, b in
-                  ((normals, normals), (w, frame.pair_vectors), (v, v))]
+        return twist, 0.5 * (w @ normals.T) ** 2, (w @ v.T) ** 2, \
+            None if dim == 1 else (twist and _pair_cross(
+                twist.pair_vectors, frame.pair_vectors), _pair_cross(v, v))
+
+    def _scratch(self, twist, size: int) -> list:
+        """The rows a rung writes into, allocated once per pass: x's
+        shares, block rows and pair weights, det D2u0(x)^-1, the step
+        sums, then alpha's shares, block rows and pair weights."""
+        rows = [np.empty((len(f), size)) for frame in (self.frame, twist)
+                if frame is not None for f in
+                (frame.normals, frame.blocks, frame.pair_vectors)]
+        return rows[:3] + [np.empty(size), np.empty((2, size))] + rows[3:]
 
     def _block(self, rows: slice, pairing) -> tuple:
-        """The fields at the nodes rows that no rung changes: y, xi, log
-        ell_k, q = w^T D2u0 w, det D2u0; for an exact g, g_beta, its
-        gradient, repeated (a broadcast is slow to read), <y, grad g_beta>
-        - g_beta; for a PL g, the pieces' row max and minus it, v^T D2u0^-1
-        v (1 / D2u0 in 1D, to the last digit), det D2u0^-1."""
+        """The fields at the nodes rows that no rung changes: y, y's shares
+        (ell_k / Lambda_B) and their block totals, q = w^T D2u0 w, det
+        D2u0, g's pieces' row max (g_beta for an exact g) and its
+        gradient and <y, grad g_beta> - g_beta for an exact g; for a PL g,
+        the pieces minus their max, v^T D2u0^-1 v (1 / D2u0 in 1D, to the
+        last digit), det D2u0^-1; given alpha, its shares at xi."""
         pts, smooth, frame = self.grid.points[rows], self.smooth, self.frame
-        on_facets, on_bends, crosses = pairing
+        twist, on_facets, on_bends, crosses = pairing
         ell = self.u0.slacks(pts)
-        xi = self.u0.gradient(pts, ell)
-        at_y, inv = frame.log_slacks(xi), 1.0 / ell.T
-        quad = on_facets @ inv  # D2u0 = sum_k nu_k nu_k^T / (2 ell_k)
-        det = quad[0] if crosses is None \
-            else 0.25 * _pair_dot(inv, crosses[0] @ inv)
+        shares = ell.T / frame.sums[:, None]
+        quad = on_facets @ (1.0 / ell.T)  # sum_k nu_k nu_k^T / (2 ell_k)
+        inv_det = frame.inverse_det(shares)
+        det = quad[0] if crosses is None else 1.0 / inv_det
+        alpha = None if twist is None else (twist, np.exp(twist.log_slacks(
+            self.u0.gradient(pts, ell)).T) / twist.sums[:, None])
+        at_y = (shares, frame.totals(shares), alpha and (
+            *alpha, twist.totals(alpha[1])))
         if smooth.exact:
-            g, grad = smooth.value(pts), np.repeat(smooth.grads, len(pts), 0)
-            lever = _row_reduce(np.add, pts * grad) - g
-            return pts, xi, at_y, quad, det, g, grad, lever, None
+            g = smooth.value(pts)
+            lever = _row_reduce(np.add, pts * smooth.grads) - g
+            return pts, at_y, quad, det, g, smooth.grads, lever, None
         top, vals = smooth._shifted(pts)
         weight = (1.0 / det)[None] if crosses is None \
-            else frame._pair_weights(at_y)  # D2u0^-1 at y
-        det_g0 = None if crosses is None or not crosses[2].any() \
-            else _pair_dot(weight, crosses[1][:len(weight)] @ weight)
-        return pts, xi, at_y, quad, det, top, None, None, (
-            vals, pairing, on_bends[:len(weight)].T @ weight, det_g0)
+            else frame.weights(shares)  # D2u0^-1 at y
+        det_g0 = None if crosses is None or not crosses[1].any() else inv_det
+        return pts, at_y, quad, det, top, None, None, (
+            vals, on_bends, crosses and crosses[1],
+            on_bends[:len(weight)].T @ weight, det_g0)
 
-    def _rung(self, block, tau: float, smooth) -> RungFields:
+    def _rung(self, block, tau: float, smooth, out) -> RungFields:
         """Every field of the rung (tau, smooth.beta) on a _block, each
-        formed once.  x, the inverse transport of a node y, is only its
-        log-slacks (SimplexProduct.log_slacks at xi + tau * grad g_beta);
-        the same formula at xi gives y's, so every difference below is 0
-        at tau = 0.  With step = log ell(x) - log ell(y), by
+        formed once, into the rows out (_scratch).  x, the inverse
+        transport of a node y, is only its shares: y's rescaled by
+        s = R^T grad g_beta (SimplexProduct.rescaled), one column for an
+        exact g, so no exp or log per facet and node; every difference
+        below is 0 at tau = 0.  With step = log ell(x) - log ell(y) =
+        e - log(S_B / S^y_B), by
         det D2u0 = prod_B 2^-n_B Lambda_B / prod_{k in B} ell_k,
 
             log_ratio = -sum_k step_k - log det(I + tau D2u0^-1 D2g_beta),
@@ -869,36 +940,51 @@ class Ray:
         For a PL g, with A = D2u0^-1 at y, log det(I + tau A D2g_beta) =
         log1p(tau sum_j c_j v_j^T A v_j + tau^2 det A det D2g_beta), no term
         negative; det H_tau = det D2u0 (1 + that argument).  The log det
-        is 0, and skipped, for an exact g."""
-        pts, xi, at_y, quad, det_tau, g, grad, lever, pl = block
+        is 0, and skipped, for an exact g.  Given alpha, its shares are
+        rescaled the same way."""
+        pts, (shares, totals, alpha), quad, det_tau, g, grad, lever, pl \
+            = block
         frame, log_det = self.frame, None
+        p, block_rows, weight, inv_det, steps, *alpha_rows = out
         if pl is not None:
-            vals, (_, on_bends, crosses), g0_y, det_g0 = pl
+            vals, on_bends, bend_cross, g0_y, det_g0 = pl
             z, w = smooth._softmax(vals)
             g = g + np.log(z, out=z) / smooth.beta
             grad = w @ smooth.grads
             lever = _row_reduce(np.add, pts * grad) - g
-            c = smooth.weights_hessian(w)[:, 0, 0][None] if crosses is None \
+            c = smooth.weights_hessian(w)[:, 0, 0][None] if bend_cross is None \
                 else smooth.hessian_weights(w)
             arg = tau * _pair_dot(g0_y, c)
             if det_g0 is not None:
-                arg += tau * tau * (det_g0 * _pair_dot(c, crosses[2] @ c))
+                arg += tau * tau * (det_g0 * _pair_dot(c, bend_cross @ c))
             log_det = np.log1p(arg)
             quad = quad + tau * (on_bends @ c)
-            det_tau = quad[0] if crosses is None else det_tau * (1.0 + arg)
-        at_x = frame.log_slacks(xi + tau * grad)
-        step = at_x - at_y
-        log_ratio = -_row_reduce(np.add, step)
+            det_tau = quad[0] if bend_cross is None else det_tau * (1.0 + arg)
+        e_sums, logs = frame.rescaled(shares, totals,
+                                      frame.ratio_map.T @ grad.T, tau,
+                                      (p, block_rows))
+        np.matmul(frame.step_weights, logs, out=steps)
+        np.subtract(e_sums, steps, out=steps)
+        log_ratio = -steps[0]
         if log_det is not None:
             log_ratio -= log_det
-        phi_y = tau * lever + 0.5 * (step @ frame.offsets)
-        return RungFields(g, xi, grad, at_x, phi_y, log_ratio, log_det,
-                          frame._pair_weights(at_x), quad, det_tau)
+        phi_y = tau * lever + 0.5 * steps[1]
+        theta = None
+        if alpha is not None:
+            twist, shares, totals = alpha
+            twist.rescaled(shares, totals, twist.ratio_map.T @ grad.T, tau,
+                           alpha_rows[:2])
+            theta = twist.weights(alpha_rows[0], out=alpha_rows[2])
+        return RungFields(g, grad, p, steps, phi_y, log_ratio, log_det,
+                          frame.weights(p, out=weight),
+                          frame.inverse_det(p, out=inv_det), quad, det_tau,
+                          theta)
 
     def fields(self, tau: float, rows: slice) -> RungFields:
         """The rung at tau, smoothed at the Ray's beta, on the nodes rows."""
-        return self._rung(self._block(rows, self._pairing(None)),
-                          float(tau), self.smooth)
+        size = len(self.grid.weights[rows])
+        return self._rung(self._block(rows, self._pairing(None)), float(tau),
+                          self.smooth, self._scratch(None, size))
 
     def potential(self, s: float) -> ShiftedPotential:
         return ShiftedPotential(self.u0, self.smooth, float(s))
@@ -912,20 +998,22 @@ class Ray:
         return newton_transport(self.potential(s), xi, self.grid.points)
 
     def inverse_transport(self, s: float) -> np.ndarray:
-        """log ell_k at the x whose u_s-moment image is each node y, as in
-        fields; kept for the tests and perfbench/tracer.py's hook by name."""
-        return np.concatenate([self.fields(s, rows).log_slacks
-                               for rows in self.grid.blocks()])
+        """log ell_k at the x whose u_s-moment image is each node y, by
+        SimplexProduct.log_slacks; kept for the tests and
+        perfbench/tracer.py's hook by name."""
+        pts = self.grid.points
+        return self.frame.log_slacks(self.u0.gradient(pts)
+                                     + s * self.smooth.gradient(pts))
 
     def check_reach(self, tau: float) -> None:
         """NewtonDivergence if tau shifts some target xi + tau * grad g_beta
-        past the reach of grad u0 at _SLACK_FLOOR, by the bounds __init__
-        took: no inverse transport then keeps every slack above the floor.
-        At every beta grad g_beta is a convex combination of the piece
-        gradients, so the largest of them bounds it."""
-        reach, grad_max, xi_max = self._reach
-        shift = float(tau) * grad_max
-        if shift > reach + xi_max:
+        by more than the reach of grad u0 at _SLACK_FLOOR.  At every beta
+        grad g_beta is a convex combination of the piece gradients, so the
+        largest of them bounds the shift; no grid is read."""
+        reach = 0.5 * (1.0 - math.log(_SLACK_FLOOR)) \
+            * float(np.abs(self.u0.normals).sum(axis=0).max())
+        shift = float(tau) * float(np.abs(self.smooth.grads).max())
+        if shift > reach:
             raise NewtonDivergence(
                 f"moment targets shift by tau * |grad g| = {shift:.3g}, "
                 f"beyond the reach {reach:.4g} of grad u0 at the slack floor")
@@ -933,40 +1021,46 @@ class Ray:
     def states(self, rungs, alpha: Polytope | None = None) -> list:
         """The RayState of each rung (tau, beta), in order, from one pass
         over the grid's blocks: per block its _block once, then per rung its
-        _rung, every density (L_alpha too, given alpha, from its own pair
-        weights) summed into the rung's integrals.  check_reach and
-        alpha_frame refuse first."""
+        _rung into rows allocated once per pass, every density (L_alpha
+        too, given alpha, from its own pair weights) summed into the
+        rung's integrals.  check_reach and alpha_frame refuse first."""
         rungs = [(float(tau), float(beta)) for tau, beta in rungs]
         self.check_reach(max(tau for tau, _ in rungs))
         twist = None if alpha is None else alpha_frame(alpha, self.cfg.dim)
         smooths = [replace(self.smooth, beta=beta) for _, beta in rungs]
         n, weights, frame = self.cfg.dim, self.grid.weights, self.frame
         pairing, pairs = self._pairing(twist), len(frame.pair_vectors)
-        cross = pairing[2] and pairing[2][1]  # None in 1D
-        ricci_cross, twist_cross = (None, None) if cross is None \
-            else (cross[:pairs], cross[pairs:])
+        twist_cross = pairing[3] and pairing[3][0]  # None in 1D
+        scratch = self._scratch(twist, min(_BLOCK, self.grid.size))
         # per rung: g, entropy, a_ref, b_mov, mixed, l_ricci, log_det, l_alpha
         sums = np.zeros((len(rungs), 8))
         for rows in self.grid.blocks():
             block, w = self._block(rows, pairing), weights[rows]
+            out = [a[..., :len(w)] for a in scratch]
             for acc, (tau, _), smooth in zip(sums, rungs, smooths):
-                f = self._rung(block, tau, smooth)
+                f = self._rung(block, tau, smooth, out)
                 acc[0] += f.g @ w
                 acc[1] += f.log_ratio @ w
                 acc[3] += f.phi_y @ w
                 phi_w = f.phi_y * w  # every other density is phi_y times one
-                acc[2] += np.exp(-f.log_ratio) @ phi_w
-                if n > 1:  # (1/2) tr(G0(x) H_tau)
-                    acc[4] += 0.5 * _pair_dot(f.weight, f.quad[:pairs]) @ phi_w
-                acc[5] += f.form_density(frame.ricci_scale[:, None] * f.weight,
-                                         f.quad[:pairs], ricci_cross) @ phi_w
+                # e^(-log_ratio) = dx / dy = det H_tau det D2u0(x)^-1
+                fixed = (f.inverse_det * f.det_tau) @ phi_w
+                acc[2] += fixed
+                trace = (f.weight * f.quad[:pairs]) @ phi_w  # per pair
+                if n == 1:  # E_Ric: Ric0 H_tau
+                    acc[5] += frame.ricci_scale @ trace
+                else:  # (1/2) tr(G0(x) H_tau); MD(Ric0, G0(x)) det H_tau
+                    acc[4] += 0.5 * trace.sum()  # + (1/2) tr(Ric0 H_tau)
+                    acc[5] += frame.ricci_mean * fixed \
+                        + 0.5 * (frame.ricci_scale @ trace)
                 if f.log_det is not None:
                     acc[6] += f.log_det @ w
-                if twist is not None:
-                    theta = twist._pair_weights(
-                        twist.log_slacks(f.xi + tau * f.grad))
-                    acc[7] += f.form_density(
-                        theta, f.quad[pairs:], twist_cross) @ phi_w
+                if f.theta is not None:  # alpha's form the same way
+                    form = _pair_dot(f.theta, f.quad[pairs:])
+                    if n > 1:
+                        form = 0.5 * form + f.det_tau * _pair_dot(
+                            f.theta, twist_cross @ f.weight)
+                    acc[7] += form @ phi_w
         fact = math.factorial(n)
         return [RayState(self, tau, beta, float(acc[0]),
                          *(fact * float(v) for v in acc[1:6]), float(acc[6]),

@@ -106,14 +106,19 @@ def pair_field(frame, weight):
     return (outer.T @ weight).T.reshape(-1, w.shape[1], w.shape[1])
 
 
+def shares(frame, log_ell):
+    """p_k = ell_k / Lambda_B, facet by row, from the log-slacks log_ell."""
+    return np.exp(log_ell).T / frame.sums[:, None]
+
+
 def inverse_hessian(frame, log_ell):
     """D2u0^-1 at the point with log-slacks log_ell, from the pair weights."""
-    return pair_field(frame, frame._pair_weights(log_ell))
+    return pair_field(frame, frame.weights(shares(frame, log_ell)))
 
 
 def dual_fields(frame, log_ell):
     """(D2u0^-1, Ric0) at log_ell from the same pair weights, Ric0 the dual
     Hessian of (1/2) log det D2u0."""
-    weight = frame._pair_weights(log_ell)
+    weight = frame.weights(shares(frame, log_ell))
     return pair_field(frame, weight), \
         pair_field(frame, frame.ricci_scale[:, None] * weight)

@@ -638,7 +638,10 @@ def test_state_at_zero_is_identity():
     ray = Ray(KINK, beta=20.0, tau_max=2.0)
     st = ray.fields(0.0, slice(None))  # every node
     assert np.all(st.phi_y == 0.0)
-    assert np.array_equal(st.log_slacks, ray.frame.log_slacks(st.xi))
+    assert np.all(st.steps == 0.0) and np.all(st.log_ratio == 0.0)
+    ell = ray.u0.slacks(ray.grid.points).T
+    assert np.max(np.abs(st.shares * ray.frame.sums[:, None] / ell - 1)) \
+        <= 4 * np.finfo(float).eps
     lvr = _log_volume_ratio(ray, 0.0)
     assert np.all(lvr == 0.0)
     mass = ray.grid.integrate(np.exp(lvr))
@@ -690,8 +693,8 @@ def test_trace_form_log_det_matches_the_matmul_form(cfg, tau):
     for rows in ray.grid.blocks():
         got = ray.fields(tau, rows).log_det
         pts = ray.grid.points[rows]
-        a = inverse_hessian(ray.frame,
-            ray.frame.log_slacks(ray.u0.gradient(pts)))
+        a = pair_field(ray.frame, ray.frame.weights(
+            ray.u0.slacks(pts).T / ray.frame.sums[:, None]))  # the rung's A
         d = ray.smooth.hessian(pts)
         m = a @ d
         x = tau * (m[:, 0, 0] + m[:, 1, 1]) + tau * tau * (
@@ -732,8 +735,8 @@ def test_det_of_the_pl_hessian_is_exactly_zero_for_two_pieces():
             d = sm.hessian(pts)
             if two:
                 assert np.all(det == 0.0)
-                a = inverse_hessian(ray.frame,
-                                    ray.frame.log_slacks(ray.u0.gradient(pts)))
+                a = pair_field(ray.frame, ray.frame.weights(
+                    ray.u0.slacks(pts).T / ray.frame.sums[:, None]))
                 trace = np.einsum("rij,rji->r", a, d)
                 got = ray.fields(12.0, rows).log_det
                 assert np.all(np.abs(got - np.log1p(12.0 * trace))
@@ -782,7 +785,7 @@ def test_phi_convex_in_tau():
     Legendre dual of u_tau minus that of u0 at its moment-dual point."""
     ray = Ray(AFFINE, beta=10.0, tau_max=3.0)
     idx = np.argmin(np.abs(ray.grid.points[:, 0] - 0.5))
-    p, xi = ray.grid.points[idx], ray.fields(0.0, slice(None)).xi[idx]
+    p, xi = ray.grid.points[idx], ray.u0.gradient(ray.grid.points)[idx]
 
     def phi(tau):
         moved = ray.transport(tau)[idx]
@@ -820,15 +823,15 @@ def test_interval_slacks_match_newton(cfg, tau):
     mpmath = pytest.importorskip("mpmath")
     ray = Ray(cfg, beta=10.0 * tau, tau_max=tau)
     f = ray.fields(tau, slice(None))  # every node
-    log_ell = f.log_slacks
-    targets = (f.xi + tau * f.grad)[:, 0]
+    got = f.shares.T * ray.frame.sums
+    targets = (ray.u0.gradient(ray.grid.points) + tau * f.grad)[:, 0]
     with mpmath.workdps(50):
         ell = np.array([[float(1 / (1 + mpmath.exp(2 * nu * mpmath.mpf(t))))
                          for nu in ray.u0.normals[:, 0]] for t in targets])
     ok = ell > 1e-8
     assert ok.sum() > 0.5 * ok.size
-    assert np.max(np.abs(np.exp(log_ell[ok]) / ell[ok] - 1.0)) < 1e-8
-    assert np.all(np.isfinite(log_ell))
+    assert np.max(np.abs(got[ok] / ell[ok] - 1.0)) < 1e-8
+    assert np.all(np.isfinite(np.log(got)))
 
 
 def test_interval_log_slacks_on_an_offset_interval():
@@ -848,8 +851,9 @@ def test_interval_ricci_slack_form_matches_ricci_reference(cfg, tau):
     where the float x costs 1e-10 relative)."""
     ray = Ray(cfg, beta=10.0 * tau, tau_max=tau)
     f = ray.fields(tau, slice(None))  # every node
-    form = 4.0 * np.exp(f.log_slacks.sum(axis=1))
-    x = corner_coords(ray.frame, f.log_slacks)
+    ell = f.shares.T * ray.frame.sums
+    form = 4.0 * ell[:, 0] * ell[:, 1]
+    x = corner_coords(ray.frame, np.log(ell))
     ok = ray.u0.slacks(x).min(axis=1) > 1e-6
     ric = ricci_reference(ray.u0, x[ok])[:, 0, 0]
     assert np.max(np.abs(ric / form[ok] - 1.0)) < 1e-9
@@ -941,12 +945,14 @@ def test_product_state_matches_newton(cfg):
     nodes for g = x1) at every node whose Newton slacks are above 1e-6."""
     ray = Ray(cfg, beta=10.0, tau_max=1.0)
     f = ray.fields(1.0, slice(None))  # every node
-    z = newton_transport(ray.u0, f.xi + f.grad, ray.grid.points)
+    z = newton_transport(ray.u0, ray.u0.gradient(ray.grid.points) + f.grad,
+                         ray.grid.points)
     h0_at_z = ray.u0.hessian(z)
     ell = ray.u0.slacks(z)
     ok = ell.min(axis=1) > 1e-6
     assert ok.mean() > 0.5
-    assert np.max(np.abs(np.exp(f.log_slacks[ok]) / ell[ok] - 1)) < 1e-9
+    assert np.max(np.abs((f.shares.T * ray.frame.sums)[ok] / ell[ok] - 1)) \
+        < 1e-9
     g0_at_x = pair_field(ray.frame, f.weight)
     ricci = pair_field(ray.frame, ray.frame.ricci_scale[:, None] * f.weight)
     h_tau = ray.u0.hessian(ray.grid.points)
@@ -1055,7 +1061,8 @@ def test_rung_pair_sums_near_the_hypotenuse_match_mpmath(slack):
         def half_log_det(a, b):
             return mp.log(mp.det(hessian(slacks_at([a, b])))) / 2
 
-        for i, (xi, ell_y) in enumerate(zip(f.xi + f.grad, u0.slacks(y))):
+        for i, (xi, ell_y) in enumerate(zip(u0.gradient(y) + f.grad,
+                                            u0.slacks(y))):
             xi = [mp.mpf(float(v)) for v in xi]
             g0 = hessian(slacks_at(xi)) ** -1
             ric = mp.matrix([[mpmath.diff(half_log_det, xi,

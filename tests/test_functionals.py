@@ -257,23 +257,25 @@ def _alpha_path(ray, alpha, taus):
     u_alpha = guillemin_potential(alpha)
     bary = np.array([[float(c) for c in volume_data(alpha).barycenter]])
     hessians = _node_hessians(ray)
-    f = ray.fields(0.0, slice(None))  # xi and grad g_beta at every node
+    xi = ray.u0.gradient(ray.grid.points)
+    grad = ray.smooth.gradient(ray.grid.points)
 
     def integrand(s):
         start = np.tile(bary, (ray.grid.size, 1))
-        z = newton_transport(u_alpha, f.xi + s * f.grad, start)
+        z = newton_transport(u_alpha, xi + s * grad, start)
         return _phi_dot_pairing(ray, s, _inv_small(u_alpha.hessian(z)),
                                 hessians)
     return _energy_path(integrand, taus)
 
 
-def _alpha_theta(f, tau, alpha):
+def _alpha_theta(ray, f, tau, alpha):
     """alpha's field on the fields f of the rung at tau, rebuilt from the
     pair weights Ray.states reads: the inverse Hessian of alpha's
     Guillemin potential where its gradient is xi + tau * grad g, in
     closed form."""
-    frame = alpha_frame(alpha, f.xi.shape[1])
-    return inverse_hessian(frame, frame.log_slacks(f.xi + tau * f.grad))
+    frame = alpha_frame(alpha, ray.cfg.dim)
+    xi = ray.u0.gradient(ray.grid.points)
+    return inverse_hessian(frame, frame.log_slacks(xi + tau * f.grad))
 
 
 SQUARE = normalize(make_config(box(2), [((1, 0), 0)]), "min_zero")
@@ -498,7 +500,7 @@ def test_trace_form_energies_match_the_inverted_h_tau(cfg, tau):
     am_direct = 2 * ray.grid.integrate(f.phi_y * np.exp(-f.log_ratio)) \
         + 2 * ray.grid.integrate(f.phi_y) + wedge(g0_at_x, g_tau)
     e_ric = wedge(ricci, g0_at_x + g_tau)
-    l_alpha = wedge(_alpha_theta(f, tau, alpha), g0_at_x + g_tau)
+    l_alpha = wedge(_alpha_theta(ray, f, tau, alpha), g0_at_x + g_tau)
     for value, ref in ((rep.am_direct, am_direct), (mab.l_ricci, e_ric),
                        (rep.l_alpha, l_alpha)):
         assert abs(value - ref) <= 1e-12 * abs(ref)
@@ -786,10 +788,10 @@ def test_alpha_theta_closed_form_matches_newton(alpha):
     slacks (above 1e-6)."""
     ray = Ray(SQUARE, beta=10.0, tau_max=1.0)
     f = ray.fields(1.0, slice(None))  # every node
-    theta = _alpha_theta(f, 1.0, alpha)
+    theta = _alpha_theta(ray, f, 1.0, alpha)
     u_alpha = guillemin_potential(alpha)
     bary = np.array([[float(c) for c in volume_data(alpha).barycenter]])
-    z = newton_transport(u_alpha, f.xi + f.grad,
+    z = newton_transport(u_alpha, ray.u0.gradient(ray.grid.points) + f.grad,
                          np.tile(bary, (ray.grid.size, 1)))
     ok = u_alpha.slacks(z).min(axis=1) > 1e-6
     assert ok.mean() > 0.5

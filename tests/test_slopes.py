@@ -365,9 +365,9 @@ def test_a_verdict_builds_one_grid_and_one_block_pass(monkeypatch, cfg,
         blocks.append(rows)
         return block(self, rows, pairing)
 
-    def counted_rung(self, b, tau, smooth):
+    def counted_rung(self, b, tau, smooth, out):
         rungs.append(tau)
-        return rung(self, b, tau, smooth)
+        return rung(self, b, tau, smooth, out)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a rung formed its fields again")
