@@ -12,7 +12,9 @@ HEAD was better, in the metric's direction (ties are counted apart),
 then one line per metric saying whether HEAD's change resolves as a
 gain: better in at least nine tenths of the pairs, ties counting for
 neither, and a median gap in its favour wider than REF's quartile
-spread.  The runs write only into their checkouts, whose
+spread; last, per op, the median of its seconds over the ``op_seconds``
+of every run's result record on each side, which shows the op a move
+comes from.  The runs write only into their checkouts, whose
 ``.perfbench/`` scratch goes with the temporary directory.
 """
 import argparse
@@ -41,8 +43,9 @@ def checkout(rev: str, dest: Path) -> Path:
     return dest
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds) -> dict:
-    """End-to-end metric values of one untraced run in tree."""
+def run_once(tree: Path, workload: str, seed: int, seconds) -> tuple:
+    """End-to-end metric values of one untraced run in tree, and the
+    (op, seconds) pairs of its result record."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
@@ -50,7 +53,26 @@ def run_once(tree: Path, workload: str, seed: int, seconds) -> dict:
         raise SystemExit(f"{' '.join(cmd)} in {tree} exited "
                          f"{done.returncode}:\n{done.stderr.strip()[-800:]}")
     line = json.loads(done.stdout.strip().splitlines()[-1])
-    return {name: m["value"] for name, m in line["metrics"].items()}
+    record = tree / ".perfbench" / "results" / \
+        f"{workload}-seed{seed}-trace0.json"
+    ops = json.loads(record.read_text("utf-8"))["op_seconds"]
+    return {name: m["value"] for name, m in line["metrics"].items()}, ops
+
+
+def op_medians(ref_ops, head_ops) -> list:
+    """Per op, in order of first appearance, the median of its seconds
+    on each side and the change."""
+    sides = [{}, {}]
+    for side, ops in zip(sides, (ref_ops, head_ops)):
+        for name, seconds in ops:
+            side.setdefault(name, []).append(seconds)
+    lines = [f"{'op':<24} {'ref median':>12} {'head median':>12}  change"]
+    for name in dict.fromkeys([*sides[0], *sides[1]]):
+        ref, head = (statistics.median(side[name]) if name in side
+                     else float("nan") for side in sides)
+        lines.append(f"{name:<24} {ref:>12.6g} {head:>12.6g}  "
+                     f"{head / ref - 1.0:+.1%}")
+    return lines
 
 
 def quartiles(values) -> tuple:
@@ -111,17 +133,20 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         ref = checkout(args.ref, Path(tmp) / "ref")
         head = checkout("HEAD", Path(tmp) / "head")
-        ref_runs, head_runs = [], []
+        ref_runs, head_runs, ref_ops, head_ops = [], [], [], []
         for i in range(args.pairs):
-            order = ((ref, ref_runs), (head, head_runs))
-            for tree, runs in order if i % 2 == 0 else order[::-1]:
-                runs.append(run_once(tree, args.workload, args.seed,
-                                     spec["run_seconds"]))
+            order = ((ref, ref_runs, ref_ops), (head, head_runs, head_ops))
+            for tree, runs, ops in order if i % 2 == 0 else order[::-1]:
+                metrics, seconds = run_once(tree, args.workload, args.seed,
+                                            spec["run_seconds"])
+                runs.append(metrics)
+                ops.extend(seconds)
             print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
     print(f"{args.workload}: {args.ref} (ref) vs HEAD, {args.pairs} "
           f"alternating pairs, --seconds {spec['run_seconds']} "
           f"--seed {args.seed}")
-    print("\n".join(summary(ref_runs, head_runs, spec["end_to_end"])))
+    print("\n".join(summary(ref_runs, head_runs, spec["end_to_end"])
+                    + op_medians(ref_ops, head_ops)))
     return 0
 
 

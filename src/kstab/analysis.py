@@ -462,8 +462,8 @@ _NEWTON_MAX_ITER = 80
 
 def newton_transport(potential, targets: np.ndarray, start: np.ndarray):
     """Solve grad(potential)(z) = target per row, staying strictly interior,
-    and return z.  A residual component settles below
-    _NEWTON_TOL * (1 + max |target|).
+    and return z.  A residual component settles below its own row's
+    _NEWTON_TOL * (1 + max_i |target_i|), so no row depends on the others.
 
     Damping: steps are clipped against the facet slacks (never consume
     more than 85% of the distance to the boundary) and halved until the
@@ -489,7 +489,7 @@ def newton_transport(potential, targets: np.ndarray, start: np.ndarray):
     dim = x.shape[1]
     normals = potential.u0.normals if isinstance(potential, ShiftedPotential) \
         else potential.normals
-    tol = _NEWTON_TOL * (1.0 + np.abs(targets).max())
+    tol = _NEWTON_TOL * (1.0 + _row_reduce(np.maximum, np.abs(targets)))
     ell = potential.slacks(x)
     res = potential.gradient(x, ell) - targets
     frozen = np.zeros(x.shape, dtype=bool)
@@ -507,7 +507,7 @@ def newton_transport(potential, targets: np.ndarray, start: np.ndarray):
             for j in range(1, dim):
                 wall[:, i] += ah[:, i, j] * ulp[:, j]
         size = np.abs(res)
-        live = size > tol
+        live = size > tol[:, None]
         live &= size > wall
         live &= ~frozen
         active = _row_reduce(np.maximum, live)

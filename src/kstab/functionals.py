@@ -159,26 +159,41 @@ class MabuchiReport:
     err_estimate: float
 
 
+def _once(ray, key, build):
+    """ray.route_b[key], built on its first use: route (b)'s tau-free
+    data, kept on the Ray that every rung of a ladder shares."""
+    if key not in ray.route_b:
+        ray.route_b[key] = build()
+    return ray.route_b[key]
+
+
+def _edge_rules(g, facet, ends, depth):
+    """(start, step, rules at depth and depth - 2) of _facet_mean."""
+    p, d = ends[0], [b - a for a, b in zip(*ends)]
+    cuts = sorted({dot([x - a for x, a in zip(v, p)], d) / dot(d, d)
+                   for cell in g.regions() for v in cell.vertices
+                   if facet.slack(v) == 0})
+    return (*(np.array(c, dtype=float) for c in (p, d)),
+            [[line_grid(a, b, (None, None), k) for a, b in zip(cuts, cuts[1:])]
+             for k in (depth, depth - 2)])
+
+
 def _facet_mean(state: RayState, facet, ends):
     """Mean of the state's g_beta over the facet with vertices ends, and
     an error estimate: the vertex value in 1D; in 2D Gauss panels on the
     edge's [0, 1] parameter, cut at every cell vertex of g on it, each
     stretch graded toward both ends as a crease end of line_grid (corners
-    too), and its change on the panels graded two crease levels less."""
-    smooth, g = replace(state.ray.smooth, beta=state.beta), state.ray.cfg.g
+    too), and its change on the panels graded two crease levels less;
+    the cuts and rules are built once per Ray and crease depth."""
+    smooth = replace(state.ray.smooth, beta=state.beta)
     if len(ends) == 1:
         return float(smooth.value(np.array(ends, dtype=float))[0]), 0.0
-    p, d = ends[0], [b - a for a, b in zip(*ends)]
-    cuts = sorted({dot([x - a for x, a in zip(v, p)], d) / dot(d, d)
-                   for cell in g.regions() for v in cell.vertices
-                   if facet.slack(v) == 0})
     depth = crease_ladder_depth(smooth.beta, 1.0)
-    start, step = (np.array(c, dtype=float) for c in (p, d))
+    start, step, rules = _once(state.ray, (facet, depth), lambda: _edge_rules(
+        state.ray.cfg.g, facet, ends, depth))
     fine, coarse = (
         sum(rule.integrate(smooth.value(start + rule.points * step))
-            for rule in (line_grid(a, b, (None, None), k)
-                         for a, b in zip(cuts, cuts[1:])))
-        for k in (depth, depth - 2))
+            for rule in level) for level in rules)
     return fine, abs(fine - coarse)
 
 
@@ -224,7 +239,8 @@ def mabuchi(state: RayState) -> MabuchiReport:
     estimate (0 in 1D).
     """
     ray, tau = state.ray, state.tau
-    n, mu = ray.cfg.dim, float(slope_mu(ray.cfg.base))
+    n = ray.cfg.dim
+    mu = _once(ray, "mu", lambda: float(slope_mu(ray.cfg.base)))
 
     route_a = 0.5 * state.entropy + (n / (n + 1)) * mu * am_energy(state) \
         - state.l_ricci

@@ -85,7 +85,8 @@ def test_bench_pairs_alternates_the_sides_and_counts_wins(monkeypatch,
     each side's median and quartiles and HEAD's wins per end-to-end
     metric, then whether each resolves as a gain: better in 9 of 10
     pairs (here 4 of 4) and a median gap beyond REF's quartile spread;
-    the temporary directory is gone after."""
+    the temporary directory is gone after.  Last come the medians of each
+    op's seconds per side, read from every run's result record."""
     pairs = load_script("bench_pairs")
     for seed_args, seed in (([], "1"), (["--seed", "7"], "7")):
         runs, archives = [], []
@@ -113,6 +114,10 @@ def test_bench_pairs_alternates_the_sides_and_counts_wins(monkeypatch,
             side = Path(cwd).name
             runs.append(side)
             t = next(times[side])
+            record = Path(cwd) / ".perfbench" / "results"
+            record.mkdir(parents=True, exist_ok=True)
+            (record / f"ray1d-seed{seed}-trace0.json").write_text(json.dumps(
+                {"op_seconds": [["kink-DF", t], ["kink-AM", 0.5 * t]]}))
             metrics = {"setup_s": 0.25, "time_per_ok_s": t, "ok_ratio": 1.0,
                        "peak_rss_mb": 34.0 if side == "ref" else 33.0}
             return Done("summary\n" + json.dumps({"metrics": {
@@ -141,3 +146,8 @@ def test_bench_pairs_alternates_the_sides_and_counts_wins(monkeypatch,
         assert "better in 2 of 4, 4 needed; median gap +0.2," in resolve[1]
         # peak_rss_mb: better in 4 of 4 by 1 MB, REF's spread 0
         assert resolve[3].endswith("median gap +1, ref quartile spread 0)")
+        # per op, the median over every run's op_seconds on each side
+        assert rows["kink-DF"].split()[1:] == ["1.05", "0.85", "-19.0%"]
+        assert rows["kink-AM"].split()[1:] == ["0.525", "0.425", "-19.0%"]
+        assert out[-3].split() == ["op", "ref", "median", "head", "median",
+                                   "change"]
