@@ -33,7 +33,7 @@ from kstab.analysis import (
     simplex_product,
 )
 from gens import (corner_coords, dual_fields, flat, inverse_hessian,
-                  logdet_small, mixed_discriminant, pair_field)
+                  logdet_small, mixed_discriminant, pair_field, shares)
 from kstab.errors import (DomainMismatch, NewtonDivergence, NonDelzant,
                           NumericalFailure)
 from kstab.plconfig import make_config, normalize, pl_fn
@@ -1086,10 +1086,10 @@ def _log_lambda(mpmath, base, block):
 
 
 def _log_slacks_mp(mpmath, frame, base, xi):
-    """log ell_k at grad u0 = xi as mpf in the working precision: r =
-    xi @ ratio_map with its integer entries exact, then
+    """log ell_k at grad u0 = xi (floats or mpf) as mpf in the working
+    precision: r = xi @ ratio_map with its integer entries exact, then
     log Lambda_B + r_k - logsumexp_B r per block."""
-    r = [sum(mpmath.mpf(float(x)) * int(frame.ratio_map[i, k])
+    r = [sum(mpmath.mpf(x) * int(frame.ratio_map[i, k])
              for i, x in enumerate(xi))
          for k in range(len(base.halfspaces))]
     out = list(r)
@@ -1310,3 +1310,105 @@ def test_abreu_pl_terms_match_differences(cfg, beta, s):
     gap = np.abs(exact - ref) / (1.0 + np.abs(ref))
     assert np.median(gap) < 1e-7
     assert np.max(gap) < 2e-5
+
+
+def _rescaled_errors(mpmath, slack, tau, g):
+    """Relative errors of a rung's shares p(x), sum_k step_k, lambda .
+    step, pair weights omega and det D2u0(x)^-1 at five nodes y next to
+    the simplex's hypotenuse, against 50 digits from the same float
+    slacks at y (xi formed from them in 50 digits)."""
+    base = unit_simplex(2)
+    cfg = normalize(make_config(base, [(g, 0)]), "min_zero")
+    ray = Ray(cfg, beta=10.0 * tau, tau_max=tau)
+    frame, u0 = ray.frame, ray.u0
+    y = np.array([[t * (1 - slack), (1 - t) * (1 - slack)]
+                  for t in np.linspace(0.1, 0.9, 5)])
+    ray.grid = analysis.Grid(points=y, weights=np.ones(len(y)))
+    f = ray.fields(tau, slice(None))
+    mpf, errs = mpmath.mpf, {}
+    with mpmath.workdps(50):
+        for i, ell in enumerate(u0.slacks(y)):
+            xi = [-sum((1 + mpmath.log(mpf(l))) * int(nu[j])
+                       for l, nu in zip(ell, u0.normals)) / 2
+                  for j in range(2)]
+            at_y = _log_slacks_mp(mpmath, frame, base, xi)
+            at_x = _log_slacks_mp(mpmath, frame, base, [
+                v + tau * mpf(float(d)) for v, d in zip(xi, f.grad[0])])
+            step = [a - b for a, b in zip(at_x, at_y)]
+            p = [mpmath.exp(v) / mpf(float(lam))  # Lambda_B = 1 here
+                 for v, lam in zip(at_x, frame.sums)]
+            k, l = frame.pairs
+            refs = {"shares": (f.shares[:, i], p),
+                    "sum step": ([f.steps[0, i]], [sum(step)]),
+                    "lambda step": ([f.steps[1, i]], [sum(
+                        mpf(float(c)) * v for c, v in zip(frame.offsets, step))]),
+                    "omega": (f.weight[:, i], [mpf(float(c)) * p[a] * p[b]
+                              for c, a, b in zip(frame.pair_scale, k, l)]),
+                    "det": ([f.inverse_det[i]],
+                            [mpf(float(frame.det_scale)) * mpmath.fprod(p)])}
+            for name, (got, ref) in refs.items():
+                err = max(float(abs(mpf(float(a)) - b) / abs(b))
+                          for a, b in zip(got, ref))
+                errs[name] = max(errs.get(name, 0.0), err)
+    return errs
+
+
+@pytest.mark.parametrize("g", [(1, 0), (3, 0)], ids=["x1", "3x1"])
+@pytest.mark.parametrize("tau", [1.0, 12.0])
+@pytest.mark.parametrize("slack", [1e-8, 1e-12])
+def test_rescaled_shares_near_the_hypotenuse_match_mpmath(slack, tau, g):
+    """A rung's x is y's shares rescaled per block (SimplexProduct.rescaled):
+    p(x), the step sums, omega and det D2u0(x)^-1 keep their digits next
+    to the slanted facet, at slack 1e-8 and 1e-12, tau 1 and 12, on g = x1
+    and F9's steep g = 3 x1.  Worst measured errors: shares 2.4e-16, sum
+    step 1.0e-15, lambda . step 2.9e-16, omega 3.6e-16, det 5.1e-16
+    relative; each bound is at most 4 times its worst."""
+    mpmath = pytest.importorskip("mpmath")
+    bounds = {"shares": 9e-16, "sum step": 4e-15, "lambda step": 1.1e-15,
+              "omega": 1.4e-15, "det": 2e-15}
+    for name, err in _rescaled_errors(mpmath, slack, tau, g).items():
+        assert err <= bounds[name], (name, err)
+
+
+@pytest.mark.parametrize("base", [
+    unit_simplex(2), construct(vertices=[(0, 0), (2, 0), (0, 2)]),
+    construct(vertices=[(0, 0), (2, 0), (3, 1), (1, 1)]), box(2, side=2)],
+    ids=["simplex", "triangle-2", "parallelogram", "box-2"])
+def test_ricci_mixed_discriminant_is_the_mean_times_det(base):
+    """MD(Ric0, D2u0^-1) = ricci_mean det D2u0^-1 (Ric0 = sum_B c_B G0_B)
+    against the nonnegative pair sum sum_pq c_p omega_p omega_q M_pq of
+    the frame's pair vectors, M = _pair_cross, at points spread over the
+    polytope, to 1.7e-15 relative (the worst measured is 4.4e-16 on each
+    base), and against
+    the mixed discriminant of the 2 x 2 fields (tests/gens.py) where
+    their entries do not cancel."""
+    frame = simplex_product(base)
+    rng = np.random.default_rng(3)
+    xi = 3.0 * rng.standard_normal((400, 2))
+    log_ell = frame.log_slacks(xi)
+    weight = frame.weights(shares(frame, log_ell))
+    w = frame.pair_vectors
+    ref = analysis._pair_dot(frame.ricci_scale[:, None] * weight,
+                             analysis._pair_cross(w, w) @ weight)
+    got = frame.ricci_mean * frame.inverse_det(shares(frame, log_ell))
+    assert np.max(np.abs(got / ref - 1.0)) <= 1.7e-15
+    g0, ricci = dual_fields(frame, log_ell)
+    ok = np.exp(log_ell).min(axis=1) > 1e-3
+    assert ok.sum() > 100
+    assert np.allclose(got[ok], mixed_discriminant(ricci, g0)[ok],
+                       rtol=1e-12, atol=0.0)
+
+
+def test_an_exact_rung_forms_no_log_slacks_and_a_ray_no_gradient(
+        monkeypatch):
+    """Building a Ray takes no grad u0 over its grid (check_reach reads
+    none), and Ray.states on an exact ray with no alpha runs with
+    SimplexProduct.log_slacks refusing: x is y's shares rescaled."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(analysis.SymplecticPotential, "gradient", refuse)
+    ray = Ray(TRIANGLE, beta=120.0, tau_max=12.0)
+    monkeypatch.setattr(analysis.SimplexProduct, "log_slacks", refuse)
+    states = ray.states([(t, 10.0 * t) for t in (1.0, 6.0, 12.0)])
+    assert all(math.isfinite(st.l_ricci) for st in states)
