@@ -12,25 +12,19 @@ Everything numeric lives downstream of three ingredients built here:
     (line_grid; a polygon cell's fan takes the collar depth on every
     edge, its reference rule cached per depth, see fan_grid),
   * the inverse Legendre transport of u0 on a simplex-product base (the
-    interval, Delzant triangles and parallelograms; SimplexProduct),
-    kept as the log-slacks of the point x where grad u0(x) = xi:
-    log ell_k = log Lambda_B + r_k - logsumexp_B r with r = -2 E^-T xi,
-    so no Newton step is taken, no slack is formed by subtraction and x
-    itself is never formed.  D2u0(x)^-1 and Ric0 are sums of rank-one
-    pair terms with positive weights, and a rung reads every density as
-    a sum of nonnegative pair scalars (Cauchy-Binet; Ray._rung) without
-    forming a 2 x 2 field.  A Ray refuses any other base.  The forward
-    transport x -> x_tau defined by grad u_tau(x_tau) = grad u_0(x) is a
-    vectorized damped Newton solve.
+    interval, Delzant triangles and parallelograms; SimplexProduct) in
+    closed form: the shares ell_k / Lambda_B of the point x where
+    grad u0(x) = xi are a softmax of r = -2 E^-T xi per block, and a rung
+    rescales y's shares, so no Newton step is taken, no slack is formed
+    by subtraction and x itself is never formed.  Every rung density is a
+    sum of nonnegative pair scalars or the product det (Ray._rung), no
+    2 x 2 field formed.  A Ray refuses any other base.  The forward
+    transport grad u_tau(x_tau) = grad u_0(x) is a damped Newton solve.
 
-Scalar curvature uses Abreu's expression in closed form (facet sums
-and softmax cumulants for the third and fourth derivatives of the
-potential) with the calibration constant kappa = 1/2, fixed so that
-the mean curvature equals n times the slope (checked for interval,
-square, simplex).  Ric0 is the xi-Hessian of half the log-determinant
-of the potential Hessian; with this pairing the pointwise identity
-S = n * MD(ricci, G^(n-1)) / det G holds against the same grids
-(tested).
+Scalar curvature uses Abreu's expression in closed form with the
+calibration kappa = 1/2, so that the mean curvature equals n times the
+slope; with Ric0 the xi-Hessian of half the log det of the potential
+Hessian, S = n * MD(ricci, G^(n-1)) / det G holds on the same grids.
 """
 from __future__ import annotations
 
@@ -62,9 +56,8 @@ class SymplecticPotential:
     normals: np.ndarray
     offsets: np.ndarray
 
-    # slacks, gradient and hessian work in place: on a grid block a
-    # fresh (n, K) temporary, or an op along its short trailing axis, costs
-    # more than the arithmetic; slacks is a transposed facet-by-row array
+    # slacks (a transposed facet-by-row array), gradient and hessian work
+    # in place: on a block, ops along a short trailing axis cost more
 
     def slacks(self, pts: np.ndarray) -> np.ndarray:
         ell = self.normals @ pts.T
@@ -231,15 +224,10 @@ class Grid:
 
 
 def collar_depth_for(tau_max: float) -> int:
-    """Dyadic grading depth resolving the exp(-2 tau) boundary collar.
-
-    Capped at 46: beyond 2^-46 the nodes near a facet with unit-scale
-    offset are no longer faithfully representable in float64, so deeper
-    panels would quantize onto the boundary.  Integrals weighted by the
-    transported volume form are therefore evaluated in transported
-    coordinates (see the functionals module), where the collar tail
-    carries only O(2^-46) mass regardless of tau.
-    """
+    """Dyadic grading depth resolving the exp(-2 tau) boundary collar,
+    capped at 46: beyond 2^-46 nodes near a facet with unit-scale offset
+    quantize onto the boundary, so integrals weighted by the transported
+    volume form are taken in transported coordinates (functionals)."""
     need = (2.0 * float(tau_max) + 14.0) / math.log(2.0)
     return max(12, math.ceil(min(46.0, need)))  # need may be inf
 
@@ -282,15 +270,12 @@ def _panel_nodes(breaks, orders):
 
 def line_grid(lo, hi, depths, crease_depth: int,
               graded_order: int = 8) -> Grid:
-    """Graded Gauss panels on the exact [lo, hi]: an interval cell of g,
-    or a stretch of an edge between two creases of g.
-
-    depths holds, per end, its collar depth on a facet of P or None at a
-    crease.  The breaks halve toward each end: to 2^-depth of the span
-    at a facet; at a crease to a panel of at most 0.08 * 2^-crease_depth,
-    as transported integrands sweep across a kink on a scale 1/(beta tau),
-    with Gauss order 16 on its half.  The inner half [1/4, 3/4] takes
-    order 16 too, the rest of a facet end's half graded_order."""
+    """Graded Gauss panels on the exact [lo, hi] (an interval cell of g,
+    or an edge stretch between creases).  depths holds per end its collar
+    depth at a facet of P, or None at a crease, where the breaks halve to
+    a panel of at most 0.08 * 2^-crease_depth (a kink is swept on a scale
+    1/(beta tau)) with order 16 on that half; the inner half [1/4, 3/4]
+    takes order 16 too, the rest of a facet end's half graded_order."""
     # a crease end: the least k >= 2 with span 2^-k <= 0.08 * 2^-crease_depth
     need = math.ceil((hi - lo) * 25 * 2 ** crease_depth / 2)  # 0.08 = 2/25
     levels = [max(2, (need - 1).bit_length()) if d is None else d
@@ -330,19 +315,14 @@ def fan_grid(cells, depth: int, inner_order: int = 12,
              graded_order: int = 4) -> Grid:
     """A barycentric fan per cell, graded at the collar and corners.
 
-    Each facet spans a triangle (barycenter, v_i, v_j) parametrized by
-    radial t and along-edge s.  Radially, [0, 1/2] is two inner panels,
-    then the breaks are 1 - 2^-k at every level k <= 8, every second
-    level beyond, and depth: a geometric mesh whose Gauss order is 10 on
-    the panels ending at level k <= depth - 10 and graded_order on the
-    deepest ten levels (Babuska & Guo 1986).  The higher order away from
-    the facet resolves the e^(-2 tau) layer that the inverse-transported
-    nodes carry there.  The radial panel ending at 1 - 2^-k grades s to
-    min(depth, max(3, k + 2)) and the panel touching the facet to the
-    full depth: a node about 2^-k from the facet is also about 2^-k or
-    more from the adjacent facets, so only the corner panels need
-    2^-depth along the edge.  Every facet maps the one rule (t, s, w)
-    of _fan_rule into preallocated arrays.
+    Each facet spans a triangle (barycenter, v_i, v_j) in radial t and
+    along-edge s.  Radially, [0, 1/2] is two inner panels, then breaks
+    1 - 2^-k at every level k <= 8, every second level beyond, and depth,
+    with Gauss order 10 on the panels ending at k <= depth - 10 and
+    graded_order on the deepest ten (Babuska & Guo 1986).  The radial
+    panel ending at 1 - 2^-k grades s to min(depth, max(3, k + 2)), the
+    one touching the facet to depth: only corner panels need 2^-depth
+    along the edge.  Every facet maps _fan_rule's (t, s, w).
     """
     t, s, w = _fan_rule(depth, inner_order, graded_order)
     u = 1 - s
@@ -446,10 +426,9 @@ def _pair_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _row_reduce(op, a: np.ndarray) -> np.ndarray:
-    """op.reduce(a, axis=1), taken column by column: numpy's reduction
-    along a short trailing axis is an order of magnitude slower.  Terms
-    combine left to right, as in numpy's sum of fewer than 8 terms, so
-    np.add keeps the bits of a.sum(axis=1) there."""
+    """op.reduce(a, axis=1) column by column (numpy's reduction along a
+    short trailing axis is far slower), left to right: np.add keeps the
+    bits of a.sum(axis=1) for fewer than 8 terms."""
     out = a[:, 0].copy()
     for j in range(1, a.shape[1]):
         op(out, a[:, j], out=out)
@@ -465,25 +444,17 @@ def newton_transport(potential, targets: np.ndarray, start: np.ndarray):
     and return z.  A residual component settles below its own row's
     _NEWTON_TOL * (1 + max_i |target_i|), so no row depends on the others.
 
-    Damping: steps are clipped against the facet slacks (never consume
-    more than 85% of the distance to the boundary) and halved until the
-    residual decreases and no slack rounds to zero, so no iterate lands
-    on a facet.  Saturation is judged per coordinate, in two forms.  A
-    residual component below hessian * ulp cannot be improved by any
-    representable move; and a component that stayed bitwise identical
-    through a damped step without improving sits on the last float
-    before a facet, however large its residual reads, and is frozen
-    there.  Either way the component is dropped from the convergence
-    norm.  The test has to be componentwise: a node pressed against one
-    facet may still owe real progress along the other axis, and a
-    per-node test would either stall it or retire it early.
-
-    Every row is solved in one set of arrays; a row with no live
-    component takes a zero step, so it stays where it settled.  Each
-    iterate carries the slacks its residual was evaluated from, so the
-    Hessian and the step clip reuse them.  NewtonDivergence names the
-    count of rows still unsettled after _NEWTON_MAX_ITER, the worst live
-    residual component among them and where that row's iterate stopped.
+    Steps are clipped to 85% of the distance to the boundary and halved
+    until the residual decreases and no slack rounds to zero, so no
+    iterate lands on a facet.  A residual component is dropped from the
+    norm, per coordinate, when it is below hessian * ulp, or when it
+    stayed bitwise identical through a damped step without improving
+    (the last float before a facet): a node pressed against one facet
+    may still owe progress along the other axis.  A row with no live
+    component takes a zero step; each iterate carries the slacks its
+    residual was evaluated from.  NewtonDivergence names the count of
+    rows unsettled after _NEWTON_MAX_ITER, the worst live residual
+    component among them and where that row's iterate stopped.
     """
     x = start.copy()
     dim = x.shape[1]
@@ -574,34 +545,24 @@ class SimplexProduct:
     of each block summing to 0, with one facet k0 per block dropped
     leaving a unimodular basis E of normals: the interval, and in 2D the
     Delzant triangles and parallelograms.  Each block's slacks sum to
-    the constant Lambda_B = sum_{k in B} lambda_k, and grad u0 = xi of
-    the Guillemin potential has a closed-form solution (Guillemin 1994;
-    Abreu 2003): with r = -2 E^-T xi, r_k0 = 0, the shares
-    p_k = ell_k / Lambda_B are a softmax of r over each block,
-
-        log ell_k = log Lambda_B + r_k - logsumexp_{j in B} r_j,
-
-    the logsumexp max-shifted (log_slacks), so no slack is formed by a
-    subtraction, no exp overflows and no Newton step is taken.  Moving
-    xi by t changes r by s = R^T t (R = ratio_map), so the shares at
-    xi + t are a per-block rescaling of those at xi (rescaled): with
-    f_k = e^(s_k - max_B s) and S_B = sum_{k in B} p_k f_k,
-    p_k(xi + t) = p_k f_k / S_B.  With the integer vectors
-    w_p = (R_k - R_l) / 2 of the pairs p = (k, l), k < l, of a block, R_k
-    the xi-gradient of r_k, the dual fields are sums over the pairs with
+    Lambda_B = sum_{k in B} lambda_k, and grad u0 = xi has a closed-form
+    solution (Guillemin 1994; Abreu 2003): with r = -2 E^-T xi, r_k0 = 0,
+    the shares p_k = ell_k / Lambda_B are a softmax of r over each block
+    (log_slacks).  Moving xi by t adds s = R^T t to r (R = ratio_map), so
+    the shares at xi + t rescale those at xi (rescaled):
+    p_k(xi + t) = p_k f_k / S_B, f_k = e^(s_k - max_B s),
+    S_B = sum_{k in B} p_k f_k.  With the integer vectors
+    w_p = (R_k - R_l) / 2 of the pairs p = (k, l), k < l, of a block and
     omega_p = 2 Lambda_B p_k p_l (weights),
 
         D2u0^-1 = sum_p omega_p w_p w_p^T,
         Ric0    = sum_B c_B G0_B,  G0_B = sum_{p in B} omega_p w_p w_p^T,
 
-    c_B = (n_B + 1) / Lambda_B (ricci_scale, per pair), Ric0 the
-    xi-Hessian of (1/2) log det D2u0, where
-    det D2u0^-1 = prod_B 2^n_B Lambda_B^n_B prod_{k in B} p_k
-    (inverse_det), and MD(G0_B, D2u0^-1) = (n_B / n) det D2u0^-1, so
-    MD(Ric0, D2u0^-1) = ricci_mean det D2u0^-1 with
-    ricci_mean = (1/n) sum_B n_B c_B.  A rung reads them so (Ray._rung),
-    every term nonnegative: nothing cancels next to a slanted facet, as
-    it does in ricci_reference.
+    c_B = (n_B + 1) / Lambda_B, Ric0 the xi-Hessian of (1/2) log det D2u0,
+    det D2u0^-1 = prod_B 2^n_B Lambda_B^n_B prod_{k in B} p_k (inverse_det)
+    and MD(Ric0, D2u0^-1) = ricci_mean det D2u0^-1, ricci_mean =
+    (1/n) sum_B n_B c_B.  Every term is nonnegative: nothing cancels next
+    to a slanted facet, as it does in ricci_reference.
     """
 
     normals: np.ndarray
@@ -620,20 +581,11 @@ class SimplexProduct:
     det_scale: float       # prod_B (2 Lambda_B)^n_B
 
     def log_slacks(self, xi: np.ndarray) -> np.ndarray:
-        """log ell_k, per row, at the point where grad u0 = xi.
-
-        Each block's logsumexp is max-shifted and taken column by column:
-        with top the row maximum of r over B,
-
-            log ell_k = log Lambda_B + (r_k - top)
-                        - log sum_{j in B} e^(r_j - top),
-
-        so every exponent is at most 0, the largest slack of a block keeps
-        its digits (its r_k - top is exactly 0) and no slack is formed by
-        a subtraction.  The result is the transpose of a facet-by-row
-        array, so each facet's column is contiguous for the column-wise
-        reductions here and in the fields read from it.  Beyond r, two
-        rows of scratch hold the block maximum, each exp and the shift."""
+        """log ell_k, per row, at the point where grad u0 = xi: per block
+        log Lambda_B + (r_k - top) - log sum_{j in B} e^(r_j - top), top
+        the block's row maximum, so every exponent is at most 0 and the
+        largest slack keeps its digits; the transpose of a facet-by-row
+        array, each facet's column contiguous."""
         r = self.ratio_map.T @ xi.T
         top, term = np.empty((2, r.shape[1]))
         for block, log_sum in zip(self.blocks, self.log_sums):
@@ -653,8 +605,8 @@ class SimplexProduct:
 
     def totals(self, shares, out=None) -> np.ndarray:
         """S_B = sum_{k in B} p_k per block and row, added left to right."""
-        if out is None:
-            out = np.empty((len(self.blocks), shares.shape[1]))
+        out = np.empty((len(self.blocks), shares.shape[1])) if out is None \
+            else out
         for total, block in zip(out, self.blocks):
             np.add(shares[block[0]], shares[block[1]], out=total)
             for k in block[2:]:
@@ -662,13 +614,12 @@ class SimplexProduct:
         return out
 
     def rescaled(self, shares, totals, s, tau: float, out) -> tuple:
-        """The shares where the gradient is xi + tau t, written into out =
-        (shares, block rows), from shares at xi (facet by row), their
-        totals S^y and s = R^T t (K x 1, or K x rows; overwritten).  With
-        e = tau (s - max_B s), log ell_k(xi + tau t) - log ell_k(xi) is
-        e_k - log(S_B / S^y_B); returns (step_map @ e, log(S_B / S^y_B)),
-        both exactly 0 at tau = 0.  For one column s this takes K scalar
-        exps and one log per block and row."""
+        """The shares at xi + tau t, into out = (shares, block rows), from
+        the shares at xi, their totals S^y and s = R^T t (K x 1 or K x
+        rows; overwritten).  Returns the sums over k, plain and times
+        lambda_k, of step_k = log ell_k(xi + tau t) - log ell_k(xi) =
+        e_k - log(S_B / S^y_B), e = tau (s - max_B s), both exactly 0 at
+        tau = 0: for one column s, K scalar exps and a log per block row."""
         p, block_rows = out
         for block in self.blocks:
             top = np.maximum(s[block[0]], s[block[1]])
@@ -683,12 +634,12 @@ class SimplexProduct:
             for k in block:
                 p[k] /= total
         np.divide(block_rows, totals, out=block_rows)
-        return e_sums, np.log(block_rows, out=block_rows)
+        return e_sums - self.step_weights @ np.log(block_rows, out=block_rows)
 
     def weights(self, shares, out=None) -> np.ndarray:
         """omega_p = 2 Lambda_B p_k p_l per pair, pair by row."""
-        if out is None:
-            out = np.empty((len(self.pair_vectors), shares.shape[1]))
+        out = np.empty((len(self.pair_vectors), shares.shape[1])) \
+            if out is None else out
         for row, k, l, scale in zip(out, *self.pairs, self.pair_scale):
             np.multiply(shares[k], scale, out=row)
             row *= shares[l]
@@ -835,9 +786,8 @@ class RayState:
 
 
 class RungFields(NamedTuple):
-    """The fields of one rung at a block of grid nodes y (Ray.fields), no
-    2 x 2 field: x as its shares p_k = ell_k(x) / Lambda_B, G0(x) as pair
-    weights and its det, H_tau at y as q = w^T H_tau w and its det."""
+    """One rung's fields at a block of nodes y (Ray.fields), no 2 x 2 field:
+    x as its shares, G0(x) as pair weights and det, H_tau as q and det."""
 
     g: np.ndarray           # g_beta
     grad: np.ndarray        # grad g_beta (one row for an exact g)
@@ -854,10 +804,9 @@ class RungFields(NamedTuple):
 
 
 class Ray:
-    """A ladder's ray on a simplex-product base: grid, u0, frame
-    (SimplexProduct) and the pieces of g smoothed at beta; no field (see
-    fields).  One Ray at a ladder's largest tau serves every rung
-    (states); other bases raise NumericalFailure first."""
+    """A ladder's ray on a simplex-product base (others raise
+    NumericalFailure first): grid, u0, frame and g smoothed at beta, built
+    at the ladder's largest tau for every rung (states); no field."""
 
     def __init__(self, cfg: ToricTestConfig, beta: float,
                  tau_max: float = 12.0):
@@ -870,10 +819,10 @@ class Ray:
         self.route_b = {}  # route (b)'s tau-free data (functionals)
 
     def _pairing(self, twist) -> tuple:
-        """twist; per pair vector w (the frame's, then twist's) the
-        coefficients of w^T D2u0 w on 1 / ell and of w^T D2g_beta w on the
-        c_j of D2g_beta = sum_j c_j v_j v_j^T (in 1D v = 1); in 2D the
-        _pair_crosses of twist's w with the frame's and of the v_j."""
+        """twist; per pair vector w (the frame's, then twist's) w^T D2u0 w's
+        coefficients on 1 / ell and w^T D2g_beta w's on the c_j of
+        sum_j c_j v_j v_j^T (v = 1 in 1D); in 2D twist's and the v_j's
+        _pair_crosses."""
         frame, normals, dim = self.frame, self.u0.normals, self.cfg.dim
         w = frame.pair_vectors if twist is None else np.vstack(
             [frame.pair_vectors, twist.pair_vectors])
@@ -884,20 +833,19 @@ class Ray:
 
     def _scratch(self, twist, size: int) -> list:
         """The rows a rung writes into, allocated once per pass: x's
-        shares, block rows and pair weights, det D2u0(x)^-1, the step
-        sums, then alpha's shares, block rows and pair weights."""
+        shares, block rows, pair weights and det D2u0(x)^-1, then alpha's
+        shares, block rows and pair weights."""
         rows = [np.empty((len(f), size)) for frame in (self.frame, twist)
                 if frame is not None for f in
                 (frame.normals, frame.blocks, frame.pair_vectors)]
-        return rows[:3] + [np.empty(size), np.empty((2, size))] + rows[3:]
+        return rows[:3] + [np.empty(size)] + rows[3:]
 
     def _block(self, rows: slice, pairing) -> tuple:
-        """The fields at the nodes rows that no rung changes: y, y's shares
-        (ell_k / Lambda_B) and their block totals, q = w^T D2u0 w, det
-        D2u0, g's pieces' row max (g_beta for an exact g) and its
-        gradient and <y, grad g_beta> - g_beta for an exact g; for a PL g,
-        the pieces minus their max, v^T D2u0^-1 v (1 / D2u0 in 1D, to the
-        last digit), det D2u0^-1; given alpha, its shares at xi."""
+        """The fields at the nodes rows that no rung changes: y, its shares
+        and their totals, q = w^T D2u0 w, det D2u0; for an exact g, g_beta,
+        its gradient and <y, grad g_beta> - g_beta; for a PL g, the pieces'
+        row max and the pieces minus it, v^T D2u0^-1 v (1 / D2u0 in 1D, to
+        the last digit), det D2u0^-1; given alpha, its shares at xi."""
         pts, smooth, frame = self.grid.points[rows], self.smooth, self.frame
         twist, on_facets, on_bends, crosses = pairing
         ell = self.u0.slacks(pts)
@@ -924,28 +872,24 @@ class Ray:
     def _rung(self, block, tau: float, smooth, out) -> RungFields:
         """Every field of the rung (tau, smooth.beta) on a _block, each
         formed once, into the rows out (_scratch).  x, the inverse
-        transport of a node y, is only its shares: y's rescaled by
-        s = R^T grad g_beta (SimplexProduct.rescaled), one column for an
-        exact g, so no exp or log per facet and node; every difference
-        below is 0 at tau = 0.  With step = log ell(x) - log ell(y) =
-        e - log(S_B / S^y_B), by
-        det D2u0 = prod_B 2^-n_B Lambda_B / prod_{k in B} ell_k,
+        transport of a node y, is only its shares, y's rescaled by
+        s = R^T grad g_beta (one column for an exact g: no exp or log per
+        facet and node).  With step = log ell(x) - log ell(y), by the
+        product det D2u0,
 
             log_ratio = -sum_k step_k - log det(I + tau D2u0^-1 D2g_beta),
             phi_y = y xi - u_tau(y) - u0*(xi)
                   = tau (<y, grad g_beta> - g_beta) + (1/2) lambda . step,
 
-        u0*(xi) = (1/2) sum ell_k - (1/2) sum lambda_k (1 + log ell_k) with
-        lambda the facet offsets, so x xi is never formed.  H_tau is at y.
-        For a PL g, with A = D2u0^-1 at y, log det(I + tau A D2g_beta) =
+        lambda the facet offsets, both 0 at tau = 0.  H_tau is at y.  For a
+        PL g, with A = D2u0^-1 at y, log det(I + tau A D2g_beta) =
         log1p(tau sum_j c_j v_j^T A v_j + tau^2 det A det D2g_beta), no term
-        negative; det H_tau = det D2u0 (1 + that argument).  The log det
-        is 0, and skipped, for an exact g.  Given alpha, its shares are
-        rescaled the same way."""
+        negative, det H_tau = det D2u0 (1 + that argument); 0 and skipped
+        for an exact g.  Alpha's shares are rescaled the same way."""
         pts, (shares, totals, alpha), quad, det_tau, g, grad, lever, pl \
             = block
         frame, log_det = self.frame, None
-        p, block_rows, weight, inv_det, steps, *alpha_rows = out
+        p, block_rows, weight, inv_det, *alpha_rows = out
         if pl is not None:
             vals, on_bends, bend_cross, g0_y, det_g0 = pl
             z, w = smooth._softmax(vals)
@@ -960,11 +904,8 @@ class Ray:
             log_det = np.log1p(arg)
             quad = quad + tau * (on_bends @ c)
             det_tau = quad[0] if bend_cross is None else det_tau * (1.0 + arg)
-        e_sums, logs = frame.rescaled(shares, totals,
-                                      frame.ratio_map.T @ grad.T, tau,
-                                      (p, block_rows))
-        np.matmul(frame.step_weights, logs, out=steps)
-        np.subtract(e_sums, steps, out=steps)
+        steps = frame.rescaled(shares, totals, frame.ratio_map.T @ grad.T,
+                               tau, (p, block_rows))
         log_ratio = -steps[0]
         if log_det is not None:
             log_ratio -= log_det
@@ -1020,10 +961,10 @@ class Ray:
 
     def states(self, rungs, alpha: Polytope | None = None) -> list:
         """The RayState of each rung (tau, beta), in order, from one pass
-        over the grid's blocks: per block its _block once, then per rung its
+        over the grid's blocks: per block its _block, then per rung its
         _rung into rows allocated once per pass, every density (L_alpha
-        too, given alpha, from its own pair weights) summed into the
-        rung's integrals.  check_reach and alpha_frame refuse first."""
+        too, given alpha) summed into the rung's integrals.  check_reach
+        and alpha_frame refuse first."""
         rungs = [(float(tau), float(beta)) for tau, beta in rungs]
         self.check_reach(max(tau for tau, _ in rungs))
         twist = None if alpha is None else alpha_frame(alpha, self.cfg.dim)
@@ -1091,25 +1032,20 @@ class Ray:
 
 
 def abreu_scalar_curvature(potential, pts: np.ndarray) -> np.ndarray:
-    """Abreu's scalar curvature S = -kappa * sum_jk d2(u^{jk})/dx_j dx_k.
-
-    Closed form in G = H^-1 and one list of vectors V_m with weights
-    c_m, which write the third derivative of u as sum_m c_m V_m^(x3).
-    Each facet gives V_k = nu_k with c_k = w_k^2 / 2 (w = 1/slack); each
-    smoothed PL piece gives V_i = a_i - abar with c_i = s beta^2 p_i,
-    where p is the softmax weight, a_i the piece gradients and abar =
-    sum_i p_i a_i.  With Q_ml = V_m . G V_l and q_m = Q_mm,
+    """Abreu's scalar curvature S = -kappa * sum_jk d2(u^{jk})/dx_j dx_k,
+    kappa = 1/2, in closed form in G = H^-1 and vectors V_m with weights
+    c_m writing the third derivative of u as sum_m c_m V_m^(x3): V_k = nu_k,
+    c_k = w_k^2 / 2 (w = 1/slack) per facet, V_i = a_i - abar,
+    c_i = s beta^2 p_i per piece (p the softmax weights).  With
+    Q_ml = V_m . G V_l and q_m = Q_mm,
 
         S / kappa = sum_facets w_k^3 q_k^2
                     + s beta^3 (sum p_i q_i^2 - (sum p_i q_i)^2
                                 - 2 sum_ij p_i p_j Q_ij^2)
                     - sum_ml c_m q_m c_l q_l Q_ml - sum_ml c_m c_l Q_ml^3
 
-    which follows from d_j d_k G = G (d_j H G d_k H + d_k H G d_j H
-    - d_j d_k H) G: the fourth derivative of u is sum_k w_k^3 nu_k^(x4)
-    plus s beta^3 times the fourth softmax cumulant.  In one dimension
-    this reduces to G^2 (u'''' - 2 G u'''^2), evaluated as scalars.
-    kappa = 1/2 makes the mean curvature equal n times the slope.
+    from d_j d_k G = G (d_j H G d_k H + d_k H G d_j H - d_j d_k H) G; in
+    one dimension G^2 (u'''' - 2 G u'''^2), as scalars.
     """
     if isinstance(potential, ShiftedPotential):
         u0, smooth, s = potential.u0, potential.smooth, potential.s
@@ -1173,33 +1109,19 @@ _RICCI_BLOCK = 2048
 def ricci_reference(u0: SymplecticPotential, pts: np.ndarray) -> np.ndarray:
     """Hessian in moment-dual coordinates of (1/2) log det D2u0.
 
-    Assembled in facet space.  With facet indices k, k', coordinate
-    indices i, j, w_k = 1/ell_k, P_k = H^-1 nu_k, Q_kk' = nu_k . P_k'
-    and q_k = Q_kk, the x-derivatives of v = log det H are
+    Assembled in facet space: with w_k = 1/ell_k, P_k = H^-1 nu_k,
+    Q_kk' = nu_k . P_k' and q_k = Q_kk the chain rule to dual coordinates
+    collapses to (1/2) H^-1 (sum_kk' D_kk' nu_k nu_k'^T) H^-1,
 
-        d_i v      = (1/2) sum_k w_k^2 nu_ki q_k
-        d_i d_j v  = sum_k w_k^3 q_k nu_ki nu_kj
-                     - (1/4) sum_kk' w_k^2 w_k'^2 nu_ki nu_k'j Q_kk'^2
-
-    and the chain rule to dual coordinates, whose correction term is
-    (1/2) sum_k w_k^2 nu_kj P_k (P_k . grad v), collapses to
-
-        (1/2) H^-1 (sum_kk' D_kk' nu_k nu_k'^T) H^-1,
         D_kk' = w_k^3 q_k delta_kk' - (1/4) w_k^2 w_k'^2 Q_kk'^2
-                - (1/2) delta_kk' w_k^2 (P_k . grad v).
+                - (1/2) delta_kk' w_k^2 (P_k . grad v),  v = log det H,
 
-    Only (n, K) and (n, K, K) arrays appear; rows are processed in
-    fixed-size blocks so the temporaries stay small.  Along
-    axis-parallel facets (the square's collar, which the transported
-    nodes press onto up to the float-representability wall) the result
-    is exact to rounding.  Along slanted facets the w^3 and w^4 terms
-    cancel: against a long-double evaluation of the same chain rule on
-    the unit simplex the relative error is about 3e-9 at slack 1e-4 and
-    4e-6 at slack 1e-5, and the field is not trustworthy below slack
-    about 1e-6.  No energy reads it (a rung reads Ric0 as pair weights,
-    SimplexProduct): the tests use it as that field's reference, and
-    perfbench/tracer.py hooks it by name, so it stays here until that
-    hook is retired.
+    in fixed-size row blocks.  Along slanted facets the w^3 and w^4 terms
+    cancel (relative error about 4e-6 at slack 1e-5 on the unit simplex).
+    No energy reads it (a rung reads Ric0 as pair weights,
+    SimplexProduct): it is the tests' reference for that field, and
+    perfbench/tracer.py hooks it by name, so it stays until that hook is
+    retired.
     """
     nu = u0.normals
     n_facets, dim = nu.shape

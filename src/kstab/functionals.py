@@ -4,14 +4,12 @@ Conventions.  With the wedge dictionary for invariant forms, an
 integral of a function h against eta_1 ^ ... ^ eta_n equals
 n! * integral over the moment polytope of h times the mixed
 discriminant of the dual Hessians, in whichever moment coordinates the
-measure is written.  Every integral is taken in one frame, the
-transported coordinates y of the ray state, where the pulled-back
-evolving form is the plain measure and the fixed form is
-dx = e^(-log_ratio) dy, so one inverse transport per tau serves both.
-Every integrand is a bounded, slack-stable function there.  This is
-what keeps entropy-type integrals accurate at large tau: in reference
-coordinates their mass concentrates in an exp(-2 tau) collar that
-float64 cannot resolve near facets with unit-scale offsets.
+measure is written.  Every integral is taken in the transported
+coordinates y of the ray state, where the pulled-back evolving form is
+the plain measure and the fixed form is dx = e^(-log_ratio) dy, and
+every integrand is bounded and slack-stable: in reference coordinates
+the mass of entropy-type integrands concentrates in an exp(-2 tau)
+collar that float64 cannot resolve near facets.
 
 A ray state holds integrals, not fields: Ray.states sums every density
 of every rung of a ladder, L_alpha too when an alpha is given, in one
@@ -159,14 +157,6 @@ class MabuchiReport:
     err_estimate: float
 
 
-def _once(ray, key, build):
-    """ray.route_b[key], built on its first use: route (b)'s tau-free
-    data, kept on the Ray that every rung of a ladder shares."""
-    if key not in ray.route_b:
-        ray.route_b[key] = build()
-    return ray.route_b[key]
-
-
 def _edge_rules(g, facet, ends, depth):
     """(start, step, rules at depth and depth - 2) of _facet_mean."""
     p, d = ends[0], [b - a for a, b in zip(*ends)]
@@ -189,8 +179,10 @@ def _facet_mean(state: RayState, facet, ends):
     if len(ends) == 1:
         return float(smooth.value(np.array(ends, dtype=float))[0]), 0.0
     depth = crease_ladder_depth(smooth.beta, 1.0)
-    start, step, rules = _once(state.ray, (facet, depth), lambda: _edge_rules(
-        state.ray.cfg.g, facet, ends, depth))
+    ray = state.ray  # route (b)'s tau-free data is kept on the Ray
+    start, step, rules = ray.route_b.get((facet, depth)) or \
+        ray.route_b.setdefault((facet, depth), _edge_rules(ray.cfg.g, facet,
+                                                           ends, depth))
     fine, coarse = (
         sum(rule.integrate(smooth.value(start + rule.points * step))
             for rule in level) for level in rules)
@@ -240,7 +232,8 @@ def mabuchi(state: RayState) -> MabuchiReport:
     """
     ray, tau = state.ray, state.tau
     n = ray.cfg.dim
-    mu = _once(ray, "mu", lambda: float(slope_mu(ray.cfg.base)))
+    mu = ray.route_b.get("mu") or ray.route_b.setdefault(
+        "mu", float(slope_mu(ray.cfg.base)))
 
     route_a = 0.5 * state.entropy + (n / (n + 1)) * mu * am_energy(state) \
         - state.l_ricci

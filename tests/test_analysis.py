@@ -496,10 +496,15 @@ def test_transport_2d_factorizes():
     assert np.max(np.abs(x_inv[:, 0] - exact_inv)[ok]) < 1e-8
 
 
-def test_check_reach_takes_its_grid_maxima_once():
-    """check_reach reads the max |grad g_beta| and max |xi| that the
-    Ray's one pass over its grid took, not the grid, and its refusal
-    reads as the bound over the grid gives."""
+def test_check_reach_reads_no_grid():
+    """check_reach refuses when tau * max |grad g| exceeds the reach of
+    grad u0 at the slack floor, with no term from the grid: on [0, 1]
+    with g = x the reach is 1 - log(1e-300) = 691.78.  Its refusal names
+    the shift and the reach."""
+    ray = Ray(AFFINE, beta=10.0, tau_max=4.0)
+    ray.check_reach(691.7)
+    with pytest.raises(NewtonDivergence, match="reach 691.8 "):
+        ray.check_reach(691.8)
     ray = Ray(SQUARE, beta=10.0, tau_max=4.0)
     reach = 0.5 * (1.0 - math.log(analysis._SLACK_FLOOR)) \
         * float(np.abs(ray.u0.normals).sum(axis=0).max())
