@@ -615,11 +615,11 @@ class SimplexProduct:
 
     def rescaled(self, shares, totals, s, tau: float, out) -> tuple:
         """The shares at xi + tau t, into out = (shares, block rows), from
-        the shares at xi, their totals S^y and s = R^T t (K x 1 or K x
-        rows; overwritten).  Returns the sums over k, plain and times
-        lambda_k, of step_k = log ell_k(xi + tau t) - log ell_k(xi) =
-        e_k - log(S_B / S^y_B), e = tau (s - max_B s), both exactly 0 at
-        tau = 0: for one column s, K scalar exps and a log per block row."""
+        those at xi, their totals S^y and s = R^T t (K x 1 or K x rows;
+        overwritten).  Returns sum_k step_k and lambda . step, step_k =
+        log ell_k(xi + tau t) - log ell_k(xi) = e_k - log(S_B / S^y_B),
+        e = tau (s - max_B s), both 0 at tau = 0: for one column s, K
+        scalar exps and a log per block row."""
         p, block_rows = out
         for block in self.blocks:
             top = np.maximum(s[block[0]], s[block[1]])
@@ -633,8 +633,11 @@ class SimplexProduct:
         for total, block in zip(self.totals(p, out=block_rows), self.blocks):
             for k in block:
                 p[k] /= total
-        np.divide(block_rows, totals, out=block_rows)
-        return e_sums - self.step_weights @ np.log(block_rows, out=block_rows)
+        logs = np.log(np.divide(block_rows, totals, out=block_rows),
+                      out=block_rows)
+        for weights, log in zip(self.step_weights.T, logs):  # no slow matmul
+            e_sums = e_sums - weights[:, None] * log  # of one column
+        return e_sums
 
     def weights(self, shares, out=None) -> np.ndarray:
         """omega_p = 2 Lambda_B p_k p_l per pair, pair by row."""
@@ -832,9 +835,8 @@ class Ray:
                 twist.pair_vectors, frame.pair_vectors), _pair_cross(v, v))
 
     def _scratch(self, twist, size: int) -> list:
-        """The rows a rung writes into, allocated once per pass: x's
-        shares, block rows, pair weights and det D2u0(x)^-1, then alpha's
-        shares, block rows and pair weights."""
+        """Rows a rung writes into, allocated once per pass: x's shares,
+        block rows, pair weights, det D2u0(x)^-1, then alpha's first 3."""
         rows = [np.empty((len(f), size)) for frame in (self.frame, twist)
                 if frame is not None for f in
                 (frame.normals, frame.blocks, frame.pair_vectors)]
@@ -939,9 +941,8 @@ class Ray:
         return newton_transport(self.potential(s), xi, self.grid.points)
 
     def inverse_transport(self, s: float) -> np.ndarray:
-        """log ell_k at the x whose u_s-moment image is each node y, by
-        SimplexProduct.log_slacks; kept for the tests and
-        perfbench/tracer.py's hook by name."""
+        """log ell_k at the x whose u_s-moment image is each node y (for the
+        tests, and perfbench/tracer.py's hook by name)."""
         pts = self.grid.points
         return self.frame.log_slacks(self.u0.gradient(pts)
                                      + s * self.smooth.gradient(pts))
@@ -973,8 +974,7 @@ class Ray:
         pairing, pairs = self._pairing(twist), len(frame.pair_vectors)
         twist_cross = pairing[3] and pairing[3][0]  # None in 1D
         scratch = self._scratch(twist, min(_BLOCK, self.grid.size))
-        # per rung: g, entropy, a_ref, b_mov, mixed, l_ricci, log_det, l_alpha
-        sums = np.zeros((len(rungs), 8))
+        sums = np.zeros((len(rungs), 8))  # RayState's integrals per rung
         for rows in self.grid.blocks():
             block, w = self._block(rows, pairing), weights[rows]
             out = [a[..., :len(w)] for a in scratch]

@@ -179,10 +179,9 @@ def _facet_mean(state: RayState, facet, ends):
     if len(ends) == 1:
         return float(smooth.value(np.array(ends, dtype=float))[0]), 0.0
     depth = crease_ladder_depth(smooth.beta, 1.0)
-    ray = state.ray  # route (b)'s tau-free data is kept on the Ray
-    start, step, rules = ray.route_b.get((facet, depth)) or \
-        ray.route_b.setdefault((facet, depth), _edge_rules(ray.cfg.g, facet,
-                                                           ends, depth))
+    tau_free, key = state.ray.route_b, (facet, depth)  # kept on the Ray
+    start, step, rules = tau_free.get(key) or tau_free.setdefault(
+        key, _edge_rules(state.ray.cfg.g, facet, ends, depth))
     fine, coarse = (
         sum(rule.integrate(smooth.value(start + rule.points * step))
             for rule in level) for level in rules)
