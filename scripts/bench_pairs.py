@@ -12,9 +12,13 @@ HEAD was better, in the metric's direction (ties are counted apart),
 then one line per metric saying whether HEAD's change resolves as a
 gain: better in at least nine tenths of the pairs, ties counting for
 neither, and a median gap in its favour wider than REF's quartile
-spread; last, per op, the median of its seconds over the ``op_seconds``
-of every run's result record on each side, which shows the op a move
-comes from.  The runs write only into their checkouts, whose
+spread; then one line per metric saying whether HEAD holds it against
+the metric's relative ``bound`` in BENCHMARK.json: ``no`` when HEAD's
+median is worse than REF's by more than the bound, ``unresolved`` when
+REF's quartile spread exceeds the bound and not every HEAD run beats
+every REF run, ``yes`` otherwise; last, per op, the median of its
+seconds over the ``op_seconds`` of every run's result record on each
+side, which shows the op a move comes from.  The runs write only into their checkouts, whose
 ``.perfbench/`` scratch goes with the temporary directory.
 """
 import argparse
@@ -96,13 +100,34 @@ def resolution(name: str, ref, head, lower: bool, wins: int) -> str:
             f"quartile spread {q3 - q1:.6g})")
 
 
+def hold(name: str, ref, head, lower: bool, bound: float) -> str:
+    """Whether HEAD holds one metric within its relative bound: no when
+    its median is worse than REF's by more than the bound; unresolved
+    when REF's quartile spread, relative to its median, exceeds the
+    bound and some HEAD run does not beat every REF run; yes otherwise."""
+    q1, med, q3 = quartiles(ref)
+    sign = 1 if lower else -1
+    worse = sign * (statistics.median(head) / med - 1.0) if med else 0.0
+    spread = (q3 - q1) / abs(med) if med else 0.0
+    beats_all = sign * (max(head) if lower else min(head)) \
+        < sign * (min(ref) if lower else max(ref))
+    if worse > bound:
+        verdict = "no"
+    elif spread > bound and not beats_all:
+        verdict = "unresolved"
+    else:
+        verdict = "yes"
+    return (f"hold {name}: {verdict} (median worse by {worse:+.1%}, bound "
+            f"{bound:.0%}; ref quartile spread {spread:.1%} of its median)")
+
+
 def summary(ref_runs, head_runs, end_to_end) -> list:
     """One line per end-to-end metric: each side's median and quartiles,
-    then HEAD's wins and ties over the pairs; then a resolution line per
-    metric."""
+    then HEAD's wins and ties over the pairs; then a resolution line and
+    a hold line per metric."""
     lines = [f"{'metric':<14} {'ref median [q1, q3]':>34} "
              f"{'head median [q1, q3]':>34}  head better"]
-    verdicts = []
+    verdicts, holds = [], []
     for metric in end_to_end:
         name, lower = metric["name"], metric["better"] == "lower"
         ref = [r[name] for r in ref_runs]
@@ -119,7 +144,8 @@ def summary(ref_runs, head_runs, end_to_end) -> list:
                      f"{wins} of {len(ref)} ({ties} ties), "
                      f"median {change:+.1%}")
         verdicts.append(resolution(name, ref, head, lower, wins))
-    return lines + verdicts
+        holds.append(hold(name, ref, head, lower, metric["bound"]))
+    return lines + verdicts + holds
 
 
 def main(argv=None) -> int:

@@ -684,7 +684,7 @@ def _log(q) -> float:
 @lru_cache(maxsize=64)
 def simplex_product(base: Polytope) -> SimplexProduct | None:
     """The simplex-product structure of base, or None if it has none;
-    built once per polytope, as every PL rung builds a Ray on it.
+    built once per polytope.
 
     The blocks come from the exact integer normals: a product of m
     simplices in dimension n has n + m facets and its minimal zero-sum
@@ -785,6 +785,7 @@ class RayState:
     mixed: float    # n! * integral of phi_y (1/2) tr(G0(x) H_tau); 0, n = 1
     l_ricci: float  # E_Ric: n! * integral of phi_y form_density(Ric0)
     log_det: float  # integral of log det(I + tau D2u0^-1 D2g_beta), no n!
+    trace: float    # integral of tr(D2u0^-1 D2g_beta), no n!; 0, exact g
     l_alpha: float | None  # as l_ricci for alpha's form; None, no alpha
 
 
@@ -799,6 +800,7 @@ class RungFields(NamedTuple):
     phi_y: np.ndarray
     log_ratio: np.ndarray
     log_det: np.ndarray | None  # log det(I + tau D2u0^-1 D2g_beta), PL g
+    trace: np.ndarray | None    # tr(D2u0^-1 D2g_beta) at y, PL g
     weight: np.ndarray      # omega_p at x
     inverse_det: np.ndarray  # det D2u0(x)^-1
     quad: np.ndarray        # q of the frame's pair vectors w_p, then alpha's
@@ -819,7 +821,6 @@ class Ray:
         self.smooth = SmoothedPL.from_fn(cfg.g, beta)
         self.grid = build_grid(cfg.g, collar_depth_for(tau_max),
                                crease_ladder_depth(beta, tau_max))
-        self.route_b = {}  # route (b)'s tau-free data (functionals)
 
     def _pairing(self, twist) -> tuple:
         """twist; per pair vector w (the frame's, then twist's) w^T D2u0 w's
@@ -886,11 +887,12 @@ class Ray:
         lambda the facet offsets, both 0 at tau = 0.  H_tau is at y.  For a
         PL g, with A = D2u0^-1 at y, log det(I + tau A D2g_beta) =
         log1p(tau sum_j c_j v_j^T A v_j + tau^2 det A det D2g_beta), no term
-        negative, det H_tau = det D2u0 (1 + that argument); 0 and skipped
-        for an exact g.  Alpha's shares are rescaled the same way."""
+        negative, the sum being trace = tr(A D2g_beta), det H_tau =
+        det D2u0 (1 + that argument); both skipped for an exact g.  Alpha's
+        shares are rescaled the same way."""
         pts, (shares, totals, alpha), quad, det_tau, g, grad, lever, pl \
             = block
-        frame, log_det = self.frame, None
+        frame, log_det, trace = self.frame, None, None
         p, block_rows, weight, inv_det, *alpha_rows = out
         if pl is not None:
             vals, on_bends, bend_cross, g0_y, det_g0 = pl
@@ -900,7 +902,8 @@ class Ray:
             lever = _row_reduce(np.add, pts * grad) - g
             c = smooth.weights_hessian(w)[:, 0, 0][None] if bend_cross is None \
                 else smooth.hessian_weights(w)
-            arg = tau * _pair_dot(g0_y, c)
+            trace = _pair_dot(g0_y, c)
+            arg = tau * trace
             if det_g0 is not None:
                 arg += tau * tau * (det_g0 * _pair_dot(c, bend_cross @ c))
             log_det = np.log1p(arg)
@@ -918,7 +921,7 @@ class Ray:
             twist.rescaled(shares, totals, twist.ratio_map.T @ grad.T, tau,
                            alpha_rows[:2])
             theta = twist.weights(alpha_rows[0], out=alpha_rows[2])
-        return RungFields(g, grad, p, steps, phi_y, log_ratio, log_det,
+        return RungFields(g, grad, p, steps, phi_y, log_ratio, log_det, trace,
                           frame.weights(p, out=weight),
                           frame.inverse_det(p, out=inv_det), quad, det_tau,
                           theta)
@@ -974,7 +977,7 @@ class Ray:
         pairing, pairs = self._pairing(twist), len(frame.pair_vectors)
         twist_cross = pairing[3] and pairing[3][0]  # None in 1D
         scratch = self._scratch(twist, min(_BLOCK, self.grid.size))
-        sums = np.zeros((len(rungs), 8))  # RayState's integrals per rung
+        sums = np.zeros((len(rungs), 9))  # RayState's integrals per rung
         for rows in self.grid.blocks():
             block, w = self._block(rows, pairing), weights[rows]
             out = [a[..., :len(w)] for a in scratch]
@@ -996,16 +999,18 @@ class Ray:
                         + 0.5 * (frame.ricci_scale @ trace)
                 if f.log_det is not None:
                     acc[6] += f.log_det @ w
+                    acc[7] += f.trace @ w
                 if f.theta is not None:  # alpha's form the same way
                     form = _pair_dot(f.theta, f.quad[pairs:])
                     if n > 1:
                         form = 0.5 * form + f.det_tau * _pair_dot(
                             f.theta, twist_cross @ f.weight)
-                    acc[7] += form @ phi_w
+                    acc[8] += form @ phi_w
         fact = math.factorial(n)
         return [RayState(self, tau, beta, float(acc[0]),
-                         *(fact * float(v) for v in acc[1:6]), float(acc[6]),
-                         None if twist is None else fact * float(acc[7]))
+                         *(fact * float(v) for v in acc[1:6]),
+                         *map(float, acc[6:8]),
+                         None if twist is None else fact * float(acc[8]))
                 for acc, (tau, beta) in zip(sums, rungs)]
 
     def state(self, tau: float, alpha: Polytope | None = None) -> RayState:

@@ -31,15 +31,14 @@ no transport.  Disagreement beyond tolerance raises RouteMismatch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .analysis import RayState, crease_ladder_depth, line_grid
+from .analysis import RayState
 from .errors import NormalizationRequired, RouteMismatch
 from .invariants import l1_norm, slope_mu
-from .polytope import dot, volume_data
 
 PATH_REL_TOL = 1e-7
 PATH_MAX_DEPTH = 26
@@ -157,62 +156,22 @@ class MabuchiReport:
     err_estimate: float
 
 
-def _edge_rules(g, facet, ends, depth):
-    """(start, step, rules at depth and depth - 2) of _facet_mean."""
-    p, d = ends[0], [b - a for a, b in zip(*ends)]
-    cuts = sorted({dot([x - a for x, a in zip(v, p)], d) / dot(d, d)
-                   for cell in g.regions() for v in cell.vertices
-                   if facet.slack(v) == 0})
-    return (*(np.array(c, dtype=float) for c in (p, d)),
-            [[line_grid(a, b, (None, None), k) for a, b in zip(cuts, cuts[1:])]
-             for k in (depth, depth - 2)])
-
-
-def _facet_mean(state: RayState, facet, ends):
-    """Mean of the state's g_beta over the facet with vertices ends, and
-    an error estimate: the vertex value in 1D; in 2D Gauss panels on the
-    edge's [0, 1] parameter, cut at every cell vertex of g on it, each
-    stretch graded toward both ends as a crease end of line_grid (corners
-    too), and its change on the panels graded two crease levels less;
-    the cuts and rules are built once per Ray and crease depth."""
-    smooth = replace(state.ray.smooth, beta=state.beta)
-    if len(ends) == 1:
-        return float(smooth.value(np.array(ends, dtype=float))[0]), 0.0
-    depth = crease_ladder_depth(smooth.beta, 1.0)
-    tau_free, key = state.ray.route_b, (facet, depth)  # kept on the Ray
-    start, step, rules = tau_free.get(key) or tau_free.setdefault(
-        key, _edge_rules(state.ray.cfg.g, facet, ends, depth))
-    fine, coarse = (
-        sum(rule.integrate(smooth.value(start + rule.points * step))
-            for rule in level) for level in rules)
-    return fine, abs(fine - coarse)
-
-
-def _route_b(state: RayState):
-    """Route (b) of mabuchi at the state's tau and its error estimate:
-    Donaldson's toric Mabuchi functional (Donaldson 2002, section 3),
+def _route_b(state: RayState) -> float:
+    """Route (b) of mabuchi at the state's tau: Donaldson's toric Mabuchi
+    functional (Donaldson 2002, section 3),
 
         n! * [tau * L(g_beta) - 1/2 integral_P log det(I + tau H0^-1 D2g_beta)],
         L(f) = integral_dP f dsigma - a integral_P f,  a = sigma(dP) / vol P,
 
     the s-integral of n! * integral_P g_beta (S_s - n mu) in closed form.
-    The log-det in this form tends to 0 where H0 blows up at the facets;
-    a difference of two log-dets would cancel there; its integral is
-    the state's log_det, as the integral of g_beta is its g_integral.  L
-    sums sigma_F times _facet_mean over the facets, as does the estimate.
+    By parts, integral_dP f dsigma = 1/2 integral_P tr(H0^-1 D2f)
+    + integral_P S0 f; u0 has S0 = a on every base a Ray accepts (the
+    simplex products, not the Hirzebruch trapezoid), so L(g_beta) is half
+    the state's trace, as the log-det integral is its log_det: no edge
+    quadrature.  The log-det tends to 0 where H0 blows up at the facets.
     """
-    tau, base = state.tau, state.ray.cfg.base
-    vd = volume_data(base)
-    boundary = miss = 0.0
-    for facet, fv, sigma in zip(base.halfspaces, base.facet_vertices,
-                                vd.per_facet_sigma):
-        mean, err = _facet_mean(state, facet, [base.vertices[i] for i in fv])
-        boundary += float(sigma) * mean
-        miss += float(sigma) * err
-    l_g = boundary - float(vd.boundary_sigma_volume / vd.volume) \
-        * state.g_integral
-    fact = math.factorial(base.dim)
-    return fact * (tau * l_g - 0.5 * state.log_det), fact * tau * miss
+    fact = math.factorial(state.ray.cfg.dim)
+    return 0.5 * fact * (state.tau * state.trace - state.log_det)
 
 
 def mabuchi(state: RayState) -> MabuchiReport:
@@ -226,17 +185,15 @@ def mabuchi(state: RayState) -> MabuchiReport:
     entropy uses (its pair weights, SimplexProduct).  Route (b), _route_b,
     shares with it the grid, u0, g_beta and the state's integral of
     log det(I + tau D2u0^-1 D2g_beta), which both weigh alike.
-    err_estimate is the route gap plus route (b)'s edge-quadrature
-    estimate (0 in 1D).
+    err_estimate is the route gap.
     """
-    ray, tau = state.ray, state.tau
-    n = ray.cfg.dim
-    mu = ray.route_b.get("mu") or ray.route_b.setdefault(
-        "mu", float(slope_mu(ray.cfg.base)))
+    base, tau = state.ray.cfg.base, state.tau
+    n = base.dim
+    mu = float(slope_mu(base))
 
     route_a = 0.5 * state.entropy + (n / (n + 1)) * mu * am_energy(state) \
         - state.l_ricci
-    route_b, err = _route_b(state)
+    route_b = _route_b(state)
     # written with <=, which a NaN route fails
     if not abs(route_a - route_b) <= ROUTE_TOL * (1.0 + abs(route_a)):
         raise RouteMismatch(
@@ -245,7 +202,7 @@ def mabuchi(state: RayState) -> MabuchiReport:
     return MabuchiReport(tau=tau, value=route_a, route_a=route_a,
                          route_b=route_b, entropy=state.entropy,
                          l_ricci=state.l_ricci,
-                         err_estimate=err + abs(route_a - route_b))
+                         err_estimate=abs(route_a - route_b))
 
 
 @dataclass(frozen=True)

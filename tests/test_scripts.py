@@ -85,14 +85,19 @@ def test_bench_pairs_alternates_the_sides_and_counts_wins(monkeypatch,
     each side's median and quartiles and HEAD's wins per end-to-end
     metric, then whether each resolves as a gain: better in 9 of 10
     pairs (here 4 of 4) and a median gap beyond REF's quartile spread;
-    the temporary directory is gone after.  Last come the medians of each
-    op's seconds per side, read from every run's result record."""
+    the temporary directory is gone after.  Then whether HEAD holds each
+    metric within its bound: setup_s 40% worse (no), ok_ratio with a REF
+    quartile spread beyond 1% (unresolved), the rest yes.  Last come the
+    medians of each op's seconds per side, read from every run's result
+    record."""
     pairs = load_script("bench_pairs")
     for seed_args, seed in (([], "1"), (["--seed", "7"], "7")):
         runs, archives = [], []
         # time_per_ok_s of each run, ref and head alternating per pair
         times = {"ref": iter([1.0, 1.2, 1.1, 0.9]),
                  "head": iter([0.8, 1.3, 0.7, 0.9])}
+        # ok_ratio, equal within each pair
+        ratios = {side: iter([1.0, 0.5, 1.0, 0.5]) for side in times}
 
         class Done:
             returncode = 0
@@ -118,7 +123,8 @@ def test_bench_pairs_alternates_the_sides_and_counts_wins(monkeypatch,
             record.mkdir(parents=True, exist_ok=True)
             (record / f"ray1d-seed{seed}-trace0.json").write_text(json.dumps(
                 {"op_seconds": [["kink-DF", t], ["kink-AM", 0.5 * t]]}))
-            metrics = {"setup_s": 0.25, "time_per_ok_s": t, "ok_ratio": 1.0,
+            metrics = {"setup_s": 0.25 if side == "ref" else 0.35,
+                       "time_per_ok_s": t, "ok_ratio": next(ratios[side]),
                        "peak_rss_mb": 34.0 if side == "ref" else 33.0}
             return Done("summary\n" + json.dumps({"metrics": {
                 k: {"value": v, "unit": "s"} for k, v in metrics.items()}}))
@@ -146,8 +152,26 @@ def test_bench_pairs_alternates_the_sides_and_counts_wins(monkeypatch,
         assert "better in 2 of 4, 4 needed; median gap +0.2," in resolve[1]
         # peak_rss_mb: better in 4 of 4 by 1 MB, REF's spread 0
         assert resolve[3].endswith("median gap +1, ref quartile spread 0)")
+        holds = [line for line in out if line.startswith("hold ")]
+        assert [line.split()[1:3] for line in holds] == [
+            ["setup_s:", "no"], ["time_per_ok_s:", "yes"],
+            ["ok_ratio:", "unresolved"], ["peak_rss_mb:", "yes"]]
+        # setup_s: 0.35 against 0.25 s, beyond its 25% bound
+        assert "median worse by +40.0%, bound 25%;" in holds[0]
+        # time_per_ok_s: REF's spread 0.25 on a 1.05 median, within 25%
+        assert holds[1].endswith("ref quartile spread 23.8% of its median)")
+        # ok_ratio: no worse, but REF spreads over 0.5 on 0.75, bound 1%
+        assert holds[2].endswith("bound 1%; ref quartile spread 66.7% of "
+                                 "its median)")
         # per op, the median over every run's op_seconds on each side
         assert rows["kink-DF"].split()[1:] == ["1.05", "0.85", "-19.0%"]
         assert rows["kink-AM"].split()[1:] == ["0.525", "0.425", "-19.0%"]
         assert out[-3].split() == ["op", "ref", "median", "head", "median",
                                    "change"]
+    # a REF spread beyond the bound resolves when every HEAD run beats
+    # every REF run, in the metric's direction
+    for lower, head in ((True, [0.5, 0.9]), (False, [3.5, 4.0])):
+        assert pairs.hold("m", [1.0, 2.0, 3.0], head, lower,
+                          0.1).split()[2] == "yes"
+        assert pairs.hold("m", [1.0, 2.0, 3.0], head[::-1] + [2.0], lower,
+                          0.1).split()[2] == "unresolved"
