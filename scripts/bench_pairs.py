@@ -12,13 +12,14 @@ HEAD was better, in the metric's direction (ties are counted apart),
 then one line per metric saying whether HEAD's change resolves as a
 gain: better in at least nine tenths of the pairs, ties counting for
 neither, and a median gap in its favour wider than REF's quartile
-spread; then one line per metric saying whether HEAD holds it against
-the metric's relative ``bound`` in BENCHMARK.json: ``no`` when HEAD's
+spread; then one line per metric saying whether HEAD holds it within
+the metric's relative ``bound`` of BENCHMARK.json: ``no`` when HEAD's
 median is worse than REF's by more than the bound, ``unresolved`` when
 REF's quartile spread exceeds the bound and not every HEAD run beats
 every REF run, ``yes`` otherwise; last, per op, the median of its
 seconds over the ``op_seconds`` of every run's result record on each
-side, which shows the op a move comes from.  The runs write only into their checkouts, whose
+side, which shows the op a move comes from.  Each pair's metric values
+go to stderr as it ends.  The runs write only into their checkouts, whose
 ``.perfbench/`` scratch goes with the temporary directory.
 """
 import argparse
@@ -167,7 +168,10 @@ def main(argv=None) -> int:
                                             spec["run_seconds"])
                 runs.append(metrics)
                 ops.extend(seconds)
-            print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
+            values = ("; ".join(f"{side} " + " ".join(
+                f"{k} {v:.6g}" for k, v in runs[-1].items()) for side, runs
+                in (("ref", ref_runs), ("head", head_runs))))
+            print(f"pair {i + 1}/{args.pairs}: {values}", file=sys.stderr)
     print(f"{args.workload}: {args.ref} (ref) vs HEAD, {args.pairs} "
           f"alternating pairs, --seconds {spec['run_seconds']} "
           f"--seed {args.seed}")

@@ -28,7 +28,7 @@ import kstab.functionals
 from kstab.analysis import (_BLOCK, Ray, SmoothedPL, _inv_small,
                             abreu_scalar_curvature, alpha_frame, bulk_grid,
                             crease_ladder_depth, fan_grid,
-                            guillemin_potential, newton_transport,
+                            guillemin_potential, line_grid, newton_transport,
                             ricci_reference, simplex_product)
 from kstab.errors import (DimensionMismatch, NormalizationRequired,
                           NumericalFailure, RouteMismatch)
@@ -45,7 +45,8 @@ from kstab.functionals import (
 from kstab.invariants import (donaldson_futaki, minimum_norm, slope_mu,
                               twisted_weights)
 from kstab.plconfig import make_config, normalize
-from kstab.polytope import box, corner_chop, interval, unit_simplex, volume_data
+from kstab.polytope import (box, corner_chop, dot, interval, unit_simplex,
+                            volume_data)
 from kstab.slopes import Schedule, ladder
 from gens import (corner_coords, half_trace, inverse_hessian,
                   logdet_small, mixed_discriminant, pair_field)
@@ -607,7 +608,9 @@ def test_route_b_converged_on_steep_seeded_ray():
 def test_mabuchi_integrates_no_path(monkeypatch, cfg):
     """mabuchi reaches no s-quadrature, no curvature field and no second
     grid, and leaves no path state on the Ray: it adds no field to it
-    (route (b) forms its tau-free D2u0^-1 D2g_beta block by block)."""
+    (route (b) reads the state's integrals of tr(D2u0^-1 D2g_beta) and
+    the log det, formed block by block).  It builds no edge rule and
+    evaluates no g_beta: no line_grid, no SmoothedPL.value."""
     def forbidden(*args, **kwargs):
         raise AssertionError("mabuchi integrated a path in s")
 
@@ -616,9 +619,59 @@ def test_mabuchi_integrates_no_path(monkeypatch, cfg):
             monkeypatch.setattr(module, name, forbidden, raising=False)
     ray = Ray(cfg, beta=10.0, tau_max=1.0)
     state = ray.state(1.0)
+    for module in (kstab.analysis, kstab.functionals):
+        monkeypatch.setattr(module, "line_grid", forbidden, raising=False)
+    monkeypatch.setattr(SmoothedPL, "value", forbidden)
     cached = set(vars(ray))
     mabuchi(state)
     assert set(vars(ray)) == cached
+
+
+def _boundary_l(state):
+    """L(g_beta) = integral_dP g_beta dsigma - a integral_P g_beta in its
+    boundary form, the reference for half the state's trace: Gauss panels
+    on each edge's [0, 1] parameter, cut at every cell vertex of g on it,
+    each stretch graded toward both ends as a crease end of line_grid."""
+    ray = state.ray
+    base, g = ray.cfg.base, ray.cfg.g
+    smooth = dataclasses.replace(ray.smooth, beta=state.beta)
+    vd = volume_data(base)
+    depth = crease_ladder_depth(state.beta, 1.0)
+    boundary = 0.0
+    for facet, fv, sigma in zip(base.halfspaces, base.facet_vertices,
+                                vd.per_facet_sigma):
+        p, q = (base.vertices[i] for i in fv)
+        d = [b - a for a, b in zip(p, q)]
+        cuts = sorted({dot([x - a for x, a in zip(v, p)], d) / dot(d, d)
+                       for cell in g.regions() for v in cell.vertices
+                       if facet.slack(v) == 0})
+        start, step = (np.array(c, dtype=float) for c in (p, d))
+        rules = (line_grid(a, b, (None, None), depth)
+                 for a, b in zip(cuts, cuts[1:]))
+        boundary += float(sigma) * sum(
+            rule.integrate(smooth.value(start + rule.points * step))
+            for rule in rules)
+    return boundary - float(vd.boundary_sigma_volume / vd.volume) \
+        * state.g_integral
+
+
+@pytest.mark.parametrize("pieces,base", [
+    ([((1, 0), 0), ((0, 1), 0)], box(2)),
+    ([((1, 0), 0), ((0, 1), 0)], unit_simplex(2)),
+    ([((1, 0), 0), ((0, 1), 0), ((-1, -1), 1)], box(2)),
+    ([((0, 0), 0), ((1, 0), F(-1, 2))], box(2)),
+], ids=["square-max", "simplex-max", "square3", "square-half"])
+@pytest.mark.parametrize("tau", [1.0, 12.0])
+def test_half_trace_is_the_boundary_form_of_l(pieces, base, tau):
+    """On the 2D PL rays, half the state's integral of
+    tr(D2u0^-1 D2g_beta), which route (b) reads as L(g_beta), meets the
+    boundary form integral_dP g_beta dsigma - a integral_P g_beta on
+    edge rules cut at the creases within 2e-7 relative (5.0e-8 measured,
+    square-half at tau = 12), on the Ray a DF ladder builds for tau."""
+    cfg = normalize(make_config(base, pieces), "min_zero")
+    state = Ray(cfg, beta=10.0 * tau, tau_max=tau).state(tau)
+    ref = _boundary_l(state)
+    assert abs(0.5 * state.trace - ref) <= 2e-7 * abs(ref)
 
 
 def test_mabuchi_leaves_no_reference_cycle():

@@ -1,6 +1,7 @@
 """Smoke runs of the command-line scripts under scripts/."""
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,32 @@ def load_script(name):
 def test_script_main_returns_0(name, argv, capsys):
     assert load_script(name).main(argv) == 0
     assert capsys.readouterr().out
+
+
+def test_verdict_sweep_pins_its_rows_and_counts(capsys):
+    """verdict_sweep on seeds 8-9: seed 8 draws g on the 2 x 2 box, whose
+    four verdicts each print the outcome, then |slope - exact|, residual
+    and their ratio in columns of 10 (none after an error's class); seed
+    9 draws a corner chop, which every verdict refuses; the counts per
+    verdict close the output."""
+    assert load_script("verdict_sweep").main(["--seeds", "8-9"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"{'verdict':<10} {'outcome':<18} {'|err|':>10} " \
+        f"{'residual':>10} {'err/res':>10}"
+    assert out[1] == ("seed 8: base (0, 0) (0, 2) (2, 0) (2, 2)  g "
+                      "[-1, -1/2; -7/4] [-3/2, -1; -1/4]  max s_k 3/2")
+    for line, name, outcome in zip(
+            out[2:6], ("AM", "DF", "MINNORM", "JALPHA"),
+            ("pass", "RouteMismatch", "pass", "FAIL")):
+        assert line.startswith(f"  {name:<8} {outcome}")
+        numbers = r"( {2}\d\.\d{3}e[+-]\d\d){2} [ \d.e+-]{10}"
+        assert line == f"  {name:<8} {outcome}" if name == "DF" \
+            else re.fullmatch(rf"  {name:<8} {outcome:<18}{numbers}", line)
+    assert out[6] == ("seed 9: base (0, 0) (0, 1) (3/4, 1) (1, 0) (1, 3/4)  "
+                      "g [1, 7/4; -1]  refused")
+    assert out[7:] == ["1 simplex-product configs; 1 other bases refused, 0 not",
+                       "AM: pass 1", "DF: RouteMismatch 1", "MINNORM: pass 1",
+                       "JALPHA: FAIL 1"]
 
 
 def test_bench_records_the_median_of_three_untraced_runs(monkeypatch):
