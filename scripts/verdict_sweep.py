@@ -68,8 +68,8 @@ def describe(cfg) -> str:
 
 
 def verdict_row(cfg, theorem: str) -> tuple:
-    """(outcome, |slope - exact|, residual) of one verdict; an error
-    leaves the numbers None and names its class."""
+    """(outcome, |slope - exact|, residual, error) of one verdict: an
+    error names its class and leaves the numbers None."""
     try:
         rep = verify_theorem(cfg, theorem, alpha=box(cfg.dim)
                              if theorem == "JALPHA" else None)
@@ -82,7 +82,7 @@ def verdict_row(cfg, theorem: str) -> tuple:
 def sweep(seeds, out=print) -> int:
     gens = load_gens()
     counts = {name: Counter() for name in THEOREMS}
-    refused = unrefused = 0
+    products = refused = unrefused = 0
     for seed in seeds:
         cfg = gens.random_config(random.Random(seed))
         product = simplex_product(cfg.base) is not None
@@ -96,6 +96,7 @@ def sweep(seeds, out=print) -> int:
             out(f"{head}  refused" if ok else f"{head}  NOT REFUSED: "
                 + ", ".join(o for o, *_ in outcomes))
             continue
+        products += 1
         out(f"{head}  max s_k {max_slope_into(cfg)}")
         for name in THEOREMS:
             outcome, err, res, _ = verdict_row(cfg, name)
@@ -104,9 +105,8 @@ def sweep(seeds, out=print) -> int:
                 f" {err:10.3e} {res:10.3e} "
                 + (f"{err / res:10.3g}" if res else f"{'inf':>10}"))
             out(f"  {name:<8} {outcome:<18}{numbers}".rstrip())
-    out(f"{sum(sum(c.values()) for c in counts.values()) // len(THEOREMS)} "
-        f"simplex-product configs; {refused} other bases refused, "
-        f"{unrefused} not")
+    out(f"{products} simplex-product configs; {refused} other bases "
+        f"refused, {unrefused} not")
     for name in THEOREMS:
         out(f"{name}: " + ", ".join(f"{k} {v}" for k, v in sorted(
             counts[name].items(), key=lambda kv: (kv[0] != "pass", kv[0]))))
