@@ -79,36 +79,35 @@ def verdict_row(cfg, theorem: str) -> tuple:
     return ("pass" if rep.passed else "FAIL"), err, rep.residual, None
 
 
-def sweep(seeds, out=print) -> int:
+def sweep(seeds) -> int:
     gens = load_gens()
     counts = {name: Counter() for name in THEOREMS}
     products = refused = unrefused = 0
     for seed in seeds:
         cfg = gens.random_config(random.Random(seed))
-        product = simplex_product(cfg.base) is not None
         head = f"seed {seed}: {describe(cfg)}"
-        if not product:
+        if simplex_product(cfg.base) is None:
             outcomes = [verdict_row(cfg, name) for name in THEOREMS]
             ok = all(isinstance(exc, NumericalFailure) and REFUSAL in str(exc)
                      for *_, exc in outcomes)
             refused += ok
             unrefused += not ok
-            out(f"{head}  refused" if ok else f"{head}  NOT REFUSED: "
-                + ", ".join(o for o, *_ in outcomes))
+            print(f"{head}  refused" if ok else f"{head}  NOT REFUSED: "
+                  + ", ".join(o for o, *_ in outcomes))
             continue
         products += 1
-        out(f"{head}  max s_k {max_slope_into(cfg)}")
+        print(f"{head}  max s_k {max_slope_into(cfg)}")
         for name in THEOREMS:
             outcome, err, res, _ = verdict_row(cfg, name)
             counts[name][outcome] += 1
             numbers = "" if err is None else (
                 f" {err:10.3e} {res:10.3e} "
                 + (f"{err / res:10.3g}" if res else f"{'inf':>10}"))
-            out(f"  {name:<8} {outcome:<18}{numbers}".rstrip())
-    out(f"{products} simplex-product configs; {refused} other bases "
-        f"refused, {unrefused} not")
+            print(f"  {name:<8} {outcome:<18}{numbers}".rstrip())
+    print(f"{products} simplex-product configs; {refused} other bases "
+          f"refused, {unrefused} not")
     for name in THEOREMS:
-        out(f"{name}: " + ", ".join(f"{k} {v}" for k, v in sorted(
+        print(f"{name}: " + ", ".join(f"{k} {v}" for k, v in sorted(
             counts[name].items(), key=lambda kv: (kv[0] != "pass", kv[0]))))
     return 1 if unrefused else 0
 
