@@ -790,7 +790,7 @@ class RayState:
 
 
 class RungFields(NamedTuple):
-    """One rung's fields at a block of nodes y (Ray.fields), no 2 x 2 field:
+    """One rung's fields at a block of nodes y (Ray._rung), no 2 x 2 field:
     x as its shares, G0(x) as pair weights and det, H_tau as q and det."""
 
     g: np.ndarray           # g_beta
@@ -925,12 +925,6 @@ class Ray:
                           frame.weights(p, out=weight),
                           frame.inverse_det(p, out=inv_det), quad, det_tau,
                           theta)
-
-    def fields(self, tau: float, rows: slice) -> RungFields:
-        """The rung at tau, smoothed at the Ray's beta, on the nodes rows."""
-        size = len(self.grid.weights[rows])
-        return self._rung(self._block(rows, self._pairing(None)), float(tau),
-                          self.smooth, self._scratch(None, size))
 
     def potential(self, s: float) -> ShiftedPotential:
         return ShiftedPotential(self.u0, self.smooth, float(s))

@@ -277,7 +277,9 @@ def blowup_expansion(cfg: ToricTestConfig, v, epsilons) -> BlowupReport:
     most 2n (DF itself is only rational), so the deviation
     U(eps) = (DF(eps) - DF(0)) * Vol(P_eps) is interpolated exactly and
     the eps^(n-1) coefficient is read off and compared against the
-    chopped vertex's Chow weight prediction.
+    chopped vertex's Chow weight prediction.  Each chopped configuration
+    is ``restricted``: its cells and its Cayley polytope Q_eps are cuts
+    of cfg's, with no vertex enumeration per depth.
     """
     _require_normalized(cfg)
     n = cfg.dim

@@ -25,7 +25,6 @@ from .errors import (
 from .polytope import (
     Halfspace,
     Polytope,
-    _bounded_hull,
     _clip,
     construct,
     dot,
@@ -55,11 +54,11 @@ class PLConvexFn:
     region-wise integration downstream relies on the pieces tiling P.
 
     ``cells[i]`` is the region of the domain where piece i is maximal.
-    Only ``pl_fn`` and ``restricted_to`` compute cells, by clipping;
+    Only ``pl_fn`` and ``restricted`` compute cells, by clipping;
     ``integrate`` and every other reader take them from here.  Shifting
-    or positively scaling all pieces keeps the sign of each difference
-    of two pieces, hence every cell, so ``shifted`` and ``scaled`` carry
-    the cells over.  Cells take no part in equality or hashing.
+    all pieces keeps the sign of each difference of two pieces, hence
+    every cell, so ``shifted`` carries the cells over.  Cells take no
+    part in equality or hashing.
     """
 
     pieces: tuple
@@ -97,29 +96,6 @@ class PLConvexFn:
         return replace(self, pieces=tuple(AffineFn(p.gradient, p.constant + c)
                                           for p in self.pieces))
 
-    def scaled(self, d) -> "PLConvexFn":
-        d = frac(d)
-        if d <= 0:
-            raise NotConvex("scaling factor must be positive")
-        return replace(self, pieces=tuple(
-            AffineFn(tuple(d * c for c in p.gradient), d * p.constant)
-            for p in self.pieces))
-
-    def restricted_to(self, sub: Polytope) -> "PLConvexFn":
-        """Restriction to a sub-polytope of the domain: each cell clipped
-        by the halfspaces of sub that the domain lacks, dropping a piece
-        whose cell empties (it lies below the kept ones on sub, so no
-        kept cell moves).  DomainMismatch when sub leaves the domain."""
-        outer, inner = set(self.domain.halfspaces), set(sub.halfspaces)
-        if any(h.slack(v) < 0 for h in outer - inner for v in sub.vertices):
-            raise DomainMismatch("sub-polytope leaves the domain")
-        cells = self.cells
-        for h in inner - outer:
-            cells = [c and _clip(c, h) for c in cells]
-        pieces, cells = zip(*((p, c) for p, c in zip(self.pieces, cells)
-                              if c is not None))
-        return PLConvexFn(pieces, sub, cells)
-
 
 def pl_fn(domain: Polytope, pieces) -> PLConvexFn:
     """Validated constructor from (gradient, constant) pairs; NotConvex
@@ -150,18 +126,9 @@ class ToricTestConfig:
         return self.base.dim
 
 
-def _cayley_halfspaces(base: Polytope, g: PLConvexFn, shift: Fraction):
-    """Q = {(x, t): x in base, 0 <= t <= shift - g(x)}, normals distinct."""
-    hs = [Halfspace(h.normal + (0,), h.offset) for h in base.halfspaces]
-    hs.append(Halfspace(tuple([0] * base.dim + [-1]), Fraction(0)))
-    for p in g.pieces:
-        hs.append(Halfspace.make(tuple(p.gradient) + (Fraction(1),),
-                                 shift - p.constant))
-    return hs
-
-
 def make_config(base: Polytope, g, shift="auto") -> ToricTestConfig:
-    """Assemble a validated (P, g, shift) triple with its Cayley polytope."""
+    """Assemble a validated (P, g, shift) triple with its Cayley polytope
+    Q = {(x, t): x in base, 0 <= t <= shift - g(x)}."""
     if not isinstance(g, PLConvexFn):
         g = pl_fn(base, g)
     if g.domain != base:
@@ -173,16 +140,31 @@ def make_config(base: Polytope, g, shift="auto") -> ToricTestConfig:
         shift = frac(shift)
         if shift <= gmax:
             raise ShiftTooSmall(f"shift {shift} must exceed max g = {gmax}")
-    cayley = construct(halfspaces=_cayley_halfspaces(base, g, shift))
+    hs = [Halfspace(h.normal + (0,), h.offset) for h in base.halfspaces]
+    hs.append(Halfspace(tuple([0] * base.dim + [-1]), Fraction(0)))
+    hs += [Halfspace.make(p.gradient + (1,), shift - p.constant)
+           for p in g.pieces]
+    cayley = construct(halfspaces=hs)
     return ToricTestConfig(base=base, g=g, shift=shift, cayley=cayley,
                            normalization="raw", trivial=g.is_constant)
 
 
 def restricted(cfg: ToricTestConfig, sub: Polytope) -> ToricTestConfig:
-    """cfg's g and shift on sub (DomainMismatch if sub leaves the base),
-    raw; Q over sub is bounded, and _bounded_hull enumerates it unchecked."""
-    g = cfg.g.restricted_to(sub)
-    cayley = _bounded_hull(_cayley_halfspaces(sub, g, cfg.shift))
+    """cfg's g and shift on sub, raw; DomainMismatch if sub leaves the
+    base.  Each halfspace of sub that the base lacks cuts every cell of
+    g and, lifted to (h, 0), the Cayley polytope.  A piece whose cell
+    empties lies below the kept ones on sub, so it is dropped and no
+    kept cell moves."""
+    outer, inner = set(cfg.base.halfspaces), set(sub.halfspaces)
+    if any(h.slack(v) < 0 for h in outer - inner for v in sub.vertices):
+        raise DomainMismatch("sub-polytope leaves the domain")
+    cells, cayley = cfg.g.cells, cfg.cayley
+    for h in inner - outer:
+        cells = [c and _clip(c, h) for c in cells]
+        cayley = _clip(cayley, Halfspace(h.normal + (0,), h.offset))
+    pieces, cells = zip(*((p, c) for p, c in zip(cfg.g.pieces, cells)
+                          if c is not None))
+    g = PLConvexFn(pieces, sub, cells)
     return ToricTestConfig(base=sub, g=g, shift=cfg.shift, cayley=cayley,
                            normalization="raw", trivial=g.is_constant)
 

@@ -12,7 +12,8 @@ asymptotics, one rule per job:
     vertex lies on its zero-slack halfspaces, the union of its bases,
     and a halfspace is a facet when its vertex set is maximal;
   * one cut by clipping: the vertices of nonnegative slack stay and each
-    edge with ends of opposite sign gains its crossing (chops, cells);
+    edge with ends of opposite sign gains its crossing (chops, cells,
+    and the Cayley polytope over a sub-polytope);
   * boundedness: the normals have full rank and no null line of
     n - 1 of them is one-signed on all normals;
   * hulls (dimension <= 3): a facet is the hyperplane through n
@@ -324,13 +325,6 @@ def construct(halfspaces=None, vertices=None) -> Polytope:
         raise DomainMismatch("halfspaces of mixed dimension")
     if _unbounded(normals, dim):
         raise UnboundedInput("halfspace system is unbounded")
-    return _bounded_hull(hs)
-
-
-def _bounded_hull(hs) -> Polytope:
-    """construct of halfspaces hs of one dimension with distinct normals
-    and a bounded system, as the caller knows: no check of either."""
-    dim, normals = len(hs[0].normal), [h.normal for h in hs]
     scale = lcm(*(h.offset.denominator for h in hs))
     b = [h.offset.numerator * (scale // h.offset.denominator) for h in hs]
     tight = {}  # point -> its zero-slack halfspaces, None if infeasible

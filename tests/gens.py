@@ -6,14 +6,16 @@ generators and stay reproducible (everything is seeded, no hypothesis
 state involved).
 """
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 
 from kstab.analysis import _det_small
 from kstab.errors import NotConvex
-from kstab.plconfig import make_config, normalize, pl_fn
-from kstab.polytope import box, construct, corner_chop, interval, unit_simplex
+from kstab.plconfig import AffineFn, make_config, normalize, pl_fn
+from kstab.polytope import (box, construct, corner_chop, frac, interval,
+                            unit_simplex)
 
 F = Fraction
 
@@ -66,6 +68,26 @@ def random_config(rng: random.Random, normalized=None):
     if normalized is not None:
         cfg = normalize(cfg, normalized)
     return cfg
+
+
+def scaled(g, d):
+    """g times d > 0: every piece scaled keeps the sign of each
+    difference of two pieces, hence every cell, so g's cells carry
+    over.  NotConvex for d <= 0."""
+    d = frac(d)
+    if d <= 0:
+        raise NotConvex("scaling factor must be positive")
+    return replace(g, pieces=tuple(
+        AffineFn(tuple(d * c for c in p.gradient), d * p.constant)
+        for p in g.pieces))
+
+
+def rung_fields(ray, tau, rows):
+    """The rung of ray at tau, smoothed at the Ray's beta, on the nodes
+    rows: the fields that Ray.state sums, block by block."""
+    size = len(ray.grid.weights[rows])
+    return ray._rung(ray._block(rows, ray._pairing(None)), float(tau),
+                     ray.smooth, ray._scratch(None, size))
 
 
 def corner_coords(frame, log_ell):

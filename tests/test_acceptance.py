@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from gens import flat, random_config, random_fraction, random_pl
+from gens import flat, random_config, random_fraction, random_pl, scaled
 from kstab.analysis import (KAPPA, abreu_scalar_curvature, bulk_grid,
                             guillemin_potential)
 from kstab.invariants import (
@@ -87,10 +87,10 @@ def test_criterion_03_homogeneity_and_nonnegativity():
         cfg = random_config(rng, normalized="min_zero")
         df, mn = donaldson_futaki(cfg), minimum_norm(cfg)
         for d in (2, 3, 5):
-            scaled = normalize(make_config(cfg.base, cfg.g.scaled(d)),
-                               "min_zero")
-            assert donaldson_futaki(scaled) == d * df
-            assert minimum_norm(scaled) == d * mn
+            cfg_d = normalize(make_config(cfg.base, scaled(cfg.g, d)),
+                              "min_zero")
+            assert donaldson_futaki(cfg_d) == d * df
+            assert minimum_norm(cfg_d) == d * mn
     for _ in range(100):
         cfg = random_config(rng, normalized="min_zero")
         mn = minimum_norm(cfg)

@@ -33,7 +33,8 @@ from kstab.analysis import (
     simplex_product,
 )
 from gens import (corner_coords, dual_fields, flat, inverse_hessian,
-                  logdet_small, mixed_discriminant, pair_field, shares)
+                  logdet_small, mixed_discriminant, pair_field, rung_fields,
+                  shares)
 from kstab.errors import (DomainMismatch, NewtonDivergence, NonDelzant,
                           NumericalFailure)
 from kstab.plconfig import make_config, normalize, pl_fn
@@ -508,7 +509,8 @@ def test_check_reach_reads_no_grid():
     ray = Ray(SQUARE, beta=10.0, tau_max=4.0)
     reach = 0.5 * (1.0 - math.log(analysis._SLACK_FLOOR)) \
         * float(np.abs(ray.u0.normals).sum(axis=0).max())
-    shift = 1e300 * float(np.abs(ray.fields(0.0, slice(None)).grad).max())
+    grad = rung_fields(ray, 0.0, slice(None)).grad
+    shift = 1e300 * float(np.abs(grad).max())
     ray.grid = None  # a pass over the grid would fail
     ray.check_reach(4.0)
     with pytest.raises(NewtonDivergence) as err:
@@ -643,7 +645,7 @@ def _log_volume_ratio(ray, tau):
 
 def test_state_at_zero_is_identity():
     ray = Ray(KINK, beta=20.0, tau_max=2.0)
-    st = ray.fields(0.0, slice(None))  # every node
+    st = rung_fields(ray, 0.0, slice(None))  # every node
     assert np.all(st.phi_y == 0.0)
     assert np.all(st.steps == 0.0) and np.all(st.log_ratio == 0.0)
     ell = ray.u0.slacks(ray.grid.points).T
@@ -656,7 +658,7 @@ def test_state_at_zero_is_identity():
 
 
 def test_interval_h0_inverse_keeps_its_digits():
-    """On [0, 1], D2u0^-1 = 2 x (1 - x).  Ray.fields reads it as
+    """On [0, 1], D2u0^-1 = 2 x (1 - x).  rung_fields reads it as
     1 / D2u0: its log det is log1p(tau D2g_beta / D2u0) bit for bit, and
     on the off-centre steep ray every node where D2g_beta is nonzero has
     that ratio within 2 ulps of 2 x (1 - x) D2g_beta, exact in rationals
@@ -668,7 +670,7 @@ def test_interval_h0_inverse_keeps_its_digits():
     x = ray.grid.points[:, 0]
     hess = ray.smooth.hessian(ray.grid.points)[:, 0, 0]
     got = (1.0 / ray.u0.hessian(ray.grid.points)[:, 0, 0]) * hess
-    log_det = ray.fields(12.0, slice(None)).log_det
+    log_det = rung_fields(ray, 12.0, slice(None)).log_det
     assert log_det.tobytes() == np.log1p(12.0 * got).tobytes()
     rows = np.flatnonzero(hess > 0)
     assert len(rows) > 100
@@ -698,7 +700,7 @@ def test_trace_form_log_det_matches_the_matmul_form(cfg, tau):
     eps = np.finfo(float).eps
     ray = Ray(cfg, beta=10.0 * tau, tau_max=tau)
     for rows in ray.grid.blocks():
-        got = ray.fields(tau, rows).log_det
+        got = rung_fields(ray, tau, rows).log_det
         pts = ray.grid.points[rows]
         a = pair_field(ray.frame, ray.frame.weights(
             ray.u0.slacks(pts).T / ray.frame.sums[:, None]))  # the rung's A
@@ -745,7 +747,7 @@ def test_det_of_the_pl_hessian_is_exactly_zero_for_two_pieces():
                 a = pair_field(ray.frame, ray.frame.weights(
                     ray.u0.slacks(pts).T / ray.frame.sums[:, None]))
                 trace = np.einsum("rij,rji->r", a, d)
-                got = ray.fields(12.0, rows).log_det
+                got = rung_fields(ray, 12.0, rows).log_det
                 assert np.all(np.abs(got - np.log1p(12.0 * trace))
                               <= 2 * eps * np.abs(got))
             else:
@@ -774,7 +776,7 @@ def test_transported_mass_is_conserved(cfg, beta, tau_max, tau, bound):
     """exp(-log_ratio) is the Jacobian of the inverse transport, so its
     integral over the transported nodes is the volume of the polytope."""
     ray = Ray(cfg, beta=beta, tau_max=tau_max)
-    st = ray.fields(tau, slice(None))  # every node
+    st = rung_fields(ray, tau, slice(None))  # every node
     mass = ray.grid.integrate(np.exp(-st.log_ratio))
     assert abs(mass / float(volume_data(cfg.base).volume) - 1.0) < bound
 
@@ -829,7 +831,7 @@ def test_interval_slacks_match_newton(cfg, tau):
     no reference there; below 1e-8 the closed form keeps the digits."""
     mpmath = pytest.importorskip("mpmath")
     ray = Ray(cfg, beta=10.0 * tau, tau_max=tau)
-    f = ray.fields(tau, slice(None))  # every node
+    f = rung_fields(ray, tau, slice(None))  # every node
     got = f.shares.T * ray.frame.sums
     targets = (ray.u0.gradient(ray.grid.points) + tau * f.grad)[:, 0]
     with mpmath.workdps(50):
@@ -857,7 +859,7 @@ def test_interval_ricci_slack_form_matches_ricci_reference(cfg, tau):
     is ricci_reference at x wherever x resolves its slacks (above 1e-6,
     where the float x costs 1e-10 relative)."""
     ray = Ray(cfg, beta=10.0 * tau, tau_max=tau)
-    f = ray.fields(tau, slice(None))  # every node
+    f = rung_fields(ray, tau, slice(None))  # every node
     ell = f.shares.T * ray.frame.sums
     form = 4.0 * ell[:, 0] * ell[:, 1]
     x = corner_coords(ray.frame, np.log(ell))
@@ -884,6 +886,9 @@ SHEARED = construct(vertices=[(0, 0), (1, 0), (1, 1)])     # Delzant triangle
 RHOMB = construct(vertices=[(0, 0), (1, 0), (2, 1), (1, 1)])  # parallelogram
 CHOPPED = corner_chop(box(2), (1, 1), Fraction(1, 4))
 HIRZEBRUCH = construct(vertices=[(0, 0), (2, 0), (1, 1), (0, 1)])
+# its primitive normals sum to 0, but the two left after dropping one
+# have determinant 3: not Delzant
+SKEW = construct(vertices=[(1, 1), (1, -1), (-5, 3)])
 TRIANGLE = normalize(make_config(unit_simplex(2), [((1, 0), 0)]), "min_zero")
 
 
@@ -895,11 +900,13 @@ TRIANGLE = normalize(make_config(unit_simplex(2), [((1, 0), 0)]), "min_zero")
     (RHOMB, [2, 2]),
     (CHOPPED, None),
     (HIRZEBRUCH, None),
+    (SKEW, None),
 ], ids=["interval", "box", "simplex", "sheared", "rhomb", "chopped",
-        "hirzebruch"])
+        "hirzebruch", "skew"])
 def test_simplex_product_blocks(base, sizes):
     """Blocks of zero-sum normals, found from the exact normals; a chopped
-    square and a Hirzebruch trapezoid are no simplex products."""
+    square, a Hirzebruch trapezoid and a triangle whose normals sum to 0
+    without a unimodular basis are no simplex products."""
     frame = simplex_product(base)
     if sizes is None:
         assert frame is None
@@ -946,12 +953,12 @@ def test_product_frame_inverts_grad_u0(base):
 
 @pytest.mark.parametrize("cfg", [SQUARE, TRIANGLE], ids=["square", "simplex"])
 def test_product_state_matches_newton(cfg):
-    """Ray.fields in closed form against one Newton inverse transport:
+    """rung_fields in closed form against one Newton inverse transport:
     slacks, D2u0(x)^-1 and Ric0 (rebuilt from the rung's pair weights)
     and log_ratio (log det D2u0(x) - log det H_tau, H_tau = D2u0 at the
     nodes for g = x1) at every node whose Newton slacks are above 1e-6."""
     ray = Ray(cfg, beta=10.0, tau_max=1.0)
-    f = ray.fields(1.0, slice(None))  # every node
+    f = rung_fields(ray, 1.0, slice(None))  # every node
     z = newton_transport(ray.u0, ray.u0.gradient(ray.grid.points) + f.grad,
                          ray.grid.points)
     h0_at_z = ray.u0.hessian(z)
@@ -1045,7 +1052,7 @@ def test_rung_pair_sums_near_the_hypotenuse_match_mpmath(slack):
     y = np.array([[t * (1 - slack), (1 - t) * (1 - slack)]
                   for t in np.linspace(0.1, 0.9, 5)])
     ray.grid = analysis.Grid(points=y, weights=np.ones(len(y)))
-    f = ray.fields(1.0, slice(None))
+    f = rung_fields(ray, 1.0, slice(None))
     w = frame.pair_vectors
     md = analysis._pair_dot(frame.ricci_scale[:, None] * f.weight,
                             analysis._pair_cross(w, w) @ f.weight)
@@ -1360,7 +1367,7 @@ def _rescaled_errors(mpmath, slack, tau, g):
     y = np.array([[t * (1 - slack), (1 - t) * (1 - slack)]
                   for t in np.linspace(0.1, 0.9, 5)])
     ray.grid = analysis.Grid(points=y, weights=np.ones(len(y)))
-    f = ray.fields(tau, slice(None))
+    f = rung_fields(ray, tau, slice(None))
     mpf, errs = mpmath.mpf, {}
     with mpmath.workdps(50):
         for i, ell in enumerate(u0.slacks(y)):

@@ -14,8 +14,9 @@ import pytest
 import kstab
 from kstab import slopes
 from kstab.analysis import Ray
-from kstab.cli import (EXIT_NUMERIC, EXIT_PARSE, EXIT_PASS, EXIT_VALIDATION,
-                       EXIT_VERDICT_FAIL, bundled_scenarios, check_suite,
+from kstab.cli import (EXIT_IO, EXIT_NUMERIC, EXIT_PARSE, EXIT_PASS,
+                       EXIT_VALIDATION, EXIT_VERDICT_FAIL, bundled_scenarios,
+                       check_suite,
                        emit_outputs, main, run_scenario)
 
 KINK = {
@@ -112,6 +113,36 @@ def test_malformed_json_exits_2_with_byte_offset(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("name, reason", [
+    ("a_directory", "Is a directory"),
+    ("missing.json", "No such file or directory"),
+])
+def test_unreadable_scenario_exits_2(tmp_path, name, reason, capsys):
+    (tmp_path / "a_directory").mkdir()
+    path = tmp_path / name
+    assert run_scenario(path, out_dir=tmp_path / "out") == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error: {path}: ") and reason in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unwritable_out_dir_exits_5(tmp_path, capsys):
+    path = write_scenario(tmp_path, KINK)
+    out = tmp_path / "a_file"
+    out.write_text("")
+    assert run_scenario(path, out_dir=out) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith(f"io error: could not write artifacts under {out}")
+    assert "Traceback" not in err
+
+
+def test_top_level_list_exits_3(tmp_path, capsys):
+    path = write_scenario(tmp_path, [KINK])
+    assert run_scenario(path, out_dir=tmp_path / "out") == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "invalid scenario" in err and "must be a JSON object" in err
+
+
 @pytest.mark.parametrize("mutate", [
     lambda b: b.update(schema="kstab-scenario/9"),
     lambda b: b.update(tasks=[]),
@@ -128,6 +159,11 @@ def test_malformed_json_exits_2_with_byte_offset(tmp_path, capsys):
                                "epsilons": ["1/8", "1/4"], "tol": 1}]),
     lambda b: b.update(tasks=[{"kind": "l1", "theorems": ["DF"]}]),
     lambda b: b.update(tasks=[{"kind": "l1", "schedule": {"tau": [1]}}]),
+    lambda b: b.update(polytope={"kind": "cube"}),
+    lambda b: b.update(pl=[[[1]]]),
+    lambda b: b.update(name=""),
+    lambda b: b["tasks"][1].update(schedule=[1, 2]),
+    lambda b: b.update(pl=[[["1/0"], "0"], [["-1"], "1"]]),
 ])
 def test_invalid_scenarios_exit_3(tmp_path, mutate, capsys):
     blob = json.loads(json.dumps(KINK))

@@ -49,7 +49,7 @@ from kstab.polytope import (box, corner_chop, dot, interval, unit_simplex,
                             volume_data)
 from kstab.slopes import Schedule, ladder
 from gens import (corner_coords, half_trace, inverse_hessian,
-                  logdet_small, mixed_discriminant, pair_field)
+                  logdet_small, mixed_discriminant, pair_field, rung_fields)
 
 F = Fraction
 
@@ -147,7 +147,7 @@ def test_square_transported_frame_matches_product_values():
     mu = float(slope_mu(SQUARE.base))
     for tau in (1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0):
         state = ray.state(tau)
-        f = ray.fields(tau, slice(None))  # every node
+        f = rung_fields(ray, tau, slice(None))  # every node
         phi_int = ray.grid.integrate(f.phi_y * np.exp(-f.log_ratio))
         assert abs(phi_int - 0.5 * (i_exact(tau) - tau)) < 1e-8, tau
         if tau <= 8.0:
@@ -203,7 +203,7 @@ def _node_hessians(ray):
     them only block by block.  Reference only."""
     pts = ray.grid.points
     return ray.u0.hessian(pts), ray.smooth.hessian(pts), \
-        ray.fields(0.0, slice(None)).g
+        rung_fields(ray, 0.0, slice(None)).g
 
 
 def _phi_dot_pairing(ray, s, a_field, hessians):
@@ -357,7 +357,7 @@ def test_df_rung_forms_the_pl_hessian_once_per_block(monkeypatch):
     mab = mabuchi(state)
     assert calls == [len(ray.grid.weights[rows]) for rows in ray.grid.blocks()]
     assert len(calls) > 1
-    log_det = sum(ray.fields(2.0, rows).log_det @ ray.grid.weights[rows]
+    log_det = sum(rung_fields(ray, 2.0, rows).log_det @ ray.grid.weights[rows]
                   for rows in ray.grid.blocks())
     assert state.log_det == log_det
     assert _route_b(state) == mab.route_b
@@ -401,7 +401,7 @@ def _owned_bytes(arrays) -> int:
 def test_rays_and_states_own_no_matrix_field(cfg, affine):
     """Census of the arrays a Ray and its states own.  The Ray holds no
     grid-length array but grid.points and grid.weights, and a state
-    none at all: every field lives in one block of Ray.fields, pair by
+    none at all: every field lives in one block of rung_fields, pair by
     row, with no 2 x 2 field.  Those form H_tau = D2u0 + tau * D2g_beta
     (D2u0 itself for an affine g) as its quadratic forms q = w^T H_tau w
     on the frame's pair vectors and det H_tau, on each block bit for bit
@@ -433,9 +433,9 @@ def test_rays_and_states_own_no_matrix_field(cfg, affine):
         quad_size = np.einsum("pi,rij,pj->pr", np.abs(w), size, np.abs(w))
         det_size = size[:, 0, 0] * size[:, -1, -1] \
             + size[:, 0, -1] * size[:, -1, 0]
-        whole = ray.fields(tau, slice(None))
+        whole = rung_fields(ray, tau, slice(None))
         for rows in ray.grid.blocks():
-            f = ray.fields(tau, rows)
+            f = rung_fields(ray, tau, rows)
             assert f.weight.shape == (len(w), len(pts[rows]))
             assert (f.log_det is None) == affine
             assert f.quad.tobytes() == whole.quad[:, rows].tobytes()
@@ -487,7 +487,7 @@ def test_trace_form_energies_match_the_inverted_h_tau(cfg, tau):
     ray = Ray(cfg, beta=10.0 * tau, tau_max=tau)
     state = ray.state(tau, alpha=alpha)
     rep, mab = energy_report(state), mabuchi(state)
-    f = ray.fields(tau, slice(None))  # every node
+    f = rung_fields(ray, tau, slice(None))  # every node
     pts, frame = ray.grid.points, ray.frame
     g0_at_x = pair_field(frame, f.weight)
     ricci = pair_field(frame, frame.ricci_scale[:, None] * f.weight)
@@ -840,7 +840,7 @@ def test_alpha_theta_closed_form_matches_newton(alpha):
     transport into alpha finds it wherever that solve resolves the
     slacks (above 1e-6)."""
     ray = Ray(SQUARE, beta=10.0, tau_max=1.0)
-    f = ray.fields(1.0, slice(None))  # every node
+    f = rung_fields(ray, 1.0, slice(None))  # every node
     theta = _alpha_theta(ray, f, 1.0, alpha)
     u_alpha = guillemin_potential(alpha)
     bary = np.array([[float(c) for c in volume_data(alpha).barycenter]])

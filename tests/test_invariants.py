@@ -33,6 +33,7 @@ from kstab.invariants import (
     slope_mu,
     twisted_weights,
 )
+from kstab import plconfig, polytope
 from kstab.plconfig import make_config, normalize, pl_fn
 from kstab.polytope import (
     Halfspace,
@@ -44,7 +45,7 @@ from kstab.polytope import (
     volume_data,
 )
 
-from gens import random_config
+from gens import random_config, scaled
 
 F = Fraction
 
@@ -133,7 +134,7 @@ def _rescaled_intersection_df(cfg):
     facets (each of total sigma vol(P) there), and divide by d."""
     d = math.lcm(*(F(c).denominator for p in cfg.g.pieces
                    for c in p.gradient))
-    work = make_config(cfg.base, cfg.g.scaled(d), cfg.shift * d)
+    work = make_config(cfg.base, scaled(cfg.g, d), cfg.shift * d)
     base_vd, q_vd = volume_data(cfg.base), volume_data(work.cayley)
     a = base_vd.boundary_sigma_volume / base_vd.volume
     side = q_vd.boundary_sigma_volume - 2 * base_vd.volume
@@ -201,10 +202,10 @@ def test_homogeneity_exact():
         cfg = random_config(rng, normalized="min_zero")
         df1, mn1 = donaldson_futaki(cfg), minimum_norm(cfg)
         for d in (2, 3, 5):
-            scaled = normalize(
-                make_config(cfg.base, cfg.g.scaled(d)), "min_zero")
-            assert donaldson_futaki(scaled) == d * df1
-            assert minimum_norm(scaled) == d * mn1
+            cfg_d = normalize(
+                make_config(cfg.base, scaled(cfg.g, d)), "min_zero")
+            assert donaldson_futaki(cfg_d) == d * df1
+            assert minimum_norm(cfg_d) == d * mn1
 
 
 # -- l1 norm ------------------------------------------------------------------
@@ -276,7 +277,7 @@ def test_l1_norm_oracles(base, pieces, exact):
     assert l1_norm(cfg) == exact
     for mode in ("min_zero", "average_zero"):
         assert l1_norm(normalize(cfg, mode)) == exact
-    assert l1_norm(make_config(base, cfg.g.scaled(3))) == 3 * exact
+    assert l1_norm(make_config(base, scaled(cfg.g, 3))) == 3 * exact
 
 
 def test_l1_norm_vanishes_exactly_on_trivial_configs():
@@ -392,6 +393,27 @@ def test_blowup_cube_second_order():
     rep = blowup_expansion(cfg, (0, 0, 0), eps)
     assert rep.fitted_coefficient == rep.reference_coefficient == F(135, 32)
     assert rep.matches
+
+
+@pytest.mark.parametrize("base, pieces, vertex", [
+    (interval(0, 1), [((1,), 0), ((-1,), 1)], (1,)),
+    (box(2), [((1, 0), 0), ((0, 1), 0)], (1, 1)),
+])
+def test_blowup_builds_no_polytope_by_construct(base, pieces, vertex,
+                                                monkeypatch):
+    """Each chop, its cells and its Cayley polytope are cuts of cfg's,
+    so no chop enumerates vertices: with construct, the kernel's one
+    vertex enumeration, refusing every call the report is the same."""
+    cfg = normalize(make_config(base, pieces), "min_zero")
+    eps = [F(1, 100), F(1, 50), F(1, 25), F(1, 10)]
+    want = blowup_expansion(cfg, vertex, eps)
+
+    def refuse(halfspaces=None, vertices=None):
+        raise AssertionError("construct called")
+
+    monkeypatch.setattr(polytope, "construct", refuse)
+    monkeypatch.setattr(plconfig, "construct", refuse)
+    assert blowup_expansion(cfg, vertex, eps) == want
 
 
 def test_blowup_guards():

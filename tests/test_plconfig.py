@@ -14,7 +14,7 @@ import kstab.polytope
 from kstab.analysis import SmoothedPL, bulk_grid
 from kstab.errors import ChopTooLarge, DomainMismatch, NotConvex, ShiftTooSmall
 from kstab.invariants import donaldson_futaki, minimum_norm
-from kstab.plconfig import make_config, normalize, pl_fn
+from kstab.plconfig import make_config, normalize, pl_fn, restricted
 from kstab.polytope import (
     box,
     corner_chop,
@@ -25,7 +25,7 @@ from kstab.polytope import (
     volume_data,
 )
 
-from gens import random_config
+from gens import random_config, scaled
 
 F = Fraction
 
@@ -92,7 +92,7 @@ def test_mean_is_never_stale():
     mean = g.average()
     assert mean == integrate(g.domain, g) / volume_data(g.domain).volume
     assert g.shifted(1).average() == mean + 1
-    assert g.scaled(2).average() == 2 * mean
+    assert scaled(g, 2).average() == 2 * mean
     assert replace(g, pieces=g.shifted(-mean).pieces).average() == 0
     assert g.average() == mean
 
@@ -132,7 +132,7 @@ def test_normalize_idempotent():
 def test_scaling_scales_integrals():
     g = pl_fn(interval(0, 1), [((1,), 0), ((-1,), 1)])
     for d in (2, 3, 5):
-        assert integrate(g.domain, g.scaled(d)) == d * integrate(g.domain, g)
+        assert integrate(g.domain, scaled(g, d)) == d * integrate(g.domain, g)
 
 
 def soft_max(g, x, beta):
@@ -199,10 +199,10 @@ def test_cells_match_fresh_regions(seed):
     cfg = random_config(rng)
     g = cfg.g
     derived = [g, g.shifted(F(rng.randrange(-9, 10), 4)),
-               g.scaled(F(rng.randrange(1, 9), rng.randrange(1, 5))),
+               scaled(g, F(rng.randrange(1, 9), rng.randrange(1, 5))),
                normalize(cfg, "min_zero").g,
                normalize(cfg, "average_zero").g,
-               g.restricted_to(_chopped(cfg.base, rng))]
+               restricted(cfg, _chopped(cfg.base, rng)).g]
     for h in derived:
         assert h.regions() == _fresh_cells(h)
         assert all(cell is not None for cell in h.regions())
@@ -211,7 +211,7 @@ def test_cells_match_fresh_regions(seed):
 def test_cells_leave_equality_alone():
     g = pl_fn(interval(0, 1), [((1,), 0), ((-1,), 1)])
     assert g.shifted(1).shifted(-1) == g
-    assert hash(g.scaled(2).scaled(F(1, 2))) == hash(g)
+    assert hash(scaled(scaled(g, 2), F(1, 2))) == hash(g)
     assert "cells" not in repr(g)
 
 

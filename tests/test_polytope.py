@@ -14,12 +14,15 @@ from kstab.errors import (
     DegenerateInput,
     DomainMismatch,
     InconsistentInput,
+    InsufficientSamples,
     NonDelzantVertex,
     NotAVertex,
+    NotConvex,
     UnboundedInput,
 )
 from kstab import plconfig, polytope
-from kstab.plconfig import make_config, pl_fn
+from kstab.invariants import blowup_expansion
+from kstab.plconfig import make_config, normalize, pl_fn, restricted
 from kstab.polytope import (
     Halfspace,
     Polytope,
@@ -326,7 +329,7 @@ def test_construct_matches_reference_on_seeded_configs(seed, monkeypatch):
             chopped = corner_chop(cfg.base, v, F(1, 8))
         except ChopTooLarge:
             continue
-        make_config(chopped, cfg.g.restricted_to(chopped), cfg.shift)
+        make_config(chopped, restricted(cfg, chopped).g, cfg.shift)
     monkeypatch.undo()
     assert any(len(hs[0].normal) == cfg.dim + 1 for hs in calls)
     for hs in calls:
@@ -421,7 +424,7 @@ def test_volume_data_matches_reference_on_seeded_configs(seed):
             chopped = corner_chop(cfg.base, v, F(1, 8))
         except ChopTooLarge:
             continue
-        cfg_e = make_config(chopped, cfg.g.restricted_to(chopped), cfg.shift)
+        cfg_e = make_config(chopped, restricted(cfg, chopped).g, cfg.shift)
         polys += [chopped, cfg_e.cayley, *cfg_e.g.regions()]
     for p in polys:
         assert volume_data(p) == _reference_volume_data(p)
@@ -476,11 +479,41 @@ def test_clip_matches_construct_on_seeded_chops(seed):
             h = _chop_halfspace(cfg.base, i, eps)
             want = _assert_clip_matches_construct(cfg.base, h)
             try:
-                assert corner_chop(cfg.base, v, eps) == want
+                chopped = corner_chop(cfg.base, v, eps)
             except ChopTooLarge:
                 pass
+            else:
+                assert chopped == want
+                _assert_restricted_cayley_is_make_configs(cfg, chopped)
             for cell in cfg.g.regions():
                 _assert_clip_matches_construct(cell, h)
+
+
+def _assert_restricted_cayley_is_make_configs(cfg, sub):
+    """restricted cuts cfg's Cayley polytope to the one make_config
+    builds from the restricted g, field for field."""
+    cut = restricted(cfg, sub)
+    assert cut.cayley == make_config(sub, cut.g, cfg.shift).cayley
+
+
+@pytest.mark.parametrize("base, pieces, sub", [
+    (box(3), [((1, 0, 0), 0), ((0, 1, 1), F(-1, 2))],
+     corner_chop(box(3), (0, 0, 0), F(1, 100))),
+    (box(3), [((1, 0, 0), 0), ((0, 1, 1), F(-1, 2))],
+     corner_chop(box(3), (0, 0, 0), F(1, 3))),
+    (box(2), [((1, 0), 0), ((0, 1), 0)],
+     construct(halfspaces=box(2).halfspaces + (
+         Halfspace((1, 0), F(1, 2)), Halfspace((1, 1), F(5, 4))))),
+    (interval(0, 1), [((-1,), 0), ((1,), F(-3, 4))],
+     corner_chop(interval(0, 1), (1,), F(5, 8))),
+    (box(2), [((0, 0), 0), ((1, 1), F(-3, 2))],
+     corner_chop(box(2), (1, 1), F(3, 4))),
+])
+def test_restricted_cayley_is_make_configs(base, pieces, sub):
+    """The cube chopped at its origin (Q in dimension 4); the square cut
+    by x1 <= 1/2, parallel to its facet x1 <= 1, and by x1 + x2 <= 5/4;
+    and two chops that empty a cell and drop its piece."""
+    _assert_restricted_cayley_is_make_configs(make_config(base, pieces), sub)
 
 
 def test_clip_replaces_a_facet_of_the_same_normal():
@@ -527,15 +560,53 @@ def test_restriction_drops_an_emptied_cell_as_regions_of_max(
         fresh = regions_of_max(sub, [(p.gradient, p.constant)
                                      for p in g.pieces])
         assert fresh[1] is None
-        restricted = g.restricted_to(sub)
-        assert restricted.pieces == g.pieces[:1]
-        assert restricted.regions() == (fresh[0],)
+        g_sub = restricted(make_config(base, g), sub).g
+        assert g_sub.pieces == g.pieces[:1]
+        assert g_sub.regions() == (fresh[0],)
 
 
 def test_restriction_outside_the_domain_rejected():
-    g = pl_fn(interval(0, 1), [((1,), 0)])
+    cfg = make_config(interval(0, 1), [((1,), 0)])
     with pytest.raises(DomainMismatch):
-        g.restricted_to(interval(0, 2))
+        restricted(cfg, interval(0, 2))
+
+
+SIMPLEX_X1 = make_config(unit_simplex(2), [((1, 0), 0)])
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: Halfspace((0, 0), F(1)), InconsistentInput, "nonzero"),
+    (lambda: Halfspace((F(1, 2), 1), F(1)), InconsistentInput, "integer"),
+    (lambda: Halfspace((2, 0), F(1)), InconsistentInput, "primitive"),
+    (lambda: construct(), InconsistentInput, "halfspaces or vertices"),
+    (lambda: construct(vertices=[]), InconsistentInput, "no vertices"),
+    (lambda: construct(vertices=[(0, 0), (1, 0), (0, 1, 0)]),
+     DomainMismatch, "mixed dimension"),
+    (lambda: construct(vertices=[(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0),
+                                 (0, 0, 1, 0), (0, 0, 0, 1)]),
+     DomainMismatch, "up to dimension 3"),
+    (lambda: integrate(box(2), ((1, 0), 0), region="edge"),
+     InconsistentInput, "unknown region"),
+    (lambda: mixed_volume([]), InconsistentInput, "empty list"),
+    (lambda: mixed_volume([box(2), interval(0, 1)]),
+     DomainMismatch, "mixed ambient dimension"),
+    (lambda: minkowski_sum([(1, box(2)), (1, interval(0, 1))]),
+     DomainMismatch, "mixed ambient dimension"),
+    (lambda: polytope.primitivize((0, 0)), InconsistentInput, "zero vector"),
+    (lambda: pl_fn(box(2), []), NotConvex, "at least one affine piece"),
+    (lambda: normalize(SIMPLEX_X1, "max_zero"),
+     DomainMismatch, "unknown normalization"),
+    (lambda: blowup_expansion(normalize(SIMPLEX_X1), (1, 0),
+                              [F(-1, 10), F(1, 100), F(1, 50), F(1, 25)]),
+     InsufficientSamples, "must be positive"),
+], ids=["zero-normal", "fractional-normal", "imprimitive-normal",
+        "no-input", "no-vertices", "mixed-vertices", "hull-in-4d",
+        "edge-region", "no-bodies", "mixed-bodies", "mixed-summands",
+        "zero-vector", "no-pieces", "max-zero", "negative-depth"])
+def test_kernel_refuses_bad_input(call, error, fragment):
+    """Each refusal of the exact kernel that no other test reaches."""
+    with pytest.raises(error, match=fragment):
+        call()
 
 
 @pytest.mark.parametrize("halfspaces", [

@@ -4,8 +4,15 @@ Every module-level function and class of src/kstab/*.py is referenced in
 the package beyond its own definition, exported in ``kstab.__all__``, the
 ``kstab`` console script (``cli.main``), or wrapped by name by the
 benchmark's tracer (its ENTRY_POINTS, loaded by path as in
-test_tracer_hooks).  A name that meets none of these is dead, or serves
-only the tests, and belongs in the tests.
+test_tracer_hooks).  So is every method and property of a module-level
+class, dunders aside; the tracer's RAY_METHODS pin the ``Ray`` members
+it wraps.  A name that meets none of these is dead, or serves only the
+tests, and belongs in the tests.
+
+The scan goes by name, not by binding: a member whose name is also read
+elsewhere in src counts as used, so it misses a test-only member whose
+name collides with a used one (``Grid.integrate`` with
+``polytope.integrate``, say).
 """
 import ast
 from collections import Counter
@@ -16,6 +23,7 @@ from test_tracer_hooks import ROOT, _load
 
 SRC = ROOT / "src" / "kstab"
 CONSOLE_SCRIPTS = {("cli", "main")}
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _uses(tree):
@@ -27,33 +35,48 @@ def _uses(tree):
             yield node.attr
 
 
+def _members(node):
+    """(qualified name, def) of a top-level def or class and, for a
+    class, of each of its methods and properties but the dunders."""
+    yield node.name, node
+    if isinstance(node, ast.ClassDef):
+        for member in node.body:
+            if isinstance(member, FUNCTIONS) and not (
+                    member.name.startswith("__")
+                    and member.name.endswith("__")):
+                yield f"{node.name}.{member.name}", member
+
+
 def unreferenced(src: Path, exported, pinned) -> list:
-    """module.name of each top-level def or class in src/*.py that no
-    code outside its own body uses, that is not in exported and whose
-    (module, name) is not in pinned."""
+    """module.name of each top-level def or class in src/*.py, and
+    module.Class.name of each member of such a class (``_members``),
+    that no code outside its own body uses, that is not in exported and
+    whose (module, name) is not in pinned."""
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(src.glob("*.py"))}
     used = Counter(name for tree in trees.values() for name in _uses(tree))
-    return [f"{module}.{node.name}"
-            for module, tree in trees.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))
-            and used[node.name] == Counter(_uses(node))[node.name]
-            and node.name not in exported
-            and (module, node.name) not in pinned]
+    return [f"{module}.{name}"
+            for module, tree in trees.items() for top in tree.body
+            if isinstance(top, FUNCTIONS + (ast.ClassDef,))
+            for name, node in _members(top)
+            if used[node.name] == Counter(_uses(node))[node.name]
+            and name not in exported
+            and (module, name) not in pinned]
 
 
 def test_every_src_definition_has_a_use():
     tracer = _load("tracer")
     pinned = CONSOLE_SCRIPTS | {(layer, name)
                                 for layer, names in tracer.ENTRY_POINTS.items()
-                                for name in names}
+                                for name in names} \
+        | {("analysis", f"Ray.{name}") for name in tracer.RAY_METHODS}
     assert unreferenced(SRC, set(kstab.__all__), pinned) == []
 
 
 def test_the_scan_finds_a_test_only_helper(tmp_path):
     """A helper called from nowhere, or only from its own body, is
-    flagged; one called from another module, or from its own, is not."""
+    flagged; one called from another module, or from its own, is not.
+    So is a method or property, and a dunder never is."""
     (tmp_path / "a.py").write_text(
         "def used():\n    return 1\n\n\n"
         "def helper():\n    return used()\n\n\n"
@@ -62,3 +85,17 @@ def test_the_scan_finds_a_test_only_helper(tmp_path):
     (tmp_path / "b.py").write_text("from .a import helper\n\nX = helper()\n")
     assert unreferenced(tmp_path, set(), set()) == ["a.orphan", "a.Orphan"]
     assert unreferenced(tmp_path, {"orphan"}, {("a", "Orphan")}) == []
+
+    members = tmp_path / "members"
+    members.mkdir()
+    (members / "a.py").write_text(
+        "class Box:\n"
+        "    def __init__(self):\n        self.k = 1\n\n"
+        "    def read(self):\n        return self.k\n\n"
+        "    @property\n    def shown(self):\n        return 2\n\n"
+        "    def lonely(self, k):\n"
+        "        return self.lonely(k - 1) if k else 3\n")
+    (members / "b.py").write_text(
+        "from .a import Box\n\nX = Box().read() + Box().shown\n")
+    assert unreferenced(members, set(), set()) == ["a.Box.lonely"]
+    assert unreferenced(members, set(), {("a", "Box.lonely")}) == []
