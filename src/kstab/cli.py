@@ -40,6 +40,7 @@ import datetime
 import json
 import math
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -48,8 +49,7 @@ from .errors import NumericalFailure, ValidationError
 from .functionals import l1_norm_path
 from .invariants import blowup_expansion, invariant_report
 from .plconfig import make_config, normalize
-from .polytope import (box, construct, frac_json, frac_str, interval,
-                       unit_simplex)
+from .polytope import box, construct, interval, unit_simplex
 from .slopes import (POINT_SCHEDULE, Schedule, scan_destabilizer,
                      verify_theorem)
 
@@ -235,6 +235,34 @@ def _finite(x):
     return x if math.isfinite(x) else None
 
 
+def _frac_json(q: Fraction) -> dict:
+    """A rational for report.json: "p/q" (str of a Fraction, integers
+    plain) and a decimal, null where q is beyond float64."""
+    try:
+        decimal = float(q)
+    except OverflowError:
+        decimal = None
+    return {"exact": str(q), "decimal": decimal}
+
+
+def _invariants_json(rep) -> dict:
+    return {k: _frac_json(v) if isinstance(v, Fraction) else v
+            for k, v in asdict(rep).items()}
+
+
+def _verdict_json(v) -> dict:
+    return {
+        "theorem": v.theorem,
+        **_frac_json(v.exact),
+        "slope": v.slope,
+        "residual": v.residual,
+        "tol": v.tol,
+        "pass": v.passed,
+        "tier": v.tier,
+        "normalization": v.normalization,
+    }
+
+
 def _schedule_from(task: dict, tau_max, point: bool) -> Schedule:
     base = POINT_SCHEDULE if point else Schedule()
     blob = task.get("schedule") or {}
@@ -267,7 +295,7 @@ def _schedule_from(task: dict, tau_max, point: bool) -> Schedule:
 def _task_invariants(cfg, task, blob):
     mode = blob.get("normalization", "min_zero")
     report = invariant_report(normalize(cfg, mode))
-    return {"kind": "invariants", "report": report.to_json()}, None
+    return {"kind": "invariants", "report": _invariants_json(report)}, None
 
 
 def _task_slopes(cfg, task, alpha, tau_max):
@@ -282,7 +310,7 @@ def _task_slopes(cfg, task, alpha, tau_max):
         verdicts.append(verify_theorem(cfg, name, schedule,
                                        alpha=alpha, vertex=vertex))
     entry = {"kind": "slopes",
-             "verdicts": [v.to_json() for v in verdicts],
+             "verdicts": [_verdict_json(v) for v in verdicts],
              "pass": all(v.passed for v in verdicts)}
     return entry, verdicts
 
@@ -294,11 +322,11 @@ def _task_stoppa(cfg, task):
     report = blowup_expansion(normalize(cfg, "min_zero"), vertex, eps)
     entry = {
         "kind": "stoppa",
-        "vertex": [frac_str(c) for c in vertex],
-        "epsilons": [frac_str(e) for e in report.epsilons],
-        "df_values": [frac_json(d) for d in report.df_values],
-        "fitted_coefficient": frac_json(report.fitted_coefficient),
-        "reference_coefficient": frac_json(report.reference_coefficient),
+        "vertex": [str(c) for c in vertex],
+        "epsilons": [str(e) for e in report.epsilons],
+        "df_values": [_frac_json(d) for d in report.df_values],
+        "fitted_coefficient": _frac_json(report.fitted_coefficient),
+        "reference_coefficient": _frac_json(report.reference_coefficient),
         "pass": report.matches,
     }
     return entry, None
@@ -312,8 +340,8 @@ def _task_scan(cfg, task):
     report = scan_destabilizer(cfg, candidates)
 
     def scored(c):  # every weight is exact; "exact" stays for REPORT_SCHEMA
-        return {"point": [frac_str(x) for x in c.point],
-                "value": frac_json(c.value), "exact": True}
+        return {"point": [str(x) for x in c.point],
+                "value": _frac_json(c.value), "exact": True}
     entry = {"kind": "scan", "destabilizing": report.destabilizing,
              "best": scored(report.best),
              "candidates": [scored(c) for c in report.candidates]}
@@ -323,7 +351,7 @@ def _task_scan(cfg, task):
 def _task_l1(cfg, task, tau_max):
     taus = _schedule_from(task, tau_max, point=False).taus
     rep = l1_norm_path(normalize(cfg, "average_zero"), taus)
-    return {"kind": "l1", "exact": frac_str(rep.limit),
+    return {"kind": "l1", "exact": str(rep.limit),
             "limit": _finite(rep.limit), "length": _finite(rep.length),
             "trace": [[t, _finite(v)] for t, v in rep.trace]}, None
 

@@ -42,7 +42,6 @@ from .polytope import (
     corner_chop,
     embed_at_height,
     frac,
-    frac_json,
     integrate,
     mixed_volume,
     regions_of_max,
@@ -219,17 +218,6 @@ class InvariantReport:
     normalization_note: str
     provenance: dict
     calibration: Fraction
-
-    def to_json(self) -> dict:
-        return {
-            "df": frac_json(self.df),
-            "minimum_norm": frac_json(self.minimum_norm),
-            "slope_mu": frac_json(self.slope_mu),
-            "am_top": frac_json(self.am_top),
-            "normalization_note": self.normalization_note,
-            "provenance": dict(self.provenance),
-            "calibration": frac_json(self.calibration),
-        }
 
 
 def invariant_report(cfg: ToricTestConfig) -> InvariantReport:

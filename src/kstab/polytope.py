@@ -3,9 +3,10 @@
 Everything in this module is exact: vertices and offsets are
 `fractions.Fraction`, facet normals are primitive integer vectors, and
 all measures (volume, lattice boundary measure, mixed volumes) are
-computed exactly.  The ambient dimensions that matter here are small
-(1 to 4), so the algorithms are chosen for transparency rather than
-asymptotics, one rule per job:
+computed exactly.  No value here is a float and nothing renders JSON:
+``cli`` alone writes report.json.  The ambient dimensions that matter
+here are small (1 to 4), so the algorithms are chosen for transparency
+rather than asymptotics, one rule per job:
 
   * vertices by n-fold facet intersection in integers (Cramer
     numerators, one sign test per slack, a Fraction per vertex); a
@@ -78,21 +79,6 @@ def frac(x) -> Fraction:
     if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"expected exact rational, got {type(x).__name__}")
-
-
-def frac_str(q: Fraction) -> str:
-    q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
-
-
-def frac_json(q: Fraction) -> dict:
-    """A rational for report.json: "p/q" (integers plain) and a decimal,
-    null where q is beyond float64."""
-    try:
-        decimal = float(q)
-    except OverflowError:
-        decimal = None
-    return {"exact": frac_str(q), "decimal": decimal}
 
 
 def vec(xs) -> Vec:
@@ -258,6 +244,10 @@ class Polytope:
 
     def edges(self):
         """Vertex-index pairs whose common facets hold no third vertex."""
+        return self._edges
+
+    @cached_property
+    def _edges(self) -> tuple:  # restricted clips one polytope per depth
         on = [set(self.vertex_facets(i)) for i in range(len(self.vertices))]
         pairs = itertools.combinations(range(len(on)), 2)
         return tuple((i, j) for i, j in pairs if not any(

@@ -56,7 +56,7 @@ from .invariants import (
     twisted_weights,
 )
 from .plconfig import ToricTestConfig, normalize
-from .polytope import Polytope, frac_json, integrate, volume_data
+from .polytope import Polytope, integrate, volume_data
 
 WINDOW = 4            # trailing intervals feeding the window estimate
 MIN_SAMPLES = 6
@@ -196,18 +196,6 @@ class VerdictReport:
     normalization: str
     trace: tuple
     energies: tuple
-
-    def to_json(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            **frac_json(self.exact),
-            "slope": self.slope,
-            "residual": self.residual,
-            "tol": self.tol,
-            "pass": self.passed,
-            "tier": self.tier,
-            "normalization": self.normalization,
-        }
 
 
 def _tier(cfg: ToricTestConfig) -> str:

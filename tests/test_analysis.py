@@ -1205,7 +1205,6 @@ SIMPLEX_PRODUCTS = [interval(Fraction(1, 2), 3), box(2), box(2, side=2),
                     unit_simplex(2),
                     construct(vertices=[(0, 0), (1, 0), (1, 1)]),
                     construct(vertices=[(0, 0), (2, 0), (3, 1), (1, 1)])]
-HIRZEBRUCH = construct(vertices=[(0, 0), (2, 0), (1, 1), (0, 1)])
 
 
 @pytest.mark.parametrize("base", SIMPLEX_PRODUCTS + [HIRZEBRUCH],

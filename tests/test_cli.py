@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -660,7 +661,6 @@ def test_bundled_scenarios_are_discoverable():
     assert len(names) >= 3
     # every bundled file must parse against the scenario schema
     from kstab.cli import load_scenario
-    from importlib import resources
     for res in bundled_scenarios():
         with resources.as_file(res) as path:
             blob = load_scenario(path)
@@ -675,6 +675,57 @@ def test_check_suite_passes(tmp_path, capsys):
     for res in bundled_scenarios():
         assert f"suite {res.name}: pass" in out
     assert "suite square_max.json: pass" in out
+
+
+RATIONAL = {"exact", "decimal"}
+VERDICT = {"theorem", "exact", "decimal", "slope", "residual", "tol", "pass",
+           "tier", "normalization", "trace_csv", "plot_svg"}
+ENTRY_KEYS = {
+    "invariants": {"kind", "report"},
+    "slopes": {"kind", "verdicts", "pass"},
+    "stoppa": {"kind", "vertex", "epsilons", "df_values",
+               "fitted_coefficient", "reference_coefficient", "pass"},
+    "scan": {"kind", "destabilizing", "best", "candidates"},
+    "l1": {"kind", "exact", "limit", "length", "trace"},
+}
+
+
+def test_report_key_sets_are_pinned(tmp_path, capsys):
+    """report.json's keys at the top level and in each entry kind, from
+    the bundled scenario that runs all five: a format change shows here."""
+    res = next(r for r in bundled_scenarios()
+               if r.name == "interval_affine.json")
+    out = tmp_path / "out"
+    with resources.as_file(res) as path:
+        assert run_scenario(path, out_dir=out) == EXIT_PASS
+    report = read_report(out)
+    assert set(report) == {"schema", "name", "timestamp", "seed", "options",
+                           "pass", "tasks"}
+    assert set(report["options"]) == {"tau_max"}
+    kinds = [t["kind"] for t in report["tasks"]]
+    assert kinds == ["invariants", "slopes", "slopes", "stoppa", "scan", "l1"]
+    for entry in report["tasks"]:
+        assert set(entry) == ENTRY_KEYS[entry["kind"]]
+    inv = report["tasks"][0]["report"]
+    assert set(inv) == {"df", "minimum_norm", "slope_mu", "am_top",
+                        "normalization_note", "provenance", "calibration"}
+    for key in ("df", "minimum_norm", "slope_mu", "am_top", "calibration"):
+        assert set(inv[key]) == RATIONAL
+    assert set(inv["provenance"]) == {"df", "minimum_norm", "slope_mu",
+                                      "am_top"}
+    verdicts = [v for t in report["tasks"][1:3] for v in t["verdicts"]]
+    assert [v["theorem"] for v in verdicts] == ["AM", "DF", "MINNORM",
+                                                "JALPHA", "POINT"]
+    for verdict in verdicts:
+        assert set(verdict) == VERDICT
+    stoppa = report["tasks"][3]
+    for rational in stoppa["df_values"] + [stoppa["fitted_coefficient"],
+                                           stoppa["reference_coefficient"]]:
+        assert set(rational) == RATIONAL
+    scan = report["tasks"][4]
+    for scored in [scan["best"]] + scan["candidates"]:
+        assert set(scored) == {"point", "value", "exact"}
+        assert set(scored["value"]) == RATIONAL
 
 
 def test_console_entry_point_matches_main(tmp_path):

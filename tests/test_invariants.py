@@ -6,7 +6,8 @@ from importlib import resources
 
 import pytest
 
-from kstab.cli import _build_config, bundled_scenarios, load_scenario
+from kstab.cli import (_build_config, _invariants_json, bundled_scenarios,
+                       load_scenario)
 from kstab.errors import (
     ChopTooLarge,
     DegenerateInput,
@@ -437,7 +438,7 @@ def test_invariant_report():
     assert rep.provenance["df"] == "both_agree"
     assert rep.provenance["am_top"] == "cayley_volume"
     assert rep.calibration == 1
-    blob = rep.to_json()
+    blob = _invariants_json(rep)
     assert blob["df"] == {"exact": "1/2", "decimal": 0.5}
 
 

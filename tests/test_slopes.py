@@ -14,6 +14,7 @@ import pytest
 
 import kstab.analysis
 import kstab.slopes
+from kstab.cli import _verdict_json
 from kstab.errors import (
     DomainMismatch,
     InconsistentInput,
@@ -408,7 +409,7 @@ def test_point_probe_stall_names_its_tau():
 
 def test_verdict_json_shape():
     rep = verify_theorem(AFFINE, "MINNORM")
-    blob = rep.to_json()
+    blob = _verdict_json(rep)
     assert blob["exact"] == "1/2"
     assert blob["decimal"] == 0.5
     assert blob["pass"] is True
@@ -419,7 +420,7 @@ def test_verdict_json_shape():
 def test_verdict_json_renders_integers_plain():
     """An integer exact value reads as report.json renders every other
     rational: "0", not "0/1"."""
-    blob = verify_theorem(AFFINE, "DF").to_json()
+    blob = _verdict_json(verify_theorem(AFFINE, "DF"))
     assert blob["exact"] == "0"
     assert blob["decimal"] == 0.0
 

@@ -99,3 +99,38 @@ def test_the_scan_finds_a_test_only_helper(tmp_path):
         "from .a import Box\n\nX = Box().read() + Box().shown\n")
     assert unreferenced(members, set(), set()) == ["a.Box.lonely"]
     assert unreferenced(members, set(), {("a", "Box.lonely")}) == []
+
+
+EXACT_LAYER = ("polytope", "plconfig", "invariants")
+
+
+def float_or_format_uses(source: str) -> list:
+    """Each `float` named in source, as a call or a bare name, and each
+    import of json or numpy: what the exact layer must not hold."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id == "float":
+            found.append(f"float at line {node.lineno}")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [a.name for a in node.names] \
+                if isinstance(node, ast.Import) else [node.module or ""]
+            found += [f"import {m} at line {node.lineno}" for m in modules
+                      if m.split(".")[0] in ("json", "numpy")]
+    return found
+
+
+def test_the_exact_layer_holds_no_float_and_no_json():
+    """polytope, plconfig and invariants compute in Fraction and int
+    only; report.json renders their rationals in cli."""
+    for module in EXACT_LAYER:
+        source = (SRC / f"{module}.py").read_text()
+        assert float_or_format_uses(source) == [], module
+
+
+def test_the_float_scan_finds_calls_names_and_imports():
+    source = ("import json\nimport numpy.linalg\nfrom numpy import array\n"
+              "from fractions import Fraction\n"
+              "x = float(Fraction(1, 2))\ny = list(map(float, [1]))\n")
+    assert float_or_format_uses(source) == [
+        "import json at line 1", "import numpy.linalg at line 2",
+        "import numpy at line 3", "float at line 5", "float at line 6"]
