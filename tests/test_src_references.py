@@ -13,6 +13,9 @@ The scan goes by name, not by binding: a member whose name is also read
 elsewhere in src counts as used, so it misses a test-only member whose
 name collides with a used one (``Grid.integrate`` with
 ``polytope.integrate``, say).
+
+The exact layer (polytope, plconfig, invariants) names no ``float`` and
+imports neither json nor numpy: report.json's decimals are ``cli``'s.
 """
 import ast
 from collections import Counter
