@@ -3,7 +3,7 @@
     python3 scripts/bench.py --label 2
 
 From the repository root this runs ``perfbench/run.py`` on each workload
-(exact, ray1d, ray2d) three times untraced, for the end-to-end metrics,
+of BENCHMARK.json (exact, ray1d, ray2d) three times untraced, for the end-to-end metrics,
 and once traced, for the per-layer ones, then the Tier-1 suite.  The
 file records the machine facts; per workload the median of the three
 untraced runs, each number taken on its own, next to their raw result
@@ -27,7 +27,6 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("exact", "ray1d", "ray2d")
 SEED = 1
 UNTRACED_RUNS = 3
 TIER1 = [sys.executable, "-m", "pytest", "-q",
@@ -136,7 +135,7 @@ def main(argv=None) -> int:
 
     out = {"label": args.label, "seed": SEED, "seconds": seconds,
            "machine": machine_facts(), "end_to_end": {}, "per_layer": {}}
-    for workload in WORKLOADS:
+    for workload in (w["name"] for w in spec["workloads"]):
         print(f"bench: {workload} x{UNTRACED_RUNS} untraced", file=sys.stderr)
         out["end_to_end"][workload] = median_run(workload, SEED, seconds)
         print(f"bench: {workload} traced", file=sys.stderr)

@@ -4,9 +4,9 @@
 
 From the repository root this extracts ``git archive`` checkouts of REF
 and of HEAD (committed files only) into a temporary directory and runs
-``perfbench/run.py --seed N`` (1 by default) untraced in each, for the
-``run_seconds`` of BENCHMARK.json (25), PAIRS times, alternating which
-side runs first.  Per end-to-end metric of BENCHMARK.json it prints the
+``perfbench/run.py --seed N`` (1 by default) untraced in each, on one
+of the workloads BENCHMARK.json names, for its ``run_seconds`` (25),
+PAIRS times, alternating which side runs first.  Per end-to-end metric of BENCHMARK.json it prints the
 median and the quartiles of each side and the number of pairs in which
 HEAD was better, in the metric's direction (ties are counted apart),
 then one line per metric saying whether HEAD's change resolves as a
@@ -32,7 +32,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("exact", "ray1d", "ray2d")
 
 
 def checkout(rev: str, dest: Path) -> Path:
@@ -150,13 +149,14 @@ def summary(ref_runs, head_runs, end_to_end) -> list:
 
 
 def main(argv=None) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text("utf-8"))
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("ref", help="the revision to compare HEAD with")
-    ap.add_argument("--workload", required=True, choices=WORKLOADS)
+    ap.add_argument("--workload", required=True,
+                    choices=[w["name"] for w in spec["workloads"]])
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text("utf-8"))
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         ref = checkout(args.ref, Path(tmp) / "ref")
         head = checkout("HEAD", Path(tmp) / "head")

@@ -211,9 +211,6 @@ class Grid:
     points: np.ndarray
     weights: np.ndarray
 
-    def integrate(self, values: np.ndarray) -> float:
-        return float(values @ self.weights)
-
     def blocks(self):
         """Slices of _BLOCK rows covering the nodes, in order."""
         return (slice(lo, lo + _BLOCK) for lo in range(0, self.size, _BLOCK))
@@ -565,8 +562,6 @@ class SimplexProduct:
     to a slanted facet, as it does in ricci_reference.
     """
 
-    normals: np.ndarray
-    offsets: np.ndarray
     blocks: tuple          # facet indices per block, the dropped k0 first
     ratio_map: np.ndarray  # (n, K): r = xi @ ratio_map
     log_sums: np.ndarray   # log Lambda_B per block
@@ -720,8 +715,6 @@ def simplex_product(base: Polytope) -> SimplexProduct | None:
     w = np.array([0.5 * (ratio_map[:, k] - ratio_map[:, l])
                   for k, l in pairs])
     frame = SimplexProduct(
-        normals=np.array(normals, dtype=float),
-        offsets=np.array([float(c) for c in offsets]),
         blocks=tuple(np.array(b) for b in blocks),
         ratio_map=ratio_map,
         log_sums=np.array([_log(s) for s in sums]),
@@ -840,7 +833,7 @@ class Ray:
         block rows, pair weights, det D2u0(x)^-1, then alpha's first 3."""
         rows = [np.empty((len(f), size)) for frame in (self.frame, twist)
                 if frame is not None for f in
-                (frame.normals, frame.blocks, frame.pair_vectors)]
+                (frame.sums, frame.blocks, frame.pair_vectors)]
         return rows[:3] + [np.empty(size)] + rows[3:]
 
     def _block(self, rows: slice, pairing) -> tuple:

@@ -20,6 +20,11 @@ from kstab.polytope import (box, construct, corner_chop, frac, interval,
 F = Fraction
 
 
+def interval_config(pieces, mode="min_zero"):
+    """g with the given affine pieces on [0, 1], normalized by mode."""
+    return normalize(make_config(interval(0, 1), pieces), mode)
+
+
 def random_base(rng: random.Random):
     roll = rng.randrange(6)
     if roll == 0:
@@ -82,6 +87,11 @@ def scaled(g, d):
         for p in g.pieces))
 
 
+def integral(grid, values):
+    """The grid's quadrature of values, one per node."""
+    return float(values @ grid.weights)
+
+
 def rung_fields(ray, tau, rows):
     """The rung of ray at tau, smoothed at the Ray's beta, on the nodes
     rows: the fields that Ray.state sums, block by block."""
@@ -90,14 +100,14 @@ def rung_fields(ray, tau, rows):
                      ray.smooth, ray._scratch(None, size))
 
 
-def corner_coords(frame, log_ell):
+def corner_coords(u0, log_ell):
     """x on a polytope with a corner at 0 whose facets there are
     -x_i <= 0 (a box, an interval, the unit simplex), read from the
-    log-slacks of its SimplexProduct frame: x_i is the slack of the
-    facet -x_i <= 0."""
-    cols = [np.flatnonzero((frame.normals == -e).all(axis=1)
-                           & (frame.offsets == 0))[0]
-            for e in np.eye(frame.normals.shape[1])]
+    log-slacks log_ell of the facets of its potential u0: x_i is the
+    slack of the facet -x_i <= 0."""
+    cols = [np.flatnonzero((u0.normals == -e).all(axis=1)
+                           & (u0.offsets == 0))[0]
+            for e in np.eye(u0.normals.shape[1])]
     return np.exp(log_ell[:, cols])
 
 

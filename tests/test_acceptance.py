@@ -14,7 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from gens import flat, random_config, random_fraction, random_pl, scaled
+from gens import (flat, integral, random_config, random_fraction, random_pl,
+                  scaled)
 from kstab.analysis import (KAPPA, abreu_scalar_curvature, bulk_grid,
                             guillemin_potential)
 from kstab.invariants import (
@@ -236,6 +237,6 @@ def test_criterion_12_curvature_calibration():
         grid = bulk_grid(flat(base))
         s_field = abreu_scalar_curvature(guillemin_potential(base),
                                          grid.points)
-        mean = grid.integrate(s_field) / float(volume_data(base).volume)
+        mean = integral(grid, s_field) / float(volume_data(base).volume)
         assert abs(mean - n_mu) <= 1e-6 * n_mu
     assert time.perf_counter() - t0 < 10.0

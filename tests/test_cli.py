@@ -165,6 +165,9 @@ def test_top_level_list_exits_3(tmp_path, capsys):
     lambda b: b.update(name=""),
     lambda b: b["tasks"][1].update(schedule=[1, 2]),
     lambda b: b.update(pl=[[["1/0"], "0"], [["-1"], "1"]]),
+    lambda b: b.update(shift="1"),  # the kink's max g: ShiftTooSmall
+    lambda b: b.update(shift="x"),
+    lambda b: b["tasks"][1].update(vertex="1"),
 ])
 def test_invalid_scenarios_exit_3(tmp_path, mutate, capsys):
     blob = json.loads(json.dumps(KINK))
@@ -172,6 +175,23 @@ def test_invalid_scenarios_exit_3(tmp_path, mutate, capsys):
     path = write_scenario(tmp_path, blob)
     assert run_scenario(path, out_dir=tmp_path / "out") == EXIT_VALIDATION
     assert "invalid scenario" in capsys.readouterr().err
+
+
+def test_a_numeric_shift_moves_only_am_top(tmp_path):
+    """shift 3 on the kink keeps DF 1/2 and the minimum norm 1/4 of
+    shift auto; AM's top coefficient grows by 2! vol P (3 - 2)."""
+    reports = {}
+    for shift in ("auto", "3"):
+        blob = dict(KINK, shift=shift, tasks=[{"kind": "invariants"}])
+        path = write_scenario(tmp_path, blob)
+        out = tmp_path / shift
+        assert run_scenario(path, out_dir=out) == EXIT_PASS
+        reports[shift] = {key: value["exact"] for key, value in
+                          read_report(out)["tasks"][0]["report"].items()
+                          if key in ("df", "minimum_norm", "am_top")}
+    assert reports["3"] == {"df": "1/2", "minimum_norm": "1/4",
+                            "am_top": "9/2"}
+    assert reports["auto"] == dict(reports["3"], am_top="5/2")
 
 
 @pytest.mark.parametrize("task, named", [

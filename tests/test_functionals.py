@@ -48,14 +48,11 @@ from kstab.plconfig import make_config, normalize
 from kstab.polytope import (box, corner_chop, dot, interval, unit_simplex,
                             volume_data)
 from kstab.slopes import Schedule, ladder
-from gens import (corner_coords, half_trace, inverse_hessian,
-                  logdet_small, mixed_discriminant, pair_field, rung_fields)
+from gens import (corner_coords, half_trace, integral, interval_config,
+                  inverse_hessian, logdet_small, mixed_discriminant,
+                  pair_field, rung_fields)
 
 F = Fraction
-
-
-def interval_config(pieces, mode="min_zero"):
-    return normalize(make_config(interval(0, 1), pieces), mode)
 
 
 AFFINE = interval_config([((1,), 0)])
@@ -148,7 +145,7 @@ def test_square_transported_frame_matches_product_values():
     for tau in (1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0):
         state = ray.state(tau)
         f = rung_fields(ray, tau, slice(None))  # every node
-        phi_int = ray.grid.integrate(f.phi_y * np.exp(-f.log_ratio))
+        phi_int = integral(ray.grid, f.phi_y * np.exp(-f.log_ratio))
         assert abs(phi_int - 0.5 * (i_exact(tau) - tau)) < 1e-8, tau
         if tau <= 8.0:
             rep = energy_report(state)
@@ -222,7 +219,7 @@ def _phi_dot_pairing(ray, s, a_field, hessians):
     else:
         md = mixed_discriminant(a_field, _inv_small(h_s))
         det = np.exp(logdet_small(h_s))
-    return -n * math.factorial(n) * ray.grid.integrate(g_vals * md * det)
+    return -n * math.factorial(n) * integral(ray.grid, g_vals * md * det)
 
 
 def _energy_path(integrand, taus):
@@ -243,7 +240,7 @@ def _ricci_path(ray, taus):
     hessians = _node_hessians(ray)
 
     def integrand(s):
-        x = corner_coords(ray.frame, ray.inverse_transport(s))
+        x = corner_coords(ray.u0, ray.inverse_transport(s))
         # a slack to x_i <= 1 below the float spacing rounds x_i onto 1:
         # keep it on the last float inside, where ricci_reference is finite
         x = np.minimum(x, np.nextafter(1.0, 0.0))
@@ -495,11 +492,11 @@ def test_trace_form_energies_match_the_inverted_h_tau(cfg, tau):
     det_tau, g_tau = f.det_tau, _inv_small(h_tau)
 
     def wedge(a, b):
-        return 2 * ray.grid.integrate(
-            f.phi_y * mixed_discriminant(a, b) * det_tau)
+        return 2 * integral(
+            ray.grid, f.phi_y * mixed_discriminant(a, b) * det_tau)
 
-    am_direct = 2 * ray.grid.integrate(f.phi_y * np.exp(-f.log_ratio)) \
-        + 2 * ray.grid.integrate(f.phi_y) + wedge(g0_at_x, g_tau)
+    am_direct = 2 * integral(ray.grid, f.phi_y * np.exp(-f.log_ratio)) \
+        + 2 * integral(ray.grid, f.phi_y) + wedge(g0_at_x, g_tau)
     e_ric = wedge(ricci, g0_at_x + g_tau)
     l_alpha = wedge(_alpha_theta(ray, f, tau, alpha), g0_at_x + g_tau)
     for value, ref in ((rep.am_direct, am_direct), (mab.l_ricci, e_ric),
@@ -550,7 +547,7 @@ def _mabuchi_path(ray, taus):
 
     def integrand(s):
         curvature = abreu_scalar_curvature(ray.potential(s), grid.points)
-        return math.factorial(n) * grid.integrate(g_vals * (curvature - n * mu))
+        return math.factorial(n) * integral(grid, g_vals * (curvature - n * mu))
     return _energy_path(integrand, taus)
 
 
@@ -649,7 +646,7 @@ def _boundary_l(state):
         rules = (line_grid(a, b, (None, None), depth)
                  for a, b in zip(cuts, cuts[1:]))
         boundary += float(sigma) * sum(
-            rule.integrate(smooth.value(start + rule.points * step))
+            integral(rule, smooth.value(start + rule.points * step))
             for rule in rules)
     return boundary - float(vd.boundary_sigma_volume / vd.volume) \
         * state.g_integral

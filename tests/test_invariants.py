@@ -35,7 +35,7 @@ from kstab.invariants import (
     twisted_weights,
 )
 from kstab import plconfig, polytope
-from kstab.plconfig import make_config, normalize, pl_fn
+from kstab.plconfig import make_config, normalize
 from kstab.polytope import (
     Halfspace,
     box,

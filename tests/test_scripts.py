@@ -104,6 +104,18 @@ def test_bench_pl_memory_runs_each_verdict_in_a_fresh_process(monkeypatch):
         assert 'verify_theorem(cfg, "DF")' in cmd[2]
 
 
+def test_bench_pairs_takes_the_workloads_of_benchmark_json(capsys):
+    """--workload accepts exactly the names of BENCHMARK.json's workloads;
+    anything else exits 2 before any checkout."""
+    pairs = load_script("bench_pairs")
+    spec = json.loads((pairs.ROOT / "BENCHMARK.json").read_text("utf-8"))
+    with pytest.raises(SystemExit) as exc:
+        pairs.main(["HEAD", "--workload", "nope"])
+    assert exc.value.code == 2
+    choices = ", ".join(f"'{w['name']}'" for w in spec["workloads"])
+    assert f"(choose from {choices})" in capsys.readouterr().err
+
+
 def test_bench_pairs_alternates_the_sides_and_counts_wins(monkeypatch,
                                                           tmp_path, capsys):
     """bench_pairs extracts REF and HEAD into one temporary directory, runs

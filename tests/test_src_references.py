@@ -5,14 +5,16 @@ the package beyond its own definition, exported in ``kstab.__all__``, the
 ``kstab`` console script (``cli.main``), or wrapped by name by the
 benchmark's tracer (its ENTRY_POINTS, loaded by path as in
 test_tracer_hooks).  So is every method and property of a module-level
-class, dunders aside; the tracer's RAY_METHODS pin the ``Ray`` members
-it wraps.  A name that meets none of these is dead, or serves only the
-tests, and belongs in the tests.
+class, dunders aside, but only where src reads it as an attribute
+(``x.name``) outside its own body; the tracer's RAY_METHODS pin the
+``Ray`` members it wraps.  A name that meets none of these is dead, or
+serves only the tests, and belongs in the tests.
 
 The scan goes by name, not by binding: a member whose name is also read
-elsewhere in src counts as used, so it misses a test-only member whose
-name collides with a used one (``Grid.integrate`` with
-``polytope.integrate``, say).
+as an attribute of another class elsewhere in src counts as used, so it
+misses a test-only member whose name collides with a used one: the
+potentials' ``value``, the tests' reference values, passes beside
+``SmoothedPL.value``, which the rungs read.
 
 The exact layer (polytope, plconfig, invariants) names no ``float`` and
 imports neither json nor numpy: report.json's decimals are ``cli``'s.
@@ -38,16 +40,24 @@ def _uses(tree):
             yield node.attr
 
 
+def _attributes(tree):
+    """Names read in tree as attributes (x.name) only."""
+    return (node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute))
+
+
 def _members(node):
-    """(qualified name, def) of a top-level def or class and, for a
-    class, of each of its methods and properties but the dunders."""
-    yield node.name, node
+    """(qualified name, def, reader of its uses) of a top-level def or
+    class and, for a class, of each of its methods and properties but the
+    dunders: a member is used where it is read as an attribute, a
+    top-level name also where it is read bare."""
+    yield node.name, node, _uses
     if isinstance(node, ast.ClassDef):
         for member in node.body:
             if isinstance(member, FUNCTIONS) and not (
                     member.name.startswith("__")
                     and member.name.endswith("__")):
-                yield f"{node.name}.{member.name}", member
+                yield f"{node.name}.{member.name}", member, _attributes
 
 
 def unreferenced(src: Path, exported, pinned) -> list:
@@ -57,12 +67,14 @@ def unreferenced(src: Path, exported, pinned) -> list:
     whose (module, name) is not in pinned."""
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(src.glob("*.py"))}
-    used = Counter(name for tree in trees.values() for name in _uses(tree))
+    used = {reads: Counter(name for tree in trees.values()
+                           for name in reads(tree))
+            for reads in (_uses, _attributes)}
     return [f"{module}.{name}"
             for module, tree in trees.items() for top in tree.body
             if isinstance(top, FUNCTIONS + (ast.ClassDef,))
-            for name, node in _members(top)
-            if used[node.name] == Counter(_uses(node))[node.name]
+            for name, node, reads in _members(top)
+            if used[reads][node.name] == Counter(reads(node))[node.name]
             and name not in exported
             and (module, name) not in pinned]
 
@@ -102,6 +114,11 @@ def test_the_scan_finds_a_test_only_helper(tmp_path):
         "from .a import Box\n\nX = Box().read() + Box().shown\n")
     assert unreferenced(members, set(), set()) == ["a.Box.lonely"]
     assert unreferenced(members, set(), {("a", "Box.lonely")}) == []
+
+    # a function of the same name, called by name, does not use the member
+    (members / "c.py").write_text(
+        "def lonely():\n    return 4\n\n\nY = lonely()\n")
+    assert unreferenced(members, set(), set()) == ["a.Box.lonely"]
 
 
 EXACT_LAYER = ("polytope", "plconfig", "invariants")
