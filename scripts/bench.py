@@ -3,7 +3,7 @@
     python3 scripts/bench.py --label 2
 
 From the repository root this runs ``perfbench/run.py`` on each workload
-of BENCHMARK.json (exact, ray1d, ray2d) three times untraced, for the end-to-end metrics,
+of BENCHMARK.json three times untraced, for the end-to-end metrics,
 and once traced, for the per-layer ones, then the Tier-1 suite.  The
 file records the machine facts; per workload the median of the three
 untraced runs, each number taken on its own, next to their raw result

@@ -4,9 +4,9 @@
 
 From the repository root this extracts ``git archive`` checkouts of REF
 and of HEAD (committed files only) into a temporary directory and runs
-``perfbench/run.py --seed N`` (1 by default) untraced in each, on one
-of the workloads BENCHMARK.json names, for its ``run_seconds`` (25),
-PAIRS times, alternating which side runs first.  Per end-to-end metric of BENCHMARK.json it prints the
+``perfbench/run.py --seed N`` (1 by default) untraced in each, for the
+``run_seconds`` of BENCHMARK.json (25), PAIRS times, alternating which
+side runs first.  Per end-to-end metric of BENCHMARK.json it prints the
 median and the quartiles of each side and the number of pairs in which
 HEAD was better, in the metric's direction (ties are counted apart),
 then one line per metric saying whether HEAD's change resolves as a

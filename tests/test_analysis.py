@@ -1379,7 +1379,7 @@ def _rescaled_errors(mpmath, slack, tau, g):
             refs = {"shares": (f.shares[:, i], p),
                     "sum step": ([f.steps[0, i]], [sum(step)]),
                     "lambda step": ([f.steps[1, i]], [sum(
-                        mpf(float(c)) * v for c, v in zip(ray.u0.offsets, step))]),
+                        mpf(float(c)) * v for c, v in zip(u0.offsets, step))]),
                     "omega": (f.weight[:, i], [mpf(float(c)) * p[a] * p[b]
                               for c, a, b in zip(frame.pair_scale, k, l)]),
                     "det": ([f.inverse_det[i]],

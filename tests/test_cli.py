@@ -177,7 +177,7 @@ def test_invalid_scenarios_exit_3(tmp_path, mutate, capsys):
     assert "invalid scenario" in capsys.readouterr().err
 
 
-def test_a_numeric_shift_moves_only_am_top(tmp_path):
+def test_a_numeric_shift_keeps_df_and_minimum_norm(tmp_path):
     """shift 3 on the kink keeps DF 1/2 and the minimum norm 1/4 of
     shift auto; AM's top coefficient grows by 2! vol P (3 - 2)."""
     reports = {}
