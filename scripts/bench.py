@@ -11,7 +11,10 @@ lines under ``runs``; the traced run's result line (correctness,
 attempted and failed ops, every metric with its unit); the Tier-1 wall
 time and summary; the ``pl_memory`` section, the wall time and peak RSS
 of two 2D PL DF verdicts (square max(x1, x2) and the 4-piece square),
-each in a fresh process; and ``wc -l src/kstab/*.py``.  One slow run
+each in a fresh process; the ``exact_memory`` section, the same for
+``invariant_report`` and ``blowup_expansion`` on a chopped square in a
+fresh process, with whether numpy was loaded; and ``wc -l
+src/kstab/*.py``.  One slow run
 among the three does not move the medians.  Each run uses seed 1 and the
 ``run_seconds`` of BENCHMARK.json.  Everything runs one after another
 in one closed loop, so two files compare only when they come from the
@@ -45,6 +48,22 @@ cfg = kstab.normalize(kstab.make_config(kstab.box(2), {pieces}), "min_zero")
 t0 = time.perf_counter()
 passed = kstab.verify_theorem(cfg, "DF").passed
 print(time.perf_counter() - t0, passed,
+      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+# max(x1, x2) on the unit square chopped at (1, 1), through `import kstab`
+EXACT_PROBE = """\
+import resource, sys, time
+from fractions import Fraction as F
+import kstab
+from kstab.polytope import corner_chop
+base = corner_chop(kstab.box(2), (1, 1), F(1, 4))
+cfg = kstab.normalize(kstab.make_config(base, [((1, 0), 0), ((0, 1), 0)]),
+                      "min_zero")
+t0 = time.perf_counter()
+kstab.invariant_report(cfg)
+t1 = time.perf_counter()
+rep = kstab.blowup_expansion(cfg, (1, 0), [F(1, k) for k in (8, 16, 32, 64)])
+print(t1 - t0, time.perf_counter() - t1, rep.matches, "numpy" in sys.modules,
       resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
@@ -87,22 +106,39 @@ def src_env() -> dict:
     return env
 
 
+def fresh_probe(name: str, code: str) -> list:
+    """The words code prints, run in a fresh process with src/ first on
+    the path."""
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                          env=src_env(), capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"{name} exited {done.returncode}:\n"
+                         f"{done.stderr.strip()[-800:]}")
+    return done.stdout.split()
+
+
 def pl_memory() -> dict:
     """Per PL_VERDICTS entry, its DF verdict in a fresh process: wall
     time of verify_theorem, whether it passed, and the process's peak
     RSS (ru_maxrss, import included)."""
     out = {}
     for name, pieces in PL_VERDICTS.items():
-        cmd = [sys.executable, "-c", PL_PROBE.format(pieces=pieces)]
-        done = subprocess.run(cmd, cwd=ROOT, env=src_env(),
-                              capture_output=True, text=True)
-        if done.returncode != 0:
-            raise SystemExit(f"pl_memory {name} exited {done.returncode}:\n"
-                             f"{done.stderr.strip()[-800:]}")
-        wall, passed, rss_kb = done.stdout.split()
+        wall, passed, rss_kb = fresh_probe(
+            f"pl_memory {name}", PL_PROBE.format(pieces=pieces))
         out[name] = {"wall_s": float(wall), "pass": passed == "True",
                      "peak_rss_mb": int(rss_kb) / 1024}
     return out
+
+
+def exact_memory() -> dict:
+    """EXACT_PROBE in a fresh process: wall times of invariant_report and
+    blowup_expansion, whether the expansion matched, whether numpy was
+    loaded, and the process's peak RSS (ru_maxrss, import included)."""
+    report, blowup, matches, numpy, rss_kb = fresh_probe("exact_memory",
+                                                         EXACT_PROBE)
+    return {"report_s": float(report), "blowup_s": float(blowup),
+            "matches": matches == "True", "numpy_loaded": numpy == "True",
+            "peak_rss_mb": int(rss_kb) / 1024}
 
 
 def tier1() -> dict:
@@ -142,6 +178,8 @@ def main(argv=None) -> int:
         out["per_layer"][workload] = bench_run(workload, SEED, seconds, 1)
     print("bench: pl_memory", file=sys.stderr)
     out["pl_memory"] = pl_memory()
+    print("bench: exact_memory", file=sys.stderr)
+    out["exact_memory"] = exact_memory()
     print("bench: tier-1", file=sys.stderr)
     out["tier1"] = tier1()
     out["src_lines"] = src_lines()

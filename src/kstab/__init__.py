@@ -4,12 +4,12 @@ Configurations are (polytope, convex PL function, shift) triples; the
 algebraic side computes Donaldson-Futaki invariants, minimum norms and
 Chow weights in exact rational arithmetic, while the analytic side runs
 geodesic-ray quadrature and verifies that limit slopes of the energy
-functionals reproduce the exact invariants.
+functionals reproduce the exact invariants.  Importing kstab loads the
+exact side only; the analytic names load numpy when first read.
 """
+import importlib
 
-from .analysis import Ray, newton_transport
 from .errors import KstabError, NumericalFailure, ValidationError
-from .functionals import energy_report, l1_norm_path, mabuchi
 from .invariants import (
     blowup_expansion,
     calibration_constant,
@@ -18,6 +18,7 @@ from .invariants import (
     invariant_report,
     minimum_norm,
     minimum_norm_mixed,
+    scan_destabilizer,
     slope_mu,
     twisted_weights,
 )
@@ -33,14 +34,32 @@ from .polytope import (
     unit_simplex,
     volume_data,
 )
-from .slopes import (
-    Schedule,
-    SlopeEstimate,
-    estimate_limit_slope,
-    estimate_limit_value,
-    scan_destabilizer,
-    verify_theorem,
-)
+
+# the numeric names load their module, and numpy, on first access only
+_NUMERIC = {
+    "Ray": "analysis",
+    "newton_transport": "analysis",
+    "energy_report": "functionals",
+    "l1_norm_path": "functionals",
+    "mabuchi": "functionals",
+    "Schedule": "slopes",
+    "SlopeEstimate": "slopes",
+    "estimate_limit_slope": "slopes",
+    "estimate_limit_value": "slopes",
+    "verify_theorem": "slopes",
+}
+
+
+def __getattr__(name):
+    if name not in _NUMERIC:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_NUMERIC[name]}", __name__),
+                   name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_NUMERIC))
+
 
 __version__ = "0.1.0"
 

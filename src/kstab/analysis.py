@@ -977,10 +977,10 @@ class Ray:
                 # e^(-log_ratio) = dx / dy = det H_tau det D2u0(x)^-1
                 fixed = (f.inverse_det * f.det_tau) @ phi_w
                 acc[2] += fixed
-                trace = (f.weight * f.quad[:pairs]) @ phi_w  # per pair
-                if n == 1:  # E_Ric: Ric0 H_tau
-                    acc[5] += frame.ricci_scale @ trace
+                if n == 1:  # E_Ric: Ric0 H_tau = ricci_mean e^(-log_ratio)
+                    acc[5] += frame.ricci_mean * fixed
                 else:  # (1/2) tr(G0(x) H_tau); MD(Ric0, G0(x)) det H_tau
+                    trace = (f.weight * f.quad[:pairs]) @ phi_w  # per pair
                     acc[4] += 0.5 * trace.sum()  # + (1/2) tr(Ric0 H_tau)
                     acc[5] += frame.ricci_mean * fixed \
                         + 0.5 * (frame.ricci_scale @ trace)

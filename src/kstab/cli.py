@@ -47,11 +47,10 @@ from pathlib import Path
 
 from .errors import NumericalFailure, ValidationError
 from .functionals import l1_norm_path
-from .invariants import blowup_expansion, invariant_report
+from .invariants import blowup_expansion, invariant_report, scan_destabilizer
 from .plconfig import make_config, normalize
 from .polytope import box, construct, interval, unit_simplex
-from .slopes import (POINT_SCHEDULE, Schedule, scan_destabilizer,
-                     verify_theorem)
+from .slopes import POINT_SCHEDULE, Schedule, verify_theorem
 
 SCENARIO_SCHEMA = "kstab-scenario/1"
 REPORT_SCHEMA = "kstab-report/1"

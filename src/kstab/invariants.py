@@ -21,6 +21,10 @@ vol P.  Only the vertical facets enter: a top facet over a cell of g
 with primitive normal (k, k_t) has |k_t| * sigma_F = vol(cell), so the
 top facets together with the bottom facet t = 0 carry no information
 beyond vol P, whatever the denominators of the gradients of g.
+
+The destabilizing-point scan is exact too: the limit of phi_dot at any
+point of P has a closed form (fixed_point_weight), so the scan runs no
+ray.
 """
 from __future__ import annotations
 
@@ -191,6 +195,35 @@ def chow_weight(cfg: ToricTestConfig, v) -> Fraction:
     when the configuration is nontrivial (the destabilizer dichotomy)."""
     cfg.base.vertex_index(v)
     return fixed_point_weight(cfg, v)
+
+
+@dataclass(frozen=True)
+class CandidateWeight:
+    point: tuple
+    value: Fraction
+
+
+@dataclass(frozen=True)
+class ScanReport:
+    best: CandidateWeight
+    destabilizing: bool
+    candidates: tuple
+
+
+def scan_destabilizer(cfg: ToricTestConfig,
+                      candidates="vertices") -> ScanReport:
+    """Largest fixed-point weight over candidate points: every point of
+    P is scored exactly by fixed_point_weight (the Chow weight at a
+    vertex); a candidate outside P raises DomainMismatch and an empty
+    candidate list InsufficientSamples."""
+    points = cfg.base.vertices if candidates == "vertices" else tuple(
+        tuple(Fraction(c) for c in p) for p in candidates)
+    if not points:
+        raise InsufficientSamples("scan needs at least one candidate point")
+    scored = [CandidateWeight(p, fixed_point_weight(cfg, p)) for p in points]
+    best = max(scored, key=lambda c: c.value)
+    return ScanReport(best=best, destabilizing=best.value > 0,
+                      candidates=tuple(scored))
 
 
 def twisted_weights(cfg: ToricTestConfig, p_alpha: Polytope):

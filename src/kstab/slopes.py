@@ -2,10 +2,8 @@
 
 Energy traces converge to their algebraic limits like
 ``s(tau) = s_inf + transient``.  This module owns the extrapolation
-(windowed differences cross-checked by an exponential-decay fit), the
-per-theorem verification harness, and the destabilizing-point scan.
-The scan runs no ray: the limit of phi_dot at any point of P has a
-closed form (invariants.fixed_point_weight), so it is exact throughout.
+(windowed differences cross-checked by an exponential-decay fit) and
+the per-theorem verification harness.
 
 Verdict conventions
 -------------------
@@ -51,10 +49,12 @@ from .functionals import energy_report, mabuchi
 from .invariants import (
     chow_weight,
     donaldson_futaki,
-    fixed_point_weight,
     minimum_norm,
     twisted_weights,
 )
+# the scan is exact and lives in invariants; perfbench/tracer.py times
+# it under this module's name, slopes.scan_destabilizer
+from .invariants import scan_destabilizer  # noqa: F401
 from .plconfig import ToricTestConfig, normalize
 from .polytope import Polytope, integrate, volume_data
 
@@ -342,35 +342,3 @@ def verify_theorem(cfg: ToricTestConfig, theorem: str,
         theorem=name, exact=exact, slope=est.value, residual=est.residual,
         tol=tol, passed=passed, tier=tier, trace=trace,
         normalization=target or cfg.normalization, energies=energies)
-
-
-# -- destabilizer scan --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CandidateWeight:
-    point: tuple
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class ScanReport:
-    best: CandidateWeight
-    destabilizing: bool
-    candidates: tuple
-
-
-def scan_destabilizer(cfg: ToricTestConfig,
-                      candidates="vertices") -> ScanReport:
-    """Largest fixed-point weight over candidate points: every point of
-    P is scored exactly by fixed_point_weight (the Chow weight at a
-    vertex); a candidate outside P raises DomainMismatch and an empty
-    candidate list InsufficientSamples."""
-    points = cfg.base.vertices if candidates == "vertices" else tuple(
-        tuple(Fraction(c) for c in p) for p in candidates)
-    if not points:
-        raise InsufficientSamples("scan needs at least one candidate point")
-    scored = [CandidateWeight(p, fixed_point_weight(cfg, p)) for p in points]
-    best = max(scored, key=lambda c: c.value)
-    return ScanReport(best=best, destabilizing=best.value > 0,
-                      candidates=tuple(scored))

@@ -26,11 +26,12 @@ from kstab.invariants import (
     invariant_report,
     minimum_norm,
     minimum_norm_mixed,
+    scan_destabilizer,
     twisted_weights,
 )
 from kstab.plconfig import make_config, normalize
 from kstab.polytope import box, integrate, interval, unit_simplex, volume_data
-from kstab.slopes import scan_destabilizer, verify_theorem
+from kstab.slopes import verify_theorem
 
 F = Fraction
 

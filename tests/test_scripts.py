@@ -104,6 +104,36 @@ def test_bench_pl_memory_runs_each_verdict_in_a_fresh_process(monkeypatch):
         assert 'verify_theorem(cfg, "DF")' in cmd[2]
 
 
+def test_bench_exact_memory_runs_the_exact_probe_in_a_fresh_process(
+        monkeypatch):
+    """exact_memory runs invariant_report and blowup_expansion on the
+    chopped square in one fresh process, with src/ on the path, and
+    records their wall times, the match flag, whether numpy was loaded
+    and the peak RSS."""
+    bench = load_script("bench")
+    calls = []
+
+    class Done:
+        returncode = 0
+        stdout = "0.0125 0.25 True False 21504\n"
+        stderr = ""
+
+    def stub(cmd, cwd, env, capture_output, text):
+        calls.append(cmd)
+        assert env["PYTHONPATH"].startswith(str(bench.ROOT / "src"))
+        return Done()
+
+    monkeypatch.setattr(bench.subprocess, "run", stub)
+    assert bench.exact_memory() == {
+        "report_s": 0.0125, "blowup_s": 0.25, "matches": True,
+        "numpy_loaded": False, "peak_rss_mb": 21.0}
+    assert len(calls) == 1 and calls[0][1:] == ["-c", bench.EXACT_PROBE]
+    for call in ("import kstab\n", "corner_chop(kstab.box(2), (1, 1)",
+                 "kstab.invariant_report(cfg)", "kstab.blowup_expansion(",
+                 '"numpy" in sys.modules'):
+        assert call in bench.EXACT_PROBE
+
+
 def test_bench_pairs_takes_the_workloads_of_benchmark_json(capsys):
     """--workload accepts exactly the names of BENCHMARK.json's workloads;
     anything else exits 2 before any checkout."""

@@ -27,7 +27,8 @@ from kstab.errors import (
     NumericalFailure,
 )
 from kstab.functionals import mabuchi
-from kstab.invariants import chow_weight, minimum_norm, twisted_weights
+from kstab.invariants import (chow_weight, minimum_norm, scan_destabilizer,
+                               twisted_weights)
 from kstab.plconfig import make_config, normalize
 from kstab.polytope import box, construct, corner_chop, interval, unit_simplex
 from kstab.slopes import (
@@ -35,7 +36,6 @@ from kstab.slopes import (
     estimate_limit_slope,
     estimate_limit_value,
     ladder,
-    scan_destabilizer,
     verify_theorem,
 )
 from gens import random_config

@@ -5,10 +5,12 @@ the package beyond its own definition, exported in ``kstab.__all__``, the
 ``kstab`` console script (``cli.main``), or wrapped by name by the
 benchmark's tracer (its ENTRY_POINTS, loaded by path as in
 test_tracer_hooks).  So is every method and property of a module-level
-class, dunders aside, but only where src reads it as an attribute
-(``x.name``) outside its own body; the tracer's RAY_METHODS pin the
-``Ray`` members it wraps.  A name that meets none of these is dead, or
-serves only the tests, and belongs in the tests.
+class, but only where src reads it as an attribute (``x.name``) outside
+its own body; the tracer's RAY_METHODS pin the ``Ray`` members it wraps.
+Dunders, module-level (``__getattr__``, ``__dir__``) or in a class, are
+hooks the interpreter calls and are never flagged.  A name that meets
+none of these is dead, or serves only the tests, and belongs in the
+tests.
 
 The scan goes by name, not by binding: a member whose name is also read
 as an attribute of another class elsewhere in src counts as used, so it
@@ -16,8 +18,10 @@ misses a test-only member whose name collides with a used one: the
 potentials' ``value``, the tests' reference values, passes beside
 ``SmoothedPL.value``, which the rungs read.
 
-The exact layer (polytope, plconfig, invariants) names no ``float`` and
-imports neither json nor numpy: report.json's decimals are ``cli``'s.
+The exact layer (polytope, plconfig, invariants, errors and the
+package's ``__init__``) names no ``float`` and imports neither json nor
+numpy: report.json's decimals are ``cli``'s, and ``import kstab`` loads
+no numpy until a numeric name is read.
 """
 import ast
 from collections import Counter
@@ -46,17 +50,20 @@ def _attributes(tree):
             if isinstance(node, ast.Attribute))
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _members(node):
     """(qualified name, def, reader of its uses) of a top-level def or
-    class and, for a class, of each of its methods and properties but the
-    dunders: a member is used where it is read as an attribute, a
+    class and, for a class, of each of its methods and properties, the
+    dunders aside: a member is used where it is read as an attribute, a
     top-level name also where it is read bare."""
-    yield node.name, node, _uses
+    if not _dunder(node.name):
+        yield node.name, node, _uses
     if isinstance(node, ast.ClassDef):
         for member in node.body:
-            if isinstance(member, FUNCTIONS) and not (
-                    member.name.startswith("__")
-                    and member.name.endswith("__")):
+            if isinstance(member, FUNCTIONS) and not _dunder(member.name):
                 yield f"{node.name}.{member.name}", member, _attributes
 
 
@@ -91,7 +98,8 @@ def test_every_src_definition_has_a_use():
 def test_the_scan_finds_a_test_only_helper(tmp_path):
     """A helper called from nowhere, or only from its own body, is
     flagged; one called from another module, or from its own, is not.
-    So is a method or property, and a dunder never is."""
+    So is a method or property, and a dunder, module-level or in a
+    class, never is."""
     (tmp_path / "a.py").write_text(
         "def used():\n    return 1\n\n\n"
         "def helper():\n    return used()\n\n\n"
@@ -120,8 +128,17 @@ def test_the_scan_finds_a_test_only_helper(tmp_path):
         "def lonely():\n    return 4\n\n\nY = lonely()\n")
     assert unreferenced(members, set(), set()) == ["a.Box.lonely"]
 
+    # a module's __getattr__ and __dir__ are the interpreter's hooks
+    hooks = tmp_path / "hooks"
+    hooks.mkdir()
+    (hooks / "__init__.py").write_text(
+        "def __getattr__(name):\n    raise AttributeError(name)\n\n\n"
+        "def __dir__():\n    return []\n\n\n"
+        "def unused():\n    return 5\n")
+    assert unreferenced(hooks, set(), set()) == ["__init__.unused"]
 
-EXACT_LAYER = ("polytope", "plconfig", "invariants")
+
+EXACT_LAYER = ("polytope", "plconfig", "invariants", "errors", "__init__")
 
 
 def float_or_format_uses(source: str) -> list:
@@ -141,7 +158,8 @@ def float_or_format_uses(source: str) -> list:
 
 def test_the_exact_layer_holds_no_float_and_no_json():
     """polytope, plconfig and invariants compute in Fraction and int
-    only; report.json renders their rationals in cli."""
+    only, and errors and the package's __init__ hold no float either;
+    report.json renders their rationals in cli."""
     for module in EXACT_LAYER:
         source = (SRC / f"{module}.py").read_text()
         assert float_or_format_uses(source) == [], module
