@@ -14,7 +14,9 @@ of two 2D PL DF verdicts (square max(x1, x2) and the 4-piece square),
 each in a fresh process; the ``exact_memory`` section, the same for
 ``invariant_report`` and ``blowup_expansion`` on a chopped square in a
 fresh process, with whether numpy was loaded; and ``wc -l
-src/kstab/*.py``.  One slow run
+src/kstab/*.py``.  The machine facts are taken last, after every child
+process: they import numpy here, and on Linux a child's peak RSS
+(ru_maxrss) starts at its parent's resident size.  One slow run
 among the three does not move the medians.  Each run uses seed 1 and the
 ``run_seconds`` of BENCHMARK.json.  Everything runs one after another
 in one closed loop, so two files compare only when they come from the
@@ -170,7 +172,7 @@ def main(argv=None) -> int:
     from run import machine_facts
 
     out = {"label": args.label, "seed": SEED, "seconds": seconds,
-           "machine": machine_facts(), "end_to_end": {}, "per_layer": {}}
+           "machine": None, "end_to_end": {}, "per_layer": {}}
     for workload in (w["name"] for w in spec["workloads"]):
         print(f"bench: {workload} x{UNTRACED_RUNS} untraced", file=sys.stderr)
         out["end_to_end"][workload] = median_run(workload, SEED, seconds)
@@ -183,6 +185,9 @@ def main(argv=None) -> int:
     print("bench: tier-1", file=sys.stderr)
     out["tier1"] = tier1()
     out["src_lines"] = src_lines()
+    # last: a child's ru_maxrss starts at this process's resident size,
+    # and machine_facts imports numpy
+    out["machine"] = machine_facts()
 
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")

@@ -2,6 +2,8 @@
 import importlib.util
 import json
 import re
+import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -132,6 +134,37 @@ def test_bench_exact_memory_runs_the_exact_probe_in_a_fresh_process(
                  "kstab.invariant_report(cfg)", "kstab.blowup_expansion(",
                  '"numpy" in sys.modules'):
         assert call in bench.EXACT_PROBE
+
+
+def test_bench_takes_the_machine_facts_after_every_child(monkeypatch,
+                                                        tmp_path):
+    """main starts every child process (the runs, both memory probes and
+    Tier-1) before machine_facts imports numpy into its own process,
+    whose resident size would floor each later child's peak RSS."""
+    bench = load_script("bench")
+    (tmp_path / "BENCHMARK.json").write_bytes(
+        (bench.ROOT / "BENCHMARK.json").read_bytes())
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    calls = []
+
+    def stub(name, value):
+        def call(*args):
+            calls.append(name)
+            return value
+        return call
+
+    for name in ("median_run", "bench_run", "pl_memory", "exact_memory",
+                 "tier1", "src_lines"):
+        monkeypatch.setattr(bench, name, stub(name, {}))
+    fake_run = types.ModuleType("run")
+    fake_run.machine_facts = stub("machine_facts", {"nproc": 2})
+    monkeypatch.setitem(sys.modules, "run", fake_run)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    assert bench.main(["--label", "t"]) == 0
+    assert calls[-1] == "machine_facts" and calls.count("machine_facts") == 1
+    out = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert list(out)[:4] == ["label", "seed", "seconds", "machine"]
+    assert out["machine"] == {"nproc": 2}
 
 
 def test_bench_pairs_takes_the_workloads_of_benchmark_json(capsys):
