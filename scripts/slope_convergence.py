@@ -37,8 +37,12 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     cfg = CONFIGS[args.config]()
-    schedule = Schedule(taus=tuple(args.taus)) if args.taus else Schedule()
-    rep = verify_theorem(cfg, args.theorem, schedule=schedule)
+    try:  # Schedule refuses a bad ladder, verify_theorem a short one
+        schedule = Schedule(taus=tuple(args.taus)) if args.taus \
+            else Schedule()
+        rep = verify_theorem(cfg, args.theorem, schedule=schedule)
+    except ValidationError as exc:
+        ap.error(str(exc))
     exact = float(rep.exact)
     print(f"config={args.config} theorem={rep.theorem} tier={rep.tier} "
           f"exact={rep.exact} tol={rep.tol}")

@@ -64,10 +64,6 @@ class SymplecticPotential:
         np.subtract(self.offsets[:, None], ell, out=ell)
         return np.maximum(ell, _SLACK_FLOOR, out=ell).T
 
-    def value(self, pts: np.ndarray) -> np.ndarray:
-        ell = self.slacks(pts)
-        return 0.5 * np.sum(ell * np.log(ell), axis=1)
-
     # gradient and hessian take the slacks at pts when the caller has them
 
     def gradient(self, pts: np.ndarray, ell=None) -> np.ndarray:
@@ -188,9 +184,6 @@ class ShiftedPotential:
 
     def slacks(self, pts):
         return self.u0.slacks(pts)
-
-    def value(self, pts):
-        return self.u0.value(pts) + self.s * self.smooth.value(pts)
 
     def gradient(self, pts, ell=None):
         return self.u0.gradient(pts, ell) + self.s * self.smooth.gradient(pts)
@@ -854,7 +847,7 @@ class Ray:
         at_y = (shares, frame.totals(shares), alpha and (
             *alpha, twist.totals(alpha[1])))
         if smooth.exact:
-            g = smooth.value(pts)
+            g = smooth._shifted(pts)[0]  # one piece: g_beta is g itself
             lever = _row_reduce(np.add, pts * smooth.grads) - g
             return pts, at_y, quad, det, g, smooth.grads, lever, None
         top, vals = smooth._shifted(pts)

@@ -40,12 +40,12 @@ import datetime
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .errors import NumericalFailure, ValidationError
+from .errors import InsufficientSamples, NumericalFailure, ValidationError
 from .functionals import l1_norm_path
 from .invariants import blowup_expansion, invariant_report, scan_destabilizer
 from .plconfig import make_config, normalize
@@ -111,19 +111,6 @@ def _dimension(blob, what: str) -> int:
     if not 1 <= dim <= 4:
         raise ValidationError(f"{what} must be 1 to 4, got {dim}")
     return dim
-
-
-def _positive(blob, what: str) -> float:
-    try:
-        if isinstance(blob, bool):  # float(True) would read as 1.0
-            raise ValueError
-        x = float(blob)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{what}: {blob!r} is not a number") from exc
-    if not (math.isfinite(x) and x > 0.0):
-        raise ValidationError(f"{what} must be finite and positive, "
-                              f"got {blob!r}")
-    return x
 
 
 def _items(blob, what: str) -> list:
@@ -263,6 +250,8 @@ def _verdict_json(v) -> dict:
 
 
 def _schedule_from(task: dict, tau_max, point: bool) -> Schedule:
+    """The task's Schedule, each number read by _rational and checked by
+    Schedule, the ladder as written; then cut at --tau-max."""
     base = POINT_SCHEDULE if point else Schedule()
     blob = task.get("schedule") or {}
     if not isinstance(blob, dict):
@@ -270,21 +259,19 @@ def _schedule_from(task: dict, tau_max, point: bool) -> Schedule:
     taus = blob.get("taus", base.taus)
     if not isinstance(taus, (list, tuple)):
         raise ValidationError("schedule taus must be a list")
-    taus = tuple(_positive(t, "schedule tau") for t in taus)
-    if any(b <= a for a, b in zip(taus, taus[1:])):
-        raise ValidationError(f"schedule taus {list(taus)} must be "
-                              "strictly increasing")
-    if not taus:
-        raise ValidationError("schedule taus must be nonempty")
-    if tau_max is not None:
-        taus = tuple(t for t in taus if t <= float(tau_max))
-        if not taus:
-            raise ValidationError("--tau-max leaves no tau samples")
-    return Schedule(
-        taus=taus,
-        beta0=_positive(blob.get("beta0", base.beta0), "schedule beta0"),
-        tol=None if blob.get("tol") is None
-        else _positive(blob["tol"], "schedule tol"))
+    tol = blob.get("tol")
+    schedule = Schedule(
+        taus=tuple(float(_rational(t, "schedule tau")) for t in taus),
+        beta0=float(_rational(blob.get("beta0", base.beta0),
+                              "schedule beta0")),
+        tol=None if tol is None else float(_rational(tol, "schedule tol")))
+    if tau_max is None:
+        return schedule
+    try:
+        return replace(schedule, taus=tuple(
+            t for t in schedule.taus if t <= float(tau_max)))
+    except InsufficientSamples as exc:
+        raise InsufficientSamples("--tau-max leaves no tau samples") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +353,8 @@ def _csv_rows(verdict):
             yield (repr(tau), repr(value), repr(err))
         return
     yield TRACE_COLUMNS
-    battery = {row[0]: row[1:] for row in verdict.energies}
-    for tau, value, err in verdict.trace:
-        am, i_val, j_val, l_alpha = battery[tau]
+    for (tau, value, err), (_, am, i_val, j_val, l_alpha) in zip(
+            verdict.trace, verdict.energies):
         m_val = value if verdict.theorem == "DF" else float("nan")
         j_a = value if verdict.theorem == "JALPHA" else float("nan")
         yield (repr(tau), repr(am), repr(i_val), repr(j_val),

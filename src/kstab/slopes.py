@@ -157,14 +157,32 @@ def estimate_limit_value(trace) -> SlopeEstimate:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Sampling plan: tau ladder, smoothing coupling, tolerance override."""
+    """Sampling plan: tau ladder, smoothing coupling, tolerance override.
+    The one check of a ladder: refuses empty taus, taus not strictly
+    increasing, and a tau, beta0 or given tol not finite and positive."""
 
     taus: tuple = (1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0)
     beta0: float = 10.0
     tol: Optional[float] = None
 
+    def __post_init__(self):
+        taus = tuple(map(float, self.taus))
+        if not taus:
+            raise InsufficientSamples("schedule taus must be nonempty")
+        if any(b <= a for a, b in zip(taus, taus[1:])):
+            raise NonMonotoneTau(
+                f"schedule taus {list(taus)} must be strictly increasing")
+        numbers = {"tau": taus, "beta0": (self.beta0,),
+                   "tol": () if self.tol is None else (self.tol,)}
+        for what, xs in numbers.items():
+            for x in xs:
+                if not 0.0 < float(x) < math.inf:
+                    raise InconsistentInput(f"schedule {what} must be "
+                                            f"finite and positive, got {x!r}")
+        object.__setattr__(self, "taus", taus)
+
     def beta(self, tau: float) -> float:
-        return self.beta0 * float(tau)
+        return self.beta0 * tau
 
 
 POINT_SCHEDULE = Schedule(taus=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
@@ -229,11 +247,10 @@ def ladder(cfg: ToricTestConfig, schedule: Schedule, fn,
     base that is not a simplex product before any grid, and Ray.states
     checks the reach of the largest tau before its pass; a NewtonDivergence
     there is re-raised with that tau, one in fn with its rung's tau."""
-    taus = [float(t) for t in schedule.taus]
-    top = max(taus)
+    top = schedule.taus[-1]
     ray = Ray(cfg, beta=schedule.beta(top), tau_max=top)
-    states = _at_tau(top, ray.states, [(t, schedule.beta(t)) for t in taus],
-                     alpha)
+    states = _at_tau(top, ray.states,
+                     [(t, schedule.beta(t)) for t in schedule.taus], alpha)
     return [_at_tau(state.tau, fn, state) for state in states]
 
 
@@ -270,7 +287,7 @@ def _point_trace(cfg, vertex, schedule) -> tuple:
     i = cfg.base.vertex_index(vertex)
     vf = np.array([float(c) for c in cfg.base.vertices[i]])
     bary = np.array([float(c) for c in volume_data(cfg.base).barycenter])
-    top = float(max(schedule.taus))
+    top = schedule.taus[-1]
     probe = vf + math.exp(-2.0 * (top + 4.0)) * (bary - vf)
     u0 = guillemin_potential(cfg.base)
     if (probe @ u0.normals.T >= u0.offsets).any():  # a float slack of 0
@@ -282,7 +299,7 @@ def _point_trace(cfg, vertex, schedule) -> tuple:
     return tuple((t, _at_tau(t, Ray.point_derivative, u0,
                              SmoothedPL.from_fn(cfg.g, schedule.beta(t)),
                              t, probe), 0.0)
-                 for t in map(float, schedule.taus))
+                 for t in schedule.taus)
 
 
 def verify_theorem(cfg: ToricTestConfig, theorem: str,

@@ -92,6 +92,19 @@ def integral(grid, values):
     return float(values @ grid.weights)
 
 
+def potential_value(u0, pts):
+    """Guillemin's u0 = (1/2) sum ell_k log ell_k at pts, the tests'
+    reference value of a SymplecticPotential."""
+    ell = u0.slacks(pts)
+    return 0.5 * np.sum(ell * np.log(ell), axis=1)
+
+
+def shifted_value(pot, pts):
+    """u_s = u0 + s * g_beta at pts, the tests' reference value of a
+    ShiftedPotential."""
+    return potential_value(pot.u0, pts) + pot.s * pot.smooth.value(pts)
+
+
 def rung_fields(ray, tau, rows):
     """The rung of ray at tau, smoothed at the Ray's beta, on the nodes
     rows: the fields that Ray.state sums, block by block."""

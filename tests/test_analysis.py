@@ -34,7 +34,8 @@ from kstab.analysis import (
 )
 from gens import (corner_coords, dual_fields, flat, integral,
                   interval_config, inverse_hessian, logdet_small,
-                  mixed_discriminant, pair_field, rung_fields, shares)
+                  mixed_discriminant, pair_field, potential_value,
+                  rung_fields, shares, shifted_value)
 from kstab.errors import (DomainMismatch, NewtonDivergence, NonDelzant,
                           NumericalFailure)
 from kstab.plconfig import make_config, normalize, pl_fn
@@ -66,7 +67,7 @@ TWO_CREASES = pl_fn(interval(0, 1), [((-1,), Fraction(1, 4)), ((0,), 0),
 def test_guillemin_interval_closed_form():
     u0 = guillemin_potential(interval(0, 1))
     pts = np.array([[0.5], [0.25], [1e-12]])
-    vals = u0.value(pts)
+    vals = potential_value(u0, pts)
     assert abs(vals[0] - (-math.log(2.0) / 2.0)) < 1e-14
     expected_quarter = 0.5 * (0.25 * math.log(0.25) + 0.75 * math.log(0.75))
     assert abs(vals[1] - expected_quarter) < 1e-14
@@ -84,9 +85,9 @@ def test_guillemin_square_separates():
     u0 = guillemin_potential(box(2))
     p = np.array([[0.25, 0.5]])
     one_d = guillemin_potential(interval(0, 1))
-    expected = one_d.value(np.array([[0.25]]))[0] \
-        + one_d.value(np.array([[0.5]]))[0]
-    assert abs(u0.value(p)[0] - expected) < 1e-14
+    expected = potential_value(one_d, np.array([[0.25]]))[0] \
+        + potential_value(one_d, np.array([[0.5]]))[0]
+    assert abs(potential_value(u0, p)[0] - expected) < 1e-14
     hess = u0.hessian(p)[0]
     assert abs(hess[0, 1]) < 1e-15
     assert abs(hess[0, 0] - 1.0 / (2 * 0.25 * 0.75)) < 1e-12
@@ -167,8 +168,9 @@ def test_shifted_potential_is_affine_in_s():
     pts = np.array([[0.3], [0.62]])
     for s in (0.5, 2.0):
         pot = ShiftedPotential(u0, sm, s)
-        assert np.allclose(pot.value(pts),
-                           u0.value(pts) + s * sm.value(pts), atol=1e-14)
+        assert np.allclose(shifted_value(pot, pts),
+                           potential_value(u0, pts) + s * sm.value(pts),
+                           atol=1e-14)
         assert np.allclose(pot.hessian(pts),
                            u0.hessian(pts) + s * sm.hessian(pts), atol=1e-12)
 
@@ -794,8 +796,9 @@ def test_phi_convex_in_tau():
 
     def phi(tau):
         moved = ray.transport(tau)[idx]
-        return (moved @ xi - ray.potential(tau).value(moved[None])[0]) \
-            - (p @ xi - ray.u0.value(ray.grid.points)[idx])
+        return (moved @ xi - shifted_value(ray.potential(tau),
+                                           moved[None])[0]) \
+            - (p @ xi - potential_value(ray.u0, ray.grid.points)[idx])
 
     phis = [phi(t) for t in (1.0, 2.0, 3.0)]
     assert phis[1] <= 0.5 * (phis[0] + phis[2]) + 1e-10

@@ -256,6 +256,24 @@ def test_boolean_schedule_number_exits_3(tmp_path, schedule, capsys):
     assert "schedule" in err and "True" in err
 
 
+def test_schedule_numbers_are_rationals_like_every_number(tmp_path, capsys):
+    """beta0 "20" and tol "1/50", as strings, give the verdict and the
+    trace CSV of the numbers 20 and 0.02."""
+    runs = []
+    for i, (beta0, tol) in enumerate([(20, 0.02), ("20", "1/50")]):
+        blob = json.loads(json.dumps(KINK))
+        blob["tasks"] = [{"kind": "slopes", "theorems": ["MINNORM"],
+                          "schedule": {"beta0": beta0, "tol": tol}}]
+        out = tmp_path / f"out{i}"
+        path = write_scenario(tmp_path, blob)
+        assert run_scenario(path, out_dir=out) == EXIT_PASS
+        runs.append((read_report(out)["tasks"][0]["verdicts"],
+                     (out / "traces" / "00_MINNORM.csv").read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][0][0]["tol"] == 0.02
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("point", [["2", "2"], ["1/2"]],
                          ids=["outside", "wrong-dimension"])
 def test_scan_candidate_off_the_polytope_exits_3(tmp_path, point):

@@ -27,6 +27,23 @@ def test_script_main_returns_0(name, argv, capsys):
     assert capsys.readouterr().out
 
 
+@pytest.mark.parametrize("taus,message", [
+    (["1", "2", "2"], "must be strictly increasing"),
+    (["1", "2", "4"], "need at least 6 samples, got 3"),
+], ids=["repeat", "below-floor"])
+def test_slope_convergence_refuses_a_bad_ladder_in_one_line(taus, message,
+                                                            capsys):
+    """A --taus ladder that Schedule or the extrapolator refuses ends in
+    the usage error (exit 2, one line of stderr after the usage), not in
+    a traceback."""
+    with pytest.raises(SystemExit) as exc:
+        load_script("slope_convergence").main(["--taus", *taus])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert ": error: " in err[-1] and message in err[-1]
+    assert not any("Traceback" in line for line in err)
+
+
 def test_verdict_sweep_pins_its_rows_and_counts(capsys):
     """verdict_sweep on seeds 8-9: seed 8 draws g on the 2 x 2 box, whose
     four verdicts each print the outcome, then |slope - exact|, residual

@@ -25,6 +25,7 @@ from kstab.errors import (
     NonMonotoneTau,
     NotAVertex,
     NumericalFailure,
+    ValidationError,
 )
 from kstab.functionals import mabuchi
 from kstab.invariants import (chow_weight, minimum_norm, scan_destabilizer,
@@ -340,9 +341,46 @@ def test_unknown_theorem_rejected():
 
 
 def test_non_finite_slope_is_a_numerical_failure():
-    # beta0 = 0 makes the smoothed g a 0/0 at every node
-    with np.errstate(all="ignore"), pytest.raises(NumericalFailure):
-        verify_theorem(AFFINE, "AM", schedule=Schedule(beta0=0.0))
+    # on [0, 10**154] the integral of g = x fits float64, but the AM
+    # trace overflows it: its slope is nan
+    huge = make_config(interval(0, 10**154), [((1,), 0)])
+    with np.errstate(all="ignore"), pytest.raises(NumericalFailure,
+                                                  match="not finite"):
+        verify_theorem(huge, "AM")
+
+
+TAIL = (4.0, 6.0, 8.0, 10.0, 12.0)
+
+
+@pytest.mark.parametrize("fields,error", [
+    ({"beta0": 0.0}, InconsistentInput),
+    ({"beta0": -10.0}, InconsistentInput),
+    ({"beta0": math.nan}, InconsistentInput),
+    ({"beta0": math.inf}, InconsistentInput),
+    ({"tol": 0.0}, InconsistentInput),
+    ({"tol": -1e-3}, InconsistentInput),
+    ({"tol": math.nan}, InconsistentInput),
+    ({"taus": ()}, InsufficientSamples),
+    ({"taus": (1.0, 2.0, 2.0) + TAIL}, NonMonotoneTau),
+    ({"taus": (-1.0, 2.0) + TAIL}, InconsistentInput),
+    ({"taus": (1.0, 2.0) + TAIL + (math.inf,)}, InconsistentInput),
+], ids=["beta0-0", "beta0-neg", "beta0-nan", "beta0-inf", "tol-0",
+        "tol-neg", "tol-nan", "taus-empty", "taus-repeat", "taus-neg",
+        "taus-inf"])
+def test_a_bad_schedule_is_refused_when_built(monkeypatch, fields, error):
+    """Schedule is the one check of a ladder, for the API as for kstab
+    run: a beta0 or tol that is not finite and positive, and empty,
+    unordered, non-positive or infinite taus raise a ValidationError
+    subclass at Schedule(...), so no verdict builds a Ray on them (at
+    beta0 = -10 the kink's AM slope read -0.5002 against -1.5)."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Ray was built")
+
+    monkeypatch.setattr(kstab.slopes, "Ray", refuse)
+    with pytest.raises(error) as err:
+        verify_theorem(KINK, "AM", Schedule(**fields))
+    assert issubclass(err.type, ValidationError)
+    assert err.type is error
 
 
 @pytest.mark.parametrize("cfg,theorem", [(SQUARE_MAX, "DF"),

@@ -14,9 +14,10 @@ tests.
 
 The scan goes by name, not by binding: a member whose name is also read
 as an attribute of another class elsewhere in src counts as used, so it
-misses a test-only member whose name collides with a used one: the
-potentials' ``value``, the tests' reference values, passes beside
-``SmoothedPL.value``, which the rungs read.
+misses a test-only member whose name collides with a used one: a
+``value`` method added to ``SymplecticPotential`` for the tests would
+pass beside ``SmoothedPL.value``, which the POINT probe reads (the
+potentials' reference values are ``tests/gens.py``'s).
 
 The exact layer (polytope, plconfig, invariants, errors and the
 package's ``__init__``) names no ``float`` and imports neither json nor
