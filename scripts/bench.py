@@ -9,11 +9,12 @@ file records the machine facts; per workload the median of the three
 untraced runs, each number taken on its own, next to their raw result
 lines under ``runs``; the traced run's result line (correctness,
 attempted and failed ops, every metric with its unit); the Tier-1 wall
-time and summary; the ``pl_memory`` section, the wall time and peak RSS
-of two 2D PL DF verdicts (square max(x1, x2) and the 4-piece square),
-each in a fresh process; the ``exact_memory`` section, the same for
-``invariant_report`` and ``blowup_expansion`` on a chopped square in a
-fresh process, with whether numpy was loaded; and ``wc -l
+time and summary; the ``pl_memory`` section, the wall time, peak RSS
+and grid node count of two 2D PL DF verdicts (square max(x1, x2) and
+the 4-piece square), each in a fresh process; the ``exact_memory``
+section, the wall times and peak RSS of ``invariant_report`` and
+``blowup_expansion`` on a chopped square in a fresh process, with
+whether numpy was loaded; and ``wc -l
 src/kstab/*.py``.  The machine facts are taken last, after every child
 process: they import numpy here, and on Linux a child's peak RSS
 (ru_maxrss) starts at its parent's resident size.  One slow run
@@ -46,11 +47,18 @@ PL_PROBE = """\
 import resource, time
 from fractions import Fraction as F
 import kstab
+import kstab.analysis as analysis
+build_grid, nodes = analysis.build_grid, []
+def counted(*args, **kwargs):
+    grid = build_grid(*args, **kwargs)
+    nodes.append(grid.size)
+    return grid
+analysis.build_grid = counted
 cfg = kstab.normalize(kstab.make_config(kstab.box(2), {pieces}), "min_zero")
 t0 = time.perf_counter()
 passed = kstab.verify_theorem(cfg, "DF").passed
 print(time.perf_counter() - t0, passed,
-      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, sum(nodes))
 """
 # max(x1, x2) on the unit square chopped at (1, 1), through `import kstab`
 EXACT_PROBE = """\
@@ -121,14 +129,16 @@ def fresh_probe(name: str, code: str) -> list:
 
 def pl_memory() -> dict:
     """Per PL_VERDICTS entry, its DF verdict in a fresh process: wall
-    time of verify_theorem, whether it passed, and the process's peak
-    RSS (ru_maxrss, import included)."""
+    time of verify_theorem, whether it passed, the process's peak RSS
+    (ru_maxrss, import included) and the node count of the grids the
+    verdict built, so a grid that grows shows next to its memory."""
     out = {}
     for name, pieces in PL_VERDICTS.items():
-        wall, passed, rss_kb = fresh_probe(
+        wall, passed, rss_kb, nodes = fresh_probe(
             f"pl_memory {name}", PL_PROBE.format(pieces=pieces))
         out[name] = {"wall_s": float(wall), "pass": passed == "True",
-                     "peak_rss_mb": int(rss_kb) / 1024}
+                     "peak_rss_mb": int(rss_kb) / 1024,
+                     "grid_nodes": int(nodes)}
     return out
 
 

@@ -10,7 +10,10 @@ Everything numeric lives downstream of three ingredients built here:
     transported volume forms concentrate mass in an exp(-2*tau) collar
     near the boundary), at a crease the depth follows the smoothing
     (line_grid; a polygon cell's fan takes the collar depth on every
-    edge, its reference rule cached per depth, see fan_grid),
+    edge, see fan_grid).  A Grid holds reference rules, cached per
+    grading, and the small affine maps that place them on each cell or
+    facet; a pass generates the nodes of one block at a time
+    (Grid.blocks), so no array holds every node,
   * the inverse Legendre transport of u0 on a simplex-product base (the
     interval, Delzant triangles and parallelograms; SimplexProduct) in
     closed form: the shares ell_k / Lambda_B of the point x where
@@ -201,16 +204,55 @@ _BLOCK = 8192  # rows per block of a pass over a grid (Grid.blocks)
 
 @dataclass(frozen=True)
 class Grid:
-    points: np.ndarray
-    weights: np.ndarray
+    """A quadrature grid as pieces, its nodes generated block by block:
+    no array holds every node.  A piece is a reference rule, cached and
+    shared, and the affine map that places it: a line cell's panel
+    rule (x, w) and (a, span), or a fan facet's (t, s, 1 - s, w) and
+    (A, B, barycenter, |det|)."""
 
-    def blocks(self):
-        """Slices of _BLOCK rows covering the nodes, in order."""
-        return (slice(lo, lo + _BLOCK) for lo in range(0, self.size, _BLOCK))
+    dim: int
+    pieces: tuple  # (rule, where it is placed) per line cell or fan facet
 
     @property
     def size(self) -> int:
-        return len(self.weights)
+        return sum(len(rule[-1]) for rule, _ in self.pieces)
+
+    def blocks(self):
+        """(points, weights) of each window of _BLOCK rows, in order, each
+        node placed as line_grid and fan_grid define it, fresh arrays per
+        window; a window may span several pieces."""
+        place, size = _line_nodes if self.dim == 1 else _fan_nodes, self.size
+        pieces = iter(self.pieces)
+        at = end = 0  # the next row of the current piece, and its length
+        for lo in range(0, size, _BLOCK):
+            rows = min(_BLOCK, size - lo)
+            pts, weights = np.empty((rows, self.dim)), np.empty(rows)
+            done = 0
+            while done < rows:
+                if at == end:
+                    (rule, where), at = next(pieces), 0
+                    end = len(rule[-1])
+                take = min(rows - done, end - at)
+                place(rule, where, slice(at, at + take),
+                      pts[done:done + take], weights[done:done + take])
+                at, done = at + take, done + take
+            yield pts, weights
+
+
+def _line_nodes(rule, where, rows, pts, weights):
+    """The nodes rows of a line cell: a + span x, weight span w."""
+    (x, w), (a, span) = rule, where
+    np.add(a, span * x[rows], out=pts[:, 0])
+    np.multiply(span, w[rows], out=weights)
+
+
+def _fan_nodes(rule, where, rows, pts, weights):
+    """The nodes rows of a fan facet: (u A + s B) t + bary, u = 1 - s,
+    weight w |det|."""
+    (t, s, u, w), (A, B, bary, det) = (r[rows] for r in rule), where
+    for k in range(2):  # by coordinate: contiguous temporaries
+        pts[:, k] = (u * A[k] + s * B[k]) * t + bary[k]
+    np.multiply(w, det, out=weights)
 
 
 def collar_depth_for(tau_max: float) -> int:
@@ -265,20 +307,33 @@ def line_grid(lo, hi, depths, crease_depth: int,
     depth at a facet of P, or None at a crease, where the breaks halve to
     a panel of at most 0.08 * 2^-crease_depth (a kink is swept on a scale
     1/(beta tau)) with order 16 on that half; the inner half [1/4, 3/4]
-    takes order 16 too, the rest of a facet end's half graded_order."""
+    takes order 16 too, the rest of a facet end's half graded_order.
+    The Grid holds _line_rule's (x, w) on [0, 1] and (lo, hi - lo); its
+    blocks place node a + span x, weight span w."""
     # a crease end: the least k >= 2 with span 2^-k <= 0.08 * 2^-crease_depth
     need = math.ceil((hi - lo) * 25 * 2 ** crease_depth / 2)  # 0.08 = 2/25
     levels = [max(2, (need - 1).bit_length()) if d is None else d
               for d in depths]
     lower, upper = (16 if d is None else graded_order for d in depths)
-    x, w = _panel_nodes(_graded_breaks(*levels), (lower, 16, upper))
-    a, span = float(lo), float(hi) - float(lo)
-    return Grid(points=(a + span * x)[:, None], weights=span * w)
+    rule = _line_rule(*levels, (lower, 16, upper))
+    where = (float(lo), float(hi) - float(lo))
+    return Grid(1, ((rule, where),))
+
+
+@lru_cache(maxsize=None)
+def _line_rule(lower: int, upper: int, orders: tuple):
+    """line_grid's reference rule (x, w) on [0, 1], once per grading,
+    read-only."""
+    rule = _panel_nodes(_graded_breaks(lower, upper), orders)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 @lru_cache(maxsize=None)
 def _fan_rule(depth: int, inner_order: int, graded_order: int):
-    """fan_grid's reference rule (t, s, w), once per depth, read-only."""
+    """fan_grid's reference rule (t, s, 1 - s, w), once per depth,
+    read-only."""
     levels = sorted({*range(1, min(8, depth) + 1), *range(9, depth, 2), depth})
     # (a, b, radial order, level of b); the last panel ends on the facet
     panels = [(0.0, 0.25, inner_order, 0), (0.25, 0.5, inner_order, 1)] + [
@@ -295,7 +350,8 @@ def _fan_rule(depth: int, inner_order: int, graded_order: int):
         sx, sw = s_rules[min(depth, max(3, k + 2))]
         blocks.append((np.repeat(tx, len(sx)), np.tile(sx, len(tx)),
                        (np.outer(tw, sw) * tx[:, None]).reshape(-1)))
-    rule = tuple(map(np.concatenate, zip(*blocks)))
+    t, s, w = map(np.concatenate, zip(*blocks))
+    rule = (t, s, 1 - s, w)
     for a in rule:
         a.flags.writeable = False
     return rule
@@ -312,23 +368,21 @@ def fan_grid(cells, depth: int, inner_order: int = 12,
     graded_order on the deepest ten (Babuska & Guo 1986).  The radial
     panel ending at 1 - 2^-k grades s to min(depth, max(3, k + 2)), the
     one touching the facet to depth: only corner panels need 2^-depth
-    along the edge.  Every facet maps _fan_rule's (t, s, w).
+    along the edge.  Every facet places _fan_rule's (t, s, 1 - s, w) as
+    (u A + s B) t + bary, u = 1 - s, weight w |det| (A, B its vertices
+    less bary), node by node as Grid.blocks reaches them.
     """
-    t, s, w = _fan_rule(depth, inner_order, graded_order)
-    u = 1 - s
-    facets = [(cell, fv) for cell in cells for fv in cell.facet_vertices]
-    weights = np.empty(len(facets) * len(w))
-    points = np.empty((len(weights), 2))
-    for i, (cell, fv) in enumerate(facets):
-        rows = slice(i * len(w), (i + 1) * len(w))
+    rule = _fan_rule(depth, inner_order, graded_order)
+    pieces = []
+    for cell in cells:
         bary = np.array([float(c) for c in volume_data(cell).barycenter])
-        vi, vj = sorted(fv)[:2]
-        A = np.array([float(c) for c in cell.vertices[vi]]) - bary
-        B = np.array([float(c) for c in cell.vertices[vj]]) - bary
-        for k in range(2):  # by coordinate: contiguous temporaries
-            points[rows, k] = (u * A[k] + s * B[k]) * t + bary[k]
-        np.multiply(w, abs(A[0] * B[1] - A[1] * B[0]), out=weights[rows])
-    return Grid(points=points, weights=weights)
+        for fv in cell.facet_vertices:
+            vi, vj = sorted(fv)[:2]
+            A = np.array([float(c) for c in cell.vertices[vi]]) - bary
+            B = np.array([float(c) for c in cell.vertices[vj]]) - bary
+            det = abs(A[0] * B[1] - A[1] * B[0])
+            pieces.append((rule, (A, B, bary, det)))
+    return Grid(2, tuple(pieces))
 
 
 def _cell_grid(g: PLConvexFn, depth: int, crease_depth: int,
@@ -346,10 +400,7 @@ def _cell_grid(g: PLConvexFn, depth: int, crease_depth: int,
         return fan_grid(g.regions(), depth, *fan_orders)
     else:
         raise NonDelzant("analysis grids implemented for dimensions 1 and 2")
-    if len(grids) == 1:
-        return grids[0]
-    return Grid(*map(np.concatenate, zip(*((grid.points, grid.weights)
-                                           for grid in grids))))
+    return Grid(1, sum((grid.pieces for grid in grids), ()))
 
 
 def build_grid(g: PLConvexFn, depth: int, crease_depth: int = 8) -> Grid:
@@ -829,13 +880,13 @@ class Ray:
                 (frame.sums, frame.blocks, frame.pair_vectors)]
         return rows[:3] + [np.empty(size)] + rows[3:]
 
-    def _block(self, rows: slice, pairing) -> tuple:
-        """The fields at the nodes rows that no rung changes: y, its shares
+    def _block(self, pts: np.ndarray, pairing) -> tuple:
+        """The fields at the nodes pts that no rung changes: y, its shares
         and their totals, q = w^T D2u0 w, det D2u0; for an exact g, g_beta,
         its gradient and <y, grad g_beta> - g_beta; for a PL g, the pieces'
         row max and the pieces minus it, v^T D2u0^-1 v (1 / D2u0 in 1D, to
         the last digit), det D2u0^-1; given alpha, its shares at xi."""
-        pts, smooth, frame = self.grid.points[rows], self.smooth, self.frame
+        smooth, frame = self.smooth, self.frame
         twist, on_facets, on_bends, crosses = pairing
         ell = self.u0.slacks(pts)
         shares = ell.T / frame.sums[:, None]
@@ -920,13 +971,13 @@ class Ray:
         newton_transport of every node, started at the node, per call.
         No energy reads it; kept for the tests and perfbench/tracer.py's
         hook by name."""
-        xi = self.u0.gradient(self.grid.points)
-        return newton_transport(self.potential(s), xi, self.grid.points)
+        pts = np.concatenate([pts for pts, _ in self.grid.blocks()])
+        return newton_transport(self.potential(s), self.u0.gradient(pts), pts)
 
     def inverse_transport(self, s: float) -> np.ndarray:
         """log ell_k at the x whose u_s-moment image is each node y (for the
         tests, and perfbench/tracer.py's hook by name)."""
-        pts = self.grid.points
+        pts = np.concatenate([pts for pts, _ in self.grid.blocks()])
         return self.frame.log_slacks(self.u0.gradient(pts)
                                      + s * self.smooth.gradient(pts))
 
@@ -953,13 +1004,13 @@ class Ray:
         self.check_reach(max(tau for tau, _ in rungs))
         twist = None if alpha is None else alpha_frame(alpha, self.cfg.dim)
         smooths = [replace(self.smooth, beta=beta) for _, beta in rungs]
-        n, weights, frame = self.cfg.dim, self.grid.weights, self.frame
+        n, frame = self.cfg.dim, self.frame
         pairing, pairs = self._pairing(twist), len(frame.pair_vectors)
         twist_cross = pairing[3] and pairing[3][0]  # None in 1D
         scratch = self._scratch(twist, min(_BLOCK, self.grid.size))
         sums = np.zeros((len(rungs), 9))  # RayState's integrals per rung
-        for rows in self.grid.blocks():
-            block, w = self._block(rows, pairing), weights[rows]
+        for pts, w in self.grid.blocks():
+            block = self._block(pts, pairing)
             out = [a[..., :len(w)] for a in scratch]
             for acc, (tau, _), smooth in zip(sums, rungs, smooths):
                 f = self._rung(block, tau, smooth, out)

@@ -45,6 +45,8 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from .errors import InsufficientSamples, NumericalFailure, ValidationError
 from .functionals import l1_norm_path
 from .invariants import blowup_expansion, invariant_report, scan_destabilizer
@@ -250,21 +252,25 @@ def _verdict_json(v) -> dict:
 
 
 def _schedule_from(task: dict, tau_max, point: bool) -> Schedule:
-    """The task's Schedule, each number read by _rational and checked by
-    Schedule, the ladder as written; then cut at --tau-max."""
-    base = POINT_SCHEDULE if point else Schedule()
+    """The task's Schedule: each number it gives read by _rational, the
+    rest Schedule's defaults (POINT_SCHEDULE's for a POINT verdict),
+    checked by Schedule with the ladder as written; then cut at
+    --tau-max."""
     blob = task.get("schedule") or {}
     if not isinstance(blob, dict):
         raise ValidationError("schedule must be an object")
-    taus = blob.get("taus", base.taus)
-    if not isinstance(taus, (list, tuple)):
-        raise ValidationError("schedule taus must be a list")
-    tol = blob.get("tol")
-    schedule = Schedule(
-        taus=tuple(float(_rational(t, "schedule tau")) for t in taus),
-        beta0=float(_rational(blob.get("beta0", base.beta0),
-                              "schedule beta0")),
-        tol=None if tol is None else float(_rational(tol, "schedule tol")))
+    given = {}
+    if "taus" in blob:
+        if not isinstance(blob["taus"], (list, tuple)):
+            raise ValidationError("schedule taus must be a list")
+        given["taus"] = tuple(float(_rational(t, "schedule tau"))
+                              for t in blob["taus"])
+    if "beta0" in blob:
+        given["beta0"] = float(_rational(blob["beta0"], "schedule beta0"))
+    if blob.get("tol") is not None:
+        given["tol"] = float(_rational(blob["tol"], "schedule tol"))
+    schedule = replace(POINT_SCHEDULE, **given) if point \
+        else Schedule(**given)
     if tau_max is None:
         return schedule
     try:
@@ -479,6 +485,19 @@ def emit_outputs(results: dict, out_dir: Path) -> list:
 # drivers
 
 
+def _run_task(cfg, task, alpha, blob, tau_max):
+    kind = task["kind"]
+    if kind == "invariants":
+        return _task_invariants(cfg, task, blob)
+    if kind == "slopes":
+        return _task_slopes(cfg, task, alpha, tau_max)
+    if kind == "stoppa":
+        return _task_stoppa(cfg, task)
+    if kind == "scan":
+        return _task_scan(cfg, task)
+    return _task_l1(cfg, task, tau_max)
+
+
 def run_scenario(path, out_dir=None, tau_max=None, seed=None) -> int:
     """Execute one scenario file and write its artifacts.
 
@@ -500,19 +519,10 @@ def run_scenario(path, out_dir=None, tau_max=None, seed=None) -> int:
         blob.get("output_dir") or Path.cwd() / f"{blob['name']}_out")
 
     entries = []
-    try:
-        for task in blob["tasks"]:
-            kind = task["kind"]
-            if kind == "invariants":
-                entries.append(_task_invariants(cfg, task, blob))
-            elif kind == "slopes":
-                entries.append(_task_slopes(cfg, task, alpha, tau_max))
-            elif kind == "stoppa":
-                entries.append(_task_stoppa(cfg, task))
-            elif kind == "scan":
-                entries.append(_task_scan(cfg, task))
-            else:
-                entries.append(_task_l1(cfg, task, tau_max))
+    try:  # a float that leaves float64 ends in one typed line, not warnings
+        with np.errstate(all="ignore"):
+            for task in blob["tasks"]:
+                entries.append(_run_task(cfg, task, alpha, blob, tau_max))
     except ValidationError as exc:
         print(f"invalid scenario: {path}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

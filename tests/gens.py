@@ -5,17 +5,19 @@ Kept outside conftest so the acceptance suite can import the same
 generators and stay reproducible (everything is seeded, no hypothesis
 state involved).
 """
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 
+from kstab import analysis
 from kstab.analysis import _det_small
 from kstab.errors import NotConvex
 from kstab.plconfig import AffineFn, make_config, normalize, pl_fn
 from kstab.polytope import (box, construct, corner_chop, frac, interval,
-                            unit_simplex)
+                            unit_simplex, volume_data)
 
 F = Fraction
 
@@ -87,9 +89,57 @@ def scaled(g, d):
         for p in g.pieces))
 
 
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+def nodes(grid):
+    """(points, weights) of every node of grid, its blocks joined: a Grid
+    generates them block by block and holds neither."""
+    points, weights = zip(*grid.blocks())
+    return np.concatenate(points), np.concatenate(weights)
+
+
 def integral(grid, values):
     """The grid's quadrature of values, one per node."""
-    return float(values @ grid.weights)
+    return float(values @ nodes(grid)[1])
+
+
+def fan_reference(cells, depth, inner_order=12, graded_order=4):
+    """fan_grid's (points, weights) by the materialized formula: every
+    facet's rows at once from _fan_rule's t, s and w, u = 1 - s formed
+    here.  Reference only."""
+    t, s, _, w = analysis._fan_rule(depth, inner_order, graded_order)
+    u = 1 - s
+    facets = [(cell, fv) for cell in cells for fv in cell.facet_vertices]
+    weights = np.empty(len(facets) * len(w))
+    points = np.empty((len(weights), 2))
+    for i, (cell, fv) in enumerate(facets):
+        rows = slice(i * len(w), (i + 1) * len(w))
+        bary = np.array([float(c) for c in volume_data(cell).barycenter])
+        vi, vj = sorted(fv)[:2]
+        A = np.array([float(c) for c in cell.vertices[vi]]) - bary
+        B = np.array([float(c) for c in cell.vertices[vj]]) - bary
+        for k in range(2):
+            points[rows, k] = (u * A[k] + s * B[k]) * t + bary[k]
+        np.multiply(w, abs(A[0] * B[1] - A[1] * B[0]), out=weights[rows])
+    return points, weights
+
+
+def line_reference(lo, hi, depths, crease_depth, graded_order=8):
+    """line_grid's (points, weights) by the materialized formula, its
+    levels and orders chosen as line_grid chooses them.  Reference
+    only."""
+    need = math.ceil((hi - lo) * 25 * 2 ** crease_depth / 2)
+    levels = [max(2, (need - 1).bit_length()) if d is None else d
+              for d in depths]
+    lower, upper = (16 if d is None else graded_order for d in depths)
+    x, w = analysis._panel_nodes(analysis._graded_breaks(*levels),
+                                 (lower, 16, upper))
+    a, span = float(lo), float(hi) - float(lo)
+    return (a + span * x)[:, None], span * w
 
 
 def potential_value(u0, pts):
@@ -105,12 +155,12 @@ def shifted_value(pot, pts):
     return potential_value(pot.u0, pts) + pot.s * pot.smooth.value(pts)
 
 
-def rung_fields(ray, tau, rows):
-    """The rung of ray at tau, smoothed at the Ray's beta, on the nodes
-    rows: the fields that Ray.state sums, block by block."""
-    size = len(ray.grid.weights[rows])
-    return ray._rung(ray._block(rows, ray._pairing(None)), float(tau),
-                     ray.smooth, ray._scratch(None, size))
+def rung_fields(ray, tau, pts):
+    """The rung of ray at tau, smoothed at the Ray's beta, at the nodes
+    pts (a block of its grid, or every node): the fields that Ray.state
+    sums, block by block."""
+    return ray._rung(ray._block(pts, ray._pairing(None)), float(tau),
+                     ray.smooth, ray._scratch(None, len(pts)))
 
 
 def corner_coords(u0, log_ell):

@@ -32,22 +32,17 @@ from kstab.analysis import (
     ricci_reference,
     simplex_product,
 )
-from gens import (corner_coords, dual_fields, flat, integral,
-                  interval_config, inverse_hessian, logdet_small,
-                  mixed_discriminant, pair_field, potential_value,
-                  rung_fields, shares, shifted_value)
+from gens import (corner_coords, dual_fields, fan_reference, flat, integral,
+                  interval_config, inverse_hessian, line_reference,
+                  logdet_small, mixed_discriminant, nodes, pair_field,
+                  potential_value, rung_fields, same_bits, shares,
+                  shifted_value)
 from kstab.errors import (DomainMismatch, NewtonDivergence, NonDelzant,
                           NumericalFailure)
 from kstab.plconfig import make_config, normalize, pl_fn
 from kstab.polytope import (box, construct, corner_chop, interval,
                             unit_simplex, volume_data)
 from kstab.slopes import Schedule, _energy_row, ladder
-
-
-def same_bits(a, b) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape \
-        and a.tobytes() == b.tobytes()
 
 
 AFFINE = interval_config([((1,), 0)])          # g = x
@@ -201,15 +196,15 @@ def test_grid_weights_sum_to_volume(base):
     assert abs(integral(grid, np.ones(grid.size)) - vol) < 1e-12 * vol
     # all nodes strictly interior
     u0 = guillemin_potential(base)
-    assert u0.slacks(grid.points).min() > 0.0
+    assert u0.slacks(nodes(grid)[0]).min() > 0.0
 
 
 def test_grid_integrates_polynomials():
     grid = build_grid(flat(interval(0, 1)), depth=12)
-    x = grid.points[:, 0]
+    x = nodes(grid)[0][:, 0]
     assert abs(integral(grid, x ** 5) - 1.0 / 6.0) < 1e-13
     tri = build_grid(flat(unit_simplex(2)), depth=12)
-    xy = tri.points[:, 0] * tri.points[:, 1]
+    xy = np.prod(nodes(tri)[0], axis=1)
     assert abs(integral(tri, xy) - 1.0 / 24.0) < 1e-10
 
 
@@ -231,6 +226,7 @@ def test_gauss_rule_is_cached_leggauss():
 def test_grids_match_fresh_leggauss_panels(monkeypatch):
     def build():
         analysis._fan_rule.cache_clear()  # a cached rule reads no panel
+        analysis._line_rule.cache_clear()
         return [build_grid(TWO_CREASES, 46, crease_depth=22),
                 fan_grid([box(2)], 34), fan_grid([unit_simplex(2)], 34)]
 
@@ -242,8 +238,9 @@ def test_grids_match_fresh_leggauss_panels(monkeypatch):
     cached = build()
     monkeypatch.setattr(analysis, "_gauss_panel", fresh_panel)
     for grid, ref in zip(cached, build()):
-        assert same_bits(grid.points, ref.points)
-        assert same_bits(grid.weights, ref.weights)
+        (points, weights), ref = nodes(grid), nodes(ref)
+        assert same_bits(points, ref[0])
+        assert same_bits(weights, ref[1])
 
 
 def test_transport_and_bulk_grid_node_counts():
@@ -284,7 +281,7 @@ def test_fan_grid_couples_edge_depth_to_radial_level(base, depth):
     normal = np.array([float(c) for c in h.normal])
     offset = float(h.offset)
     bary = np.array([float(c) for c in volume_data(base).barycenter])
-    pts = grid.points[:grid.size // len(base.halfspaces)]
+    pts = nodes(grid)[0][:grid.size // len(base.halfspaces)]
     t = 1.0 - (offset - pts @ normal) / (offset - bary @ normal)
 
     def edge_nodes(d):
@@ -341,19 +338,17 @@ def tensor_fan_grid(cells, depth, inner_order=12, graded_order=4):
     s_breaks = analysis._graded_breaks(depth, depth)
     sx, sw = analysis._panel_nodes(s_breaks, (graded_order, inner_order,
                                               graded_order))
-    pts_all, w_all = [], []
+    s = np.tile(sx, len(tx))
+    rule = (np.repeat(tx, len(sx)), s, 1 - s,
+            (np.outer(tw, sw) * tx[:, None]).reshape(-1))
+    pieces = []
     for k, h in enumerate(base.halfspaces):
         vi, vj = sorted(base.facet_vertices[k])[:2]
         A = np.array([float(c) for c in base.vertices[vi]]) - bary
         B = np.array([float(c) for c in base.vertices[vj]]) - bary
         det = abs(A[0] * B[1] - A[1] * B[0])
-        edge = (1 - sx)[:, None] * A[None, :] + sx[:, None] * B[None, :]
-        pts = bary[None, None, :] + tx[:, None, None] * edge[None, :, :]
-        wgt = (tw[:, None] * sw[None, :]) * tx[:, None] * det
-        pts_all.append(pts.reshape(-1, 2))
-        w_all.append(wgt.reshape(-1))
-    return analysis.Grid(points=np.concatenate(pts_all),
-                         weights=np.concatenate(w_all))
+        pieces.append((rule, (A, B, bary, det)))
+    return analysis.Grid(2, tuple(pieces))
 
 
 def test_coupled_grid_matches_tensor_grid_rows(monkeypatch):
@@ -395,7 +390,7 @@ def test_line_grid_cell_rule(crease_depth):
     grades until its last panel is at most 0.08 * 2^-crease_depth long,
     but not half that, with order 16 on every panel of its half."""
     grid = build_grid(TWO_CREASES, 20, crease_depth)
-    x = grid.points[:, 0]
+    x = nodes(grid)[0][:, 0]
     assert abs(integral(grid, np.ones(grid.size)) - 1.0) < 1e-14
     width = 0.08 * 0.5 ** crease_depth
     for crease in (0.25, 0.625):
@@ -408,7 +403,7 @@ def test_line_grid_cell_rule(crease_depth):
     for lo, hi, depths in cells:
         inside = (x > lo) & (x < hi)
         cell = line_grid(Fraction(lo), Fraction(hi), depths, crease_depth)
-        assert same_bits(np.sort(x[inside]), np.sort(cell.points[:, 0]))
+        assert same_bits(np.sort(x[inside]), np.sort(nodes(cell)[0][:, 0]))
         if depths[0] is not None:  # the facet at 0: 2^-20 of the cell
             assert 0.0 < x[inside].min() < 0.25 * 0.5 ** 20
             near = np.count_nonzero(x[inside] < 0.25 * 0.25)
@@ -423,8 +418,9 @@ def test_one_cell_grid_is_the_grid_on_p():
         grid = build_grid(flat(base), 20)
         ref = fan_grid([base], 20) if base.dim == 2 else line_grid(
             base.vertices[0][0], base.vertices[-1][0], (20, 20), 8)
-        assert same_bits(grid.points, ref.points)
-        assert same_bits(grid.weights, ref.weights)
+        (points, weights), ref = nodes(grid), nodes(ref)
+        assert same_bits(points, ref[0])
+        assert same_bits(weights, ref[1])
 
 
 @pytest.mark.parametrize("cfg", [SQUARE3, normalize(make_config(
@@ -437,13 +433,52 @@ def test_polygon_grid_is_one_fan_per_cell(cfg):
     cells = cfg.g.regions()
     fans = [fan_grid([cell], 20) for cell in cells]
     assert grid.size == sum(f.size for f in fans)
-    assert same_bits(grid.points, np.concatenate([f.points for f in fans]))
+    points, joined = nodes(grid)
+    assert same_bits(points, np.concatenate([nodes(f)[0] for f in fans]))
     start = 0
     for cell, fan in zip(cells, fans):
-        weights = grid.weights[start:start + fan.size]
+        weights = joined[start:start + fan.size]
         start += fan.size
         vol = float(volume_data(cell).volume)
         assert abs(weights.sum() - vol) < 1e-13
+
+
+SIMPLEX = normalize(make_config(unit_simplex(2), [((1, 0), 0)]), "min_zero")
+# g = max(0, x1 - 1/2, x2 - 1/2, x1 + x2 - 1): four square cells
+FOUR_PIECE = normalize(make_config(box(2), [
+    ((0, 0), 0), ((1, 0), Fraction(-1, 2)), ((0, 1), Fraction(-1, 2)),
+    ((1, 1), -1)]), "min_zero")
+
+
+@pytest.mark.parametrize("block", [_BLOCK, 97])
+@pytest.mark.parametrize("cfg", [SQUARE, SIMPLEX, SQUARE3, FOUR_PIECE, KINK],
+                         ids=["square", "simplex", "square3", "4-piece",
+                              "kink"])
+def test_streamed_windows_are_the_materialized_grid(monkeypatch, cfg, block):
+    """A Ray's grid generates the nodes and weights of each window from
+    the cached rules bit for bit as the materialized fan_grid and
+    line_grid formulas give them (gens.fan_reference, line_reference):
+    every window but the last holds _BLOCK rows, and some window spans
+    two fan facets or two cells of g."""
+    monkeypatch.setattr(analysis, "_BLOCK", block)
+    ray = Ray(cfg, beta=120.0, tau_max=12.0)
+    depth, crease = collar_depth_for(12.0), crease_ladder_depth(120.0, 12.0)
+    if cfg.dim == 2:
+        ref = fan_reference(cfg.g.regions(), depth)
+    else:  # the kink's cells [1/2, 1] and [0, 1/2], in g's order
+        ref = map(np.concatenate, zip(*(
+            line_reference(lo, hi, [depth if t in (0, 1) else None
+                                    for t in (lo, hi)], crease)
+            for lo, hi in (sorted(v[0] for v in cell.vertices)
+                           for cell in cfg.g.regions()))))
+    size = ray.grid.size
+    windows = list(ray.grid.blocks())
+    assert [len(w) for _, w in windows] == [
+        min(block, size - lo) for lo in range(0, size, block)]
+    for got, want in zip(nodes(ray.grid), ref):
+        assert same_bits(got, want)
+    ends = np.cumsum([len(rule[-1]) for rule, _ in ray.grid.pieces])
+    assert ends[-1] == size and np.any(ends[:-1] % block)  # a window spans two
 
 
 def test_rejects_unsupported_dimension():
@@ -456,7 +491,7 @@ def test_rejects_unsupported_dimension():
 
 def test_forward_transport_matches_legendre_closed_form():
     ray = Ray(AFFINE, beta=10.0, tau_max=8.0)
-    x = ray.grid.points[:, 0]
+    x = nodes(ray.grid)[0][:, 0]
     for tau in (1.0, 8.0):
         moved = ray.transport(tau)[:, 0]
         q = math.exp(-2.0 * tau)
@@ -467,7 +502,7 @@ def test_forward_transport_matches_legendre_closed_form():
 
 def test_transport_round_trip():
     ray = Ray(KINK, beta=40.0, tau_max=4.0)
-    x = ray.grid.points[:, 0]
+    x = nodes(ray.grid)[0][:, 0]
     bulk = np.abs(x - 0.5) < 0.4
     moved = ray.transport(4.0)
     back = newton_transport(ray.u0, ray.potential(4.0).gradient(moved),
@@ -478,7 +513,7 @@ def test_transport_round_trip():
 def test_transport_2d_factorizes():
     cfg = normalize(make_config(box(2), [((1, 0), 0)]), "min_zero")
     ray = Ray(cfg, beta=10.0, tau_max=2.0)
-    pts = ray.grid.points
+    pts = nodes(ray.grid)[0]
     moved = ray.transport(2.0)
     q = math.exp(-4.0)
     exact_x = pts[:, 0] * q / (1.0 - pts[:, 0] + pts[:, 0] * q)
@@ -507,7 +542,7 @@ def test_check_reach_reads_no_grid():
     ray = Ray(SQUARE, beta=10.0, tau_max=4.0)
     reach = 0.5 * (1.0 - math.log(analysis._SLACK_FLOOR)) \
         * float(np.abs(ray.u0.normals).sum(axis=0).max())
-    grad = rung_fields(ray, 0.0, slice(None)).grad
+    grad = rung_fields(ray, 0.0, nodes(ray.grid)[0]).grad
     shift = 1e300 * float(np.abs(grad).max())
     ray.grid = None  # a pass over the grid would fail
     ray.check_reach(4.0)
@@ -637,16 +672,16 @@ def test_newton_never_lands_on_a_facet(y_lo, y_hi):
 def _log_volume_ratio(ray, tau):
     """log(omega_phi^n / omega^n) at the reference nodes."""
     moved = ray.transport(tau)
-    return logdet_small(ray.u0.hessian(ray.grid.points)) \
+    return logdet_small(ray.u0.hessian(nodes(ray.grid)[0])) \
         - logdet_small(ray.potential(tau).hessian(moved))
 
 
 def test_state_at_zero_is_identity():
     ray = Ray(KINK, beta=20.0, tau_max=2.0)
-    st = rung_fields(ray, 0.0, slice(None))  # every node
+    st = rung_fields(ray, 0.0, nodes(ray.grid)[0])  # every node
     assert np.all(st.phi_y == 0.0)
     assert np.all(st.steps == 0.0) and np.all(st.log_ratio == 0.0)
-    ell = ray.u0.slacks(ray.grid.points).T
+    ell = ray.u0.slacks(nodes(ray.grid)[0]).T
     assert np.max(np.abs(st.shares * ray.frame.sums[:, None] / ell - 1)) \
         <= 4 * np.finfo(float).eps
     lvr = _log_volume_ratio(ray, 0.0)
@@ -665,10 +700,11 @@ def test_interval_h0_inverse_keeps_its_digits():
     cfg = interval_config([((Fraction(-5, 2),), 0),
                            ((Fraction(5, 2),), Fraction(-5, 8))])
     ray = Ray(cfg, beta=120.0, tau_max=12.0)
-    x = ray.grid.points[:, 0]
-    hess = ray.smooth.hessian(ray.grid.points)[:, 0, 0]
-    got = (1.0 / ray.u0.hessian(ray.grid.points)[:, 0, 0]) * hess
-    log_det = rung_fields(ray, 12.0, slice(None)).log_det
+    pts = nodes(ray.grid)[0]
+    x = pts[:, 0]
+    hess = ray.smooth.hessian(pts)[:, 0, 0]
+    got = (1.0 / ray.u0.hessian(pts)[:, 0, 0]) * hess
+    log_det = rung_fields(ray, 12.0, pts).log_det
     assert log_det.tobytes() == np.log1p(12.0 * got).tobytes()
     rows = np.flatnonzero(hess > 0)
     assert len(rows) > 100
@@ -697,9 +733,8 @@ def test_trace_form_log_det_matches_the_matmul_form(cfg, tau):
     1e14-fold on the 3-piece square."""
     eps = np.finfo(float).eps
     ray = Ray(cfg, beta=10.0 * tau, tau_max=tau)
-    for rows in ray.grid.blocks():
-        got = rung_fields(ray, tau, rows).log_det
-        pts = ray.grid.points[rows]
+    for pts, _ in ray.grid.blocks():
+        got = rung_fields(ray, tau, pts).log_det
         a = pair_field(ray.frame, ray.frame.weights(
             ray.u0.slacks(pts).T / ray.frame.sums[:, None]))  # the rung's A
         d = ray.smooth.hessian(pts)
@@ -735,8 +770,7 @@ def test_det_of_the_pl_hessian_is_exactly_zero_for_two_pieces():
         sm = ray.smooth
         v = sm.hessian_vectors
         cross = analysis._pair_cross(v, v)
-        for rows in ray.grid.blocks():
-            pts = ray.grid.points[rows]
+        for pts, _ in ray.grid.blocks():
             c = sm.hessian_weights(sm._fields(pts)[2])
             det = analysis._pair_dot(c, cross @ c)
             d = sm.hessian(pts)
@@ -745,7 +779,7 @@ def test_det_of_the_pl_hessian_is_exactly_zero_for_two_pieces():
                 a = pair_field(ray.frame, ray.frame.weights(
                     ray.u0.slacks(pts).T / ray.frame.sums[:, None]))
                 trace = np.einsum("rij,rji->r", a, d)
-                got = rung_fields(ray, 12.0, rows).log_det
+                got = rung_fields(ray, 12.0, pts).log_det
                 assert np.all(np.abs(got - np.log1p(12.0 * trace))
                               <= 2 * eps * np.abs(got))
             else:
@@ -774,7 +808,7 @@ def test_transported_mass_is_conserved(cfg, beta, tau_max, tau, bound):
     """exp(-log_ratio) is the Jacobian of the inverse transport, so its
     integral over the transported nodes is the volume of the polytope."""
     ray = Ray(cfg, beta=beta, tau_max=tau_max)
-    st = rung_fields(ray, tau, slice(None))  # every node
+    st = rung_fields(ray, tau, nodes(ray.grid)[0])  # every node
     mass = integral(ray.grid, np.exp(-st.log_ratio))
     assert abs(mass / float(volume_data(cfg.base).volume) - 1.0) < bound
 
@@ -791,14 +825,15 @@ def test_phi_convex_in_tau():
     """phi at a reference node, through the forward transport: the
     Legendre dual of u_tau minus that of u0 at its moment-dual point."""
     ray = Ray(AFFINE, beta=10.0, tau_max=3.0)
-    idx = np.argmin(np.abs(ray.grid.points[:, 0] - 0.5))
-    p, xi = ray.grid.points[idx], ray.u0.gradient(ray.grid.points)[idx]
+    pts = nodes(ray.grid)[0]
+    idx = np.argmin(np.abs(pts[:, 0] - 0.5))
+    p, xi = pts[idx], ray.u0.gradient(pts)[idx]
 
     def phi(tau):
         moved = ray.transport(tau)[idx]
         return (moved @ xi - shifted_value(ray.potential(tau),
                                            moved[None])[0]) \
-            - (p @ xi - potential_value(ray.u0, ray.grid.points)[idx])
+            - (p @ xi - potential_value(ray.u0, pts)[idx])
 
     phis = [phi(t) for t in (1.0, 2.0, 3.0)]
     assert phis[1] <= 0.5 * (phis[0] + phis[2]) + 1e-10
@@ -810,7 +845,7 @@ def test_phi_convex_in_tau():
 def test_inverse_transport_inverts_forward():
     ray = Ray(AFFINE, beta=10.0, tau_max=4.0)
     x_inv = corner_coords(ray.u0, ray.inverse_transport(4.0))[:, 0]
-    y = ray.grid.points[:, 0]
+    y = nodes(ray.grid)[0][:, 0]
     q = math.exp(-8.0)
     # y = x q / (1 - x + x q)  <=>  x = y / (q + y (1 - q))
     exact = y / (q + y * (1.0 - q))
@@ -830,9 +865,10 @@ def test_interval_slacks_match_newton(cfg, tau):
     no reference there; below 1e-8 the closed form keeps the digits."""
     mpmath = pytest.importorskip("mpmath")
     ray = Ray(cfg, beta=10.0 * tau, tau_max=tau)
-    f = rung_fields(ray, tau, slice(None))  # every node
+    pts = nodes(ray.grid)[0]
+    f = rung_fields(ray, tau, pts)  # every node
     got = f.shares.T * ray.frame.sums
-    targets = (ray.u0.gradient(ray.grid.points) + tau * f.grad)[:, 0]
+    targets = (ray.u0.gradient(pts) + tau * f.grad)[:, 0]
     with mpmath.workdps(50):
         ell = np.array([[float(1 / (1 + mpmath.exp(2 * nu * mpmath.mpf(t))))
                          for nu in ray.u0.normals[:, 0]] for t in targets])
@@ -858,7 +894,7 @@ def test_interval_ricci_slack_form_matches_ricci_reference(cfg, tau):
     is ricci_reference at x wherever x resolves its slacks (above 1e-6,
     where the float x costs 1e-10 relative)."""
     ray = Ray(cfg, beta=10.0 * tau, tau_max=tau)
-    f = rung_fields(ray, tau, slice(None))  # every node
+    f = rung_fields(ray, tau, nodes(ray.grid)[0])  # every node
     ell = f.shares.T * ray.frame.sums
     form = 4.0 * ell[:, 0] * ell[:, 1]
     x = corner_coords(ray.u0, np.log(ell))
@@ -874,7 +910,7 @@ def test_inverse_transport_saturates_gracefully_at_float_wall():
     assert np.all(np.isfinite(x_inv))
     assert np.all(x_inv <= 1.0)
     assert np.all(x_inv >= 0.0)
-    y = ray.grid.points[:, 0]
+    y = nodes(ray.grid)[0][:, 0]
     assert np.all(np.diff(x_inv[np.argsort(y)]) >= -1e-12)
 
 
@@ -957,9 +993,9 @@ def test_product_state_matches_newton(cfg):
     and log_ratio (log det D2u0(x) - log det H_tau, H_tau = D2u0 at the
     nodes for g = x1) at every node whose Newton slacks are above 1e-6."""
     ray = Ray(cfg, beta=10.0, tau_max=1.0)
-    f = rung_fields(ray, 1.0, slice(None))  # every node
-    z = newton_transport(ray.u0, ray.u0.gradient(ray.grid.points) + f.grad,
-                         ray.grid.points)
+    pts = nodes(ray.grid)[0]
+    f = rung_fields(ray, 1.0, pts)  # every node
+    z = newton_transport(ray.u0, ray.u0.gradient(pts) + f.grad, pts)
     h0_at_z = ray.u0.hessian(z)
     ell = ray.u0.slacks(z)
     ok = ell.min(axis=1) > 1e-6
@@ -968,7 +1004,7 @@ def test_product_state_matches_newton(cfg):
         < 1e-9
     g0_at_x = pair_field(ray.frame, f.weight)
     ricci = pair_field(ray.frame, ray.frame.ricci_scale[:, None] * f.weight)
-    h_tau = ray.u0.hessian(ray.grid.points)
+    h_tau = ray.u0.hessian(pts)
     ref = _inv_small(h0_at_z[ok])
     scale = np.abs(ref).max(axis=(1, 2))
     err = np.abs(g0_at_x[ok] - ref).max(axis=(1, 2))
@@ -1050,8 +1086,7 @@ def test_rung_pair_sums_near_the_hypotenuse_match_mpmath(slack):
     frame, u0 = ray.frame, ray.u0
     y = np.array([[t * (1 - slack), (1 - t) * (1 - slack)]
                   for t in np.linspace(0.1, 0.9, 5)])
-    ray.grid = analysis.Grid(points=y, weights=np.ones(len(y)))
-    f = rung_fields(ray, 1.0, slice(None))
+    f = rung_fields(ray, 1.0, y)
     w = frame.pair_vectors
     md = analysis._pair_dot(frame.ricci_scale[:, None] * f.weight,
                             analysis._pair_cross(w, w) @ f.weight)
@@ -1194,7 +1229,7 @@ def test_abreu_interval_raw_and_calibrated():
 def test_mean_curvature_equals_n_mu(base, n_mu):
     u0 = guillemin_potential(base)
     grid = bulk_grid(flat(base))
-    s_field = abreu_scalar_curvature(u0, grid.points)
+    s_field = abreu_scalar_curvature(u0, nodes(grid)[0])
     mean = integral(grid, s_field) / float(volume_data(base).volume)
     assert abs(mean - n_mu) < 1e-10 * n_mu
 
@@ -1218,7 +1253,7 @@ def test_guillemin_curvature_is_constant_on_simplex_products(base):
     reference itself cancels: 5.82 to 6.28 on the unit simplex).  The
     Hirzebruch trapezoid, which a Ray refuses, is off by 0.48."""
     u0 = guillemin_potential(base)
-    pts = build_grid(flat(base), 20).points
+    pts = nodes(build_grid(flat(base), 20))[0]
     pts = pts[(u0.slacks(pts) >= 1e-2).all(axis=1)]
     vd = volume_data(base)
     s0 = float(vd.boundary_sigma_volume / vd.volume)
@@ -1285,7 +1320,7 @@ def test_curvature_consistency_identity(base):
     Abreu's formula, two closed forms assembled differently, on every
     node of the bulk grid, collar included (slacks down to 4e-5)."""
     u0 = guillemin_potential(base)
-    pts = bulk_grid(flat(base)).points
+    pts = nodes(bulk_grid(flat(base)))[0]
     s_abreu = abreu_scalar_curvature(u0, pts)
     ric = ricci_reference(u0, pts)
     hess = u0.hessian(pts)
@@ -1339,7 +1374,7 @@ def test_abreu_pl_terms_match_differences(cfg, beta, s):
     beta = 40."""
     u0 = guillemin_potential(cfg.base)
     pot = ShiftedPotential(u0, SmoothedPL.from_fn(cfg.g, beta), s)
-    pts = bulk_grid(cfg.g, crease_ladder_depth(beta, 1.0)).points
+    pts = nodes(bulk_grid(cfg.g, crease_ladder_depth(beta, 1.0)))[0]
     reach = np.abs(u0.normals).sum(axis=1).max()
     slacks = u0.slacks(pts)
     h = np.column_stack([
@@ -1364,8 +1399,7 @@ def _rescaled_errors(mpmath, slack, tau, g):
     frame, u0 = ray.frame, ray.u0
     y = np.array([[t * (1 - slack), (1 - t) * (1 - slack)]
                   for t in np.linspace(0.1, 0.9, 5)])
-    ray.grid = analysis.Grid(points=y, weights=np.ones(len(y)))
-    f = rung_fields(ray, tau, slice(None))
+    f = rung_fields(ray, tau, y)
     mpf, errs = mpmath.mpf, {}
     with mpmath.workdps(50):
         for i, ell in enumerate(u0.slacks(y)):

@@ -382,6 +382,22 @@ def test_huge_finite_tau_is_refused_before_the_first_rung(tmp_path,
     assert calls == []
 
 
+def test_an_overflowing_trace_exits_4_in_one_line(tmp_path):
+    """An AM task on [0, 1e154] with g = x overflows its trace to nan:
+    exit 4 and one stderr line, the typed NumericalFailure's message,
+    with no numpy RuntimeWarning and its source line before it.  Run as
+    the console command, where a RuntimeWarning would only be printed."""
+    blob = {"schema": "kstab-scenario/1", "name": "interval-1e154",
+            "polytope": {"kind": "interval", "lo": "0", "hi": "1e154"},
+            "pl": [[["1"], "0"]],
+            "tasks": [{"kind": "slopes", "theorems": ["AM"]}]}
+    path = write_scenario(tmp_path, blob)
+    proc = run_cli("run", str(path), "--out", str(tmp_path / "out"))
+    assert proc.returncode == EXIT_NUMERIC, proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("numerical failure") and "not finite" in line
+
+
 def test_point_probe_on_a_facet_exits_4_without_warning(tmp_path):
     """At tau_max = 16 the square's probe at vertex (0, 1) rounds onto
     the facet x2 = 1: a numerical failure naming the vertex and tau_max,

@@ -16,6 +16,7 @@ the exact invariants.
 import dataclasses
 import gc
 import math
+import operator
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -49,8 +50,8 @@ from kstab.polytope import (box, corner_chop, dot, interval, unit_simplex,
                             volume_data)
 from kstab.slopes import Schedule, ladder
 from gens import (corner_coords, half_trace, integral, interval_config,
-                  inverse_hessian, logdet_small, mixed_discriminant,
-                  pair_field, rung_fields)
+                  inverse_hessian, logdet_small, mixed_discriminant, nodes,
+                  pair_field, rung_fields, same_bits)
 
 F = Fraction
 
@@ -144,7 +145,7 @@ def test_square_transported_frame_matches_product_values():
     mu = float(slope_mu(SQUARE.base))
     for tau in (1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0):
         state = ray.state(tau)
-        f = rung_fields(ray, tau, slice(None))  # every node
+        f = rung_fields(ray, tau, nodes(ray.grid)[0])  # every node
         phi_int = integral(ray.grid, f.phi_y * np.exp(-f.log_ratio))
         assert abs(phi_int - 0.5 * (i_exact(tau) - tau)) < 1e-8, tau
         if tau <= 8.0:
@@ -198,9 +199,9 @@ def test_mabuchi_vanishes_on_affine_ray():
 def _node_hessians(ray):
     """D2u0, D2g_beta and g_beta at every grid node, whole: a Ray forms
     them only block by block.  Reference only."""
-    pts = ray.grid.points
+    pts = nodes(ray.grid)[0]
     return ray.u0.hessian(pts), ray.smooth.hessian(pts), \
-        rung_fields(ray, 0.0, slice(None)).g
+        rung_fields(ray, 0.0, pts).g
 
 
 def _phi_dot_pairing(ray, s, a_field, hessians):
@@ -255,8 +256,9 @@ def _alpha_path(ray, alpha, taus):
     u_alpha = guillemin_potential(alpha)
     bary = np.array([[float(c) for c in volume_data(alpha).barycenter]])
     hessians = _node_hessians(ray)
-    xi = ray.u0.gradient(ray.grid.points)
-    grad = ray.smooth.gradient(ray.grid.points)
+    pts = nodes(ray.grid)[0]
+    xi = ray.u0.gradient(pts)
+    grad = ray.smooth.gradient(pts)
 
     def integrand(s):
         start = np.tile(bary, (ray.grid.size, 1))
@@ -272,7 +274,7 @@ def _alpha_theta(ray, f, tau, alpha):
     Guillemin potential where its gradient is xi + tau * grad g, in
     closed form."""
     frame = alpha_frame(alpha, ray.cfg.dim)
-    xi = ray.u0.gradient(ray.grid.points)
+    xi = ray.u0.gradient(nodes(ray.grid)[0])
     return inverse_hessian(frame, frame.log_slacks(xi + tau * f.grad))
 
 
@@ -320,14 +322,16 @@ def test_df_rung_integrates_the_entropy_once(monkeypatch):
     blocks = []
     block = Ray._block
 
-    def counted(self, rows, pairing):
-        blocks.append(rows)
-        return block(self, rows, pairing)
+    def counted(self, pts, pairing):
+        blocks.append(pts)
+        return block(self, pts, pairing)
 
     monkeypatch.setattr(Ray, "_block", counted)
     ray = Ray(SQUARE3, beta=10.0, tau_max=1.0)
     state = ray.state(1.0)
-    assert blocks == list(ray.grid.blocks()) and len(blocks) > 1
+    windows = [pts for pts, _ in ray.grid.blocks()]
+    assert len(blocks) == len(windows) > 1
+    assert all(map(same_bits, blocks, windows))
     rep, mab = energy_report(state), mabuchi(state)
     assert len(blocks) == len(list(ray.grid.blocks()))
     assert rep.entropy == mab.entropy == state.entropy
@@ -352,10 +356,10 @@ def test_df_rung_forms_the_pl_hessian_once_per_block(monkeypatch):
     state = ray.state(2.0)
     energy_report(state)
     mab = mabuchi(state)
-    assert calls == [len(ray.grid.weights[rows]) for rows in ray.grid.blocks()]
+    assert calls == [len(w) for _, w in ray.grid.blocks()]
     assert len(calls) > 1
-    log_det = sum(rung_fields(ray, 2.0, rows).log_det @ ray.grid.weights[rows]
-                  for rows in ray.grid.blocks())
+    log_det = sum(rung_fields(ray, 2.0, pts).log_det @ w
+                  for pts, w in ray.grid.blocks())
     assert state.log_det == log_det
     assert _route_b(state) == mab.route_b
 
@@ -392,29 +396,54 @@ def _owned_bytes(arrays) -> int:
     return sum(roots.values())
 
 
+def _reached_arrays(obj, seen=None) -> list:
+    """Every array reachable from obj through attributes, tuples, lists
+    and dicts, each object visited once."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        items = obj.values()
+    elif isinstance(obj, (tuple, list)):
+        items = obj
+    else:
+        items = getattr(obj, "__dict__", {}).values()
+    return [a for item in items for a in _reached_arrays(item, seen)]
+
+
 @pytest.mark.parametrize("cfg,affine", [
     (SQUARE, True), (SQUARE3, False), (AFFINE, True), (KINK, False),
 ], ids=["square", "square3", "affine", "kink"])
 def test_rays_and_states_own_no_matrix_field(cfg, affine):
-    """Census of the arrays a Ray and its states own.  The Ray holds no
-    grid-length array but grid.points and grid.weights, and a state
-    none at all: every field lives in one block of rung_fields, pair by
-    row, with no 2 x 2 field.  Those form H_tau = D2u0 + tau * D2g_beta
-    (D2u0 itself for an affine g) as its quadratic forms q = w^T H_tau w
-    on the frame's pair vectors and det H_tau, on each block bit for bit
-    as on the whole grid: in 1D bit for bit as H_tau itself, in 2D
-    within 8 eps of the sizes in which the matrix forms round, |w|^T S |w|
-    and |s00 s11| + |s01 s10| for the entry sizes S = |D2u0| + tau beta
-    max |a_i|^2 (the terms of weights_hessian's entries cancel)."""
+    """Census of the arrays a Ray and its states own.  The Ray, its grid
+    included, owns no array whose length scales with the grid: what it
+    reaches is either under grid.size bytes in all (the grid's per-facet
+    and per-cell maps, u0, g's pieces) or read-only and shared through a
+    cache by every Ray of its base and depth (the frame, the reference
+    rules), and a state owns none at all: every field lives in one block
+    of rung_fields, pair by row, with no 2 x 2 field.  Those form
+    H_tau = D2u0 + tau * D2g_beta (D2u0 itself for an affine g) as its
+    quadratic forms q = w^T H_tau w on the frame's pair vectors and
+    det H_tau, on each block bit for bit as on the whole grid: in 1D bit
+    for bit as H_tau itself, in 2D within 8 eps of the sizes in which the
+    matrix forms round, |w|^T S |w| and |s00 s11| + |s01 s10| for the
+    entry sizes S = |D2u0| + tau beta max |a_i|^2 (the terms of
+    weights_hessian's entries cancel)."""
     ray = Ray(cfg, beta=10.0, tau_max=2.0)
     n, size = cfg.dim, ray.grid.size
     # a 2D PL ray has several blocks of rows
     assert cfg.dim == 1 or size > _BLOCK
-    ray_arrays = [a for a in vars(ray).values() if isinstance(a, np.ndarray)]
-    assert _owned_bytes(ray_arrays) < size
-    assert _owned_bytes(ray_arrays + [ray.grid.points, ray.grid.weights]) \
-        == (n + 1) * 8 * size
-    pts, w = ray.grid.points, ray.frame.pair_vectors
+    reached = _reached_arrays(ray)
+    owned = [a for a in reached if a.flags.writeable]
+    assert _owned_bytes(owned) < size
+    rules = [a for rule, _ in ray.grid.pieces for a in rule]
+    again = [a for rule, _ in Ray(cfg, beta=10.0, tau_max=2.0).grid.pieces
+             for a in rule]
+    assert all(map(operator.is_, rules, again)) and len(rules) == len(again)
+    pts, w = nodes(ray.grid)[0], ray.frame.pair_vectors
     h0, g_hess = ray.u0.hessian(pts), ray.smooth.hessian(pts)
     eps = np.finfo(float).eps
     for tau in (0.5, 1.0, 2.0):
@@ -430,9 +459,11 @@ def test_rays_and_states_own_no_matrix_field(cfg, affine):
         quad_size = np.einsum("pi,rij,pj->pr", np.abs(w), size, np.abs(w))
         det_size = size[:, 0, 0] * size[:, -1, -1] \
             + size[:, 0, -1] * size[:, -1, 0]
-        whole = rung_fields(ray, tau, slice(None))
-        for rows in ray.grid.blocks():
-            f = rung_fields(ray, tau, rows)
+        whole = rung_fields(ray, tau, pts)
+        starts = range(0, ray.grid.size, _BLOCK)
+        for lo, (block, _) in zip(starts, ray.grid.blocks()):
+            rows = slice(lo, lo + len(block))
+            f = rung_fields(ray, tau, block)
             assert f.weight.shape == (len(w), len(pts[rows]))
             assert (f.log_det is None) == affine
             assert f.quad.tobytes() == whole.quad[:, rows].tobytes()
@@ -449,10 +480,11 @@ def test_rays_and_states_own_no_matrix_field(cfg, affine):
 
 def test_square_rung_peak_memory():
     """Ray(square) -> state(1) -> energy_report -> mabuchi, the first DF
-    rung on 181,440 nodes, peaks under 10 MB of traced allocations
-    (8.2 MB measured): the grid's 4.4 MB while its fan is built, then the
-    grid and the fields of one block.  The fan rule is built inside the
-    count, not read from an earlier test's cache."""
+    rung on 181,440 nodes, peaks under 7 MB of traced allocations
+    (5.4 MB measured; 9.1 MB when the grid held every node): the fan
+    rule's build, then its 1.45 MB (t, s, 1 - s, w) and the nodes and
+    fields of one block.  The fan rule is built inside the count, not
+    read from an earlier test's cache."""
     schedule = Schedule()
     kstab.analysis._fan_rule.cache_clear()
     tracemalloc.start()
@@ -465,7 +497,7 @@ def test_square_rung_peak_memory():
     finally:
         tracemalloc.stop()
     assert ray.grid.size == 181_440
-    assert peak <= 10e6
+    assert peak <= 7e6
 
 
 SIMPLEX = normalize(make_config(unit_simplex(2), [((1, 0), 0)]), "min_zero")
@@ -484,8 +516,8 @@ def test_trace_form_energies_match_the_inverted_h_tau(cfg, tau):
     ray = Ray(cfg, beta=10.0 * tau, tau_max=tau)
     state = ray.state(tau, alpha=alpha)
     rep, mab = energy_report(state), mabuchi(state)
-    f = rung_fields(ray, tau, slice(None))  # every node
-    pts, frame = ray.grid.points, ray.frame
+    pts, frame = nodes(ray.grid)[0], ray.frame
+    f = rung_fields(ray, tau, pts)  # every node
     g0_at_x = pair_field(frame, f.weight)
     ricci = pair_field(frame, frame.ricci_scale[:, None] * f.weight)
     h_tau = ray.u0.hessian(pts) + tau * ray.smooth.hessian(pts)
@@ -543,10 +575,11 @@ def _mabuchi_path(ray, taus):
     grid = bulk_grid(cfg.g, crease_ladder_depth(ray.smooth.beta, 1.0)) \
         if n == 1 else fan_grid([cfg.base], depth=8, inner_order=16,
                                 graded_order=8)
-    g_vals = ray.smooth.value(grid.points)
+    pts = nodes(grid)[0]
+    g_vals = ray.smooth.value(pts)
 
     def integrand(s):
-        curvature = abreu_scalar_curvature(ray.potential(s), grid.points)
+        curvature = abreu_scalar_curvature(ray.potential(s), pts)
         return math.factorial(n) * integral(grid, g_vals * (curvature - n * mu))
     return _energy_path(integrand, taus)
 
@@ -646,7 +679,7 @@ def _boundary_l(state):
         rules = (line_grid(a, b, (None, None), depth)
                  for a, b in zip(cuts, cuts[1:]))
         boundary += float(sigma) * sum(
-            integral(rule, smooth.value(start + rule.points * step))
+            integral(rule, smooth.value(start + nodes(rule)[0] * step))
             for rule in rules)
     return boundary - float(vd.boundary_sigma_volume / vd.volume) \
         * state.g_integral
@@ -837,11 +870,12 @@ def test_alpha_theta_closed_form_matches_newton(alpha):
     transport into alpha finds it wherever that solve resolves the
     slacks (above 1e-6)."""
     ray = Ray(SQUARE, beta=10.0, tau_max=1.0)
-    f = rung_fields(ray, 1.0, slice(None))  # every node
+    pts = nodes(ray.grid)[0]
+    f = rung_fields(ray, 1.0, pts)  # every node
     theta = _alpha_theta(ray, f, 1.0, alpha)
     u_alpha = guillemin_potential(alpha)
     bary = np.array([[float(c) for c in volume_data(alpha).barycenter]])
-    z = newton_transport(u_alpha, ray.u0.gradient(ray.grid.points) + f.grad,
+    z = newton_transport(u_alpha, ray.u0.gradient(pts) + f.grad,
                          np.tile(bary, (ray.grid.size, 1)))
     ok = u_alpha.slacks(z).min(axis=1) > 1e-6
     assert ok.mean() > 0.5

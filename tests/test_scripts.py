@@ -98,13 +98,14 @@ def test_bench_records_the_median_of_three_untraced_runs(monkeypatch):
 
 def test_bench_pl_memory_runs_each_verdict_in_a_fresh_process(monkeypatch):
     """pl_memory runs each PL DF verdict in its own process, with src/
-    on the path, and records its wall time, pass flag and peak RSS."""
+    on the path, and records its wall time, pass flag, peak RSS and grid
+    node count."""
     bench = load_script("bench")
     calls = []
 
     class Done:
         returncode = 0
-        stdout = "1.25 True 86016\n"
+        stdout = "1.25 True 86016 181440\n"
         stderr = ""
 
     def stub(cmd, cwd, env, capture_output, text):
@@ -116,11 +117,36 @@ def test_bench_pl_memory_runs_each_verdict_in_a_fresh_process(monkeypatch):
     out = bench.pl_memory()
     assert list(out) == ["square_max_df", "square_4piece_df"]
     assert out["square_max_df"] == {"wall_s": 1.25, "pass": True,
-                                    "peak_rss_mb": 84.0}
+                                    "peak_rss_mb": 84.0, "grid_nodes": 181440}
     assert len(calls) == 2
     for cmd, pieces in zip(calls, bench.PL_VERDICTS.values()):
         assert cmd[1] == "-c" and pieces in cmd[2]
         assert 'verify_theorem(cfg, "DF")' in cmd[2]
+
+
+def test_bench_pl_memory_probe_counts_the_nodes_of_every_grid(monkeypatch,
+                                                              capsys):
+    """The pl_memory probe prints, after the wall time, pass flag and peak
+    RSS, the node count of every grid its verdict builds: here a stubbed
+    verdict that builds two grids, the probe run in this process."""
+    import kstab
+    import kstab.analysis as analysis
+
+    bench = load_script("bench")
+    monkeypatch.setattr(analysis, "build_grid", analysis.build_grid)
+    sizes = []
+
+    def verdict(cfg, theorem):
+        for depth in (12, 14):
+            sizes.append(analysis.build_grid(cfg.g, depth).size)
+        return types.SimpleNamespace(passed=theorem == "DF")
+
+    monkeypatch.setattr(kstab, "verify_theorem", verdict)
+    exec(bench.PL_PROBE.format(pieces=bench.PL_VERDICTS["square_max_df"]),
+         {})
+    wall, passed, rss_kb, nodes = capsys.readouterr().out.split()
+    assert passed == "True" and int(rss_kb) > 0
+    assert int(nodes) == sum(sizes) and sizes[0] < sizes[1]
 
 
 def test_bench_exact_memory_runs_the_exact_probe_in_a_fresh_process(

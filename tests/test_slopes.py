@@ -39,7 +39,7 @@ from kstab.slopes import (
     ladder,
     verify_theorem,
 )
-from gens import random_config
+from gens import random_config, same_bits
 
 F = Fraction
 
@@ -400,9 +400,9 @@ def test_a_verdict_builds_one_grid_and_one_block_pass(monkeypatch, cfg,
         grids.append(build_grid(*args, **kwargs))
         return grids[-1]
 
-    def counted_block(self, rows, pairing):
-        blocks.append(rows)
-        return block(self, rows, pairing)
+    def counted_block(self, pts, pairing):
+        blocks.append(pts)
+        return block(self, pts, pairing)
 
     def counted_rung(self, b, tau, smooth, out):
         rungs.append(tau)
@@ -413,7 +413,9 @@ def test_a_verdict_builds_one_grid_and_one_block_pass(monkeypatch, cfg,
     monkeypatch.setattr(Ray, "_rung", counted_rung)
     assert verify_theorem(cfg, theorem, alpha=box(2)).passed
     [grid] = grids
-    assert blocks == list(grid.blocks()) and len(blocks) > 1
+    windows = [pts for pts, _ in grid.blocks()]
+    assert len(blocks) == len(windows) > 1
+    assert all(map(same_bits, blocks, windows))
     assert rungs == list(TAUS) * len(blocks)
 
 
