@@ -207,7 +207,7 @@ class Grid:
     """A quadrature grid as pieces, its nodes generated block by block:
     no array holds every node.  A piece is a reference rule, cached and
     shared, and the affine map that places it: a line cell's panel
-    rule (x, w) and (a, span), or a fan facet's (t, s, 1 - s, w) and
+    rule (x, w) and (a, span), or a fan facet's (t, s, w) and
     (A, B, barycenter, |det|)."""
 
     dim: int
@@ -249,7 +249,8 @@ def _line_nodes(rule, where, rows, pts, weights):
 def _fan_nodes(rule, where, rows, pts, weights):
     """The nodes rows of a fan facet: (u A + s B) t + bary, u = 1 - s,
     weight w |det|."""
-    (t, s, u, w), (A, B, bary, det) = (r[rows] for r in rule), where
+    (t, s, w), (A, B, bary, det) = (r[rows] for r in rule), where
+    u = 1 - s
     for k in range(2):  # by coordinate: contiguous temporaries
         pts[:, k] = (u * A[k] + s * B[k]) * t + bary[k]
     np.multiply(w, det, out=weights)
@@ -332,8 +333,7 @@ def _line_rule(lower: int, upper: int, orders: tuple):
 
 @lru_cache(maxsize=None)
 def _fan_rule(depth: int, inner_order: int, graded_order: int):
-    """fan_grid's reference rule (t, s, 1 - s, w), once per depth,
-    read-only."""
+    """fan_grid's reference rule (t, s, w), once per depth, read-only."""
     levels = sorted({*range(1, min(8, depth) + 1), *range(9, depth, 2), depth})
     # (a, b, radial order, level of b); the last panel ends on the facet
     panels = [(0.0, 0.25, inner_order, 0), (0.25, 0.5, inner_order, 1)] + [
@@ -350,8 +350,7 @@ def _fan_rule(depth: int, inner_order: int, graded_order: int):
         sx, sw = s_rules[min(depth, max(3, k + 2))]
         blocks.append((np.repeat(tx, len(sx)), np.tile(sx, len(tx)),
                        (np.outer(tw, sw) * tx[:, None]).reshape(-1)))
-    t, s, w = map(np.concatenate, zip(*blocks))
-    rule = (t, s, 1 - s, w)
+    rule = tuple(map(np.concatenate, zip(*blocks)))
     for a in rule:
         a.flags.writeable = False
     return rule
@@ -368,7 +367,7 @@ def fan_grid(cells, depth: int, inner_order: int = 12,
     graded_order on the deepest ten (Babuska & Guo 1986).  The radial
     panel ending at 1 - 2^-k grades s to min(depth, max(3, k + 2)), the
     one touching the facet to depth: only corner panels need 2^-depth
-    along the edge.  Every facet places _fan_rule's (t, s, 1 - s, w) as
+    along the edge.  Every facet places _fan_rule's (t, s, w) as
     (u A + s B) t + bary, u = 1 - s, weight w |det| (A, B its vertices
     less bary), node by node as Grid.blocks reaches them.
     """

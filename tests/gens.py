@@ -109,9 +109,8 @@ def integral(grid, values):
 
 def fan_reference(cells, depth, inner_order=12, graded_order=4):
     """fan_grid's (points, weights) by the materialized formula: every
-    facet's rows at once from _fan_rule's t, s and w, u = 1 - s formed
-    here.  Reference only."""
-    t, s, _, w = analysis._fan_rule(depth, inner_order, graded_order)
+    facet's rows at once from _fan_rule's (t, s, w).  Reference only."""
+    t, s, w = analysis._fan_rule(depth, inner_order, graded_order)
     u = 1 - s
     facets = [(cell, fv) for cell in cells for fv in cell.facet_vertices]
     weights = np.empty(len(facets) * len(w))

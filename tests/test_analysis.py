@@ -338,8 +338,7 @@ def tensor_fan_grid(cells, depth, inner_order=12, graded_order=4):
     s_breaks = analysis._graded_breaks(depth, depth)
     sx, sw = analysis._panel_nodes(s_breaks, (graded_order, inner_order,
                                               graded_order))
-    s = np.tile(sx, len(tx))
-    rule = (np.repeat(tx, len(sx)), s, 1 - s,
+    rule = (np.repeat(tx, len(sx)), np.tile(sx, len(tx)),
             (np.outer(tw, sw) * tx[:, None]).reshape(-1))
     pieces = []
     for k, h in enumerate(base.halfspaces):

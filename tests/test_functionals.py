@@ -481,8 +481,8 @@ def test_rays_and_states_own_no_matrix_field(cfg, affine):
 def test_square_rung_peak_memory():
     """Ray(square) -> state(1) -> energy_report -> mabuchi, the first DF
     rung on 181,440 nodes, peaks under 7 MB of traced allocations
-    (5.4 MB measured; 9.1 MB when the grid held every node): the fan
-    rule's build, then its 1.45 MB (t, s, 1 - s, w) and the nodes and
+    (5.1 MB measured; 9.1 MB when the grid held every node): the fan
+    rule's build, then its 1.09 MB (t, s, w) and the nodes and
     fields of one block.  The fan rule is built inside the count, not
     read from an earlier test's cache."""
     schedule = Schedule()
