@@ -485,19 +485,6 @@ def emit_outputs(results: dict, out_dir: Path) -> list:
 # drivers
 
 
-def _run_task(cfg, task, alpha, blob, tau_max):
-    kind = task["kind"]
-    if kind == "invariants":
-        return _task_invariants(cfg, task, blob)
-    if kind == "slopes":
-        return _task_slopes(cfg, task, alpha, tau_max)
-    if kind == "stoppa":
-        return _task_stoppa(cfg, task)
-    if kind == "scan":
-        return _task_scan(cfg, task)
-    return _task_l1(cfg, task, tau_max)
-
-
 def run_scenario(path, out_dir=None, tau_max=None, seed=None) -> int:
     """Execute one scenario file and write its artifacts.
 
@@ -522,7 +509,17 @@ def run_scenario(path, out_dir=None, tau_max=None, seed=None) -> int:
     try:  # a float that leaves float64 ends in one typed line, not warnings
         with np.errstate(all="ignore"):
             for task in blob["tasks"]:
-                entries.append(_run_task(cfg, task, alpha, blob, tau_max))
+                kind = task["kind"]
+                if kind == "invariants":
+                    entries.append(_task_invariants(cfg, task, blob))
+                elif kind == "slopes":
+                    entries.append(_task_slopes(cfg, task, alpha, tau_max))
+                elif kind == "stoppa":
+                    entries.append(_task_stoppa(cfg, task))
+                elif kind == "scan":
+                    entries.append(_task_scan(cfg, task))
+                else:
+                    entries.append(_task_l1(cfg, task, tau_max))
     except ValidationError as exc:
         print(f"invalid scenario: {path}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
