@@ -90,6 +90,7 @@ def scaled(g, d):
 
 
 def same_bits(a, b) -> bool:
+    """Same dtype, shape and bytes: equal bit for bit."""
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape \
         and a.tobytes() == b.tobytes()
