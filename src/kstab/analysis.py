@@ -221,8 +221,8 @@ class Grid:
         """(points, weights) of each window of _BLOCK rows, in order, each
         node placed as line_grid and fan_grid define it, fresh arrays per
         window; a window may span several pieces."""
-        place, size = _line_nodes if self.dim == 1 else _fan_nodes, self.size
-        pieces = iter(self.pieces)
+        place = _line_nodes if self.dim == 1 else _fan_nodes
+        size, pieces = self.size, iter(self.pieces)
         at = end = 0  # the next row of the current piece, and its length
         for lo in range(0, size, _BLOCK):
             rows = min(_BLOCK, size - lo)
