@@ -641,24 +641,22 @@ class SimplexProduct:
                 col += shift
         return r.T
 
-    def totals(self, shares, out=None) -> np.ndarray:
+    def totals(self, shares) -> np.ndarray:
         """S_B = sum_{k in B} p_k per block and row, added left to right."""
-        out = np.empty((len(self.blocks), shares.shape[1])) if out is None \
-            else out
+        out = np.empty((len(self.blocks), shares.shape[1]))
         for total, block in zip(out, self.blocks):
             np.add(shares[block[0]], shares[block[1]], out=total)
             for k in block[2:]:
                 total += shares[k]
         return out
 
-    def rescaled(self, shares, totals, s, tau: float, out) -> tuple:
-        """The shares at xi + tau t, into out = (shares, block rows), from
-        those at xi, their totals S^y and s = R^T t (K x 1 or K x rows;
-        overwritten).  Returns sum_k step_k and lambda . step, step_k =
+    def rescaled(self, shares, totals, s, tau: float) -> tuple:
+        """The shares at xi + tau t and their steps, from those at xi,
+        their totals S^y and s = R^T t (K x 1 or K x rows; overwritten):
+        sum_k step_k and lambda . step, step_k =
         log ell_k(xi + tau t) - log ell_k(xi) = e_k - log(S_B / S^y_B),
         e = tau (s - max_B s), both 0 at tau = 0: for one column s, K
         scalar exps and a log per block row."""
-        p, block_rows = out
         for block in self.blocks:
             top = np.maximum(s[block[0]], s[block[1]])
             for k in block[2:]:
@@ -667,28 +665,28 @@ class SimplexProduct:
                 s[k] -= top
         s *= tau
         e_sums = self.step_map @ s
-        np.multiply(shares, np.exp(s, out=s), out=p)
-        for total, block in zip(self.totals(p, out=block_rows), self.blocks):
+        p = shares * np.exp(s, out=s)
+        block_rows = self.totals(p)
+        for total, block in zip(block_rows, self.blocks):
             for k in block:
                 p[k] /= total
         logs = np.log(np.divide(block_rows, totals, out=block_rows),
                       out=block_rows)
         for weights, log in zip(self.step_weights.T, logs):  # no slow matmul
             e_sums = e_sums - weights[:, None] * log  # of one column
-        return e_sums
+        return p, e_sums
 
-    def weights(self, shares, out=None) -> np.ndarray:
+    def weights(self, shares) -> np.ndarray:
         """omega_p = 2 Lambda_B p_k p_l per pair, pair by row."""
-        out = np.empty((len(self.pair_vectors), shares.shape[1])) \
-            if out is None else out
+        out = np.empty((len(self.pair_vectors), shares.shape[1]))
         for row, k, l, scale in zip(out, *self.pairs, self.pair_scale):
             np.multiply(shares[k], scale, out=row)
             row *= shares[l]
         return out
 
-    def inverse_det(self, shares, out=None) -> np.ndarray:
+    def inverse_det(self, shares) -> np.ndarray:
         """det D2u0^-1 = det_scale prod_k p_k per row."""
-        out = np.multiply(shares[0], self.det_scale, out=out)
+        out = shares[0] * self.det_scale
         for row in shares[1:]:
             out *= row
         return out
@@ -871,14 +869,6 @@ class Ray:
             None if dim == 1 else (twist and _pair_cross(
                 twist.pair_vectors, frame.pair_vectors), _pair_cross(v, v))
 
-    def _scratch(self, twist, size: int) -> list:
-        """Rows a rung writes into, allocated once per pass: x's shares,
-        block rows, pair weights, det D2u0(x)^-1, then alpha's first 3."""
-        rows = [np.empty((len(f), size)) for frame in (self.frame, twist)
-                if frame is not None for f in
-                (frame.sums, frame.blocks, frame.pair_vectors)]
-        return rows[:3] + [np.empty(size)] + rows[3:]
-
     def _block(self, pts: np.ndarray, pairing) -> tuple:
         """The fields at the nodes pts that no rung changes: y, its shares
         and their totals, q = w^T D2u0 w, det D2u0; for an exact g, g_beta,
@@ -908,9 +898,9 @@ class Ray:
             vals, on_bends, crosses and crosses[1],
             on_bends[:len(weight)].T @ weight, det_g0)
 
-    def _rung(self, block, tau: float, smooth, out) -> RungFields:
+    def _rung(self, block, tau: float, smooth) -> RungFields:
         """Every field of the rung (tau, smooth.beta) on a _block, each
-        formed once, into the rows out (_scratch).  x, the inverse
+        formed once, in arrays of its own.  x, the inverse
         transport of a node y, is only its shares, y's rescaled by
         s = R^T grad g_beta (one column for an exact g: no exp or log per
         facet and node).  With step = log ell(x) - log ell(y), by the
@@ -928,8 +918,7 @@ class Ray:
         shares are rescaled the same way."""
         pts, (shares, totals, alpha), quad, det_tau, g, grad, lever, pl \
             = block
-        frame, log_det, trace = self.frame, None, None
-        p, block_rows, weight, inv_det, *alpha_rows = out
+        frame, log_det, trace, theta = self.frame, None, None, None
         if pl is not None:
             vals, on_bends, bend_cross, g0_y, det_g0 = pl
             z, w = smooth._softmax(vals)
@@ -945,22 +934,19 @@ class Ray:
             log_det = np.log1p(arg)
             quad = quad + tau * (on_bends @ c)
             det_tau = quad[0] if bend_cross is None else det_tau * (1.0 + arg)
-        steps = frame.rescaled(shares, totals, frame.ratio_map.T @ grad.T,
-                               tau, (p, block_rows))
+        p, steps = frame.rescaled(shares, totals, frame.ratio_map.T @ grad.T,
+                                  tau)
         log_ratio = -steps[0]
         if log_det is not None:
             log_ratio -= log_det
         phi_y = tau * lever + 0.5 * steps[1]
-        theta = None
         if alpha is not None:
             twist, shares, totals = alpha
-            twist.rescaled(shares, totals, twist.ratio_map.T @ grad.T, tau,
-                           alpha_rows[:2])
-            theta = twist.weights(alpha_rows[0], out=alpha_rows[2])
+            theta = twist.weights(twist.rescaled(
+                shares, totals, twist.ratio_map.T @ grad.T, tau)[0])
         return RungFields(g, grad, p, steps, phi_y, log_ratio, log_det, trace,
-                          frame.weights(p, out=weight),
-                          frame.inverse_det(p, out=inv_det), quad, det_tau,
-                          theta)
+                          frame.weights(p), frame.inverse_det(p), quad,
+                          det_tau, theta)
 
     def potential(self, s: float) -> ShiftedPotential:
         return ShiftedPotential(self.u0, self.smooth, float(s))
@@ -996,9 +982,8 @@ class Ray:
     def states(self, rungs, alpha: Polytope | None = None) -> list:
         """The RayState of each rung (tau, beta), in order, from one pass
         over the grid's blocks: per block its _block, then per rung its
-        _rung into rows allocated once per pass, every density (L_alpha
-        too, given alpha) summed into the rung's integrals.  check_reach
-        and alpha_frame refuse first."""
+        _rung, every density (L_alpha too, given alpha) summed into the
+        rung's integrals.  check_reach and alpha_frame refuse first."""
         rungs = [(float(tau), float(beta)) for tau, beta in rungs]
         self.check_reach(max(tau for tau, _ in rungs))
         twist = None if alpha is None else alpha_frame(alpha, self.cfg.dim)
@@ -1006,13 +991,11 @@ class Ray:
         n, frame = self.cfg.dim, self.frame
         pairing, pairs = self._pairing(twist), len(frame.pair_vectors)
         twist_cross = pairing[3] and pairing[3][0]  # None in 1D
-        scratch = self._scratch(twist, min(_BLOCK, self.grid.size))
         sums = np.zeros((len(rungs), 9))  # RayState's integrals per rung
         for pts, w in self.grid.blocks():
             block = self._block(pts, pairing)
-            out = [a[..., :len(w)] for a in scratch]
             for acc, (tau, _), smooth in zip(sums, rungs, smooths):
-                f = self._rung(block, tau, smooth, out)
+                f = self._rung(block, tau, smooth)
                 acc[0] += f.g @ w
                 acc[1] += f.log_ratio @ w
                 acc[3] += f.phi_y @ w

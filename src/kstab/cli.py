@@ -184,6 +184,12 @@ def load_scenario(path: Path) -> dict:
             f"got {blob.get('schema')!r}")
     if not isinstance(blob.get("name"), str) or not blob["name"]:
         raise ValidationError("scenario needs a nonempty string name")
+    if not isinstance(blob.get("output_dir", ""), (str, type(None))):
+        raise ValidationError(f"scenario output_dir must be a string, got "
+                              f"{blob['output_dir']!r}")
+    for key in ("name", "output_dir"):
+        if "\0" in (blob.get(key) or ""):
+            raise ValidationError(f"scenario {key} holds a NUL character")
     tasks = blob.get("tasks")
     if not isinstance(tasks, list) or not tasks:
         raise ValidationError("scenario needs a nonempty task list")
@@ -495,6 +501,9 @@ def run_scenario(path, out_dir=None, tau_max=None, seed=None) -> int:
     try:
         blob = load_scenario(path)
         cfg, alpha = _build_config(blob)
+        if tau_max is not None and not 0.0 < float(tau_max) < math.inf:
+            raise ValidationError(
+                f"--tau-max must be finite and positive, got {tau_max!r}")
     except _ParseFailure as exc:
         print(exc, file=sys.stderr)
         return EXIT_PARSE

@@ -246,12 +246,12 @@ def ladder(cfg: ToricTestConfig, schedule: Schedule, fn,
     at beta0 * tau_max, its grid graded for tau_max.  The Ray refuses a
     base that is not a simplex product before any grid, and Ray.states
     checks the reach of the largest tau before its pass; a NewtonDivergence
-    there is re-raised with that tau, one in fn with its rung's tau."""
+    there is re-raised with that tau."""
     top = schedule.taus[-1]
     ray = Ray(cfg, beta=schedule.beta(top), tau_max=top)
     states = _at_tau(top, ray.states,
                      [(t, schedule.beta(t)) for t in schedule.taus], alpha)
-    return [_at_tau(state.tau, fn, state) for state in states]
+    return [fn(state) for state in states]
 
 
 def _at_tau(tau: float, fn, *args):

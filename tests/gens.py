@@ -27,6 +27,15 @@ def interval_config(pieces, mode="min_zero"):
     return normalize(make_config(interval(0, 1), pieces), mode)
 
 
+PL_2D = {  # the PL reference rays in 2D
+    "square-max": make_config(box(2), [((1, 0), 0), ((0, 1), 0)]),
+    "simplex-max": make_config(unit_simplex(2), [((1, 0), 0), ((0, 1), 0)]),
+    "square3": make_config(box(2), [((1, 0), 0), ((0, 1), 0),
+                                    ((-1, -1), 1)]),
+    "square-half": make_config(box(2), [((0, 0), 0), ((1, 0), F(-1, 2))]),
+}
+
+
 def random_base(rng: random.Random):
     roll = rng.randrange(6)
     if roll == 0:
@@ -160,7 +169,7 @@ def rung_fields(ray, tau, pts):
     pts (a block of its grid, or every node): the fields that Ray.state
     sums, block by block."""
     return ray._rung(ray._block(pts, ray._pairing(None)), float(tau),
-                     ray.smooth, ray._scratch(None, len(pts)))
+                     ray.smooth)
 
 
 def corner_coords(u0, log_ell):

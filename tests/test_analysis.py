@@ -1473,6 +1473,39 @@ def test_ricci_mixed_discriminant_is_the_mean_times_det(base):
                        rtol=1e-12, atol=0.0)
 
 
+SQUARE_MAX = normalize(make_config(box(2), [((1, 0), 0), ((0, 1), 0)]),
+                       "min_zero")
+
+
+@pytest.mark.parametrize("cfg,alpha", [(SQUARE_MAX, None),
+                                       (SQUARE, box(2))],
+                         ids=["pl", "affine-alpha"])
+def test_a_rungs_fields_are_values(cfg, alpha):
+    """Two rungs on one _block, tau = 1 then tau = 12: every array the
+    second forms is its own, so the first rung's fields share no memory
+    with it (but for an exact g's tau-free fields, the block's, passed
+    through as the same objects) and still equal, bit for bit, a fresh
+    recompute at tau = 1."""
+    ray = Ray(cfg, beta=120.0, tau_max=12.0)
+    pairing = ray._pairing(alpha and analysis.alpha_frame(alpha, 2))
+    pts, _ = next(ray.grid.blocks())
+    block = ray._block(pts, pairing)
+    first = ray._rung(block, 1.0, ray.smooth)._asdict()
+    second = ray._rung(block, 12.0, ray.smooth)
+    fresh = ray._rung(ray._block(pts, pairing), 1.0, ray.smooth)._asdict()
+    passed = {name for name, a in first.items()
+              if a is not None and a is getattr(second, name)}
+    assert passed == (set() if alpha is None else {"g", "grad", "quad",
+                                                   "det_tau"})
+    assert (first["theta"] is None) == (alpha is None)
+    for name, a in first.items():
+        if a is not None and name not in passed:
+            assert not any(np.shares_memory(a, b) for b in second
+                           if b is not None), name
+        assert (a is None) == (fresh[name] is None), name
+        assert a is None or same_bits(a, fresh[name]), name
+
+
 def test_an_exact_rung_forms_no_log_slacks_and_a_ray_no_gradient(
         monkeypatch):
     """Building a Ray takes no grad u0 over its grid (check_reach reads

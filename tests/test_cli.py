@@ -618,6 +618,50 @@ def test_tau_max_truncates_the_ladder(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("tau_max", ["nan", "inf", "1e999", "0", "-1"])
+def test_tau_max_not_finite_and_positive_exits_3_before_any_task(
+        tmp_path, capsys, monkeypatch, tau_max):
+    """A --tau-max that is not finite and positive is refused in one line
+    before any task runs: no invariants report, no verdict and no
+    report.json whose options could not be written as JSON."""
+    def no_task(*args):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setattr(kstab.cli, "_task_invariants", no_task)
+    monkeypatch.setattr(kstab.cli, "_task_slopes", no_task)
+    path = write_scenario(tmp_path, KINK)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out),
+                 "--tau-max", tau_max]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"invalid scenario: {path}: ")
+    assert "--tau-max must be finite and positive" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("output_dir", 5, "output_dir must be a string"),
+    ("output_dir", ["a"], "output_dir must be a string"),
+    ("output_dir", True, "output_dir must be a string"),
+    ("output_dir", {}, "output_dir must be a string"),
+    ("output_dir", "out\u0000dir", "output_dir holds a NUL character"),
+    ("name", "\u0000", "name holds a NUL character"),
+    ("name", "kink\u0000", "name holds a NUL character"),
+])
+def test_bad_output_dir_or_name_exits_3(tmp_path, capsys, monkeypatch, key,
+                                        value, message):
+    """An output_dir that is not a string, or a name or output_dir that
+    no file system takes, is refused at load and named in one line."""
+    monkeypatch.chdir(tmp_path)
+    blob = dict(KINK, **{key: value})
+    path = write_scenario(tmp_path, blob)
+    assert main(["run", str(path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("invalid scenario: ")
+    assert message in err[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
+
 @pytest.mark.parametrize("taus,tau_max,message", [
     ([], None, "schedule taus must be nonempty"),
     ([2, 4, 8], 1.0, "--tau-max leaves no tau samples"),

@@ -1,7 +1,11 @@
 """Smoke runs of the command-line scripts under scripts/."""
+import dataclasses
 import importlib.util
 import json
+import math
+import os
 import re
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -68,6 +72,54 @@ def test_verdict_sweep_pins_its_rows_and_counts(capsys):
     assert out[7:] == ["1 simplex-product configs; 1 other bases refused, 0 not",
                        "AM: pass 1", "DF: RouteMismatch 1", "MINNORM: pass 1",
                        "JALPHA: FAIL 1"]
+
+
+def test_state_digest_lines_repeat_and_see_one_ulp(monkeypatch, capsys):
+    """state_digest on seeds 1-3: one line per reference ray and
+    simplex-product draw (label, 14 states, sha256), then the digest of
+    them all; a run in a child process prints the same bytes, and one
+    state moved by one ulp changes its own line and the last one, no
+    other."""
+    argv = ["--seeds", "1-3"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(SCRIPTS.parent / "src"), os.environ.get("PYTHONPATH")])))
+    child = subprocess.Popen(  # runs beside the first run in process
+        [sys.executable, str(SCRIPTS / "state_digest.py"), *argv],
+        stdout=subprocess.PIPE, text=True, env=env)
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    digest = load_script("state_digest")
+
+    def run():
+        assert digest.main(argv) == 0
+        return capsys.readouterr().out
+
+    first = run()
+    assert child.communicate(timeout=600)[0] == first
+    assert child.returncode == 0
+    lines = first.splitlines()
+    labels = ["interval-affine", "interval-kink", "interval-steep",
+              "square-x1", "simplex-x1", "square-max", "simplex-max",
+              "square3", "square-half", "seed-1", "seed-2", "seed-3"]
+    assert [line.split()[0] for line in lines] == labels + ["all"]
+    for line in lines:
+        assert re.fullmatch(r"[\w-]{1,16} +\d{2,3} [0-9a-f]{64}", line), line
+    assert {line[17:20] for line in lines[:-1]} == {" 14"}
+    assert lines[-1][17:20] == " 12"
+
+    states, nudged = digest.Ray.states, []
+
+    def nudge_first(self, rungs, alpha=None):
+        out = states(self, rungs, alpha)
+        if not nudged:
+            nudged.append(out[0])
+            out[0] = dataclasses.replace(out[0], g_integral=math.nextafter(
+                out[0].g_integral, math.inf))
+        return out
+
+    monkeypatch.setattr(digest.Ray, "states", nudge_first)
+    moved = run().splitlines()
+    assert [a == b for a, b in zip(lines, moved)] \
+        == [False] + [True] * (len(labels) - 1) + [False]
 
 
 def test_bench_records_the_median_of_three_untraced_runs(monkeypatch):

@@ -30,16 +30,15 @@ from kstab.errors import (
 from kstab.functionals import mabuchi
 from kstab.invariants import (chow_weight, minimum_norm, scan_destabilizer,
                                twisted_weights)
-from kstab.plconfig import make_config, normalize
+from kstab.plconfig import make_config
 from kstab.polytope import box, construct, corner_chop, interval, unit_simplex
 from kstab.slopes import (
     Schedule,
     estimate_limit_slope,
     estimate_limit_value,
-    ladder,
     verify_theorem,
 )
-from gens import random_config, same_bits
+from gens import PL_2D, random_config, same_bits
 
 F = Fraction
 
@@ -56,14 +55,6 @@ HIRZEBRUCH_MAX = make_config(
     [((1, 0), 0), ((0, 1), 0)])
 
 TAUS = (1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0)
-
-PL_2D = {
-    "square-max": SQUARE_MAX,
-    "simplex-max": make_config(unit_simplex(2), [((1, 0), 0), ((0, 1), 0)]),
-    "square3": make_config(box(2), [((1, 0), 0), ((0, 1), 0),
-                                    ((-1, -1), 1)]),
-    "square-half": make_config(box(2), [((0, 0), 0), ((1, 0), F(-1, 2))]),
-}
 
 
 # -- estimator on synthetic traces --------------------------------------------
@@ -404,9 +395,9 @@ def test_a_verdict_builds_one_grid_and_one_block_pass(monkeypatch, cfg,
         blocks.append(pts)
         return block(self, pts, pairing)
 
-    def counted_rung(self, b, tau, smooth, out):
+    def counted_rung(self, b, tau, smooth):
         rungs.append(tau)
-        return rung(self, b, tau, smooth, out)
+        return rung(self, b, tau, smooth)
 
     monkeypatch.setattr(kstab.analysis, "build_grid", counted_grid)
     monkeypatch.setattr(Ray, "_block", counted_block)
@@ -417,21 +408,6 @@ def test_a_verdict_builds_one_grid_and_one_block_pass(monkeypatch, cfg,
     assert len(blocks) == len(windows) > 1
     assert all(map(same_bits, blocks, windows))
     assert rungs == list(TAUS) * len(blocks)
-
-
-@pytest.mark.parametrize("cfg", [AFFINE, KINK], ids=["affine", "pl"])
-def test_ladder_names_the_tau_of_a_newton_divergence(cfg):
-    original = NewtonDivergence("Legendre inversion stalled at 1 node(s)")
-
-    def fn(state):
-        if state.tau == 2.0:
-            raise original
-        return state.tau
-
-    with pytest.raises(NewtonDivergence) as err:
-        ladder(normalize(cfg, "min_zero"), Schedule(), fn)
-    assert str(err.value) == f"tau=2: {original}"
-    assert err.value.__cause__ is original
 
 
 def test_point_probe_stall_names_its_tau():
