@@ -184,9 +184,10 @@ def load_scenario(path: Path) -> dict:
             f"got {blob.get('schema')!r}")
     if not isinstance(blob.get("name"), str) or not blob["name"]:
         raise ValidationError("scenario needs a nonempty string name")
-    if not isinstance(blob.get("output_dir", ""), (str, type(None))):
-        raise ValidationError(f"scenario output_dir must be a string, got "
-                              f"{blob['output_dir']!r}")
+    output_dir = blob.get("output_dir")
+    if output_dir is not None and not isinstance(output_dir, str):
+        raise ValidationError(
+            f"scenario output_dir must be a string, got {output_dir!r}")
     for key in ("name", "output_dir"):
         if "\0" in (blob.get(key) or ""):
             raise ValidationError(f"scenario {key} holds a NUL character")
